@@ -6,6 +6,7 @@
 package umzi_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -13,6 +14,8 @@ import (
 
 	"umzi"
 	"umzi/internal/bench"
+	"umzi/internal/exec"
+	"umzi/internal/wildfire"
 )
 
 func benchFigure(b *testing.B, f func(bench.Scale) (*bench.Result, error)) {
@@ -112,7 +115,7 @@ const (
 // key that is both sharding and sort key, so every scan scatters) with
 // shardBenchRows rows, through the same builder the Figure S1 sweep
 // uses so both measure the same workload.
-func newShardBenchEngine(b *testing.B, name string, shards int) *umzi.ShardedEngine {
+func newShardBenchEngine(b *testing.B, name string, shards int) *wildfire.ShardedEngine {
 	b.Helper()
 	eng, err := bench.NewShardedLedger(name, shards, shardBenchRows,
 		umzi.LatencyModel{PerOp: 100 * time.Microsecond})
@@ -133,12 +136,19 @@ func BenchmarkShardedScan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := eng.IndexOnlyScan(nil, nil, nil, umzi.QueryOptions{})
+				cur, err := eng.IndexOnlyStreamOn(context.Background(), "", nil, nil, nil, wildfire.QueryOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(rows) != shardBenchRows {
-					b.Fatalf("scan returned %d rows, want %d", len(rows), shardBenchRows)
+				rows := 0
+				for cur.Next() {
+					rows++
+				}
+				if err := cur.Err(); err != nil {
+					b.Fatal(err)
+				}
+				if rows != shardBenchRows {
+					b.Fatalf("scan returned %d rows, want %d", rows, shardBenchRows)
 				}
 			}
 			b.ReportMetric(float64(shardBenchRows*b.N)/b.Elapsed().Seconds(), "rows/s")
@@ -170,7 +180,7 @@ func BenchmarkAggPushdown(b *testing.B) {
 	b.Run("pushdown", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Execute(plan, umzi.QueryOptions{})
+			res, err := bench.RunPlan(eng, plan, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -214,12 +224,12 @@ func BenchmarkSecondaryLookup(b *testing.B) {
 	}
 	b.Cleanup(func() { eng.Close() })
 	plan := bench.SecondaryLookupPlan(bench.SecondaryRegionName(regions / 2))
-	want, err := eng.Execute(plan, umzi.QueryOptions{NoIndexSelection: true})
+	want, err := bench.RunPlan(eng, plan, true)
 	if err != nil {
 		b.Fatal(err)
 	}
 
-	check := func(b *testing.B, res *umzi.QueryResult) {
+	check := func(b *testing.B, res *exec.Result) {
 		b.Helper()
 		if len(res.Rows) != 1 ||
 			res.Rows[0][0].Int() != want.Rows[0][0].Int() ||
@@ -230,7 +240,7 @@ func BenchmarkSecondaryLookup(b *testing.B) {
 	b.Run("index", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Execute(plan, umzi.QueryOptions{})
+			res, err := bench.RunPlan(eng, plan, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -240,7 +250,7 @@ func BenchmarkSecondaryLookup(b *testing.B) {
 	b.Run("scan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Execute(plan, umzi.QueryOptions{NoIndexSelection: true})
+			res, err := bench.RunPlan(eng, plan, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -274,7 +284,7 @@ func BenchmarkVectorizedScan(b *testing.B) {
 	wantCount := int64(shardBenchRows)
 	wantSum := wantCount * (wantCount - 1) / 2
 
-	check := func(b *testing.B, res *umzi.QueryResult) {
+	check := func(b *testing.B, res *exec.Result) {
 		b.Helper()
 		if res.Rows[0][0].Int() != wantCount || res.Rows[0][1].Int() != wantSum {
 			b.Fatalf("aggregate = %v, want (%d, %d)", res.Rows[0], wantCount, wantSum)
@@ -283,7 +293,7 @@ func BenchmarkVectorizedScan(b *testing.B) {
 	b.Run("vectorized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Execute(plan, umzi.QueryOptions{})
+			res, err := bench.ExecOnShards(eng, plan, wildfire.QueryOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -293,7 +303,7 @@ func BenchmarkVectorizedScan(b *testing.B) {
 	b.Run("scalar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Execute(plan, umzi.QueryOptions{ScalarExec: true})
+			res, err := bench.ExecOnShards(eng, plan, wildfire.QueryOptions{ScalarExec: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -320,7 +330,7 @@ func BenchmarkShardedLookup(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, found, err := eng.GetBatch(keys, umzi.QueryOptions{})
+				_, found, err := eng.GetBatch(keys, wildfire.QueryOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -40,7 +40,6 @@ func drivers() []driver {
 		{"14", "Figure 14: purge levels", bench.Fig14PurgeLevels},
 		{"15", "Figure 15: index evolve on/off", bench.Fig15Evolve},
 		{"s1", "Figure S1: scatter-gather shard scaling (extension)", bench.FigS1ShardScaling},
-		{"s2", "Figure S2: unified query surface vs legacy entry points (extension)", bench.FigS2QuerySurface},
 		{"s3", "Figure S3: ingest throughput vs sync policy and group commit (extension)", bench.FigS3GroupCommit},
 		{"s4", "Figure S4: serving layer — throughput vs concurrent clients (extension)", bench.FigS4Serving},
 		{"s5", "Figure S5: encoded vectorized scan vs scalar executor (extension)", bench.FigS5EncodedScan},

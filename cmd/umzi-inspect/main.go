@@ -318,8 +318,8 @@ func inspectTable(store storage.ObjectStore, table string) error {
 	fmt.Printf("  max logged seq:  %d\n", w.maxSeq)
 	fmt.Printf("  replay tail:     %d rows (rebuilt into the live zone on reopen)\n", w.tailRows)
 	// Data-block inventory: physical encodings, bloom filters, and the
-	// on-store footprint of each block against the plain (version-1)
-	// layout of the same rows.
+	// on-store footprint of each block against the plain layout of the
+	// same rows.
 	for _, zone := range []string{"groomed", "post"} {
 		prefix := fmt.Sprintf("tbl/%s/%s/", table, zone)
 		blocks, err := store.List(prefix)

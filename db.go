@@ -15,13 +15,12 @@ import (
 
 // The unified front end. Wildfire is a multi-table HTAP database; DB is
 // its handle: one shared store and SSD cache serving any number of
-// tables, each behind a *Table whose query surface is the fluent
-// builder (Table.Query) regardless of how many shards the table runs
-// on. The table set is persisted in a sequenced catalog under
-// db/catalog/, so OpenDB on an existing store recovers every table —
-// definitions, shard counts, primary and secondary indexes — in one
-// call, the multi-table generalization of the paper's §5.5 recovery
-// story.
+// tables, each an N>=1-shard *Table whose query surface is the fluent
+// builder (Table.Query). The table set is persisted in a sequenced
+// catalog under db/catalog/, so OpenDB on an existing store recovers
+// every table — definitions, shard counts, primary and secondary
+// indexes — in one call, the multi-table generalization of the paper's
+// §5.5 recovery story.
 
 // DBConfig configures a DB.
 type DBConfig struct {
@@ -50,9 +49,9 @@ type DBConfig struct {
 
 // TableOptions configures one table at creation.
 type TableOptions struct {
-	// Shards is the number of hash partitions; 0 or 1 runs the table on
-	// a single engine, N>1 behind the scatter-gather sharding layer.
-	// The query surface is identical either way.
+	// Shards is the number of hash partitions (0 means 1). A 1-shard
+	// table stores its objects under "tbl/<name>/" with no shard segment
+	// and never scatters a query.
 	Shards int
 	// Index is the primary Umzi index layout. Zero value derives a
 	// default: the table's sharding key as equality columns and the
@@ -64,7 +63,8 @@ type TableOptions struct {
 	Replicas int
 	// Partitions is the number of partition-key buckets per shard.
 	Partitions int
-	// Parallelism bounds the scatter-gather pool of a sharded table.
+	// Parallelism bounds the table's scatter-gather pool (default: one
+	// worker per shard).
 	Parallelism int
 	// ScanParallelism bounds each shard's intra-shard scan worker pool
 	// (0 derives a default from GOMAXPROCS; 1 scans sequentially).
@@ -125,7 +125,7 @@ func OpenDB(cfg DBConfig) (*DB, error) {
 	}
 	db.catalogSeq = seq
 	for _, e := range entries {
-		tbl, err := db.openTable(e)
+		tbl, err := db.openTable(e, nil)
 		if err != nil {
 			db.Close()
 			return nil, fmt.Errorf("umzi: recovering table %s: %w", e.Def.Name, err)
@@ -171,82 +171,63 @@ func (db *DB) CreateTable(def TableDef, opts TableOptions) (*Table, error) {
 		entry.BlockCacheBytes = db.blockCacheBytes
 	}
 	entry.tuning = opts.IndexTuning
-	tbl, err := db.openTable(entry)
+	// Secondaries ride through the engine config only at creation — the
+	// engine validates the whole declaration (primary spec, every
+	// secondary, duplicate names) before its first store write, so invalid
+	// DDL leaves nothing behind. The per-table index catalog owns them
+	// from here (CreateIndex included), so the DB catalog needs just the
+	// table-level shape.
+	tbl, err := db.openTable(entry, opts.Secondaries)
 	if err != nil {
 		return nil, err
-	}
-	// Secondaries ride through the engine config only at creation; the
-	// per-table index catalog owns them from here (CreateIndex included),
-	// so the DB catalog needs just the table-level shape.
-	if len(opts.Secondaries) > 0 {
-		for _, s := range opts.Secondaries {
-			if err := tbl.topo.CreateIndex(s); err != nil {
-				tbl.topo.Close()
-				return nil, err
-			}
-		}
 	}
 	db.tables[def.Name] = tbl
 	db.order = append(db.order, def.Name)
 	if err := db.writeCatalogLocked(); err != nil {
 		delete(db.tables, def.Name)
 		db.order = db.order[:len(db.order)-1]
-		tbl.topo.Close()
+		tbl.eng.Close()
 		return nil, err
 	}
 	return tbl, nil
 }
 
-// openTable constructs one table's topology from a catalog entry.
-func (db *DB) openTable(e dbCatalogEntry) (*Table, error) {
-	var topo topology
-	if e.Shards > 1 {
-		eng, err := wildfire.NewShardedEngine(wildfire.ShardedConfig{
-			Table:           e.Def,
-			Index:           e.Index,
-			Shards:          e.Shards,
-			Parallelism:     e.Parallelism,
-			ScanParallelism: e.ScanParallelism,
-			BlockCacheBytes: e.BlockCacheBytes,
-			Store:           db.store,
-			Cache:           db.cache,
-			Replicas:        e.Replicas,
-			Partitions:      e.Partitions,
-			IndexTuning:     e.tuning,
-			Durability:      e.Durability,
-			Obs:             db.obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		topo = shardedTopo{eng}
-	} else {
-		eng, err := wildfire.NewEngine(wildfire.Config{
-			Table:           e.Def,
-			Index:           e.Index,
-			Store:           db.store,
-			Cache:           db.cache,
-			ScanParallelism: e.ScanParallelism,
-			BlockCacheBytes: e.BlockCacheBytes,
-			Replicas:        e.Replicas,
-			Partitions:      e.Partitions,
-			IndexTuning:     e.tuning,
-			Durability:      e.Durability,
-			Obs:             db.obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		topo = singleTopo{eng}
+// openTable opens one table's engine from a catalog entry: every table
+// is an N>=1 ShardedEngine (catalog Shards 0 or 1 is the 1-shard case).
+// secondaries are the indexes declared with a new table; a recovered
+// table's come from its own index catalog.
+func (db *DB) openTable(e dbCatalogEntry, secondaries []SecondaryIndexSpec) (*Table, error) {
+	shards := e.Shards
+	if shards < 1 {
+		shards = 1
+	}
+	eng, err := wildfire.NewShardedEngine(wildfire.ShardedConfig{
+		Table:           e.Def,
+		Index:           e.Index,
+		Secondaries:     secondaries,
+		Shards:          shards,
+		Parallelism:     e.Parallelism,
+		ScanParallelism: e.ScanParallelism,
+		BlockCacheBytes: e.BlockCacheBytes,
+		Store:           db.store,
+		Cache:           db.cache,
+		Replicas:        e.Replicas,
+		Partitions:      e.Partitions,
+		IndexTuning:     e.tuning,
+		Durability:      e.Durability,
+		Obs:             db.obs,
+	})
+	if err != nil {
+		return nil, err
 	}
 	if db.groomEvery > 0 {
 		post := db.postGroomEvery
 		if post <= 0 {
 			post = 5 * db.groomEvery
 		}
-		topo.Start(db.groomEvery, post)
+		eng.Start(db.groomEvery, post)
 	}
-	return &Table{db: db, name: e.Def.Name, topo: topo, catalogEntry: e}, nil
+	return &Table{db: db, name: e.Def.Name, eng: eng, catalogEntry: e}, nil
 }
 
 // Table returns the handle of an open table.
@@ -277,7 +258,7 @@ func (db *DB) Close() error {
 	db.closed = true
 	var first error
 	for _, name := range db.order {
-		if err := db.tables[name].topo.Close(); err != nil && first == nil {
+		if err := db.tables[name].eng.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -382,7 +363,7 @@ func (tx *Tx) Commit(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		inner, err := tbl.topo.begin(tx.replica)
+		inner, err := tbl.eng.Begin(tx.replica)
 		if err != nil {
 			return err
 		}
@@ -545,8 +526,5 @@ type DBTableInfo struct {
 // sharded table (shard 0 of a 1-shard table is the table itself); it is
 // what per-table storage prefixes ("tbl/<name>/...") are derived from.
 func ShardTableName(table string, shards, shard int) string {
-	if shards <= 1 {
-		return table
-	}
-	return wildfire.ShardTableName(table, shard)
+	return wildfire.ShardTableName(table, shards, shard)
 }

@@ -4,30 +4,40 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"umzi"
+	"umzi/internal/wildfire"
 )
 
-// Property test: every Query() builder formulation returns results
-// identical to the legacy entry point it replaces — point get, primary
-// index scan, secondary scan, index-only scan, aggregate — on 1-shard
-// and 8-shard topologies. The builder table and the legacy engine
-// ingest the same row sequence (with key collisions, i.e. updates)
-// into separate stores and groom in lockstep, so every query must see
-// the same reconciled multi-version state.
+// Property test: every Query() builder formulation — point get, primary
+// index scan, secondary scan, index-only scan, aggregate, unordered row
+// query — returns what an oracle that is not the planner returns: the
+// record-level stream primitives (ScanStreamOn / IndexOnlyStreamOn) of
+// a second engine, with aggregates and unordered selections folded
+// client-side over a full scan. 1-shard and 8-shard tables. The builder
+// table and the oracle engine ingest the same row sequence (with key
+// collisions, i.e. updates) into separate stores and groom in lockstep,
+// so every query must see the same reconciled multi-version state.
 
-// legacyAPI is the deprecated query surface, satisfied by both Engine
-// and ShardedEngine.
-type legacyAPI interface {
-	Get(eq, sortv []umzi.Value, opts umzi.QueryOptions) (umzi.Record, bool, error)
-	ScanOn(index string, eq, sortLo, sortHi []umzi.Value, opts umzi.QueryOptions) ([]umzi.Record, error)
-	IndexOnlyScanOn(index string, eq, sortLo, sortHi []umzi.Value, opts umzi.QueryOptions) ([][]umzi.Value, error)
-	Execute(p umzi.Plan, opts umzi.QueryOptions) (*umzi.QueryResult, error)
-	UpsertRows(replicaID int, rows ...umzi.Row) error
-	Groom() error
-	SyncIndex() error
-	Close() error
+// oracleScan drains the oracle's record-level scan through an index.
+func oracleScan(t *testing.T, eng *wildfire.ShardedEngine, index string, eq, lo, hi []umzi.Value, limit int) []wildfire.Record {
+	t.Helper()
+	cur, err := eng.ScanStreamOn(context.Background(), index, eq, lo, hi,
+		wildfire.QueryOptions{TS: umzi.MaxTS, Limit: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	var out []wildfire.Record
+	for cur.Next() {
+		out = append(out, cur.Value())
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func propTableDef() umzi.TableDef {
@@ -62,29 +72,29 @@ func valuesEqual(a, b []umzi.Value) bool {
 	return true
 }
 
-func rowsEqualRecords(t *testing.T, what string, got [][]umzi.Value, want []umzi.Record) {
+func rowsEqualRecords(t *testing.T, what string, got [][]umzi.Value, want []wildfire.Record) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: builder returned %d rows, legacy %d", what, len(got), len(want))
+		t.Fatalf("%s: builder returned %d rows, oracle %d", what, len(got), len(want))
 	}
 	for i := range got {
 		if !valuesEqual(got[i], want[i].Row) {
-			t.Fatalf("%s: row %d: builder %v, legacy %v", what, i, got[i], want[i].Row)
+			t.Fatalf("%s: row %d: builder %v, oracle %v", what, i, got[i], want[i].Row)
 		}
 	}
 }
 
-func TestBuilderLegacyEquivalence(t *testing.T) {
+func TestBuilderStreamOracleEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				testBuilderLegacyEquivalence(t, shards, seed)
+				testBuilderStreamOracleEquivalence(t, shards, seed)
 			})
 		}
 	}
 }
 
-func testBuilderLegacyEquivalence(t *testing.T, shards int, seed int64) {
+func testBuilderStreamOracleEquivalence(t *testing.T, shards int, seed int64) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -102,35 +112,17 @@ func testBuilderLegacyEquivalence(t *testing.T, shards int, seed int64) {
 		t.Fatal(err)
 	}
 
-	var legacy legacyAPI
-	var postGroom func() error
-	if shards == 1 {
-		eng, err := umzi.NewEngine(umzi.EngineConfig{
-			Table:       propTableDef(),
-			Index:       propIndex,
-			Secondaries: []umzi.SecondaryIndexSpec{propSecondary},
-			Store:       umzi.NewMemStore(umzi.LatencyModel{}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy = eng
-		postGroom = func() error { _, err := eng.PostGroom(); return err }
-	} else {
-		eng, err := umzi.NewShardedEngine(umzi.ShardedConfig{
-			Table:       propTableDef(),
-			Index:       propIndex,
-			Secondaries: []umzi.SecondaryIndexSpec{propSecondary},
-			Shards:      shards,
-			Store:       umzi.NewMemStore(umzi.LatencyModel{}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy = eng
-		postGroom = eng.PostGroom
+	oracle, err := wildfire.NewShardedEngine(wildfire.ShardedConfig{
+		Table:       propTableDef(),
+		Index:       propIndex,
+		Secondaries: []umzi.SecondaryIndexSpec{propSecondary},
+		Shards:      shards,
+		Store:       umzi.NewMemStore(umzi.LatencyModel{}),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer legacy.Close()
+	defer oracle.Close()
 
 	// Identical ingest with updates, lockstep grooming, one post-groom
 	// mid-stream so the data straddles all three zones.
@@ -148,14 +140,14 @@ func testBuilderLegacyEquivalence(t *testing.T, shards int, seed int64) {
 		if err := tbl.Upsert(ctx, row); err != nil {
 			t.Fatal(err)
 		}
-		if err := legacy.UpsertRows(0, row); err != nil {
+		if err := oracle.UpsertRows(0, row); err != nil {
 			t.Fatal(err)
 		}
 		if rng.Intn(60) == 0 {
 			if err := tbl.Groom(); err != nil {
 				t.Fatal(err)
 			}
-			if err := legacy.Groom(); err != nil {
+			if err := oracle.Groom(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -163,13 +155,13 @@ func testBuilderLegacyEquivalence(t *testing.T, shards int, seed int64) {
 			if err := tbl.PostGroom(); err != nil {
 				t.Fatal(err)
 			}
-			if err := postGroom(); err != nil {
+			if err := oracle.PostGroom(); err != nil {
 				t.Fatal(err)
 			}
 			if err := tbl.SyncIndex(); err != nil {
 				t.Fatal(err)
 			}
-			if err := legacy.SyncIndex(); err != nil {
+			if err := oracle.SyncIndex(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -177,12 +169,11 @@ func testBuilderLegacyEquivalence(t *testing.T, shards int, seed int64) {
 	if err := tbl.Groom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Groom(); err != nil {
+	if err := oracle.Groom(); err != nil {
 		t.Fatal(err)
 	}
-	opts := umzi.QueryOptions{TS: umzi.MaxTS}
 
-	// Point gets (hits and misses) vs legacy Get.
+	// Point gets (hits and misses) vs a one-key scan.
 	for trial := 0; trial < 30; trial++ {
 		id := int64(rng.Intn(keyspace + 20))
 		row, found, err := tbl.Query().
@@ -192,19 +183,18 @@ func testBuilderLegacyEquivalence(t *testing.T, shards int, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, wantFound, err := legacy.Get(nil, []umzi.Value{umzi.I64(id)}, opts)
-		if err != nil {
-			t.Fatal(err)
+		key := []umzi.Value{umzi.I64(id)}
+		recs := oracleScan(t, oracle, "", nil, key, key, 0)
+		if found != (len(recs) == 1) {
+			t.Fatalf("point get %d: builder found=%v, oracle %d records", id, found, len(recs))
 		}
-		if found != wantFound {
-			t.Fatalf("point get %d: builder found=%v, legacy %v", id, found, wantFound)
-		}
-		if found && !valuesEqual(row, rec.Row) {
-			t.Fatalf("point get %d: builder %v, legacy %v", id, row, rec.Row)
+		if found && !valuesEqual(row, recs[0].Row) {
+			t.Fatalf("point get %d: builder %v, oracle %v", id, row, recs[0].Row)
 		}
 	}
 
-	// Primary ordered range scans (with and without limit) vs ScanOn("").
+	// Primary ordered range scans (with and without limit) vs the
+	// primary's record stream.
 	for trial := 0; trial < 15; trial++ {
 		lo := int64(rng.Intn(keyspace))
 		hi := lo + int64(rng.Intn(keyspace))
@@ -221,15 +211,12 @@ func testBuilderLegacyEquivalence(t *testing.T, shards int, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := legacy.ScanOn("", nil, []umzi.Value{umzi.I64(lo)}, []umzi.Value{umzi.I64(hi)},
-			umzi.QueryOptions{TS: umzi.MaxTS, Limit: limit})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleScan(t, oracle, "", nil, []umzi.Value{umzi.I64(lo)}, []umzi.Value{umzi.I64(hi)}, limit)
 		rowsEqualRecords(t, fmt.Sprintf("range [%d,%d] limit %d", lo, hi, limit), got, want)
 	}
 
-	// Secondary scans via the forced index vs ScanOn.
+	// Secondary scans via the forced index vs the secondary's record
+	// stream.
 	for cust := int64(0); cust < customers; cust++ {
 		got, err := tbl.Query().
 			Where(umzi.Eq("customer", umzi.I64(cust))).
@@ -239,14 +226,11 @@ func testBuilderLegacyEquivalence(t *testing.T, shards int, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := legacy.ScanOn("by_customer", []umzi.Value{umzi.I64(cust)}, nil, nil, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleScan(t, oracle, "by_customer", []umzi.Value{umzi.I64(cust)}, nil, nil, 0)
 		rowsEqualRecords(t, fmt.Sprintf("secondary customer %d", cust), got, want)
 	}
 
-	// Covered (index-only) queries vs IndexOnlyScanOn: the secondary
+	// Covered (index-only) queries vs IndexOnlyStreamOn: the secondary
 	// carries customer, order_id (uniquifier) and amount.
 	for cust := int64(0); cust < customers; cust++ {
 		got, err := tbl.Query().
@@ -258,34 +242,33 @@ func testBuilderLegacyEquivalence(t *testing.T, shards int, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := legacy.IndexOnlyScanOn("by_customer", []umzi.Value{umzi.I64(cust)}, nil, nil, opts)
+		cur, err := oracle.IndexOnlyStreamOn(ctx, "by_customer", []umzi.Value{umzi.I64(cust)}, nil, nil,
+			wildfire.QueryOptions{TS: umzi.MaxTS})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("index-only customer %d: builder %d rows, legacy %d", cust, len(got), len(want))
-		}
-		for i := range got {
-			// Legacy layout: equality (customer), sort (order_id), included (amount).
-			if !valuesEqual(got[i], want[i]) {
-				t.Fatalf("index-only customer %d row %d: builder %v, legacy %v", cust, i, got[i], want[i])
+		// Index layout: equality (customer), sort (order_id), included (amount).
+		n := 0
+		for ; cur.Next(); n++ {
+			if n < len(got) && !valuesEqual(got[n], cur.Value()) {
+				t.Fatalf("index-only customer %d row %d: builder %v, oracle %v", cust, n, got[n], cur.Value())
 			}
+		}
+		if err := cur.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if n != len(got) {
+			t.Fatalf("index-only customer %d: builder %d rows, oracle %d", cust, len(got), n)
 		}
 	}
 
-	// Aggregates vs Execute: filtered GROUP BY, both index-selected and
-	// forced zone scan.
+	// The reconciled table, for the client-side folds below.
+	all := oracleScan(t, oracle, "", nil, nil, nil, 0)
+
+	// Aggregates vs a client-side fold: filtered GROUP BY, both
+	// index-selected and forced zone scan.
 	for trial := 0; trial < 6; trial++ {
 		minAmount := float64(rng.Intn(900))
-		plan := umzi.Plan{
-			Filter:  umzi.Ge("amount", umzi.F64(minAmount)),
-			GroupBy: []string{"region"},
-			Aggs: []umzi.Agg{
-				{Func: umzi.AggCount},
-				{Func: umzi.AggSum, Col: "amount"},
-				{Func: umzi.AggMax, Col: "amount"},
-			},
-		}
 		q := tbl.Query().
 			Where(umzi.Ge("amount", umzi.F64(minAmount))).
 			GroupBy("region").
@@ -298,24 +281,48 @@ func testBuilderLegacyEquivalence(t *testing.T, shards int, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantOpts := opts
-		wantOpts.NoIndexSelection = trial%2 == 1
-		want, err := legacy.Execute(plan, wantOpts)
-		if err != nil {
-			t.Fatal(err)
+		type acc struct {
+			count    int64
+			sum, max float64
 		}
-		if len(got) != len(want.Rows) {
-			t.Fatalf("aggregate >= %v: builder %d groups, legacy %d", minAmount, len(got), len(want.Rows))
+		groups := map[string]*acc{}
+		for _, rec := range all {
+			amount := rec.Row[2].Float()
+			if amount < minAmount {
+				continue
+			}
+			region := string(rec.Row[3].Bytes())
+			g := groups[region]
+			if g == nil {
+				g = &acc{max: amount}
+				groups[region] = g
+			}
+			g.count++
+			g.sum += amount // integral amounts: exact in any order
+			if amount > g.max {
+				g.max = amount
+			}
 		}
-		for i := range got {
-			if !valuesEqual(got[i], want.Rows[i]) {
-				t.Fatalf("aggregate >= %v group %d: builder %v, legacy %v", minAmount, i, got[i], want.Rows[i])
+		regions := make([]string, 0, len(groups))
+		for r := range groups {
+			regions = append(regions, r)
+		}
+		sort.Strings(regions)
+		if len(got) != len(regions) {
+			t.Fatalf("aggregate >= %v: builder %d groups, fold %d", minAmount, len(got), len(regions))
+		}
+		for i, r := range regions {
+			g := groups[r]
+			want := []umzi.Value{umzi.Str(r), umzi.I64(g.count), umzi.F64(g.sum), umzi.F64(g.max)}
+			if !valuesEqual(got[i], want) {
+				t.Fatalf("aggregate >= %v group %d: builder %v, fold %v", minAmount, i, got[i], want)
 			}
 		}
 	}
 
-	// Unordered row query vs Execute's row mode (deterministic encoded
-	// order on both sides).
+	// Unordered row query vs a client-side filter+project. The primary
+	// key is projected and the scan is in primary-key order, which is the
+	// executor's deterministic (encoded-value) row order too.
 	sel, err := tbl.Query().
 		Where(umzi.Lt("amount", umzi.F64(500))).
 		Select("order_id", "amount").
@@ -324,19 +331,18 @@ func testBuilderLegacyEquivalence(t *testing.T, shards int, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSel, err := legacy.Execute(umzi.Plan{
-		Filter:  umzi.Lt("amount", umzi.F64(500)),
-		Columns: []string{"order_id", "amount"},
-	}, opts)
-	if err != nil {
-		t.Fatal(err)
+	var wantSel [][]umzi.Value
+	for _, rec := range all {
+		if rec.Row[2].Float() < 500 {
+			wantSel = append(wantSel, []umzi.Value{rec.Row[0], rec.Row[2]})
+		}
 	}
-	if len(sel) != len(wantSel.Rows) {
-		t.Fatalf("row query: builder %d rows, legacy %d", len(sel), len(wantSel.Rows))
+	if len(sel) != len(wantSel) {
+		t.Fatalf("row query: builder %d rows, fold %d", len(sel), len(wantSel))
 	}
 	for i := range sel {
-		if !valuesEqual(sel[i], wantSel.Rows[i]) {
-			t.Fatalf("row query row %d: builder %v, legacy %v", i, sel[i], wantSel.Rows[i])
+		if !valuesEqual(sel[i], wantSel[i]) {
+			t.Fatalf("row query row %d: builder %v, fold %v", i, sel[i], wantSel[i])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"umzi"
@@ -269,6 +270,113 @@ func TestDBRestart(t *testing.T) {
 	if err != nil || cnt != 10 {
 		t.Fatalf("events stream 2 count after restart = %d (err %v), want 10", cnt, err)
 	}
+}
+
+// TestDBCreateTableInvalidWritesNothing: DDL that fails validation —
+// a bad primary spec, a bad secondary, two secondaries sharing a name —
+// must leave the store untouched, so a later valid CreateTable of the
+// same name starts clean instead of adopting a half-created table.
+func TestDBCreateTableInvalidWritesNothing(t *testing.T) {
+	store := umzi.NewMemStore(umzi.LatencyModel{})
+	db, err := umzi.OpenDB(umzi.DBConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	byCustomer := umzi.SecondaryIndexSpec{Name: "by_customer", IndexSpec: umzi.IndexSpec{Equality: []string{"customer"}}}
+	byRegion := byCustomer
+	byRegion.IndexSpec = umzi.IndexSpec{Equality: []string{"region"}}
+	for name, opts := range map[string]umzi.TableOptions{
+		"bad secondary": {Secondaries: []umzi.SecondaryIndexSpec{{
+			Name: "by_nope", IndexSpec: umzi.IndexSpec{Sort: []string{"nope"}},
+		}}},
+		"bad primary":         {Index: umzi.IndexSpec{Sort: []string{"nope"}}},
+		"duplicate secondary": {Shards: 2, Secondaries: []umzi.SecondaryIndexSpec{byCustomer, byRegion}},
+	} {
+		if _, err := db.CreateTable(ordersDef("orders"), opts); err == nil {
+			t.Fatalf("%s: CreateTable succeeded", name)
+		}
+		if names, err := store.List(""); err != nil || len(names) != 0 {
+			t.Fatalf("%s: failed CreateTable left %v on the store (err %v)", name, names, err)
+		}
+	}
+	if _, err := db.CreateTable(ordersDef("orders"), umzi.TableOptions{}); err != nil {
+		t.Fatalf("valid CreateTable after the failed ones: %v", err)
+	}
+}
+
+// TestDBOneShardLayout pins what a 1-shard table looks like from
+// outside, before and after a reopen: its objects live directly under
+// "tbl/<name>/" with no shard segment, and every table-labeled metric
+// carries exactly {table: <name>} — the layout stores written before
+// tables were uniformly sharded have.
+func TestDBOneShardLayout(t *testing.T) {
+	ctx := context.Background()
+	store := umzi.NewMemStore(umzi.LatencyModel{})
+	check := func(db *umzi.DB, when string) {
+		t.Helper()
+		tbl, err := db.Table("orders")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.NumShards() != 1 {
+			t.Fatalf("%s: %d shards, want 1", when, tbl.NumShards())
+		}
+		if n, err := tbl.Query().Count(ctx); err != nil || n != 100 {
+			t.Fatalf("%s: count = %d (err %v), want 100", when, n, err)
+		}
+		names, err := store.List("tbl/")
+		if err != nil || len(names) == 0 {
+			t.Fatalf("%s: listing tbl/: %v (err %v)", when, names, err)
+		}
+		for _, n := range names {
+			if !strings.HasPrefix(n, "tbl/orders/") || strings.Contains(n, "shard-") {
+				t.Fatalf("%s: object %q is not under tbl/orders/ without a shard segment", when, n)
+			}
+		}
+		tableMetrics := 0
+		for _, m := range db.Metrics().Metrics {
+			table, ok := m.Labels["table"]
+			if !ok {
+				continue
+			}
+			tableMetrics++
+			if table != "orders" {
+				t.Fatalf("%s: metric %s labeled table=%q, want orders", when, m.Name, table)
+			}
+		}
+		if tableMetrics == 0 {
+			t.Fatalf("%s: no table-labeled metrics", when)
+		}
+	}
+
+	db, err := umzi.OpenDB(umzi.DBConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable(ordersDef("orders"), umzi.TableOptions{
+		Secondaries: []umzi.SecondaryIndexSpec{{
+			Name: "by_customer", IndexSpec: umzi.IndexSpec{Equality: []string{"customer"}},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillOrders(t, tbl, 100)
+	if err := tbl.PostGroom(); err != nil {
+		t.Fatal(err)
+	}
+	check(db, "created")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := umzi.OpenDB(umzi.DBConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	check(db2, "reopened")
 }
 
 // TestDBMultiTableTx stages rows into two tables in one transaction.

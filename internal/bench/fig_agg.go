@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -107,21 +108,45 @@ func AggPushdownPlan(threshold int64) exec.Plan {
 	}
 }
 
+// RunPlan runs an analytical plan through the table's read entry point
+// (RunQuery) and materializes the result. noIndex forces the zone scan
+// even when the filter matches an index.
+func RunPlan(eng *wildfire.ShardedEngine, plan exec.Plan, noIndex bool) (*exec.Result, error) {
+	qr, err := eng.RunQuery(context.Background(), wildfire.QuerySpec{
+		Filter:           plan.Filter,
+		Columns:          plan.Columns,
+		GroupBy:          plan.GroupBy,
+		Aggs:             plan.Aggs,
+		Limit:            plan.Limit,
+		NoIndexSelection: noIndex,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer qr.Close()
+	res := &exec.Result{Columns: qr.Columns}
+	for qr.Cursor.Next() {
+		res.Rows = append(res.Rows, qr.Cursor.Value())
+	}
+	return res, qr.Cursor.Err()
+}
+
 // ClientSideAggregate is the baseline: scatter-gather the matching-free
-// scan, materialize every record at the coordinator, then filter and
+// scan, stream every record to the coordinator, then filter and
 // aggregate there.
 func ClientSideAggregate(eng *wildfire.ShardedEngine, threshold int64) (count, sum int64, err error) {
-	recs, err := eng.ScanUnordered(nil, nil, nil, wildfire.QueryOptions{})
+	cur, err := eng.ScanStreamOn(context.Background(), "", nil, nil, nil, wildfire.QueryOptions{})
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, rec := range recs {
-		if amount := rec.Row[2].Int(); amount <= threshold {
+	defer cur.Close()
+	for cur.Next() {
+		if amount := cur.Value().Row[2].Int(); amount <= threshold {
 			count++
 			sum += amount
 		}
 	}
-	return count, sum, nil
+	return count, sum, cur.Err()
 }
 
 // AblationAggPushdown sweeps the filter selectivity and reports, per
@@ -151,7 +176,7 @@ func AblationAggPushdown(s Scale) (*Result, error) {
 	}
 	defer eng.Close()
 
-	push := Series{Name: "pushdown (Execute)"}
+	push := Series{Name: "pushdown (RunQuery)"}
 	client := Series{Name: "client-side"}
 	for _, sel := range sels {
 		res.X = append(res.X, fmt.Sprintf("%g", sel))
@@ -159,7 +184,7 @@ func AblationAggPushdown(s Scale) (*Result, error) {
 		plan := AggPushdownPlan(threshold)
 
 		// Both paths must agree before either is worth timing.
-		pres, err := eng.Execute(plan, wildfire.QueryOptions{})
+		pres, err := RunPlan(eng, plan, false)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +203,7 @@ func AblationAggPushdown(s Scale) (*Result, error) {
 
 		var benchErr error
 		tPush := timeAvg(s.Reps, func() {
-			if _, err := eng.Execute(plan, wildfire.QueryOptions{}); err != nil {
+			if _, err := RunPlan(eng, plan, false); err != nil {
 				benchErr = err
 			}
 		})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -121,7 +122,7 @@ func e2eRun(name string, p e2eParams) (*e2eStats, error) {
 				}
 				c := int(cycle.Load())
 				start := time.Now()
-				if _, _, err := eng.GetBatch(keys, wildfire.QueryOptions{}); err != nil {
+				if _, _, err := eng.GetBatchContext(context.Background(), keys, wildfire.QueryOptions{}); err != nil {
 					return
 				}
 				if c >= 0 {

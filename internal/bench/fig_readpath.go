@@ -49,7 +49,7 @@ func FigS6ReadPath(s Scale) (*Result, error) {
 		return nil, err
 	}
 	plan := AggPushdownPlan(int64(rows)) // selectivity 1: every block scans
-	want, err := seed.Execute(plan, wildfire.QueryOptions{})
+	want, err := RunPlan(seed, plan, false)
 	if err != nil {
 		seed.Close()
 		return nil, err
@@ -97,7 +97,7 @@ func FigS6ReadPath(s Scale) (*Result, error) {
 				return nil, err
 			}
 			t0 := time.Now()
-			got, err := eng.Execute(plan, wildfire.QueryOptions{})
+			got, err := RunPlan(eng, plan, false)
 			if err != nil {
 				eng.Close()
 				return nil, err
@@ -111,7 +111,7 @@ func FigS6ReadPath(s Scale) (*Result, error) {
 				// Last reopen doubles as the warm-cache fixture.
 				var benchErr error
 				tWarm = timeAvg(reps, func() {
-					if _, err := eng.Execute(plan, wildfire.QueryOptions{}); err != nil {
+					if _, err := RunPlan(eng, plan, false); err != nil {
 						benchErr = err
 					}
 				})
@@ -142,7 +142,7 @@ func FigS6ReadPath(s Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := probe.Execute(plan, wildfire.QueryOptions{}); err != nil {
+	if _, err := RunPlan(probe, plan, false); err != nil {
 		probe.Close()
 		return nil, err
 	}
@@ -159,7 +159,7 @@ func FigS6ReadPath(s Scale) (*Result, error) {
 	defer eng.Close()
 	var maxBytes int64
 	for r := 0; r < reps*2; r++ {
-		got, err := eng.Execute(plan, wildfire.QueryOptions{})
+		got, err := RunPlan(eng, plan, false)
 		if err != nil {
 			return nil, err
 		}

@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"umzi/internal/columnar"
+	"umzi/internal/exec"
 	"umzi/internal/storage"
 	"umzi/internal/wildfire"
 )
@@ -21,7 +23,27 @@ import (
 // bitmaps, comparisons on dictionary codes and bit-packed words) and
 // skips blocks by bloom filter on equality predicates. The driver also
 // reports the on-store footprint of the encoded blocks against the
-// version-1 plain layout of the same data.
+// plain layout of the same data.
+
+// ExecOnShards runs a plan on every shard's ExecutePlan primitive, one
+// shard after another, and finalizes the merged partials — the
+// coordinator's executor path with QueryOptions exposed, so both
+// executors (the scalar one is reachable only through
+// QueryOptions.ScalarExec) run under identical glue.
+func ExecOnShards(eng *wildfire.ShardedEngine, plan exec.Plan, opts wildfire.QueryOptions) (*exec.Result, error) {
+	bound, err := plan.Bind(eng.Table().Columns)
+	if err != nil {
+		return nil, err
+	}
+	opts.TS = eng.SnapshotTS()
+	parts := make([]*exec.Partial, eng.NumShards())
+	for i := range parts {
+		if parts[i], err = eng.Shard(i).ExecutePlan(context.Background(), bound, plan.Filter, opts); err != nil {
+			return nil, err
+		}
+	}
+	return bound.Finalize(parts...), nil
+}
 
 // FigS5EncodedScan sweeps filter selectivity and reports vectorized
 // latency normalized to the scalar executor at the same selectivity.
@@ -65,11 +87,11 @@ func FigS5EncodedScan(s Scale) (*Result, error) {
 		plan := AggPushdownPlan(threshold)
 
 		// Both executors must agree before either is worth timing.
-		vres, err := eng.Execute(plan, wildfire.QueryOptions{})
+		vres, err := ExecOnShards(eng, plan, wildfire.QueryOptions{})
 		if err != nil {
 			return nil, err
 		}
-		sres, err := eng.Execute(plan, wildfire.QueryOptions{ScalarExec: true})
+		sres, err := ExecOnShards(eng, plan, wildfire.QueryOptions{ScalarExec: true})
 		if err != nil {
 			return nil, err
 		}
@@ -85,12 +107,12 @@ func FigS5EncodedScan(s Scale) (*Result, error) {
 
 		var benchErr error
 		tVec := timeAvg(s.Reps, func() {
-			if _, err := eng.Execute(plan, wildfire.QueryOptions{}); err != nil {
+			if _, err := ExecOnShards(eng, plan, wildfire.QueryOptions{}); err != nil {
 				benchErr = err
 			}
 		})
 		tScalar := timeAvg(s.Reps, func() {
-			if _, err := eng.Execute(plan, wildfire.QueryOptions{ScalarExec: true}); err != nil {
+			if _, err := ExecOnShards(eng, plan, wildfire.QueryOptions{ScalarExec: true}); err != nil {
 				benchErr = err
 			}
 		})
@@ -111,7 +133,7 @@ func FigS5EncodedScan(s Scale) (*Result, error) {
 }
 
 // blockStoreFootprint sums the marshaled size of every groomed and
-// post-groomed block under prefix against the plain version-1 layout of
+// post-groomed block under prefix against the plain layout of
 // the same data.
 func blockStoreFootprint(store *storage.MemStore, prefix string) (enc, plain, blocks int, err error) {
 	names, err := store.List(prefix)

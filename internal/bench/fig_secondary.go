@@ -156,12 +156,12 @@ func AblationSecondaryIndex(s Scale) (*Result, error) {
 		plan := SecondaryLookupPlan(SecondaryRegionName(card / 2))
 
 		// Both paths must agree before either is worth timing.
-		ires, err := eng.Execute(plan, wildfire.QueryOptions{})
+		ires, err := RunPlan(eng, plan, false)
 		if err != nil {
 			eng.Close()
 			return nil, err
 		}
-		sres, err := eng.Execute(plan, wildfire.QueryOptions{NoIndexSelection: true})
+		sres, err := RunPlan(eng, plan, true)
 		if err != nil {
 			eng.Close()
 			return nil, err
@@ -175,12 +175,12 @@ func AblationSecondaryIndex(s Scale) (*Result, error) {
 
 		var benchErr error
 		tIdx := timeAvg(s.Reps, func() {
-			if _, err := eng.Execute(plan, wildfire.QueryOptions{}); err != nil {
+			if _, err := RunPlan(eng, plan, false); err != nil {
 				benchErr = err
 			}
 		})
 		tScan := timeAvg(s.Reps, func() {
-			if _, err := eng.Execute(plan, wildfire.QueryOptions{NoIndexSelection: true}); err != nil {
+			if _, err := RunPlan(eng, plan, true); err != nil {
 				benchErr = err
 			}
 		})

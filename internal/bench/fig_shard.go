@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -118,13 +119,17 @@ func FigS1ShardScaling(s Scale) (*Result, error) {
 		}
 		var scanErr error
 		scanSec := timeAvg(s.Reps, func() {
-			out, err := eng.IndexOnlyScan(nil, nil, nil, wildfire.QueryOptions{})
+			cur, err := eng.IndexOnlyStreamOn(context.Background(), "", nil, nil, nil, wildfire.QueryOptions{})
 			if err != nil {
 				scanErr = err
 				return
 			}
-			if len(out) != rows {
-				scanErr = fmt.Errorf("bench: scan returned %d rows, want %d", len(out), rows)
+			n := 0
+			for cur.Next() {
+				n++
+			}
+			if scanErr = cur.Err(); scanErr == nil && n != rows {
+				scanErr = fmt.Errorf("bench: scan returned %d rows, want %d", n, rows)
 			}
 		})
 		rng := rand.New(rand.NewSource(7))

@@ -13,7 +13,7 @@ import (
 // blocks shrink automatically where the data allows it without any
 // schema-level configuration:
 //
-//   - EncPlain: the v1 layout — raw 64-bit words for fixed kinds,
+//   - EncPlain: raw 64-bit words for fixed kinds,
 //     offsets+payload for variable kinds. Always applicable.
 //   - EncDict: variable kinds only. The sorted distinct values are stored
 //     once; rows store bit-packed indexes ("codes") into that dictionary.

@@ -7,7 +7,7 @@ import (
 	"umzi/internal/keyenc"
 )
 
-// Wire format of a Block (all integers big-endian), version 2:
+// Wire format of a Block (all integers big-endian):
 //
 //	magic   [8]byte  "UMZICOL2"
 //	rows    u32
@@ -33,20 +33,16 @@ import (
 //	                            var:   runOffsets (nruns+1) × u32, runPayload
 //
 // The format is self-describing: Unmarshal rebuilds the schema from the
-// header, so readers need no side-channel schema registry. Version 1
-// blocks ("UMZICOL1": plain columns only, no blooms) still load — the
-// reader dispatches on the magic — so stores written before the encoding
-// work keep working without a rewrite.
+// header, so readers need no side-channel schema registry. It is the
+// only format: any other magic — including the pre-encoding "UMZICOL1"
+// layout no store still holds — is rejected, never decoded.
 
-const (
-	blockMagicV1 = "UMZICOL1"
-	blockMagicV2 = "UMZICOL2"
-)
+const blockMagic = "UMZICOL2"
 
 // Marshal encodes the block for storage as one immutable object.
 func (blk *Block) Marshal() []byte {
 	out := make([]byte, 0, blk.marshalSize())
-	out = append(out, blockMagicV2...)
+	out = append(out, blockMagic...)
 	out = binary.BigEndian.AppendUint32(out, uint32(blk.rows))
 	out = binary.BigEndian.AppendUint16(out, uint16(blk.schema.NumCols()))
 	for i := 0; i < blk.schema.NumCols(); i++ {
@@ -161,9 +157,9 @@ func (blk *Block) marshalSize() int {
 }
 
 // PlainSize returns the number of bytes the block would occupy marshaled
-// with every column plain and no bloom filters — the version-1 layout.
-// Inspection and benchmarks use it as the uncompressed baseline when
-// reporting encoding savings.
+// with every column plain and no bloom filters. Inspection and
+// benchmarks use it as the uncompressed baseline when reporting encoding
+// savings.
 func (blk *Block) PlainSize() int {
 	size := 8 + 4 + 2
 	for i := 0; i < blk.schema.NumCols(); i++ {
@@ -210,20 +206,11 @@ func (blk *Block) MemSize() int {
 	return size
 }
 
-// Unmarshal decodes a block previously produced by Marshal, accepting
-// both the current version-2 format and the legacy version-1 format.
+// Unmarshal decodes a block previously produced by Marshal.
 func Unmarshal(data []byte) (*Block, error) {
 	r := reader{b: data}
 	magic, err := r.take(8)
-	if err != nil {
-		return nil, fmt.Errorf("columnar: bad magic")
-	}
-	var v2 bool
-	switch string(magic) {
-	case blockMagicV1:
-	case blockMagicV2:
-		v2 = true
-	default:
+	if err != nil || string(magic) != blockMagic {
 		return nil, fmt.Errorf("columnar: bad magic")
 	}
 	rows64, err := r.u32()
@@ -293,15 +280,8 @@ func Unmarshal(data []byte) (*Block, error) {
 			maxs[i] = v
 		}
 
-		c := &data2[i]
-		if v2 {
-			if err := readColumnV2(&r, c, kind, rows, i); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := readColumnV1(&r, c, kind, rows); err != nil {
-				return nil, err
-			}
+		if err := readColumn(&r, &data2[i], kind, rows, i); err != nil {
+			return nil, err
 		}
 	}
 	schema, err := NewSchema(cols...)
@@ -311,8 +291,8 @@ func Unmarshal(data []byte) (*Block, error) {
 	return &Block{schema: schema, rows: rows, cols: data2, mins: mins, maxs: maxs}, nil
 }
 
-// readColumnV1 reads a version-1 (always plain, no bloom) column body.
-func readColumnV1(r *reader, c *column, kind keyenc.Kind, rows int) error {
+// readPlainColumn reads a plain-encoded column body.
+func readPlainColumn(r *reader, c *column, kind keyenc.Kind, rows int) error {
 	c.enc = EncPlain
 	if kind.Fixed() {
 		nums, err := r.u64s(rows)
@@ -342,11 +322,11 @@ func readColumnV1(r *reader, c *column, kind keyenc.Kind, rows int) error {
 	return nil
 }
 
-// readColumnV2 reads a version-2 column: encoding tag, optional bloom
+// readColumn reads one column: encoding tag, optional bloom
 // filter, and the encoding-specific body, validating every structural
 // invariant so a corrupted block fails Unmarshal instead of panicking in
 // Value.
-func readColumnV2(r *reader, c *column, kind keyenc.Kind, rows, col int) error {
+func readColumn(r *reader, c *column, kind keyenc.Kind, rows, col int) error {
 	encB, err := r.u8()
 	if err != nil {
 		return err
@@ -372,7 +352,7 @@ func readColumnV2(r *reader, c *column, kind keyenc.Kind, rows, col int) error {
 	}
 	switch c.enc {
 	case EncPlain:
-		return readColumnV1(r, c, kind, rows)
+		return readPlainColumn(r, c, kind, rows)
 	case EncBitPack:
 		if !kind.Fixed() {
 			return fmt.Errorf("columnar: column %d: bitpack on %v", col, kind)

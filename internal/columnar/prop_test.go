@@ -1,7 +1,6 @@
 package columnar
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -224,119 +223,24 @@ func TestAutoEncodingPicksCompact(t *testing.T) {
 	}
 }
 
-// TestV1BlockCompat writes blocks in the legacy version-1 layout with a
-// test-local writer and checks that Unmarshal still loads them — values,
-// min/max, and a subsequent re-marshal in the current format all intact.
-func TestV1BlockCompat(t *testing.T) {
-	kinds := []keyenc.Kind{
-		keyenc.KindInt64, keyenc.KindUint64, keyenc.KindFloat64,
-		keyenc.KindString, keyenc.KindBytes, keyenc.KindBool,
+// TestV1MagicRejected: the pre-encoding "UMZICOL1" layout is gone, so an
+// object carrying its magic — here an otherwise well-formed current
+// block — must fail Unmarshal with an error, never decode.
+func TestV1MagicRejected(t *testing.T) {
+	schema, err := NewSchema(Column{Name: "c0", Kind: keyenc.KindInt64})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for trial := 0; trial < 10; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) + 1000))
-		nCols := 1 + rng.Intn(5)
-		cols := make([]Column, nCols)
-		for i := range cols {
-			cols[i] = Column{Name: fmt.Sprintf("c%d", i), Kind: kinds[rng.Intn(len(kinds))]}
-		}
-		nRows := rng.Intn(120)
-		rows := make([][]keyenc.Value, nRows)
-		for r := range rows {
-			row := make([]keyenc.Value, nCols)
-			for c := range row {
-				row[c] = randVal(rng, cols[c].Kind)
-			}
-			rows[r] = row
-		}
-
-		data := marshalV1(cols, rows)
-		blk, err := Unmarshal(data)
-		if err != nil {
-			t.Fatalf("trial %d: v1 block rejected: %v", trial, err)
-		}
-		check := func(blk *Block, label string) {
-			t.Helper()
-			if blk.NumRows() != nRows {
-				t.Fatalf("trial %d %s: rows = %d, want %d", trial, label, blk.NumRows(), nRows)
-			}
-			for c := range cols {
-				if blk.HasBloom(c) {
-					t.Fatalf("trial %d %s: v1 column %d grew a bloom filter", trial, label, c)
-				}
-			}
-			for r := range rows {
-				for c := range rows[r] {
-					if keyenc.Compare(blk.Value(r, c), rows[r][c]) != 0 {
-						t.Fatalf("trial %d %s: (%d,%d) = %v, want %v",
-							trial, label, r, c, blk.Value(r, c), rows[r][c])
-					}
-				}
-			}
-		}
-		check(blk, "v1")
-		// Upgrade path: re-marshal in the current format and reload.
-		upgraded, err := Unmarshal(blk.Marshal())
-		if err != nil {
-			t.Fatalf("trial %d: re-marshal: %v", trial, err)
-		}
-		check(upgraded, "upgraded")
+	b := NewBuilder(schema)
+	b.Append([]keyenc.Value{keyenc.I64(7)})
+	data := b.Build().Marshal()
+	if _, err := Unmarshal(data); err != nil {
+		t.Fatalf("current block rejected: %v", err)
 	}
-}
-
-// marshalV1 writes the legacy version-1 block layout: plain columns only,
-// no encoding tag, no bloom filters. It exists only in tests — production
-// code always writes the current version — so compatibility coverage does
-// not keep dead code in the shipping binary.
-func marshalV1(cols []Column, rows [][]keyenc.Value) []byte {
-	out := []byte(blockMagicV1)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(rows)))
-	out = binary.BigEndian.AppendUint16(out, uint16(len(cols)))
-	for c, col := range cols {
-		out = append(out, byte(col.Kind))
-		out = binary.BigEndian.AppendUint16(out, uint16(len(col.Name)))
-		out = append(out, col.Name...)
-		if len(rows) > 0 {
-			min, max := rows[0][c], rows[0][c]
-			for _, row := range rows[1:] {
-				if keyenc.Compare(row[c], min) < 0 {
-					min = row[c]
-				}
-				if keyenc.Compare(row[c], max) > 0 {
-					max = row[c]
-				}
-			}
-			out = append(out, 1)
-			minEnc := keyenc.Append(nil, min)
-			out = binary.BigEndian.AppendUint32(out, uint32(len(minEnc)))
-			out = append(out, minEnc...)
-			maxEnc := keyenc.Append(nil, max)
-			out = binary.BigEndian.AppendUint32(out, uint32(len(maxEnc)))
-			out = append(out, maxEnc...)
-		} else {
-			out = append(out, 0)
-			out = binary.BigEndian.AppendUint32(out, 0)
-			out = binary.BigEndian.AppendUint32(out, 0)
-		}
-		if col.Kind.Fixed() {
-			for _, row := range rows {
-				out = binary.BigEndian.AppendUint64(out, rawBits(row[c]))
-			}
-		} else {
-			off := uint32(0)
-			offs := []uint32{0}
-			for _, row := range rows {
-				off += uint32(len(row[c].Bytes()))
-				offs = append(offs, off)
-			}
-			for _, o := range offs {
-				out = binary.BigEndian.AppendUint32(out, o)
-			}
-			for _, row := range rows {
-				out = append(out, row[c].Bytes()...)
-			}
-		}
+	copy(data, "UMZICOL1")
+	if blk, err := Unmarshal(data); err == nil {
+		t.Fatalf("UMZICOL1 object decoded into %d rows", blk.NumRows())
 	}
-	return out
 }
 
 // lowCardVal draws from a handful of distinct values per kind.

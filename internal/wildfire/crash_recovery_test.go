@@ -53,7 +53,7 @@ func verifyOracle(t *testing.T, e *Engine, oracle map[string]Row) {
 
 	// Scan equivalence through the executor's full-table row plan (it
 	// unions every zone and reconciles per key).
-	res, err := e.Execute(exec.Plan{}, opts)
+	res, err := execute(e, exec.Plan{}, opts)
 	if err != nil {
 		t.Fatalf("full scan: %v", err)
 	}
@@ -82,7 +82,7 @@ func verifyOracle(t *testing.T, e *Engine, oracle map[string]Row) {
 	for _, want := range oracle {
 		eq := []keyenc.Value{want[0]}
 		sortv := []keyenc.Value{want[1]}
-		rec, found, err := e.Get(eq, sortv, opts)
+		rec, found, err := getOn(e, "", eq, sortv, opts)
 		if err != nil || !found {
 			t.Fatalf("point get (%v,%v): found=%v err=%v", want[0], want[1], found, err)
 		}
@@ -92,7 +92,7 @@ func verifyOracle(t *testing.T, e *Engine, oracle map[string]Row) {
 			}
 		}
 	}
-	if _, found, err := e.Get([]keyenc.Value{keyenc.I64(1 << 40)}, []keyenc.Value{keyenc.I64(1)}, opts); err != nil || found {
+	if _, found, err := getOn(e, "", []keyenc.Value{keyenc.I64(1 << 40)}, []keyenc.Value{keyenc.I64(1)}, opts); err != nil || found {
 		t.Fatalf("missing key: found=%v err=%v", found, err)
 	}
 }
@@ -284,7 +284,7 @@ func TestCrashRecoveryConcurrent(t *testing.T) {
 	opts := QueryOptions{TS: types.MaxTS, IncludeLive: true}
 	for w := 0; w < writers; w++ {
 		for pk, want := range acked[w] {
-			rec, found, err := e2.Get([]keyenc.Value{want[0]}, []keyenc.Value{want[1]}, opts)
+			rec, found, err := getOn(e2, "", []keyenc.Value{want[0]}, []keyenc.Value{want[1]}, opts)
 			if err != nil || !found {
 				t.Fatalf("writer %d: acked row %x lost (found=%v err=%v)", w, pk, found, err)
 			}
@@ -296,7 +296,7 @@ func TestCrashRecoveryConcurrent(t *testing.T) {
 	// Scan: everything surfaced must at least have been attempted (a
 	// commit the crash cut between log append and acknowledgment may
 	// legitimately survive).
-	res, err := e2.Execute(exec.Plan{}, opts)
+	res, err := execute(e2, exec.Plan{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestRecoveryReplaysLiveTail(t *testing.T) {
 	expect := map[[2]int64]float64{{1, 1}: 10, {1, 2}: 99, {1, 3}: 12, {2, 1}: 13}
 	for k, want := range expect {
 		eq, sortv := key(k[0], k[1])
-		rec, found, err := e2.Get(eq, sortv, opts)
+		rec, found, err := getOn(e2, "", eq, sortv, opts)
 		if err != nil || !found {
 			t.Fatalf("key %v: found=%v err=%v", k, found, err)
 		}
@@ -476,7 +476,7 @@ func TestRecoverySyncOffLosesOnlyTail(t *testing.T) {
 		t.Fatalf("SyncOff crash recovered %d buffered records, want 0", got)
 	}
 	eq, sortv := key(1, 1)
-	if _, found, err := e2.Get(eq, sortv, QueryOptions{}); err != nil || !found {
+	if _, found, err := getOn(e2, "", eq, sortv, QueryOptions{}); err != nil || !found {
 		t.Fatalf("groomed row lost: found=%v err=%v", found, err)
 	}
 }
@@ -523,7 +523,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 	for dev := int64(0); dev < devices; dev++ {
 		for msg := int64(0); msg < msgs; msg++ {
 			eq, sortv := key(dev, msg)
-			rec, found, err := s2.Get(eq, sortv, opts)
+			rec, found, err := getOn(s2, "", eq, sortv, opts)
 			if err != nil || !found {
 				t.Fatalf("dev %d msg %d: found=%v err=%v", dev, msg, found, err)
 			}

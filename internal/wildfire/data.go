@@ -45,6 +45,14 @@ func (e *Engine) fetchBlock(ctx context.Context, name string) (*columnar.Block, 
 	if dedup {
 		e.mx.blockCacheHits.Inc()
 	}
+	if err != nil {
+		// A reclaim may have retired the block between the overlay check
+		// above and the storage read: it pins the decode into the overlay
+		// before deleting the object, so a failed read re-checks there.
+		if blk := e.retiredBlock(name); blk != nil {
+			return blk, nil
+		}
+	}
 	return blk, err
 }
 
@@ -132,15 +140,11 @@ type Record struct {
 	RID     types.RID
 }
 
-// Fetch resolves an RID to its record (§2.1 footnote 2: an RID is the
-// combination of zone, block ID and record offset). The endTS overlay
-// from post-groom sidecars is applied on the way out.
-func (e *Engine) Fetch(rid types.RID) (Record, error) {
-	return e.FetchContext(context.Background(), rid)
-}
-
-// FetchContext is Fetch honoring a context: a cancelled context stops
-// the block fetch before it reaches shared storage.
+// FetchContext resolves an RID to its record (§2.1 footnote 2: an RID is
+// the combination of zone, block ID and record offset). The endTS
+// overlay from post-groom sidecars is applied on the way out. A
+// cancelled context stops the block fetch before it reaches shared
+// storage.
 func (e *Engine) FetchContext(ctx context.Context, rid types.RID) (Record, error) {
 	var name string
 	switch rid.Zone {

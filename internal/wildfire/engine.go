@@ -30,9 +30,9 @@ type Config struct {
 	Store storage.ObjectStore
 	// Cache is the local SSD cache shared by the index and data blocks.
 	Cache *storage.SSDCache
-	// BlockCache, when set, is a shared decoded-block cache (the sharded
-	// layer passes one cache to every shard so a table has one byte
-	// budget). Nil gives the engine a private cache of BlockCacheBytes.
+	// BlockCache, when set, is a shared decoded-block cache (the table
+	// passes one cache to every shard so it has one byte budget). Nil
+	// gives the engine a private cache of BlockCacheBytes.
 	BlockCache *BlockCache
 	// BlockCacheBytes budgets the private decoded-block cache when
 	// BlockCache is nil (<=0 selects DefaultBlockCacheBytes).
@@ -62,8 +62,10 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// Engine is one Wildfire table shard: live zone, groomer, post-groomer,
-// indexer and the query front end.
+// Engine is one Wildfire table shard — the unit of grooming,
+// post-grooming and indexing (§2.1): live zone, groomer, post-groomer,
+// indexer and the per-shard read primitives the table's coordinator
+// (ShardedEngine) routes to.
 type Engine struct {
 	table      TableDef
 	ixSpec     IndexSpec
@@ -172,8 +174,6 @@ type Engine struct {
 	deprecateMu sync.Mutex
 	deprecated  map[uint64]struct{}
 
-	stopCh     chan struct{}
-	wg         sync.WaitGroup
 	started    atomic.Bool
 	maintEvery time.Duration
 	closed     atomic.Bool
@@ -221,7 +221,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		retiredBlks: make(map[string]*columnar.Block),
 		deprecated:  make(map[uint64]struct{}),
 		walDrained:  make(map[uint64]struct{}),
-		stopCh:      make(chan struct{}),
 	}
 	e.mx = newEngineMetrics(cfg.Obs, cfg.Table.Name)
 	e.blocks = cfg.BlockCache
@@ -361,22 +360,11 @@ func (e *Engine) LastGroomTS() types.TS { return types.TS(e.lastGroomTS.Load()) 
 // MaxPSN returns the post-groomer's published watermark.
 func (e *Engine) MaxPSN() types.PSN { return types.PSN(e.maxPSN.Load()) }
 
-// Start launches the background daemons: the groomer (every groomEvery),
-// the post-groomer (every postGroomEvery) and the indexer poller, plus
-// every index's own per-level maintenance workers.
-func (e *Engine) Start(groomEvery, postGroomEvery time.Duration) {
-	e.startIndexMaintenance(groomEvery)
-	e.wg.Add(3)
-	go e.loop(groomEvery, func() { _ = e.Groom() })
-	go e.loop(postGroomEvery, func() { _, _ = e.PostGroom() })
-	go e.loop(groomEvery, func() { _ = e.SyncIndex() })
-}
-
 // startIndexMaintenance launches every index's per-level maintenance
 // workers and records the cadence so indexes created later start theirs
-// too. The sharded layer calls this directly: it replaces the per-engine
-// groom/post-groom daemons with lockstep rounds but still needs the full
-// index set maintained per shard.
+// too. These are the only background workers a shard owns: grooming,
+// post-grooming and index sync are driven by the table's lockstep rounds
+// (ShardedEngine.Start).
 func (e *Engine) startIndexMaintenance(every time.Duration) {
 	e.indexMu.Lock()
 	defer e.indexMu.Unlock()
@@ -387,21 +375,7 @@ func (e *Engine) startIndexMaintenance(every time.Duration) {
 	}
 }
 
-func (e *Engine) loop(every time.Duration, f func()) {
-	defer e.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.stopCh:
-			return
-		case <-t.C:
-			f()
-		}
-	}
-}
-
-// Close stops the daemons and the index set, flushes any buffered
+// Close stops the index set, flushes any buffered
 // commit-log batch and writes the clean-shutdown marker (so an orderly
 // restart can skip log replay). The teardown holds indexMu so it
 // serializes against an in-flight CreateIndex: either the create
@@ -412,8 +386,6 @@ func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	close(e.stopCh)
-	e.wg.Wait()
 	first := e.closeWAL()
 	e.indexMu.Lock()
 	defer e.indexMu.Unlock()

@@ -1,6 +1,7 @@
 package wildfire
 
 import (
+	"context"
 	"testing"
 
 	"umzi/internal/columnar"
@@ -140,7 +141,7 @@ func TestIngestGroomGet(t *testing.T) {
 		t.Fatalf("LiveCount after groom = %d, want 0", got)
 	}
 	eq, sortv := key(1, 1)
-	rec, found, err := e.Get(eq, sortv, QueryOptions{})
+	rec, found, err := getOn(e, "", eq, sortv, QueryOptions{})
 	if err != nil || !found {
 		t.Fatal(err, found)
 	}
@@ -155,7 +156,7 @@ func TestIngestGroomGet(t *testing.T) {
 	}
 	// Missing key.
 	eq, sortv = key(9, 9)
-	if _, found, _ := e.Get(eq, sortv, QueryOptions{}); found {
+	if _, found, _ := getOn(e, "", eq, sortv, QueryOptions{}); found {
 		t.Error("found absent key")
 	}
 }
@@ -176,7 +177,7 @@ func TestUpsertIsUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	eq, sortv := key(1, 1)
-	rec, found, err := e.Get(eq, sortv, QueryOptions{})
+	rec, found, err := getOn(e, "", eq, sortv, QueryOptions{})
 	if err != nil || !found {
 		t.Fatal(err, found)
 	}
@@ -184,7 +185,7 @@ func TestUpsertIsUpdate(t *testing.T) {
 		t.Errorf("newest reading = %v, want 25.0", rec.Row[2])
 	}
 	// Time travel to the first groom's snapshot.
-	old, found, err := e.Get(eq, sortv, QueryOptions{TS: ts1})
+	old, found, err := getOn(e, "", eq, sortv, QueryOptions{TS: ts1})
 	if err != nil || !found {
 		t.Fatal(err, found)
 	}
@@ -207,7 +208,7 @@ func TestLastWriterWinsAcrossReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	eq, sortv := key(1, 1)
-	rec, found, err := e.Get(eq, sortv, QueryOptions{})
+	rec, found, err := getOn(e, "", eq, sortv, QueryOptions{})
 	if err != nil || !found {
 		t.Fatal(err, found)
 	}
@@ -274,7 +275,7 @@ func TestLiveZoneReads(t *testing.T) {
 	}
 	eq, sortv := key(1, 1)
 	// Default read: groomed snapshot only.
-	rec, _, err := e.Get(eq, sortv, QueryOptions{})
+	rec, _, err := getOn(e, "", eq, sortv, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestLiveZoneReads(t *testing.T) {
 		t.Errorf("groomed-snapshot read = %v, want 10.0", rec.Row[2])
 	}
 	// Freshness read sees the live zone.
-	rec, _, err = e.Get(eq, sortv, QueryOptions{IncludeLive: true})
+	rec, _, err = getOn(e, "", eq, sortv, QueryOptions{IncludeLive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestScanAndIndexOnlyScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	eq := []keyenc.Value{keyenc.I64(7)}
-	recs, err := e.Scan(eq, []keyenc.Value{keyenc.I64(5)}, []keyenc.Value{keyenc.I64(14)}, QueryOptions{})
+	recs, err := scanOn(e, "", eq, []keyenc.Value{keyenc.I64(5)}, []keyenc.Value{keyenc.I64(14)}, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestScanAndIndexOnlyScan(t *testing.T) {
 		}
 	}
 	// Index-only: reading comes from the included column, no block fetch.
-	rows, err := e.IndexOnlyScan(eq, []keyenc.Value{keyenc.I64(5)}, []keyenc.Value{keyenc.I64(14)}, QueryOptions{})
+	rows, err := indexOnlyOn(e, "", eq, []keyenc.Value{keyenc.I64(5)}, []keyenc.Value{keyenc.I64(14)}, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +347,7 @@ func TestGetBatch(t *testing.T) {
 			Sort:     []keyenc.Value{keyenc.I64(msg)},
 		})
 	}
-	recs, found, err := e.GetBatch(keys, QueryOptions{})
+	recs, found, err := e.GetBatchContext(context.Background(), keys, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

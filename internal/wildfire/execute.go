@@ -15,46 +15,14 @@ import (
 
 // The analytical execution path (paper §1, §7: Umzi exists to serve the
 // analytical side of HTAP). Unlike the key-side queries in query.go,
-// which walk the index and fetch records RID by RID, Execute evaluates a
-// plan block-at-a-time directly over the columnar groomed and
+// which walk the index and fetch records RID by RID, executeBound
+// evaluates a plan block-at-a-time directly over the columnar groomed and
 // post-groomed blocks — skipping blocks whose per-column min/max
 // synopses prove no row can match — and unions in the live zone at the
 // query timestamp for freshness. Each shard reduces to an exec.Partial
-// (per-group aggregate states, not rows), which is what the sharded
-// layer merges at the coordinator.
-
-// Execute runs an analytical plan on this shard and finalizes the
-// result. QueryOptions have their usual meaning: TS selects the
-// snapshot (zero: the newest groomed snapshot), IncludeLive unions
-// committed-but-ungroomed records into the scan, and Limit caps the
-// result rows (the tighter of opts.Limit and Plan.Limit wins).
-func (e *Engine) Execute(p exec.Plan, opts QueryOptions) (*exec.Result, error) {
-	return e.ExecuteContext(context.Background(), p, opts)
-}
-
-// ExecuteContext is Execute honoring a context: cancellation stops the
-// block scan (checked per block, the unit of I/O) and index-probe work.
-func (e *Engine) ExecuteContext(ctx context.Context, p exec.Plan, opts QueryOptions) (*exec.Result, error) {
-	p.Limit = tightenLimit(p.Limit, opts.Limit)
-	bound, err := p.Bind(e.table.Columns)
-	if err != nil {
-		return nil, err
-	}
-	part, err := e.executePlan(ctx, bound, p.Filter, opts)
-	if err != nil {
-		return nil, err
-	}
-	return bound.Finalize(part), nil
-}
-
-// tightenLimit resolves a plan's limit against QueryOptions.Limit: the
-// tighter nonzero bound wins, zero means unlimited on both sides.
-func tightenLimit(planLimit, optsLimit int) int {
-	if optsLimit > 0 && (planLimit == 0 || optsLimit < planLimit) {
-		return optsLimit
-	}
-	return planLimit
-}
+// (per-group aggregate states, not rows — row-shaped plans carry their
+// qualifying projected rows), which is what the coordinator merges
+// before finalizing (ShardedEngine.execPartials).
 
 // zoneSnapshot captures the set of data blocks to scan: the groomed
 // blocks not yet post-groomed plus the post-groomed blocks of committed
@@ -538,43 +506,4 @@ func allRowsBitmap(n int) *exec.Bitmap {
 	bm := exec.NewBitmap(n)
 	bm.SetAll()
 	return bm
-}
-
-// Execute runs an analytical plan across all shards: the bound plan is
-// pushed into every shard in parallel through the scatter-gather pool,
-// each shard reduces its blocks and live records to an exec.Partial, and
-// the coordinator merges the partial aggregates — sum/count pairs and
-// per-group accumulator maps, never rows — before finalizing. Row-shaped
-// plans (no aggregates) are the exception: shards return their
-// qualifying projected rows, concatenated and deterministically sorted
-// at finalize.
-func (s *ShardedEngine) Execute(p exec.Plan, opts QueryOptions) (*exec.Result, error) {
-	return s.ExecuteContext(context.Background(), p, opts)
-}
-
-// ExecuteContext is Execute honoring a context: cancellation aborts the
-// per-shard scatter and each shard's block scan.
-func (s *ShardedEngine) ExecuteContext(ctx context.Context, p exec.Plan, opts QueryOptions) (*exec.Result, error) {
-	if s.closed.Load() {
-		return nil, fmt.Errorf("wildfire: engine closed")
-	}
-	p.Limit = tightenLimit(p.Limit, opts.Limit)
-	bound, err := p.Bind(s.table.Columns)
-	if err != nil {
-		return nil, err
-	}
-	opts.TS = s.resolveTS(opts)
-	parts := make([]*exec.Partial, len(s.shards))
-	err = s.pool.each(ctx, len(s.shards), func(i int) error {
-		// Index selection runs per shard: every shard holds the same
-		// index set, so the (deterministic) rule picks the same access
-		// path everywhere.
-		part, err := s.shards[i].executePlan(ctx, bound, p.Filter, opts)
-		parts[i] = part
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return bound.Finalize(parts...), nil
 }

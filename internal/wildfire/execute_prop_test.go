@@ -287,12 +287,12 @@ func executeEquivalence(t *testing.T, seed int64) {
 			name string
 			run  func() (*exec.Result, error)
 		}{
-			{"single", func() (*exec.Result, error) { return single.Execute(p, opts) }},
-			{"sharded", func() (*exec.Result, error) { return sharded.Execute(p, opts) }},
+			{"single", func() (*exec.Result, error) { return execute(single, p, opts) }},
+			{"sharded", func() (*exec.Result, error) { return execute(sharded, p, opts) }},
 			{"scalar", func() (*exec.Result, error) {
 				o := opts
 				o.ScalarExec = true
-				return single.Execute(p, o)
+				return execute(single, p, o)
 			}},
 		} {
 			got, err := eng.run()

@@ -1,6 +1,7 @@
 package wildfire
 
 import (
+	"context"
 	"testing"
 
 	"umzi/internal/exec"
@@ -13,11 +14,9 @@ import (
 // post-block list, and limit pushdown in the sharded ordered scan. The
 // randomized equivalence property lives in execute_prop_test.go.
 
-func sumReadings(t *testing.T, eng interface {
-	Execute(exec.Plan, QueryOptions) (*exec.Result, error)
-}, p exec.Plan, opts QueryOptions) *exec.Result {
+func sumReadings(t *testing.T, eng streamer, p exec.Plan, opts QueryOptions) *exec.Result {
 	t.Helper()
-	res, err := eng.Execute(p, opts)
+	res, err := execute(eng, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +181,7 @@ func TestExecuteRecoversPostBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	res, err := e2.Execute(exec.Plan{Aggs: []exec.Agg{{Func: exec.Count}, {Func: exec.Sum, Col: "reading"}}}, QueryOptions{})
+	res, err := execute(e2, exec.Plan{Aggs: []exec.Agg{{Func: exec.Count}, {Func: exec.Sum, Col: "reading"}}}, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +192,11 @@ func TestExecuteRecoversPostBlocks(t *testing.T) {
 
 func TestExecuteErrors(t *testing.T) {
 	s := newTestShardedEngine(t, 2, nil)
-	if _, err := s.Execute(exec.Plan{Filter: exec.Eq("nope", keyenc.I64(1))}, QueryOptions{}); err == nil {
+	if _, err := execute(s, exec.Plan{Filter: exec.Eq("nope", keyenc.I64(1))}, QueryOptions{}); err == nil {
 		t.Fatal("bad plan accepted by sharded Execute")
 	}
 	e := newTestEngine(t, nil)
-	if _, err := e.Execute(exec.Plan{GroupBy: []string{"day"}}, QueryOptions{}); err == nil {
+	if _, err := execute(e, exec.Plan{GroupBy: []string{"day"}}, QueryOptions{}); err == nil {
 		t.Fatal("bad plan accepted by Execute")
 	}
 }
@@ -219,7 +218,7 @@ func TestShardedScanLimit(t *testing.T) {
 		}
 	}
 	eq := []keyenc.Value{keyenc.I64(7)}
-	full, err := s.Scan(eq, nil, nil, QueryOptions{})
+	full, err := scanOn(s, "", eq, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +226,7 @@ func TestShardedScanLimit(t *testing.T) {
 		t.Fatalf("full scan returned %d rows, want %d", len(full), msgs)
 	}
 	for _, limit := range []int{1, 7, msgs, msgs + 5} {
-		got, err := s.Scan(eq, nil, nil, QueryOptions{Limit: limit})
+		got, err := scanOn(s, "", eq, nil, nil, QueryOptions{Limit: limit})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,25 +243,17 @@ func TestShardedScanLimit(t *testing.T) {
 			}
 		}
 		// Index-only scans honor the limit identically.
-		ir, err := s.IndexOnlyScan(eq, nil, nil, QueryOptions{Limit: limit})
+		ir, err := indexOnlyOn(s, "", eq, nil, nil, QueryOptions{Limit: limit})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(ir) != want {
 			t.Fatalf("limit %d: index-only returned %d rows", limit, len(ir))
 		}
-		// Unordered scans return some Limit rows.
-		ur, err := s.ScanUnordered(eq, nil, nil, QueryOptions{Limit: limit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ur) != want {
-			t.Fatalf("limit %d: unordered returned %d rows", limit, len(ur))
-		}
 	}
 	// The per-shard scans saw the limit too: a 1-row limit must not make
 	// any shard return its full partition.
-	one, err := s.Shard(0).Scan(eq, nil, nil, QueryOptions{Limit: 1})
+	one, err := scanOn(s.Shard(0), "", eq, nil, nil, QueryOptions{Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,20 +261,16 @@ func TestShardedScanLimit(t *testing.T) {
 		t.Fatalf("shard-local limited scan returned %d rows", len(one))
 	}
 
-	// The analytical executor honors QueryOptions.Limit as well, taking
-	// the tighter of it and the plan's own limit.
-	for _, c := range []struct {
-		planLimit, optsLimit, want int
-	}{{0, 7, 7}, {7, 0, 7}, {3, 7, 3}, {7, 3, 3}} {
-		res, err := s.Execute(
-			exec.Plan{Columns: []string{"msg"}, Limit: c.planLimit},
-			QueryOptions{Limit: c.optsLimit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != c.want {
-			t.Fatalf("Execute plan limit %d, opts limit %d: %d rows, want %d",
-				c.planLimit, c.optsLimit, len(res.Rows), c.want)
-		}
+	// The analytical executor honors the spec's limit as well.
+	qr, err := s.RunQuery(context.Background(), QuerySpec{Columns: []string{"msg"}, Limit: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := drainCursor(qr.Cursor, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 7 {
+		t.Fatalf("executor plan limit 7: %d rows", len(rows))
 	}
 }

@@ -123,7 +123,7 @@ func TestUpdateSkewedEngineWorkload(t *testing.T) {
 	}
 	for k, want := range latest {
 		eq, sortv := key(k[0], k[1])
-		rec, found, err := e.Get(eq, sortv, QueryOptions{})
+		rec, found, err := getOn(e, "", eq, sortv, QueryOptions{})
 		if err != nil || !found {
 			t.Fatalf("(%d,%d): %v %v", k[0], k[1], err, found)
 		}
@@ -143,11 +143,11 @@ func TestIndexOnlyScanMatchesScan(t *testing.T) {
 	if err := e.Groom(); err != nil {
 		t.Fatal(err)
 	}
-	full, err := e.Scan([]keyenc.Value{keyenc.I64(1)}, nil, nil, QueryOptions{})
+	full, err := scanOn(e, "", []keyenc.Value{keyenc.I64(1)}, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ixOnly, err := e.IndexOnlyScan([]keyenc.Value{keyenc.I64(1)}, nil, nil, QueryOptions{})
+	ixOnly, err := indexOnlyOn(e, "", []keyenc.Value{keyenc.I64(1)}, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

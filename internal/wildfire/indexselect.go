@@ -31,13 +31,14 @@ const indexPlanCandidateCap = 4096
 // errIndexPlanTooBroad reverts an index-selected plan to the zone scan.
 var errIndexPlanTooBroad = fmt.Errorf("wildfire: index plan exceeds the candidate cap")
 
-// executePlan evaluates a bound plan on this shard, routing through an
-// index when the selection rule finds one (and the caller didn't opt
-// out), falling back to the zone scan otherwise — including when the
-// index probe turns out too broad to beat the scan. filter is the
-// plan's original predicate expression (the bound plan cannot be
+// ExecutePlan evaluates a bound plan on this shard into a partial
+// result — the unit the coordinator merges across shards — routing
+// through an index when the selection rule finds one (and the caller
+// didn't opt out), falling back to the zone scan otherwise — including
+// when the index probe turns out too broad to beat the scan. filter is
+// the plan's original predicate expression (the bound plan cannot be
 // introspected syntactically).
-func (e *Engine) executePlan(ctx context.Context, bound *exec.BoundPlan, filter exec.Expr, opts QueryOptions) (*exec.Partial, error) {
+func (e *Engine) ExecutePlan(ctx context.Context, bound *exec.BoundPlan, filter exec.Expr, opts QueryOptions) (*exec.Partial, error) {
 	if !opts.NoIndexSelection {
 		if ti, cons, ok := e.chooseIndex(filter); ok {
 			part, err := e.executeViaIndex(ctx, bound, ti, cons, opts)
@@ -344,35 +345,4 @@ func (s *ShardedEngine) registerSecondary(spec SecondaryIndexSpec) {
 	s.secMu.Lock()
 	s.secondaries[spec.Name] = ti
 	s.secMu.Unlock()
-}
-
-// GetOn is Engine.GetOn across shards: pinned when the sharding key is
-// bound by the index's equality columns, otherwise a scattered
-// first-match query.
-func (s *ShardedEngine) GetOn(index string, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
-	return s.GetOnContext(context.Background(), index, eq, sortv, opts)
-}
-
-// GetOnContext is GetOn honoring a context.
-func (s *ShardedEngine) GetOnContext(ctx context.Context, index string, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
-	if index == "" {
-		return s.GetContext(ctx, eq, sortv, opts)
-	}
-	recs, err := drainCursor(s.ScanStreamOn(ctx, index, eq, sortv, sortv, withLimit(opts, 1)))
-	if err != nil || len(recs) == 0 {
-		return Record{}, false, err
-	}
-	return recs[0], true, nil
-}
-
-// ScanOn is Scan through a chosen index across shards; it drains
-// ScanStreamOn (one scatter-gather code path, uniform Limit handling).
-func (s *ShardedEngine) ScanOn(index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([]Record, error) {
-	return drainCursor(s.ScanStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
-}
-
-// IndexOnlyScanOn is ScanOn assembled entirely from the shards' chosen
-// indexes; it drains IndexOnlyStreamOn.
-func (s *ShardedEngine) IndexOnlyScanOn(index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([][]keyenc.Value, error) {
-	return drainCursor(s.IndexOnlyStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
 }

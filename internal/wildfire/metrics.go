@@ -13,7 +13,9 @@ import (
 // atomic op with no registry lookup. A ShardedEngine carries its own
 // bundle under the base table name for the query-level signals it owns
 // (plan counts, latencies, cursor lifetimes); the per-shard write/groom
-// signals live under each shard's name. When no registry is supplied the
+// signals live under each shard's name — which for a 1-shard table is
+// the base name too, so both bundles resolve to the same handles and
+// the table reports under one label. When no registry is supplied the
 // bundle records into a private one, so handles are always non-nil and
 // the hot paths never branch on configuration.
 

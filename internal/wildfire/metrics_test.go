@@ -72,7 +72,7 @@ func TestEngineMetricsFlow(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := e.ScanOn("by_day", []keyenc.Value{keyenc.I64(100)}, nil, nil, QueryOptions{})
+	recs, err := scanOn(e, "by_day", []keyenc.Value{keyenc.I64(100)}, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +192,15 @@ func TestScatterStreamReleaseCancelNoiseFiltered(t *testing.T) {
 	}
 }
 
-// benchEngine builds an engine for the overhead benchmark; noop swaps
-// the metrics bundle for one with nil handles (every record call is a
-// nil-receiver no-op), isolating the cost of live instrumentation.
-func benchEngine(b *testing.B, noop bool) *Engine {
+// benchEngine builds a 1-shard table for the overhead benchmark; noop
+// swaps the metrics bundles for ones with nil handles (every record call
+// is a nil-receiver no-op), isolating the cost of live instrumentation.
+func benchEngine(b *testing.B, noop bool) *ShardedEngine {
 	b.Helper()
-	cfg := Config{
+	cfg := ShardedConfig{
 		Table:    iotTable(),
 		Index:    iotIndex(),
+		Shards:   1,
 		Store:    storage.NewMemStore(storage.LatencyModel{}),
 		Replicas: 1,
 	}
@@ -207,13 +208,14 @@ func benchEngine(b *testing.B, noop bool) *Engine {
 	cfg.IndexTuning.GroomedLevels = 3
 	cfg.IndexTuning.PostGroomedLevels = 2
 	cfg.IndexTuning.BlockSize = 1024
-	e, err := NewEngine(cfg)
+	e, err := NewShardedEngine(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { e.Close() })
 	if noop {
 		e.mx = &engineMetrics{}
+		e.shards[0].mx = e.mx
 	}
 	return e
 }

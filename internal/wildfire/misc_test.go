@@ -1,6 +1,7 @@
 package wildfire
 
 import (
+	"context"
 	"testing"
 
 	"umzi/internal/keyenc"
@@ -11,15 +12,15 @@ func TestFetchErrors(t *testing.T) {
 	e := newTestEngine(t, nil)
 	ingestAndGroom(t, e, row(1, 1, 1.0, 100))
 	// Live-zone RIDs have no blocks.
-	if _, err := e.Fetch(types.RID{Zone: types.ZoneLive, Block: 1}); err == nil {
+	if _, err := e.FetchContext(context.Background(), types.RID{Zone: types.ZoneLive, Block: 1}); err == nil {
 		t.Error("Fetch of live-zone RID accepted")
 	}
 	// Offset out of range.
-	if _, err := e.Fetch(types.RID{Zone: types.ZoneGroomed, Block: 1, Offset: 999}); err == nil {
+	if _, err := e.FetchContext(context.Background(), types.RID{Zone: types.ZoneGroomed, Block: 1, Offset: 999}); err == nil {
 		t.Error("Fetch past block size accepted")
 	}
 	// Missing block.
-	if _, err := e.Fetch(types.RID{Zone: types.ZonePostGroomed, Block: 42, Offset: 0}); err == nil {
+	if _, err := e.FetchContext(context.Background(), types.RID{Zone: types.ZonePostGroomed, Block: 42, Offset: 0}); err == nil {
 		t.Error("Fetch of missing block accepted")
 	}
 }
@@ -94,7 +95,7 @@ func TestPostGroomRetriesAfterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	eq, sortv := key(1, 1)
-	if _, found, _ := e.Get(eq, sortv, QueryOptions{}); !found {
+	if _, found, _ := getOn(e, "", eq, sortv, QueryOptions{}); !found {
 		t.Error("record lost across post-groom retry")
 	}
 }

@@ -1,6 +1,7 @@
 package wildfire
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,7 +40,7 @@ func TestPostGroomEndToEnd(t *testing.T) {
 	// Indexer is asynchronous: before SyncIndex the index still reads the
 	// groomed zone. Queries must be correct either way.
 	eq, sortv := key(1, 1)
-	rec, found, err := e.Get(eq, sortv, QueryOptions{})
+	rec, found, err := getOn(e, "", eq, sortv, QueryOptions{})
 	if err != nil || !found {
 		t.Fatal(err, found)
 	}
@@ -53,7 +54,7 @@ func TestPostGroomEndToEnd(t *testing.T) {
 	if got := e.idx.IndexedPSN(); got != 1 {
 		t.Fatalf("IndexedPSN = %d", got)
 	}
-	rec, found, err = e.Get(eq, sortv, QueryOptions{})
+	rec, found, err = getOn(e, "", eq, sortv, QueryOptions{})
 	if err != nil || !found {
 		t.Fatal(err, found)
 	}
@@ -81,14 +82,14 @@ func TestPostGroomSetsPrevRIDAndEndTS(t *testing.T) {
 		t.Fatal(err)
 	}
 	eq, sortv := key(1, 1)
-	rec, found, err := e.Get(eq, sortv, QueryOptions{})
+	rec, found, err := getOn(e, "", eq, sortv, QueryOptions{})
 	if err != nil || !found {
 		t.Fatal(err, found)
 	}
 	if rec.PrevRID.IsZero() {
 		t.Fatal("newest version has no prevRID after post-groom")
 	}
-	prev, err := e.Fetch(rec.PrevRID)
+	prev, err := e.FetchContext(context.Background(), rec.PrevRID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestPostGroomPartitionsByKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All rows still reachable.
-	recs, err := e.Scan([]keyenc.Value{keyenc.I64(1)}, nil, nil, QueryOptions{})
+	recs, err := scanOn(e, "", []keyenc.Value{keyenc.I64(1)}, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestMultiplePostGroomCycles(t *testing.T) {
 	if e.MaxPSN() != 3 {
 		t.Fatalf("MaxPSN = %d, want 3", e.MaxPSN())
 	}
-	recs, err := e.Scan([]keyenc.Value{keyenc.I64(1)}, nil, nil, QueryOptions{})
+	recs, err := scanOn(e, "", []keyenc.Value{keyenc.I64(1)}, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestEngineRecovery(t *testing.T) {
 		t.Errorf("recovered MaxPSN = %d, want 1", e2.MaxPSN())
 	}
 	eq, sortv := key(1, 1)
-	rec, found, err := e2.Get(eq, sortv, QueryOptions{})
+	rec, found, err := getOn(e2, "", eq, sortv, QueryOptions{})
 	if err != nil || !found {
 		t.Fatal(err, found)
 	}
@@ -280,7 +281,7 @@ func TestEngineRecovery(t *testing.T) {
 	}
 	// endTS overlay recovered from sidecars.
 	if !rec.PrevRID.IsZero() {
-		prev, err := e2.Fetch(rec.PrevRID)
+		prev, err := e2.FetchContext(context.Background(), rec.PrevRID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +290,7 @@ func TestEngineRecovery(t *testing.T) {
 		}
 	}
 	eq, sortv = key(2, 1)
-	if _, found, _ := e2.Get(eq, sortv, QueryOptions{}); !found {
+	if _, found, _ := getOn(e2, "", eq, sortv, QueryOptions{}); !found {
 		t.Error("groomed-after-postgroom record lost in recovery")
 	}
 	// The engine keeps working after recovery.
@@ -306,14 +307,16 @@ func TestEngineRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	eq, sortv = key(3, 1)
-	if _, found, _ := e2.Get(eq, sortv, QueryOptions{}); !found {
+	if _, found, _ := getOn(e2, "", eq, sortv, QueryOptions{}); !found {
 		t.Error("post-recovery ingest lost")
 	}
 }
 
 func TestBackgroundDaemons(t *testing.T) {
-	e := newTestEngine(t, nil)
-	e.Start(2*time.Millisecond, 10*time.Millisecond)
+	// A 1-shard table's daemons drive its only shard's whole pipeline.
+	s := newTestShardedEngine(t, 1, nil)
+	e := s.Shard(0)
+	s.Start(2*time.Millisecond, 10*time.Millisecond)
 	for i := int64(0); i < 50; i++ {
 		if err := e.UpsertRows(int(i)%2, row(1, i, float64(i), 100+i%3)); err != nil {
 			t.Fatal(err)
@@ -327,7 +330,7 @@ func TestBackgroundDaemons(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	recs, err := e.Scan([]keyenc.Value{keyenc.I64(1)}, nil, nil, QueryOptions{})
+	recs, err := scanOn(e, "", []keyenc.Value{keyenc.I64(1)}, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +404,7 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 				d := int64((r + i) % devices)
 				m := int64(i % msgs)
 				eq, sortv := key(d, m)
-				_, found, err := e.Get(eq, sortv, QueryOptions{})
+				_, found, err := getOn(e, "", eq, sortv, QueryOptions{})
 				if err != nil {
 					report(err)
 					return

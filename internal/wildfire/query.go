@@ -20,10 +20,9 @@ import (
 //
 // Every read path exists in one implementation, the streaming one:
 // ScanStreamOn / IndexOnlyStreamOn return cursors that fetch data blocks
-// lazily and honor context cancellation, and the materialized []Record
-// entry points drain those cursors. QueryOptions.Limit therefore behaves
-// identically everywhere — it bounds the index scan, the verification
-// pass and the emission, on one shard or many.
+// lazily and honor context cancellation. QueryOptions.Limit therefore
+// behaves identically everywhere — it bounds the index scan, the
+// verification pass and the emission, on one shard or many.
 
 // QueryOptions control snapshot and freshness semantics.
 type QueryOptions struct {
@@ -38,13 +37,13 @@ type QueryOptions struct {
 	// Limit stops a scan after this many rows; 0 means unlimited. The
 	// sharded layer pushes the limit into every shard and stops its
 	// k-way merge after emitting Limit rows, so no shard materializes
-	// more than Limit rows for a limited scan. Execute honors it too
-	// (the tighter of Limit and the plan's own limit wins).
+	// more than Limit rows for a limited scan. Executor plans carry their
+	// own limit (exec.Plan.Limit) and ignore this one.
 	Limit int
-	// NoIndexSelection makes Execute evaluate its plan as a zone scan
+	// NoIndexSelection makes ExecutePlan evaluate its plan as a zone scan
 	// even when the filter matches an index (baselines, ablations).
 	NoIndexSelection bool
-	// ScalarExec makes Execute evaluate its zone scan with the legacy
+	// ScalarExec makes ExecutePlan evaluate its zone scan with the legacy
 	// row-at-a-time path: min/max synopsis skipping only (no bloom
 	// filters) and per-row predicate evaluation through RowView instead
 	// of vectorized selection bitmaps. Baseline for the Figure S5 sweep.
@@ -63,14 +62,21 @@ func (e *Engine) resolveTS(opts QueryOptions) types.TS {
 	return opts.TS
 }
 
-// Get returns the newest visible version of the primary key assembled
-// from equality + sort column values.
-func (e *Engine) Get(eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
-	return e.GetContext(context.Background(), eq, sortv, opts)
-}
-
-// GetContext is Get honoring a context.
-func (e *Engine) GetContext(ctx context.Context, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
+// GetOnContext returns the newest visible version of a key through a
+// chosen index ("" is the primary, whose key — equality + sort column
+// values — is unique). For a secondary the key need not be unique: eq
+// and sortv cover the index's declared equality and sort columns (not
+// the primary-key uniquifier), and the newest visible version of the
+// first matching key in index order is returned. Only primary gets
+// consult the live zone.
+func (e *Engine) GetOnContext(ctx context.Context, index string, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
+	if index != "" {
+		recs, err := drainCursor(e.ScanStreamOn(ctx, index, eq, sortv, sortv, withLimit(opts, 1)))
+		if err != nil || len(recs) == 0 {
+			return Record{}, false, err
+		}
+		return recs[0], true, nil
+	}
 	if e.closed.Load() {
 		return Record{}, false, fmt.Errorf("wildfire: engine closed")
 	}
@@ -95,6 +101,14 @@ func (e *Engine) GetContext(ctx context.Context, eq, sortv []keyenc.Value, opts 
 		return Record{}, false, err
 	}
 	return rec, true, nil
+}
+
+// withLimit tightens the options' row limit.
+func withLimit(opts QueryOptions, limit int) QueryOptions {
+	if opts.Limit == 0 || opts.Limit > limit {
+		opts.Limit = limit
+	}
+	return opts
 }
 
 // liveLookup scans the replicas' committed logs for the newest committed
@@ -137,28 +151,8 @@ func (e *Engine) liveLookup(eq, sortv []keyenc.Value) (Record, bool) {
 	return Record{Row: best, BeginTS: types.MaxTS, EndTS: types.MaxTS}, true
 }
 
-// Scan returns the newest visible version of every key matching the
-// equality values and the inclusive sort-column bounds, in key order.
-func (e *Engine) Scan(eq []keyenc.Value, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([]Record, error) {
-	return drainCursor(e.ScanStreamOn(context.Background(), "", eq, sortLo, sortHi, opts))
-}
-
-// IndexOnlyScan is Scan without fetching records: the result rows are
-// assembled entirely from the index (key + included columns), the
-// index-only access plan the included columns exist for (§4.1). Each
-// result carries only the indexed columns, in spec order
-// (equality, sort, included).
-func (e *Engine) IndexOnlyScan(eq []keyenc.Value, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([][]keyenc.Value, error) {
-	return drainCursor(e.IndexOnlyStreamOn(context.Background(), "", eq, sortLo, sortHi, opts))
-}
-
-// GetBatch resolves a batch of point lookups through the index's sorted
-// batch path (§7.2).
-func (e *Engine) GetBatch(keys []core.LookupKey, opts QueryOptions) ([]Record, []bool, error) {
-	return e.GetBatchContext(context.Background(), keys, opts)
-}
-
-// GetBatchContext is GetBatch honoring a context.
+// GetBatchContext resolves a batch of point lookups through the index's
+// sorted batch path (§7.2).
 func (e *Engine) GetBatchContext(ctx context.Context, keys []core.LookupKey, opts QueryOptions) ([]Record, []bool, error) {
 	if e.closed.Load() {
 		return nil, nil, fmt.Errorf("wildfire: engine closed")
@@ -185,13 +179,12 @@ func (e *Engine) GetBatchContext(ctx context.Context, keys []core.LookupKey, opt
 
 // ---- Index-choice queries ------------------------------------------
 //
-// Get/Scan serve the primary key; the *On variants accept an index
-// choice ("" is the primary). A secondary query walks the chosen index
-// and re-validates every candidate against the primary at the query
-// timestamp (see indexset.go on the stale-entry problem), so its
-// results match what a scan-and-filter over the reconciled table would
-// produce for the indexed zones. Like Scan, the *On variants do not
-// consult the live zone.
+// The *On primitives accept an index choice ("" is the primary). A
+// secondary query walks the chosen index and re-validates every
+// candidate against the primary at the query timestamp (see indexset.go
+// on the stale-entry problem), so its results match what a
+// scan-and-filter over the reconciled table would produce for the
+// indexed zones. Scans do not consult the live zone.
 
 // verifiedEntry is one secondary-index candidate that survived the
 // primary back-check: the entry plus its decoded value layout
@@ -436,48 +429,6 @@ func (e *Engine) openIndexScan(ctx context.Context, index string, eq, sortLo, so
 	return next, release, nil
 }
 
-// GetOn is Get through a chosen index. For a secondary the key need not
-// be unique: eq and sortv cover the index's declared equality and sort
-// columns (not the primary-key uniquifier), and the newest visible
-// version of the first matching key in index order is returned.
-func (e *Engine) GetOn(index string, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
-	return e.GetOnContext(context.Background(), index, eq, sortv, opts)
-}
-
-// GetOnContext is GetOn honoring a context.
-func (e *Engine) GetOnContext(ctx context.Context, index string, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
-	if index == "" {
-		return e.GetContext(ctx, eq, sortv, opts)
-	}
-	recs, err := drainCursor(e.ScanStreamOn(ctx, index, eq, sortv, sortv, withLimit(opts, 1)))
-	if err != nil || len(recs) == 0 {
-		return Record{}, false, err
-	}
-	return recs[0], true, nil
-}
-
-// withLimit tightens the options' row limit.
-func withLimit(opts QueryOptions, limit int) QueryOptions {
-	if opts.Limit == 0 || opts.Limit > limit {
-		opts.Limit = limit
-	}
-	return opts
-}
-
-// ScanOn is Scan through a chosen index: the newest visible version of
-// every key matching the equality values and the inclusive bounds on a
-// prefix of the index's sort columns, in index-key order. Secondary
-// results are verified against the primary before fetching.
-func (e *Engine) ScanOn(index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([]Record, error) {
-	return drainCursor(e.ScanStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
-}
-
-// IndexOnlyScanOn is ScanOn without fetching records: result rows are
-// assembled entirely from the chosen index (see IndexOnlyStreamOn).
-func (e *Engine) IndexOnlyScanOn(index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([][]keyenc.Value, error) {
-	return drainCursor(e.IndexOnlyStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
-}
-
 // History walks the version chain of a key backwards from its newest
 // visible version using prevRID (time travel, §2.1). Versions groomed
 // but never post-groomed have no prevRID yet; the walk covers what the
@@ -485,13 +436,14 @@ func (e *Engine) IndexOnlyScanOn(index string, eq, sortLo, sortHi []keyenc.Value
 func (e *Engine) History(eq, sortv []keyenc.Value, opts QueryOptions, limit int) ([]Record, error) {
 	epoch := e.gate.enter()
 	defer e.gate.exit(epoch)
-	rec, found, err := e.Get(eq, sortv, opts)
+	ctx := context.Background()
+	rec, found, err := e.GetOnContext(ctx, "", eq, sortv, opts)
 	if err != nil || !found {
 		return nil, err
 	}
 	out := []Record{rec}
 	for len(out) != limit && !rec.PrevRID.IsZero() {
-		prev, err := e.Fetch(rec.PrevRID)
+		prev, err := e.FetchContext(ctx, rec.PrevRID)
 		if err != nil {
 			return nil, err
 		}

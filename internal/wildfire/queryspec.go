@@ -109,9 +109,9 @@ type compiledQuery struct {
 }
 
 // planQuery compiles a spec against a table and its index set. The
-// index set is planning metadata only — the sharded layer passes shard
-// 0's set (identical on every shard, like the executor's per-shard
-// chooseIndex relies on).
+// index set is planning metadata only — RunQuery passes shard 0's set
+// (identical on every shard, like the executor's per-shard chooseIndex
+// relies on).
 func planQuery(t TableDef, indexes []*tableIndex, spec QuerySpec) (*compiledQuery, error) {
 	bound, err := exec.Plan{
 		Filter:  spec.Filter,
@@ -290,26 +290,15 @@ func findIndexMeta(indexes []*tableIndex, name string) *tableIndex {
 	return nil
 }
 
-// queryOps is what the compiled-query runner needs from a topology —
-// Engine and ShardedEngine both satisfy it through thin adapters, which
-// is precisely the collapse of the single/sharded fork: one runner, two
-// fan-out strategies underneath.
-type queryOps interface {
-	getOn(ctx context.Context, index string, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error)
-	scanStream(ctx context.Context, index string, eq, lo, hi []keyenc.Value, opts QueryOptions) (*Cursor[Record], error)
-	indexOnlyStream(ctx context.Context, index string, eq, lo, hi []keyenc.Value, opts QueryOptions) (*Cursor[[]keyenc.Value], error)
-	execPartials(ctx context.Context, bound *exec.BoundPlan, filter exec.Expr, opts QueryOptions) ([]*exec.Partial, error)
-}
-
-// runCompiled executes a compiled query against one topology.
-func runCompiled(ctx context.Context, ops queryOps, cq *compiledQuery) (*QueryRows, error) {
+// runCompiled executes a compiled query across the table's shards.
+func (s *ShardedEngine) runCompiled(ctx context.Context, cq *compiledQuery) (*QueryRows, error) {
 	spec := cq.spec
 	opts := QueryOptions{TS: spec.TS, IncludeLive: spec.IncludeLive, NoIndexSelection: spec.NoIndexSelection, Trace: spec.Trace}
 	spec.Trace.SetPlan(planLabel(cq.mode), cq.index)
 
 	switch cq.mode {
 	case modePointGet:
-		rec, found, err := ops.getOn(ctx, "", cq.eq, cq.lo, opts)
+		rec, found, err := s.get(ctx, cq.eq, cq.lo, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -337,7 +326,7 @@ func runCompiled(ctx context.Context, ops queryOps, cq *compiledQuery) (*QueryRo
 		if cq.pushLimit {
 			scanOpts.Limit = spec.Limit
 		}
-		cur, err := ops.scanStream(ctx, cq.index, cq.eq, cq.lo, cq.hi, scanOpts)
+		cur, err := s.ScanStreamOn(ctx, cq.index, cq.eq, cq.lo, cq.hi, scanOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -360,7 +349,7 @@ func runCompiled(ctx context.Context, ops queryOps, cq *compiledQuery) (*QueryRo
 		if cq.pushLimit {
 			scanOpts.Limit = spec.Limit
 		}
-		cur, err := ops.indexOnlyStream(ctx, cq.index, cq.eq, cq.lo, cq.hi, scanOpts)
+		cur, err := s.IndexOnlyStreamOn(ctx, cq.index, cq.eq, cq.lo, cq.hi, scanOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -382,7 +371,7 @@ func runCompiled(ctx context.Context, ops queryOps, cq *compiledQuery) (*QueryRo
 		return &QueryRows{Columns: cq.bound.Columns(), Cursor: newCursor(fetch, cur.Close)}, nil
 
 	default: // modeExec
-		parts, err := ops.execPartials(ctx, cq.bound, spec.Filter, opts)
+		parts, err := s.execPartials(ctx, cq.bound, spec.Filter, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -424,63 +413,19 @@ func projectRow(row Row, ords []int) []keyenc.Value {
 	return out
 }
 
-// ---- Engine adapter --------------------------------------------------
-
-type engineOps struct{ e *Engine }
-
-func (o engineOps) getOn(ctx context.Context, index string, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
-	return o.e.GetOnContext(ctx, index, eq, sortv, opts)
-}
-func (o engineOps) scanStream(ctx context.Context, index string, eq, lo, hi []keyenc.Value, opts QueryOptions) (*Cursor[Record], error) {
-	return o.e.ScanStreamOn(ctx, index, eq, lo, hi, opts)
-}
-func (o engineOps) indexOnlyStream(ctx context.Context, index string, eq, lo, hi []keyenc.Value, opts QueryOptions) (*Cursor[[]keyenc.Value], error) {
-	return o.e.IndexOnlyStreamOn(ctx, index, eq, lo, hi, opts)
-}
-func (o engineOps) execPartials(ctx context.Context, bound *exec.BoundPlan, filter exec.Expr, opts QueryOptions) ([]*exec.Partial, error) {
-	part, err := o.e.executePlan(ctx, bound, filter, opts)
-	if err != nil {
-		return nil, err
-	}
-	return []*exec.Partial{part}, nil
-}
-
-// RunQuery compiles and runs one declarative query on this table shard,
-// returning a streaming result.
-func (e *Engine) RunQuery(ctx context.Context, spec QuerySpec) (*QueryRows, error) {
-	if e.closed.Load() {
-		return nil, fmt.Errorf("wildfire: engine closed")
-	}
-	start := time.Now()
-	cq, err := planQuery(e.table, e.indexSet(), spec)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := runCompiled(ctx, engineOps{e}, cq)
-	if err != nil {
-		return nil, err
-	}
-	return e.mx.instrumentRows(cq.mode, spec.Trace, rows, start), nil
-}
-
-// ---- ShardedEngine adapter -------------------------------------------
-
-type shardedOps struct{ s *ShardedEngine }
-
-func (o shardedOps) getOn(ctx context.Context, index string, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
-	return o.s.GetOnContext(ctx, index, eq, sortv, opts)
-}
-func (o shardedOps) scanStream(ctx context.Context, index string, eq, lo, hi []keyenc.Value, opts QueryOptions) (*Cursor[Record], error) {
-	return o.s.ScanStreamOn(ctx, index, eq, lo, hi, opts)
-}
-func (o shardedOps) indexOnlyStream(ctx context.Context, index string, eq, lo, hi []keyenc.Value, opts QueryOptions) (*Cursor[[]keyenc.Value], error) {
-	return o.s.IndexOnlyStreamOn(ctx, index, eq, lo, hi, opts)
-}
-func (o shardedOps) execPartials(ctx context.Context, bound *exec.BoundPlan, filter exec.Expr, opts QueryOptions) ([]*exec.Partial, error) {
-	s := o.s
+// execPartials pushes a bound plan into every shard in parallel through
+// the scatter-gather pool: each shard reduces its blocks and live
+// records to an exec.Partial, and the coordinator merges the partial
+// aggregates — sum/count pairs and per-group accumulator maps, never
+// rows — at finalize. Row-shaped plans are the exception: shards return
+// their qualifying projected rows, concatenated and deterministically
+// sorted at finalize. Index selection runs per shard: every shard holds
+// the same index set, so the (deterministic) rule picks the same access
+// path everywhere.
+func (s *ShardedEngine) execPartials(ctx context.Context, bound *exec.BoundPlan, filter exec.Expr, opts QueryOptions) ([]*exec.Partial, error) {
 	parts := make([]*exec.Partial, len(s.shards))
 	err := s.pool.each(ctx, len(s.shards), func(i int) error {
-		part, err := s.shards[i].executePlan(ctx, bound, filter, opts)
+		part, err := s.shards[i].ExecutePlan(ctx, bound, filter, opts)
 		parts[i] = part
 		return err
 	})
@@ -491,8 +436,9 @@ func (o shardedOps) execPartials(ctx context.Context, bound *exec.BoundPlan, fil
 }
 
 // RunQuery compiles and runs one declarative query across all shards,
-// returning a streaming result. Planning uses shard 0's index set —
-// identical on every shard by construction.
+// returning a streaming result — the only read entry point below the
+// query builder. Planning uses shard 0's index set, identical on every
+// shard by construction.
 func (s *ShardedEngine) RunQuery(ctx context.Context, spec QuerySpec) (*QueryRows, error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("wildfire: engine closed")
@@ -505,7 +451,7 @@ func (s *ShardedEngine) RunQuery(ctx context.Context, spec QuerySpec) (*QueryRow
 	if err != nil {
 		return nil, err
 	}
-	rows, err := runCompiled(ctx, shardedOps{s}, cq)
+	rows, err := s.runCompiled(ctx, cq)
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ func TestBlockCacheStampede(t *testing.T) {
 	// cache, so start from a fresh one).
 	e.blocks = NewBlockCache(0)
 	before := store.Stats().Snapshot().Reads
-	if _, err := e.Execute(plan, QueryOptions{}); err != nil {
+	if _, err := execute(e, plan, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	coldReads := store.Stats().Snapshot().Reads - before
@@ -60,7 +60,7 @@ func TestBlockCacheStampede(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			_, errs[i] = e.Execute(plan, QueryOptions{})
+			_, errs[i] = execute(e, plan, QueryOptions{})
 		}(i)
 	}
 	close(start)
@@ -110,7 +110,7 @@ func readPathEquivalence(t *testing.T, seed int64) {
 
 	check := func(p exec.Plan, opts QueryOptions, label string) {
 		t.Helper()
-		want, err := seq.Execute(p, opts)
+		want, err := execute(seq, p, opts)
 		if err != nil {
 			t.Fatalf("%s seq: %v", label, err)
 		}
@@ -118,18 +118,18 @@ func readPathEquivalence(t *testing.T, seed int64) {
 			name string
 			run  func() (*exec.Result, error)
 		}{
-			{"par", func() (*exec.Result, error) { return par.Execute(p, opts) }},
-			{"starved", func() (*exec.Result, error) { return starved.Execute(p, opts) }},
-			{"sharded", func() (*exec.Result, error) { return sharded.Execute(p, opts) }},
+			{"par", func() (*exec.Result, error) { return execute(par, p, opts) }},
+			{"starved", func() (*exec.Result, error) { return execute(starved, p, opts) }},
+			{"sharded", func() (*exec.Result, error) { return execute(sharded, p, opts) }},
 			{"par-scalar", func() (*exec.Result, error) {
 				o := opts
 				o.ScalarExec = true
-				return par.Execute(p, o)
+				return execute(par, p, o)
 			}},
 			{"seq-scalar", func() (*exec.Result, error) {
 				o := opts
 				o.ScalarExec = true
-				return seq.Execute(p, o)
+				return execute(seq, p, o)
 			}},
 		}
 		for _, eng := range runs {
@@ -252,7 +252,7 @@ func TestBlockCacheChurnInvariant(t *testing.T) {
 		GroupBy: []string{"day"},
 		Aggs:    []exec.Agg{{Func: exec.Count}, {Func: exec.Sum, Col: "reading"}},
 	}
-	want, err := e.Execute(plan, QueryOptions{TS: ts0})
+	want, err := execute(e, plan, QueryOptions{TS: ts0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestBlockCacheChurnInvariant(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				got, err := e.Execute(plan, QueryOptions{TS: ts0})
+				got, err := execute(e, plan, QueryOptions{TS: ts0})
 				if err != nil {
 					fail <- fmt.Sprintf("churn query: %v", err)
 					return
@@ -368,12 +368,12 @@ func BenchmarkParallelScan(b *testing.B) {
 				GroupBy: []string{"day"},
 				Aggs:    []exec.Agg{{Func: exec.Count}, {Func: exec.Sum, Col: "reading"}, {Func: exec.Max, Col: "reading"}},
 			}
-			if _, err := e.Execute(plan, QueryOptions{}); err != nil {
+			if _, err := execute(e, plan, QueryOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Execute(plan, QueryOptions{}); err != nil {
+				if _, err := execute(e, plan, QueryOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -86,7 +86,7 @@ func TestSecondaryConcurrentWithPipeline(t *testing.T) {
 				eq := []keyenc.Value{keyenc.Str(region)}
 				switch i % 3 {
 				case 0:
-					recs, err := e.ScanOn("by_region", eq, nil, nil, QueryOptions{})
+					recs, err := scanOn(e, "by_region", eq, nil, nil, QueryOptions{})
 					if err != nil {
 						t.Error(err)
 						return
@@ -105,7 +105,7 @@ func TestSecondaryConcurrentWithPipeline(t *testing.T) {
 						}
 					}
 				case 1:
-					rows, err := e.IndexOnlyScanOn("by_region", eq, nil, nil, QueryOptions{})
+					rows, err := indexOnlyOn(e, "by_region", eq, nil, nil, QueryOptions{})
 					if err != nil {
 						t.Error(err)
 						return
@@ -118,7 +118,7 @@ func TestSecondaryConcurrentWithPipeline(t *testing.T) {
 					}
 				default:
 					status := int64(rng.Intn(3))
-					res, err := e.Execute(exec.Plan{
+					res, err := execute(e, exec.Plan{
 						Filter: exec.And(exec.Eq("status", keyenc.I64(status)), exec.Ge("amount", keyenc.I64(500))),
 						Aggs:   []exec.Agg{{Func: exec.Count}, {Func: exec.Min, Col: "amount"}},
 					}, QueryOptions{})

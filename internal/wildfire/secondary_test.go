@@ -164,14 +164,14 @@ func TestSecondaryStaleEntrySuppression(t *testing.T) {
 		if err := st.prep(); err != nil {
 			t.Fatal(err)
 		}
-		recs, err := e.ScanOn("by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{})
+		recs, err := scanOn(e, "by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(recs) != 0 {
 			t.Fatalf("%s: region amer returned %d rows after the row moved to emea", st.name, len(recs))
 		}
-		recs, err = e.ScanOn("by_region", []keyenc.Value{keyenc.Str("emea")}, nil, nil, QueryOptions{})
+		recs, err = scanOn(e, "by_region", []keyenc.Value{keyenc.Str("emea")}, nil, nil, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestSecondaryStaleEntrySuppression(t *testing.T) {
 			t.Fatalf("%s: region emea = %v, want the updated row", st.name, recs)
 		}
 		// Time travel: at the old snapshot the row was still in amer.
-		recs, err = e.ScanOn("by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{TS: tsOld})
+		recs, err = scanOn(e, "by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{TS: tsOld})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestSecondaryPropertyVsNaive(t *testing.T) {
 		// Point/range queries on both secondaries against the reference.
 		for _, region := range testRegions {
 			eq := []keyenc.Value{keyenc.Str(region)}
-			recs, err := e.ScanOn("by_region", eq, nil, nil, QueryOptions{})
+			recs, err := scanOn(e, "by_region", eq, nil, nil, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +211,7 @@ func TestSecondaryPropertyVsNaive(t *testing.T) {
 			// Covered query: the by_region index carries region (eq), id
 			// (pk uniquifier) and amount (included) — enough to answer
 			// without touching a data block.
-			rows, err := e.IndexOnlyScanOn("by_region", eq, nil, nil, QueryOptions{})
+			rows, err := indexOnlyOn(e, "by_region", eq, nil, nil, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +233,7 @@ func TestSecondaryPropertyVsNaive(t *testing.T) {
 		}
 		for status := int64(0); status < 3; status++ {
 			lo, hi := int64(200), int64(700)
-			recs, err := e.ScanOn("by_status_amount",
+			recs, err := scanOn(e, "by_status_amount",
 				[]keyenc.Value{keyenc.I64(status)},
 				[]keyenc.Value{keyenc.I64(lo)}, []keyenc.Value{keyenc.I64(hi)}, QueryOptions{})
 			if err != nil {
@@ -246,7 +246,7 @@ func TestSecondaryPropertyVsNaive(t *testing.T) {
 			if rng.Intn(8) != 0 {
 				continue
 			}
-			rec, found, err := e.GetOn("by_status_amount",
+			rec, found, err := getOn(e, "by_status_amount",
 				[]keyenc.Value{w[2]}, []keyenc.Value{w[3]}, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -346,7 +346,7 @@ func TestCreateIndexBackfill(t *testing.T) {
 		t.Fatal("conflicting CreateIndex succeeded")
 	}
 	for _, region := range testRegions {
-		recs, err := e.ScanOn("by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{})
+		recs, err := scanOn(e, "by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func TestCreateIndexBackfill(t *testing.T) {
 		t.Fatal(err)
 	}
 	shadow[999] = orderRow(999, "amer", 0, 1)
-	recs, err := e.ScanOn("by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{})
+	recs, err := scanOn(e, "by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,14 +430,14 @@ func TestSecondaryRecovery(t *testing.T) {
 		t.Fatalf("recovered secondaries = %v", names)
 	}
 	for _, region := range testRegions {
-		recs, err := e.ScanOn("by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{})
+		recs, err := scanOn(e, "by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameRows(t, "recovered "+region, recordsToMap(t, recs), shadow.byRegion(region))
 	}
 	for status := int64(0); status < 3; status++ {
-		recs, err := e.ScanOn("by_status_amount", []keyenc.Value{keyenc.I64(status)}, nil, nil, QueryOptions{})
+		recs, err := scanOn(e, "by_status_amount", []keyenc.Value{keyenc.I64(status)}, nil, nil, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -510,7 +510,7 @@ func TestRecoveryAfterFullReclamation(t *testing.T) {
 	if err := e.Groom(); err != nil {
 		t.Fatal(err)
 	}
-	rec, found, err := e.Get([]keyenc.Value{keyenc.I64(5)}, nil, QueryOptions{})
+	rec, found, err := getOn(e, "", []keyenc.Value{keyenc.I64(5)}, nil, QueryOptions{})
 	if err != nil || !found {
 		t.Fatalf("Get(5) after regroom: found=%v err=%v", found, err)
 	}
@@ -543,14 +543,14 @@ func TestSecondaryLimitedScanWidens(t *testing.T) {
 	if err := e.Groom(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := e.ScanOn("by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{Limit: 2})
+	recs, err := scanOn(e, "by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 || recs[0].Row[0].Int() != 36 || recs[1].Row[0].Int() != 37 {
 		t.Fatalf("limited scan after heavy staleness = %v, want ids 36,37", recs)
 	}
-	rec, found, err := e.GetOn("by_region", []keyenc.Value{keyenc.Str("amer")}, nil, QueryOptions{})
+	rec, found, err := getOn(e, "by_region", []keyenc.Value{keyenc.Str("amer")}, nil, QueryOptions{})
 	if err != nil || !found || rec.Row[0].Int() != 36 {
 		t.Fatalf("GetOn after heavy staleness: found=%v rec=%v err=%v, want id 36", found, rec.Row, err)
 	}
@@ -636,11 +636,11 @@ func TestExecuteIndexSelection(t *testing.T) {
 	}
 	for _, includeLive := range []bool{false, true} {
 		for pi, p := range plans {
-			got, err := e.Execute(p, QueryOptions{IncludeLive: includeLive})
+			got, err := execute(e, p, QueryOptions{IncludeLive: includeLive})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := e.Execute(p, QueryOptions{IncludeLive: includeLive, NoIndexSelection: true})
+			want, err := execute(e, p, QueryOptions{IncludeLive: includeLive, NoIndexSelection: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -676,7 +676,7 @@ func TestExecuteIndexPlanTooBroadFallsBack(t *testing.T) {
 		Filter: exec.Eq("region", keyenc.Str("amer")),
 		Aggs:   []exec.Agg{{Func: exec.Count}, {Func: exec.Sum, Col: "amount"}},
 	}
-	res, err := e.Execute(p, QueryOptions{})
+	res, err := execute(e, p, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,7 +725,7 @@ func TestShardedSecondaryQueries(t *testing.T) {
 	}
 
 	for _, region := range testRegions {
-		recs, err := s.ScanOn("by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{})
+		recs, err := scanOn(s, "by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -738,7 +738,7 @@ func TestShardedSecondaryQueries(t *testing.T) {
 			}
 		}
 		// Limit pushdown through the merge.
-		limited, err := s.ScanOn("by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{Limit: 5})
+		limited, err := scanOn(s, "by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{Limit: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -757,7 +757,7 @@ func TestShardedSecondaryQueries(t *testing.T) {
 	}
 
 	// Covered index-only scatter scan.
-	rows, err := s.IndexOnlyScanOn("by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{})
+	rows, err := indexOnlyOn(s, "by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -772,11 +772,11 @@ func TestShardedSecondaryQueries(t *testing.T) {
 		GroupBy: []string{"status"},
 		Aggs:    []exec.Agg{{Func: exec.Count}, {Func: exec.Sum, Col: "amount"}},
 	}
-	got, err := s.Execute(p, QueryOptions{})
+	got, err := execute(s, p, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := s.Execute(p, QueryOptions{NoIndexSelection: true})
+	wantRes, err := execute(s, p, QueryOptions{NoIndexSelection: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -810,7 +810,7 @@ func TestShardedSecondaryQueries(t *testing.T) {
 		if _, ok := s.pinSecondary(ti, []keyenc.Value{keyenc.I64(id)}); !ok {
 			t.Fatal("by_id_amount query did not pin despite the sharding key being bound")
 		}
-		rec, found, err := s.GetOn("by_id_amount", []keyenc.Value{keyenc.I64(id)}, nil, QueryOptions{})
+		rec, found, err := getOn(s, "by_id_amount", []keyenc.Value{keyenc.I64(id)}, nil, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,12 +18,13 @@ import (
 // The sharding layer. Wildfire is a sharded multi-master system: a table
 // is hash-partitioned by its sharding key across shards, each shard is
 // the unit of grooming, post-grooming and indexing, and each runs its
-// own Umzi index instance (§2.1, §3). ShardedEngine composes N
-// independent Engines into that system: upsert transactions route to the
-// shard owning their rows, and queries either pin to one shard or
-// scatter-gather across all of them through a bounded worker pool,
-// merging per-shard results (sort-merge for ordered scans, positional or
-// plain concatenation otherwise).
+// own Umzi index instance (§2.1, §3). ShardedEngine is that table: it
+// composes N>=1 independent Engines — every table runs on one, an
+// unsharded table being the N=1 case, which never scatters — routes
+// upsert transactions to the shard owning their rows, and either pins a
+// query to one shard or scatter-gathers it across all of them through a
+// bounded worker pool, merging per-shard results (sort-merge for ordered
+// scans, positional reassembly or partial-aggregate merge otherwise).
 //
 // Snapshot semantics across shards: every shard grooms independently, so
 // there is no global commit clock — exactly as in Wildfire, where a
@@ -50,7 +51,8 @@ type ShardedConfig struct {
 	// storage, CPU parallelism on multi-core).
 	Parallelism int
 	// Store is the shared storage backend used by every shard; shard
-	// objects live under "tbl/<name>/shard-NNN/...".
+	// objects live under "tbl/<name>/shard-NNN/..." ("tbl/<name>/..." for
+	// a 1-shard table).
 	Store storage.ObjectStore
 	// ShardStore, when set, gives each shard its own storage backend
 	// (modeling scale-out across storage nodes); Store is then ignored.
@@ -87,8 +89,8 @@ type ShardedConfig struct {
 	Obs *obs.Registry
 }
 
-// ShardedEngine is a sharded Wildfire table: N engines behind one
-// routing, ingest and scatter-gather query front end.
+// ShardedEngine is a Wildfire table: N>=1 shard engines behind one
+// routing, ingest and query front end (RunQuery).
 type ShardedEngine struct {
 	table  TableDef
 	ixSpec IndexSpec
@@ -125,13 +127,20 @@ type ShardedEngine struct {
 
 // shardTableName names one shard's table; every storage object of the
 // shard lives under the derived "tbl/<this>/" prefix, disjoint between
-// shards and recoverable independently.
-func shardTableName(base string, shard int) string {
+// shards and recoverable independently. The only shard of a 1-shard
+// table is the table itself: its objects and metric labels carry no
+// shard segment.
+func shardTableName(base string, shards, shard int) string {
+	if shards <= 1 {
+		return base
+	}
 	return fmt.Sprintf("%s/shard-%03d", base, shard)
 }
 
 // ShardTableName exposes the shard naming scheme to storage tooling.
-func ShardTableName(base string, shard int) string { return shardTableName(base, shard) }
+func ShardTableName(base string, shards, shard int) string {
+	return shardTableName(base, shards, shard)
+}
 
 // NewShardedEngine creates (or recovers, per shard) a sharded engine.
 func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
@@ -197,7 +206,7 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 			Durability:      cfg.Durability,
 			Obs:             cfg.Obs,
 		}
-		shardCfg.Table.Name = shardTableName(cfg.Table.Name, i)
+		shardCfg.Table.Name = shardTableName(cfg.Table.Name, cfg.Shards, i)
 		if cfg.ShardStore != nil {
 			shardCfg.Store = cfg.ShardStore(i)
 		}
@@ -415,12 +424,7 @@ func (tx *ShardedTxn) CommitContext(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		for _, r := range rows {
-			if err := stx.Upsert(r); err != nil {
-				stx.Abort()
-				return err
-			}
-		}
+		stx.sidelog = rows // validated and copied by Upsert
 		if err := stx.Commit(); err != nil {
 			return err
 		}
@@ -550,8 +554,8 @@ func (s *ShardedEngine) MaintainOnce() (bool, error) {
 }
 
 // checkFullKey validates a point-lookup key before routing: the router
-// indexes into eq/sortv, so a short key must fail like the single-engine
-// path does instead of panicking.
+// indexes into eq/sortv, so a short key must fail with an error instead
+// of panicking.
 func (s *ShardedEngine) checkFullKey(eq, sortv []keyenc.Value) error {
 	if len(eq) != len(s.ixSpec.Equality) || len(sortv) != len(s.ixSpec.Sort) {
 		return fmt.Errorf("wildfire: point lookup requires the full key (%d+%d values, want %d+%d)",
@@ -560,23 +564,10 @@ func (s *ShardedEngine) checkFullKey(eq, sortv []keyenc.Value) error {
 	return nil
 }
 
-// checkScanKey validates a scan's equality values before routing.
-func (s *ShardedEngine) checkScanKey(eq []keyenc.Value) error {
-	if len(eq) != len(s.ixSpec.Equality) {
-		return fmt.Errorf("wildfire: scan requires all equality values (%d, want %d)",
-			len(eq), len(s.ixSpec.Equality))
-	}
-	return nil
-}
-
-// Get returns the newest visible version of a key. The full key
-// determines the sharding key, so the lookup always pins to one shard.
-func (s *ShardedEngine) Get(eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
-	return s.GetContext(context.Background(), eq, sortv, opts)
-}
-
-// GetContext is Get honoring a context.
-func (s *ShardedEngine) GetContext(ctx context.Context, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
+// get is the coordinator's point get: the newest visible version of a
+// primary key. The full key determines the sharding key, so the lookup
+// always pins to one shard.
+func (s *ShardedEngine) get(ctx context.Context, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
 	if s.closed.Load() {
 		return Record{}, false, fmt.Errorf("wildfire: engine closed")
 	}
@@ -584,7 +575,7 @@ func (s *ShardedEngine) GetContext(ctx context.Context, eq, sortv []keyenc.Value
 		return Record{}, false, err
 	}
 	opts.TS = s.resolveTS(opts)
-	return s.shards[s.router.shardOfKey(eq, sortv)].GetContext(ctx, eq, sortv, opts)
+	return s.shards[s.router.shardOfKey(eq, sortv)].GetOnContext(ctx, "", eq, sortv, opts)
 }
 
 // History walks a key's version chain on its owning shard.
@@ -625,7 +616,7 @@ func (s *ShardedEngine) GetBatch(keys []core.LookupKey, opts QueryOptions) ([]Re
 		if len(perShard[i]) == 0 {
 			return nil
 		}
-		recs, ok, err := s.shards[i].GetBatch(perShard[i], opts)
+		recs, ok, err := s.shards[i].GetBatchContext(context.Background(), perShard[i], opts)
 		if err != nil {
 			return err
 		}
@@ -641,55 +632,6 @@ func (s *ShardedEngine) GetBatch(keys []core.LookupKey, opts QueryOptions) ([]Re
 	return out, found, nil
 }
 
-// Scan returns the newest visible version of every key matching the
-// equality values and sort bounds, in global key order. When the
-// sharding key is contained in the equality columns the scan pins to one
-// shard; otherwise it scatters to all shards and sort-merges the
-// per-shard ordered streams (it drains ScanStreamOn — the streaming
-// merge is the only ordered scatter-gather code path).
-func (s *ShardedEngine) Scan(eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([]Record, error) {
-	return drainCursor(s.ScanStreamOn(context.Background(), "", eq, sortLo, sortHi, opts))
-}
-
-// ScanUnordered is Scan without the sort-merge: per-shard results are
-// concatenated in shard order. Cheaper when the caller aggregates and
-// does not need global order.
-func (s *ShardedEngine) ScanUnordered(eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([]Record, error) {
-	if s.closed.Load() {
-		return nil, fmt.Errorf("wildfire: engine closed")
-	}
-	if err := s.checkScanKey(eq); err != nil {
-		return nil, err
-	}
-	opts.TS = s.resolveTS(opts)
-	if shard, ok := s.router.pinScan(eq); ok {
-		return s.shards[shard].Scan(eq, sortLo, sortHi, opts)
-	}
-	parts := make([][]Record, len(s.shards))
-	err := s.pool.each(context.Background(), len(s.shards), func(i int) error {
-		recs, err := s.shards[i].Scan(eq, sortLo, sortHi, opts)
-		parts[i] = recs
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Record
-	for _, p := range parts {
-		out = append(out, p...)
-		if opts.Limit > 0 && len(out) >= opts.Limit {
-			return out[:opts.Limit], nil
-		}
-	}
-	return out, nil
-}
-
-// IndexOnlyScan is Scan assembled entirely from the shards' indexes
-// (§4.1): scatter, then sort-merge the per-shard index-only streams.
-func (s *ShardedEngine) IndexOnlyScan(eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([][]keyenc.Value, error) {
-	return drainCursor(s.IndexOnlyStreamOn(context.Background(), "", eq, sortLo, sortHi, opts))
-}
-
 // indexMeta resolves the sharded layer's routing/merge metadata for an
 // index choice ("" is the primary).
 func (s *ShardedEngine) indexMeta(index string) (*tableIndex, error) {
@@ -701,8 +643,12 @@ func (s *ShardedEngine) indexMeta(index string) (*tableIndex, error) {
 
 // pinStream reports the single shard able to serve a scan on the chosen
 // index with the given equality values, or ok=false when it must
-// scatter.
+// scatter. A 1-shard table always pins: its scans are the shard's own
+// cursors, with no worker or merge in between.
 func (s *ShardedEngine) pinStream(ti *tableIndex, eq []keyenc.Value) (int, bool) {
+	if len(s.shards) == 1 {
+		return 0, true
+	}
 	if ti.primary() {
 		return s.router.pinScan(eq)
 	}

@@ -95,7 +95,7 @@ func TestShardedConcurrentIngestAndScatterGather(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				dev := int64((r + i) % devices)
 				eq := []keyenc.Value{keyenc.I64(dev)}
-				recs, err := s.Scan(eq, nil, nil, QueryOptions{TS: types.MaxTS})
+				recs, err := scanOn(s, "", eq, nil, nil, QueryOptions{TS: types.MaxTS})
 				if err != nil {
 					report(err)
 					return
@@ -144,7 +144,7 @@ func TestShardedConcurrentIngestAndScatterGather(t *testing.T) {
 
 	// Final state: every key visible exactly once with the right value.
 	for dev := int64(0); dev < devices; dev++ {
-		recs, err := s.Scan([]keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
+		recs, err := scanOn(s, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestShardedConcurrentIngestAndScatterGather(t *testing.T) {
 // allIngested reports whether every expected key is visible at MaxTS.
 func allIngested(s *ShardedEngine, devices, msgs int64) bool {
 	for dev := int64(0); dev < devices; dev++ {
-		recs, err := s.Scan([]keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
+		recs, err := scanOn(s, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
 		if err != nil || int64(len(recs)) != msgs {
 			return false
 		}
@@ -229,12 +229,12 @@ func TestShardedSnapshotStabilityUnderIngest(t *testing.T) {
 				ts := s.SnapshotTS()
 				dev := int64(r) % devices
 				eq := []keyenc.Value{keyenc.I64(dev)}
-				first, err := s.Scan(eq, nil, nil, QueryOptions{TS: ts})
+				first, err := scanOn(s, "", eq, nil, nil, QueryOptions{TS: ts})
 				if err != nil {
 					report(err)
 					return
 				}
-				second, err := s.Scan(eq, nil, nil, QueryOptions{TS: ts})
+				second, err := scanOn(s, "", eq, nil, nil, QueryOptions{TS: ts})
 				if err != nil {
 					report(err)
 					return
@@ -317,7 +317,7 @@ func TestShardedConcurrentTxns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for dev := int64(0); dev < 4; dev++ {
-		recs, err := s.Scan([]keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
+		recs, err := scanOn(s, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
 		if err != nil {
 			t.Fatal(err)
 		}

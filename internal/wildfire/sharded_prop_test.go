@@ -1,22 +1,26 @@
 package wildfire
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"umzi/internal/core"
+	"umzi/internal/exec"
 	"umzi/internal/keyenc"
 	"umzi/internal/types"
 )
 
-// TestShardedEquivalenceProperty drives a single Engine and a
-// ShardedEngine(N=4) with the same random workload — upsert batches,
+// TestShardedEquivalenceProperty drives a 1-shard and a 4-shard
+// ShardedEngine with the same random workload — upsert batches,
 // lockstep grooms, post-grooms, index maintenance — and checks after
-// every few rounds that scans, point lookups, batched lookups and
-// index-only scans agree exactly, at the newest snapshot, at MaxTS and
-// at randomly chosen historical groom boundaries. Sharding must be
-// invisible to queries: it only changes where rows live.
+// every few rounds that RunQuery (point get, ordered index scan,
+// index-only scan, aggregate) and the record-level primitives (scans,
+// index-only scans, point and batched lookups) agree exactly, at the
+// newest snapshot, at MaxTS and at randomly chosen historical groom
+// boundaries. The shard count must be invisible to queries: it only
+// changes where rows live.
 //
 // The comparison runs under both sharding layouts: device (scans pin to
 // one shard) and msg (every scan scatters and sort-merges).
@@ -39,7 +43,7 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 	td := iotTable()
 	td.ShardKey = []string{shardBy}
 
-	single := newTestEngine(t, func(c *Config) { c.Table = td })
+	single := newTestShardedEngine(t, 1, func(c *ShardedConfig) { c.Table = td })
 	sharded := newTestShardedEngine(t, 4, func(c *ShardedConfig) { c.Table = td })
 
 	const devices, msgs = 5, 8
@@ -70,7 +74,7 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 		if n1 != n2 {
 			t.Fatalf("groomed %d records single, %d sharded", n1, n2)
 		}
-		b1, b2 := single.LastGroomTS(), sharded.SnapshotTS()
+		b1, b2 := single.SnapshotTS(), sharded.SnapshotTS()
 		if b1 != b2 {
 			t.Fatalf("snapshot boundaries diverged: single %v, sharded %v", b1, b2)
 		}
@@ -78,7 +82,7 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 	}
 
 	postGroomBoth := func() {
-		if _, err := single.PostGroom(); err != nil {
+		if err := single.PostGroom(); err != nil {
 			t.Fatal(err)
 		}
 		if err := single.SyncIndex(); err != nil {
@@ -93,7 +97,7 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 	}
 
 	maintainBoth := func() {
-		if _, err := single.Index().MaintainOnce(); err != nil {
+		if _, err := single.MaintainOnce(); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sharded.MaintainOnce(); err != nil {
@@ -117,8 +121,42 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 		return a.BeginTS.GroomSeq() == b.BeginTS.GroomSeq()
 	}
 
+	// runBoth runs one spec on both tables and requires identical rows.
+	runBoth := func(label string, spec QuerySpec) {
+		var res [2][][]keyenc.Value
+		for i, eng := range []*ShardedEngine{single, sharded} {
+			qr, err := eng.RunQuery(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if res[i], err = drainCursor(qr.Cursor, nil); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		if len(res[0]) != len(res[1]) {
+			t.Fatalf("%s: 1-shard %d rows, 4-shard %d", label, len(res[0]), len(res[1]))
+		}
+		for i := range res[0] {
+			for c := range res[0][i] {
+				if keyenc.Compare(res[0][i][c], res[1][i][c]) != 0 {
+					t.Fatalf("%s row %d col %d: 1-shard %v, 4-shard %v", label, i, c, res[0][i][c], res[1][i][c])
+				}
+			}
+		}
+	}
+
 	checkAt := func(ts types.TS, label string) {
 		opts := QueryOptions{TS: ts}
+		// RunQuery, one spec per compiled access path.
+		dev := keyenc.I64(rng.Int63n(devices))
+		runBoth(label+" point-get", QuerySpec{TS: ts,
+			Filter: exec.And(exec.Eq("device", dev), exec.Eq("msg", keyenc.I64(rng.Int63n(msgs))))})
+		runBoth(label+" index-scan", QuerySpec{TS: ts,
+			Filter: exec.Eq("device", dev), OrderBy: []string{"msg"}, Limit: 1 + rng.Intn(msgs)})
+		runBoth(label+" index-only", QuerySpec{TS: ts,
+			Filter: exec.Eq("device", dev), OrderBy: []string{"msg"}, Columns: []string{"msg", "reading"}})
+		runBoth(label+" exec", QuerySpec{TS: ts, GroupBy: []string{"device"},
+			Aggs: []exec.Agg{{Func: exec.Count}, {Func: exec.Sum, Col: "reading"}}})
 		// Per-device scans: full range plus a random sub-range.
 		for dev := int64(0); dev < devices; dev++ {
 			eq := []keyenc.Value{keyenc.I64(dev)}
@@ -128,11 +166,11 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 				{nil, nil},
 				{{keyenc.I64(lo)}, {keyenc.I64(hi)}},
 			} {
-				want, err := single.Scan(eq, bounds[0], bounds[1], opts)
+				want, err := scanOn(single, "", eq, bounds[0], bounds[1], opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := sharded.Scan(eq, bounds[0], bounds[1], opts)
+				got, err := scanOn(sharded, "", eq, bounds[0], bounds[1], opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,11 +185,11 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 				}
 			}
 			// Index-only scans agree value-for-value.
-			wantRows, err := single.IndexOnlyScan(eq, nil, nil, opts)
+			wantRows, err := indexOnlyOn(single, "", eq, nil, nil, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotRows, err := sharded.IndexOnlyScan(eq, nil, nil, opts)
+			gotRows, err := indexOnlyOn(sharded, "", eq, nil, nil, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,11 +209,11 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 		for dev := int64(0); dev < devices+1; dev++ {
 			for msg := int64(0); msg < msgs+1; msg++ {
 				eq, sortv := key(dev, msg)
-				wr, wf, err := single.Get(eq, sortv, opts)
+				wr, wf, err := getOn(single, "", eq, sortv, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gr, gf, err := sharded.Get(eq, sortv, opts)
+				gr, gf, err := getOn(sharded, "", eq, sortv, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

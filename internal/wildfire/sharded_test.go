@@ -117,7 +117,7 @@ func TestShardedIngestGroomGet(t *testing.T) {
 	for dev := int64(0); dev < devices; dev++ {
 		for msg := int64(0); msg < msgs; msg++ {
 			eq, sortv := key(dev, msg)
-			rec, found, err := s.Get(eq, sortv, QueryOptions{})
+			rec, found, err := getOn(s, "", eq, sortv, QueryOptions{})
 			if err != nil || !found {
 				t.Fatalf("get (%d,%d): %v %v", dev, msg, err, found)
 			}
@@ -127,7 +127,7 @@ func TestShardedIngestGroomGet(t *testing.T) {
 		}
 	}
 	eq, sortv := key(99, 99)
-	if _, found, _ := s.Get(eq, sortv, QueryOptions{}); found {
+	if _, found, _ := getOn(s, "", eq, sortv, QueryOptions{}); found {
 		t.Error("found absent key")
 	}
 }
@@ -146,7 +146,7 @@ func TestShardedScanFanOutOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	eq := []keyenc.Value{keyenc.I64(7)}
-	recs, err := s.Scan(eq, []keyenc.Value{keyenc.I64(5)}, []keyenc.Value{keyenc.I64(34)}, QueryOptions{})
+	recs, err := scanOn(s, "", eq, []keyenc.Value{keyenc.I64(5)}, []keyenc.Value{keyenc.I64(34)}, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,25 +158,8 @@ func TestShardedScanFanOutOrdered(t *testing.T) {
 			t.Fatalf("scan[%d] msg = %v, want %d (global order)", i, rec.Row[1], 5+i)
 		}
 	}
-	// Unordered variant returns the same multiset.
-	un, err := s.ScanUnordered(eq, []keyenc.Value{keyenc.I64(5)}, []keyenc.Value{keyenc.I64(34)}, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(un) != len(recs) {
-		t.Fatalf("unordered scan returned %d, want %d", len(un), len(recs))
-	}
-	seen := map[int64]bool{}
-	for _, rec := range un {
-		seen[rec.Row[1].Int()] = true
-	}
-	for msg := int64(5); msg <= 34; msg++ {
-		if !seen[msg] {
-			t.Fatalf("unordered scan missing msg %d", msg)
-		}
-	}
 	// Index-only fan-out scan merges the same way.
-	rows, err := s.IndexOnlyScan(eq, nil, nil, QueryOptions{})
+	rows, err := indexOnlyOn(s, "", eq, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +189,7 @@ func TestShardedScanPinned(t *testing.T) {
 	}
 	for dev := int64(0); dev < 6; dev++ {
 		eq := []keyenc.Value{keyenc.I64(dev)}
-		got, err := s.Scan(eq, nil, nil, QueryOptions{})
+		got, err := scanOn(s, "", eq, nil, nil, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +200,7 @@ func TestShardedScanPinned(t *testing.T) {
 		if !ok {
 			t.Fatal("expected pinned scan")
 		}
-		direct, err := s.Shard(shard).Scan(eq, nil, nil, QueryOptions{TS: types.MaxTS})
+		direct, err := scanOn(s.Shard(shard), "", eq, nil, nil, QueryOptions{TS: types.MaxTS})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +319,7 @@ func TestShardedSnapshotLockstep(t *testing.T) {
 		lastTS = ts
 		// Default-snapshot reads see everything groomed so far.
 		for dev := int64(0); dev <= round; dev++ {
-			recs, err := s.Scan([]keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{})
+			recs, err := scanOn(s, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -397,7 +380,7 @@ func TestShardedRecovery(t *testing.T) {
 	}
 	defer s2.Close()
 	for dev := int64(0); dev < devices; dev++ {
-		recs, err := s2.Scan([]keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
+		recs, err := scanOn(s2, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,7 +443,7 @@ func TestShardedBackgroundDaemons(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		// Default-snapshot read (TS zero resolves to SnapshotTS).
-		rec, found, err := s.Get(eq, sortv, QueryOptions{})
+		rec, found, err := getOn(s, "", eq, sortv, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,19 +477,19 @@ func TestShardedMalformedKeys(t *testing.T) {
 	if err := s.Groom(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Get(nil, nil, QueryOptions{}); err == nil {
+	if _, _, err := getOn(s, "", nil, nil, QueryOptions{}); err == nil {
 		t.Error("Get with empty key accepted")
 	}
-	if _, _, err := s.Get([]keyenc.Value{keyenc.I64(1)}, nil, QueryOptions{}); err == nil {
+	if _, _, err := getOn(s, "", []keyenc.Value{keyenc.I64(1)}, nil, QueryOptions{}); err == nil {
 		t.Error("Get without sort values accepted")
 	}
 	if _, err := s.History(nil, nil, QueryOptions{}, 0); err == nil {
 		t.Error("History with empty key accepted")
 	}
-	if _, err := s.Scan(nil, nil, nil, QueryOptions{}); err == nil {
+	if _, err := scanOn(s, "", nil, nil, nil, QueryOptions{}); err == nil {
 		t.Error("Scan without equality values accepted")
 	}
-	if _, err := s.IndexOnlyScan(nil, nil, nil, QueryOptions{}); err == nil {
+	if _, err := indexOnlyOn(s, "", nil, nil, nil, QueryOptions{}); err == nil {
 		t.Error("IndexOnlyScan without equality values accepted")
 	}
 	if _, _, err := s.GetBatch([]core.LookupKey{{Equality: []keyenc.Value{keyenc.I64(1)}}}, QueryOptions{}); err == nil {
@@ -554,7 +537,7 @@ func TestShardedConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	eq, sortv := key(1, 1)
-	if _, found, err := s.Get(eq, sortv, QueryOptions{}); err != nil || !found {
+	if _, found, err := getOn(s, "", eq, sortv, QueryOptions{}); err != nil || !found {
 		t.Fatalf("per-shard-store get: %v %v", err, found)
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Streaming query results. A Cursor pulls rows one at a time instead of
-// materializing a []Record: the single-engine cursors fetch data blocks
-// lazily per row, and the sharded cursors run one worker per shard that
+// materializing a []Record: a shard's cursors fetch data blocks lazily
+// per row, and the scatter cursors run one worker per shard that
 // streams its shard's ordered results into a bounded channel while a
 // k-way heap merge reassembles global order at the consumer. Closing a
 // cursor early — or cancelling the context it was opened with — cancels
@@ -64,7 +64,7 @@ func (c *Cursor[T]) Value() T { return c.cur }
 func (c *Cursor[T]) Err() error { return c.err }
 
 // Close releases the cursor's resources: the query-gate epoch of a
-// single-engine cursor, or the per-shard workers of a sharded cursor
+// shard cursor, or the per-shard workers of a scatter cursor
 // (Close cancels their context and waits for them to exit, so no
 // goroutine outlives it). The first Close returns the release path's
 // error; Close is idempotent and safe (a nil no-op) after exhaustion.
@@ -81,11 +81,10 @@ func (c *Cursor[T]) Close() error {
 	return nil
 }
 
-// drainCursor materializes a cursor — the shim the legacy []Record entry
-// points are built on, so the streaming code path is the only scan
-// implementation. A release-path failure surfaces when iteration itself
-// succeeded (exhaustion auto-closes, so Err already carries it; the
-// explicit Close covers an early break).
+// drainCursor materializes a cursor (first-match gets, tests). A
+// release-path failure surfaces when iteration itself succeeded
+// (exhaustion auto-closes, so Err already carries it; the explicit
+// Close covers an early break).
 func drainCursor[T any](cur *Cursor[T], err error) ([]T, error) {
 	if err != nil {
 		return nil, err

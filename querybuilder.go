@@ -11,10 +11,8 @@ import (
 // Query is the one query surface of a Table: a fluent builder compiled
 // at Run into the cheapest access path that serves it — point get,
 // index scan, index-only scan, or a pushed-down executor plan — by the
-// planner in internal/wildfire. It replaces the six entry points of the
-// deprecated engine surface (Get/Scan/GetOn/ScanOn/IndexOnlyScanOn/
-// Execute): the predicate goes into Where, and the planner makes the
-// access-path decision those entry points forced onto the caller.
+// planner in internal/wildfire: the predicate goes into Where, and the
+// planner makes the access-path decision.
 //
 //	rows, err := tbl.Query().
 //	    Where(umzi.Eq("customer", umzi.I64(7))).

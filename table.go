@@ -4,71 +4,19 @@ import (
 	"context"
 	"time"
 
-	"umzi/internal/types"
 	"umzi/internal/wildfire"
 )
 
-// topology is the internal seam that collapses the Engine/ShardedEngine
-// fork: a Table talks to "a table that may be sharded" through this one
-// interface, and the two adapters below paper over the few signature
-// differences. Everything query-shaped goes through RunQuery — the
-// planner entry point in internal/wildfire — so there is exactly one
-// query surface regardless of shard count.
-type topology interface {
-	Table() wildfire.TableDef
-	NumShards() int
-	Start(groomEvery, postGroomEvery time.Duration)
-	Close() error
-	Groom() error
-	PostGroom() error
-	SyncIndex() error
-	LiveCount() int
-	SnapshotTS() types.TS
-	CreateIndex(spec wildfire.SecondaryIndexSpec) error
-	SecondarySpecs() []wildfire.SecondaryIndexSpec
-	RunQuery(ctx context.Context, spec wildfire.QuerySpec) (*wildfire.QueryRows, error)
-	WALStatus() []wildfire.WALStatus
-	BlockCache() *wildfire.BlockCache
-	begin(replica int) (commitTxn, error)
-}
-
-// commitTxn is the common shape of Txn and ShardedTxn.
-type commitTxn interface {
-	Upsert(row Row) error
-	CommitContext(ctx context.Context) error
-	Abort()
-}
-
-// singleTopo adapts a one-shard Engine.
-type singleTopo struct{ *wildfire.Engine }
-
-func (t singleTopo) NumShards() int       { return 1 }
-func (t singleTopo) SnapshotTS() types.TS { return t.LastGroomTS() }
-func (t singleTopo) PostGroom() error     { _, err := t.Engine.PostGroom(); return err }
-func (t singleTopo) WALStatus() []wildfire.WALStatus {
-	return []wildfire.WALStatus{t.Engine.WALStatus()}
-}
-func (t singleTopo) begin(replica int) (commitTxn, error) {
-	return t.Engine.Begin(replica)
-}
-
-// shardedTopo adapts an N-shard ShardedEngine.
-type shardedTopo struct{ *wildfire.ShardedEngine }
-
-func (t shardedTopo) begin(replica int) (commitTxn, error) {
-	return t.ShardedEngine.Begin(replica)
-}
-
 // Table is the handle of one table of a DB: a single declarative query
-// surface (Query) and transactional ingest, independent of whether the
-// table runs on one engine or N hash shards.
+// surface (Query) and transactional ingest over the table's N>=1 hash
+// shards.
 type Table struct {
 	db   *DB
 	name string
-	topo topology
+	eng  *wildfire.ShardedEngine
 	// catalogEntry is the table's full catalog record as created or
 	// recovered — the source of truth for catalog rewrites, so options
-	// that are invisible on the topology (Replicas, Partitions,
+	// that are invisible on the engine (Replicas, Partitions,
 	// Parallelism) survive every restart.
 	catalogEntry dbCatalogEntry
 }
@@ -77,10 +25,10 @@ type Table struct {
 func (t *Table) Name() string { return t.name }
 
 // Def returns the table definition.
-func (t *Table) Def() TableDef { return t.topo.Table() }
+func (t *Table) Def() TableDef { return t.eng.Table() }
 
-// NumShards returns the table's shard count (1 for unsharded tables).
-func (t *Table) NumShards() int { return t.topo.NumShards() }
+// NumShards returns the table's shard count (at least 1).
+func (t *Table) NumShards() int { return t.eng.NumShards() }
 
 // PrimaryIndex returns the table's primary Umzi index layout as created
 // (or derived from the defaults) and persisted in the DB catalog.
@@ -88,10 +36,10 @@ func (t *Table) PrimaryIndex() IndexSpec { return t.catalogEntry.Index }
 
 // BlockCacheStats snapshots the table's decoded-block cache: occupancy
 // versus the configured byte budget plus hit/miss/eviction/dedup
-// counters. Sharded tables share one cache across shards, so this is
-// the whole table's read-path picture.
+// counters. A table's shards share one cache, so this is the whole
+// table's read-path picture.
 func (t *Table) BlockCacheStats() BlockCacheStats {
-	return t.topo.BlockCache().Stats()
+	return t.eng.BlockCache().Stats()
 }
 
 // entry returns the table's catalog record for persisting the DB
@@ -111,7 +59,7 @@ func (t *Table) Query() *Query {
 // local and remote execution share one entry point.
 func (t *Table) RunSpec(ctx context.Context, spec wildfire.QuerySpec) (*Rows, error) {
 	ctx, cancel := context.WithCancel(ctx)
-	qr, err := t.topo.RunQuery(ctx, spec)
+	qr, err := t.eng.RunQuery(ctx, spec)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -145,33 +93,33 @@ func (t *Table) Begin(ctx context.Context) (*Tx, error) { return t.db.Begin(ctx)
 
 // CreateIndex builds a secondary index online — on every shard — and
 // persists it in the table's index catalog.
-func (t *Table) CreateIndex(spec SecondaryIndexSpec) error { return t.topo.CreateIndex(spec) }
+func (t *Table) CreateIndex(spec SecondaryIndexSpec) error { return t.eng.CreateIndex(spec) }
 
 // Indexes returns the declared spec of every secondary index.
-func (t *Table) Indexes() []SecondaryIndexSpec { return t.topo.SecondarySpecs() }
+func (t *Table) Indexes() []SecondaryIndexSpec { return t.eng.SecondarySpecs() }
 
 // Start launches the background daemons (groomer, post-groomer,
 // indexer) at the given cadences. DBs opened with DBConfig.GroomEvery
 // set have already started them.
 func (t *Table) Start(groomEvery, postGroomEvery time.Duration) {
-	t.topo.Start(groomEvery, postGroomEvery)
+	t.eng.Start(groomEvery, postGroomEvery)
 }
 
-// Groom runs one groom operation (a lockstep round on sharded tables).
-func (t *Table) Groom() error { return t.topo.Groom() }
+// Groom runs one groom operation (a lockstep round across the shards).
+func (t *Table) Groom() error { return t.eng.Groom() }
 
 // PostGroom runs one post-groom operation on every shard.
-func (t *Table) PostGroom() error { return t.topo.PostGroom() }
+func (t *Table) PostGroom() error { return t.eng.PostGroom() }
 
 // SyncIndex applies pending index evolve operations on every shard.
-func (t *Table) SyncIndex() error { return t.topo.SyncIndex() }
+func (t *Table) SyncIndex() error { return t.eng.SyncIndex() }
 
 // LiveCount reports committed-but-ungroomed records across all shards.
-func (t *Table) LiveCount() int { return t.topo.LiveCount() }
+func (t *Table) LiveCount() int { return t.eng.LiveCount() }
 
 // SnapshotTS returns the table's default read point: the newest groomed
 // snapshot every shard can serve.
-func (t *Table) SnapshotTS() TS { return t.topo.SnapshotTS() }
+func (t *Table) SnapshotTS() TS { return t.eng.SnapshotTS() }
 
 // Durability returns the table's commit-log configuration as created or
 // recovered from the catalog (defaults resolved).
@@ -181,4 +129,4 @@ func (t *Table) Durability() DurabilityOptions { return t.catalogEntry.Durabilit
 // bytes, the groom watermark, and the largest commit sequence assigned.
 // The distance between watermark and max sequence is the replay tail a
 // crash would rebuild into the live zone.
-func (t *Table) WALStatus() []WALStatus { return t.topo.WALStatus() }
+func (t *Table) WALStatus() []WALStatus { return t.eng.WALStatus() }

@@ -15,8 +15,7 @@
 //
 //   - The Wildfire-style database (OpenDB, returning *DB): a
 //     multi-table catalog over one shared store and SSD cache, each
-//     table a *Table handle — transparently 1-shard or N-shard — with
-//     multi-master transactional ingest (DB.Begin / Table.Upsert), one
+//     table a *Table handle over N>=1 hash shards, with multi-master transactional ingest (DB.Begin / Table.Upsert), one
 //     declarative query surface (Table.Query, a fluent builder compiled
 //     into point-get / index-scan / index-only / executor plans) and
 //     streaming Rows results. Every read and write takes a
@@ -41,10 +40,6 @@
 //	    Where(umzi.Eq("customer", umzi.I64(7))).
 //	    OrderBy("order").
 //	    Run(ctx)
-//
-// The engine-level surface (NewEngine / NewShardedEngine and their six
-// query entry points) remains for existing code but is deprecated in
-// favor of the DB layer.
 //
 // See examples/ for complete programs and DESIGN.md for the map from
 // paper sections to packages.
@@ -189,22 +184,9 @@ func NewSSDCache(capacity int64, lat LatencyModel) *SSDCache {
 	return storage.NewSSDCache(capacity, lat)
 }
 
-// Wildfire engine (internal/wildfire). The engine-level surface remains
-// fully functional but new code should use the DB layer (OpenDB /
-// CreateTable / Table.Query), which serves 1-shard and N-shard tables
-// behind one API and recovers whole stores in one call.
+// Table model (internal/wildfire): the types the DB layer's DDL, ingest
+// and status calls speak.
 type (
-	// Engine is one Wildfire table shard: live zone, groomer,
-	// post-groomer, indexer and query front end (§2.1).
-	//
-	// Deprecated: open tables through OpenDB / DB.CreateTable; the
-	// Table handle serves the same queries via Query() with streaming
-	// results and context support.
-	Engine = wildfire.Engine
-	// EngineConfig configures an Engine.
-	//
-	// Deprecated: use DBConfig + TableOptions with OpenDB.
-	EngineConfig = wildfire.Config
 	// TableDef defines a table: columns, primary key, sharding key,
 	// partition key.
 	TableDef = wildfire.TableDef
@@ -212,23 +194,13 @@ type (
 	IndexSpec = wildfire.IndexSpec
 	// SecondaryIndexSpec declares a named secondary index over arbitrary
 	// table columns, maintained through the whole
-	// groom/post-groom/evolve pipeline alongside the primary. Pass in
-	// EngineConfig/ShardedConfig.Secondaries, or build online with
-	// Engine.CreateIndex / ShardedEngine.CreateIndex; query through
-	// GetOn/ScanOn/IndexOnlyScanOn, or let Execute pick the index
-	// automatically when a plan's predicate matches one.
+	// groom/post-groom/evolve pipeline alongside the primary. Declare in
+	// TableOptions.Secondaries, or build online with Table.CreateIndex;
+	// force one with Query.Via, or let the planner pick it when a
+	// query's predicate or order matches.
 	SecondaryIndexSpec = wildfire.SecondaryIndexSpec
 	// Row is one table row.
 	Row = wildfire.Row
-	// Record is a resolved record version with its hidden columns.
-	Record = wildfire.Record
-	// Txn is an upsert transaction.
-	//
-	// Deprecated: use DB.Begin / Table.Upsert, which route across
-	// tables and shards and commit with a context.
-	Txn = wildfire.Txn
-	// QueryOptions control snapshot and freshness semantics.
-	QueryOptions = wildfire.QueryOptions
 	// TableColumn describes one table column (alias of the columnar
 	// package's column descriptor).
 	TableColumn = wildfire.TableColumn
@@ -264,58 +236,19 @@ const (
 	SyncOff = wildfire.SyncOff
 )
 
-// NewEngine creates a table-shard engine (one Umzi index instance plus
-// the grooming pipeline).
+// Query vocabulary (internal/exec): the predicates and aggregates the
+// query builder takes. Aggregate and unordered queries evaluate
+// block-at-a-time over the columnar zones, with block skipping by
+// min/max synopses and bloom filters and partial-aggregate merging
+// across shards:
 //
-// Deprecated: use OpenDB / DB.CreateTable with TableOptions{Shards: 1}
-// (the default); the returned Table exposes the same pipeline controls
-// and the unified query builder.
-func NewEngine(cfg EngineConfig) (*Engine, error) { return wildfire.NewEngine(cfg) }
-
-// Sharded multi-engine layer (internal/wildfire).
+//	rows, err := tbl.Query().
+//	    Where(umzi.Ge("amount", umzi.F64(100))).
+//	    GroupBy("region").
+//	    Aggs(umzi.Agg{Func: umzi.AggCount}, umzi.Agg{Func: umzi.AggSum, Col: "amount"}).
+//	    IncludeLive().
+//	    Run(ctx)
 type (
-	// ShardedEngine hash-partitions a table by its sharding key across N
-	// independent Engines — Wildfire's "sharded multi-master" shape
-	// (§2.1) — routing upserts to their owning shard and executing
-	// queries as parallel scatter-gather with sort-merged results.
-	//
-	// Deprecated: open tables through OpenDB / DB.CreateTable with
-	// TableOptions{Shards: N}; the Table handle hides the sharding
-	// behind the same query surface as unsharded tables.
-	ShardedEngine = wildfire.ShardedEngine
-	// ShardedConfig configures a ShardedEngine.
-	//
-	// Deprecated: use DBConfig + TableOptions with OpenDB.
-	ShardedConfig = wildfire.ShardedConfig
-	// ShardedTxn is an upsert transaction routed across shards at Commit.
-	//
-	// Deprecated: use DB.Begin / Table.Upsert.
-	ShardedTxn = wildfire.ShardedTxn
-)
-
-// NewShardedEngine creates (or recovers) a sharded engine: N table-shard
-// engines behind one routing, ingest and scatter-gather query front end.
-//
-// Deprecated: use OpenDB / DB.CreateTable with TableOptions{Shards: N}.
-func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
-	return wildfire.NewShardedEngine(cfg)
-}
-
-// Analytical query executor (internal/exec): predicates, projection and
-// aggregation evaluated block-at-a-time over the columnar zones, with
-// block skipping by min/max synopses and partial-aggregate merging
-// across shards. Build a Plan, then run it with Engine.Execute (one
-// shard) or ShardedEngine.Execute (pushdown into every shard):
-//
-//	res, err := eng.Execute(umzi.Plan{
-//	    Filter:  umzi.Ge("amount", umzi.F64(100)),
-//	    GroupBy: []string{"region"},
-//	    Aggs:    []umzi.Agg{{Func: umzi.AggCount}, {Func: umzi.AggSum, Col: "amount"}},
-//	}, umzi.QueryOptions{IncludeLive: true})
-type (
-	// Plan is one analytical query: filter, projection or aggregation
-	// with optional GROUP BY, and a result limit.
-	Plan = exec.Plan
 	// Expr is a predicate over table rows; build with Eq/Ne/Lt/Le/Gt/Ge
 	// and combine with And/Or.
 	Expr = exec.Expr
@@ -325,8 +258,6 @@ type (
 	Agg = exec.Agg
 	// AggFunc enumerates the aggregate functions.
 	AggFunc = exec.AggFunc
-	// QueryResult is a finalized analytical result: column names + rows.
-	QueryResult = exec.Result
 )
 
 // Aggregate functions.

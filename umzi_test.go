@@ -1,6 +1,7 @@
 package umzi_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -117,94 +118,99 @@ func TestPublicAPIIndexLifecycle(t *testing.T) {
 	}
 }
 
-// TestPublicAPIEngineLifecycle drives the engine facade: transactions,
-// grooming daemons, snapshot reads, history.
-func TestPublicAPIEngineLifecycle(t *testing.T) {
-	eng, err := umzi.NewEngine(umzi.EngineConfig{
-		Table: umzi.TableDef{
-			Name: "pubtbl",
-			Columns: []umzi.TableColumn{
-				{Name: "id", Kind: umzi.KindInt64},
-				{Name: "rev", Kind: umzi.KindInt64},
-				{Name: "body", Kind: umzi.KindString},
-			},
-			PrimaryKey: []string{"id", "rev"},
-			ShardKey:   []string{"id"},
-		},
-		Index: umzi.IndexSpec{
-			Equality: []string{"id"},
-			Sort:     []string{"rev"},
-			Included: []string{"body"},
-		},
-		Store: umzi.NewMemStore(umzi.LatencyModel{}),
-	})
+// TestPublicAPITableLifecycle drives a 1-shard table through the DB
+// facade: transactions, manual pipeline steps, snapshot reads, grooming
+// daemons.
+func TestPublicAPITableLifecycle(t *testing.T) {
+	ctx := context.Background()
+	db, err := umzi.OpenDB(umzi.DBConfig{Store: umzi.NewMemStore(umzi.LatencyModel{})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
+	defer db.Close()
+	tbl, err := db.CreateTable(umzi.TableDef{
+		Name: "pubtbl",
+		Columns: []umzi.TableColumn{
+			{Name: "id", Kind: umzi.KindInt64},
+			{Name: "rev", Kind: umzi.KindInt64},
+			{Name: "body", Kind: umzi.KindString},
+		},
+		PrimaryKey: []string{"id", "rev"},
+		ShardKey:   []string{"id"},
+	}, umzi.TableOptions{Index: umzi.IndexSpec{
+		Equality: []string{"id"},
+		Sort:     []string{"rev"},
+		Included: []string{"body"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	tx, err := eng.Begin(0)
+	tx, err := db.Begin(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rev := int64(0); rev < 5; rev++ {
-		if err := tx.Upsert(umzi.Row{umzi.I64(1), umzi.I64(rev), umzi.Str("draft")}); err != nil {
+		if err := tx.Upsert("pubtbl", umzi.Row{umzi.I64(1), umzi.I64(rev), umzi.Str("draft")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tx.Commit(); err != nil {
+	if err := tx.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Groom(); err != nil {
+	if err := tbl.Groom(); err != nil {
 		t.Fatal(err)
 	}
+	first := tbl.SnapshotTS()
 	// Update one row, groom, post-groom, sync.
-	if err := eng.UpsertRows(0, umzi.Row{umzi.I64(1), umzi.I64(2), umzi.Str("final")}); err != nil {
+	if err := tbl.Upsert(ctx, umzi.Row{umzi.I64(1), umzi.I64(2), umzi.Str("final")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Groom(); err != nil {
+	if err := tbl.Groom(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.PostGroom(); err != nil {
+	if err := tbl.PostGroom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SyncIndex(); err != nil {
+	if err := tbl.SyncIndex(); err != nil {
 		t.Fatal(err)
 	}
 
-	rec, found, err := eng.Get([]umzi.Value{umzi.I64(1)}, []umzi.Value{umzi.I64(2)}, umzi.QueryOptions{})
+	key := umzi.And(umzi.Eq("id", umzi.I64(1)), umzi.Eq("rev", umzi.I64(2)))
+	row, found, err := tbl.Query().Where(key).One(ctx)
 	if err != nil || !found {
 		t.Fatal(err, found)
 	}
-	if string(rec.Row[2].Bytes()) != "final" {
-		t.Fatalf("body = %q, want final", rec.Row[2].Bytes())
+	if string(row[2].Bytes()) != "final" {
+		t.Fatalf("body = %q, want final", row[2].Bytes())
 	}
-	hist, err := eng.History([]umzi.Value{umzi.I64(1)}, []umzi.Value{umzi.I64(2)}, umzi.QueryOptions{}, 0)
-	if err != nil {
-		t.Fatal(err)
+	// The first groom's snapshot still reads the replaced version.
+	row, found, err = tbl.Query().Where(key).At(first).One(ctx)
+	if err != nil || !found {
+		t.Fatal(err, found)
 	}
-	if len(hist) != 2 || string(hist[1].Row[2].Bytes()) != "draft" {
-		t.Fatalf("history = %d versions", len(hist))
+	if string(row[2].Bytes()) != "draft" {
+		t.Fatalf("body at first snapshot = %q, want draft", row[2].Bytes())
 	}
 
 	// Background daemons keep it consistent.
-	eng.Start(time.Millisecond, 5*time.Millisecond)
+	tbl.Start(time.Millisecond, 5*time.Millisecond)
 	for i := int64(10); i < 30; i++ {
-		if err := eng.UpsertRows(0, umzi.Row{umzi.I64(2), umzi.I64(i), umzi.Str("x")}); err != nil {
+		if err := tbl.Upsert(ctx, umzi.Row{umzi.I64(2), umzi.I64(i), umzi.Str("x")}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		recs, err := eng.Scan([]umzi.Value{umzi.I64(2)}, nil, nil, umzi.QueryOptions{})
+		n, err := tbl.Query().Where(umzi.Eq("id", umzi.I64(2))).Count(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) == 20 {
+		if n == 20 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("daemons stalled: %d of 20 rows visible", len(recs))
+			t.Fatalf("daemons stalled: %d of 20 rows visible", n)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
