@@ -79,10 +79,6 @@ func BenchmarkAblationBatchSort(b *testing.B) { benchFigure(b, bench.AblationBat
 // BenchmarkAblationMergePolicy sweeps the merge knobs K and T (A5).
 func BenchmarkAblationMergePolicy(b *testing.B) { benchFigure(b, bench.AblationMergePolicy) }
 
-// BenchmarkAblationNonPersisted measures write traffic with non-persisted
-// levels (A6).
-func BenchmarkAblationNonPersisted(b *testing.B) { benchFigure(b, bench.AblationNonPersisted) }
-
 // BenchmarkAblationAggPushdown runs the aggregation pushdown vs
 // client-side sweep (A7).
 func BenchmarkAblationAggPushdown(b *testing.B) { benchFigure(b, bench.AblationAggPushdown) }

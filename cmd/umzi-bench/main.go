@@ -49,14 +49,13 @@ func drivers() []driver {
 		{"a3", "Ablation A3: synopsis pruning", bench.AblationSynopsis},
 		{"a4", "Ablation A4: batched vs individual lookups", bench.AblationBatchSort},
 		{"a5", "Ablation A5: merge policy knobs", bench.AblationMergePolicy},
-		{"a6", "Ablation A6: non-persisted levels", bench.AblationNonPersisted},
 		{"a7", "Ablation A7: aggregation pushdown vs client-side", bench.AblationAggPushdown},
 		{"a8", "Ablation A8: secondary-index selection vs zone scan", bench.AblationSecondaryIndex},
 	}
 }
 
 func main() {
-	figure := flag.String("figure", "", "figure to run: 8..15, s1, a1..a8, or 'all'")
+	figure := flag.String("figure", "", "figure to run: 8..15, s1, a1..a5, a7, a8, or 'all'")
 	scaleName := flag.String("scale", "small", "sweep scale: small | paper | tiny")
 	list := flag.Bool("list", false, "list available figures and exit")
 	flag.Parse()

@@ -99,8 +99,17 @@ func main() {
 		size, _ := store.Size(name)
 		fmt.Printf("%-60s %8d bytes", name, size)
 		if h, err := run.LoadHeader(store, name); err == nil {
-			fmt.Printf("  [run: zone=%s level=%d blocks=%s entries=%d datablocks=%d psn=%d",
-				h.Meta.Zone, h.Meta.Level, h.Meta.Blocks, h.Entries, len(h.BlockIndex), h.Meta.PSN)
+			// Every run listed here is persisted: merged groomed runs
+			// (levels 1 and up of the groomed zone) live in the engine's
+			// memory only and never reach the store.
+			magic, _ := store.GetRange(name, size-8, 8)
+			perEntry := 0.0
+			if h.Entries > 0 {
+				perEntry = float64(size) / float64(h.Entries)
+			}
+			fmt.Printf("  [run %s: zone=%s level=%d persisted blocks=%s entries=%d datablocks=%d psn=%d header=%dB %.1fB/entry",
+				magic, h.Meta.Zone, h.Meta.Level, h.Meta.Blocks, h.Entries, len(h.BlockIndex), h.Meta.PSN,
+				size-int64(h.DataEnd)-run.FooterSize, perEntry)
 			if len(h.Meta.Ancestors) > 0 {
 				fmt.Printf(" ancestors=%d", len(h.Meta.Ancestors))
 			}

@@ -520,3 +520,101 @@ func TestDBCrashRecoveryDurability(t *testing.T) {
 		t.Fatalf("groomed count after recovery = %d (err %v), want 137", cnt, err)
 	}
 }
+
+// TestDBOversizedKeyAndIncluded: a 70,000-byte primary-key string and a
+// 70,000-byte included column go through groom, post-groom, evolve, index
+// merges and a reopen, and come back byte-identical. (Run entries used to
+// store these lengths as u16: the run was written, the commit
+// acknowledged, and the run could not be opened again.)
+func TestDBOversizedKeyAndIncluded(t *testing.T) {
+	ctx := context.Background()
+	store := umzi.NewMemStore(umzi.LatencyModel{})
+	db, err := umzi.OpenDB(umzi.DBConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := umzi.TableDef{
+		Name: "docs",
+		Columns: []umzi.TableColumn{
+			{Name: "id", Kind: umzi.KindString},
+			{Name: "rev", Kind: umzi.KindInt64},
+			{Name: "body", Kind: umzi.KindString},
+		},
+		PrimaryKey: []string{"id", "rev"},
+		ShardKey:   []string{"id"},
+	}
+	tbl, err := db.CreateTable(def, umzi.TableOptions{
+		Index: umzi.IndexSpec{Equality: []string{"id"}, Sort: []string{"rev"}, Included: []string{"body"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigID := strings.Repeat("k\x00", 35000)
+	bigBody := strings.Repeat("body", 17500)
+	want := map[string]string{bigID: bigBody}
+	// Small neighbours on both sides, across enough grooms to merge.
+	for i := 0; i < 8; i++ {
+		id := string(rune('a'+i)) + "-doc"
+		want[id] = id
+		rows := []umzi.Row{{umzi.Str(id), umzi.I64(1), umzi.Str(id)}}
+		if i == 3 {
+			rows = append(rows, umzi.Row{umzi.Str(bigID), umzi.I64(1), umzi.Str(bigBody)})
+		}
+		if err := tbl.Upsert(ctx, rows...); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Groom(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tbl.MaintainOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(tbl *umzi.Table, when string) {
+		t.Helper()
+		for id, body := range want {
+			row, found, err := tbl.Query().Where(umzi.And(umzi.Eq("id", umzi.Str(id)), umzi.Eq("rev", umzi.I64(1)))).One(ctx)
+			if err != nil || !found {
+				t.Fatalf("%s: get %.8q…: found=%v err=%v", when, id, found, err)
+			}
+			if string(row[0].Bytes()) != id || string(row[2].Bytes()) != body {
+				t.Fatalf("%s: get %.8q… returned a different row", when, id)
+			}
+		}
+		// Index-only plan: the included column comes out of the run.
+		rows, err := tbl.Query().Where(umzi.Eq("id", umzi.Str(bigID))).Select("rev", "body").OrderBy("rev").All(ctx)
+		if err != nil || len(rows) != 1 || string(rows[0][1].Bytes()) != bigBody {
+			t.Fatalf("%s: index-only read of the oversized row: %d rows, err %v", when, len(rows), err)
+		}
+	}
+	check(tbl, "groomed")
+	if err := tbl.PostGroom(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.SyncIndex(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		did, err := tbl.MaintainOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !did {
+			break
+		}
+	}
+	check(tbl, "evolved")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := umzi.OpenDB(umzi.DBConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	tbl2, err := db2.Table("docs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(tbl2, "reopened")
+}

@@ -292,61 +292,6 @@ func AblationMergePolicy(s Scale) (*Result, error) {
 	return res, nil
 }
 
-// AblationNonPersisted measures shared-storage write traffic with and
-// without non-persisted levels (§6.1).
-func AblationNonPersisted(s Scale) (*Result, error) {
-	res := &Result{
-		Figure:   "Ablation A6",
-		Title:    "Non-persisted levels: shared-storage write traffic",
-		XLabel:   "non-persisted groomed levels",
-		YLabel:   "normalized bytes written",
-		Baseline: "all levels persisted",
-	}
-	series := Series{Name: "bytes written"}
-	var base float64
-	for _, npl := range []int{0, 1, 2} {
-		res.X = append(res.X, fmt.Sprintf("%d", npl))
-		d := dataset{variant: I1, groupBits: groupBitsLookup}
-		store := storage.NewMemStore(storage.LatencyModel{})
-		cfg := core.Config{
-			Name:                      fmt.Sprintf("a6-%d", npl),
-			Def:                       I1.Def(),
-			Store:                     store,
-			GroomedLevels:             4,
-			NonPersistedGroomedLevels: npl,
-			K:                         2,
-			T:                         2,
-		}
-		ix, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		n := s.MultiRunCount * s.MultiRunSize
-		per := n / s.MultiRunCount
-		idx := 0
-		for r := 0; r < s.MultiRunCount; r++ {
-			if err := buildOneCycle(ix, d, SeqKeys(n), uint64(r+1), idx, per); err != nil {
-				ix.Close()
-				return nil, err
-			}
-			idx += per
-			if err := ix.Quiesce(); err != nil {
-				ix.Close()
-				return nil, err
-			}
-		}
-		written := float64(store.Stats().Snapshot().BytesWritten)
-		ix.Close()
-		if base == 0 {
-			base = written
-		}
-		series.Y = append(series.Y, written/base)
-	}
-	res.Series = []Series{series}
-	res.Notes = append(res.Notes, "expect fewer shared-storage writes as more low levels stay local")
-	return res, nil
-}
-
 // buildOneCycle ingests keys[idx:idx+count] as groom cycle `cycle`.
 func buildOneCycle(ix *core.Index, d dataset, keys KeyGen, cycle uint64, idx, count int) error {
 	entries := make([]run.Entry, 0, count)

@@ -186,7 +186,6 @@ func TestAblations(t *testing.T) {
 		"synopsis":     AblationSynopsis,
 		"batch-sort":   AblationBatchSort,
 		"merge-policy": AblationMergePolicy,
-		"non-persist":  AblationNonPersisted,
 		"secondary":    AblationSecondaryIndex,
 	} {
 		res, err := f(s)

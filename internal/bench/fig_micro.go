@@ -47,7 +47,7 @@ func Fig08IndexBuild(s Scale) (*Result, error) {
 					panic(err)
 				}
 				for i := 0; i < n; i++ {
-					if err := b.AddValues(d.eqVals(int64(i)), d.sortVals(int64(i)), []keyenc.Value{keyenc.I64(int64(i))}, types.TS(i+1), types.RID{Offset: uint32(i)}); err != nil {
+					if err := b.AddValues(d.eqVals(int64(i)), d.sortVals(int64(i)), []keyenc.Value{keyenc.I64(int64(i))}, types.TS(i+1), types.RID{Zone: types.ZoneGroomed, Block: 1, Offset: uint32(i)}); err != nil {
 						panic(err)
 					}
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"umzi/internal/keyenc"
@@ -77,8 +78,11 @@ func (ix *Index) finishBuilder(b *run.Builder, meta run.Meta, persist bool) (*ru
 	// Write-through cache policy (§6.2): new runs below the current
 	// cached level go straight into the SSD cache.
 	if ix.cache != nil && int(meta.Level) <= int(ix.cachedLevel.Load()) {
+		// Each block is cached as its own copy: the cache evicts block by
+		// block, and a slice of data would keep the whole object resident
+		// for as long as one of its blocks is.
 		for i, bi := range h.BlockIndex {
-			ix.cache.Put(storage.BlockKey{Object: name, Block: uint32(i)}, data[bi.Off:bi.Off+uint64(bi.Len)], false)
+			ix.cache.Put(storage.BlockKey{Object: name, Block: uint32(i)}, bytes.Clone(data[bi.Off:bi.Off+uint64(bi.Len)]), false)
 		}
 	} else if ix.cache != nil {
 		ref.purged.Store(true)

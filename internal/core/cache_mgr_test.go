@@ -88,19 +88,27 @@ func TestPurgeHalfLevels(t *testing.T) {
 	m := newModel()
 	for c := uint64(1); c <= 6; c++ {
 		groom(t, ix, m, c, recsSeq(40, 4, 0))
+		postGroom(t, ix, m, types.PSN(c), c, c)
 	}
 	if err := ix.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	// Purge everything above level 0: level-0 runs stay cached.
-	ix.SetCachedLevel(0)
-	refs, release := ix.groomed.snapshot()
+	// Purge everything above the post-groomed zone's first level: its
+	// runs stay cached.
+	base := ix.post.baseLevel
+	ix.SetCachedLevel(base)
+	refs, release := ix.post.snapshot()
 	defer release()
+	merged := false
 	for _, r := range refs {
-		wantPurged := r.level() > 0
+		wantPurged := r.level() > base
+		merged = merged || wantPurged
 		if r.purged.Load() != wantPurged {
 			t.Errorf("run L%d purged=%v, want %v", r.level(), r.purged.Load(), wantPurged)
 		}
+	}
+	if !merged {
+		t.Fatal("no merged post-groomed run to purge")
 	}
 	// Queries remain correct either way.
 	for dev := int64(0); dev < 4; dev++ {

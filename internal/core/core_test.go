@@ -211,10 +211,17 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("duplicate column accepted")
 	}
-	cfg = testConfig("npl")
-	cfg.NonPersistedGroomedLevels = cfg.GroomedLevels
-	if _, err := New(cfg); err == nil {
-		t.Error("non-persisted range covering whole zone accepted")
+}
+
+// TestPersistedLevelsRule pins §6.1 as this repo applies it: level 0 and
+// the post-groomed zone persist, merge outputs inside the groomed zone
+// never do.
+func TestPersistedLevelsRule(t *testing.T) {
+	ix := newTestIndex(t, nil) // 3 groomed levels, 2 post-groomed
+	for level, want := range []bool{true, false, false, true, true} {
+		if got := ix.isPersistedLevel(level); got != want {
+			t.Errorf("isPersistedLevel(%d) = %v, want %v", level, got, want)
+		}
 	}
 }
 
@@ -532,7 +539,7 @@ func TestPureHashIndex(t *testing.T) {
 			HashBits: 6,
 		}
 	})
-	e, err := ix.MakeEntry([]keyenc.Value{keyenc.Str("alpha")}, nil, nil, types.MakeTS(1, 0), types.RID{Block: 1})
+	e, err := ix.MakeEntry([]keyenc.Value{keyenc.Str("alpha")}, nil, nil, types.MakeTS(1, 0), types.RID{Zone: types.ZoneGroomed, Block: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +566,7 @@ func TestPureRangeIndex(t *testing.T) {
 	})
 	var entries []run.Entry
 	for i := int64(0); i < 50; i++ {
-		e, err := ix.MakeEntry(nil, []keyenc.Value{keyenc.I64(i)}, nil, types.MakeTS(1, uint32(i)), types.RID{Block: 1, Offset: uint32(i)})
+		e, err := ix.MakeEntry(nil, []keyenc.Value{keyenc.I64(i)}, nil, types.MakeTS(1, uint32(i)), types.RID{Zone: types.ZoneGroomed, Block: 1, Offset: uint32(i)})
 		if err != nil {
 			t.Fatal(err)
 		}

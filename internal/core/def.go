@@ -7,10 +7,10 @@
 // under the hybrid K/T policy (§5.3), and the three-step evolve operation
 // that migrates entries between zones (§5.4) — splice the lists under
 // short-duration per-zone locks. Runs persist in append-only shared
-// storage, are cached block-by-block in a local SSD cache, and may live in
-// non-persisted low levels to cut shared-storage write amplification
-// (§6.1). Recovery rebuilds the run lists from shared storage alone
-// (§5.5).
+// storage and are cached block-by-block in a local SSD cache; merge
+// outputs inside the groomed zone (levels 1 and up) are never persisted,
+// which cuts shared-storage write amplification (§6.1). Recovery rebuilds
+// the run lists from shared storage alone (§5.5).
 package core
 
 import (
@@ -103,10 +103,6 @@ type Config struct {
 	// post-groomed).
 	GroomedLevels     int
 	PostGroomedLevels int
-	// NonPersistedGroomedLevels makes groomed levels 1..N non-persisted
-	// (§6.1). Level 0 is always persisted so recovery never rebuilds runs
-	// from data blocks. Default 0 (everything persisted).
-	NonPersistedGroomedLevels int
 	// DisableSynopsis turns off run pruning (ablation benches only).
 	DisableSynopsis bool
 	// PerKeyBatchPruning additionally checks every key of a batched
@@ -145,9 +141,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.PostGroomedLevels <= 0 {
 		c.PostGroomedLevels = 4
-	}
-	if c.NonPersistedGroomedLevels < 0 || c.NonPersistedGroomedLevels >= c.GroomedLevels {
-		return c, fmt.Errorf("core: NonPersistedGroomedLevels %d out of range [0,%d)", c.NonPersistedGroomedLevels, c.GroomedLevels)
 	}
 	return c, nil
 }

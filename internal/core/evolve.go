@@ -155,21 +155,14 @@ func (ix *Index) CoversGroomedBlock(id uint64) bool {
 }
 
 // gcCoveredGroomedRuns removes groomed runs whose whole block range is
-// covered by the post-groomed list. Their storage objects are deleted once
-// in-flight readers drain (reference counting); ancestors of non-persisted
-// runs are deleted immediately since the covering post-groomed run is
-// persisted.
+// covered by the post-groomed list. Their storage objects — for a merged
+// run, those of its level-0 ancestors — are deleted once in-flight
+// readers drain (reference counting).
 func (ix *Index) gcCoveredGroomedRuns() {
 	covered := ix.maxCovered.Load()
 	ix.groomed.mu.Lock()
 	for _, ref := range ix.groomed.runsLocked() {
 		if ref.blocks().Max <= covered {
-			for _, a := range ref.header.Meta.Ancestors {
-				_ = ix.store.Delete(a)
-				if ix.cache != nil {
-					ix.cache.DropObject(a)
-				}
-			}
 			ix.groomed.remove(ref, true)
 			ix.stats.RunsGCed.Add(1)
 		}

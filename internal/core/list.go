@@ -26,6 +26,12 @@ type runRef struct {
 	name   string      // storage object name; "" for non-persisted runs
 	header *run.Header // always resident
 	mem    []byte      // whole object bytes for non-persisted runs
+	// ancestors are the persisted runs a non-persisted run was merged
+	// from (§6.1). It holds a reference to each, so a query still reading
+	// one keeps its object alive; the references move to the run that
+	// replaces this one in a merge, or are dropped — deleting the objects
+	// — once evolve has retired this run and its readers have drained.
+	ancestors []*runRef
 
 	next atomic.Pointer[runRef]
 
@@ -70,11 +76,17 @@ func (r *runRef) release() {
 	if r.refs.Add(-1) != 0 {
 		return
 	}
-	if r.obsolete.Load() && r.persisted() {
+	if r.obsolete.Load() {
 		// Readers have drained: the object really goes away now.
-		_ = r.ix.store.Delete(r.name)
-		if r.ix.cache != nil {
-			r.ix.cache.DropObject(r.name)
+		if r.persisted() {
+			_ = r.ix.store.Delete(r.name)
+			if r.ix.cache != nil {
+				r.ix.cache.DropObject(r.name)
+			}
+		}
+		for _, a := range r.ancestors {
+			a.obsolete.Store(true)
+			a.release()
 		}
 	}
 	r.mem = nil

@@ -159,31 +159,17 @@ func (ix *Index) mergeLevel(z *zoneList, local int) (bool, error) {
 		return false, err
 	}
 
-	// Splice under the short list lock (Figure 4).
+	// Splice under the short list lock (Figure 4). The inputs' objects are
+	// deletable only if the output is persisted; otherwise the persisted
+	// inputs become the output's ancestors and must survive a crash
+	// (§6.1) — evolve deletes them with the output.
 	z.mu.Lock()
-	targetGlobal := z.baseLevel + plan.targetLocal
-	persistedTarget := ix.isPersistedLevel(targetGlobal)
-	// Inputs' objects are deletable only if the output is persisted;
-	// otherwise the persisted inputs become the output's ancestors and
-	// must survive a crash (§6.1).
-	z.replaceSegment(plan.seg, ref, persistedTarget)
+	z.replaceSegment(plan.seg, ref, ix.isPersistedLevel(z.baseLevel+plan.targetLocal))
 	// Seal check: the new active run is full once it reaches T times an
 	// incoming run's size.
 	ref.active = !plan.sealAfter
 	z.mu.Unlock()
 
-	if persistedTarget {
-		// Ancestors of the (possibly non-persisted) inputs are subsumed by
-		// the persisted output; delete them from shared storage.
-		for _, r := range plan.seg {
-			for _, a := range r.header.Meta.Ancestors {
-				_ = ix.store.Delete(a)
-				if ix.cache != nil {
-					ix.cache.DropObject(a)
-				}
-			}
-		}
-	}
 	ix.stats.Merges.Add(1)
 	return true, nil
 }
@@ -195,7 +181,6 @@ func (ix *Index) executeMerge(z *zoneList, plan *mergePlan) (*runRef, error) {
 
 	blocks := plan.seg[0].blocks()
 	var psn types.PSN
-	var ancestors []string
 	for _, r := range plan.seg {
 		blocks = blocks.Union(r.blocks())
 		if p := r.header.Meta.PSN; p > psn {
@@ -203,16 +188,21 @@ func (ix *Index) executeMerge(z *zoneList, plan *mergePlan) (*runRef, error) {
 		}
 	}
 	persisted := ix.isPersistedLevel(targetGlobal)
+	var ancestors []*runRef
 	if !persisted {
-		// Record persisted inputs (or their ancestors) so recovery can
-		// resurrect this run's data after a crash (§6.1).
+		// The persisted inputs (or their ancestors) outlive this merge:
+		// they are what recovery finds after a crash (§6.1).
 		for _, r := range plan.seg {
 			if r.persisted() {
-				ancestors = append(ancestors, r.name)
+				ancestors = append(ancestors, r)
 			} else {
-				ancestors = append(ancestors, r.header.Meta.Ancestors...)
+				ancestors = append(ancestors, r.ancestors...)
 			}
 		}
+	}
+	names := make([]string, len(ancestors))
+	for i, a := range ancestors {
+		names[i] = a.name
 	}
 
 	meta := run.Meta{
@@ -220,7 +210,7 @@ func (ix *Index) executeMerge(z *zoneList, plan *mergePlan) (*runRef, error) {
 		Level:     uint16(targetGlobal),
 		Blocks:    blocks,
 		PSN:       psn,
-		Ancestors: ancestors,
+		Ancestors: names,
 	}
 	b, err := run.NewBuilder(ix.rdef, meta, ix.cfg.BlockSize)
 	if err != nil {
@@ -235,6 +225,14 @@ func (ix *Index) executeMerge(z *zoneList, plan *mergePlan) (*runRef, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The output takes over its non-persisted inputs' ancestor references
+	// and takes one of its own on each persisted input.
+	for _, r := range plan.seg {
+		if !persisted && r.persisted() {
+			r.acquire()
+		}
+	}
+	ref.ancestors = ancestors
 	// Seal decision (§5.3): the merged active run is full when its size
 	// reaches T times an incoming inactive run; top-level actives never
 	// seal.
@@ -306,16 +304,12 @@ func cloneEntry(e run.Entry) run.Entry {
 }
 
 // isPersistedLevel reports whether runs at the global level are persisted
-// to shared storage. Only groomed levels 1..NonPersistedGroomedLevels are
-// non-persisted; level 0 and the whole post-groomed zone always persist.
+// to shared storage (§6.1): level 0 and the whole post-groomed zone are;
+// merge outputs inside the groomed zone never are — evolve discards them
+// within a post-groom interval, and their level-0 ancestors stay on
+// shared storage until then, so recovery re-merges instead.
 func (ix *Index) isPersistedLevel(global int) bool {
-	if global == 0 {
-		return true
-	}
-	if global >= ix.cfg.GroomedLevels {
-		return true
-	}
-	return global > ix.cfg.NonPersistedGroomedLevels
+	return global == 0 || global >= ix.cfg.GroomedLevels
 }
 
 // mergeStream is one input run's cursor in the k-way merge.

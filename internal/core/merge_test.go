@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -91,6 +94,85 @@ func TestMergePreservesAllVersionsAndRIDs(t *testing.T) {
 	}
 }
 
+// TestMergeMatchesKWayOracle: merging runs yields the stable sort of all
+// their entries (newest run first), exact (key, beginTS) duplicates kept
+// once from the newest run that has them.
+func TestMergeMatchesKWayOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ix := newTestIndex(t, func(c *Config) { c.K = 100 }) // keep the level-0 runs apart
+	for c := uint64(1); c <= 5; c++ {
+		var entries []run.Entry
+		for i := 0; i < 200; i++ {
+			// Few keys and timestamps: versions and exact duplicates
+			// collide across runs.
+			e, err := ix.MakeEntry([]keyenc.Value{keyenc.I64(rng.Int63n(6))}, []keyenc.Value{keyenc.I64(rng.Int63n(8))},
+				[]keyenc.Value{keyenc.I64(int64(c)*1000 + int64(i))}, types.TS(1+rng.Intn(6)),
+				types.RID{Zone: types.ZoneGroomed, Block: c, Offset: uint32(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries = append(entries, e)
+		}
+		if err := ix.BuildRun(entries, types.BlockRange{Min: c, Max: c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refs, release := ix.groomed.snapshot() // newest first
+	defer release()
+
+	var want []run.Entry
+	for _, ref := range refs {
+		it := run.NewReader(ref.header, ix.source(ref)).Begin()
+		for ; it.Valid(); it.Next() {
+			e, err := it.Entry()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, e)
+		}
+		it.Close()
+	}
+	sort.SliceStable(want, func(i, j int) bool { return run.Compare(want[i], want[j]) < 0 })
+	n := 0
+	for i, e := range want {
+		if i == 0 || run.Compare(want[n-1], e) != 0 {
+			want[n] = e
+			n++
+		}
+	}
+	want = want[:n]
+
+	b, err := run.NewBuilder(ix.rdef, run.Meta{Zone: types.ZoneGroomed, Level: 1, Blocks: types.BlockRange{Min: 1, Max: 5}}, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.mergeInto(b, refs); err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := run.OpenObject(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for it := rd.Begin(); it.Valid(); it.Next() {
+		e, err := it.Entry()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i >= len(want) || run.Compare(e, want[i]) != 0 || e.RID != want[i].RID || !bytes.Equal(e.Included, want[i].Included) {
+			t.Fatalf("merged entry %d = %+v, oracle has %d entries", i, e, len(want))
+		}
+		i++
+	}
+	if i != len(want) {
+		t.Fatalf("merge produced %d entries, oracle %d", i, len(want))
+	}
+}
+
 func TestTopLevelCompaction(t *testing.T) {
 	// With one groomed level, everything compacts within level 0.
 	ix := newTestIndex(t, func(c *Config) { c.GroomedLevels = 1; c.K = 2 })
@@ -113,66 +195,75 @@ func TestTopLevelCompaction(t *testing.T) {
 	}
 }
 
-func TestMergeDeletesInputObjects(t *testing.T) {
+func TestPostZoneMergeDeletesInputObjects(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
 	ix := newTestIndex(t, func(c *Config) { c.Store = store })
-	for c := uint64(1); c <= 4; c++ {
-		groom(t, ix, nil, c, recsSeq(10, 2, 0))
-	}
-	if err := ix.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	names, err := store.List("t/z1/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _ := ix.RunCounts()
-	if len(names) != g {
-		t.Errorf("storage holds %d groomed objects, list holds %d runs: %v", len(names), g, names)
-	}
-}
-
-func TestNonPersistedLevels(t *testing.T) {
-	store := storage.NewMemStore(storage.LatencyModel{})
-	ix := newTestIndex(t, func(c *Config) {
-		c.Store = store
-		c.GroomedLevels = 3
-		c.NonPersistedGroomedLevels = 1 // level 1 non-persisted
-	})
 	m := newModel()
 	for c := uint64(1); c <= 4; c++ {
 		groom(t, ix, m, c, recsSeq(10, 2, 0))
+		postGroom(t, ix, m, types.PSN(c), c, c)
 	}
 	if err := ix.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
+	if ix.Stats().Merges == 0 {
+		t.Fatal("no post-groomed merge ran")
+	}
+	names, err := store.List("t/z2/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, p := ix.RunCounts()
+	if len(names) != p {
+		t.Errorf("storage holds %d post-groomed objects, list holds %d runs: %v", len(names), p, names)
+	}
+}
 
-	// Find runs at level 1: they must be memory-resident, un-named, and
-	// carry persisted ancestors.
+// TestGroomedMergesNeverPersisted checks §6.1 as a rule: every groomed
+// run above level 0 lives in memory only, carries its level-0 ancestors,
+// and producing it put nothing on shared storage.
+func TestGroomedMergesNeverPersisted(t *testing.T) {
+	store := storage.NewMemStore(storage.LatencyModel{})
+	ix := newTestIndex(t, func(c *Config) { c.Store = store })
+	m := newModel()
+	for c := uint64(1); c <= 8; c++ {
+		groom(t, ix, m, c, recsSeq(10, 2, 0))
+	}
+	before := store.Stats().Snapshot()
+	if err := ix.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	after := store.Stats().Snapshot()
+	if after.Writes != before.Writes || after.BytesWritten != before.BytesWritten {
+		t.Errorf("groomed merges wrote %d objects / %d bytes to shared storage",
+			after.Writes-before.Writes, after.BytesWritten-before.BytesWritten)
+	}
+
 	refs, release := ix.groomed.snapshot()
 	defer release()
-	sawNonPersisted := false
+	merged := 0
 	for _, r := range refs {
-		if r.level() == 1 {
-			sawNonPersisted = true
-			if r.persisted() {
-				t.Error("level-1 run has a storage object despite NonPersistedGroomedLevels=1")
+		if r.level() == 0 {
+			continue
+		}
+		merged++
+		if r.persisted() || r.mem == nil {
+			t.Errorf("level-%d groomed run: persisted=%v, in memory=%v", r.level(), r.persisted(), r.mem != nil)
+		}
+		if len(r.header.Meta.Ancestors) == 0 {
+			t.Error("merged groomed run has no recorded ancestors (§6.1)")
+		}
+		for _, a := range r.header.Meta.Ancestors {
+			if !strings.Contains(a, "-L0-") {
+				t.Errorf("ancestor %s is not a level-0 run", a)
 			}
-			if r.mem == nil {
-				t.Error("non-persisted run lost its in-memory data")
-			}
-			if len(r.header.Meta.Ancestors) == 0 {
-				t.Error("non-persisted run has no recorded ancestors (§6.1)")
-			}
-			for _, a := range r.header.Meta.Ancestors {
-				if _, err := store.Size(a); err != nil {
-					t.Errorf("ancestor %s missing from shared storage: %v", a, err)
-				}
+			if _, err := store.Size(a); err != nil {
+				t.Errorf("ancestor %s missing from shared storage: %v", a, err)
 			}
 		}
 	}
-	if !sawNonPersisted {
-		t.Skip("maintenance produced no level-1 run in this configuration")
+	if merged == 0 {
+		t.Fatal("maintenance produced no merged groomed run")
 	}
 	// Queries still see everything.
 	for dev := int64(0); dev < 2; dev++ {
@@ -182,28 +273,27 @@ func TestNonPersistedLevels(t *testing.T) {
 	}
 }
 
-func TestNonPersistedAncestorsDeletedOnPersistedMerge(t *testing.T) {
+// TestGroomedAncestorsFollowTheirRun: shared storage holds exactly the
+// live level-0 runs plus the ancestors of live merged runs — through
+// multi-level merges — and evolve deletes the ancestors with the run.
+func TestGroomedAncestorsFollowTheirRun(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
 	ix := newTestIndex(t, func(c *Config) {
 		c.Store = store
-		c.GroomedLevels = 3
-		c.NonPersistedGroomedLevels = 1
-		c.K = 2
 		c.T = 1 // seal aggressively so level-1 runs stack up and push to level 2
 	})
+	m := newModel()
 	for c := uint64(1); c <= 12; c++ {
-		groom(t, ix, nil, c, recsSeq(10, 2, 0))
+		groom(t, ix, m, c, recsSeq(10, 2, 0))
 		if err := ix.Quiesce(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// After enough merges some runs reached persisted level 2; their
-	// ancestor chains must be gone from storage. Remaining level-0 objects
-	// must be: live level-0 runs + ancestors of live level-1 runs, nothing
-	// else.
 	refs, release := ix.groomed.snapshot()
 	expect := map[string]bool{}
+	top := 0
 	for _, r := range refs {
+		top = max(top, r.level())
 		if r.persisted() {
 			expect[r.name] = true
 		}
@@ -212,9 +302,15 @@ func TestNonPersistedAncestorsDeletedOnPersistedMerge(t *testing.T) {
 		}
 	}
 	release()
+	if top < 2 {
+		t.Fatalf("no run reached groomed level 2 (top level %d)", top)
+	}
 	names, err := store.List("t/z1/")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(names) != 12 {
+		t.Errorf("%d groomed objects on shared storage, want the 12 level-0 runs", len(names))
 	}
 	for _, n := range names {
 		if !expect[n] {
@@ -226,33 +322,10 @@ func TestNonPersistedAncestorsDeletedOnPersistedMerge(t *testing.T) {
 			t.Errorf("expected object missing: %s", n)
 		}
 	}
-}
 
-func TestMergeWriteAmplification(t *testing.T) {
-	// Non-persisted levels must cut shared-storage write traffic (§6.1).
-	writes := func(nonPersisted int) int64 {
-		store := storage.NewMemStore(storage.LatencyModel{})
-		cfg := testConfig("wa")
-		cfg.Store = store
-		cfg.GroomedLevels = 3
-		cfg.NonPersistedGroomedLevels = nonPersisted
-		ix, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		for c := uint64(1); c <= 16; c++ {
-			groom(t, ix, nil, c, recsSeq(40, 4, 0))
-			if err := ix.Quiesce(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return store.Stats().Snapshot().BytesWritten
-	}
-	persisted := writes(0)
-	nonPersisted := writes(1)
-	if nonPersisted >= persisted {
-		t.Errorf("non-persisted levels wrote %d bytes, persisted-everything wrote %d", nonPersisted, persisted)
+	postGroom(t, ix, m, 1, 1, 12)
+	if names, _ := store.List("t/z1/"); len(names) != 0 {
+		t.Errorf("evolve left groomed objects behind: %v", names)
 	}
 }
 
@@ -277,16 +350,18 @@ func TestMaintainOnceIsIncremental(t *testing.T) {
 func TestMergedRunNameEncodesLevel(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
 	ix := newTestIndex(t, func(c *Config) { c.Store = store })
+	m := newModel()
 	for c := uint64(1); c <= 4; c++ {
-		groom(t, ix, nil, c, recsSeq(10, 2, 0))
+		groom(t, ix, m, c, recsSeq(10, 2, 0))
+		postGroom(t, ix, m, types.PSN(c), c, c)
 	}
 	if err := ix.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	names, _ := store.List("t/z1/")
+	names, _ := store.List("t/z2/")
 	sawMerged := false
 	for _, n := range names {
-		if strings.Contains(n, "-L1-") || strings.Contains(n, "-L2-") {
+		if strings.Contains(n, "-L4-") {
 			sawMerged = true
 		}
 	}
@@ -313,8 +388,8 @@ func TestQuiesceIdempotent(t *testing.T) {
 }
 
 func TestMergeDedupesEvolveDuplicates(t *testing.T) {
-	// Two post-groomed runs carrying an identical (key, beginTS) entry —
-	// the benign duplicate of §5.4 — must merge into a single entry.
+	// Two runs carrying an identical (key, beginTS) entry — the benign
+	// duplicate of §5.4 — must merge into a single entry.
 	ix := newTestIndex(t, func(c *Config) { c.PostGroomedLevels = 2; c.K = 2 })
 	// The same version can only appear once per zone through the real
 	// protocol; duplicates arise across zones transiently. Exercise the
@@ -324,7 +399,7 @@ func TestMergeDedupesEvolveDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2 := e1 // identical key and beginTS, different RID (copied record)
-	e2.RID = types.RID{Zone: types.ZonePostGroomed, Block: 50}
+	e2.RID = types.RID{Zone: types.ZoneGroomed, Block: 2}
 	if err := ix.BuildRun([]run.Entry{e1}, types.BlockRange{Min: 1, Max: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,6 @@ func randomizedWorkload(t *testing.T, seed int64) {
 	cfg.T = 2 + rng.Intn(3)
 	cfg.GroomedLevels = 2 + rng.Intn(3)
 	cfg.PostGroomedLevels = 1 + rng.Intn(2)
-	if rng.Intn(2) == 1 && cfg.GroomedLevels > 1 {
-		cfg.NonPersistedGroomedLevels = 1
-	}
 	ix, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -604,8 +604,8 @@ func (ix *Index) LookupBatch(keys []LookupKey, ts types.TS) ([]run.Entry, []bool
 			}()
 			r := run.NewReader(ref.header, src)
 			// One iterator per run: since the batch is sorted, successive
-			// seeks revisit the same data blocks, and the iterator's block
-			// cache turns those into a single fetch (§8.3.2).
+			// seeks land in the same or the next data block, and the
+			// iterator keeps the block it holds — a single fetch (§8.3.2).
 			it := r.Begin()
 			defer it.Close()
 			for i := range items {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"umzi/internal/keyenc"
-	"umzi/internal/storage"
 	"umzi/internal/types"
 )
 
@@ -64,7 +63,7 @@ func TestRecoverAfterIngest(t *testing.T) {
 	}
 }
 
-func TestRecoverAfterMergesDeletesLeftovers(t *testing.T) {
+func TestRecoverAfterMerges(t *testing.T) {
 	ix := newTestIndex(t, nil)
 	m := newModel()
 	for c := uint64(1); c <= 8; c++ {
@@ -73,21 +72,20 @@ func TestRecoverAfterMergesDeletesLeftovers(t *testing.T) {
 	if err := ix.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash that left already-merged inputs behind: re-add a
-	// stale small run object overlapping a merged run's range.
-	stale, err := ix.store.List("t/z1/")
-	if err != nil || len(stale) == 0 {
+	// The merged groomed runs are gone with the process; recovery finds
+	// the level-0 runs and re-merging them restores the live shape.
+	ix2 := reopen(t, ix)
+	if g, _ := ix2.RunCounts(); g != 8 {
+		t.Fatalf("recovered %d groomed runs, want the 8 level-0 runs\n%s", g, fmtRuns(ix2))
+	}
+	checkAll(t, ix2, m, 2, 10, types.MaxTS)
+	if err := ix2.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	// Build a fake overlapped run by grooming into a second index with the
-	// same name prefix... simpler: copy an existing object under a new
-	// name with a doctored header is overkill; instead verify dedup via
-	// counting: recovery must keep exactly the live set.
-	ix2 := reopen(t, ix)
 	g1, p1 := ix.RunCounts()
 	g2, p2 := ix2.RunCounts()
 	if g1 != g2 || p1 != p2 {
-		t.Fatalf("recovered counts (%d,%d) != live counts (%d,%d)", g2, p2, g1, p1)
+		t.Fatalf("re-merged counts (%d,%d) != live counts (%d,%d)", g2, p2, g1, p1)
 	}
 	checkAll(t, ix2, m, 2, 10, types.MaxTS)
 	if err := ix2.VerifyInvariants(); err != nil {
@@ -96,21 +94,22 @@ func TestRecoverAfterMergesDeletesLeftovers(t *testing.T) {
 }
 
 func TestRecoverOverlappingRunsKeepLargest(t *testing.T) {
-	// Hand-craft the §5.5 situation: storage holds a merged run [1,4] and
-	// two stale inputs [1,2], [3,4]. Recovery must keep [1,4], delete the
-	// inputs.
+	// Hand-craft the §5.5 situation in the post-groomed zone, where merge
+	// outputs persist: storage holds a merged run [1,2] and its two stale
+	// inputs [1,1], [2,2]. Recovery must keep [1,2], delete the inputs.
 	cfg := testConfig("ov")
 	ix, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := newModel()
-	groom(t, ix, m, 1, recsSeq(10, 2, 0)) // [1,1]
-	groom(t, ix, m, 2, recsSeq(10, 2, 0)) // [2,2]
-	// Merge everything into one run [1,2] but keep the inputs by
-	// disabling deletion: easiest is to snapshot object bytes before the
-	// merge and re-put them after.
-	inputs, err := cfg.Store.List("ov/z1/")
+	for c := uint64(1); c <= 2; c++ {
+		groom(t, ix, m, c, recsSeq(10, 2, 0))
+		postGroom(t, ix, m, types.PSN(c), c, c)
+	}
+	// Snapshot the input objects before the merge deletes them and
+	// re-put them after.
+	inputs, err := cfg.Store.List("ov/z2/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestRecoverOverlappingRunsKeepLargest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pre, _ := cfg.Store.List("ov/z1/")
+	pre, _ := cfg.Store.List("ov/z2/")
 	if len(pre) != 3 {
 		t.Fatalf("setup failed: %d objects, want 3 (merged + 2 stale)", len(pre))
 	}
@@ -141,11 +140,11 @@ func TestRecoverOverlappingRunsKeepLargest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix2.Close()
-	g, _ := ix2.RunCounts()
-	if g != 1 {
-		t.Fatalf("recovered %d runs, want 1 (largest range wins)\n%s", g, fmtRuns(ix2))
+	_, p := ix2.RunCounts()
+	if p != 1 {
+		t.Fatalf("recovered %d runs, want 1 (largest range wins)\n%s", p, fmtRuns(ix2))
 	}
-	post, _ := cfg.Store.List("ov/z1/")
+	post, _ := cfg.Store.List("ov/z2/")
 	if len(post) != 1 {
 		t.Errorf("stale inputs not deleted during recovery: %v", post)
 	}
@@ -254,13 +253,8 @@ func TestRecoverIdempotent(t *testing.T) {
 	checkAll(t, ix3, m, 2, 10, types.MaxTS)
 }
 
-func TestRecoverNonPersistedLevelsViaAncestors(t *testing.T) {
-	store := storage.NewMemStore(storage.LatencyModel{})
-	ix := newTestIndex(t, func(c *Config) {
-		c.Store = store
-		c.GroomedLevels = 3
-		c.NonPersistedGroomedLevels = 1
-	})
+func TestRecoverGroomedZoneFromLevel0Ancestors(t *testing.T) {
+	ix := newTestIndex(t, nil)
 	m := newModel()
 	for c := uint64(1); c <= 6; c++ {
 		groom(t, ix, m, c, recsSeq(20, 2, 0))
@@ -268,9 +262,19 @@ func TestRecoverNonPersistedLevelsViaAncestors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Crash: non-persisted level-1 runs are lost; their persisted
-	// ancestors must bring the data back.
+	if ix.Stats().Merges == 0 {
+		t.Fatal("no merged run existed at the crash")
+	}
+	// Crash: the merged groomed runs were never persisted and are lost;
+	// their level-0 ancestors bring the data back.
 	ix2 := reopen(t, ix)
+	refs, release := ix2.groomed.snapshot()
+	for _, r := range refs {
+		if r.level() != 0 {
+			t.Errorf("recovered a level-%d groomed run %s", r.level(), r.name)
+		}
+	}
+	release()
 	checkAll(t, ix2, m, 2, 10, types.MaxTS, types.MakeTS(3, 1<<20))
 	if err := ix2.VerifyInvariants(); err != nil {
 		t.Fatalf("%v\n%s", err, fmtRuns(ix2))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"umzi/internal/keyenc"
@@ -14,17 +15,34 @@ import (
 //
 //	[data block 0][data block 1]...[data block B-1][header][footer]
 //
-// Data block:  [entry 0]...[entry k-1][u32 offset × k][u32 k]
-// Entry:       u64 hash | u16 keyLen | key | u64 beginTS | RID | u16 inclLen | incl
-// Footer:      u64 headerOff | u32 headerLen | magic "UMZIRUN1"
+// Data block:  [entry 0]...[entry k-1][u32 restart offset × ceil(k/16)][u32 k]
+// Entry:       uvarint shared | uvarint suffixLen | suffix
+//	            | varint ΔbeginTS | varint RID.Block−Meta.Blocks.Min
+//	            | uvarint RID.Offset | uvarint inclLen | incl
+// Footer:      u64 headerOff | u32 headerLen | magic "UMZIRUN2"
+//
+// Entries are sorted on (hash, key, beginTS desc), so neighbours share
+// long prefixes: shared/suffix prefix-compress the 8-byte big-endian hash
+// followed by the key against the previous entry, and beginTS is a
+// zig-zag delta from the previous entry. Every restartInterval-th entry
+// of a block is a restart point — shared is 0 and the beginTS delta is
+// taken from 0 — and the block's restart table holds its byte offset, so
+// a seek binary-searches the restart keys and decodes at most
+// restartInterval-1 entries. The RID's zone is not stored: every entry of
+// a run lives in the run's zone (Meta.Zone).
 //
 // The header travels last so the builder can stream data blocks without
 // knowing counts up front, exactly like SSTable footers; readers fetch the
 // footer, then the header, then individual data blocks on demand.
 
 const (
-	runMagic   = "UMZIRUN1"
-	footerSize = 8 + 4 + 8
+	runMagic = "UMZIRUN2"
+	// FooterSize is the length of the footer that ends every run object;
+	// its last 8 bytes are the format magic.
+	FooterSize = 8 + 4 + 8
+
+	// restartInterval is the number of entries between restart points.
+	restartInterval = 16
 
 	// DefaultBlockSize is the target data-block size. The paper uses
 	// fixed-size data blocks; blocks here are sealed at the entry boundary
@@ -78,8 +96,8 @@ type Header struct {
 }
 
 // Builder accumulates entries and serializes a run. Entries may be added
-// in any order; Finish sorts them. For pre-sorted inputs (merges) the sort
-// is a no-op verification pass.
+// in any order; Finish sorts them unless they already are sorted (merge
+// output is).
 type Builder struct {
 	def       Def
 	meta      Meta
@@ -121,9 +139,10 @@ func (b *Builder) Len() int { return len(b.entries) }
 func (b *Builder) Finish() ([]byte, *Header, error) {
 	// Index build sorts entries by hash, key columns and descending
 	// beginTS (§5.2).
-	sort.SliceStable(b.entries, func(i, j int) bool {
-		return Compare(b.entries[i], b.entries[j]) < 0
-	})
+	less := func(i, j int) bool { return Compare(b.entries[i], b.entries[j]) < 0 }
+	if !sort.SliceIsSorted(b.entries, less) {
+		sort.SliceStable(b.entries, less)
+	}
 
 	h := &Header{
 		Meta:      b.meta,
@@ -137,66 +156,71 @@ func (b *Builder) Finish() ([]byte, *Header, error) {
 	h.SynMax = make([][]byte, len(keyKinds))
 
 	var out []byte
-	var blockStart int
-	var blockFirst *Entry
-	var blockStartOrd uint64
-	entryStart := func() {
-		blockStart = len(out)
-	}
-	entryStart()
-	var offsets []uint32
+	blockStart := 0
+	var restarts []uint32
+	inBlock := 0 // entries in the open block
 
-	sealBlock := func() {
-		if len(offsets) == 0 {
-			return
-		}
-		for _, o := range offsets {
+	var prev *Entry // previous entry of the open restart interval
+
+	// seal closes the open block; next is the ordinal after its last entry.
+	seal := func(next int) {
+		for _, o := range restarts {
 			out = binary.BigEndian.AppendUint32(out, o)
 		}
-		out = binary.BigEndian.AppendUint32(out, uint32(len(offsets)))
+		out = binary.BigEndian.AppendUint32(out, uint32(inBlock))
+		first := &b.entries[next-inBlock]
 		h.BlockIndex = append(h.BlockIndex, BlockInfo{
 			Off:       uint64(blockStart),
 			Len:       uint32(len(out) - blockStart),
-			StartOrd:  blockStartOrd,
-			FirstHash: blockFirst.Hash,
-			FirstKey:  append([]byte(nil), blockFirst.Key...),
+			StartOrd:  uint64(next - inBlock),
+			FirstHash: first.Hash,
+			FirstKey:  append([]byte(nil), first.Key...),
 		})
-		blockStartOrd += uint64(len(offsets))
-		offsets = offsets[:0]
-		blockFirst = nil
-		entryStart()
+		blockStart, restarts, inBlock, prev = len(out), restarts[:0], 0, nil
 	}
 
 	for i := range b.entries {
 		e := &b.entries[i]
+		if e.RID.Zone != b.meta.Zone {
+			return nil, nil, fmt.Errorf("run: entry %d: RID zone %v in a %v run", i, e.RID.Zone, b.meta.Zone)
+		}
 		// Synopsis: track min/max per key column (on the order-preserving
 		// encodings, so comparisons are raw byte compares).
 		err := columnSegments(e.Key, keyKinds, func(col int, seg []byte) {
 			if h.SynMin[col] == nil || bytes.Compare(seg, h.SynMin[col]) < 0 {
-				h.SynMin[col] = append([]byte(nil), seg...)
+				h.SynMin[col] = append(h.SynMin[col][:0], seg...)
 			}
 			if h.SynMax[col] == nil || bytes.Compare(seg, h.SynMax[col]) > 0 {
-				h.SynMax[col] = append([]byte(nil), seg...)
+				h.SynMax[col] = append(h.SynMax[col][:0], seg...)
 			}
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("run: entry %d: %w", i, err)
 		}
 
-		encLen := entryEncodedLen(e)
-		// Seal the current block if this entry would overflow the target
-		// and the block is non-empty (single oversized entries get their
-		// own block).
-		if len(offsets) > 0 && len(out)-blockStart+encLen+4*(len(offsets)+1)+4 > int(b.blockSize) {
-			sealBlock()
+		if inBlock%restartInterval == 0 {
+			prev = nil
 		}
-		if blockFirst == nil {
-			blockFirst = e
+		start := len(out)
+		out = b.appendEntry(out, e, prev)
+		// Seal the open block first if this entry overflows the target
+		// (single oversized entries get their own block); the entry then
+		// re-encodes as the next block's first restart point.
+		if inBlock > 0 && len(out)-blockStart+blockTailLen(inBlock+1) > int(b.blockSize) {
+			out = out[:start]
+			seal(i)
+			out = b.appendEntry(out, e, nil)
+			start = blockStart
 		}
-		offsets = append(offsets, uint32(len(out)-blockStart))
-		out = appendEntry(out, e)
+		if prev == nil {
+			restarts = append(restarts, uint32(start-blockStart))
+		}
+		inBlock++
+		prev = e
 	}
-	sealBlock()
+	if inBlock > 0 {
+		seal(len(b.entries))
+	}
 	h.DataEnd = uint64(len(out))
 
 	// Offset array (Figure 2b): bucket b -> first ordinal with prefix >= b.
@@ -224,48 +248,44 @@ func (b *Builder) Finish() ([]byte, *Header, error) {
 	return out, h, nil
 }
 
-func entryEncodedLen(e *Entry) int {
-	return 8 + 2 + len(e.Key) + 8 + types.RIDSize + 2 + len(e.Included)
+// blockTailLen is the size of the restart table and entry count that
+// close a data block of n entries.
+func blockTailLen(n int) int {
+	return 4*((n+restartInterval-1)/restartInterval) + 4
 }
 
-func appendEntry(out []byte, e *Entry) []byte {
-	out = binary.BigEndian.AppendUint64(out, e.Hash)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(e.Key)))
-	out = append(out, e.Key...)
-	out = binary.BigEndian.AppendUint64(out, uint64(e.BeginTS))
-	out = types.EncodeRID(out, e.RID)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(e.Included)))
-	out = append(out, e.Included...)
-	return out
+// appendEntry encodes e against the previous entry of its restart
+// interval; prev == nil encodes a restart point.
+func (b *Builder) appendEntry(out []byte, e, prev *Entry) []byte {
+	var hash [8]byte
+	binary.BigEndian.PutUint64(hash[:], e.Hash)
+	shared, prevTS := 0, types.TS(0)
+	if prev != nil {
+		prevTS = prev.BeginTS
+		if shared = bits.LeadingZeros64(e.Hash^prev.Hash) / 8; shared == 8 {
+			shared += commonPrefix(e.Key, prev.Key)
+		}
+	}
+	out = binary.AppendUvarint(out, uint64(shared))
+	out = binary.AppendUvarint(out, uint64(8+len(e.Key)-shared))
+	if shared < 8 {
+		out = append(out, hash[shared:]...)
+		out = append(out, e.Key...)
+	} else {
+		out = append(out, e.Key[shared-8:]...)
+	}
+	out = binary.AppendVarint(out, int64(e.BeginTS-prevTS))
+	out = binary.AppendVarint(out, int64(e.RID.Block-b.meta.Blocks.Min))
+	out = binary.AppendUvarint(out, uint64(e.RID.Offset))
+	out = binary.AppendUvarint(out, uint64(len(e.Included)))
+	return append(out, e.Included...)
 }
 
-func decodeEntry(b []byte) (Entry, int, error) {
-	var e Entry
-	if len(b) < 8+2 {
-		return e, 0, fmt.Errorf("run: truncated entry header")
+func commonPrefix(a, b []byte) int {
+	n := min(len(a), len(b))
+	i := 0
+	for i < n && a[i] == b[i] {
+		i++
 	}
-	e.Hash = binary.BigEndian.Uint64(b)
-	keyLen := int(binary.BigEndian.Uint16(b[8:]))
-	off := 10
-	if len(b) < off+keyLen+8+types.RIDSize+2 {
-		return e, 0, fmt.Errorf("run: truncated entry body")
-	}
-	e.Key = b[off : off+keyLen]
-	off += keyLen
-	e.BeginTS = types.TS(binary.BigEndian.Uint64(b[off:]))
-	off += 8
-	rid, err := types.DecodeRID(b[off:])
-	if err != nil {
-		return e, 0, err
-	}
-	e.RID = rid
-	off += types.RIDSize
-	inclLen := int(binary.BigEndian.Uint16(b[off:]))
-	off += 2
-	if len(b) < off+inclLen {
-		return e, 0, fmt.Errorf("run: truncated included columns")
-	}
-	e.Included = b[off : off+inclLen]
-	off += inclLen
-	return e, off, nil
+	return i
 }

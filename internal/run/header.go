@@ -3,174 +3,163 @@ package run
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"umzi/internal/keyenc"
 	"umzi/internal/types"
 )
 
-// Header block wire format (big-endian):
+// Header block wire format (every integer a uvarint unless sized):
 //
-//	magic    "UMZIHDR1"
-//	version  u16
+//	magic    "UMZIHDR2"
 //	zone     u8
-//	level    u16
-//	minID    u64, maxID u64        groomed block ID range
-//	psn      u64
-//	entries  u64
-//	blockSz  u32
-//	dataEnd  u64
+//	level, minID, maxID (groomed block ID range), psn,
+//	entries, blockSz, dataEnd
 //	nEq u8, kinds; nSort u8, kinds; nIncl u8, kinds
 //	hashBits u8
-//	offset array: (2^hashBits + 1) × u64   (absent if hashBits == 0)
-//	synopsis: nKeyCols × { has u8, minLen u32 + bytes, maxLen u32 + bytes }
-//	block index: u32 count × { off u64, len u32, startOrd u64,
-//	                            firstHash u64, keyLen u16 + bytes }
-//	ancestors: u16 count × { u16 len + name }
+//	offset array (absent if hashBits == 0): the non-empty buckets only,
+//	    count × { gap to the previous non-empty bucket, entries in bucket }
+//	synopsis: nKeyCols × { has u8, minLen + bytes, maxLen + bytes }
+//	block index: count × { len, entries, firstHash u64, keyLen + bytes }
+//	    (offsets and start ordinals are the running sums)
+//	ancestors: count × { len + name }
 
-const headerMagic = "UMZIHDR1"
+const headerMagic = "UMZIHDR2"
 
 func marshalHeader(h *Header) []byte {
-	out := make([]byte, 0, 256+len(h.OffsetArray)*8)
+	out := make([]byte, 0, 256)
 	out = append(out, headerMagic...)
-	out = binary.BigEndian.AppendUint16(out, 1)
 	out = append(out, byte(h.Meta.Zone))
-	out = binary.BigEndian.AppendUint16(out, h.Meta.Level)
-	out = binary.BigEndian.AppendUint64(out, h.Meta.Blocks.Min)
-	out = binary.BigEndian.AppendUint64(out, h.Meta.Blocks.Max)
-	out = binary.BigEndian.AppendUint64(out, uint64(h.Meta.PSN))
-	out = binary.BigEndian.AppendUint64(out, h.Entries)
-	out = binary.BigEndian.AppendUint32(out, h.BlockSize)
-	out = binary.BigEndian.AppendUint64(out, h.DataEnd)
+	for _, v := range []uint64{
+		uint64(h.Meta.Level), h.Meta.Blocks.Min, h.Meta.Blocks.Max, uint64(h.Meta.PSN),
+		h.Entries, uint64(h.BlockSize), h.DataEnd,
+	} {
+		out = binary.AppendUvarint(out, v)
+	}
 
-	appendKinds := func(kinds []keyenc.Kind) {
+	for _, kinds := range [][]keyenc.Kind{h.Def.EqualityKinds, h.Def.SortKinds, h.Def.IncludedKinds} {
 		out = append(out, byte(len(kinds)))
 		for _, k := range kinds {
 			out = append(out, byte(k))
 		}
 	}
-	appendKinds(h.Def.EqualityKinds)
-	appendKinds(h.Def.SortKinds)
-	appendKinds(h.Def.IncludedKinds)
 
 	out = append(out, h.Def.HashBits)
 	if h.Def.HashBits > 0 {
-		for _, o := range h.OffsetArray {
-			out = binary.BigEndian.AppendUint64(out, o)
+		nonEmpty := 0
+		for b := 0; b+1 < len(h.OffsetArray); b++ {
+			if h.OffsetArray[b+1] > h.OffsetArray[b] {
+				nonEmpty++
+			}
+		}
+		out = binary.AppendUvarint(out, uint64(nonEmpty))
+		next := 0 // first bucket not yet accounted for
+		for b := 0; b+1 < len(h.OffsetArray); b++ {
+			if n := h.OffsetArray[b+1] - h.OffsetArray[b]; n > 0 {
+				out = binary.AppendUvarint(out, uint64(b-next))
+				out = binary.AppendUvarint(out, n)
+				next = b + 1
+			}
 		}
 	}
 
+	appendBytes := func(b []byte) {
+		out = binary.AppendUvarint(out, uint64(len(b)))
+		out = append(out, b...)
+	}
 	for i := range h.SynMin {
 		if h.SynMin[i] == nil {
 			out = append(out, 0)
 			continue
 		}
 		out = append(out, 1)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(h.SynMin[i])))
-		out = append(out, h.SynMin[i]...)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(h.SynMax[i])))
-		out = append(out, h.SynMax[i]...)
+		appendBytes(h.SynMin[i])
+		appendBytes(h.SynMax[i])
 	}
 
-	out = binary.BigEndian.AppendUint32(out, uint32(len(h.BlockIndex)))
-	for _, bi := range h.BlockIndex {
-		out = binary.BigEndian.AppendUint64(out, bi.Off)
-		out = binary.BigEndian.AppendUint32(out, bi.Len)
-		out = binary.BigEndian.AppendUint64(out, bi.StartOrd)
+	out = binary.AppendUvarint(out, uint64(len(h.BlockIndex)))
+	for i, bi := range h.BlockIndex {
+		end := h.Entries
+		if i+1 < len(h.BlockIndex) {
+			end = h.BlockIndex[i+1].StartOrd
+		}
+		out = binary.AppendUvarint(out, uint64(bi.Len))
+		out = binary.AppendUvarint(out, end-bi.StartOrd)
 		out = binary.BigEndian.AppendUint64(out, bi.FirstHash)
-		out = binary.BigEndian.AppendUint16(out, uint16(len(bi.FirstKey)))
-		out = append(out, bi.FirstKey...)
+		appendBytes(bi.FirstKey)
 	}
 
-	out = binary.BigEndian.AppendUint16(out, uint16(len(h.Meta.Ancestors)))
+	out = binary.AppendUvarint(out, uint64(len(h.Meta.Ancestors)))
 	for _, a := range h.Meta.Ancestors {
-		out = binary.BigEndian.AppendUint16(out, uint16(len(a)))
-		out = append(out, a...)
+		appendBytes([]byte(a))
 	}
 	return out
 }
 
-// ParseHeader decodes a header block produced by marshalHeader.
+// ParseHeader decodes a header block produced by marshalHeader. Declared
+// counts are checked against the bytes present before anything is
+// allocated for them, and the block index must tile [0, DataEnd) and
+// [0, Entries) exactly.
 func ParseHeader(b []byte) (*Header, error) {
 	r := &cursor{b: b}
-	magic, err := r.take(8)
-	if err != nil || string(magic) != headerMagic {
+	if magic, err := r.take(8); err != nil || string(magic) != headerMagic {
 		return nil, fmt.Errorf("run: bad header magic")
 	}
-	ver, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if ver != 1 {
-		return nil, fmt.Errorf("run: unsupported header version %d", ver)
-	}
 	h := &Header{}
-	zone, err := r.u8()
-	if err != nil {
-		return nil, err
+	h.Meta.Zone = types.ZoneID(r.u8())
+	level := r.uvarint()
+	h.Meta.Blocks.Min = r.uvarint()
+	h.Meta.Blocks.Max = r.uvarint()
+	h.Meta.PSN = types.PSN(r.uvarint())
+	h.Entries = r.uvarint()
+	blockSize := r.uvarint()
+	h.DataEnd = r.uvarint()
+	if r.err == nil && (level > math.MaxUint16 || blockSize > math.MaxUint32) {
+		r.err = fmt.Errorf("run: header level %d or block size %d out of range", level, blockSize)
 	}
-	h.Meta.Zone = types.ZoneID(zone)
-	if h.Meta.Level, err = r.u16(); err != nil {
-		return nil, err
-	}
-	if h.Meta.Blocks.Min, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if h.Meta.Blocks.Max, err = r.u64(); err != nil {
-		return nil, err
-	}
-	psn, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	h.Meta.PSN = types.PSN(psn)
-	if h.Entries, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if h.BlockSize, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if h.DataEnd, err = r.u64(); err != nil {
-		return nil, err
-	}
+	h.Meta.Level, h.BlockSize = uint16(level), uint32(blockSize)
 
-	takeKinds := func() ([]keyenc.Kind, error) {
-		n, err := r.u8()
-		if err != nil {
-			return nil, err
+	for _, kinds := range []*[]keyenc.Kind{&h.Def.EqualityKinds, &h.Def.SortKinds, &h.Def.IncludedKinds} {
+		raw, _ := r.take(int(r.u8()))
+		*kinds = make([]keyenc.Kind, len(raw))
+		for i, k := range raw {
+			(*kinds)[i] = keyenc.Kind(k)
 		}
-		kinds := make([]keyenc.Kind, n)
-		for i := range kinds {
-			k, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			kinds[i] = keyenc.Kind(k)
-		}
-		return kinds, nil
 	}
-	if h.Def.EqualityKinds, err = takeKinds(); err != nil {
-		return nil, err
-	}
-	if h.Def.SortKinds, err = takeKinds(); err != nil {
-		return nil, err
-	}
-	if h.Def.IncludedKinds, err = takeKinds(); err != nil {
-		return nil, err
-	}
-	if h.Def.HashBits, err = r.u8(); err != nil {
-		return nil, err
+	h.Def.HashBits = r.u8()
+	if r.err != nil {
+		return nil, r.err
 	}
 	if err := h.Def.Validate(); err != nil {
 		return nil, err
 	}
 
 	if h.Def.HashBits > 0 {
-		n := (1 << h.Def.HashBits) + 1
-		h.OffsetArray = make([]uint64, n)
-		for i := 0; i < n; i++ {
-			if h.OffsetArray[i], err = r.u64(); err != nil {
-				return nil, err
+		buckets := uint64(1) << h.Def.HashBits
+		nonEmpty := r.count(2)
+		if r.err != nil {
+			return nil, r.err
+		}
+		h.OffsetArray = make([]uint64, buckets+1)
+		next, total := uint64(0), uint64(0)
+		for i := 0; i < nonEmpty; i++ {
+			gap, n := r.uvarint(), r.uvarint()
+			if r.err != nil {
+				return nil, r.err
 			}
+			if gap >= buckets-next || n > h.Entries-total {
+				return nil, fmt.Errorf("run: offset array bucket or count out of range")
+			}
+			for b := next; b <= next+gap; b++ {
+				h.OffsetArray[b] = total
+			}
+			next, total = next+gap+1, total+n
+		}
+		if total != h.Entries {
+			return nil, fmt.Errorf("run: offset array counts %d entries, header %d", total, h.Entries)
+		}
+		for b := next; b <= buckets; b++ {
+			h.OffsetArray[b] = total
 		}
 	}
 
@@ -178,89 +167,57 @@ func ParseHeader(b []byte) (*Header, error) {
 	h.SynMin = make([][]byte, nKeys)
 	h.SynMax = make([][]byte, nKeys)
 	for i := 0; i < nKeys; i++ {
-		has, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if has == 0 {
+		if r.u8() == 0 {
 			continue
 		}
-		n, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		min, err := r.take(int(n))
-		if err != nil {
-			return nil, err
-		}
-		if n, err = r.u32(); err != nil {
-			return nil, err
-		}
-		max, err := r.take(int(n))
-		if err != nil {
-			return nil, err
-		}
-		h.SynMin[i] = append([]byte(nil), min...)
-		h.SynMax[i] = append([]byte(nil), max...)
+		h.SynMin[i] = r.bytes()
+		h.SynMax[i] = r.bytes()
 	}
 
-	nBlocks, err := r.u32()
-	if err != nil {
-		return nil, err
+	// A block's index record is at least 11 bytes.
+	nBlocks := r.count(11)
+	if r.err != nil {
+		return nil, r.err
 	}
 	h.BlockIndex = make([]BlockInfo, nBlocks)
+	off, ord := uint64(0), uint64(0)
 	for i := range h.BlockIndex {
 		bi := &h.BlockIndex[i]
-		if bi.Off, err = r.u64(); err != nil {
-			return nil, err
+		l, n := r.uvarint(), r.uvarint()
+		hash, _ := r.take(8)
+		bi.FirstKey = r.bytes()
+		if r.err != nil {
+			return nil, r.err
 		}
-		if bi.Len, err = r.u32(); err != nil {
-			return nil, err
+		if n == 0 || n > h.Entries-ord || l > h.DataEnd-off || l > math.MaxUint32 {
+			return nil, fmt.Errorf("run: block %d extent out of range", i)
 		}
-		if bi.StartOrd, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if bi.FirstHash, err = r.u64(); err != nil {
-			return nil, err
-		}
-		kl, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		key, err := r.take(int(kl))
-		if err != nil {
-			return nil, err
-		}
-		bi.FirstKey = append([]byte(nil), key...)
+		bi.Off, bi.Len, bi.StartOrd, bi.FirstHash = off, uint32(l), ord, binary.BigEndian.Uint64(hash)
+		off, ord = off+l, ord+n
+	}
+	if off != h.DataEnd || ord != h.Entries {
+		return nil, fmt.Errorf("run: block index covers %d bytes and %d entries, header says %d and %d", off, ord, h.DataEnd, h.Entries)
 	}
 
-	nAnc, err := r.u16()
-	if err != nil {
-		return nil, err
+	nAnc := r.count(1)
+	for i := 0; i < nAnc && r.err == nil; i++ {
+		h.Meta.Ancestors = append(h.Meta.Ancestors, string(r.bytes()))
 	}
-	for i := 0; i < int(nAnc); i++ {
-		al, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		a, err := r.take(int(al))
-		if err != nil {
-			return nil, err
-		}
-		h.Meta.Ancestors = append(h.Meta.Ancestors, string(a))
+	if r.err != nil {
+		return nil, r.err
 	}
 	return h, nil
 }
 
-// ParseFooter extracts the header location from the final footerSize bytes
+// ParseFooter extracts the header location from the final FooterSize bytes
 // of a run object.
 func ParseFooter(tail []byte) (headerOff uint64, headerLen uint32, err error) {
-	if len(tail) < footerSize {
+	if len(tail) < FooterSize {
 		return 0, 0, fmt.Errorf("run: short footer: %d bytes", len(tail))
 	}
-	f := tail[len(tail)-footerSize:]
+	f := tail[len(tail)-FooterSize:]
 	if string(f[12:20]) != runMagic {
-		return 0, 0, fmt.Errorf("run: bad footer magic")
+		return 0, 0, fmt.Errorf("run: bad footer magic %q", f[12:20])
 	}
 	return binary.BigEndian.Uint64(f[0:8]), binary.BigEndian.Uint32(f[8:12]), nil
 }
@@ -271,55 +228,79 @@ func ParseObject(data []byte) (*Header, error) {
 	if err != nil {
 		return nil, err
 	}
-	if off+uint64(l) > uint64(len(data))-footerSize {
+	if body := uint64(len(data) - FooterSize); off > body || uint64(l) > body-off {
 		return nil, fmt.Errorf("run: footer points outside object")
 	}
-	return ParseHeader(data[off : off+uint64(l)])
+	h, err := ParseHeader(data[off : off+uint64(l)])
+	if err != nil {
+		return nil, err
+	}
+	if h.DataEnd != off {
+		return nil, fmt.Errorf("run: header says data ends at %d, footer at %d", h.DataEnd, off)
+	}
+	return h, nil
 }
 
-// cursor is a bounds-checked byte reader.
+// cursor is a bounds-checked byte reader with a sticky error: after the
+// first failure every read returns zero values, so callers check err once
+// per group of fields.
 type cursor struct {
 	b   []byte
 	off int
+	err error
 }
 
 func (r *cursor) take(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.b) {
-		return nil, fmt.Errorf("run: truncated header (%d at %d of %d)", n, r.off, len(r.b))
+	if r.err == nil && (n < 0 || n > len(r.b)-r.off) {
+		r.err = fmt.Errorf("run: truncated header (%d at %d of %d)", n, r.off, len(r.b))
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	out := r.b[r.off : r.off+n]
 	r.off += n
 	return out, nil
 }
 
-func (r *cursor) u8() (byte, error) {
+func (r *cursor) u8() byte {
 	b, err := r.take(1)
 	if err != nil {
-		return 0, err
+		return 0
 	}
-	return b[0], nil
+	return b[0]
 }
 
-func (r *cursor) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
+func (r *cursor) uvarint() uint64 {
+	if r.err != nil {
+		return 0
 	}
-	return binary.BigEndian.Uint16(b), nil
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		r.err = fmt.Errorf("run: truncated header (varint at %d of %d)", r.off, len(r.b))
+		return 0
+	}
+	r.off += n
+	return v
 }
 
-func (r *cursor) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
+// count reads an element count and rejects it unless that many elements
+// of at least minSize bytes each can still follow.
+func (r *cursor) count(minSize int) int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)-r.off)/uint64(minSize) {
+		r.err = fmt.Errorf("run: header declares %d elements with %d bytes left", n, len(r.b)-r.off)
 	}
-	return binary.BigEndian.Uint32(b), nil
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
-func (r *cursor) u64() (uint64, error) {
-	b, err := r.take(8)
+// bytes reads a length-prefixed byte string into its own allocation.
+func (r *cursor) bytes() []byte {
+	b, err := r.take(int(min(r.uvarint(), math.MaxInt32)))
 	if err != nil {
-		return 0, err
+		return nil
 	}
-	return binary.BigEndian.Uint64(b), nil
+	return append([]byte{}, b...)
 }

@@ -15,10 +15,10 @@ func LoadHeader(store storage.ObjectStore, name string) (*Header, error) {
 	if err != nil {
 		return nil, err
 	}
-	if size < footerSize {
+	if size < FooterSize {
 		return nil, fmt.Errorf("run: object %s too small (%d bytes)", name, size)
 	}
-	tail, err := store.GetRange(name, size-footerSize, footerSize)
+	tail, err := store.GetRange(name, size-FooterSize, FooterSize)
 	if err != nil {
 		return nil, err
 	}
@@ -26,7 +26,7 @@ func LoadHeader(store storage.ObjectStore, name string) (*Header, error) {
 	if err != nil {
 		return nil, fmt.Errorf("run: object %s: %w", name, err)
 	}
-	if off+uint64(l)+footerSize > uint64(size) {
+	if body := uint64(size - FooterSize); off > body || uint64(l) > body-off {
 		return nil, fmt.Errorf("run: object %s: header extent out of range", name)
 	}
 	hdr, err := store.GetRange(name, int64(off), int64(l))
@@ -36,6 +36,9 @@ func LoadHeader(store storage.ObjectStore, name string) (*Header, error) {
 	h, err := ParseHeader(hdr)
 	if err != nil {
 		return nil, fmt.Errorf("run: object %s: %w", name, err)
+	}
+	if h.DataEnd != off {
+		return nil, fmt.Errorf("run: object %s: header says data ends at %d, footer at %d", name, h.DataEnd, off)
 	}
 	return h, nil
 }

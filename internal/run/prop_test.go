@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"umzi/internal/keyenc"
@@ -58,14 +59,91 @@ func randValues(rng *rand.Rand, kinds []keyenc.Kind) []keyenc.Value {
 	return out
 }
 
+// checkRun builds a run from entries and checks it against a sorted-slice
+// oracle: OpenObject accepts the object, full iteration yields exactly
+// the sorted input — compared after the iterator is closed, since
+// entries must outlive Next and Close — and SeekGE lands where the
+// oracle says for every present key, for the probes given, and for
+// bounds before the first and after the last entry. It returns the
+// reader and the sorted entries.
+func checkRun(t *testing.T, def Def, meta Meta, blockSize int, entries []Entry, probes []SearchKey) (*Reader, []Entry) {
+	t.Helper()
+	b, err := NewBuilder(def, meta, blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make([]Entry, len(entries))
+	for i, e := range entries {
+		b.Add(e)
+		ref[i] = cloneEntryForTest(e)
+	}
+	data, _, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.SliceStable(ref, func(i, j int) bool { return Compare(ref[i], ref[j]) < 0 })
+	r, err := OpenObject(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Entries() != uint64(len(ref)) {
+		t.Fatalf("run holds %d entries, want %d", r.Entries(), len(ref))
+	}
+
+	var got []Entry
+	it := r.Begin()
+	for ; it.Valid(); it.Next() {
+		e, err := it.Entry()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, e)
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	it.Close()
+	if len(got) != len(ref) {
+		t.Fatalf("iterated %d of %d entries", len(got), len(ref))
+	}
+	for i := range ref {
+		g, w := got[i], ref[i]
+		if Compare(g, w) != 0 || g.RID != w.RID || !bytes.Equal(g.Included, w.Included) {
+			t.Fatalf("entry %d = %+v, want %+v", i, g, w)
+		}
+	}
+
+	probes = append(probes,
+		SearchKey{}, // before everything
+		SearchKey{Hash: ^uint64(0), Key: bytes.Repeat([]byte{0xff}, 40)}, // after everything
+	)
+	for _, e := range ref {
+		probes = append(probes, SearchKey{Hash: e.Hash, Key: e.Key})
+	}
+	for _, k := range probes {
+		want := sort.Search(len(ref), func(i int) bool { return CompareToSearchKey(ref[i], k) >= 0 })
+		it, err := r.SeekGE(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if it.Ordinal() != uint64(want) || it.Valid() != (want < len(ref)) {
+			t.Fatalf("SeekGE(%x, %x): ordinal %d valid %v, oracle %d of %d", k.Hash, k.Key, it.Ordinal(), it.Valid(), want, len(ref))
+		}
+		if it.Valid() {
+			if e, err := it.Entry(); err != nil || Compare(e, ref[want]) != 0 || e.RID != ref[want].RID {
+				t.Fatalf("SeekGE(%x, %x) read %+v (%v), want %+v", k.Hash, k.Key, e, err, ref[want])
+			}
+		}
+		it.Close()
+	}
+	return r, ref
+}
+
 // TestRandomRunsMatchNaive builds runs from random entries over random
 // definitions (mixed column kinds, keys containing NUL bytes, duplicate
-// keys with multiple versions, random block sizes) and checks three
-// properties against a naive in-memory reference:
-//
-//  1. full iteration yields exactly the sorted entry sequence;
-//  2. SeekGE lands where a linear scan says it should, for random probes;
-//  3. the synopsis never prunes a run that contains a matching entry.
+// keys with multiple versions, random block sizes) and checks them
+// against the oracle of checkRun with random absent probes, plus: the
+// synopsis never prunes a run that contains a matching entry.
 func TestRandomRunsMatchNaive(t *testing.T) {
 	trials := 20
 	if testing.Short() {
@@ -76,92 +154,126 @@ func TestRandomRunsMatchNaive(t *testing.T) {
 		def := randDef(rng)
 		blockSize := 128 + rng.Intn(2048)
 		n := 1 + rng.Intn(400)
+		meta := Meta{Zone: types.ZoneGroomed, Blocks: types.BlockRange{Min: 3, Max: 9}}
 
-		b, err := NewBuilder(def, Meta{Zone: types.ZoneGroomed}, blockSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ref []Entry
+		var entries []Entry
 		for i := 0; i < n; i++ {
-			eq := randValues(rng, def.EqualityKinds)
-			sortv := randValues(rng, def.SortKinds)
-			incl := randValues(rng, def.IncludedKinds)
 			ts := types.TS(1 + rng.Intn(50)) // duplicates versions on purpose
-			rid := types.RID{Zone: types.ZoneGroomed, Block: 1, Offset: uint32(i)}
-			e, err := MakeEntry(def, eq, sortv, incl, ts, rid)
+			rid := types.RID{Zone: types.ZoneGroomed, Block: uint64(rng.Intn(12)), Offset: uint32(i)}
+			e, err := MakeEntry(def, randValues(rng, def.EqualityKinds), randValues(rng, def.SortKinds), randValues(rng, def.IncludedKinds), ts, rid)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.Add(e)
-			ref = append(ref, cloneEntryForTest(e))
+			entries = append(entries, e)
 		}
-		data, h, err := b.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.SliceStable(ref, func(i, j int) bool { return Compare(ref[i], ref[j]) < 0 })
-
-		r := NewReader(h, NewMemSource(data, h))
-
-		// Property 1: iteration order.
-		i := 0
-		for it := r.Begin(); it.Valid(); it.Next() {
-			e, err := it.Entry()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if Compare(e, ref[i]) != 0 || !bytes.Equal(e.Included, ref[i].Included) {
-				t.Fatalf("trial %d: entry %d mismatch", trial, i)
-			}
-			i++
-		}
-		if i != n {
-			t.Fatalf("trial %d: iterated %d of %d", trial, i, n)
-		}
-
-		// Property 2: random seeks.
+		var probes []SearchKey
 		for probe := 0; probe < 30; probe++ {
-			eq := randValues(rng, def.EqualityKinds)
 			var sortBound []keyenc.Value
 			if len(def.SortKinds) > 0 && rng.Intn(2) == 0 {
 				sortBound = randValues(rng, def.SortKinds[:1])
 			}
-			k, err := MakeSearchKey(def, eq, sortBound)
+			k, err := MakeSearchKey(def, randValues(rng, def.EqualityKinds), sortBound)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := -1
-			for j := range ref {
-				if CompareToSearchKey(ref[j], k) >= 0 {
-					want = j
-					break
-				}
-			}
-			it, err := r.SeekGE(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == -1 {
-				if it.Valid() {
-					t.Fatalf("trial %d probe %d: seek found %d, scan found nothing", trial, probe, it.Ordinal())
-				}
-			} else if !it.Valid() || it.Ordinal() != uint64(want) {
-				t.Fatalf("trial %d probe %d: seek ordinal %v, want %d", trial, probe, it.Ordinal(), want)
-			}
-			it.Close()
+			probes = append(probes, k)
 		}
+		r, ref := checkRun(t, def, meta, blockSize, entries, probes)
 
-		// Property 3: the synopsis admits every present key.
+		// The synopsis admits every present key.
 		for probe := 0; probe < 20; probe++ {
 			e := ref[rng.Intn(len(ref))]
 			var bounds []ColumnBound
 			_ = columnSegments(e.Key, def.KeyKinds(), func(col int, seg []byte) {
 				bounds = append(bounds, ColumnBound{Lo: seg, Hi: seg})
 			})
-			if !HeaderMayContain(h, bounds) {
+			if !HeaderMayContain(r.Header(), bounds) {
 				t.Fatalf("trial %d: synopsis rejected a present key", trial)
 			}
 		}
+	}
+}
+
+// TestRunShapes covers the shapes the restart-point layout has edges on:
+// entry counts around the restart interval, one oversized entry, keys
+// that share everything (one key, many versions) and keys that share
+// nothing, with and without included columns and offset array.
+func TestRunShapes(t *testing.T) {
+	strDef := Def{EqualityKinds: []keyenc.Kind{keyenc.KindString}, SortKinds: []keyenc.Kind{keyenc.KindInt64}, HashBits: 5}
+	meta := Meta{Zone: types.ZonePostGroomed, Blocks: types.BlockRange{Min: 100, Max: 120}}
+	entry := func(def Def, eq string, msg int64, incl []keyenc.Value, ts types.TS, block uint64) Entry {
+		e, err := MakeEntry(def, []keyenc.Value{keyenc.Str(eq)}, []keyenc.Value{keyenc.I64(msg)}, incl, ts,
+			types.RID{Zone: types.ZonePostGroomed, Block: block, Offset: uint32(msg)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	absent := func(def Def) []SearchKey {
+		k, err := MakeSearchKey(def, []keyenc.Value{keyenc.Str("absent")}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []SearchKey{k}
+	}
+
+	for _, n := range []int{0, 1, restartInterval - 1, restartInterval, restartInterval + 1, 3*restartInterval + 2} {
+		var entries []Entry
+		for i := 0; i < n; i++ {
+			// Post-groomed block IDs below Meta.Blocks.Min are normal.
+			entries = append(entries, entry(strDef, "dev", int64(i), nil, types.MakeTS(uint64(i%3+1), uint32(i)), uint64(i)))
+		}
+		checkRun(t, strDef, meta, 0, entries, absent(strDef))
+		checkRun(t, strDef, meta, 96, entries, absent(strDef)) // and split across blocks
+	}
+
+	inclDef := strDef
+	inclDef.IncludedKinds = []keyenc.Kind{keyenc.KindString}
+	inclDef.HashBits = 0
+	huge := string(bytes.Repeat([]byte{'k', 0x00}, 35000))
+	checkRun(t, inclDef, meta, 0, []Entry{
+		entry(inclDef, huge, 1, []keyenc.Value{keyenc.Str(huge)}, 5, 7),
+	}, absent(inclDef))
+	checkRun(t, inclDef, meta, 64, []Entry{
+		entry(inclDef, "a", 1, []keyenc.Value{keyenc.Str("")}, 5, 7),
+		entry(inclDef, huge, 1, []keyenc.Value{keyenc.Str(huge)}, 5, 7),
+		entry(inclDef, "z", 1, []keyenc.Value{keyenc.Str("x")}, 5, 7),
+	}, absent(inclDef))
+
+	var versions, disjoint []Entry
+	for i := 0; i < 40; i++ {
+		versions = append(versions, entry(strDef, "same", 7, nil, types.TS(i+1), uint64(100+i)))
+		disjoint = append(disjoint, entry(strDef, string(rune('A'+i))+"-device", int64(i)<<40, nil, types.TS(i+1)<<30, 100))
+	}
+	checkRun(t, strDef, meta, 0, versions, absent(strDef))
+	checkRun(t, strDef, meta, 128, disjoint, absent(strDef))
+}
+
+// TestHeaderStaysSmall guards the sparse offset-array encoding: a small
+// run must not pay for its 2^HashBits empty buckets.
+func TestHeaderStaysSmall(t *testing.T) {
+	def := defI1()
+	def.HashBits = 10
+	data, h := buildRun(t, def, 100, 7, 0)
+	if len(h.OffsetArray) != 1<<10+1 {
+		t.Fatalf("offset array has %d slots", len(h.OffsetArray))
+	}
+	if len(data) >= 6<<10 {
+		t.Errorf("100-entry run with HashBits 10 serializes to %d bytes, want < 6 KiB", len(data))
+	}
+}
+
+// TestOldFormatRejected: an object carrying the previous format's magic
+// is refused, never decoded.
+func TestOldFormatRejected(t *testing.T) {
+	data, _ := buildRun(t, defI1(), 50, 5, 0)
+	old := append([]byte(nil), data...)
+	copy(old[len(old)-8:], "UMZIRUN1")
+	if _, err := OpenObject(old); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Errorf("UMZIRUN1 object: err = %v, want a magic error", err)
+	}
+	if _, _, err := ParseFooter(old); err == nil {
+		t.Error("UMZIRUN1 footer accepted")
 	}
 }
 
@@ -172,9 +284,8 @@ func cloneEntryForTest(e Entry) Entry {
 	return out
 }
 
-// TestIterBlockCacheEviction forces the iterator's parsed-block cache to
-// evict (long scans over many blocks) and checks nothing breaks.
-func TestIterBlockCacheEviction(t *testing.T) {
+// TestIterLongScan walks a run of many small blocks end to end.
+func TestIterLongScan(t *testing.T) {
 	def := defI1()
 	b, err := NewBuilder(def, Meta{}, 256) // tiny blocks: many of them
 	if err != nil {
@@ -195,8 +306,8 @@ func TestIterBlockCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.BlockIndex) <= iterBlockCacheCap {
-		t.Fatalf("test needs more than %d blocks, got %d", iterBlockCacheCap, len(h.BlockIndex))
+	if len(h.BlockIndex) < 50 {
+		t.Fatalf("test needs many blocks, got %d", len(h.BlockIndex))
 	}
 	r := NewReader(h, NewMemSource(data, h))
 	count := 0
@@ -209,13 +320,13 @@ func TestIterBlockCacheEviction(t *testing.T) {
 		count++
 	}
 	if count != n {
-		t.Fatalf("iterated %d of %d across cache evictions", count, n)
+		t.Fatalf("iterated %d of %d", count, n)
 	}
 }
 
-// TestPinCountingAcrossEviction uses a pin-tracking source to prove the
-// iterator releases exactly what it fetched, including evicted blocks.
-func TestPinCountingAcrossEviction(t *testing.T) {
+// TestPinCounting uses a pin-tracking source to prove the iterator
+// releases exactly what it fetched, block by block.
+func TestPinCounting(t *testing.T) {
 	def := defI1()
 	b, _ := NewBuilder(def, Meta{}, 256)
 	for i := 0; i < 4000; i++ {

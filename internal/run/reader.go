@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"umzi/internal/keyenc"
+	"umzi/internal/types"
 )
 
 // BlockSource supplies the raw bytes of a run's data blocks. The core
@@ -77,51 +79,44 @@ func (r *Reader) Header() *Header { return r.h }
 // Entries returns the number of entries in the run.
 func (r *Reader) Entries() uint64 { return r.h.Entries }
 
-// parsedBlock is a decoded data block: entry byte offsets plus payload.
-type parsedBlock struct {
-	idx     uint32
-	data    []byte
-	offsets []uint32 // intra-block byte offset of each entry
+// block is a fetched data block split into its entry bytes and restart
+// table.
+type block struct {
+	idx      int    // index in the header's block index; -1 for none
+	start    uint64 // ordinal of the first entry
+	count    int    // entries in the block
+	data     []byte // encoded entries
+	restarts []byte // u32 byte offset per restart point
 }
 
-func parseBlock(idx uint32, data []byte) (*parsedBlock, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("run: block %d too short", idx)
+// openBlock splits a data block, checking its tail against the entry
+// count the header declares for it.
+func (r *Reader) openBlock(idx int, raw []byte) (block, error) {
+	start, end := r.h.BlockIndex[idx].StartOrd, r.h.Entries
+	if idx+1 < len(r.h.BlockIndex) {
+		end = r.h.BlockIndex[idx+1].StartOrd
 	}
-	count := binary.BigEndian.Uint32(data[len(data)-4:])
-	tail := 4 + 4*int(count)
-	if tail > len(data) {
-		return nil, fmt.Errorf("run: block %d offset table overruns block", idx)
+	count := int(end - start)
+	tail := blockTailLen(count)
+	if len(raw) < tail || binary.BigEndian.Uint32(raw[len(raw)-4:]) != uint32(count) {
+		return block{}, fmt.Errorf("run: block %d does not hold the %d entries its header declares", idx, count)
 	}
-	offBase := len(data) - tail
-	offsets := make([]uint32, count)
-	for i := range offsets {
-		offsets[i] = binary.BigEndian.Uint32(data[offBase+4*i:])
-		if int(offsets[i]) >= offBase {
-			return nil, fmt.Errorf("run: block %d entry %d offset out of range", idx, i)
-		}
-	}
-	return &parsedBlock{idx: idx, data: data[:offBase], offsets: offsets}, nil
+	n := len(raw) - tail
+	return block{idx: idx, start: start, count: count, data: raw[:n], restarts: raw[n : len(raw)-4]}, nil
 }
 
-func (pb *parsedBlock) entry(i int) (Entry, error) {
-	end := len(pb.data)
-	if i+1 < len(pb.offsets) {
-		end = int(pb.offsets[i+1])
-	}
-	e, _, err := decodeEntry(pb.data[pb.offsets[i]:end])
-	if err != nil {
-		return Entry{}, fmt.Errorf("run: block %d entry %d: %w", pb.idx, i, err)
-	}
-	return e, nil
-}
+// restart returns the byte offset of restart point i.
+func (b *block) restart(i int) int { return int(binary.BigEndian.Uint32(b.restarts[4*i:])) }
 
-func (r *Reader) fetchParsed(idx uint32) (*parsedBlock, error) {
-	raw, err := r.src.FetchBlock(idx)
-	if err != nil {
-		return nil, err
+// restartKey returns the hash‖key bytes stored in full at restart point i.
+func (b *block) restartKey(i int) ([]byte, error) {
+	d := b.data[min(b.restart(i), len(b.data)):]
+	shared, n := binary.Uvarint(d)
+	l, m := binary.Uvarint(d[max(n, 0):])
+	if n <= 0 || m <= 0 || shared != 0 || l < 8 || l > uint64(len(d)-n-m) {
+		return nil, fmt.Errorf("run: block %d restart %d: bad key", b.idx, i)
 	}
-	return parseBlock(idx, raw)
+	return d[n+m : n+m+int(l)], nil
 }
 
 // blockForOrdinal returns the index of the data block containing the
@@ -131,114 +126,262 @@ func (r *Reader) blockForOrdinal(ord uint64) int {
 	return sort.Search(len(bi), func(i int) bool { return bi[i].StartOrd > ord }) - 1
 }
 
-// iterBlockCacheCap bounds the parsed blocks an iterator retains. Binary
-// searches probe O(log n) scattered blocks; caching them avoids re-parsing
-// the offset footer on every probe, while the cap keeps long scans from
-// accumulating every block they pass through.
-const iterBlockCacheCap = 32
-
 // SeekGE positions a fresh iterator at the first entry >= (k.Hash, k.Key)
 // in entry order, i.e. the first entry of the newest version group whose
-// key is >= the bound. The offset array narrows the initial binary-search
-// range exactly as §7.1.1 describes.
+// key is >= the bound. The offset array narrows the search exactly as
+// §7.1.1 describes.
 func (r *Reader) SeekGE(k SearchKey) (*Iter, error) {
-	it := &Iter{r: r}
+	it := r.Begin()
 	if err := it.SeekGE(k); err != nil {
-		it.close()
+		it.Close()
 		return nil, err
 	}
 	return it, nil
 }
 
-// SeekGE repositions the iterator, keeping its parsed-block cache.
+// Begin returns an iterator positioned at the first entry of the run.
+func (r *Reader) Begin() *Iter { return &Iter{r: r, blk: block{idx: -1}} }
+
+// Iter is a cursor over the entries of one run in sorted order. A seek
+// costs one block fetch, a binary search over that block's restart keys
+// and at most restartInterval-1 sequential decodes; stepping decodes one
+// entry from the current position. Iterators are cheap; create one per
+// run per query. Not safe for concurrent use.
+//
+// Decoded entries stay valid after Next and Close: keys are rebuilt into
+// append-only arenas that are never rewritten, and included bytes alias
+// the immutable block.
+type Iter struct {
+	r   *Reader
+	ord uint64 // ordinal the iterator is positioned on
+	err error
+
+	blk block // the data block the iterator holds
+	// The decoded position, meaningful while decoded is true: cur is the
+	// entry with ordinal curOrd, hk its hash‖key bytes in the arena, next
+	// the byte offset in blk of the entry after it.
+	decoded bool
+	curOrd  uint64
+	cur     Entry
+	hk      []byte
+	next    int
+	arena   []byte
+}
+
+// arenaChunk is the allocation unit for rebuilt keys.
+const arenaChunk = 1024
+
+// SeekGE repositions the iterator, keeping the data block it holds.
 // Batched lookups reuse one iterator per run so that sorted keys landing
-// in the same data blocks amortize fetch and parse costs — the mechanism
-// behind §8.3.2's "no additional I/O is required to fetch that block
-// again for looking up other keys in the batch".
+// in the same data block share one fetch — the mechanism behind §8.3.2's
+// "no additional I/O is required to fetch that block again for looking up
+// other keys in the batch".
 func (it *Iter) SeekGE(k SearchKey) error {
-	r := it.r
-	lo, hi := uint64(0), r.h.Entries
-	if r.h.OffsetArray != nil {
-		b := keyenc.HashPrefix(k.Hash, r.h.Def.HashBits)
-		lo = r.h.OffsetArray[b]
-		hi = r.h.OffsetArray[b+1]
-		// Entries with a larger prefix can still be < k only within the
-		// same bucket, so [lo,hi) is a correct binary-search window for
-		// any key whose hash falls in bucket b.
-	}
+	h := it.r.h
 	it.err = nil
-	// Binary search over ordinals: find first ord with entry >= k.
-	var searchErr error
-	idx := sort.Search(int(hi-lo), func(i int) bool {
-		if searchErr != nil {
-			return true
-		}
-		e, err := it.entryAt(lo + uint64(i))
-		if err != nil {
-			searchErr = err
-			return true
-		}
-		return CompareToSearchKey(e, k) >= 0
-	})
-	if searchErr != nil {
-		return searchErr
+	lo, hi := uint64(0), h.Entries
+	if h.OffsetArray != nil {
+		// Entries of smaller buckets are < k and entries of larger ones
+		// > k, so the answer lies in [lo, hi].
+		b := keyenc.HashPrefix(k.Hash, h.Def.HashBits)
+		lo, hi = h.OffsetArray[b], h.OffsetArray[b+1]
 	}
-	it.ord = lo + uint64(idx)
+	it.ord = hi
+	if lo == hi {
+		return nil
+	}
+	// The last block of the window whose first entry is < k holds the
+	// answer, unless everything it holds inside the window is < k.
+	bi := h.BlockIndex
+	first, last := it.r.blockForOrdinal(lo), it.r.blockForOrdinal(hi-1)
+	b := first + sort.Search(last-first, func(i int) bool {
+		x := &bi[first+1+i]
+		return CompareToSearchKey(Entry{Hash: x.FirstHash, Key: x.FirstKey}, k) >= 0
+	})
+	if err := it.loadBlock(b); err != nil {
+		return it.fail(err)
+	}
+	// Likewise the last restart point of the window whose key is < k,
+	// then forward.
+	localLo := int(max(lo, it.blk.start) - it.blk.start)
+	localHi := int(min(hi-it.blk.start, uint64(it.blk.count)))
+	rLo, rHi := localLo/restartInterval, (localHi-1)/restartInterval
+	var err error
+	rp := rLo + sort.Search(rHi-rLo, func(i int) bool {
+		hk, kerr := it.blk.restartKey(rLo + 1 + i)
+		if kerr != nil {
+			err = kerr
+			return true
+		}
+		return CompareToSearchKey(Entry{Hash: binary.BigEndian.Uint64(hk), Key: hk[8:]}, k) >= 0
+	})
+	it.decoded = false
+	for local := rp * restartInterval; err == nil && local < localHi; local++ {
+		if err = it.decode(local); err == nil && CompareToSearchKey(it.cur, k) >= 0 {
+			it.ord = it.curOrd
+			return nil
+		}
+	}
+	if err != nil {
+		return it.fail(err)
+	}
+	// Everything the block holds inside the window is < k: the answer is
+	// the next block's first entry, or the window's end.
+	it.ord = min(it.blk.start+uint64(it.blk.count), hi)
 	return nil
 }
 
-// Begin returns an iterator positioned at the first entry of the run.
-func (r *Reader) Begin() *Iter {
-	return &Iter{r: r, ord: 0}
+func (it *Iter) fail(err error) error {
+	it.err = err
+	return err
 }
 
-// Iter walks entries of one run in sorted order. Iterators are cheap;
-// create one per run per query. Not safe for concurrent use.
-type Iter struct {
-	r      *Reader
-	ord    uint64
-	blocks map[uint32]*parsedBlock // parsed blocks, released on Close
-	err    error
-}
-
-// getBlock returns the parsed data block, fetching and caching it.
-func (it *Iter) getBlock(idx uint32) (*parsedBlock, error) {
-	if pb, ok := it.blocks[idx]; ok {
-		return pb, nil
+// loadBlock makes block idx the block the iterator holds.
+func (it *Iter) loadBlock(idx int) error {
+	if it.blk.idx == idx {
+		return nil
 	}
-	pb, err := it.r.fetchParsed(idx)
+	if it.blk.idx >= 0 {
+		it.r.src.Release(uint32(it.blk.idx))
+		it.blk.idx = -1
+	}
+	raw, err := it.r.src.FetchBlock(uint32(idx))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if it.blocks == nil {
-		it.blocks = make(map[uint32]*parsedBlock, 8)
+	blk, err := it.r.openBlock(idx, raw)
+	if err != nil {
+		it.r.src.Release(uint32(idx))
+		return err
 	}
-	for len(it.blocks) >= iterBlockCacheCap {
-		for k := range it.blocks {
-			it.r.src.Release(k)
-			delete(it.blocks, k)
-			break
+	it.blk = blk
+	return nil
+}
+
+// position decodes the entry the iterator is positioned on: by stepping
+// when it is at most a restart interval ahead of the decoded position,
+// otherwise from the restart point of its interval.
+func (it *Iter) position() error {
+	for !it.decoded || it.curOrd != it.ord {
+		target := it.curOrd + 1
+		if !it.decoded || it.ord < target || it.ord-it.curOrd > restartInterval {
+			if err := it.loadBlock(it.r.blockForOrdinal(it.ord)); err != nil {
+				return err
+			}
+			it.decoded = false
+			target = it.ord - (it.ord-it.blk.start)%restartInterval
+		} else if target == it.blk.start+uint64(it.blk.count) {
+			if err := it.loadBlock(it.blk.idx + 1); err != nil {
+				return err
+			}
+		}
+		if err := it.decode(int(target - it.blk.start)); err != nil {
+			return err
 		}
 	}
-	it.blocks[idx] = pb
-	return pb, nil
+	return nil
 }
 
-// entryAt fetches the entry with the given global ordinal.
-func (it *Iter) entryAt(ord uint64) (Entry, error) {
-	b := it.r.blockForOrdinal(ord)
-	if b < 0 {
-		return Entry{}, fmt.Errorf("run: ordinal %d before first block", ord)
+// decode decodes the entry at index local of the held block, which must
+// be a restart point or follow the decoded position. An entry reached by
+// stepping is also checked to sort at or after the one before it.
+func (it *Iter) decode(local int) error {
+	d, ord := it.blk.data, it.blk.start+uint64(local)
+	stepped := it.decoded && it.curOrd+1 == ord
+	var prevHK, base []byte
+	var prevTS, baseTS types.TS
+	if stepped {
+		prevHK, prevTS = it.hk, it.cur.BeginTS
 	}
-	pb, err := it.getBlock(uint32(b))
-	if err != nil {
-		return Entry{}, err
+	off := it.next
+	if local%restartInterval == 0 {
+		off = it.blk.restart(local / restartInterval)
+		if stepped && local > 0 && off != it.next {
+			off = len(d) // the restart table disagrees with the entries
+		}
+	} else {
+		base, baseTS = prevHK, prevTS
 	}
-	local := int(ord - it.r.h.BlockIndex[b].StartOrd)
-	if local < 0 || local >= len(pb.offsets) {
-		return Entry{}, fmt.Errorf("run: ordinal %d outside block %d", ord, b)
+	if off >= len(d) {
+		return it.corrupt(local, "bad offset")
 	}
-	return pb.entry(local)
+
+	rd := varintReader{d: d, p: off}
+	shared, suffixLen := rd.uvarint(), rd.uvarint()
+	if rd.bad || shared > uint64(len(base)) || suffixLen > uint64(len(d)-rd.p) || shared+suffixLen < 8 {
+		return it.corrupt(local, "bad key lengths")
+	}
+	suffix := d[rd.p : rd.p+int(suffixLen)]
+	rd.p += len(suffix)
+	order := 1
+	if stepped {
+		order = bytes.Compare(suffix, prevHK[shared:])
+	}
+	// Rebuild hash‖key in the arena; a full chunk is left to the entries
+	// that reference it.
+	if need := int(shared) + len(suffix); cap(it.arena)-len(it.arena) < need {
+		it.arena = make([]byte, 0, max(need, arenaChunk))
+	}
+	at := len(it.arena)
+	it.arena = append(append(it.arena, base[:shared]...), suffix...)
+	hk := it.arena[at:len(it.arena):len(it.arena)]
+
+	ts := baseTS + types.TS(rd.varint())
+	dBlock, offset, inclLen := rd.varint(), rd.uvarint(), rd.uvarint()
+	p := rd.p
+	if rd.bad || offset > math.MaxUint32 || inclLen > uint64(len(d)-p) {
+		return it.corrupt(local, "bad beginTS, RID or included length")
+	}
+	if order < 0 || (order == 0 && ts > prevTS) {
+		return it.corrupt(local, "out of order")
+	}
+
+	meta := &it.r.h.Meta
+	it.cur = Entry{
+		Hash:    binary.BigEndian.Uint64(hk),
+		Key:     hk[8:],
+		BeginTS: ts,
+		RID:     types.RID{Zone: meta.Zone, Block: meta.Blocks.Min + uint64(dBlock), Offset: uint32(offset)},
+	}
+	if inclLen > 0 {
+		it.cur.Included = d[p : p+int(inclLen) : p+int(inclLen)]
+	}
+	it.hk, it.next, it.curOrd, it.decoded = hk, p+int(inclLen), ord, true
+	return nil
+}
+
+// corrupt drops the decoded position and reports damaged entry bytes.
+func (it *Iter) corrupt(local int, what string) error {
+	it.decoded = false
+	return fmt.Errorf("run: block %d entry %d: %s", it.blk.idx, local, what)
+}
+
+// varintReader reads varints off a byte slice; bad is set once one is
+// truncated or overlong.
+type varintReader struct {
+	d   []byte
+	p   int
+	bad bool
+}
+
+func (r *varintReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.d[r.p:])
+	if n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.p += n
+	return v
+}
+
+func (r *varintReader) varint() int64 {
+	v, n := binary.Varint(r.d[r.p:])
+	if n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.p += n
+	return v
 }
 
 // Valid reports whether the iterator is positioned on an entry.
@@ -255,12 +398,10 @@ func (it *Iter) Entry() (Entry, error) {
 		}
 		return Entry{}, fmt.Errorf("run: iterator exhausted")
 	}
-	e, err := it.entryAt(it.ord)
-	if err != nil {
-		it.err = err
-		return Entry{}, err
+	if err := it.position(); err != nil {
+		return Entry{}, it.fail(err)
 	}
-	return e, nil
+	return it.cur, nil
 }
 
 // Next advances to the following entry.
@@ -269,14 +410,12 @@ func (it *Iter) Next() { it.ord++ }
 // Ordinal returns the current entry ordinal (for tests and debugging).
 func (it *Iter) Ordinal() uint64 { return it.ord }
 
-// Close releases any block the iterator pinned.
-func (it *Iter) Close() { it.close() }
-
-func (it *Iter) close() {
-	for idx := range it.blocks {
-		it.r.src.Release(idx)
+// Close releases the block the iterator holds.
+func (it *Iter) Close() {
+	if it.blk.idx >= 0 {
+		it.r.src.Release(uint32(it.blk.idx))
 	}
-	it.blocks = nil
+	it.blk.idx, it.decoded = -1, false
 }
 
 // MayContain applies the synopsis check of §7: the run can be skipped if

@@ -349,7 +349,7 @@ func TestFooterRoundTrip(t *testing.T) {
 	if off == 0 || l == 0 {
 		t.Errorf("footer = (%d, %d)", off, l)
 	}
-	if _, _, err := ParseFooter(data[:footerSize-1]); err == nil {
+	if _, _, err := ParseFooter(data[:FooterSize-1]); err == nil {
 		t.Error("short footer accepted")
 	}
 	bad := append([]byte(nil), data...)
@@ -500,7 +500,7 @@ func TestIncludedColumnsRoundTrip(t *testing.T) {
 		IncludedKinds: []keyenc.Kind{keyenc.KindFloat64, keyenc.KindString},
 		HashBits:      4,
 	}
-	b, err := NewBuilder(def, Meta{}, 0)
+	b, err := NewBuilder(def, Meta{Zone: types.ZoneGroomed}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,15 +612,24 @@ func TestNoHashBitsPureRangeIndex(t *testing.T) {
 	}
 }
 
-func TestParseBlockCorrupt(t *testing.T) {
-	if _, err := parseBlock(0, []byte{1, 2}); err == nil {
+func TestOpenBlockCorrupt(t *testing.T) {
+	data, h := buildRun(t, defI1(), 40, 5, 0)
+	r := NewReader(h, NewMemSource(data, h))
+	raw, err := r.src.FetchBlock(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.openBlock(0, raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.openBlock(0, raw[:2]); err == nil {
 		t.Error("short block accepted")
 	}
-	// Offset table claims more entries than fit.
-	bad := make([]byte, 16)
-	bad[len(bad)-1] = 200
-	if _, err := parseBlock(0, bad); err == nil {
-		t.Error("overrunning offset table accepted")
+	// The tail claims a different entry count than the header.
+	bad := append([]byte(nil), raw...)
+	bad[len(bad)-1]++
+	if _, err := r.openBlock(0, bad); err == nil {
+		t.Error("entry count mismatch accepted")
 	}
 }
 

@@ -122,6 +122,9 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				Durability: DurabilityOptions{SyncPolicy: SyncPerCommit, SegmentBytes: 256},
 			}
 			cfg.IndexTuning.BlockSize = 1024
+			// Merge early, so merged groomed runs — which live in memory
+			// only — exist when a lifetime crashes.
+			cfg.IndexTuning.K = 2
 
 			oracle := map[string]Row{} // pk encoding -> freshest acked row
 			def := cfg.Table
@@ -157,6 +160,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 						}
 					case r < 8:
 						if err := e.Groom(); err != nil {
+							crashed = true
+						} else if _, err := e.MaintainOnce(); err != nil {
 							crashed = true
 						}
 					case r < 9:
@@ -227,6 +232,7 @@ func TestCrashRecoveryConcurrent(t *testing.T) {
 		Durability: DurabilityOptions{SyncPolicy: SyncPerCommit, SegmentBytes: 512},
 	}
 	cfg.IndexTuning.BlockSize = 1024
+	cfg.IndexTuning.K = 2
 	cs.Revive(400)
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -261,8 +267,15 @@ func TestCrashRecoveryConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for {
-			if err := e.Groom(); err != nil {
-				return
+			// Two grooms and a merge pass per post-groom: the crash finds
+			// merged groomed runs that exist in memory only.
+			for i := 0; i < 2; i++ {
+				if err := e.Groom(); err != nil {
+					return
+				}
+				if _, err := e.MaintainOnce(); err != nil {
+					return
+				}
 			}
 			if _, err := e.PostGroom(); err != nil {
 				return
@@ -495,6 +508,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 		Durability: DurabilityOptions{SyncPolicy: SyncPerCommit},
 	}
 	cfg.IndexTuning.BlockSize = 1024
+	cfg.IndexTuning.K = 2
 	s, err := NewShardedEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -506,9 +520,13 @@ func TestShardedCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if dev == devices/2 {
-			// Half the data grooms; the rest stays in the log tails.
+		if dev <= devices/2 {
+			// Half the data grooms — and merges into runs that live in
+			// memory only; the rest stays in the log tails.
 			if err := s.Groom(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.MaintainOnce(); err != nil {
 				t.Fatal(err)
 			}
 		}

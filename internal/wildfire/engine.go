@@ -342,6 +342,21 @@ func declaredSecondary(specs []SecondaryIndexSpec, name string) (IndexSpec, bool
 // inspect it directly).
 func (e *Engine) Index() *core.Index { return e.idx }
 
+// MaintainOnce runs one maintenance pass (at most one merge per zone) on
+// every index of the set; it reports whether any performed work. The
+// daemons started by Start do the same on a timer.
+func (e *Engine) MaintainOnce() (bool, error) {
+	worked := false
+	for _, ti := range e.indexSet() {
+		did, err := ti.idx.MaintainOnce()
+		if err != nil {
+			return worked, err
+		}
+		worked = worked || did
+	}
+	return worked, nil
+}
+
 // BlockCache returns the decoded-block cache the engine reads through
 // (possibly shared with other shards of its table).
 func (e *Engine) BlockCache() *BlockCache { return e.blocks }

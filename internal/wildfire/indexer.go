@@ -1,12 +1,10 @@
 package wildfire
 
 import (
-	"context"
 	"fmt"
 
 	"umzi/internal/columnar"
 	"umzi/internal/core"
-	"umzi/internal/run"
 	"umzi/internal/types"
 )
 
@@ -55,26 +53,9 @@ func (e *Engine) evolveOne(ti *tableIndex, psn types.PSN) error {
 		return err
 	}
 
-	var entries []run.Entry
-	nUser := len(e.table.Columns)
-	for _, id := range blockIDs {
-		blk, err := e.fetchBlock(context.Background(), postBlockName(e.table.Name, id))
-		if err != nil {
-			return fmt.Errorf("wildfire: evolve reading post block %d: %w", id, err)
-		}
-		for r := 0; r < blk.NumRows(); r++ {
-			row := make(Row, nUser)
-			for c := 0; c < nUser; c++ {
-				row[c] = blk.Value(r, c)
-			}
-			beginTS := types.TS(blk.Value(r, nUser).Uint())
-			rid := types.RID{Zone: types.ZonePostGroomed, Block: id, Offset: uint32(r)}
-			entry, err := ti.entryForRow(row, beginTS, rid)
-			if err != nil {
-				return err
-			}
-			entries = append(entries, entry)
-		}
+	entries, err := e.entriesFromBlocks(ti, types.ZonePostGroomed, blockIDs)
+	if err != nil {
+		return fmt.Errorf("wildfire: evolve PSN %d: %w", psn, err)
 	}
 
 	if err := ti.idx.Evolve(psn, entries, types.BlockRange{Min: lo, Max: hi}); err != nil {

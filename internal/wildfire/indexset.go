@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -644,29 +646,49 @@ func (e *Engine) CreateIndex(spec SecondaryIndexSpec) error {
 }
 
 // entriesFromBlocks builds one index's entries for the listed data
-// blocks of a zone, in block order.
+// blocks of a zone, in block order. It reads only the index's own
+// columns and beginTS, numeric columns a column at a time.
 func (e *Engine) entriesFromBlocks(ti *tableIndex, zone types.ZoneID, blockIDs []uint64) ([]run.Entry, error) {
 	var entries []run.Entry
 	nUser := len(e.table.Columns)
+	cols := slices.Concat(ti.eqIdx, ti.sortIdx, ti.inclIdx)
+	nEq, nKey := len(ti.eqIdx), len(ti.eqIdx)+len(ti.sortIdx)
+	vals := make([]keyenc.Value, len(cols)) // one row's values, reused
+	nums := make([][]uint64, len(cols))
+	var beginTS []uint64
 	for _, id := range blockIDs {
-		var name string
+		name := postBlockName(e.table.Name, id)
 		if zone == types.ZoneGroomed {
 			name = groomedBlockName(e.table.Name, id)
-		} else {
-			name = postBlockName(e.table.Name, id)
 		}
 		blk, err := e.fetchBlock(context.Background(), name)
 		if err != nil {
 			return nil, fmt.Errorf("wildfire: indexing %s: %w", name, err)
 		}
-		for r := 0; r < blk.NumRows(); r++ {
-			row := make(Row, nUser)
-			for c := 0; c < nUser; c++ {
-				row[c] = blk.Value(r, c)
+		beginTS = blk.AppendNums(nUser, beginTS[:0])
+		for i, c := range cols {
+			if e.table.Columns[c].Kind.Fixed() {
+				nums[i] = blk.AppendNums(c, nums[i][:0])
 			}
-			beginTS := types.TS(blk.Value(r, nUser).Uint())
+		}
+		entries = slices.Grow(entries, len(beginTS))
+		for r, ts := range beginTS {
+			for i, c := range cols {
+				switch kind := e.table.Columns[c].Kind; kind {
+				case keyenc.KindInt64:
+					vals[i] = keyenc.I64(int64(nums[i][r]))
+				case keyenc.KindUint64:
+					vals[i] = keyenc.U64(nums[i][r])
+				case keyenc.KindFloat64:
+					vals[i] = keyenc.F64(math.Float64frombits(nums[i][r]))
+				case keyenc.KindBool:
+					vals[i] = keyenc.B(nums[i][r] != 0)
+				default:
+					vals[i] = blk.Value(r, c)
+				}
+			}
 			rid := types.RID{Zone: zone, Block: id, Offset: uint32(r)}
-			entry, err := ti.entryForRow(row, beginTS, rid)
+			entry, err := ti.idx.MakeEntry(vals[:nEq], vals[nEq:nKey], vals[nKey:], types.TS(ts), rid)
 			if err != nil {
 				return nil, err
 			}

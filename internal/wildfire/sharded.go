@@ -533,15 +533,15 @@ func (s *ShardedEngine) SyncIndex() error {
 	})
 }
 
-// MaintainOnce runs one index maintenance pass per shard; it reports
-// whether any shard performed work.
+// MaintainOnce runs one maintenance pass over every index of every shard;
+// it reports whether any performed work.
 func (s *ShardedEngine) MaintainOnce() (bool, error) {
 	if s.closed.Load() {
 		return false, fmt.Errorf("wildfire: engine closed")
 	}
 	did := make([]bool, len(s.shards))
 	err := s.pool.each(context.Background(), len(s.shards), func(i int) error {
-		d, err := s.shards[i].Index().MaintainOnce()
+		d, err := s.shards[i].MaintainOnce()
 		did[i] = d
 		return err
 	})

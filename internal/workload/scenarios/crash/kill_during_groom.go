@@ -128,6 +128,11 @@ func KillDuringGroom(ctx context.Context, s *workload.State) {
 				if err := tbl.Groom(); err != nil {
 					crashErr = err
 				}
+				// Merged groomed runs live in memory only: make sure
+				// some exist when the kill comes.
+				if _, err := tbl.MaintainOnce(); err != nil && crashErr == nil {
+					crashErr = err
+				}
 			}
 		}
 		if ctx.Err() != nil {

@@ -114,6 +114,11 @@ func (t *Table) PostGroom() error { return t.eng.PostGroom() }
 // SyncIndex applies pending index evolve operations on every shard.
 func (t *Table) SyncIndex() error { return t.eng.SyncIndex() }
 
+// MaintainOnce runs one index maintenance pass (at most one merge per
+// zone and index) on every shard; it reports whether any merged. Tables
+// started with Start do this on a timer.
+func (t *Table) MaintainOnce() (bool, error) { return t.eng.MaintainOnce() }
+
 // LiveCount reports committed-but-ungroomed records across all shards.
 func (t *Table) LiveCount() int { return t.eng.LiveCount() }
 
