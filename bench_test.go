@@ -255,59 +255,6 @@ func BenchmarkSecondaryLookup(b *testing.B) {
 	})
 }
 
-// BenchmarkFigS5EncodedScan regenerates Figure S5 (encoded vectorized
-// scan vs the scalar executor across selectivities, plus the encoded
-// on-store footprint against the plain layout).
-func BenchmarkFigS5EncodedScan(b *testing.B) { benchFigure(b, bench.FigS5EncodedScan) }
-
-// BenchmarkVectorizedScan compares the default vectorized executor
-// against the preserved scalar row-at-a-time path on a full-table
-// aggregation over a 4-shard orders table. Both paths see identical
-// blocks and the same min/max synopses; the difference is pure
-// evaluation strategy — selection bitmaps over encoded columns and
-// direct row emission vs per-row Value calls through the multi-version
-// winner map. This is the Figure S5 headline cell as a plain Go
-// benchmark; expect the vectorized path to win by over 3x.
-func BenchmarkVectorizedScan(b *testing.B) {
-	const shards = 4
-	eng, err := bench.NewShardedOrders("bvecscan", shards, shardBenchRows,
-		umzi.LatencyModel{PerOp: 100 * time.Microsecond})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { eng.Close() })
-	plan := bench.AggPushdownPlan(int64(shardBenchRows)) // selects every row
-	wantCount := int64(shardBenchRows)
-	wantSum := wantCount * (wantCount - 1) / 2
-
-	check := func(b *testing.B, res *exec.Result) {
-		b.Helper()
-		if res.Rows[0][0].Int() != wantCount || res.Rows[0][1].Int() != wantSum {
-			b.Fatalf("aggregate = %v, want (%d, %d)", res.Rows[0], wantCount, wantSum)
-		}
-	}
-	b.Run("vectorized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := bench.ExecOnShards(eng, plan, wildfire.QueryOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			check(b, res)
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := bench.ExecOnShards(eng, plan, wildfire.QueryOptions{ScalarExec: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			check(b, res)
-		}
-	})
-}
-
 // BenchmarkAblationSecondaryIndex runs the index-selection vs zone-scan
 // sweep (A8).
 func BenchmarkAblationSecondaryIndex(b *testing.B) { benchFigure(b, bench.AblationSecondaryIndex) }

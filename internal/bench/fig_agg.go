@@ -53,7 +53,7 @@ func NewShardedOrders(name string, shards, rows int, lat storage.LatencyModel) (
 }
 
 // newShardedOrdersOn is NewShardedOrders over a caller-owned store, so
-// drivers that inspect the written block objects (Figure S5) keep a
+// drivers that reopen engines over the written objects (Figure S6) keep a
 // handle to them.
 func newShardedOrdersOn(store *storage.MemStore, name string, shards, rows int) (*wildfire.ShardedEngine, error) {
 	table, spec := ordersTable(name)

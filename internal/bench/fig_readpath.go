@@ -10,7 +10,7 @@ import (
 )
 
 // Figure S6 (extension): intra-shard parallel scans and the bounded
-// decoded-block cache. The A7/S5 orders workload is built once into a
+// decoded-block cache. The A7 orders workload is built once into a
 // single shard, then the same aggregation scan runs at increasing
 // ScanParallelism over the same encoded blocks. Two regimes:
 //

@@ -2,6 +2,8 @@ package wildfire
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"umzi/internal/columnar"
@@ -360,4 +362,67 @@ func TestGetBatch(t *testing.T) {
 			t.Errorf("batch[%d]: reading %v, want %d", i, recs[i].Row[2], msg)
 		}
 	}
+}
+
+// TestEncodedFootprintSmallerThanPlain checks that the groomed and
+// post-groomed blocks an engine writes occupy fewer bytes on the store
+// than the plain layout of the same data.
+func TestEncodedFootprintSmallerThanPlain(t *testing.T) {
+	store := storage.NewMemStore(storage.LatencyModel{})
+	e := newTestEngine(t, func(cfg *Config) { cfg.Store = store })
+	for round := int64(0); round < 4; round++ {
+		rows := make([]Row, 0, 500)
+		for i := int64(0); i < 500; i++ {
+			msg := round*500 + i
+			rows = append(rows, row(msg%8, msg, float64(msg%97), 100+msg/250))
+		}
+		if err := e.UpsertRows(0, rows...); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Groom(); err != nil {
+			t.Fatal(err)
+		}
+		if round%2 == 1 {
+			if _, err := e.PostGroom(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	enc, plain, blocks, err := blockStoreFootprint(store, "tbl/"+e.table.Name+"/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc >= plain {
+		t.Errorf("encoded bytes %d not smaller than plain layout %d over %d blocks", enc, plain, blocks)
+	}
+}
+
+// blockStoreFootprint sums the marshaled size of every groomed and
+// post-groomed block under prefix against the plain layout of the same
+// data.
+func blockStoreFootprint(store *storage.MemStore, prefix string) (enc, plain, blocks int, err error) {
+	names, err := store.List(prefix)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	for _, name := range names {
+		if !strings.Contains(name, "/groomed/block-") && !strings.Contains(name, "/post/block-") {
+			continue
+		}
+		data, err := store.Get(name)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		blk, err := columnar.Unmarshal(data)
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("block %s: %w", name, err)
+		}
+		enc += len(data)
+		plain += blk.PlainSize()
+		blocks++
+	}
+	if blocks == 0 {
+		return 0, 0, 0, fmt.Errorf("no blocks under %s", prefix)
+	}
+	return enc, plain, blocks, nil
 }

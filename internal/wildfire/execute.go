@@ -118,8 +118,7 @@ type scanBlk struct {
 // each scanned block — the per-row winner reconciliation is skipped
 // entirely and selected visible rows feed the partial directly; blocks
 // under groom/post-groom migration overlap transiently and fall back to
-// the winner map. QueryOptions.ScalarExec forces the legacy
-// row-at-a-time path (the Figure S5 baseline).
+// the winner map.
 //
 // Both the block fetch/classify pass and the fast path run on the
 // engine's intra-shard scan pool (Config.ScanParallelism workers): the
@@ -131,9 +130,6 @@ type scanBlk struct {
 // per-key argmax that the transient migration states it serves do not
 // justify parallelizing.
 func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts QueryOptions) (*exec.Partial, error) {
-	if opts.ScalarExec {
-		return e.executeBoundScalar(ctx, bound, opts)
-	}
 	if e.closed.Load() {
 		return nil, fmt.Errorf("wildfire: engine closed")
 	}
@@ -389,121 +385,4 @@ func (e *Engine) disjointUniqueBlocks(blks []scanBlk, pkIdx []int) bool {
 		}
 	}
 	return true
-}
-
-// executeBoundScalar is the legacy row-at-a-time zone scan, preserved
-// verbatim as the vectorized path's baseline (QueryOptions.ScalarExec;
-// Figure S5 sweeps one against the other): min/max synopsis skipping
-// only, per-row beginTS decode through Value, and per-winner predicate
-// evaluation through RowView.
-func (e *Engine) executeBoundScalar(ctx context.Context, bound *exec.BoundPlan, opts QueryOptions) (*exec.Partial, error) {
-	if e.closed.Load() {
-		return nil, fmt.Errorf("wildfire: engine closed")
-	}
-	epoch := e.gate.enter()
-	defer e.gate.exit(epoch)
-	ts := e.resolveTS(opts)
-	start := time.Now()
-	var blocksRead, blocksSkipped int64
-
-	pkIdx := make([]int, len(e.table.PrimaryKey))
-	for i, k := range e.table.PrimaryKey {
-		pkIdx[i] = e.table.colIndex(k)
-	}
-	nUser := len(e.table.Columns)
-	winners := make(map[string]execCandidate)
-	var keyBuf []byte
-
-	groomedIDs, postIDs := e.zoneSnapshot()
-	scanBlock := func(name string) error {
-		blk, err := e.fetchBlock(ctx, name)
-		if err != nil {
-			return err
-		}
-		if min, ok := blk.ColumnMin(nUser); !ok || types.TS(min.Uint()) > ts {
-			blocksSkipped++
-			return nil // empty, or nothing visible at this timestamp
-		}
-		var sel *exec.Bitmap
-		if bound.CanMatchBlock(blk) {
-			blocksRead++
-			sel = allRowsBitmap(blk.NumRows())
-		} else {
-			// Key/beginTS columns only: the synopsis proved no row can
-			// qualify, so the scan counts as skipped for skip-ratio purposes.
-			blocksSkipped++
-		}
-		for r := 0; r < blk.NumRows(); r++ {
-			beginTS := blk.Value(r, nUser).Uint()
-			if types.TS(beginTS) > ts {
-				continue
-			}
-			keyBuf = keyBuf[:0]
-			for _, c := range pkIdx {
-				keyBuf = keyenc.Append(keyBuf, blk.Value(r, c))
-			}
-			if w, ok := winners[string(keyBuf)]; ok && w.beginTS >= beginTS {
-				continue
-			}
-			winners[string(keyBuf)] = execCandidate{beginTS: beginTS, blk: blk, row: r, sel: sel}
-		}
-		return nil
-	}
-	for _, id := range groomedIDs {
-		if err := scanBlock(groomedBlockName(e.table.Name, id)); err != nil {
-			return nil, err
-		}
-	}
-	for _, id := range postIDs {
-		if err := scanBlock(postBlockName(e.table.Name, id)); err != nil {
-			return nil, err
-		}
-	}
-
-	live := e.liveOverlay(ts, opts)
-	for pk, best := range live {
-		winners[pk] = execCandidate{beginTS: uint64(types.MaxTS), liveRow: best.row}
-	}
-	liveUnion := int64(len(live))
-
-	e.mx.execBlocksRead.Add(blocksRead)
-	e.mx.execBlocksSkipped.Add(blocksSkipped)
-	opts.Trace.AddBlocksRead(blocksRead)
-	opts.Trace.AddBlocksSkipped(blocksSkipped)
-	opts.Trace.AddLiveUnion(liveUnion)
-	opts.Trace.AddSpan(obs.TraceSpan{
-		Shard:         e.table.Name,
-		BlocksRead:    blocksRead,
-		BlocksSkipped: blocksSkipped,
-		LiveUnion:     liveUnion,
-		Elapsed:       time.Since(start),
-	})
-
-	part := bound.NewPartial()
-	for _, w := range winners {
-		var view exec.RowView
-		if w.liveRow != nil {
-			row := w.liveRow
-			view = func(c int) keyenc.Value { return row[c] }
-		} else {
-			if w.sel == nil {
-				continue
-			}
-			blk, r := w.blk, w.row
-			view = func(c int) keyenc.Value { return blk.Value(r, c) }
-		}
-		if !bound.Matches(view) {
-			continue
-		}
-		part.Add(view)
-	}
-	return part, nil
-}
-
-// allRowsBitmap is a fully set selection bitmap; the scalar path uses
-// it as the "block scanned" marker so both paths share execCandidate.
-func allRowsBitmap(n int) *exec.Bitmap {
-	bm := exec.NewBitmap(n)
-	bm.SetAll()
-	return bm
 }

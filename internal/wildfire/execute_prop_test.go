@@ -19,7 +19,9 @@ import (
 // the table. Checks run with the live zone both excluded and included,
 // so groups routinely straddle the live/groomed boundary, and at
 // historical groom boundaries so beginTS visibility (and the executor's
-// beginTS block skipping) is exercised.
+// beginTS block skipping) is exercised. The single engine also runs
+// every plan as a forced zone scan (NoIndexSelection), so index
+// selection is checked against the scan it replaces.
 //
 // Readings are whole numbers stored as float64, so float sums are exact
 // and order-independent: the reference, the single engine and the
@@ -289,9 +291,9 @@ func executeEquivalence(t *testing.T, seed int64) {
 		}{
 			{"single", func() (*exec.Result, error) { return execute(single, p, opts) }},
 			{"sharded", func() (*exec.Result, error) { return execute(sharded, p, opts) }},
-			{"scalar", func() (*exec.Result, error) {
+			{"zone-scan", func() (*exec.Result, error) {
 				o := opts
-				o.ScalarExec = true
+				o.NoIndexSelection = true
 				return execute(single, p, o)
 			}},
 		} {

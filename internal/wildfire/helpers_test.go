@@ -42,10 +42,10 @@ func getOn(r streamer, index string, eq, sortv []keyenc.Value, opts QueryOptions
 	return recs[0], true, nil
 }
 
-// execute runs an analytical plan on one shard's ExecutePlan primitive,
+// execute runs an analytical plan on one shard's executePlan primitive,
 // or on every shard of a table through the coordinator's execPartials,
-// and finalizes the partials — the executor with QueryOptions exposed
-// (ScalarExec, NoIndexSelection), which a QuerySpec cannot carry.
+// and finalizes the partials — the executor with QueryOptions exposed,
+// below the QuerySpec compile step.
 func execute(r streamer, p exec.Plan, opts QueryOptions) (*exec.Result, error) {
 	ctx := context.Background()
 	switch r := r.(type) {
@@ -54,7 +54,7 @@ func execute(r streamer, p exec.Plan, opts QueryOptions) (*exec.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		part, err := r.ExecutePlan(ctx, bound, p.Filter, opts)
+		part, err := r.executePlan(ctx, bound, p.Filter, opts)
 		if err != nil {
 			return nil, err
 		}

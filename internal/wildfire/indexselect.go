@@ -31,14 +31,14 @@ const indexPlanCandidateCap = 4096
 // errIndexPlanTooBroad reverts an index-selected plan to the zone scan.
 var errIndexPlanTooBroad = fmt.Errorf("wildfire: index plan exceeds the candidate cap")
 
-// ExecutePlan evaluates a bound plan on this shard into a partial
+// executePlan evaluates a bound plan on this shard into a partial
 // result — the unit the coordinator merges across shards — routing
 // through an index when the selection rule finds one (and the caller
 // didn't opt out), falling back to the zone scan otherwise — including
 // when the index probe turns out too broad to beat the scan. filter is
 // the plan's original predicate expression (the bound plan cannot be
 // introspected syntactically).
-func (e *Engine) ExecutePlan(ctx context.Context, bound *exec.BoundPlan, filter exec.Expr, opts QueryOptions) (*exec.Partial, error) {
+func (e *Engine) executePlan(ctx context.Context, bound *exec.BoundPlan, filter exec.Expr, opts QueryOptions) (*exec.Partial, error) {
 	if !opts.NoIndexSelection {
 		if ti, cons, ok := e.chooseIndex(filter); ok {
 			part, err := e.executeViaIndex(ctx, bound, ti, cons, opts)

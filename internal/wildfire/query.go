@@ -40,14 +40,9 @@ type QueryOptions struct {
 	// more than Limit rows for a limited scan. Executor plans carry their
 	// own limit (exec.Plan.Limit) and ignore this one.
 	Limit int
-	// NoIndexSelection makes ExecutePlan evaluate its plan as a zone scan
+	// NoIndexSelection makes executePlan evaluate its plan as a zone scan
 	// even when the filter matches an index (baselines, ablations).
 	NoIndexSelection bool
-	// ScalarExec makes ExecutePlan evaluate its zone scan with the legacy
-	// row-at-a-time path: min/max synopsis skipping only (no bloom
-	// filters) and per-row predicate evaluation through RowView instead
-	// of vectorized selection bitmaps. Baseline for the Figure S5 sweep.
-	ScalarExec bool
 	// Trace, when set, receives the query's execution profile: per-shard
 	// spans, blocks read vs. synopsis-skipped, live-union size, and
 	// back-check counts. Nil is a no-op (every trace method is

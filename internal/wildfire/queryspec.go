@@ -425,7 +425,7 @@ func projectRow(row Row, ords []int) []keyenc.Value {
 func (s *ShardedEngine) execPartials(ctx context.Context, bound *exec.BoundPlan, filter exec.Expr, opts QueryOptions) ([]*exec.Partial, error) {
 	parts := make([]*exec.Partial, len(s.shards))
 	err := s.pool.each(ctx, len(s.shards), func(i int) error {
-		part, err := s.shards[i].ExecutePlan(ctx, bound, filter, opts)
+		part, err := s.shards[i].executePlan(ctx, bound, filter, opts)
 		parts[i] = part
 		return err
 	})

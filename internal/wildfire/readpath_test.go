@@ -79,8 +79,9 @@ func TestBlockCacheStampede(t *testing.T) {
 // (ScanParallelism 1), parallel (8), parallel with a starved block-cache
 // budget (eviction churn mid-query), and a 4-shard parallel sharded
 // engine — through the same random workload, and checks random plans
-// agree across all of them, on the normal and the ScalarExec paths,
-// with and without the live zone, and at historical groom boundaries.
+// agree across all of them, with index selection and as a forced zone
+// scan (NoIndexSelection), with and without the live zone, and at
+// historical groom boundaries.
 func TestReadPathParallelEquivalence(t *testing.T) {
 	seeds := []int64{11, 42}
 	if testing.Short() {
@@ -121,14 +122,14 @@ func readPathEquivalence(t *testing.T, seed int64) {
 			{"par", func() (*exec.Result, error) { return execute(par, p, opts) }},
 			{"starved", func() (*exec.Result, error) { return execute(starved, p, opts) }},
 			{"sharded", func() (*exec.Result, error) { return execute(sharded, p, opts) }},
-			{"par-scalar", func() (*exec.Result, error) {
+			{"par-zone-scan", func() (*exec.Result, error) {
 				o := opts
-				o.ScalarExec = true
+				o.NoIndexSelection = true
 				return execute(par, p, o)
 			}},
-			{"seq-scalar", func() (*exec.Result, error) {
+			{"seq-zone-scan", func() (*exec.Result, error) {
 				o := opts
-				o.ScalarExec = true
+				o.NoIndexSelection = true
 				return execute(seq, p, o)
 			}},
 		}
