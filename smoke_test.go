@@ -69,9 +69,11 @@ func TestExamplesAndCommandsSmoke(t *testing.T) {
 	}
 
 	for _, c := range cases {
+		// The temp dir is random per run; name it TMPDIR so the subtest
+		// name is the same every run.
 		name := c.pkg
 		if len(c.args) > 0 {
-			name += " " + strings.Join(c.args, " ")
+			name += " " + strings.ReplaceAll(strings.Join(c.args, " "), dir, "TMPDIR")
 		}
 		t.Run(name, func(t *testing.T) {
 			cmd := exec.Command(bins[c.pkg], c.args...)
