@@ -107,34 +107,16 @@ type Engine struct {
 	walMarkSeq       uint64
 	walMarkPersisted uint64
 	// groomCycle numbers groom operations; it doubles as the groomed
-	// block ID and as the high part of beginTS.
-	groomCycle atomic.Uint64
-	// lastGroomTS is the snapshot boundary: every groomed version has
-	// beginTS <= lastGroomTS.
-	lastGroomTS atomic.Uint64
-	// maxPSN is the post-groomer's published watermark; the indexer polls
-	// it (Figure 5).
-	maxPSN atomic.Uint64
-	// consumedHi is the highest groomed block ID consumed by a published
-	// post-groom — the boundary between pending and deprecated blocks.
-	consumedHi atomic.Uint64
-	// postBlockSeq numbers post-groomed blocks.
+	// block ID and as the high part of beginTS. postBlockSeq numbers
+	// post-groomed blocks.
+	groomCycle   atomic.Uint64
 	postBlockSeq atomic.Uint64
 
-	// pending guards the groomed blocks not yet post-groomed.
-	pendingMu sync.Mutex
-	pending   []uint64 // groomed block IDs in order
-
-	// postBlocks lists the post-groomed block IDs published by committed
-	// post-grooms (in PSN order). Together with pending it enumerates
-	// every current record version at least once — a version lives in a
-	// not-yet-post-groomed groomed block or in a published post-groomed
-	// block, transiently in both around a post-groom commit (the
-	// executor reconciles the duplicate away) — and orphaned post blocks
-	// of failed post-grooms are never listed. The analytical executor
-	// scans this set.
-	postListMu sync.Mutex
-	postBlocks []uint64
+	// zone is the published zoneVersion: readers Load it, writers replace
+	// it through publish, which publishMu serializes (groom and post-groom
+	// both publish, under different locks).
+	zone      atomic.Pointer[zoneVersion]
+	publishMu sync.Mutex
 
 	// groomMu serializes groom operations; postMu serializes post-grooms;
 	// syncMu serializes index-evolve passes (the indexer daemon and the
@@ -177,6 +159,40 @@ type Engine struct {
 	started    atomic.Bool
 	maintEvery time.Duration
 	closed     atomic.Bool
+}
+
+// zoneVersion is one immutable snapshot of a shard's zone state; a
+// published version is never written again.
+type zoneVersion struct {
+	// grooming holds the records the last groom drained from the replica
+	// logs until their groomed block is published; live reads count them
+	// as live. A failed groom requeues them into a log and leaves them
+	// here too, for the next drain to replace, so that no record moves
+	// from the version back to a log.
+	grooming []logRecord
+	// pending lists the groomed blocks not yet post-groomed, post the
+	// post-groomed blocks of committed post-grooms, each in publish order:
+	// together they hold every groomed version exactly once.
+	pending, post []uint64
+	// lastGroomTS is the snapshot boundary: every groomed version has
+	// beginTS <= lastGroomTS.
+	lastGroomTS types.TS
+	// maxPSN is the post-groomer's published watermark, which the indexer
+	// polls (Figure 5); consumedHi is the highest groomed block ID its
+	// post-grooms consumed.
+	maxPSN     types.PSN
+	consumedHi uint64
+}
+
+// publish replaces the zone version with an edited copy of it. Slices
+// reachable from the current version must be copied before they are
+// appended to.
+func (e *Engine) publish(edit func(v *zoneVersion)) {
+	e.publishMu.Lock()
+	defer e.publishMu.Unlock()
+	next := *e.zone.Load()
+	edit(&next)
+	e.zone.Store(&next)
 }
 
 // NewEngine creates a fresh engine, or recovers one when storage already
@@ -370,10 +386,10 @@ func (e *Engine) IndexSpec() IndexSpec { return e.ixSpec }
 // LastGroomTS returns the snapshot boundary: the largest beginTS any
 // groomed version can carry. Queries at this timestamp see everything
 // groomed so far ("quorum-readable" content, §2.1).
-func (e *Engine) LastGroomTS() types.TS { return types.TS(e.lastGroomTS.Load()) }
+func (e *Engine) LastGroomTS() types.TS { return e.zone.Load().lastGroomTS }
 
 // MaxPSN returns the post-groomer's published watermark.
-func (e *Engine) MaxPSN() types.PSN { return types.PSN(e.maxPSN.Load()) }
+func (e *Engine) MaxPSN() types.PSN { return e.zone.Load().maxPSN }
 
 // startIndexMaintenance launches every index's per-level maintenance
 // workers and records the cadence so indexes created later start theirs
@@ -431,11 +447,12 @@ func (e *Engine) safeReclaimBoundary() uint64 {
 	return safe
 }
 
-// recoverState rebuilds engine counters from storage after a restart:
-// PSN and the consumed-block boundary from the psn metas, the groom
-// cycle and the pending/deprecated split from the groomed block listing,
-// the endTS overlay from the sidecar objects — and any index run a crash
-// lost between a groom's block write and its per-index run builds.
+// recoverState rebuilds engine state from storage after a restart: the
+// first zone version (PSN and the consumed-block boundary from the psn
+// metas, the groom cycle and the pending/deprecated split from the
+// groomed block listing), the endTS overlay from the sidecar objects —
+// and any index run a crash lost between a groom's block write and its
+// per-index run builds.
 func (e *Engine) recoverState() error {
 	prefix := "tbl/" + e.table.Name
 
@@ -445,14 +462,14 @@ func (e *Engine) recoverState() error {
 	if err != nil {
 		return err
 	}
-	var maxPSN, consumedHi uint64
+	v := &zoneVersion{}
 	for _, n := range psnNames {
 		var id uint64
 		if _, err := fmt.Sscanf(n, prefix+"/psn/%d", &id); err != nil {
 			continue
 		}
-		if id > maxPSN {
-			maxPSN = id
+		if psn := types.PSN(id); psn > v.maxPSN {
+			v.maxPSN = psn
 		}
 		// Published post blocks come from the PSN metas, not the raw post/
 		// listing: a post-groom that failed after writing some blocks
@@ -469,13 +486,11 @@ func (e *Engine) recoverState() error {
 		if err != nil {
 			return fmt.Errorf("wildfire: recovering PSN meta %s: %w", n, err)
 		}
-		if hi > consumedHi {
-			consumedHi = hi
+		if hi > v.consumedHi {
+			v.consumedHi = hi
 		}
-		e.postBlocks = append(e.postBlocks, blocks...)
+		v.post = append(v.post, blocks...)
 	}
-	e.maxPSN.Store(maxPSN)
-	e.consumedHi.Store(consumedHi)
 
 	// Groomed blocks: those beyond the consumed boundary go back into the
 	// pending queue; consumed ones are deprecated until every index of
@@ -489,7 +504,7 @@ func (e *Engine) recoverState() error {
 	// and deleted) the listing alone would restart the clock at 0 and new
 	// grooms would reuse block IDs and beginTS ranges below post-groomed
 	// versions. consumedHi floors it at the highest ID ever consumed.
-	maxCycle := consumedHi
+	maxCycle := v.consumedHi
 	safe := e.safeReclaimBoundary()
 	for _, n := range names {
 		var id uint64
@@ -500,9 +515,9 @@ func (e *Engine) recoverState() error {
 			maxCycle = id
 		}
 		switch {
-		case id > consumedHi:
+		case id > v.consumedHi:
 			// Not yet post-groomed: back into the pending queue.
-			e.pending = append(e.pending, id)
+			v.pending = append(v.pending, id)
 		case id < safe:
 			// Deprecated and unreferenced by every index: an interrupted
 			// deletion.
@@ -514,7 +529,8 @@ func (e *Engine) recoverState() error {
 		}
 	}
 	e.groomCycle.Store(maxCycle)
-	e.lastGroomTS.Store(uint64(types.MakeTS(maxCycle, 1<<24-1)))
+	v.lastGroomTS = types.MakeTS(maxCycle, 1<<24-1)
+	e.zone.Store(v)
 
 	postNames, err := e.store.List(prefix + "/post/")
 	if err != nil {
@@ -557,7 +573,7 @@ func (e *Engine) recoverState() error {
 // rebuildLostRuns re-creates per-index runs for pending groomed blocks
 // an index does not cover.
 func (e *Engine) rebuildLostRuns() error {
-	for _, id := range e.pending {
+	for _, id := range e.zone.Load().pending {
 		for _, ti := range e.indexSet() {
 			if ti.idx.CoversGroomedBlock(id) {
 				continue

@@ -24,29 +24,6 @@ import (
 // qualifying projected rows), which is what the coordinator merges
 // before finalizing (ShardedEngine.execPartials).
 
-// zoneSnapshot captures the set of data blocks to scan: the groomed
-// blocks not yet post-groomed plus the post-groomed blocks of committed
-// post-grooms. It deliberately does not take postMu — a query must not
-// stall behind an in-flight post-groom. The read order (pending before
-// postBlocks) mirrors the commit's write order (postBlocks before
-// pending), so a migrating batch is always captured at least once: if
-// the pending read misses it, the commit — which consumed it from
-// pending only after publishing the post blocks — has already made it
-// visible to the later postBlocks read. The transient state where a
-// batch appears in both lists (also reachable through recovery, before
-// the indexer catches up) is harmless: both copies of a version carry
-// the same key and beginTS, so the executor's winner map keeps exactly
-// one and both evaluate identically.
-func (e *Engine) zoneSnapshot() (groomed, post []uint64) {
-	e.pendingMu.Lock()
-	groomed = append([]uint64(nil), e.pending...)
-	e.pendingMu.Unlock()
-	e.postListMu.Lock()
-	post = append([]uint64(nil), e.postBlocks...)
-	e.postListMu.Unlock()
-	return groomed, post
-}
-
 // execCandidate is one primary key's newest visible version found so
 // far: either a (block, row) reference or a live-zone row. sel is the
 // block's vectorized selection bitmap; it is nil when the version sits
@@ -66,23 +43,26 @@ type liveBest struct {
 	seq uint64
 }
 
-// liveOverlay collects the newest live version per primary key when the
-// query's snapshot covers the live zone. Like Get, live records are
-// only consulted for reads at the newest snapshot.
-func (e *Engine) liveOverlay(ts types.TS, opts QueryOptions) map[string]liveBest {
-	if !opts.IncludeLive || ts < e.LastGroomTS() {
-		return nil
-	}
-	live := make(map[string]liveBest)
-	for _, rep := range e.replicas {
-		rep.scan(func(rec logRecord) {
+// liveOverlay takes a query's cut (capture) and folds its live records
+// into the newest version per primary key. The map is nil when the
+// query does not read live.
+func (e *Engine) liveOverlay(opts QueryOptions) (map[string]liveBest, *zoneVersion, types.TS) {
+	var live map[string]liveBest
+	var visit func(logRecord)
+	if opts.IncludeLive {
+		live = make(map[string]liveBest)
+		visit = func(rec logRecord) {
 			pk := e.table.pkEncoding(rec.row)
 			if best, ok := live[pk]; !ok || rec.commitSeq >= best.seq {
 				live[pk] = liveBest{row: rec.row, seq: rec.commitSeq}
 			}
-		})
+		}
 	}
-	return live
+	v, ts, ok := e.capture(opts, visit)
+	if !ok {
+		live = nil
+	}
+	return live, v, ts
 }
 
 // scanBlk is one visible zone block of a query, with its skip verdict
@@ -116,9 +96,7 @@ type scanBlk struct {
 // visible blocks provably hold at most one version per key — pairwise
 // disjoint primary-key ranges across blocks and distinct keys within
 // each scanned block — the per-row winner reconciliation is skipped
-// entirely and selected visible rows feed the partial directly; blocks
-// under groom/post-groom migration overlap transiently and fall back to
-// the winner map.
+// entirely and selected visible rows feed the partial directly.
 //
 // Both the block fetch/classify pass and the fast path run on the
 // engine's intra-shard scan pool (Config.ScanParallelism workers): the
@@ -127,16 +105,16 @@ type scanBlk struct {
 // scratch buffers — BoundPlan and Block are read-only and shared — and
 // the shard merges the partials before the cross-shard merge. The
 // overlap fallback stays sequential: winner reconciliation is a global
-// per-key argmax that the transient migration states it serves do not
-// justify parallelizing.
+// per-key argmax.
 func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts QueryOptions) (*exec.Partial, error) {
 	if e.closed.Load() {
 		return nil, fmt.Errorf("wildfire: engine closed")
 	}
 	epoch := e.gate.enter()
 	defer e.gate.exit(epoch)
-	ts := e.resolveTS(opts)
 	start := time.Now()
+	live, v, ts := e.liveOverlay(opts)
+	liveUnion := int64(len(live))
 
 	pkIdx := make([]int, len(e.table.PrimaryKey))
 	for i, k := range e.table.PrimaryKey {
@@ -144,16 +122,15 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 	}
 	nUser := len(e.table.Columns)
 
-	// Phase 1: fetch the zone snapshot and classify every block, in
+	// Phase 1: fetch the version's blocks and classify every block, in
 	// parallel across the scan pool (positional writes keep the zone
 	// order deterministic; overlapping storage reads is where a cold
 	// scan wins first).
-	groomedIDs, postIDs := e.zoneSnapshot()
-	names := make([]string, 0, len(groomedIDs)+len(postIDs))
-	for _, id := range groomedIDs {
+	names := make([]string, 0, len(v.pending)+len(v.post))
+	for _, id := range v.pending {
 		names = append(names, groomedBlockName(e.table.Name, id))
 	}
-	for _, id := range postIDs {
+	for _, id := range v.post {
 		names = append(names, postBlockName(e.table.Name, id))
 	}
 	classified := make([]scanBlk, len(names))
@@ -194,9 +171,6 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 		}
 		blks = append(blks, sb)
 	}
-
-	live := e.liveOverlay(ts, opts)
-	liveUnion := int64(len(live))
 
 	e.mx.execBlocksRead.Add(blocksRead)
 	e.mx.execBlocksSkipped.Add(blocksSkipped)
@@ -352,9 +326,7 @@ func addLiveRows(part *exec.Partial, bound *exec.BoundPlan, live map[string]live
 // primary key can have versions in two visible blocks (the blocks'
 // leading-primary-key-column ranges are pairwise disjoint) and no
 // scanned block holds two versions of one key (distinct full keys,
-// memoized per cached block). Blocks mid-migration between the groomed
-// and post-groomed zones appear twice with identical ranges and fail
-// the disjointness test, falling back to winner reconciliation.
+// memoized per cached block).
 func (e *Engine) disjointUniqueBlocks(blks []scanBlk, pkIdx []int) bool {
 	if len(blks) == 0 {
 		return true

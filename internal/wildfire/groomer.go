@@ -2,7 +2,7 @@ package wildfire
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"umzi/internal/columnar"
@@ -35,21 +35,15 @@ func (e *Engine) GroomCount() (int, error) {
 	defer e.groomMu.Unlock()
 	start := time.Now()
 
-	// Merge replica logs in time order.
-	var recs []logRecord
-	for _, r := range e.replicas {
-		recs = append(recs, r.drain()...)
-	}
+	recs := e.drainLive()
 	if len(recs) == 0 {
 		return 0, nil
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].commitSeq < recs[j].commitSeq })
 
 	// A groom that fails after draining must not lose the records: they
 	// are acknowledged (and durable per the sync policy). Requeue them so
-	// they stay visible to live reads and a later groom retries; the
-	// watermark cannot pass them because their sequences are only marked
-	// drained on success.
+	// a later groom retries; the watermark cannot pass them because their
+	// sequences are only marked drained on success.
 	groomed := false
 	defer func() {
 		if !groomed {
@@ -116,14 +110,15 @@ func (e *Engine) GroomCount() (int, error) {
 		}
 	}
 
+	// Publish the block and the new snapshot boundary in the version that
+	// drops the records from grooming: all versions of this cycle are now
+	// quorum-readable.
 	groomed = true
-	e.pendingMu.Lock()
-	e.pending = append(e.pending, cycle)
-	e.pendingMu.Unlock()
-
-	// Publish the new snapshot boundary: all versions of this cycle are
-	// now quorum-readable.
-	e.lastGroomTS.Store(uint64(types.MakeTS(cycle, 1<<24-1)))
+	e.publish(func(v *zoneVersion) {
+		v.grooming = nil
+		v.pending = append(slices.Clip(v.pending), cycle)
+		v.lastGroomTS = types.MakeTS(cycle, 1<<24-1)
+	})
 
 	// The records just became visible at the groomed snapshot: close the
 	// commit-ack -> groomed-visibility freshness window of each (replayed
@@ -167,5 +162,5 @@ func (e *Engine) alignGroomCycle(cycle uint64) {
 		return
 	}
 	e.groomCycle.Store(cycle)
-	e.lastGroomTS.Store(uint64(types.MakeTS(cycle, 1<<24-1)))
+	e.publish(func(v *zoneVersion) { v.lastGroomTS = types.MakeTS(cycle, 1<<24-1) })
 }

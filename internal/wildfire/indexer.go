@@ -27,12 +27,11 @@ func (e *Engine) SyncIndex() error {
 	defer e.syncMu.Unlock()
 	for _, ti := range e.indexSet() {
 		for {
-			indexed := uint64(ti.idx.IndexedPSN())
-			max := e.maxPSN.Load()
-			if indexed >= max {
+			indexed := ti.idx.IndexedPSN()
+			if indexed >= e.MaxPSN() {
 				break
 			}
-			if err := e.evolveOne(ti, types.PSN(indexed+1)); err != nil {
+			if err := e.evolveOne(ti, indexed+1); err != nil {
 				return err
 			}
 		}

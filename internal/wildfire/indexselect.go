@@ -184,14 +184,13 @@ func (e *Engine) executeViaIndex(ctx context.Context, bound *exec.BoundPlan, ti 
 	}
 	epoch := e.gate.enter()
 	defer e.gate.exit(epoch)
-	ts := e.resolveTS(opts)
-
-	eq, sortLo, sortHi, _ := ti.indexScanBounds(e.table, cons)
-	covered := ti.coversOrdinals(bound.ReferencedOrdinals())
 	// Live overlay: committed-but-ungroomed versions are newer than every
 	// indexed version of their key, so they suppress index results for
 	// the same primary key and contribute their own qualifying rows.
-	useLive := opts.IncludeLive && ts >= e.LastGroomTS()
+	live, _, ts := e.liveOverlay(opts)
+
+	eq, sortLo, sortHi, _ := ti.indexScanBounds(e.table, cons)
+	covered := ti.coversOrdinals(bound.ReferencedOrdinals())
 	// Probe with a candidate cap before paying for verification: a
 	// too-broad match reverts to the zone scan via errIndexPlanTooBroad.
 	entries, err := ti.idx.RangeScan(core.ScanOptions{
@@ -212,25 +211,9 @@ func (e *Engine) executeViaIndex(ctx context.Context, bound *exec.BoundPlan, ti 
 	// primary keys for live suppression; a non-covered primary-index
 	// plan with no live overlay fetches by RID and never reads them
 	// (secondaries always decode for the back-check).
-	ves, err := e.verifyEntries(ctx, ti, entries, ts, 0, covered || useLive, opts.Trace)
+	ves, err := e.verifyEntries(ctx, ti, entries, ts, 0, covered || live != nil, opts.Trace)
 	if err != nil {
 		return nil, err
-	}
-	type liveBest struct {
-		row Row
-		seq uint64
-	}
-	var live map[string]liveBest
-	if useLive {
-		live = make(map[string]liveBest)
-		for _, rep := range e.replicas {
-			rep.scan(func(rec logRecord) {
-				pk := e.table.pkEncoding(rec.row)
-				if best, ok := live[pk]; !ok || rec.commitSeq >= best.seq {
-					live[pk] = liveBest{row: rec.row, seq: rec.commitSeq}
-				}
-			})
-		}
 	}
 
 	part := bound.NewPartial()
@@ -257,13 +240,7 @@ func (e *Engine) executeViaIndex(ctx context.Context, bound *exec.BoundPlan, ti 
 		}
 		part.Add(view)
 	}
-	for _, best := range live {
-		row := best.row
-		view := exec.RowView(func(c int) keyenc.Value { return row[c] })
-		if bound.Matches(view) {
-			part.Add(view)
-		}
-	}
+	addLiveRows(part, bound, live)
 	return part, nil
 }
 

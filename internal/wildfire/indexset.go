@@ -599,16 +599,14 @@ func (e *Engine) CreateIndex(spec SecondaryIndexSpec) error {
 
 	// Backfill the post-groomed zone: every record version in a published
 	// post-groomed block, as one bootstrap run.
-	if maxPSN := types.PSN(e.maxPSN.Load()); maxPSN > 0 {
-		e.postListMu.Lock()
-		postIDs := append([]uint64(nil), e.postBlocks...)
-		e.postListMu.Unlock()
-		entries, err := e.entriesFromBlocks(ti, types.ZonePostGroomed, postIDs)
+	v := e.zone.Load()
+	if v.maxPSN > 0 {
+		entries, err := e.entriesFromBlocks(ti, types.ZonePostGroomed, v.post)
 		if err != nil {
 			ti.idx.Close()
 			return err
 		}
-		if err := ti.idx.BootstrapPostZone(maxPSN, entries, e.consumedHi.Load()); err != nil {
+		if err := ti.idx.BootstrapPostZone(v.maxPSN, entries, v.consumedHi); err != nil {
 			ti.idx.Close()
 			return err
 		}
@@ -617,10 +615,7 @@ func (e *Engine) CreateIndex(spec SecondaryIndexSpec) error {
 	// Backfill the groomed zone: one run per pending groomed block, in
 	// groom order (BuildRun prepends, so ascending builds yield the
 	// newest-first list).
-	e.pendingMu.Lock()
-	pending := append([]uint64(nil), e.pending...)
-	e.pendingMu.Unlock()
-	for _, id := range pending {
+	for _, id := range v.pending {
 		entries, err := e.entriesFromBlocks(ti, types.ZoneGroomed, []uint64{id})
 		if err != nil {
 			ti.idx.Close()

@@ -1,8 +1,10 @@
 package wildfire
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -58,13 +60,24 @@ func (r *replica) requeue(recs []logRecord) {
 	r.mu.Unlock()
 }
 
-// drain removes and returns all committed records (groom input).
-func (r *replica) drain() []logRecord {
-	r.mu.Lock()
-	out := r.log
-	r.log = nil
-	r.mu.Unlock()
-	return out
+// drainLive moves every replica's committed records, merged in commit
+// order (§2.1 "merges, in the time order, transaction logs from shard
+// replicas"), into the zone version's grooming set and returns them. It
+// holds every replica lock until the version is published, so a reader
+// that finds a record gone from its log loads a version that holds it.
+func (e *Engine) drainLive() []logRecord {
+	var recs []logRecord
+	for _, r := range e.replicas {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		recs = append(recs, r.log...)
+		r.log = nil
+	}
+	if len(recs) > 0 {
+		slices.SortFunc(recs, func(a, b logRecord) int { return cmp.Compare(a.commitSeq, b.commitSeq) })
+		e.publish(func(v *zoneVersion) { v.grooming = recs })
+	}
+	return recs
 }
 
 // scan visits the committed log without draining it (live-zone reads).

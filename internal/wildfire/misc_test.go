@@ -109,9 +109,9 @@ func TestLiveLookupPrefersLatestCommit(t *testing.T) {
 	if err := e.UpsertRows(1, row(1, 1, 2.0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	rec, found := e.liveLookup([]keyenc.Value{keyenc.I64(1)}, []keyenc.Value{keyenc.I64(1)})
-	if !found || rec.Row[2].Float() != 2.0 {
-		t.Errorf("liveLookup = %v %v, want latest commit 2.0", found, rec.Row)
+	got, _ := e.liveLookup([]keyenc.Value{keyenc.I64(1)}, []keyenc.Value{keyenc.I64(1)}, QueryOptions{IncludeLive: true})
+	if got == nil || got[2].Float() != 2.0 {
+		t.Errorf("liveLookup = %v, want latest commit 2.0", got)
 	}
 }
 

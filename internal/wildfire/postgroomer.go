@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"umzi/internal/columnar"
@@ -42,20 +43,17 @@ func (e *Engine) PostGroom() (types.PSN, error) {
 		return 0, err
 	}
 
-	// The batch is a snapshot of pending, consumed only at commit: a
-	// post-groom that fails partway leaves pending untouched and the
-	// next operation retries the same batch. Grooms append to pending
-	// concurrently; those blocks are not part of this batch and survive
-	// the commit's prefix removal.
-	e.pendingMu.Lock()
-	blocks := append([]uint64(nil), e.pending...)
-	e.pendingMu.Unlock()
+	// The batch is every pending block, consumed only at commit: a
+	// post-groom that fails partway publishes nothing and the next
+	// operation retries the same batch.
+	cur := e.zone.Load()
+	blocks := cur.pending
 	if len(blocks) == 0 {
 		return 0, nil
 	}
 	lo, hi := blocks[0], blocks[len(blocks)-1]
 
-	psn := types.PSN(e.maxPSN.Load() + 1)
+	psn := cur.maxPSN + 1
 
 	// Pass 1: read the groomed blocks and bucket rows by partition key,
 	// remembering each row's destination.
@@ -181,27 +179,19 @@ func (e *Engine) PostGroom() (types.PSN, error) {
 		e.endTSMu.Unlock()
 	}
 
-	// Publish the PSN metadata and bump MaxPSN — the indexer polls it.
+	// Persist the PSN metadata, then commit: the written post blocks
+	// replace the batch (a prefix of pending, since grooms only append)
+	// and MaxPSN advances for the indexer, in one version.
 	meta := encodePSNMeta(lo, hi, writtenIDs)
 	if err := e.store.Put(psnMetaName(e.table.Name, psn), meta); err != nil {
 		return 0, err
 	}
-	e.maxPSN.Store(uint64(psn))
-	e.consumedHi.Store(hi)
-	// Commit for the analytical executor: publish the written post
-	// blocks first, then consume the migrated groomed blocks from
-	// pending. The executor snapshots pending before postBlocks, so
-	// with this write order a snapshot that misses the batch in pending
-	// is guaranteed to find it in postBlocks — seen at least once,
-	// transiently possibly twice, and the duplicate is harmless: both
-	// copies of a version carry the same key and beginTS and reconcile
-	// identically in the executor's winner map.
-	e.postListMu.Lock()
-	e.postBlocks = append(e.postBlocks, writtenIDs...)
-	e.postListMu.Unlock()
-	e.pendingMu.Lock()
-	e.pending = e.pending[len(blocks):]
-	e.pendingMu.Unlock()
+	e.publish(func(v *zoneVersion) {
+		v.post = append(slices.Clip(v.post), writtenIDs...)
+		v.pending = v.pending[len(blocks):]
+		v.maxPSN = psn
+		v.consumedHi = hi
+	})
 	return psn, nil
 }
 

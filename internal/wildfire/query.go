@@ -51,10 +51,37 @@ type QueryOptions struct {
 }
 
 func (e *Engine) resolveTS(opts QueryOptions) types.TS {
-	if opts.TS == 0 {
-		return e.LastGroomTS()
+	_, ts, _ := e.capture(opts, nil)
+	return ts
+}
+
+// capture takes a query's cut of the shard with the one read rule: read
+// the live zone, then Load the zone version. A groom that drains a log
+// between the two publishes the drained records as grooming first, so
+// every acknowledged record is either seen live or held by the version.
+// A query that includes live passes visit, which sees every replica-log
+// record and then the version's grooming records (a record may come
+// twice; it carries its commit sequence). It returns the version, the
+// query timestamp and whether the cut reads live: live records have no
+// beginTS yet, so only reads at the newest snapshot see them.
+func (e *Engine) capture(opts QueryOptions, visit func(logRecord)) (*zoneVersion, types.TS, bool) {
+	if visit != nil {
+		for _, r := range e.replicas {
+			r.scan(visit)
+		}
 	}
-	return opts.TS
+	v := e.zone.Load()
+	ts := opts.TS
+	if ts == 0 {
+		ts = v.lastGroomTS
+	}
+	if visit == nil || ts < v.lastGroomTS {
+		return v, ts, false
+	}
+	for _, rec := range v.grooming {
+		visit(rec)
+	}
+	return v, ts, true
 }
 
 // GetOnContext returns the newest visible version of a key through a
@@ -80,12 +107,9 @@ func (e *Engine) GetOnContext(ctx context.Context, index string, eq, sortv []key
 	}
 	epoch := e.gate.enter()
 	defer e.gate.exit(epoch)
-	ts := e.resolveTS(opts)
-
-	if opts.IncludeLive && ts >= e.LastGroomTS() {
-		if rec, ok := e.liveLookup(eq, sortv); ok {
-			return rec, true, nil
-		}
+	row, ts := e.liveLookup(eq, sortv, opts)
+	if row != nil {
+		return Record{Row: row, BeginTS: types.MaxTS, EndTS: types.MaxTS}, true, nil
 	}
 	entry, found, err := e.idx.PointLookup(eq, sortv, ts)
 	if err != nil || !found {
@@ -106,13 +130,18 @@ func withLimit(opts QueryOptions, limit int) QueryOptions {
 	return opts
 }
 
-// liveLookup scans the replicas' committed logs for the newest committed
-// version of the key. Linear in live-zone size, which the groomer keeps
-// small. The target composite is encoded once; each live record is
-// compared column by column against the matching target segment through
-// a reusable scratch buffer, bailing at the first mismatch instead of
-// building a full composite (and an allocation) per record.
-func (e *Engine) liveLookup(eq, sortv []keyenc.Value) (Record, bool) {
+// liveLookup takes a point get's cut (capture): it returns the newest
+// live version of the key — nil when the get does not read live or the
+// key has none — and the query timestamp. Linear in live-zone size,
+// which the groomer keeps small. The target composite is encoded once;
+// each live record is compared column by column against the matching
+// target segment through a reusable scratch buffer, bailing at the first
+// mismatch instead of building a full composite (and an allocation) per
+// record.
+func (e *Engine) liveLookup(eq, sortv []keyenc.Value, opts QueryOptions) (Row, types.TS) {
+	if !opts.IncludeLive {
+		return nil, e.resolveTS(opts)
+	}
 	primary := e.indexSet()[0]
 	target := keyenc.AppendComposite(keyenc.AppendComposite(nil, eq...), sortv...)
 	keyOrds := make([]int, 0, len(primary.eqIdx)+len(primary.sortIdx))
@@ -121,29 +150,27 @@ func (e *Engine) liveLookup(eq, sortv []keyenc.Value) (Record, bool) {
 	var scratch []byte
 	var best Row
 	var bestSeq uint64
-	for _, r := range e.replicas {
-		r.scan(func(rec logRecord) {
-			scratch = scratch[:0]
-			for _, ord := range keyOrds {
-				prev := len(scratch)
-				scratch = keyenc.Append(scratch, rec.row[ord])
-				if len(scratch) > len(target) || !bytes.Equal(scratch[prev:], target[prev:len(scratch)]) {
-					return // this column already differs from the target
-				}
+	_, ts, live := e.capture(opts, func(rec logRecord) {
+		scratch = scratch[:0]
+		for _, ord := range keyOrds {
+			prev := len(scratch)
+			scratch = keyenc.Append(scratch, rec.row[ord])
+			if len(scratch) > len(target) || !bytes.Equal(scratch[prev:], target[prev:len(scratch)]) {
+				return // this column already differs from the target
 			}
-			if len(scratch) != len(target) {
-				return
-			}
-			if rec.commitSeq >= bestSeq {
-				best = rec.row
-				bestSeq = rec.commitSeq
-			}
-		})
+		}
+		if len(scratch) != len(target) {
+			return
+		}
+		if rec.commitSeq >= bestSeq {
+			best = rec.row
+			bestSeq = rec.commitSeq
+		}
+	})
+	if !live {
+		return nil, ts
 	}
-	if best == nil {
-		return Record{}, false
-	}
-	return Record{Row: best, BeginTS: types.MaxTS, EndTS: types.MaxTS}, true
+	return best, ts
 }
 
 // GetBatchContext resolves a batch of point lookups through the index's
