@@ -42,7 +42,6 @@ func drivers() []driver {
 		{"s1", "Figure S1: scatter-gather shard scaling (extension)", bench.FigS1ShardScaling},
 		{"s3", "Figure S3: ingest throughput vs sync policy and group commit (extension)", bench.FigS3GroupCommit},
 		{"s4", "Figure S4: serving layer — throughput vs concurrent clients (extension)", bench.FigS4Serving},
-		{"s6", "Figure S6: intra-shard parallel scans and block cache (extension)", bench.FigS6ReadPath},
 		{"a1", "Ablation A1: offset array width", bench.AblationOffsetArray},
 		{"a2", "Ablation A2: set vs priority-queue reconciliation", bench.AblationReconcile},
 		{"a3", "Ablation A3: synopsis pruning", bench.AblationSynopsis},
@@ -54,7 +53,7 @@ func drivers() []driver {
 }
 
 func main() {
-	figure := flag.String("figure", "", "figure to run: 8..15, s1, s3, s4, s6, a1..a5, a7, a8, or 'all'")
+	figure := flag.String("figure", "", "figure to run: 8..15, s1, s3, s4, a1..a5, a7, a8, or 'all'")
 	scaleName := flag.String("scale", "small", "sweep scale: small | paper | tiny")
 	list := flag.Bool("list", false, "list available figures and exit")
 	flag.Parse()

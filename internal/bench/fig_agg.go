@@ -49,19 +49,12 @@ var orderRegions = []string{"amer", "emea", "apac", "latam"}
 // BenchmarkAggPushdown reuses it so the Go benchmark and the A7 sweep
 // measure the same workload.
 func NewShardedOrders(name string, shards, rows int, lat storage.LatencyModel) (*wildfire.ShardedEngine, error) {
-	return newShardedOrdersOn(storage.NewMemStore(lat), name, shards, rows)
-}
-
-// newShardedOrdersOn is NewShardedOrders over a caller-owned store, so
-// drivers that reopen engines over the written objects (Figure S6) keep a
-// handle to them.
-func newShardedOrdersOn(store *storage.MemStore, name string, shards, rows int) (*wildfire.ShardedEngine, error) {
 	table, spec := ordersTable(name)
 	cfg := wildfire.ShardedConfig{
 		Table:  table,
 		Index:  spec,
 		Shards: shards,
-		Store:  store,
+		Store:  storage.NewMemStore(lat),
 	}
 	cfg.IndexTuning.BlockSize = 4096
 	// These drivers measure the read paths; ingest setup opts out of

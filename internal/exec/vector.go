@@ -11,8 +11,8 @@ import (
 // comparison leaf over the whole block at once with columnar.CmpSelect —
 // which runs directly on the encoded column — and combines leaves with
 // word-wise AND/OR over selection bitmaps. Rows materialize only after
-// selection (late materialization): the executor walks the surviving
-// bits and touches data columns for those rows alone.
+// selection (late materialization): the executor touches data columns
+// only for the rows whose bits survive.
 //
 // BlockSkip extends the min/max synopsis pruning with per-column bloom
 // filters: an equality leaf whose probe value the column's bloom filter
@@ -87,17 +87,6 @@ func (b *Bitmap) Count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// ForEach calls fn for every selected row in ascending order.
-func (b *Bitmap) ForEach(fn func(row int)) {
-	for wi, w := range b.words {
-		base := wi << 6
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
 }
 
 // opFlags decomposes a comparison operator into the three-way-comparison

@@ -41,15 +41,12 @@ type blockFetch struct {
 	err  error
 }
 
-// cacheEntry is one resident block. pkUnique memoizes whether every row
-// carries a distinct full primary key (nil: not yet computed); the
-// executor's direct-emit fast path consumes it.
+// cacheEntry is one resident block.
 type cacheEntry struct {
-	name     string
-	blk      *columnar.Block
-	size     int64
-	pkUnique *bool
-	elem     *list.Element
+	name string
+	blk  *columnar.Block
+	size int64
+	elem *list.Element
 }
 
 // blockCacheShard is one lock stripe: its own LRU and singleflight
@@ -234,30 +231,6 @@ func (c *BlockCache) drop(name string) {
 	s.mu.Lock()
 	if e, ok := s.entries[name]; ok {
 		s.removeLocked(c, e)
-	}
-	s.mu.Unlock()
-}
-
-// pkUnique returns the memoized distinct-keys verdict for the named
-// block, valid only while the cache still holds this exact decode.
-func (c *BlockCache) pkUnique(name string, blk *columnar.Block) (verdict, ok bool) {
-	s := c.shard(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, found := s.entries[name]; found && e.blk == blk && e.pkUnique != nil {
-		return *e.pkUnique, true
-	}
-	return false, false
-}
-
-// setPKUnique memoizes the distinct-keys verdict on the entry, if the
-// cache still holds this exact decode (an evicted block just loses the
-// memo and recomputes next time).
-func (c *BlockCache) setPKUnique(name string, blk *columnar.Block, verdict bool) {
-	s := c.shard(name)
-	s.mu.Lock()
-	if e, found := s.entries[name]; found && e.blk == blk {
-		e.pkUnique = &verdict
 	}
 	s.mu.Unlock()
 }

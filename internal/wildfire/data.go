@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"umzi/internal/columnar"
-	"umzi/internal/keyenc"
 	"umzi/internal/types"
 )
 
@@ -74,36 +73,6 @@ func (e *Engine) retiredBlock(name string) *columnar.Block {
 	blk := e.retiredBlks[name]
 	e.retireMu.Unlock()
 	return blk
-}
-
-// blockPKUnique reports whether every row of the block carries a
-// distinct full primary key — the per-block half of the executor's
-// fast-path eligibility check — memoizing the verdict on the block's
-// cache entry so repeated queries pay for the scan once. An evicted
-// block just loses the memo and recomputes on its next decode.
-func (e *Engine) blockPKUnique(name string, blk *columnar.Block, pkIdx []int) bool {
-	if u, ok := e.blocks.pkUnique(name, blk); ok {
-		return u
-	}
-	u := pkAllDistinct(blk, pkIdx)
-	e.blocks.setPKUnique(name, blk, u)
-	return u
-}
-
-func pkAllDistinct(blk *columnar.Block, pkIdx []int) bool {
-	seen := make(map[string]struct{}, blk.NumRows())
-	var buf []byte
-	for r := 0; r < blk.NumRows(); r++ {
-		buf = buf[:0]
-		for _, c := range pkIdx {
-			buf = keyenc.Append(buf, blk.Value(r, c))
-		}
-		if _, dup := seen[string(buf)]; dup {
-			return false
-		}
-		seen[string(buf)] = struct{}{}
-	}
-	return true
 }
 
 // bloomOrdinals returns the block-schema ordinals that carry bloom

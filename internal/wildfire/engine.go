@@ -38,9 +38,9 @@ type Config struct {
 	// BlockCache is nil (<=0 selects DefaultBlockCacheBytes).
 	BlockCacheBytes int64
 	// ScanParallelism bounds the engine's intra-shard scan worker pool:
-	// an analytical scan partitions its candidate blocks across up to
-	// this many workers. <=0 derives it from GOMAXPROCS; 1 scans
-	// sequentially.
+	// an analytical scan fetches, decodes and classifies its candidate
+	// blocks on up to this many workers. <=0 derives it from GOMAXPROCS;
+	// 1 scans sequentially.
 	ScanParallelism int
 	// Replicas is the number of multi-master shard replicas (default 1).
 	Replicas int
@@ -133,10 +133,9 @@ type Engine struct {
 
 	// blocks is the bounded decoded-block cache (data access path); it
 	// may be shared across shards. scanPool bounds the intra-shard
-	// parallel-scan workers (scanPar-wide).
+	// block fetch/decode/classify workers.
 	blocks   *BlockCache
 	scanPool *gatherPool
-	scanPar  int
 
 	// gate tracks in-flight queries; retireQueue holds names of deleted
 	// groomed blocks awaiting query-epoch drain, and retiredBlks pins
@@ -246,11 +245,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.blocks = NewBlockCache(cfg.BlockCacheBytes)
 		e.blocks.instrument(cfg.Obs, cfg.Table.Name)
 	}
-	e.scanPar = cfg.ScanParallelism
-	if e.scanPar <= 0 {
-		e.scanPar = runtime.GOMAXPROCS(0)
+	scanPar := cfg.ScanParallelism
+	if scanPar <= 0 {
+		scanPar = runtime.GOMAXPROCS(0)
 	}
-	e.scanPool = newGatherPool(e.scanPar)
+	e.scanPool = newGatherPool(scanPar)
 	e.partitions = cfg.Partitions
 	for i := 0; i < cfg.Replicas; i++ {
 		e.replicas = append(e.replicas, &replica{id: i})

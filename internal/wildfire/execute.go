@@ -3,7 +3,6 @@ package wildfire
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"umzi/internal/columnar"
@@ -65,12 +64,10 @@ func (e *Engine) liveOverlay(opts QueryOptions) (map[string]liveBest, *zoneVersi
 	return live, v, ts
 }
 
-// scanBlk is one visible zone block of a query, with its skip verdict
-// and object name (the block-cache key the fast path memoizes under).
+// scanBlk is one visible zone block of a query, with its skip verdict.
 // drop marks a block with nothing visible at the query timestamp; it is
 // compacted away after the parallel classify.
 type scanBlk struct {
-	name string
 	blk  *columnar.Block
 	skip exec.SkipReason
 	drop bool
@@ -92,20 +89,11 @@ type scanBlk struct {
 //
 // Predicates evaluate vectorized (exec.BoundPlan.FilterBlock): one
 // selection bitmap per block, computed directly over the encoded
-// columns, with rows materialized only after selection. When the
-// visible blocks provably hold at most one version per key — pairwise
-// disjoint primary-key ranges across blocks and distinct keys within
-// each scanned block — the per-row winner reconciliation is skipped
-// entirely and selected visible rows feed the partial directly.
+// columns, with rows materialized only after selection.
 //
-// Both the block fetch/classify pass and the fast path run on the
-// engine's intra-shard scan pool (Config.ScanParallelism workers): the
-// candidate block list is partitioned into contiguous chunks, each
-// worker reduces its chunk into a private exec.Partial over its own
-// scratch buffers — BoundPlan and Block are read-only and shared — and
-// the shard merges the partials before the cross-shard merge. The
-// overlap fallback stays sequential: winner reconciliation is a global
-// per-key argmax.
+// Only the block fetch/decode/classify pass runs on the engine's
+// intra-shard scan pool (Config.ScanParallelism workers); winner
+// reconciliation is one sequential pass, a global per-key argmax.
 func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts QueryOptions) (*exec.Partial, error) {
 	if e.closed.Load() {
 		return nil, fmt.Errorf("wildfire: engine closed")
@@ -139,7 +127,7 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 		if err != nil {
 			return err
 		}
-		sb := scanBlk{name: names[i], blk: blk}
+		sb := scanBlk{blk: blk}
 		if min, ok := blk.ColumnMin(nUser); !ok || types.TS(min.Uint()) > ts {
 			sb.drop = true // empty, or nothing visible at this timestamp
 		} else {
@@ -194,40 +182,9 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 	var keyBuf []byte
 	var tsBuf []uint64
 
-	// Phase 2: if no key can have two versions across the visible blocks,
-	// winner reconciliation is a no-op — emit selected visible rows
-	// directly, suppressing only live-superseded keys. Chunks of the
-	// block list reduce into per-worker partials merged at the shard.
-	if e.disjointUniqueBlocks(blks, pkIdx) {
-		nw := e.scanPar
-		if nw > len(blks) {
-			nw = len(blks)
-		}
-		if nw <= 1 {
-			e.scanChunk(bound, part, blks, ts, live, pkIdx, nUser)
-		} else {
-			parts := make([]*exec.Partial, nw)
-			err := e.scanPool.each(ctx, nw, func(w int) error {
-				lo, hi := w*len(blks)/nw, (w+1)*len(blks)/nw
-				p := bound.NewPartial()
-				e.scanChunk(bound, p, blks[lo:hi], ts, live, pkIdx, nUser)
-				parts[w] = p
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range parts {
-				part.Merge(p)
-			}
-		}
-		addLiveRows(part, bound, live)
-		return part, nil
-	}
-
-	// Phase 3: general path — reconcile the newest visible version per
-	// primary key across blocks, then emit the winners their block's
-	// selection bitmap accepts.
+	// Phase 2: reconcile the newest visible version per primary key
+	// across blocks, then emit the winners their block's selection bitmap
+	// accepts.
 	winners := make(map[string]execCandidate)
 	for _, sb := range blks {
 		var sel *exec.Bitmap
@@ -276,41 +233,6 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 	return part, nil
 }
 
-// scanChunk is one fast-path worker: it reduces a contiguous run of the
-// candidate block list into a private partial. bound, the blocks and
-// the live map are shared read-only across workers; the partial and the
-// scratch buffers are worker-owned.
-func (e *Engine) scanChunk(bound *exec.BoundPlan, part *exec.Partial, blks []scanBlk, ts types.TS, live map[string]liveBest, pkIdx []int, nUser int) {
-	var keyBuf []byte
-	var tsBuf []uint64
-	for _, sb := range blks {
-		if sb.skip != exec.SkipNone {
-			continue // proved unmatchable; shadows nothing (unique keys)
-		}
-		sel := bound.FilterBlock(sb.blk)
-		if sel.None() {
-			continue
-		}
-		blk := sb.blk
-		tsBuf = blk.AppendNums(nUser, tsBuf[:0])
-		sel.ForEach(func(r int) {
-			if types.TS(tsBuf[r]) > ts {
-				return
-			}
-			if len(live) > 0 {
-				keyBuf = keyBuf[:0]
-				for _, c := range pkIdx {
-					keyBuf = keyenc.Append(keyBuf, blk.Value(r, c))
-				}
-				if _, shadowed := live[string(keyBuf)]; shadowed {
-					return
-				}
-			}
-			part.Add(func(c int) keyenc.Value { return blk.Value(r, c) })
-		})
-	}
-}
-
 // addLiveRows feeds the qualifying live-zone rows into the partial.
 func addLiveRows(part *exec.Partial, bound *exec.BoundPlan, live map[string]liveBest) {
 	for _, best := range live {
@@ -320,41 +242,4 @@ func addLiveRows(part *exec.Partial, bound *exec.BoundPlan, live map[string]live
 			part.Add(view)
 		}
 	}
-}
-
-// disjointUniqueBlocks decides fast-path eligibility: true when no
-// primary key can have versions in two visible blocks (the blocks'
-// leading-primary-key-column ranges are pairwise disjoint) and no
-// scanned block holds two versions of one key (distinct full keys,
-// memoized per cached block).
-func (e *Engine) disjointUniqueBlocks(blks []scanBlk, pkIdx []int) bool {
-	if len(blks) == 0 {
-		return true
-	}
-	pk0 := pkIdx[0]
-	type krange struct{ min, max keyenc.Value }
-	ranges := make([]krange, len(blks))
-	for i, sb := range blks {
-		min, ok := sb.blk.ColumnMin(pk0)
-		if !ok {
-			return false
-		}
-		max, _ := sb.blk.ColumnMax(pk0)
-		ranges[i] = krange{min: min, max: max}
-	}
-	sort.Slice(ranges, func(i, j int) bool { return keyenc.Compare(ranges[i].min, ranges[j].min) < 0 })
-	for i := 1; i < len(ranges); i++ {
-		if keyenc.Compare(ranges[i-1].max, ranges[i].min) >= 0 {
-			return false
-		}
-	}
-	for _, sb := range blks {
-		if sb.skip != exec.SkipNone {
-			continue // never emitted; within-block duplicates are unobservable
-		}
-		if !e.blockPKUnique(sb.name, sb.blk, pkIdx) {
-			return false
-		}
-	}
-	return true
 }

@@ -23,6 +23,13 @@ import (
 // every plan as a forced zone scan (NoIndexSelection), so index
 // selection is checked against the scan it replaces.
 //
+// Each seed runs two key layouts: random keys, whose versions of one key
+// spread across many blocks, and sequential keys, where every groom
+// covers a fresh device range so the groomed and post-groomed blocks are
+// pairwise disjoint on the leading primary-key column and each holds one
+// version per key — until the last round commits live versions of keys
+// inside those blocks.
+//
 // Readings are whole numbers stored as float64, so float sums are exact
 // and order-independent: the reference, the single engine and the
 // 4-shard partial-aggregate merge must agree bit-for-bit.
@@ -33,8 +40,74 @@ func TestExecuteEquivalenceProperty(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			executeEquivalence(t, seed)
+			for _, l := range []equivLayout{randomLayout(), sequentialLayout()} {
+				t.Run("layout="+l.name, func(t *testing.T) {
+					executeEquivalence(t, seed, l)
+				})
+			}
 		})
+	}
+}
+
+// equivLayout shapes the property's workload: the committed rows of each
+// round and whether the round's groom is followed by a post-groom.
+// devices bounds the device values the generated plans compare against.
+type equivLayout struct {
+	name      string
+	devices   int64
+	rows      func(rng *rand.Rand, round int) []Row
+	postGroom func(rng *rand.Rand, round int) bool
+}
+
+const (
+	equivRounds = 24
+	equivMsgs   = 9
+)
+
+// randomLayout updates and inserts random keys over a small key space.
+func randomLayout() equivLayout {
+	const devices = 6
+	return equivLayout{
+		name:    "random",
+		devices: devices,
+		rows: func(rng *rand.Rand, round int) []Row {
+			rows := make([]Row, 1+rng.Intn(12))
+			for i := range rows {
+				rows[i] = row(rng.Int63n(devices), rng.Int63n(equivMsgs), float64(rng.Int63n(1000)), 100+rng.Int63n(3))
+			}
+			return rows
+		},
+		postGroom: func(rng *rand.Rand, round int) bool { return rng.Intn(3) == 0 },
+	}
+}
+
+// sequentialLayout writes every key of a fresh device range per round,
+// all on one day, so each groomed block covers its own device range. A
+// post-groom right after a groom consumes that one block and writes one
+// partition block over the same range, so the post-groomed blocks stay
+// disjoint too. The last round also commits live versions of keys the
+// blocks hold.
+func sequentialLayout() equivLayout {
+	const perRound = 2
+	return equivLayout{
+		name:    "sequential",
+		devices: equivRounds * perRound,
+		rows: func(rng *rand.Rand, round int) []Row {
+			var rows []Row
+			for d := int64(round * perRound); d < int64((round+1)*perRound); d++ {
+				for m := int64(0); m < equivMsgs; m++ {
+					rows = append(rows, row(d, m, float64(rng.Int63n(1000)), 100+int64(round%3)))
+				}
+			}
+			if round == equivRounds-1 {
+				for i := 0; i < 12; i++ {
+					d := rng.Int63n(int64(round * perRound))
+					rows = append(rows, row(d, rng.Int63n(equivMsgs), float64(rng.Int63n(1000)), 100+rng.Int63n(3)))
+				}
+			}
+			return rows
+		},
+		postGroom: func(rng *rand.Rand, round int) bool { return round < equivRounds/2 },
 	}
 }
 
@@ -251,9 +324,8 @@ func naiveExecute(td TableDef, p exec.Plan, rf refFilter, visible []Row) [][]key
 	return out
 }
 
-func executeEquivalence(t *testing.T, seed int64) {
+func executeEquivalence(t *testing.T, seed int64, layout equivLayout) {
 	rng := rand.New(rand.NewSource(seed))
-	const devices, msgs = 6, 9
 
 	single := newTestEngine(t, nil)
 	sharded := newTestShardedEngine(t, 4, nil)
@@ -322,7 +394,7 @@ func executeEquivalence(t *testing.T, seed int64) {
 		}
 	}
 
-	for round := 0; round < 24; round++ {
+	for round := 0; round < equivRounds; round++ {
 		// Groom what the previous round left live (lockstep on both
 		// sides), recording the boundary and the model snapshot.
 		if _, err := single.GroomCount(); err != nil {
@@ -345,7 +417,7 @@ func executeEquivalence(t *testing.T, seed int64) {
 		}
 		history = append(history, snap)
 
-		if rng.Intn(3) == 0 {
+		if layout.postGroom(rng, round) {
 			if _, err := single.PostGroom(); err != nil {
 				t.Fatal(err)
 			}
@@ -362,11 +434,7 @@ func executeEquivalence(t *testing.T, seed int64) {
 
 		// New committed-but-ungroomed rows; updates and inserts mix, so
 		// some keys have a groomed version shadowed by a live one.
-		n := 1 + rng.Intn(12)
-		rows := make([]Row, n)
-		for i := range rows {
-			rows[i] = row(rng.Int63n(devices), rng.Int63n(msgs), float64(rng.Int63n(1000)), 100+rng.Int63n(3))
-		}
+		rows := layout.rows(rng, round)
 		replica := rng.Intn(2)
 		if err := single.UpsertRows(replica, rows...); err != nil {
 			t.Fatal(err)
@@ -382,7 +450,7 @@ func executeEquivalence(t *testing.T, seed int64) {
 			continue
 		}
 		for q := 0; q < 4; q++ {
-			p, rf := genPlan(rng, devices, msgs)
+			p, rf := genPlan(rng, layout.devices, equivMsgs)
 			checkPlan(p, rf, QueryOptions{}, visibleRows(groomedModel),
 				fmt.Sprintf("round %d q%d groomed", round, q))
 			checkPlan(p, rf, QueryOptions{IncludeLive: true}, visibleRows(groomedModel, liveModel),

@@ -331,8 +331,8 @@ func TestBlockCacheChurnInvariant(t *testing.T) {
 }
 
 // BenchmarkParallelScan measures an aggregation scan over groomed blocks
-// at ScanParallelism 1 vs GOMAXPROCS — the Figure S6 shape, in
-// benchmark form for the CI smoke tier.
+// at ScanParallelism 1 vs 4: parallel block fetch, decode and classify
+// ahead of the sequential reconciliation pass.
 func BenchmarkParallelScan(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
