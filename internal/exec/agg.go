@@ -134,7 +134,7 @@ func (p *Partial) NumGroups() int { return len(p.groups) }
 
 // Add accumulates one qualifying row. The caller is responsible for
 // filtering (Matches) and for multi-version reconciliation; Add reads
-// only the columns the plan touches.
+// only the columns the plan touches and does not retain row.
 func (p *Partial) Add(row RowView) {
 	b := p.plan
 	if !b.Aggregating() {

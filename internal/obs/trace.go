@@ -30,6 +30,7 @@ type QueryTrace struct {
 	backChecked        atomic.Int64
 	backCheckDropped   atomic.Int64
 	rowsEmitted        atomic.Int64
+	winnerInserts      atomic.Int64
 }
 
 // TraceSpan is one shard's slice of a query.
@@ -39,6 +40,7 @@ type TraceSpan struct {
 	BlocksSkipped      int64         `json:"blocks_skipped"`
 	BlocksBloomSkipped int64         `json:"blocks_bloom_skipped"`
 	LiveUnion          int64         `json:"live_union"`
+	WinnerInserts      int64         `json:"winner_inserts"`
 	Elapsed            time.Duration `json:"elapsed_ns"`
 }
 
@@ -118,6 +120,15 @@ func (t *QueryTrace) AddRowsEmitted(n int64) {
 	}
 }
 
+// AddWinnerInserts counts row versions the executor reconciled through
+// its per-key winner map (pending groomed blocks and the live zone;
+// post-groomed rows resolve visibility from endTS and never enter it).
+func (t *QueryTrace) AddWinnerInserts(n int64) {
+	if t != nil {
+		t.winnerInserts.Add(n)
+	}
+}
+
 // TraceSnapshot is an immutable copy of a QueryTrace.
 type TraceSnapshot struct {
 	Plan               string      `json:"plan"`
@@ -129,6 +140,7 @@ type TraceSnapshot struct {
 	BackChecked        int64       `json:"back_checked"`
 	BackCheckDropped   int64       `json:"back_check_dropped"`
 	RowsEmitted        int64       `json:"rows_emitted"`
+	WinnerInserts      int64       `json:"winner_inserts"`
 	Spans              []TraceSpan `json:"spans,omitempty"`
 }
 
@@ -154,6 +166,7 @@ func (t *QueryTrace) Snapshot() TraceSnapshot {
 		BackChecked:        t.backChecked.Load(),
 		BackCheckDropped:   t.backCheckDropped.Load(),
 		RowsEmitted:        t.rowsEmitted.Load(),
+		WinnerInserts:      t.winnerInserts.Load(),
 		Spans:              spans,
 	}
 }
@@ -169,11 +182,11 @@ func (t *QueryTrace) String() string {
 	if s.Index != "" {
 		fmt.Fprintf(&b, " index=%s", s.Index)
 	}
-	fmt.Fprintf(&b, " blocks=%d read/%d skipped (%d by bloom) live_union=%d back_checked=%d (%d dropped) rows=%d",
-		s.BlocksRead, s.BlocksSkipped, s.BlocksBloomSkipped, s.LiveUnion, s.BackChecked, s.BackCheckDropped, s.RowsEmitted)
+	fmt.Fprintf(&b, " blocks=%d read/%d skipped (%d by bloom) live_union=%d winner_inserts=%d back_checked=%d (%d dropped) rows=%d",
+		s.BlocksRead, s.BlocksSkipped, s.BlocksBloomSkipped, s.LiveUnion, s.WinnerInserts, s.BackChecked, s.BackCheckDropped, s.RowsEmitted)
 	for _, sp := range s.Spans {
-		fmt.Fprintf(&b, "\n  shard %s: blocks=%d read/%d skipped live_union=%d in %s",
-			sp.Shard, sp.BlocksRead, sp.BlocksSkipped, sp.LiveUnion, sp.Elapsed)
+		fmt.Fprintf(&b, "\n  shard %s: blocks=%d read/%d skipped live_union=%d winner_inserts=%d in %s",
+			sp.Shard, sp.BlocksRead, sp.BlocksSkipped, sp.LiveUnion, sp.WinnerInserts, sp.Elapsed)
 	}
 	return b.String()
 }

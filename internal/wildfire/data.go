@@ -3,6 +3,7 @@ package wildfire
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"umzi/internal/columnar"
 	"umzi/internal/types"
@@ -147,11 +148,12 @@ func (e *Engine) FetchContext(ctx context.Context, rid types.RID) (Record, error
 			rec.PrevRID = prev
 		}
 	}
-	// Apply the endTS sidecar overlay.
-	e.endTSMu.Lock()
-	if ts, ok := e.endTS[rid]; ok {
-		rec.EndTS = ts
+	// Apply the endTS sidecar overlay (only post-groomed versions have one).
+	if rid.Zone == types.ZonePostGroomed {
+		ovs := e.endTSOverrides(rid.Block)
+		if i, ok := slices.BinarySearchFunc(ovs, rid.Offset, cmpOverrideOffset); ok {
+			rec.EndTS = ovs[i].ts
+		}
 	}
-	e.endTSMu.Unlock()
 	return rec, nil
 }

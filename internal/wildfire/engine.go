@@ -125,11 +125,12 @@ type Engine struct {
 	postMu  sync.Mutex
 	syncMu  sync.Mutex
 
-	// endTS overlays replaced versions: RID -> endTS. Maintained by the
-	// post-groomer; persisted as sidecar objects because shared storage
-	// forbids in-place updates of data blocks.
+	// endTS overlays replaced post-groomed versions (post block ID ->
+	// overrides sorted by offset), persisted as sidecars since blocks are
+	// immutable. A block's slice is swapped whole under endTSMu, never
+	// mutated, so readers search the slice they fetched without the lock.
 	endTSMu sync.Mutex
-	endTS   map[types.RID]types.TS
+	endTS   map[uint64][]endTSOverride
 
 	// blocks is the bounded decoded-block cache (data access path); it
 	// may be shared across shards. scanPool bounds the intra-shard
@@ -232,7 +233,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cache:       cfg.Cache,
 		tuning:      cfg.IndexTuning,
 		durable:     cfg.Durability,
-		endTS:       make(map[types.RID]types.TS),
+		endTS:       make(map[uint64][]endTSOverride),
 		retiredBlks: make(map[string]*columnar.Block),
 		deprecated:  make(map[uint64]struct{}),
 		walDrained:  make(map[uint64]struct{}),
@@ -547,19 +548,22 @@ func (e *Engine) recoverState() error {
 	}
 	e.postBlockSeq.Store(maxPost)
 
-	// Rebuild the endTS overlay from sidecars.
+	// Rebuild the endTS overlay. Stores publish objects atomically, so a
+	// sidecar that does not read back is corruption, not a torn write.
 	endNames, err := e.store.List(prefix + "/endts/")
 	if err != nil {
 		return err
 	}
 	for _, n := range endNames {
 		data, err := e.store.Get(n)
-		if err != nil {
-			continue
+		var updates []endTSUpdate
+		if err == nil {
+			updates, err = decodeEndTSSidecar(data)
 		}
-		decodeEndTSSidecar(data, func(rid types.RID, ts types.TS) {
-			e.endTS[rid] = ts
-		})
+		if err != nil {
+			return fmt.Errorf("wildfire: recovering endTS sidecar %s: %w", n, err)
+		}
+		e.addEndTSOverrides(updates)
 	}
 
 	// A groom writes its data block first and then builds one run per

@@ -3,6 +3,7 @@ package wildfire
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"umzi/internal/columnar"
@@ -23,16 +24,14 @@ import (
 // qualifying projected rows), which is what the coordinator merges
 // before finalizing (ShardedEngine.execPartials).
 
-// execCandidate is one primary key's newest visible version found so
-// far: either a (block, row) reference or a live-zone row. sel is the
-// block's vectorized selection bitmap; it is nil when the version sits
-// in a block the skip structures excluded — the version still shadows
-// older ones but cannot itself qualify.
+// execCandidate is one primary key's newest visible pending version so
+// far. sel is its block's selection bitmap; it is nil when the skip
+// structures excluded the block — the version still shadows older ones
+// but cannot itself qualify.
 type execCandidate struct {
 	beginTS uint64
 	blk     *columnar.Block
 	row     int
-	liveRow Row
 	sel     *exec.Bitmap
 }
 
@@ -64,36 +63,28 @@ func (e *Engine) liveOverlay(opts QueryOptions) (map[string]liveBest, *zoneVersi
 	return live, v, ts
 }
 
-// scanBlk is one visible zone block of a query, with its skip verdict.
-// drop marks a block with nothing visible at the query timestamp; it is
-// compacted away after the parallel classify.
+// scanBlk is one zone block of a query, with its skip verdict.
 type scanBlk struct {
 	blk  *columnar.Block
 	skip exec.SkipReason
-	drop bool
 }
 
 // executeBound evaluates a bound plan on this shard into a partial
 // result. Multi-version, multi-zone semantics match Scan: of every
 // primary key, exactly the newest version with beginTS <= TS qualifies
 // (plus live records when requested), and the filter applies to that
-// reconciled row — an old version whose key was since updated never
-// leaks into the result.
+// reconciled row.
 //
-// Block-at-a-time with three levels of skipping: a block whose minimum
-// beginTS exceeds the timestamp holds no visible rows and is skipped
-// outright; a block excluded by the filter synopses or by a per-column
-// bloom filter is scanned for its key and beginTS columns only (its
-// versions may still shadow older versions of the same keys elsewhere),
-// never materializing data columns.
-//
-// Predicates evaluate vectorized (exec.BoundPlan.FilterBlock): one
-// selection bitmap per block, computed directly over the encoded
-// columns, with rows materialized only after selection.
-//
-// Only the block fetch/decode/classify pass runs on the engine's
-// intra-shard scan pool (Config.ScanParallelism workers); winner
-// reconciliation is one sequential pass, a global per-key argmax.
+// Post-groomed versions have a resolved endTS (§2.1: in the block, or a
+// sidecar override), so such a row is visible exactly when beginTS <=
+// zts < endTS — no comparison with other versions, and a post-groomed
+// block the synopses or a bloom filter exclude is never touched. zts
+// caps TS at the version's lastGroomTS: an override written after the
+// capture has its successor in the version or beyond that boundary.
+// Pending groomed blocks and the live zone go through a per-key winner
+// map (newest beginTS wins, live beats groomed), skipped pending blocks
+// included since their versions still shadow; a post-groomed row whose
+// key is in the map is dropped, pending and live versions being newer.
 func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts QueryOptions) (*exec.Partial, error) {
 	if e.closed.Load() {
 		return nil, fmt.Errorf("wildfire: engine closed")
@@ -103,6 +94,7 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 	start := time.Now()
 	live, v, ts := e.liveOverlay(opts)
 	liveUnion := int64(len(live))
+	zts := min(ts, v.lastGroomTS)
 
 	pkIdx := make([]int, len(e.table.PrimaryKey))
 	for i, k := range e.table.PrimaryKey {
@@ -127,37 +119,27 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 		if err != nil {
 			return err
 		}
-		sb := scanBlk{blk: blk}
-		if min, ok := blk.ColumnMin(nUser); !ok || types.TS(min.Uint()) > ts {
-			sb.drop = true // empty, or nothing visible at this timestamp
-		} else {
-			sb.skip = bound.BlockSkip(blk)
+		classified[i] = scanBlk{blk: blk, skip: exec.SkipSynopsis}
+		// The beginTS synopsis rules out an empty block, or one with
+		// nothing visible at this timestamp, before the filter's.
+		if min, ok := blk.ColumnMin(nUser); ok && types.TS(min.Uint()) <= ts {
+			classified[i].skip = bound.BlockSkip(blk)
 		}
-		classified[i] = sb
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var blocksRead, blocksSkipped, blocksBloomSkipped int64
-	blks := classified[:0]
+	var blocksRead, blocksSkipped, blocksBloomSkipped, winnerInserts int64
 	for _, sb := range classified {
-		if sb.drop {
+		if sb.skip != exec.SkipNone {
 			blocksSkipped++
-			continue
-		}
-		switch sb.skip {
-		case exec.SkipNone:
+		} else {
 			blocksRead++
-		case exec.SkipBloom:
-			blocksSkipped++
-			blocksBloomSkipped++
-		default:
-			// Key/beginTS columns only: the synopsis proved no row can
-			// qualify, so the scan counts as skipped for skip-ratio purposes.
-			blocksSkipped++
 		}
-		blks = append(blks, sb)
+		if sb.skip == exec.SkipBloom {
+			blocksBloomSkipped++
+		}
 	}
 
 	e.mx.execBlocksRead.Add(blocksRead)
@@ -168,12 +150,14 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 	opts.Trace.AddBlocksBloomSkipped(blocksBloomSkipped)
 	opts.Trace.AddLiveUnion(liveUnion)
 	defer func() {
+		opts.Trace.AddWinnerInserts(winnerInserts)
 		opts.Trace.AddSpan(obs.TraceSpan{
 			Shard:              e.table.Name,
 			BlocksRead:         blocksRead,
 			BlocksSkipped:      blocksSkipped,
 			BlocksBloomSkipped: blocksBloomSkipped,
 			LiveUnion:          liveUnion,
+			WinnerInserts:      winnerInserts,
 			Elapsed:            time.Since(start),
 		})
 	}()
@@ -181,12 +165,19 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 	part := bound.NewPartial()
 	var keyBuf []byte
 	var tsBuf []uint64
+	appendPK := func(blk *columnar.Block, r int) []byte {
+		keyBuf = keyBuf[:0]
+		for _, c := range pkIdx {
+			keyBuf = keyenc.Append(keyBuf, blk.Value(r, c))
+		}
+		return keyBuf
+	}
 
-	// Phase 2: reconcile the newest visible version per primary key
-	// across blocks, then emit the winners their block's selection bitmap
-	// accepts.
+	// Phase 2: reconcile the newest visible pending version per primary
+	// key. Live records are newer than every groomed version of their key
+	// (the groomer will assign them a larger beginTS), so they supersede.
 	winners := make(map[string]execCandidate)
-	for _, sb := range blks {
+	for _, sb := range classified[:len(v.pending)] {
 		var sel *exec.Bitmap
 		if sb.skip == exec.SkipNone {
 			sel = bound.FilterBlock(sb.blk)
@@ -198,38 +189,60 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 			if types.TS(beginTS) > ts {
 				continue
 			}
-			keyBuf = keyBuf[:0]
-			for _, c := range pkIdx {
-				keyBuf = keyenc.Append(keyBuf, blk.Value(r, c))
-			}
-			if w, ok := winners[string(keyBuf)]; ok && w.beginTS >= beginTS {
+			winnerInserts++
+			pk := appendPK(blk, r)
+			if w, ok := winners[string(pk)]; ok && w.beginTS >= beginTS {
 				continue
 			}
-			winners[string(keyBuf)] = execCandidate{beginTS: beginTS, blk: blk, row: r, sel: sel}
+			winners[string(pk)] = execCandidate{beginTS: beginTS, blk: blk, row: r, sel: sel}
 		}
 	}
-	// Committed-but-ungroomed records are newer than every groomed
-	// version of their key (the groomer will assign them a larger
-	// beginTS), so the newest live version per key supersedes any zone
-	// candidate.
-	for pk, best := range live {
-		winners[pk] = execCandidate{beginTS: uint64(types.MaxTS), liveRow: best.row}
-	}
-	for _, w := range winners {
-		if w.liveRow != nil {
-			row := w.liveRow
-			view := exec.RowView(func(c int) keyenc.Value { return row[c] })
-			if bound.Matches(view) {
-				part.Add(view)
-			}
+	winnerInserts += liveUnion
+
+	// Phase 3: post-groomed rows visible by beginTS/endTS, minus overrides
+	// in effect at zts and keys a pending or live version shadows.
+	for i, sb := range classified[len(v.pending):] {
+		if sb.skip != exec.SkipNone {
 			continue
 		}
-		if w.sel == nil || !w.sel.Get(w.row) {
+		blk := sb.blk
+		sel := bound.FilterBlock(blk)
+		vis := exec.NewBitmap(blk.NumRows())
+		blk.CmpSelect(nUser, keyenc.U64(uint64(zts)), true, true, false, vis.Words())
+		sel.And(vis)
+		blk.CmpSelect(nUser+1, keyenc.U64(uint64(zts)), false, false, true, vis.Words())
+		sel.And(vis)
+		words := sel.Words()
+		for _, o := range e.endTSOverrides(v.post[i]) {
+			if o.ts <= zts {
+				words[o.offset>>6] &^= 1 << (o.offset & 63)
+			}
+		}
+		var r int // one view per block, re-pointed per row
+		view := exec.RowView(func(c int) keyenc.Value { return blk.Value(r, c) })
+		for w, word := range words {
+			for ; word != 0; word &= word - 1 {
+				r = w<<6 | bits.TrailingZeros64(word)
+				if len(winners)+len(live) > 0 {
+					pk := appendPK(blk, r)
+					_, pending := winners[string(pk)]
+					if _, isLive := live[string(pk)]; pending || isLive {
+						continue
+					}
+				}
+				part.Add(view)
+			}
+		}
+	}
+
+	for pk, w := range winners {
+		if _, isLive := live[pk]; isLive || w.sel == nil || !w.sel.Get(w.row) {
 			continue
 		}
 		blk, r := w.blk, w.row
 		part.Add(func(c int) keyenc.Value { return blk.Value(r, c) })
 	}
+	addLiveRows(part, bound, live)
 	return part, nil
 }
 

@@ -2,6 +2,7 @@ package wildfire
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -17,7 +18,8 @@ import (
 // plans (filters, projections, aggregates, GROUP BY) against a naive
 // scan-then-filter-then-aggregate reference computed from a model of
 // the table. Checks run with the live zone both excluded and included,
-// so groups routinely straddle the live/groomed boundary, and at
+// so groups routinely straddle the live/groomed boundary, at MaxTS
+// without live (the executor caps it at the groom boundary), and at
 // historical groom boundaries so beginTS visibility (and the executor's
 // beginTS block skipping) is exercised. The single engine also runs
 // every plan as a forced zone scan (NoIndexSelection), so index
@@ -324,6 +326,41 @@ func naiveExecute(td TableDef, p exec.Plan, rf refFilter, visible []Row) [][]key
 	return out
 }
 
+// modelRows merges models (later ones win per key) into the visible rows.
+func modelRows(models ...map[string]Row) []Row {
+	merged := map[string]Row{}
+	for _, m := range models {
+		maps.Copy(merged, m)
+	}
+	out := make([]Row, 0, len(merged))
+	for _, r := range merged {
+		out = append(out, r)
+	}
+	return out
+}
+
+// compareRows fails the test unless got equals the reference want.
+func compareRows(t *testing.T, label string, p exec.Plan, got, want [][]keyenc.Value) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, reference %d\nplan: %+v\ngot:  %v\nwant: %v", label, len(got), len(want), p, got, want)
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s row %d: arity %d vs %d", label, i, len(got[i]), len(want[i]))
+		}
+		for c := range want[i] {
+			if got[i][c].Kind() == keyenc.KindInvalid && want[i][c].Kind() == keyenc.KindInvalid {
+				continue // both NULL stand-ins (empty AVG/MIN/MAX)
+			}
+			if keyenc.Compare(got[i][c], want[i][c]) != 0 {
+				t.Fatalf("%s row %d col %d: %v, reference %v\nplan: %+v\ngot:  %v\nwant: %v",
+					label, i, c, got[i][c], want[i][c], p, got, want)
+			}
+		}
+	}
+}
+
 func executeEquivalence(t *testing.T, seed int64, layout equivLayout) {
 	rng := rand.New(rand.NewSource(seed))
 
@@ -338,20 +375,6 @@ func executeEquivalence(t *testing.T, seed int64, layout equivLayout) {
 	liveModel := map[string]Row{}
 	var boundaries []types.TS
 	var history []map[string]Row
-
-	visibleRows := func(m ...map[string]Row) []Row {
-		merged := map[string]Row{}
-		for _, mm := range m {
-			for k, v := range mm {
-				merged[k] = v
-			}
-		}
-		out := make([]Row, 0, len(merged))
-		for _, r := range merged {
-			out = append(out, r)
-		}
-		return out
-	}
 
 	td := iotTable()
 	checkPlan := func(p exec.Plan, rf refFilter, opts QueryOptions, visible []Row, label string) {
@@ -373,24 +396,7 @@ func executeEquivalence(t *testing.T, seed int64, layout equivLayout) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", label, eng.name, err)
 			}
-			if len(got.Rows) != len(want) {
-				t.Fatalf("%s %s: %d rows, reference %d\nplan: %+v\ngot:  %v\nwant: %v",
-					label, eng.name, len(got.Rows), len(want), p, got.Rows, want)
-			}
-			for i := range want {
-				if len(got.Rows[i]) != len(want[i]) {
-					t.Fatalf("%s %s row %d: arity %d vs %d", label, eng.name, i, len(got.Rows[i]), len(want[i]))
-				}
-				for c := range want[i] {
-					if got.Rows[i][c].Kind() == keyenc.KindInvalid && want[i][c].Kind() == keyenc.KindInvalid {
-						continue // both NULL stand-ins (empty AVG/MIN/MAX)
-					}
-					if keyenc.Compare(got.Rows[i][c], want[i][c]) != 0 {
-						t.Fatalf("%s %s row %d col %d: %v, reference %v\nplan: %+v\ngot:  %v\nwant: %v",
-							label, eng.name, i, c, got.Rows[i][c], want[i][c], p, got.Rows, want)
-					}
-				}
-			}
+			compareRows(t, label+" "+eng.name, p, got.Rows, want)
 		}
 	}
 
@@ -451,13 +457,15 @@ func executeEquivalence(t *testing.T, seed int64, layout equivLayout) {
 		}
 		for q := 0; q < 4; q++ {
 			p, rf := genPlan(rng, layout.devices, equivMsgs)
-			checkPlan(p, rf, QueryOptions{}, visibleRows(groomedModel),
+			checkPlan(p, rf, QueryOptions{}, modelRows(groomedModel),
 				fmt.Sprintf("round %d q%d groomed", round, q))
-			checkPlan(p, rf, QueryOptions{IncludeLive: true}, visibleRows(groomedModel, liveModel),
+			checkPlan(p, rf, QueryOptions{IncludeLive: true}, modelRows(groomedModel, liveModel),
 				fmt.Sprintf("round %d q%d live", round, q))
+			checkPlan(p, rf, QueryOptions{TS: types.MaxTS}, modelRows(groomedModel),
+				fmt.Sprintf("round %d q%d MaxTS", round, q))
 			if len(boundaries) > 1 {
 				b := rng.Intn(len(boundaries))
-				checkPlan(p, rf, QueryOptions{TS: boundaries[b]}, visibleRows(history[b]),
+				checkPlan(p, rf, QueryOptions{TS: boundaries[b]}, modelRows(history[b]),
 					fmt.Sprintf("round %d q%d boundary %d", round, q, b))
 			}
 		}

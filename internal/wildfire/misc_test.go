@@ -47,24 +47,32 @@ func TestEndTSSidecarRoundTrip(t *testing.T) {
 		{rid: types.RID{Zone: types.ZonePostGroomed, Block: 3, Offset: 4}, ts: 200},
 	}
 	enc := encodeEndTSSidecar(updates)
-	got := map[types.RID]types.TS{}
-	decodeEndTSSidecar(enc, func(rid types.RID, ts types.TS) { got[rid] = ts })
-	if len(got) != 2 {
+	got, err := decodeEndTSSidecar(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(updates) {
 		t.Fatalf("decoded %d entries", len(got))
 	}
-	for _, u := range updates {
-		if got[u.rid] != u.ts {
-			t.Errorf("rid %v: ts = %v, want %v", u.rid, got[u.rid], u.ts)
+	for i, u := range updates {
+		if got[i] != u {
+			t.Errorf("entry %d = %+v, want %+v", i, got[i], u)
 		}
 	}
-	// Corrupt inputs are ignored, never panic.
-	decodeEndTSSidecar(nil, func(types.RID, types.TS) { t.Error("visited on nil input") })
-	decodeEndTSSidecar([]byte("garbagegarbage"), func(types.RID, types.TS) { t.Error("visited on garbage") })
-	// Truncated payload stops early.
-	n := 0
-	decodeEndTSSidecar(enc[:len(enc)-4], func(types.RID, types.TS) { n++ })
-	if n != 1 {
-		t.Errorf("truncated sidecar yielded %d entries, want 1", n)
+	// Anything the encoder cannot have written is rejected: recovery
+	// must fail rather than drop overrides.
+	groomedRID := encodeEndTSSidecar([]endTSUpdate{{rid: types.RID{Zone: types.ZoneGroomed, Block: 1}, ts: 1}})
+	for name, bad := range map[string][]byte{
+		"nil":        nil,
+		"garbage":    []byte("garbagegarbage"),
+		"truncated":  enc[:len(enc)-4],
+		"trailing":   append(append([]byte{}, enc...), 0),
+		"count":      append(append([]byte{}, enc[:11]...), 3),
+		"groomedRID": groomedRID,
+	} {
+		if _, err := decodeEndTSSidecar(bad); err == nil {
+			t.Errorf("%s sidecar accepted", name)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package wildfire
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -172,11 +173,7 @@ func (e *Engine) PostGroom() (types.PSN, error) {
 		if err := e.store.Put(endTSName(e.table.Name, psn), encodeEndTSSidecar(endTSUpdates)); err != nil {
 			return 0, err
 		}
-		e.endTSMu.Lock()
-		for _, u := range endTSUpdates {
-			e.endTS[u.rid] = u.ts
-		}
-		e.endTSMu.Unlock()
+		e.addEndTSOverrides(endTSUpdates)
 	}
 
 	// Persist the PSN metadata, then commit: the written post blocks
@@ -212,12 +209,50 @@ type endTSUpdate struct {
 	ts  types.TS
 }
 
+// endTSOverride is one overlay entry of a post-groomed block: the version
+// at offset was replaced at ts.
+type endTSOverride struct {
+	offset uint32
+	ts     types.TS
+}
+
+func cmpOverrideOffset(o endTSOverride, offset uint32) int { return cmp.Compare(o.offset, offset) }
+
+// addEndTSOverrides merges sidecar entries into the overlay, giving every
+// touched block a fresh sorted slice.
+func (e *Engine) addEndTSOverrides(updates []endTSUpdate) {
+	e.endTSMu.Lock()
+	defer e.endTSMu.Unlock()
+	touched := map[uint64][]endTSOverride{}
+	for _, u := range updates {
+		ovs, ok := touched[u.rid.Block]
+		if !ok {
+			ovs = slices.Clone(e.endTS[u.rid.Block])
+		}
+		touched[u.rid.Block] = append(ovs, endTSOverride{offset: u.rid.Offset, ts: u.ts})
+	}
+	for id, ovs := range touched {
+		slices.SortFunc(ovs, func(a, b endTSOverride) int { return cmpOverrideOffset(a, b.offset) })
+		e.endTS[id] = ovs
+	}
+}
+
+// endTSOverrides returns a post-groomed block's overlay, sorted by offset.
+func (e *Engine) endTSOverrides(block uint64) []endTSOverride {
+	e.endTSMu.Lock()
+	defer e.endTSMu.Unlock()
+	return e.endTS[block]
+}
+
 // Sidecar wire format: magic "UMZIENDT", u32 count, then per entry the
-// 13-byte RID and the u64 endTS.
-const endTSMagic = "UMZIENDT"
+// 13-byte RID of a post-groomed version and the u64 endTS.
+const (
+	endTSMagic     = "UMZIENDT"
+	endTSEntrySize = types.RIDSize + 8
+)
 
 func encodeEndTSSidecar(updates []endTSUpdate) []byte {
-	out := make([]byte, 0, 8+4+len(updates)*(types.RIDSize+8))
+	out := make([]byte, 0, 12+len(updates)*endTSEntrySize)
 	out = append(out, endTSMagic...)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(updates)))
 	for _, u := range updates {
@@ -227,21 +262,26 @@ func encodeEndTSSidecar(updates []endTSUpdate) []byte {
 	return out
 }
 
-func decodeEndTSSidecar(data []byte, visit func(types.RID, types.TS)) {
+// decodeEndTSSidecar rejects anything encodeEndTSSidecar cannot have
+// written: bad magic, a count the bytes disagree with, a non-post RID.
+func decodeEndTSSidecar(data []byte) ([]endTSUpdate, error) {
 	if len(data) < 12 || string(data[:8]) != endTSMagic {
-		return
+		return nil, fmt.Errorf("wildfire: bad endTS sidecar header")
 	}
 	n := int(binary.BigEndian.Uint32(data[8:12]))
-	off := 12
-	for i := 0; i < n && off+types.RIDSize+8 <= len(data); i++ {
-		rid, err := types.DecodeRID(data[off:])
-		if err != nil {
-			return
-		}
-		off += types.RIDSize
-		visit(rid, types.TS(binary.BigEndian.Uint64(data[off:])))
-		off += 8
+	if body := len(data) - 12; body != n*endTSEntrySize {
+		return nil, fmt.Errorf("wildfire: endTS sidecar declares %d entries in %d bytes", n, body)
 	}
+	updates := make([]endTSUpdate, n)
+	for i := range updates {
+		entry := data[12+i*endTSEntrySize:]
+		rid, err := types.DecodeRID(entry)
+		if err != nil || rid.Zone != types.ZonePostGroomed {
+			return nil, fmt.Errorf("wildfire: endTS sidecar entry %d: RID %v is not post-groomed", i, rid)
+		}
+		updates[i] = endTSUpdate{rid: rid, ts: types.TS(binary.BigEndian.Uint64(entry[types.RIDSize:]))}
+	}
+	return updates, nil
 }
 
 // PSN meta wire format: magic "UMZIPSNM", groomed range lo/hi u64, u32
