@@ -1,11 +1,13 @@
 package wildfire
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -559,4 +561,106 @@ func TestShardedCrashRecovery(t *testing.T) {
 			t.Fatalf("shard %d after groom: mark=%d maxSeq=%d segments=%d", i, st.Mark, st.MaxSeq, st.Segments)
 		}
 	}
+}
+
+// failPSNMetaPut passes every call through to the store, except that
+// the first PSN-meta Put after arm() fails before reaching it.
+type failPSNMetaPut struct {
+	storage.ObjectStore
+	armed bool
+}
+
+func (s *failPSNMetaPut) arm() { s.armed = true }
+
+func (s *failPSNMetaPut) Put(name string, data []byte) error {
+	if s.armed && strings.Contains(name, "/psn/") {
+		s.armed = false
+		return storage.ErrInjectedFault
+	}
+	return s.ObjectStore.Put(name, data)
+}
+
+// TestPostGroomRetryRecovery: a post-groom that fails between its endTS
+// sidecar Put and its PSN meta Put leaves a sidecar under a PSN no zone
+// version references. The retry reuses that PSN and must replace the
+// leftover rather than wedge on the write-once name, both in the same
+// lifetime and after a crash; recovery must ignore the leftover.
+func TestPostGroomRetryRecovery(t *testing.T) {
+	fs := &failPSNMetaPut{ObjectStore: crashBackend(t, "postgroom-retry")}
+	cfg := Config{Table: iotTable(), Index: iotIndex(), Store: fs, Replicas: 1}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := map[string]Row{}
+	commit := func(e *Engine, v float64) {
+		t.Helper()
+		rows := []Row{row(1, 1, v, 100), row(1, 2, v, 100), row(2, 1, v, 101)}
+		if err := e.UpsertRows(0, rows...); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Groom(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			oracle[cfg.Table.pkEncoding(r)] = r
+		}
+	}
+	postGroom := func(e *Engine) {
+		t.Helper()
+		if _, err := e.PostGroom(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SyncIndex(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// failPostGroom updates the post-groomed keys, so the post-groom
+	// writes a sidecar, and fails its PSN meta Put.
+	failPostGroom := func(e *Engine, v float64) {
+		t.Helper()
+		commit(e, v)
+		fs.arm()
+		if _, err := e.PostGroom(); !errors.Is(err, storage.ErrInjectedFault) {
+			t.Fatalf("post-groom with a failing PSN meta Put: err = %v", err)
+		}
+		if names, _ := fs.List("tbl/" + cfg.Table.Name + "/endts/"); len(names) == 0 {
+			t.Fatal("setup: the failed post-groom wrote no sidecar")
+		}
+	}
+
+	commit(e, 1)
+	postGroom(e)
+	failPostGroom(e, 2)
+	postGroom(e) // the retry in the same lifetime
+	verifyOracle(t, e, oracle)
+
+	failPostGroom(e, 3)
+	// Crash: drop the engine without Close, with the leftover sidecar of
+	// the failed post-groom above the recovered maxPSN.
+	e, err = NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { e.Close() }()
+	verifyOracle(t, e, oracle)
+	// Recovery ignored the leftover: the newest post-groomed version of
+	// a key it overrode is still current.
+	eq, sortv := key(1, 1)
+	ent, found, err := e.idx.PointLookupPostGroomed(eq, sortv, types.MaxTS)
+	if err != nil || !found {
+		t.Fatal(err, found)
+	}
+	if rec, err := e.FetchContext(context.Background(), ent.RID); err != nil || rec.EndTS != types.MaxTS {
+		t.Fatalf("newest post-groomed version: endTS = %v, err = %v; want MaxTS", rec.EndTS, err)
+	}
+	postGroom(e) // the retry after recovery
+	verifyOracle(t, e, oracle)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if e, err = NewEngine(cfg); err != nil {
+		t.Fatal(err)
+	}
+	verifyOracle(t, e, oracle)
 }

@@ -19,14 +19,10 @@ import (
 // collapse into a single storage read and parse (singleflight). The
 // context is checked before paying for a shared-storage read, so
 // cancelled queries stop at block granularity — the unit of I/O —
-// without a partial-parse state to clean up. Blocks already deleted
-// from storage but awaiting query-epoch drain are served from the
-// retired overlay.
+// without a partial-parse state to clean up. A retired groomed block
+// stays in storage until every query that could hold its RIDs has
+// drained (reclaimDeprecated).
 func (e *Engine) fetchBlock(ctx context.Context, name string) (*columnar.Block, error) {
-	if blk := e.retiredBlock(name); blk != nil {
-		e.mx.blockCacheHits.Inc()
-		return blk, nil
-	}
 	blk, dedup, err := e.blocks.getOrFetch(ctx, name, func() (*columnar.Block, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -45,14 +41,6 @@ func (e *Engine) fetchBlock(ctx context.Context, name string) (*columnar.Block, 
 	if dedup {
 		e.mx.blockCacheHits.Inc()
 	}
-	if err != nil {
-		// A reclaim may have retired the block between the overlay check
-		// above and the storage read: it pins the decode into the overlay
-		// before deleting the object, so a failed read re-checks there.
-		if blk := e.retiredBlock(name); blk != nil {
-			return blk, nil
-		}
-	}
 	return blk, err
 }
 
@@ -60,20 +48,6 @@ func (e *Engine) fetchBlock(ctx context.Context, name string) (*columnar.Block, 
 // (groom and post-groom both write the object and keep the decode hot).
 func (e *Engine) cacheBlock(name string, blk *columnar.Block) {
 	e.blocks.put(name, blk)
-}
-
-func (e *Engine) dropCachedBlock(name string) {
-	e.blocks.drop(name)
-}
-
-// retiredBlock consults the engine's epoch-drain overlay: blocks whose
-// storage objects were reclaimed while queries that could still hold
-// their RIDs are in flight.
-func (e *Engine) retiredBlock(name string) *columnar.Block {
-	e.retireMu.Lock()
-	blk := e.retiredBlks[name]
-	e.retireMu.Unlock()
-	return blk
 }
 
 // bloomOrdinals returns the block-schema ordinals that carry bloom
@@ -112,7 +86,7 @@ type Record struct {
 
 // FetchContext resolves an RID to its record (§2.1 footnote 2: an RID is
 // the combination of zone, block ID and record offset). The endTS
-// overlay from post-groom sidecars is applied on the way out. A
+// overrides of the current zone version are applied on the way out. A
 // cancelled context stops the block fetch before it reaches shared
 // storage.
 func (e *Engine) FetchContext(ctx context.Context, rid types.RID) (Record, error) {
@@ -148,9 +122,10 @@ func (e *Engine) FetchContext(ctx context.Context, rid types.RID) (Record, error
 			rec.PrevRID = prev
 		}
 	}
-	// Apply the endTS sidecar overlay (only post-groomed versions have one).
+	// Apply the version's endTS overrides (only post-groomed versions
+	// have them).
 	if rid.Zone == types.ZonePostGroomed {
-		ovs := e.endTSOverrides(rid.Block)
+		ovs := e.zone.Load().endTS[rid.Block]
 		if i, ok := slices.BinarySearchFunc(ovs, rid.Offset, cmpOverrideOffset); ok {
 			rec.EndTS = ovs[i].ts
 		}

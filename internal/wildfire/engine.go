@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"umzi/internal/columnar"
 	"umzi/internal/core"
 	"umzi/internal/obs"
 	"umzi/internal/storage"
@@ -125,36 +124,26 @@ type Engine struct {
 	postMu  sync.Mutex
 	syncMu  sync.Mutex
 
-	// endTS overlays replaced post-groomed versions (post block ID ->
-	// overrides sorted by offset), persisted as sidecars since blocks are
-	// immutable. A block's slice is swapped whole under endTSMu, never
-	// mutated, so readers search the slice they fetched without the lock.
-	endTSMu sync.Mutex
-	endTS   map[uint64][]endTSOverride
-
 	// blocks is the bounded decoded-block cache (data access path); it
 	// may be shared across shards. scanPool bounds the intra-shard
 	// block fetch/decode/classify workers.
 	blocks   *BlockCache
 	scanPool *gatherPool
 
-	// gate tracks in-flight queries; retireQueue holds names of deleted
-	// groomed blocks awaiting query-epoch drain, and retiredBlks pins
-	// their decodes outside the bounded cache until the drain — so a
-	// query that resolved RIDs into a block before its storage object
-	// was reclaimed can still read it, realizing "marked deprecated and
-	// eventually deleted" (§5.4) without blocking readers.
+	// gate tracks in-flight queries. deprecated holds groomed block IDs
+	// consumed by post-grooms that some index of the set can still hand
+	// out RIDs into: a block is retired only once no index (primary or
+	// secondary) can. retireQueue holds the names of retired blocks,
+	// each tagged with the query epoch of its retirement; the storage
+	// object and the cached decode go once that epoch drains, so a query
+	// that resolved RIDs into a block before it was retired can still
+	// read it — "marked deprecated and eventually deleted" (§5.4)
+	// without blocking readers. Both are touched only under syncMu
+	// (evolveOne and reclaimDeprecated run inside SyncIndex) or by
+	// single-threaded recovery.
 	gate        queryGate
-	retireMu    sync.Mutex
-	retireQueue []retireItem
-	retiredBlks map[string]*columnar.Block
-
-	// deprecated holds groomed block IDs consumed by post-grooms whose
-	// data blocks cannot be deleted yet: reclamation is gated on the
-	// watermark of EVERY index of the set — a block is deleted only once
-	// no index (primary or secondary) can hand out RIDs into it.
-	deprecateMu sync.Mutex
 	deprecated  map[uint64]struct{}
+	retireQueue []retireItem
 
 	started    atomic.Bool
 	maintEvery time.Duration
@@ -182,6 +171,12 @@ type zoneVersion struct {
 	// post-grooms consumed.
 	maxPSN     types.PSN
 	consumedHi uint64
+	// endTS overrides the endTS of replaced post-groomed versions (post
+	// block ID -> overrides sorted by offset), from the sidecars of the
+	// post-grooms up to maxPSN; every override is <= lastGroomTS. A
+	// post-groom clones the map and gives each block it touches a fresh
+	// slice.
+	endTS map[uint64][]endTSOverride
 }
 
 // publish replaces the zone version with an edited copy of it. Slices
@@ -227,16 +222,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 
 	e := &Engine{
-		table:       cfg.Table,
-		ixSpec:      cfg.Index,
-		store:       cfg.Store,
-		cache:       cfg.Cache,
-		tuning:      cfg.IndexTuning,
-		durable:     cfg.Durability,
-		endTS:       make(map[uint64][]endTSOverride),
-		retiredBlks: make(map[string]*columnar.Block),
-		deprecated:  make(map[uint64]struct{}),
-		walDrained:  make(map[uint64]struct{}),
+		table:      cfg.Table,
+		ixSpec:     cfg.Index,
+		store:      cfg.Store,
+		cache:      cfg.Cache,
+		tuning:     cfg.IndexTuning,
+		durable:    cfg.Durability,
+		deprecated: make(map[uint64]struct{}),
+		walDrained: make(map[uint64]struct{}),
 	}
 	e.mx = newEngineMetrics(cfg.Obs, cfg.Table.Name)
 	e.blocks = cfg.BlockCache
@@ -450,8 +443,8 @@ func (e *Engine) safeReclaimBoundary() uint64 {
 // recoverState rebuilds engine state from storage after a restart: the
 // first zone version (PSN and the consumed-block boundary from the psn
 // metas, the groom cycle and the pending/deprecated split from the
-// groomed block listing), the endTS overlay from the sidecar objects —
-// and any index run a crash lost between a groom's block write and its
+// groomed block listing, the endTS overrides from the sidecar objects)
+// — and any index run a crash lost between a groom's block write and its
 // per-index run builds.
 func (e *Engine) recoverState() error {
 	prefix := "tbl/" + e.table.Name
@@ -530,6 +523,33 @@ func (e *Engine) recoverState() error {
 	}
 	e.groomCycle.Store(maxCycle)
 	v.lastGroomTS = types.MakeTS(maxCycle, 1<<24-1)
+
+	// The endTS overrides of the published post-grooms. A sidecar above
+	// maxPSN is the leftover of a post-groom that failed before its PSN
+	// meta; the retry under that PSN replaces it. Stores publish objects
+	// atomically, so a sidecar that does not read back is corruption,
+	// not a torn write.
+	endNames, err := e.store.List(prefix + "/endts/")
+	if err != nil {
+		return err
+	}
+	var updates []endTSUpdate
+	for _, n := range endNames {
+		var psn uint64
+		if _, err := fmt.Sscanf(n, prefix+"/endts/%d", &psn); err != nil || types.PSN(psn) > v.maxPSN {
+			continue
+		}
+		data, err := e.store.Get(n)
+		var sidecar []endTSUpdate
+		if err == nil {
+			sidecar, err = decodeEndTSSidecar(data)
+		}
+		if err != nil {
+			return fmt.Errorf("wildfire: recovering endTS sidecar %s: %w", n, err)
+		}
+		updates = append(updates, sidecar...)
+	}
+	v.endTS = withEndTSOverrides(v.endTS, updates)
 	e.zone.Store(v)
 
 	postNames, err := e.store.List(prefix + "/post/")
@@ -547,24 +567,6 @@ func (e *Engine) recoverState() error {
 		}
 	}
 	e.postBlockSeq.Store(maxPost)
-
-	// Rebuild the endTS overlay. Stores publish objects atomically, so a
-	// sidecar that does not read back is corruption, not a torn write.
-	endNames, err := e.store.List(prefix + "/endts/")
-	if err != nil {
-		return err
-	}
-	for _, n := range endNames {
-		data, err := e.store.Get(n)
-		var updates []endTSUpdate
-		if err == nil {
-			updates, err = decodeEndTSSidecar(data)
-		}
-		if err != nil {
-			return fmt.Errorf("wildfire: recovering endTS sidecar %s: %w", n, err)
-		}
-		e.addEndTSOverrides(updates)
-	}
 
 	// A groom writes its data block first and then builds one run per
 	// index; a crash in between leaves pending blocks some index has no

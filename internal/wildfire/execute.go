@@ -76,11 +76,12 @@ type scanBlk struct {
 // reconciled row.
 //
 // Post-groomed versions have a resolved endTS (§2.1: in the block, or a
-// sidecar override), so such a row is visible exactly when beginTS <=
-// zts < endTS — no comparison with other versions, and a post-groomed
-// block the synopses or a bloom filter exclude is never touched. zts
-// caps TS at the version's lastGroomTS: an override written after the
-// capture has its successor in the version or beyond that boundary.
+// sidecar override in the version), so such a row is visible exactly
+// when beginTS <= zts < endTS — no comparison with other versions, and
+// a post-groomed block the synopses or a bloom filter exclude is never
+// touched. zts clamps TS to the version's lastGroomTS, which bounds
+// every finite endTS in it, so that a current version stays visible at
+// MaxTS.
 // Pending groomed blocks and the live zone go through a per-key winner
 // map (newest beginTS wins, live beats groomed), skipped pending blocks
 // included since their versions still shadow; a post-groomed row whose
@@ -213,7 +214,7 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 		blk.CmpSelect(nUser+1, keyenc.U64(uint64(zts)), false, false, true, vis.Words())
 		sel.And(vis)
 		words := sel.Words()
-		for _, o := range e.endTSOverrides(v.post[i]) {
+		for _, o := range v.endTS[v.post[i]] {
 			if o.ts <= zts {
 				words[o.offset>>6] &^= 1 << (o.offset & 63)
 			}

@@ -10,8 +10,9 @@ import "sync/atomic"
 //
 // This is how the engine honors the paper's "deprecated and eventually
 // deleted" for groomed data blocks (§5.4) without ever blocking a reader:
-// a query that resolved a groomed RID keeps the deprecated block readable
-// through the engine block cache until the query's epoch drains.
+// a retired block's storage object and cached decode are deleted only
+// once the epoch of its retirement drains, so a query that resolved a
+// groomed RID before then can still read it.
 type queryGate struct {
 	epoch  atomic.Uint64
 	active [2]atomic.Int64

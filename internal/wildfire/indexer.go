@@ -3,7 +3,6 @@ package wildfire
 import (
 	"fmt"
 
-	"umzi/internal/columnar"
 	"umzi/internal/core"
 	"umzi/internal/types"
 )
@@ -25,6 +24,7 @@ func (e *Engine) SyncIndex() error {
 	// this, and evolves of one index must arrive in PSN order.
 	e.syncMu.Lock()
 	defer e.syncMu.Unlock()
+	defer e.releaseRetired()
 	for _, ti := range e.indexSet() {
 		for {
 			indexed := ti.idx.IndexedPSN()
@@ -65,7 +65,7 @@ func (e *Engine) evolveOne(ti *tableIndex, psn types.PSN) error {
 }
 
 // reclaimDeprecated marks the groomed blocks a post-groom consumed as
-// deprecated and deletes every deprecated block the whole index set has
+// deprecated and retires every deprecated block the whole index set has
 // passed. "Deprecated and eventually deleted" (§5.4) has three
 // conditions here:
 //
@@ -74,61 +74,21 @@ func (e *Engine) evolveOne(ti *tableIndex, psn types.PSN) error {
 //   - no live groomed run of any index may still reference it — merged
 //     runs can span ranges evolve only partially covered, and their
 //     entries hand out RIDs into low blocks until they are GC'd;
-//   - in-flight queries that already resolved a groomed RID keep the
-//     block readable through the engine block cache until their query
-//     epoch drains (epoch-based reclamation).
+//   - in-flight queries that already resolved a groomed RID can still
+//     read the block: a retired block is deleted only once its query
+//     epoch drains (epoch-based reclamation, releaseRetired).
 func (e *Engine) reclaimDeprecated(lo, hi uint64) {
-	e.deprecateMu.Lock()
 	for id := lo; id <= hi; id++ {
 		e.deprecated[id] = struct{}{}
 	}
 	safe := e.safeReclaimBoundary()
-	var retire []string
+	tag := e.gate.current()
 	for id := range e.deprecated {
 		if id < safe {
-			retire = append(retire, groomedBlockName(e.table.Name, id))
+			e.retireQueue = append(e.retireQueue, retireItem{name: groomedBlockName(e.table.Name, id), tag: tag})
 			delete(e.deprecated, id)
 		}
 	}
-	e.deprecateMu.Unlock()
-	if len(retire) == 0 {
-		return
-	}
-
-	// The storage objects can go immediately: current and future queries
-	// reach retired blocks only through the retired overlay (no index
-	// hands out their RIDs to queries starting after this point, and
-	// recovery cannot resurrect references to them thanks to the safe
-	// rule above). Each decode is pinned into the overlay before its
-	// object is deleted — the bounded cache may have evicted it, and an
-	// in-flight query must still be able to read it until its query
-	// epoch drains.
-	for _, name := range retire {
-		e.holdRetired(name)
-		_ = e.store.Delete(name)
-		e.blocks.drop(name)
-	}
-	e.retireCacheEntries(retire)
-}
-
-// holdRetired pins the named block's decode into the retired overlay,
-// reading it back from storage when the bounded cache no longer holds
-// it. A block that is gone from both (unreadable object) is skipped: no
-// in-flight query can have fetched it either.
-func (e *Engine) holdRetired(name string) {
-	blk, ok := e.blocks.get(name)
-	if !ok {
-		data, err := e.store.Get(name)
-		if err != nil {
-			return
-		}
-		if blk, err = columnar.Unmarshal(data); err != nil {
-			return
-		}
-	}
-	e.retireMu.Lock()
-	e.retiredBlks[name] = blk
-	e.retireMu.Unlock()
 }
 
 // retireItem is one retired block awaiting query-epoch drain.
@@ -137,26 +97,27 @@ type retireItem struct {
 	tag  uint64
 }
 
-// retireCacheEntries queues the deleted blocks and releases every
-// queued entry whose tag epoch has drained from the retired overlay.
-func (e *Engine) retireCacheEntries(names []string) {
-	e.retireMu.Lock()
-	now := e.gate.current()
-	for _, n := range names {
-		e.retireQueue = append(e.retireQueue, retireItem{name: n, tag: now})
+// releaseRetired deletes the storage object and the cached decode of
+// every retired block whose epoch has drained. No index hands out RIDs
+// into a retired block to a query that starts after its retirement, so
+// once the queries of its tag epoch have exited nothing can read it.
+// With no query in flight the epoch advances twice and everything
+// queued goes at once.
+func (e *Engine) releaseRetired() {
+	if e.gate.tryAdvance() {
+		e.gate.tryAdvance()
 	}
-	e.gate.tryAdvance()
 	cur := e.gate.current()
 	keep := e.retireQueue[:0]
 	for _, it := range e.retireQueue {
-		if it.tag+2 <= cur {
-			delete(e.retiredBlks, it.name)
-		} else {
+		if it.tag+2 > cur {
 			keep = append(keep, it)
+			continue
 		}
+		_ = e.store.Delete(it.name)
+		e.blocks.drop(it.name)
 	}
 	e.retireQueue = keep
-	e.retireMu.Unlock()
 }
 
 // indexDefFor lowers an IndexSpec to the core index definition.

@@ -71,6 +71,46 @@ func TestPostGroomEndToEnd(t *testing.T) {
 	}
 }
 
+// TestReclaimWaitsForQueryEpoch: a groomed block a post-groom consumed is
+// deleted only once the queries that could hold its RIDs have exited. A
+// query that resolved a groomed RID before the post-groom and the evolve
+// still reads it; the next SyncIndex after the query exits deletes the
+// object and drops its decode.
+func TestReclaimWaitsForQueryEpoch(t *testing.T) {
+	e := newTestEngine(t, nil)
+	ingestAndGroom(t, e, row(1, 1, 10.0, 100), row(1, 2, 11.0, 101))
+	epoch := e.gate.enter()
+	eq, sortv := key(1, 1)
+	entry, found, err := e.idx.PointLookup(eq, sortv, e.LastGroomTS())
+	if err != nil || !found || entry.RID.Zone != types.ZoneGroomed {
+		t.Fatalf("lookup = %v, %v, %v; want a groomed RID", entry.RID, found, err)
+	}
+	name := groomedBlockName(e.table.Name, entry.RID.Block)
+	if _, err := e.PostGroom(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SyncIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := e.FetchContext(context.Background(), entry.RID); err != nil || rec.Row[2].Float() != 10.0 {
+		t.Fatalf("in-flight query reads its groomed RID: %v, %v", rec.Row, err)
+	}
+	if _, err := e.store.Get(name); err != nil {
+		t.Fatalf("retired block deleted under an in-flight query: %v", err)
+	}
+
+	e.gate.exit(epoch)
+	if err := e.SyncIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.store.Get(name); err == nil {
+		t.Error("retired block still in storage after its epoch drained")
+	}
+	if _, ok := e.blocks.get(name); ok {
+		t.Error("retired block still in the block cache after its epoch drained")
+	}
+}
+
 func TestPostGroomSetsPrevRIDAndEndTS(t *testing.T) {
 	e := newTestEngine(t, nil)
 	ingestAndGroom(t, e, row(1, 1, 10.0, 100))

@@ -4,12 +4,15 @@ import (
 	"cmp"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
 	"umzi/internal/columnar"
 	"umzi/internal/keyenc"
+	"umzi/internal/storage"
 	"umzi/internal/types"
 )
 
@@ -169,16 +172,26 @@ func (e *Engine) PostGroom() (types.PSN, error) {
 	}
 
 	// Persist the endTS sidecar (no in-place updates on shared storage).
+	// A sidecar already under this PSN is the leftover of an attempt that
+	// failed before its PSN meta: no version references a sidecar above
+	// maxPSN, so it is replaced.
 	if len(endTSUpdates) > 0 {
-		if err := e.store.Put(endTSName(e.table.Name, psn), encodeEndTSSidecar(endTSUpdates)); err != nil {
+		name, sidecar := endTSName(e.table.Name, psn), encodeEndTSSidecar(endTSUpdates)
+		err := e.store.Put(name, sidecar)
+		if errors.Is(err, storage.ErrExists) {
+			if err = e.store.Delete(name); err == nil {
+				err = e.store.Put(name, sidecar)
+			}
+		}
+		if err != nil {
 			return 0, err
 		}
-		e.addEndTSOverrides(endTSUpdates)
 	}
 
 	// Persist the PSN metadata, then commit: the written post blocks
-	// replace the batch (a prefix of pending, since grooms only append)
-	// and MaxPSN advances for the indexer, in one version.
+	// replace the batch (a prefix of pending, since grooms only append),
+	// the overrides join the version and MaxPSN advances for the
+	// indexer, in one version.
 	meta := encodePSNMeta(lo, hi, writtenIDs)
 	if err := e.store.Put(psnMetaName(e.table.Name, psn), meta); err != nil {
 		return 0, err
@@ -188,6 +201,7 @@ func (e *Engine) PostGroom() (types.PSN, error) {
 		v.pending = v.pending[len(blocks):]
 		v.maxPSN = psn
 		v.consumedHi = hi
+		v.endTS = withEndTSOverrides(v.endTS, endTSUpdates)
 	})
 	return psn, nil
 }
@@ -218,30 +232,27 @@ type endTSOverride struct {
 
 func cmpOverrideOffset(o endTSOverride, offset uint32) int { return cmp.Compare(o.offset, offset) }
 
-// addEndTSOverrides merges sidecar entries into the overlay, giving every
-// touched block a fresh sorted slice.
-func (e *Engine) addEndTSOverrides(updates []endTSUpdate) {
-	e.endTSMu.Lock()
-	defer e.endTSMu.Unlock()
-	touched := map[uint64][]endTSOverride{}
+// withEndTSOverrides returns overlay with the sidecar entries merged in:
+// a clone in which every touched block has a fresh sorted slice, or
+// overlay itself when there is nothing to merge.
+func withEndTSOverrides(overlay map[uint64][]endTSOverride, updates []endTSUpdate) map[uint64][]endTSOverride {
+	if len(updates) == 0 {
+		return overlay
+	}
+	next := make(map[uint64][]endTSOverride, len(overlay)+1)
+	maps.Copy(next, overlay)
+	touched := map[uint64]bool{}
 	for _, u := range updates {
-		ovs, ok := touched[u.rid.Block]
-		if !ok {
-			ovs = slices.Clone(e.endTS[u.rid.Block])
+		if !touched[u.rid.Block] {
+			touched[u.rid.Block] = true
+			next[u.rid.Block] = slices.Clone(next[u.rid.Block])
 		}
-		touched[u.rid.Block] = append(ovs, endTSOverride{offset: u.rid.Offset, ts: u.ts})
+		next[u.rid.Block] = append(next[u.rid.Block], endTSOverride{offset: u.rid.Offset, ts: u.ts})
 	}
-	for id, ovs := range touched {
-		slices.SortFunc(ovs, func(a, b endTSOverride) int { return cmpOverrideOffset(a, b.offset) })
-		e.endTS[id] = ovs
+	for id := range touched {
+		slices.SortFunc(next[id], func(a, b endTSOverride) int { return cmpOverrideOffset(a, b.offset) })
 	}
-}
-
-// endTSOverrides returns a post-groomed block's overlay, sorted by offset.
-func (e *Engine) endTSOverrides(block uint64) []endTSOverride {
-	e.endTSMu.Lock()
-	defer e.endTSMu.Unlock()
-	return e.endTS[block]
+	return next
 }
 
 // Sidecar wire format: magic "UMZIENDT", u32 count, then per entry the
