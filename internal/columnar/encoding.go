@@ -3,6 +3,7 @@ package columnar
 import (
 	"bytes"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"umzi/internal/keyenc"
@@ -131,10 +132,9 @@ func bitPackDims(nums []uint64, kind keyenc.Kind) (base uint64, width uint8) {
 }
 
 // encodeDict rewrites a plain variable column as a sorted dictionary plus
-// bit-packed codes.
-func encodeDict(c *column) {
+// bit-packed codes; dict is the column's dictValues.
+func encodeDict(c *column, dict [][]byte) {
 	rows := len(c.offsets) - 1
-	dict := dictValues(c)
 	var width uint8
 	if len(dict) > 1 {
 		width = uint8(bits.Len64(uint64(len(dict) - 1)))
@@ -168,7 +168,7 @@ func dictValues(c *column) [][]byte {
 	for r := 0; r < rows; r++ {
 		vals[r] = c.payload[c.offsets[r]:c.offsets[r+1]]
 	}
-	sort.Slice(vals, func(i, j int) bool { return bytes.Compare(vals[i], vals[j]) < 0 })
+	slices.SortFunc(vals, bytes.Compare)
 	out := vals[:0]
 	for _, v := range vals {
 		if len(out) == 0 || !bytes.Equal(out[len(out)-1], v) {
@@ -178,12 +178,10 @@ func dictValues(c *column) [][]byte {
 	return out
 }
 
-// dictSize estimates the wire size of a dict encoding for a plain
-// variable column, and reports the distinct count.
-func dictSize(c *column) (size, ndict int) {
-	rows := len(c.offsets) - 1
-	dict := dictValues(c)
-	ndict = len(dict)
+// dictSize estimates the wire size of a dict encoding for a column of
+// rows values whose dictValues are dict.
+func dictSize(dict [][]byte, rows int) int {
+	ndict := len(dict)
 	var payload int
 	for _, d := range dict {
 		payload += len(d)
@@ -193,7 +191,7 @@ func dictSize(c *column) (size, ndict int) {
 		width = bits.Len64(uint64(ndict - 1))
 	}
 	// ndict u32 + (ndict+1) offsets + payload + width u8 + nwords u32 + words
-	return 4 + 4*(ndict+1) + payload + 1 + 4 + 8*packedWords(rows, uint8(width)), ndict
+	return 4 + 4*(ndict+1) + payload + 1 + 4 + 8*packedWords(rows, uint8(width))
 }
 
 // encodeRLE rewrites a plain column (fixed or variable) as runs of equal
@@ -285,7 +283,7 @@ func chooseEncoding(c *column, kind keyenc.Kind, rows int, forced *Encoding) {
 			}
 		case EncDict:
 			if !fixed {
-				encodeDict(c)
+				encodeDict(c, dictValues(c))
 			}
 		case EncRLE:
 			if rows > 0 {
@@ -300,6 +298,7 @@ func chooseEncoding(c *column, kind keyenc.Kind, rows int, forced *Encoding) {
 	// Estimated wire sizes of each candidate's column body (the shared
 	// kind/name/min/max header is identical across encodings).
 	best, bestEnc := plainBodySize(c, fixed), EncPlain
+	var dict [][]byte // the variable column's dictValues
 	runs, runPayload := rleRuns(c, fixed)
 	var rleSize int
 	if fixed {
@@ -317,7 +316,8 @@ func chooseEncoding(c *column, kind keyenc.Kind, rows int, forced *Encoding) {
 			best, bestEnc = s, EncBitPack
 		}
 	} else {
-		if s, _ := dictSize(c); s < best {
+		dict = dictValues(c)
+		if s := dictSize(dict, rows); s < best {
 			best, bestEnc = s, EncDict
 		}
 	}
@@ -327,7 +327,7 @@ func chooseEncoding(c *column, kind keyenc.Kind, rows int, forced *Encoding) {
 	case EncBitPack:
 		encodeBitPack(c, kind)
 	case EncDict:
-		encodeDict(c)
+		encodeDict(c, dict)
 	}
 }
 

@@ -1,8 +1,10 @@
 package columnar
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"umzi/internal/keyenc"
@@ -280,5 +282,62 @@ func randVal(rng *rand.Rand, k keyenc.Kind) keyenc.Value {
 		return keyenc.Raw(b)
 	default:
 		return keyenc.B(rng.Intn(2) == 1)
+	}
+}
+
+// TestAutoDictMatchesForced: the auto selector hands its dictionary to
+// the dict encoder, so a variable column it encodes must marshal to the
+// same bytes as the same rows built with that encoding forced.
+func TestAutoDictMatchesForced(t *testing.T) {
+	long := strings.Repeat("shared-prefix/", 8)
+	gens := []struct {
+		name string
+		gen  func(rng *rand.Rand, r int) []byte
+	}{
+		{"all-equal", func(*rand.Rand, int) []byte { return []byte("same") }},
+		{"two-values", func(rng *rand.Rand, _ int) []byte { return []byte([]string{"a", "bb"}[rng.Intn(2)]) }},
+		{"distinct", func(_ *rand.Rand, r int) []byte { return []byte(fmt.Sprintf("v%06d", r)) }},
+		{"empty", func(rng *rand.Rand, _ int) []byte { return []byte([]string{"", "", "x"}[rng.Intn(3)]) }},
+		{"long-prefix", func(rng *rand.Rand, _ int) []byte { return []byte(fmt.Sprintf("%s%d", long, rng.Intn(6))) }},
+	}
+	build := func(kind keyenc.Kind, vals [][]byte, force *Encoding) *Block {
+		b := NewBuilder(MustSchema(Column{Name: "v", Kind: kind}))
+		if force != nil {
+			b.ForceEncoding(*force)
+		}
+		for _, v := range vals {
+			val := keyenc.Raw(v)
+			if kind == keyenc.KindString {
+				val = keyenc.Str(string(v))
+			}
+			if err := b.Append([]keyenc.Value{val}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Build()
+	}
+	dicts := 0
+	for _, g := range gens {
+		for trial := 0; trial < 10; trial++ {
+			rng := rand.New(rand.NewSource(int64(trial)))
+			vals := make([][]byte, 1+rng.Intn(300))
+			for r := range vals {
+				vals[r] = g.gen(rng, r)
+			}
+			for _, kind := range []keyenc.Kind{keyenc.KindString, keyenc.KindBytes} {
+				auto := build(kind, vals, nil)
+				enc := auto.ColumnEncoding(0)
+				if enc == EncDict {
+					dicts++
+				}
+				forced := build(kind, vals, &enc)
+				if !bytes.Equal(auto.Marshal(), forced.Marshal()) {
+					t.Fatalf("%s trial %d %v: auto %v block differs from forced", g.name, trial, kind, enc)
+				}
+			}
+		}
+	}
+	if dicts == 0 {
+		t.Fatal("no column chose EncDict")
 	}
 }

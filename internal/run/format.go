@@ -2,10 +2,11 @@ package run
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"umzi/internal/keyenc"
 	"umzi/internal/types"
@@ -133,15 +134,61 @@ func (b *Builder) AddValues(eq, sortv, incl []keyenc.Value, ts types.TS, rid typ
 // Len returns the number of entries added so far.
 func (b *Builder) Len() int { return len(b.entries) }
 
+// sortEntries sorts the entries by Compare, keeping insertion order among
+// ties. It sorts a pointer-free permutation keyed by each entry's hash,
+// so most comparisons touch no entry, and then moves every entry once,
+// in place, by following the permutation's cycles.
+func (b *Builder) sortEntries() {
+	type slot struct {
+		hash uint64
+		i    int
+	}
+	es := b.entries
+	perm := make([]slot, len(es))
+	for i := range es {
+		perm[i] = slot{es[i].Hash, i}
+	}
+	slices.SortFunc(perm, func(x, y slot) int {
+		if x.hash != y.hash {
+			return cmp.Compare(x.hash, y.hash)
+		}
+		ex, ey := &es[x.i], &es[y.i]
+		if c := bytes.Compare(ex.Key, ey.Key); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(ey.BeginTS, ex.BeginTS); c != 0 {
+			return c // descending: newer sorts first
+		}
+		return cmp.Compare(x.i, y.i)
+	})
+	// Position k takes entry perm[k].i; a visited slot points at itself.
+	for s := range perm {
+		if perm[s].i == s {
+			continue
+		}
+		tmp := es[s]
+		j := s
+		for {
+			src := perm[j].i
+			perm[j].i = j
+			if src == s {
+				es[j] = tmp
+				break
+			}
+			es[j] = es[src]
+			j = src
+		}
+	}
+}
+
 // Finish sorts the entries, serializes the run and returns the raw object
 // bytes together with the parsed header (so callers avoid an immediate
 // re-parse). The builder must not be reused.
 func (b *Builder) Finish() ([]byte, *Header, error) {
 	// Index build sorts entries by hash, key columns and descending
 	// beginTS (§5.2).
-	less := func(i, j int) bool { return Compare(b.entries[i], b.entries[j]) < 0 }
-	if !sort.SliceIsSorted(b.entries, less) {
-		sort.SliceStable(b.entries, less)
+	if !slices.IsSortedFunc(b.entries, Compare) {
+		b.sortEntries()
 	}
 
 	h := &Header{
@@ -240,10 +287,10 @@ func (b *Builder) Finish() ([]byte, *Header, error) {
 		}
 	}
 
-	hdr := marshalHeader(h)
-	out = append(out, hdr...)
+	out = appendHeader(out, h)
+	hdrLen := uint32(uint64(len(out)) - h.DataEnd)
 	out = binary.BigEndian.AppendUint64(out, h.DataEnd)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(hdr)))
+	out = binary.BigEndian.AppendUint32(out, hdrLen)
 	out = append(out, runMagic...)
 	return out, h, nil
 }

@@ -26,8 +26,8 @@ import (
 
 const headerMagic = "UMZIHDR2"
 
-func marshalHeader(h *Header) []byte {
-	out := make([]byte, 0, 256)
+// appendHeader appends the encoded header block to out.
+func appendHeader(out []byte, h *Header) []byte {
 	out = append(out, headerMagic...)
 	out = append(out, byte(h.Meta.Zone))
 	for _, v := range []uint64{
@@ -96,7 +96,7 @@ func marshalHeader(h *Header) []byte {
 	return out
 }
 
-// ParseHeader decodes a header block produced by marshalHeader. Declared
+// ParseHeader decodes a header block produced by appendHeader. Declared
 // counts are checked against the bytes present before anything is
 // allocated for them, and the block index must tile [0, DataEnd) and
 // [0, Entries) exactly.

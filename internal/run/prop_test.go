@@ -3,6 +3,8 @@ package run
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -371,3 +373,108 @@ func (s *pinTrackingSource) FetchBlock(i uint32) ([]byte, error) {
 }
 
 func (s *pinTrackingSource) Release(i uint32) { s.pins[i]-- }
+
+// tieHeavyEntries returns n entries drawn from at most 4 hashes (one of
+// them 0), 3 keys and 3 beginTS values, so most entries tie under
+// Compare; RIDs and included bytes are distinct, so any reordering of
+// ties changes the run's bytes.
+func tieHeavyEntries(t testing.TB, rng *rand.Rand, def Def, n int) []Entry {
+	hashes := []uint64{0, rng.Uint64(), rng.Uint64(), rng.Uint64()}
+	entries := make([]Entry, n)
+	for i := range entries {
+		e, err := MakeEntry(def,
+			[]keyenc.Value{keyenc.I64(int64(rng.Intn(3)))}, nil,
+			[]keyenc.Value{keyenc.I64(int64(i))},
+			types.TS(1+rng.Intn(3)),
+			types.RID{Zone: types.ZoneGroomed, Block: uint64(i % 7), Offset: uint32(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Hash = hashes[rng.Intn(len(hashes))]
+		entries[i] = e
+	}
+	return entries
+}
+
+// finishEntries builds a run over entries and returns its bytes and header.
+func finishEntries(t testing.TB, def Def, meta Meta, entries []Entry) ([]byte, *Header) {
+	t.Helper()
+	b, err := NewBuilder(def, meta, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b.Add(e)
+	}
+	data, h, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, h
+}
+
+// TestFinishMatchesStableOrder: Finish orders ties by insertion, exactly
+// as a stable sort does, so a run's bytes depend only on the order its
+// entries were added in. The oracle is Finish over a copy already sorted
+// with sort.SliceStable, which takes the no-sort path.
+func TestFinishMatchesStableOrder(t *testing.T) {
+	def := Def{
+		EqualityKinds: []keyenc.Kind{keyenc.KindInt64},
+		IncludedKinds: []keyenc.Kind{keyenc.KindInt64},
+		HashBits:      4,
+	}
+	meta := Meta{Zone: types.ZoneGroomed, Blocks: types.BlockRange{Min: 0, Max: 7}}
+	rng := rand.New(rand.NewSource(42))
+	for _, n := range []int{0, 1, 2, 17, 1000, 5000} {
+		shuffled := tieHeavyEntries(t, rng, def, n)
+		sorted := slices.Clone(shuffled)
+		sort.SliceStable(sorted, func(i, j int) bool { return Compare(sorted[i], sorted[j]) < 0 })
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		for _, tc := range []struct {
+			name  string
+			input []Entry
+		}{{"shuffled", shuffled}, {"sorted", sorted}, {"reversed", reversed}} {
+			want := slices.Clone(tc.input)
+			sort.SliceStable(want, func(i, j int) bool { return Compare(want[i], want[j]) < 0 })
+			wantData, wantHdr := finishEntries(t, def, meta, want)
+			gotData, gotHdr := finishEntries(t, def, meta, slices.Clone(tc.input))
+			if !bytes.Equal(gotData, wantData) {
+				t.Fatalf("n=%d %s: run bytes differ from the stable-sorted build", n, tc.name)
+			}
+			if !reflect.DeepEqual(gotHdr, wantHdr) {
+				t.Fatalf("n=%d %s: header differs from the stable-sorted build", n, tc.name)
+			}
+		}
+	}
+}
+
+// TestFinishSortAllocs: sorting costs Finish at most one allocation (the
+// permutation), so no per-entry allocation creeps onto the sort path.
+func TestFinishSortAllocs(t *testing.T) {
+	def := Def{
+		EqualityKinds: []keyenc.Kind{keyenc.KindInt64},
+		IncludedKinds: []keyenc.Kind{keyenc.KindInt64},
+		HashBits:      8,
+	}
+	meta := Meta{Zone: types.ZoneGroomed, Blocks: types.BlockRange{Min: 0, Max: 7}}
+	shuffled := tieHeavyEntries(t, rand.New(rand.NewSource(1)), def, 10_000)
+	sorted := slices.Clone(shuffled)
+	slices.SortStableFunc(sorted, Compare)
+	finishAllocs := func(entries []Entry) float64 {
+		return testing.AllocsPerRun(5, func() {
+			b, err := NewBuilder(def, meta, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.entries = slices.Clone(entries)
+			if _, _, err := b.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	got, base := finishAllocs(shuffled), finishAllocs(sorted)
+	if got > base+1 {
+		t.Fatalf("Finish on shuffled entries: %.0f allocs, %.0f on sorted; want at most one more", got, base)
+	}
+}

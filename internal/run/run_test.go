@@ -289,7 +289,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	h.Meta.Level = 3
 	h.Meta.PSN = 17
 	h.Meta.Ancestors = []string{"idx/z1/L0/run-0-5", "idx/z1/L0/run-6-9"}
-	enc := marshalHeader(h)
+	enc := appendHeader(nil, h)
 	got, err := ParseHeader(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 
 func TestParseHeaderCorrupt(t *testing.T) {
 	_, h := buildRun(t, defI1(), 50, 5, 512)
-	enc := marshalHeader(h)
+	enc := appendHeader(nil, h)
 	if _, err := ParseHeader(enc[:10]); err == nil {
 		t.Error("truncated header accepted")
 	}
