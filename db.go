@@ -29,10 +29,11 @@ type DBConfig struct {
 	// Cache is the local SSD block cache shared by every table; nil
 	// disables caching.
 	Cache *SSDCache
-	// GroomEvery / PostGroomEvery, when positive, auto-start the
-	// background daemons (groomer, post-groomer, indexer) of every
-	// table the DB opens or creates, at these cadences — the paper's
-	// 1s / 10min split, scaled to taste. Zero leaves daemons manual
+	// GroomEvery / PostGroomEvery, when positive, auto-start the two
+	// background loops of every table the DB opens or creates (see
+	// Table.Start): both tick every GroomEvery, and the propagation
+	// owner post-grooms once PostGroomEvery has elapsed — the paper's
+	// 1s / 10min split, scaled to taste. Zero leaves propagation manual
 	// (Table.Start, Table.Groom, ...).
 	GroomEvery     time.Duration
 	PostGroomEvery time.Duration
@@ -248,7 +249,7 @@ func (db *DB) Tables() []string {
 	return append([]string(nil), db.order...)
 }
 
-// Close stops every table's daemons and closes their engines.
+// Close stops every table's background loops and closes their engines.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

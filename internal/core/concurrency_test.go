@@ -260,27 +260,14 @@ func TestConcurrentPointLookups(t *testing.T) {
 	}
 }
 
-// TestBackgroundWorkers exercises Start/Close: per-level maintenance
-// workers must merge down the run count without manual driving.
-func TestBackgroundWorkers(t *testing.T) {
+// TestCloseTwice checks that Close is idempotent and that queries and
+// maintenance issued after it fail or do nothing.
+func TestCloseTwice(t *testing.T) {
 	ix := newTestIndex(t, func(c *Config) { c.K = 2 })
-	ix.Start(time.Millisecond)
-	const devices, msgs = 4, 5
-	for c := uint64(1); c <= 12; c++ {
-		if err := ingestCycle(ix, c, devices, msgs); err != nil {
+	for c := uint64(1); c <= 4; c++ {
+		if err := ingestCycle(ix, c, 2, 3); err != nil {
 			t.Fatal(err)
 		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		g, _ := ix.RunCounts()
-		if g < 12 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background workers performed no merge: %d runs\n%s", g, fmtRuns(ix))
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
@@ -288,6 +275,12 @@ func TestBackgroundWorkers(t *testing.T) {
 	// Closing twice is fine.
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if did, err := ix.MaintainOnce(); did || err != nil {
+		t.Fatalf("MaintainOnce after Close = %v, %v; want no work", did, err)
+	}
+	if err := ingestCycle(ix, 5, 2, 3); err == nil {
+		t.Fatal("build after Close succeeded")
 	}
 }
 

@@ -10,7 +10,9 @@
 // storage and are cached block-by-block in a local SSD cache; merge
 // outputs inside the groomed zone (levels 1 and up) are never persisted,
 // which cuts shared-storage write amplification (§6.1). Recovery rebuilds
-// the run lists from shared storage alone (§5.5).
+// the run lists from shared storage alone (§5.5). An Index starts no
+// goroutines: build and evolve arrive from the table's propagation
+// owner, merges and cache adjustment from its index maintainer.
 package core
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"umzi/internal/run"
 	"umzi/internal/storage"
@@ -13,8 +12,9 @@ import (
 
 // Index is one Umzi index instance, serving a single table shard (§3).
 // All query methods are safe for arbitrary concurrency and never block on
-// maintenance; maintenance methods may be driven explicitly (MaintainOnce)
-// for deterministic tests or by the background workers started with Start.
+// maintenance. The index runs no goroutines of its own: its owner drives
+// maintenance through MaintainOnce and AdjustCache (the table's index
+// maintainer calls both once per tick; tests call them directly).
 type Index struct {
 	cfg   Config
 	rdef  run.Def
@@ -46,10 +46,7 @@ type Index struct {
 	// never touch it.
 	maintMu sync.Mutex
 
-	stopCh  chan struct{}
-	wg      sync.WaitGroup
-	started atomic.Bool
-	closed  atomic.Bool
+	closed atomic.Bool
 }
 
 // Stats exposes operational counters; all fields are atomics so queries
@@ -138,7 +135,6 @@ func newIndex(cfg Config) *Index {
 			baseLevel: cfg.GroomedLevels,
 			levels:    cfg.PostGroomedLevels,
 		},
-		stopCh: make(chan struct{}),
 	}
 	if cfg.DisableOffsetArray {
 		ix.rdef.HashBits = 0
@@ -187,63 +183,11 @@ func (ix *Index) MinLiveGroomedBlock() (uint64, bool) {
 	return min, true
 }
 
-// Start launches background maintenance: one worker per (zone, level) as
-// in §5.1, each periodically checking its level for merge work, plus one
-// cache-manager worker. Interval is the poll period.
-func (ix *Index) Start(interval time.Duration) {
-	if !ix.started.CompareAndSwap(false, true) {
-		return
-	}
-	for _, z := range []*zoneList{ix.groomed, ix.post} {
-		for l := 0; l < z.levels; l++ {
-			ix.wg.Add(1)
-			go ix.levelWorker(z, l, interval)
-		}
-	}
-	ix.wg.Add(1)
-	go ix.cacheWorker(interval)
-}
-
-func (ix *Index) levelWorker(z *zoneList, local int, interval time.Duration) {
-	defer ix.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ix.stopCh:
-			return
-		case <-t.C:
-			if _, err := ix.mergeLevel(z, local); err != nil {
-				// Maintenance errors are retried next tick; they must
-				// never take queries down.
-				continue
-			}
-		}
-	}
-}
-
-func (ix *Index) cacheWorker(interval time.Duration) {
-	defer ix.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ix.stopCh:
-			return
-		case <-t.C:
-			ix.AdjustCache()
-		}
-	}
-}
-
-// Close stops background maintenance and waits for workers to exit.
-// Queries issued after Close fail.
+// Close marks the index closed: queries and maintenance issued after it
+// fail. Maintenance is driven from outside (the table's index
+// maintainer), which stops before it closes the index.
 func (ix *Index) Close() error {
-	if !ix.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	close(ix.stopCh)
-	ix.wg.Wait()
+	ix.closed.Store(true)
 	return nil
 }
 

@@ -21,9 +21,10 @@ import (
 // level of a zone never seals its active run; merges there fold the
 // level's inactive runs into it.
 
-// MaintainOnce performs at most one merge per zone and returns whether any
-// work was done. Tests and benchmarks drive maintenance deterministically
-// with it; Start launches workers that call the same logic periodically.
+// MaintainOnce makes one merge attempt per level of each zone, bottom
+// level first, and returns whether any merged. The table's index
+// maintainer calls it once per tick; tests and benchmarks drive
+// maintenance deterministically with it.
 func (ix *Index) MaintainOnce() (bool, error) {
 	worked := false
 	for _, z := range []*zoneList{ix.groomed, ix.post} {
@@ -32,10 +33,7 @@ func (ix *Index) MaintainOnce() (bool, error) {
 			if err != nil {
 				return worked, err
 			}
-			if did {
-				worked = true
-				break // one merge per zone per call
-			}
+			worked = worked || did
 		}
 	}
 	return worked, nil

@@ -240,7 +240,7 @@ func (e *Engine) MaxCommitSeq() uint64 { return e.commitSeq.Load() }
 // and its per-index runs land) — the log below the mark can never be
 // needed again: replay starts above it, and lost index runs are
 // re-derived from the groomed data blocks, not from the log (§5.5).
-// Callers hold groomMu.
+// Callers hold writerMu.
 func (e *Engine) publishWalMark(mark, cycle uint64) error {
 	if mark <= e.walMarkPersisted {
 		// Nothing new to persist, but retry reclamation: a groom whose

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"umzi/internal/core"
 	"umzi/internal/obs"
@@ -97,7 +96,7 @@ type Engine struct {
 	// sequence <= walMark is durably groomed) and walDrained holds
 	// groomed or lost sequences above it, waiting for gaps to close.
 	// walMarkSeq / walMarkPersisted (the mark-record counter and the
-	// last persisted watermark) are touched only under groomMu.
+	// last persisted watermark) are touched only under writerMu.
 	wal              *wal.Log
 	durable          DurabilityOptions
 	walMu            sync.Mutex
@@ -112,17 +111,14 @@ type Engine struct {
 	postBlockSeq atomic.Uint64
 
 	// zone is the published zoneVersion: readers Load it, writers replace
-	// it through publish, which publishMu serializes (groom and post-groom
-	// both publish, under different locks).
-	zone      atomic.Pointer[zoneVersion]
-	publishMu sync.Mutex
+	// it through publish.
+	zone atomic.Pointer[zoneVersion]
 
-	// groomMu serializes groom operations; postMu serializes post-grooms;
-	// syncMu serializes index-evolve passes (the indexer daemon and the
-	// post-groomer both drive SyncIndex).
-	groomMu sync.Mutex
-	postMu  sync.Mutex
-	syncMu  sync.Mutex
+	// writerMu is the shard's one zone-writer mutex: groom, post-groom,
+	// index evolve with block reclaim, and CreateIndex each hold it for
+	// their whole operation, so the writers of the zone state, the commit
+	// log watermark and the retire queue never overlap.
+	writerMu sync.Mutex
 
 	// blocks is the bounded decoded-block cache (data access path); it
 	// may be shared across shards. scanPool bounds the intra-shard
@@ -138,16 +134,14 @@ type Engine struct {
 	// object and the cached decode go once that epoch drains, so a query
 	// that resolved RIDs into a block before it was retired can still
 	// read it — "marked deprecated and eventually deleted" (§5.4)
-	// without blocking readers. Both are touched only under syncMu
+	// without blocking readers. Both are touched only under writerMu
 	// (evolveOne and reclaimDeprecated run inside SyncIndex) or by
 	// single-threaded recovery.
 	gate        queryGate
 	deprecated  map[uint64]struct{}
 	retireQueue []retireItem
 
-	started    atomic.Bool
-	maintEvery time.Duration
-	closed     atomic.Bool
+	closed atomic.Bool
 }
 
 // zoneVersion is one immutable snapshot of a shard's zone state; a
@@ -179,12 +173,10 @@ type zoneVersion struct {
 	endTS map[uint64][]endTSOverride
 }
 
-// publish replaces the zone version with an edited copy of it. Slices
-// reachable from the current version must be copied before they are
-// appended to.
+// publish replaces the zone version with an edited copy of it. Callers
+// hold writerMu. Slices reachable from the current version must be
+// copied before they are appended to.
 func (e *Engine) publish(edit func(v *zoneVersion)) {
-	e.publishMu.Lock()
-	defer e.publishMu.Unlock()
 	next := *e.zone.Load()
 	edit(&next)
 	e.zone.Store(&next)
@@ -351,9 +343,9 @@ func declaredSecondary(specs []SecondaryIndexSpec, name string) (IndexSpec, bool
 // inspect it directly).
 func (e *Engine) Index() *core.Index { return e.idx }
 
-// MaintainOnce runs one maintenance pass (at most one merge per zone) on
-// every index of the set; it reports whether any performed work. The
-// daemons started by Start do the same on a timer.
+// MaintainOnce runs one maintenance pass (one merge attempt per level of
+// each zone) on every index of the set; it reports whether any merged.
+// The table's index maintainer does the same once per tick.
 func (e *Engine) MaintainOnce() (bool, error) {
 	worked := false
 	for _, ti := range e.indexSet() {
@@ -384,28 +376,13 @@ func (e *Engine) LastGroomTS() types.TS { return e.zone.Load().lastGroomTS }
 // MaxPSN returns the post-groomer's published watermark.
 func (e *Engine) MaxPSN() types.PSN { return e.zone.Load().maxPSN }
 
-// startIndexMaintenance launches every index's per-level maintenance
-// workers and records the cadence so indexes created later start theirs
-// too. These are the only background workers a shard owns: grooming,
-// post-grooming and index sync are driven by the table's lockstep rounds
-// (ShardedEngine.Start).
-func (e *Engine) startIndexMaintenance(every time.Duration) {
-	e.indexMu.Lock()
-	defer e.indexMu.Unlock()
-	e.maintEvery = every
-	e.started.Store(true)
-	for _, ti := range e.indexSet() {
-		ti.idx.Start(every)
-	}
-}
-
-// Close stops the index set, flushes any buffered
+// Close closes the index set, flushes any buffered
 // commit-log batch and writes the clean-shutdown marker (so an orderly
 // restart can skip log replay). The teardown holds indexMu so it
 // serializes against an in-flight CreateIndex: either the create
 // publishes first (and its index is closed here) or it observes closed
-// under the lock and aborts — a created index can never outlive Close
-// with running maintenance workers. Close after Close is a no-op.
+// under the lock and aborts — no created index is left open after
+// Close. Close after Close is a no-op.
 func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil

@@ -31,8 +31,8 @@ func (e *Engine) GroomCount() (int, error) {
 	if e.closed.Load() {
 		return 0, fmt.Errorf("wildfire: engine closed")
 	}
-	e.groomMu.Lock()
-	defer e.groomMu.Unlock()
+	e.writerMu.Lock()
+	defer e.writerMu.Unlock()
 	start := time.Now()
 
 	recs := e.drainLive()
@@ -156,8 +156,8 @@ func (e *Engine) GroomCount() (int, error) {
 // recovery takes the maximum over existing blocks, and post-groom block
 // ranges simply cover IDs that carry no data.
 func (e *Engine) alignGroomCycle(cycle uint64) {
-	e.groomMu.Lock()
-	defer e.groomMu.Unlock()
+	e.writerMu.Lock()
+	defer e.writerMu.Unlock()
 	if e.groomCycle.Load() >= cycle {
 		return
 	}

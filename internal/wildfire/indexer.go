@@ -17,13 +17,18 @@ import (
 // having passed the block.
 
 // SyncIndex applies every published-but-unindexed post-groom operation
-// to every index of the set. It is the poll loop body; tests call it
-// directly for determinism.
+// to every index of the set, then deletes the retired blocks whose query
+// epoch has drained. It is the last step of the propagation owner;
+// tests call it directly for determinism.
 func (e *Engine) SyncIndex() error {
-	// Serialized: the indexer daemon and the post-groomer both drive
-	// this, and evolves of one index must arrive in PSN order.
-	e.syncMu.Lock()
-	defer e.syncMu.Unlock()
+	e.writerMu.Lock()
+	defer e.writerMu.Unlock()
+	return e.syncIndexLocked()
+}
+
+// syncIndexLocked is SyncIndex for callers that hold writerMu; evolves of
+// one index arrive in PSN order because writerMu serializes them.
+func (e *Engine) syncIndexLocked() error {
 	defer e.releaseRetired()
 	for _, ti := range e.indexSet() {
 		for {

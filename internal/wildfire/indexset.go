@@ -544,8 +544,8 @@ func (e *Engine) openTableIndex(name string, declared IndexSpec) (*tableIndex, e
 // watermark fast-forwarded to the engine's PSN), the pending groomed
 // blocks get one run each, and the index joins the catalog so recovery
 // and every subsequent groom/post-groom/evolve cycle maintain it.
-// Grooming and post-grooming are blocked for the duration; queries are
-// not.
+// It holds the writer mutex, so grooming, post-grooming and evolve are
+// blocked for the duration; queries are not.
 func (e *Engine) CreateIndex(spec SecondaryIndexSpec) error {
 	if e.closed.Load() {
 		return fmt.Errorf("wildfire: engine closed")
@@ -553,10 +553,8 @@ func (e *Engine) CreateIndex(spec SecondaryIndexSpec) error {
 	if err := spec.Validate(e.table); err != nil {
 		return err
 	}
-	e.groomMu.Lock()
-	defer e.groomMu.Unlock()
-	e.postMu.Lock()
-	defer e.postMu.Unlock()
+	e.writerMu.Lock()
+	defer e.writerMu.Unlock()
 	e.indexMu.Lock()
 	defer e.indexMu.Unlock()
 	// Re-check under indexMu: Close tears the set down holding it, so a
@@ -634,9 +632,6 @@ func (e *Engine) CreateIndex(spec SecondaryIndexSpec) error {
 	set = append(set, cur...)
 	set = append(set, ti)
 	e.indexes.Store(&set)
-	if e.started.Load() {
-		ti.idx.Start(e.maintEvery)
-	}
 	return e.writeCatalogLocked()
 }
 

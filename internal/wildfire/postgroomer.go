@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"umzi/internal/columnar"
 	"umzi/internal/keyenc"
@@ -37,13 +36,13 @@ func (e *Engine) PostGroom() (types.PSN, error) {
 	if e.closed.Load() {
 		return 0, fmt.Errorf("wildfire: engine closed")
 	}
-	e.postMu.Lock()
-	defer e.postMu.Unlock()
+	e.writerMu.Lock()
+	defer e.writerMu.Unlock()
 
 	// The prevRID lookups below read the post-groomed index portion, so
 	// earlier post-grooms must be indexed first (the indexer applies
 	// evolves in PSN order; see §5.4).
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndexLocked(); err != nil {
 		return 0, err
 	}
 
@@ -114,7 +113,7 @@ func (e *Engine) PostGroom() (types.PSN, error) {
 	primary := e.indexSet()[0]
 	var endTSUpdates []endTSUpdate
 	for _, chain := range byKey {
-		sort.Slice(chain, func(i, j int) bool { return chain[i].beginTS < chain[j].beginTS })
+		slices.SortFunc(chain, func(a, b *rowVersion) int { return cmp.Compare(a.beginTS, b.beginTS) })
 		for i, rv := range chain {
 			if i > 0 {
 				prev := chain[i-1]

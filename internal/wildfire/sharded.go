@@ -2,6 +2,7 @@ package wildfire
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -313,22 +314,31 @@ func (s *ShardedEngine) resolveTS(opts QueryOptions) types.TS {
 	return opts.TS
 }
 
-// Start launches the background daemons. Grooming and post-grooming run
-// as sharded-level lockstep rounds — NOT as per-shard daemons, which
-// would let an idle shard's snapshot clock freeze and pin SnapshotTS
-// (the min over shards) forever. Each shard's own index maintenance
-// workers run per shard as usual.
+// Start launches the table's two background loops, both ticking every
+// groomEvery: the propagation owner (propagate: groom, post-groom once
+// postGroomEvery has elapsed, evolve and reclaim) and the index
+// maintainer (maintain: merges and SSD-cache adjustment). Grooms run as
+// lockstep rounds across the shards — never per shard, which would let
+// an idle shard's snapshot clock freeze and pin SnapshotTS (the min over
+// shards) forever. Merges have their own loop so that a long merge never
+// delays a groom.
 func (s *ShardedEngine) Start(groomEvery, postGroomEvery time.Duration) {
-	for _, e := range s.shards {
-		e.startIndexMaintenance(groomEvery)
-	}
-	s.wg.Add(3)
-	go s.daemon(groomEvery, func() { _ = s.Groom() })
-	go s.daemon(postGroomEvery, func() { _ = s.PostGroom() })
-	go s.daemon(groomEvery, func() { _ = s.SyncIndex() })
+	s.wg.Add(2)
+	go func() {
+		lastPost := time.Now()
+		s.loop(groomEvery, func() {
+			post := time.Since(lastPost) >= postGroomEvery
+			if post {
+				lastPost = time.Now()
+			}
+			_ = s.propagate(post)
+		})
+	}()
+	go s.loop(groomEvery, s.maintain)
 }
 
-func (s *ShardedEngine) daemon(every time.Duration, f func()) {
+// loop runs step every interval until Close.
+func (s *ShardedEngine) loop(every time.Duration, step func()) {
 	defer s.wg.Done()
 	t := time.NewTicker(every)
 	defer t.Stop()
@@ -337,12 +347,38 @@ func (s *ShardedEngine) daemon(every time.Duration, f func()) {
 		case <-s.stopCh:
 			return
 		case <-t.C:
-			f()
+			step()
 		}
 	}
 }
 
-// Close stops the daemons and closes all shards.
+// propagate is one step of the propagation owner: a lockstep groom round,
+// a post-groom when post is set, then evolve and block reclaim — in that
+// order, each fanned out across the shards. A failed round does not skip
+// the later ones; the errors are joined.
+func (s *ShardedEngine) propagate(post bool) error {
+	err := s.Groom()
+	if post {
+		err = errors.Join(err, s.PostGroom())
+	}
+	return errors.Join(err, s.SyncIndex())
+}
+
+// maintain is one tick of the index maintainer: for every shard in turn
+// and every index of its set, one merge attempt per level, then the SSD
+// cache adjustment. It runs outside the gather pool, which queries share.
+// Errors are retried next tick; an index created since the last tick is
+// picked up by this one.
+func (s *ShardedEngine) maintain() {
+	for _, e := range s.shards {
+		for _, ti := range e.indexSet() {
+			_, _ = ti.idx.MaintainOnce()
+			ti.idx.AdjustCache()
+		}
+	}
+}
+
+// Close stops both loops, then closes all shards.
 func (s *ShardedEngine) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -533,8 +569,10 @@ func (s *ShardedEngine) SyncIndex() error {
 	})
 }
 
-// MaintainOnce runs one maintenance pass over every index of every shard;
-// it reports whether any performed work.
+// MaintainOnce runs one maintenance pass (one merge attempt per level of
+// each zone) over every index of every shard; it reports whether any
+// merged. Unlike the index maintainer it fans out through the gather
+// pool and skips the SSD-cache adjustment.
 func (s *ShardedEngine) MaintainOnce() (bool, error) {
 	if s.closed.Load() {
 		return false, fmt.Errorf("wildfire: engine closed")

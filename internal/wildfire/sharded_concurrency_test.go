@@ -53,27 +53,18 @@ func TestShardedConcurrentIngestAndScatterGather(t *testing.T) {
 		}(w)
 	}
 
-	// Maintenance driver: lockstep grooms with periodic post-grooms,
-	// index sync and merge maintenance, racing with writers and readers.
+	// Maintenance driver: the propagation owner's step (lockstep groom,
+	// a post-groom every third step, evolve and reclaim), then a merge
+	// pass, racing with writers and readers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer stop.Store(true)
 		writersDone := func() bool { return s.LiveCount() == 0 && allIngested(s, devices, msgs) }
 		for i := 0; ; i++ {
-			if _, err := s.GroomCount(); err != nil {
+			if err := s.propagate(i%3 == 2); err != nil {
 				report(err)
 				return
-			}
-			if i%3 == 2 {
-				if err := s.PostGroom(); err != nil {
-					report(err)
-					return
-				}
-				if err := s.SyncIndex(); err != nil {
-					report(err)
-					return
-				}
 			}
 			if _, err := s.MaintainOnce(); err != nil {
 				report(err)

@@ -1,6 +1,7 @@
 package wildfire
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -429,10 +430,31 @@ func TestShardedHistoryAndPostGroom(t *testing.T) {
 }
 
 func TestShardedBackgroundDaemons(t *testing.T) {
-	// Start's daemons must groom in lockstep rounds. A workload touching
-	// only one shard would freeze SnapshotTS forever under per-shard
-	// daemons (idle shards never advance their clocks), making
-	// default-timestamp reads permanently stale.
+	// Start adds exactly two goroutines to a table — the propagation
+	// owner and the index maintainer — whatever its shard, index and
+	// level counts, and Close takes both away.
+	counted := newTestShardedEngine(t, 4, func(c *ShardedConfig) {
+		c.Secondaries = []SecondaryIndexSpec{{Name: "by_day", IndexSpec: IndexSpec{Equality: []string{"day"}, HashBits: 4}}}
+		c.IndexTuning = core.Config{} // default levels
+	})
+	base := runtime.NumGoroutine()
+	counted.Start(time.Hour, time.Hour) // no tick fires: nothing transient
+	if n := runtime.NumGoroutine() - base; n != 2 {
+		t.Fatalf("Start added %d goroutines, want 2", n)
+	}
+	if err := counted.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after Close: %d goroutines, baseline %d", runtime.NumGoroutine(), base)
+		}
+	}
+
+	// The owner must groom in lockstep rounds. A workload touching only
+	// one shard would freeze SnapshotTS forever under per-shard grooming
+	// (idle shards never advance their clocks), making default-timestamp
+	// reads permanently stale.
 	s := newTestShardedEngine(t, 4, nil)
 	s.Start(time.Millisecond, 5*time.Millisecond)
 	// One device: exactly one shard receives data.

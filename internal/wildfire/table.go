@@ -3,8 +3,10 @@
 // committed logs, the groomer that migrates committed data into columnar
 // groomed blocks with monotonic beginTS, the post-groomer that resolves
 // endTS/prevRID and re-organizes data by partition key, and the indexer
-// daemon that keeps the Umzi index in sync through build and evolve
-// operations coordinated by post-groom sequence numbers (Figure 5).
+// that keeps the Umzi index in sync through build and evolve operations
+// coordinated by post-groom sequence numbers (Figure 5). A table runs
+// these as one propagation owner and merges as one index maintainer
+// (ShardedEngine.Start).
 //
 // The engine models a single table shard — the basic unit of grooming,
 // post-grooming and indexing (§2.1, §3) — with a configurable number of

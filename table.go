@@ -98,9 +98,12 @@ func (t *Table) CreateIndex(spec SecondaryIndexSpec) error { return t.eng.Create
 // Indexes returns the declared spec of every secondary index.
 func (t *Table) Indexes() []SecondaryIndexSpec { return t.eng.SecondarySpecs() }
 
-// Start launches the background daemons (groomer, post-groomer,
-// indexer) at the given cadences. DBs opened with DBConfig.GroomEvery
-// set have already started them.
+// Start launches the table's two background goroutines, both ticking
+// every groomEvery: the propagation owner grooms, post-grooms once
+// postGroomEvery has elapsed, then evolves the indexes and reclaims
+// consumed blocks; the index maintainer merges runs and adjusts the SSD
+// cache. DBs opened with DBConfig.GroomEvery set have already started
+// them.
 func (t *Table) Start(groomEvery, postGroomEvery time.Duration) {
 	t.eng.Start(groomEvery, postGroomEvery)
 }
@@ -114,9 +117,10 @@ func (t *Table) PostGroom() error { return t.eng.PostGroom() }
 // SyncIndex applies pending index evolve operations on every shard.
 func (t *Table) SyncIndex() error { return t.eng.SyncIndex() }
 
-// MaintainOnce runs one index maintenance pass (at most one merge per
-// zone and index) on every shard; it reports whether any merged. Tables
-// started with Start do this on a timer.
+// MaintainOnce runs one index maintenance pass (one merge attempt per
+// level of each zone, for every index) on every shard; it reports
+// whether any merged. The index maintainer started by Start does this
+// every tick.
 func (t *Table) MaintainOnce() (bool, error) { return t.eng.MaintainOnce() }
 
 // LiveCount reports committed-but-ungroomed records across all shards.
