@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -297,8 +298,8 @@ func defaultIndexSpec(def TableDef) IndexSpec {
 type Tx struct {
 	db      *DB
 	replica int
-	staged  map[string][]Row
-	order   []string
+	staged  map[*Table][]Row
+	order   []*Table
 	done    bool
 }
 
@@ -315,7 +316,7 @@ func (db *DB) Begin(ctx context.Context) (*Tx, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &Tx{db: db, staged: make(map[string][]Row)}, nil
+	return &Tx{db: db, staged: make(map[*Table][]Row)}, nil
 }
 
 // WithReplica routes the transaction's commits through the given
@@ -325,7 +326,8 @@ func (tx *Tx) WithReplica(replica int) *Tx {
 	return tx
 }
 
-// Upsert stages rows into one table; validation happens eagerly.
+// Upsert stages copies of rows into one table; validation happens
+// eagerly.
 func (tx *Tx) Upsert(table string, rows ...Row) error {
 	if tx.done {
 		return fmt.Errorf("umzi: transaction already finished")
@@ -339,42 +341,33 @@ func (tx *Tx) Upsert(table string, rows ...Row) error {
 		if err := wildfire.ValidateRow(def, r); err != nil {
 			return err
 		}
-		cp := make(Row, len(r))
-		copy(cp, r)
-		if _, ok := tx.staged[table]; !ok {
-			tx.order = append(tx.order, table)
+		if _, ok := tx.staged[tbl]; !ok {
+			tx.order = append(tx.order, tbl)
 		}
-		tx.staged[table] = append(tx.staged[table], cp)
+		tx.staged[tbl] = append(tx.staged[tbl], slices.Clone(r))
 	}
 	return nil
 }
 
-// Commit publishes the staged rows table by table (and shard by shard
-// within a table). The context is checked before each table's commit.
+// Commit hands the staged rows to their tables' engines table by table
+// (and shard by shard within a table). The replica ordinal is checked
+// against every table before any commits; the context is checked before
+// each table's commit.
 func (tx *Tx) Commit(ctx context.Context) error {
 	if tx.done {
 		return fmt.Errorf("umzi: transaction already finished")
 	}
 	tx.done = true
-	for _, name := range tx.order {
+	for _, tbl := range tx.order {
+		if n := max(tbl.catalogEntry.Replicas, 1); tx.replica < 0 || tx.replica >= n {
+			return fmt.Errorf("umzi: table %s: replica %d out of range (%d replicas)", tbl.name, tx.replica, n)
+		}
+	}
+	for _, tbl := range tx.order {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("umzi: commit interrupted before table %s (earlier tables are durable): %w", name, err)
+			return fmt.Errorf("umzi: commit interrupted before table %s (earlier tables are durable): %w", tbl.name, err)
 		}
-		tbl, err := tx.db.Table(name)
-		if err != nil {
-			return err
-		}
-		inner, err := tbl.eng.Begin(tx.replica)
-		if err != nil {
-			return err
-		}
-		for _, r := range tx.staged[name] {
-			if err := inner.Upsert(r); err != nil {
-				inner.Abort()
-				return err
-			}
-		}
-		if err := inner.CommitContext(ctx); err != nil {
+		if err := tbl.eng.Commit(ctx, tx.replica, tx.staged[tbl]); err != nil {
 			return err
 		}
 	}

@@ -154,8 +154,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 							crashed = true
 							break
 						}
-						// One transaction: all rows acked atomically, in
-						// side-log order (later rows overwrite earlier
+						// One commit: all rows acked atomically, in
+						// batch order (later rows overwrite earlier
 						// ones of the same key).
 						for _, r := range rows {
 							oracle[def.pkEncoding(r)] = r

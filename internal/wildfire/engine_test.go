@@ -219,47 +219,27 @@ func TestLastWriterWinsAcrossReplicas(t *testing.T) {
 	}
 }
 
+// TestTxnLifecycle covers what a shard's UpsertRows checks: a bad
+// replica or a bad row anywhere in the batch commits nothing.
 func TestTxnLifecycle(t *testing.T) {
 	e := newTestEngine(t, nil)
-	tx, err := e.Begin(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Upsert(row(1, 1, 1.0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	// Uncommitted data is invisible everywhere.
-	if e.LiveCount() != 0 {
-		t.Error("uncommitted rows visible in live zone")
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err == nil {
-		t.Error("double commit accepted")
-	}
-	if err := tx.Upsert(row(1, 2, 1.0, 1)); err == nil {
-		t.Error("upsert after commit accepted")
-	}
-
-	tx2, _ := e.Begin(0)
-	if err := tx2.Upsert(row(2, 1, 2.0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	tx2.Abort()
-	if e.LiveCount() != 1 {
-		t.Errorf("LiveCount = %d, want 1 (aborted txn discarded)", e.LiveCount())
-	}
-
-	if _, err := e.Begin(99); err == nil {
+	if err := e.UpsertRows(99, row(1, 1, 1.0, 1)); err == nil {
 		t.Error("bad replica accepted")
 	}
-	tx3, _ := e.Begin(0)
-	if err := tx3.Upsert(Row{keyenc.I64(1)}); err == nil {
+	if err := e.UpsertRows(0, row(1, 1, 1.0, 1), Row{keyenc.I64(1)}); err == nil {
 		t.Error("short row accepted")
 	}
-	if err := tx3.Upsert(Row{keyenc.Str("x"), keyenc.I64(1), keyenc.F64(0), keyenc.I64(0)}); err == nil {
+	if err := e.UpsertRows(0, row(1, 1, 1.0, 1), Row{keyenc.Str("x"), keyenc.I64(1), keyenc.F64(0), keyenc.I64(0)}); err == nil {
 		t.Error("wrong kind accepted")
+	}
+	if e.LiveCount() != 0 {
+		t.Errorf("LiveCount = %d, want 0 (rejected batches commit nothing)", e.LiveCount())
+	}
+	if err := e.UpsertRows(1, row(1, 1, 1.0, 1), row(1, 2, 1.0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if e.LiveCount() != 2 {
+		t.Errorf("LiveCount = %d, want 2", e.LiveCount())
 	}
 }
 

@@ -2,17 +2,17 @@ package wildfire
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"slices"
 	"sync"
 	"time"
 )
 
-// The live zone (§2.1): transactions append uncommitted changes to a
-// local side-log; on commit the side-log is made durable in the shard's
-// commit log (internal/wal) and then published to the replica's
-// committed in-memory log with its tentative commit sequences. The
+// The live zone (§2.1): a transaction's uncommitted upserts are its
+// side-log, which here is umzi.Tx's staging. At commit, Engine.commit
+// makes each shard's share durable in the shard's commit log
+// (internal/wal) and then publishes it to the replica's committed
+// in-memory log with its tentative commit sequences. The
 // committed log is the groomer's input and is also scanned directly by
 // freshness-sensitive queries, since the live zone is not covered by
 // the index (§3). The in-memory log is a view of the durable log's
@@ -96,100 +96,46 @@ func (r *replica) size() int {
 	return len(r.log)
 }
 
-// Txn is a transaction: upserts accumulate in a side-log and become
-// visible (to grooming and live-zone scans) only at Commit. Wildfire
-// treats every insert/update/delete as an upsert on the primary key with
-// last-writer-wins semantics for concurrent updates (§2.1).
-type Txn struct {
-	eng      *Engine
-	replica  *replica
-	sidelog  []Row
-	done     bool
-	readOnly bool
-}
-
-// Begin starts a transaction against the given shard replica. Any replica
-// of a shard can ingest data (multi-master).
-func (e *Engine) Begin(replicaID int) (*Txn, error) {
-	if replicaID < 0 || replicaID >= len(e.replicas) {
-		return nil, fmt.Errorf("wildfire: replica %d out of range (%d replicas)", replicaID, len(e.replicas))
-	}
-	return &Txn{eng: e, replica: e.replicas[replicaID]}, nil
-}
-
-// Upsert stages one row. The row is validated eagerly so a malformed
-// write fails at the call site, not at commit.
-func (tx *Txn) Upsert(row Row) error {
-	if tx.done {
-		return fmt.Errorf("wildfire: transaction already finished")
-	}
-	if err := tx.eng.table.validateRow(row); err != nil {
-		return err
-	}
-	cp := make(Row, len(row))
-	copy(cp, row)
-	tx.sidelog = append(tx.sidelog, cp)
-	return nil
-}
-
-// Commit publishes the side-log to the replica's committed log with
-// tentative commit times; the groomer later resets beginTS so the commit
-// effectively happens at groom time (§2.1).
-func (tx *Txn) Commit() error {
-	return tx.CommitContext(context.Background())
-}
-
-// CommitContext is Commit honoring a context: a cancelled context
-// aborts the transaction before anything becomes visible. Once past the
-// check the commit runs to completion — the side-log is appended to the
-// shard's durable commit log (per-commit sync joins a group commit and
-// returns only after the shared segment write lands) and then published
-// to the replica's committed log; an error from the log append means
-// the rows are neither durable nor visible.
-func (tx *Txn) CommitContext(ctx context.Context) error {
-	if tx.done {
-		return fmt.Errorf("wildfire: transaction already finished")
-	}
-	if err := ctx.Err(); err != nil {
-		tx.Abort()
-		return err
-	}
-	tx.done = true
-	if len(tx.sidelog) == 0 {
+// commit is the one live-zone append: it makes rows durable in the
+// shard's commit log, then publishes them, uncopied, to the replica's
+// committed log. An error from the log append means the rows are
+// neither durable nor visible.
+func (e *Engine) commit(replica int, rows []Row) error {
+	if len(rows) == 0 {
 		return nil
 	}
-	first, err := tx.eng.stageCommit(tx.replica.id, tx.sidelog)
+	first, err := e.stageCommit(replica, rows)
 	if err != nil {
-		tx.sidelog = nil
 		return err
 	}
 	// The ack point: stageCommit returned, so the rows are as durable as
 	// the sync policy promises and the commit is about to be acknowledged
 	// to the caller. Freshness is measured from here to groom visibility.
-	tx.replica.appendWithSeqs(tx.sidelog, first, time.Now().UnixNano())
-	tx.sidelog = nil
+	e.replicas[replica].appendWithSeqs(rows, first, time.Now().UnixNano())
 	return nil
 }
 
-// Abort discards the side-log.
-func (tx *Txn) Abort() {
-	tx.done = true
-	tx.sidelog = nil
-}
-
-// UpsertRows is a convenience that runs one auto-committed transaction.
+// UpsertRows commits copies of rows through one replica of this shard;
+// a bad replica or any bad row commits nothing.
 func (e *Engine) UpsertRows(replicaID int, rows ...Row) error {
-	tx, err := e.Begin(replicaID)
-	if err != nil {
-		return err
+	if replicaID < 0 || replicaID >= len(e.replicas) {
+		return fmt.Errorf("wildfire: replica %d out of range (%d replicas)", replicaID, len(e.replicas))
 	}
 	for _, r := range rows {
-		if err := tx.Upsert(r); err != nil {
-			tx.Abort()
+		if err := e.table.validateRow(r); err != nil {
 			return err
 		}
 	}
-	return tx.Commit()
+	return e.commit(replicaID, cloneRows(rows))
+}
+
+// cloneRows copies every row, so the engine can keep the copies.
+func cloneRows(rows []Row) []Row {
+	out := make([]Row, len(rows))
+	for i, r := range rows {
+		out[i] = slices.Clone(r)
+	}
+	return out
 }
 
 // LiveCount reports the number of committed-but-ungroomed records across

@@ -394,100 +394,51 @@ func (s *ShardedEngine) Close() error {
 	return first
 }
 
-// ShardedTxn is an upsert transaction against the sharded table: rows
-// accumulate locally and are routed to their owning shards at Commit.
-// Cross-shard commits are not atomic — per Wildfire's multi-master
-// semantics a transaction becomes durable per shard and visible at groom
-// time (§2.1); a crash between shard commits can persist a prefix.
-type ShardedTxn struct {
-	eng       *ShardedEngine
-	replicaID int
-	perShard  [][]Row
-	done      bool
-}
-
-// Begin starts a transaction that will commit through the given replica
-// ordinal of every shard it touches.
-func (s *ShardedEngine) Begin(replicaID int) (*ShardedTxn, error) {
+// Commit commits rows through the given replica ordinal of every shard
+// they touch, keeping the rows without a copy. Every row is validated
+// before any is committed. Rows are routed to their owning shards in
+// order and committed shard by shard; the context is checked before
+// each shard. Cross-shard commits are not atomic — per Wildfire's
+// multi-master semantics a commit becomes durable per shard and visible
+// at groom time (§2.1), so a cancellation or crash between shards
+// leaves the earlier shards committed.
+func (s *ShardedEngine) Commit(ctx context.Context, replica int, rows []Row) error {
 	if s.closed.Load() {
-		return nil, fmt.Errorf("wildfire: engine closed")
+		return fmt.Errorf("wildfire: engine closed")
 	}
-	nr := len(s.shards[0].replicas)
-	if replicaID < 0 || replicaID >= nr {
-		return nil, fmt.Errorf("wildfire: replica %d out of range (%d replicas)", replicaID, nr)
+	if nr := len(s.shards[0].replicas); replica < 0 || replica >= nr {
+		return fmt.Errorf("wildfire: replica %d out of range (%d replicas)", replica, nr)
 	}
-	return &ShardedTxn{eng: s, replicaID: replicaID, perShard: make([][]Row, len(s.shards))}, nil
-}
-
-// Upsert stages one row on its owning shard.
-func (tx *ShardedTxn) Upsert(row Row) error {
-	if tx.done {
-		return fmt.Errorf("wildfire: transaction already finished")
+	for _, r := range rows {
+		if err := s.table.validateRow(r); err != nil {
+			return err
+		}
 	}
-	if err := tx.eng.table.validateRow(row); err != nil {
-		return err
+	perShard := [][]Row{rows}
+	if len(s.shards) > 1 {
+		perShard = make([][]Row, len(s.shards))
+		for _, r := range rows {
+			shard := s.router.shardOfRow(r)
+			perShard[shard] = append(perShard[shard], r)
+		}
 	}
-	cp := make(Row, len(row))
-	copy(cp, row)
-	shard := tx.eng.router.shardOfRow(cp)
-	tx.perShard[shard] = append(tx.perShard[shard], cp)
-	return nil
-}
-
-// Commit publishes the staged rows shard by shard.
-func (tx *ShardedTxn) Commit() error {
-	return tx.CommitContext(context.Background())
-}
-
-// CommitContext is Commit honoring a context. The context is checked
-// before every per-shard commit; per Wildfire's multi-master semantics a
-// cancellation between shards leaves the already-committed prefix
-// durable (cross-shard commits are not atomic) and the error reports
-// the cut.
-func (tx *ShardedTxn) CommitContext(ctx context.Context) error {
-	if tx.done {
-		return fmt.Errorf("wildfire: transaction already finished")
-	}
-	tx.done = true
-	for shard, rows := range tx.perShard {
+	for shard, rows := range perShard {
 		if len(rows) == 0 {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("wildfire: commit interrupted before shard %d (earlier shards are durable): %w", shard, err)
 		}
-		stx, err := tx.eng.shards[shard].Begin(tx.replicaID)
-		if err != nil {
-			return err
-		}
-		stx.sidelog = rows // validated and copied by Upsert
-		if err := stx.Commit(); err != nil {
+		if err := s.shards[shard].commit(replica, rows); err != nil {
 			return err
 		}
 	}
-	tx.perShard = nil
 	return nil
 }
 
-// Abort discards the staged rows.
-func (tx *ShardedTxn) Abort() {
-	tx.done = true
-	tx.perShard = nil
-}
-
-// UpsertRows runs one auto-committed transaction.
+// UpsertRows commits a copy of rows (see Commit).
 func (s *ShardedEngine) UpsertRows(replicaID int, rows ...Row) error {
-	tx, err := s.Begin(replicaID)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := tx.Upsert(r); err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	return tx.Commit()
+	return s.Commit(context.Background(), replicaID, cloneRows(rows))
 }
 
 // WALStatus reports every shard's commit-log state, indexed by shard.

@@ -1,6 +1,7 @@
 package wildfire
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -251,7 +252,7 @@ func TestShardedSnapshotStabilityUnderIngest(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentTxns commits transactions spanning all shards
+// TestShardedConcurrentTxns commits row batches spanning all shards
 // from many goroutines while grooms run; every committed row must be
 // durable and visible exactly once afterwards.
 func TestShardedConcurrentTxns(t *testing.T) {
@@ -267,19 +268,12 @@ func TestShardedConcurrentTxns(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				tx, err := s.Begin(w % 2)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				// Each txn touches several devices, hence several shards.
+				// Each commit touches several devices, hence several shards.
+				rows := make([]Row, 0, 4)
 				for dev := int64(0); dev < 4; dev++ {
-					if err := tx.Upsert(row(dev, int64(w*perWriter+i), float64(w), 100)); err != nil {
-						errCh <- err
-						return
-					}
+					rows = append(rows, row(dev, int64(w*perWriter+i), float64(w), 100))
 				}
-				if err := tx.Commit(); err != nil {
+				if err := s.Commit(context.Background(), w%2, rows); err != nil {
 					errCh <- err
 					return
 				}

@@ -1,6 +1,8 @@
 package wildfire
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -252,48 +254,62 @@ func TestShardedGetBatch(t *testing.T) {
 	}
 }
 
+// TestShardedTxnLifecycle covers what ShardedEngine.Commit checks: a
+// bad replica, a bad row anywhere or a cancelled context commits
+// nothing, and a 4-shard commit lands every row on its owning shard.
 func TestShardedTxnLifecycle(t *testing.T) {
 	s := newTestShardedEngine(t, 4, nil)
-	tx, err := s.Begin(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for msg := int64(0); msg < 8; msg++ {
-		if err := tx.Upsert(row(1, msg, 1.0, 1)); err != nil {
-			t.Fatal(err)
+	ctx := context.Background()
+	var rows []Row
+	for dev := int64(0); dev < 8; dev++ {
+		for msg := int64(0); msg < 4; msg++ {
+			rows = append(rows, row(dev, msg, float64(dev), 1))
 		}
 	}
-	if s.LiveCount() != 0 {
-		t.Error("uncommitted rows visible")
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err == nil {
-		t.Error("double commit accepted")
-	}
-	if err := tx.Upsert(row(1, 9, 1.0, 1)); err == nil {
-		t.Error("upsert after commit accepted")
-	}
-	if s.LiveCount() != 8 {
-		t.Errorf("LiveCount = %d, want 8", s.LiveCount())
-	}
 
-	tx2, _ := s.Begin(0)
-	if err := tx2.Upsert(row(2, 1, 2.0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	tx2.Abort()
-	if s.LiveCount() != 8 {
-		t.Errorf("aborted rows leaked: LiveCount = %d", s.LiveCount())
-	}
-
-	if _, err := s.Begin(99); err == nil {
+	if err := s.Commit(ctx, 99, rows); err == nil {
 		t.Error("bad replica accepted")
 	}
-	tx3, _ := s.Begin(0)
-	if err := tx3.Upsert(Row{keyenc.I64(1)}); err == nil {
+	bad := append(append([]Row(nil), rows...), Row{keyenc.I64(1)})
+	if err := s.Commit(ctx, 0, bad); err == nil {
 		t.Error("short row accepted")
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := s.Commit(cancelled, 0, rows); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled commit: err = %v, want context.Canceled", err)
+	}
+	if s.LiveCount() != 0 {
+		t.Fatalf("LiveCount = %d, want 0 (rejected commits commit nothing)", s.LiveCount())
+	}
+
+	if err := s.Commit(ctx, 1, rows); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, s.NumShards())
+	for _, r := range rows {
+		want[s.router.shardOfRow(r)]++
+	}
+	touched := 0
+	for i, e := range s.shards {
+		if got := e.LiveCount(); got != want[i] {
+			t.Errorf("shard %d: LiveCount = %d, want %d", i, got, want[i])
+		}
+		if want[i] > 0 {
+			touched++
+		}
+	}
+	if touched < 2 {
+		t.Errorf("rows landed on %d shard(s), want a commit spanning shards", touched)
+	}
+	if err := s.Groom(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		eq, sortv := key(r[0].Int(), r[1].Int())
+		if _, found, err := getOn(s, "", eq, sortv, QueryOptions{}); err != nil || !found {
+			t.Fatalf("row %v: found=%v err=%v", r[:2], found, err)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package wildfire implements the HTAP engine substrate Umzi lives in
-// (§2.1 of the paper): the live zone with transaction side-logs and
-// committed logs, the groomer that migrates committed data into columnar
-// groomed blocks with monotonic beginTS, the post-groomer that resolves
+// (§2.1 of the paper): the live zone's committed logs, which every
+// commit enters through one shard append (Engine.commit), the groomer
+// that migrates committed data into columnar groomed blocks with
+// monotonic beginTS, the post-groomer that resolves
 // endTS/prevRID and re-organizes data by partition key, and the indexer
 // that keeps the Umzi index in sync through build and evolve operations
 // coordinated by post-groom sequence numbers (Figure 5). A table runs
