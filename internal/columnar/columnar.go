@@ -449,6 +449,58 @@ func (blk *Block) ColumnMax(col int) (keyenc.Value, bool) {
 	return blk.maxs[col], true
 }
 
+// Synopsis is a block's row count and per-column min/max, detached from
+// the block: it owns a copy of every bytes/string bound, so holding it
+// pins neither the decoded block nor the object bytes it was decoded
+// from. It answers NumRows, ColumnMin and ColumnMax as the block does,
+// so a reader can prune a block it has not fetched.
+type Synopsis struct {
+	rows       int
+	mins, maxs []keyenc.Value
+}
+
+// Synopsis returns the block's detached synopsis.
+func (blk *Block) Synopsis() *Synopsis {
+	s := &Synopsis{rows: blk.rows, mins: make([]keyenc.Value, len(blk.mins)), maxs: make([]keyenc.Value, len(blk.maxs))}
+	for i := range blk.mins {
+		s.mins[i], s.maxs[i] = detachValue(blk.mins[i]), detachValue(blk.maxs[i])
+	}
+	return s
+}
+
+// detachValue returns v with a private copy of its bytes payload, if any.
+func detachValue(v keyenc.Value) keyenc.Value {
+	switch v.Kind() {
+	case keyenc.KindBytes:
+		return keyenc.Raw(bytes.Clone(v.Bytes()))
+	case keyenc.KindString:
+		return keyenc.StrBytes(bytes.Clone(v.Bytes()))
+	default:
+		return v
+	}
+}
+
+// NumRows returns the number of rows in the block.
+func (s *Synopsis) NumRows() int { return s.rows }
+
+// ColumnMin returns the minimum value of the column; ok is false for an
+// empty block.
+func (s *Synopsis) ColumnMin(col int) (keyenc.Value, bool) {
+	if s.rows == 0 {
+		return keyenc.Value{}, false
+	}
+	return s.mins[col], true
+}
+
+// ColumnMax returns the maximum value of the column; ok is false for an
+// empty block.
+func (s *Synopsis) ColumnMax(col int) (keyenc.Value, bool) {
+	if s.rows == 0 {
+		return keyenc.Value{}, false
+	}
+	return s.maxs[col], true
+}
+
 // CmpSelect compares every row of the column against v and writes the
 // selection into out, one bit per row (word w bit b = row 64w+b), fully
 // overwriting len(out) = ceil(rows/64) words; tail bits beyond the row

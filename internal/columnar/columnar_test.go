@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -240,11 +241,27 @@ func TestMarshalEmptyBlock(t *testing.T) {
 func TestUnmarshalCorrupt(t *testing.T) {
 	blk := buildSample(t)
 	data := blk.Marshal()
+	// Column 0 ("device", int64) starts at byte 14; its min/max flag is
+	// at 23, its u32 min length at 24 and its 8-byte min at 28.
+	const flagAt = 14 + 1 + 2 + len("device")
+	if data[flagAt] != 1 || binary.BigEndian.Uint32(data[flagAt+1:]) != 8 {
+		t.Fatal("setup: column 0's min/max is not where the test expects it")
+	}
+	setFlag := func(src []byte, has byte) []byte {
+		b := bytes.Clone(src)
+		b[flagAt] = has
+		return b
+	}
+	trailing := binary.BigEndian.AppendUint32(bytes.Clone(data[:flagAt+1]), 9)
+	trailing = append(append(append(trailing, data[flagAt+5:flagAt+13]...), 0), data[flagAt+13:]...)
 	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   append([]byte("XXXXXXXX"), data[8:]...),
-		"truncated":   data[:len(data)/2],
-		"header only": data[:14],
+		"empty":                 {},
+		"bad magic":             append([]byte("XXXXXXXX"), data[8:]...),
+		"truncated":             data[:len(data)/2],
+		"header only":           data[:14],
+		"rows without min/max":  setFlag(data, 0),
+		"min/max without rows":  setFlag(NewBuilder(testSchema(t)).Build().Marshal(), 1),
+		"trailing bytes in min": trailing,
 	}
 	for name, b := range cases {
 		if _, err := Unmarshal(b); err == nil {

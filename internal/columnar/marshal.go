@@ -267,17 +267,22 @@ func Unmarshal(data []byte) (*Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		if has == 1 {
-			v, _, err := keyenc.Decode(minEnc, kind)
-			if err != nil {
+		// Marshal writes min/max exactly when the block has rows, each
+		// bound as one whole encoding; anything else is corrupt.
+		if rows == 0 {
+			if has != 0 || minLen != 0 || maxLen != 0 {
+				return nil, fmt.Errorf("columnar: column %d has min/max but no rows", i)
+			}
+		} else {
+			if has != 1 {
+				return nil, fmt.Errorf("columnar: column %d of %d rows lacks min/max", i, rows)
+			}
+			if mins[i], err = decodeBound(minEnc, kind); err != nil {
 				return nil, fmt.Errorf("columnar: column %d min: %w", i, err)
 			}
-			mins[i] = v
-			v, _, err = keyenc.Decode(maxEnc, kind)
-			if err != nil {
+			if maxs[i], err = decodeBound(maxEnc, kind); err != nil {
 				return nil, fmt.Errorf("columnar: column %d max: %w", i, err)
 			}
-			maxs[i] = v
 		}
 
 		if err := readColumn(&r, &data2[i], kind, rows, i); err != nil {
@@ -289,6 +294,15 @@ func Unmarshal(data []byte) (*Block, error) {
 		return nil, err
 	}
 	return &Block{schema: schema, rows: rows, cols: data2, mins: mins, maxs: maxs}, nil
+}
+
+// decodeBound decodes one min/max bound, which must fill enc exactly.
+func decodeBound(enc []byte, kind keyenc.Kind) (keyenc.Value, error) {
+	v, n, err := keyenc.Decode(enc, kind)
+	if err == nil && n != len(enc) {
+		err = fmt.Errorf("%d trailing bytes", len(enc)-n)
+	}
+	return v, err
 }
 
 // readPlainColumn reads a plain-encoded column body.

@@ -225,20 +225,30 @@ func (b *BoundPlan) Matches(row RowView) bool {
 	return b.filter == nil || b.filter.eval(row)
 }
 
-// CanMatchBlock reports whether any row of the columnar block could
-// satisfy the filter, judged by the block's per-column min/max synopses.
-// A false return proves the block holds no qualifying row, so the caller
-// may skip its data columns entirely.
-func (b *BoundPlan) CanMatchBlock(blk *columnar.Block) bool {
+// BlockSynopsis is what block pruning reads: a block's row count and
+// per-column min/max. A decoded *columnar.Block has it, and so does the
+// detached *columnar.Synopsis a reader keeps for a block it has not
+// fetched.
+type BlockSynopsis interface {
+	NumRows() int
+	ColumnMin(col int) (keyenc.Value, bool)
+	ColumnMax(col int) (keyenc.Value, bool)
+}
+
+// CanMatchBlock reports whether any row of the block could satisfy the
+// filter, judged by the block's per-column min/max synopses. A false
+// return proves the block holds no qualifying row, so the caller may
+// skip it entirely — without fetching it, when syn is detached.
+func (b *BoundPlan) CanMatchBlock(syn BlockSynopsis) bool {
 	if b.filter == nil {
-		return blk.NumRows() > 0
+		return syn.NumRows() > 0
 	}
 	return b.filter.canMatch(func(col int) (keyenc.Value, keyenc.Value, bool) {
-		min, ok := blk.ColumnMin(col)
+		min, ok := syn.ColumnMin(col)
 		if !ok {
 			return keyenc.Value{}, keyenc.Value{}, false
 		}
-		max, _ := blk.ColumnMax(col)
+		max, _ := syn.ColumnMax(col)
 		return min, max, true
 	})
 }

@@ -11,8 +11,8 @@ import (
 
 // QueryTrace captures one query's execution profile: the plan the
 // compiler chose, per-shard spans, and cross-shard totals for blocks
-// read vs. synopsis-skipped, live-zone union size, and secondary-index
-// rows back-checked against the primary. A trace is attached to a
+// read vs. synopsis-skipped, blocks fetched, live-zone union size, and
+// secondary-index rows back-checked against the primary. A trace is attached to a
 // query with Query.Explain(); the engine writes into it from every
 // shard worker concurrently, so counters are atomic and spans append
 // under a mutex. Every method is nil-receiver safe: an untraced query
@@ -26,6 +26,7 @@ type QueryTrace struct {
 	blocksRead         atomic.Int64
 	blocksSkipped      atomic.Int64
 	blocksBloomSkipped atomic.Int64
+	blocksFetched      atomic.Int64
 	liveUnion          atomic.Int64
 	backChecked        atomic.Int64
 	backCheckDropped   atomic.Int64
@@ -39,6 +40,7 @@ type TraceSpan struct {
 	BlocksRead         int64         `json:"blocks_read"`
 	BlocksSkipped      int64         `json:"blocks_skipped"`
 	BlocksBloomSkipped int64         `json:"blocks_bloom_skipped"`
+	BlocksFetched      int64         `json:"blocks_fetched"`
 	LiveUnion          int64         `json:"live_union"`
 	WinnerInserts      int64         `json:"winner_inserts"`
 	Elapsed            time.Duration `json:"elapsed_ns"`
@@ -90,6 +92,15 @@ func (t *QueryTrace) AddBlocksBloomSkipped(n int64) {
 	}
 }
 
+// AddBlocksFetched counts blocks the executor fetched (from the block
+// cache or storage): every pending block, and the post blocks no
+// synopsis held in memory excluded before the fetch.
+func (t *QueryTrace) AddBlocksFetched(n int64) {
+	if t != nil {
+		t.blocksFetched.Add(n)
+	}
+}
+
 // AddLiveUnion counts live-zone rows unioned over the groomed zones.
 func (t *QueryTrace) AddLiveUnion(n int64) {
 	if t != nil {
@@ -136,6 +147,7 @@ type TraceSnapshot struct {
 	BlocksRead         int64       `json:"blocks_read"`
 	BlocksSkipped      int64       `json:"blocks_skipped"`
 	BlocksBloomSkipped int64       `json:"blocks_bloom_skipped"`
+	BlocksFetched      int64       `json:"blocks_fetched"`
 	LiveUnion          int64       `json:"live_union"`
 	BackChecked        int64       `json:"back_checked"`
 	BackCheckDropped   int64       `json:"back_check_dropped"`
@@ -162,6 +174,7 @@ func (t *QueryTrace) Snapshot() TraceSnapshot {
 		BlocksRead:         t.blocksRead.Load(),
 		BlocksSkipped:      t.blocksSkipped.Load(),
 		BlocksBloomSkipped: t.blocksBloomSkipped.Load(),
+		BlocksFetched:      t.blocksFetched.Load(),
 		LiveUnion:          t.liveUnion.Load(),
 		BackChecked:        t.backChecked.Load(),
 		BackCheckDropped:   t.backCheckDropped.Load(),
@@ -182,11 +195,11 @@ func (t *QueryTrace) String() string {
 	if s.Index != "" {
 		fmt.Fprintf(&b, " index=%s", s.Index)
 	}
-	fmt.Fprintf(&b, " blocks=%d read/%d skipped (%d by bloom) live_union=%d winner_inserts=%d back_checked=%d (%d dropped) rows=%d",
-		s.BlocksRead, s.BlocksSkipped, s.BlocksBloomSkipped, s.LiveUnion, s.WinnerInserts, s.BackChecked, s.BackCheckDropped, s.RowsEmitted)
+	fmt.Fprintf(&b, " blocks=%d read/%d skipped (%d by bloom), %d fetched live_union=%d winner_inserts=%d back_checked=%d (%d dropped) rows=%d",
+		s.BlocksRead, s.BlocksSkipped, s.BlocksBloomSkipped, s.BlocksFetched, s.LiveUnion, s.WinnerInserts, s.BackChecked, s.BackCheckDropped, s.RowsEmitted)
 	for _, sp := range s.Spans {
-		fmt.Fprintf(&b, "\n  shard %s: blocks=%d read/%d skipped live_union=%d winner_inserts=%d in %s",
-			sp.Shard, sp.BlocksRead, sp.BlocksSkipped, sp.LiveUnion, sp.WinnerInserts, sp.Elapsed)
+		fmt.Fprintf(&b, "\n  shard %s: blocks=%d read/%d skipped, %d fetched live_union=%d winner_inserts=%d in %s",
+			sp.Shard, sp.BlocksRead, sp.BlocksSkipped, sp.BlocksFetched, sp.LiveUnion, sp.WinnerInserts, sp.Elapsed)
 	}
 	return b.String()
 }

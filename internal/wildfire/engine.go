@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"umzi/internal/columnar"
 	"umzi/internal/core"
 	"umzi/internal/obs"
 	"umzi/internal/storage"
@@ -155,8 +156,11 @@ type zoneVersion struct {
 	grooming []logRecord
 	// pending lists the groomed blocks not yet post-groomed, post the
 	// post-groomed blocks of committed post-grooms, each in publish order:
-	// together they hold every groomed version exactly once.
-	pending, post []uint64
+	// together they hold every groomed version exactly once. Versions
+	// share the *postBlock pointers, so a synopsis filled in through one
+	// version is seen by every later one.
+	pending []uint64
+	post    []*postBlock
 	// lastGroomTS is the snapshot boundary: every groomed version has
 	// beginTS <= lastGroomTS.
 	lastGroomTS types.TS
@@ -171,6 +175,15 @@ type zoneVersion struct {
 	// post-groom clones the map and gives each block it touches a fresh
 	// slice.
 	endTS map[uint64][]endTSOverride
+}
+
+// postBlock is one published post-groomed block. syn is its synopsis,
+// which lets the executor skip the block without fetching it: the
+// post-groom that built the block sets it, and after a reopen the
+// executor fills it on the block's first fetch.
+type postBlock struct {
+	id  uint64
+	syn atomic.Pointer[columnar.Synopsis]
 }
 
 // publish replaces the zone version with an edited copy of it. Callers
@@ -459,7 +472,9 @@ func (e *Engine) recoverState() error {
 		if hi > v.consumedHi {
 			v.consumedHi = hi
 		}
-		v.post = append(v.post, blocks...)
+		for _, id := range blocks {
+			v.post = append(v.post, &postBlock{id: id})
+		}
 	}
 
 	// Groomed blocks: those beyond the consumed boundary go back into the

@@ -18,11 +18,12 @@ import (
 // which walk the index and fetch records RID by RID, executeBound
 // evaluates a plan block-at-a-time directly over the columnar groomed and
 // post-groomed blocks — skipping blocks whose per-column min/max
-// synopses prove no row can match — and unions in the live zone at the
-// query timestamp for freshness. Each shard reduces to an exec.Partial
-// (per-group aggregate states, not rows — row-shaped plans carry their
-// qualifying projected rows), which is what the coordinator merges
-// before finalizing (ShardedEngine.execPartials).
+// synopses prove no row can match, before the fetch for a post block
+// whose synopsis the zone version holds — and unions in the live zone at
+// the query timestamp for freshness. Each shard reduces to an
+// exec.Partial (per-group aggregate states, not rows — row-shaped plans
+// carry their qualifying projected rows), which is what the coordinator
+// merges before finalizing (ShardedEngine.execPartials).
 
 // execCandidate is one primary key's newest visible pending version so
 // far. sel is its block's selection bitmap; it is nil when the skip
@@ -63,7 +64,8 @@ func (e *Engine) liveOverlay(opts QueryOptions) (map[string]liveBest, *zoneVersi
 	return live, v, ts
 }
 
-// scanBlk is one zone block of a query, with its skip verdict.
+// scanBlk is one zone block of a query, with its skip verdict; blk is
+// nil when a post block's synopsis skipped it before its fetch.
 type scanBlk struct {
 	blk  *columnar.Block
 	skip exec.SkipReason
@@ -79,9 +81,10 @@ type scanBlk struct {
 // sidecar override in the version), so such a row is visible exactly
 // when beginTS <= zts < endTS — no comparison with other versions, and
 // a post-groomed block the synopses or a bloom filter exclude is never
-// touched. zts clamps TS to the version's lastGroomTS, which bounds
-// every finite endTS in it, so that a current version stays visible at
-// MaxTS.
+// scanned; once the version holds its synopsis, one the synopses exclude
+// is not even fetched. zts clamps TS to the version's lastGroomTS, which
+// bounds every finite endTS in it, so that a current version stays
+// visible at MaxTS.
 // Pending groomed blocks and the live zone go through a per-key winner
 // map (newest beginTS wins, live beats groomed), skipped pending blocks
 // included since their versions still shadow; a post-groomed row whose
@@ -103,27 +106,38 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 	}
 	nUser := len(e.table.Columns)
 
-	// Phase 1: fetch the version's blocks and classify every block, in
-	// parallel across the scan pool (positional writes keep the zone
-	// order deterministic; overlapping storage reads is where a cold
-	// scan wins first).
-	names := make([]string, 0, len(v.pending)+len(v.post))
-	for _, id := range v.pending {
-		names = append(names, groomedBlockName(e.table.Name, id))
-	}
-	for _, id := range v.post {
-		names = append(names, postBlockName(e.table.Name, id))
-	}
-	classified := make([]scanBlk, len(names))
-	err := e.scanPool.each(ctx, len(names), func(i int) error {
-		blk, err := e.fetchBlock(ctx, names[i])
+	// Phase 1: classify every block of the version, in parallel across
+	// the scan pool (positional writes keep the zone order deterministic;
+	// overlapping storage reads is where a cold scan wins first). A post
+	// block whose synopsis the version already holds is classified from
+	// it, and fetched only if it survives; every other block is fetched
+	// and classified from its decode — pending blocks always, since their
+	// versions shadow even when skipped. The verdicts are the same either
+	// way: the synopsis is the block's min/max.
+	nPending := len(v.pending)
+	classified := make([]scanBlk, nPending+len(v.post))
+	err := e.scanPool.each(ctx, len(classified), func(i int) error {
+		var pb *postBlock
+		var name string
+		if i < nPending {
+			name = groomedBlockName(e.table.Name, v.pending[i])
+		} else {
+			pb = v.post[i-nPending]
+			name = postBlockName(e.table.Name, pb.id)
+			if syn := pb.syn.Load(); syn != nil && !(visibleAt(syn, nUser, ts) && bound.CanMatchBlock(syn)) {
+				classified[i].skip = exec.SkipSynopsis
+				return nil
+			}
+		}
+		blk, err := e.fetchBlock(ctx, name)
 		if err != nil {
 			return err
 		}
+		if pb != nil && pb.syn.Load() == nil {
+			pb.syn.CompareAndSwap(nil, blk.Synopsis())
+		}
 		classified[i] = scanBlk{blk: blk, skip: exec.SkipSynopsis}
-		// The beginTS synopsis rules out an empty block, or one with
-		// nothing visible at this timestamp, before the filter's.
-		if min, ok := blk.ColumnMin(nUser); ok && types.TS(min.Uint()) <= ts {
+		if visibleAt(blk, nUser, ts) {
 			classified[i].skip = bound.BlockSkip(blk)
 		}
 		return nil
@@ -131,7 +145,7 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 	if err != nil {
 		return nil, err
 	}
-	var blocksRead, blocksSkipped, blocksBloomSkipped, winnerInserts int64
+	var blocksRead, blocksSkipped, blocksBloomSkipped, blocksFetched, winnerInserts int64
 	for _, sb := range classified {
 		if sb.skip != exec.SkipNone {
 			blocksSkipped++
@@ -141,6 +155,9 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 		if sb.skip == exec.SkipBloom {
 			blocksBloomSkipped++
 		}
+		if sb.blk != nil {
+			blocksFetched++
+		}
 	}
 
 	e.mx.execBlocksRead.Add(blocksRead)
@@ -149,6 +166,7 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 	opts.Trace.AddBlocksRead(blocksRead)
 	opts.Trace.AddBlocksSkipped(blocksSkipped)
 	opts.Trace.AddBlocksBloomSkipped(blocksBloomSkipped)
+	opts.Trace.AddBlocksFetched(blocksFetched)
 	opts.Trace.AddLiveUnion(liveUnion)
 	defer func() {
 		opts.Trace.AddWinnerInserts(winnerInserts)
@@ -157,6 +175,7 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 			BlocksRead:         blocksRead,
 			BlocksSkipped:      blocksSkipped,
 			BlocksBloomSkipped: blocksBloomSkipped,
+			BlocksFetched:      blocksFetched,
 			LiveUnion:          liveUnion,
 			WinnerInserts:      winnerInserts,
 			Elapsed:            time.Since(start),
@@ -178,7 +197,7 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 	// key. Live records are newer than every groomed version of their key
 	// (the groomer will assign them a larger beginTS), so they supersede.
 	winners := make(map[string]execCandidate)
-	for _, sb := range classified[:len(v.pending)] {
+	for _, sb := range classified[:nPending] {
 		var sel *exec.Bitmap
 		if sb.skip == exec.SkipNone {
 			sel = bound.FilterBlock(sb.blk)
@@ -202,7 +221,7 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 
 	// Phase 3: post-groomed rows visible by beginTS/endTS, minus overrides
 	// in effect at zts and keys a pending or live version shadows.
-	for i, sb := range classified[len(v.pending):] {
+	for i, sb := range classified[nPending:] {
 		if sb.skip != exec.SkipNone {
 			continue
 		}
@@ -214,7 +233,7 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 		blk.CmpSelect(nUser+1, keyenc.U64(uint64(zts)), false, false, true, vis.Words())
 		sel.And(vis)
 		words := sel.Words()
-		for _, o := range v.endTS[v.post[i]] {
+		for _, o := range v.endTS[v.post[i].id] {
 			if o.ts <= zts {
 				words[o.offset>>6] &^= 1 << (o.offset & 63)
 			}
@@ -245,6 +264,13 @@ func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Q
 	}
 	addLiveRows(part, bound, live)
 	return part, nil
+}
+
+// visibleAt reports whether a block, by its beginTS synopsis, holds a
+// version with beginTS <= ts; an empty block holds none.
+func visibleAt(syn exec.BlockSynopsis, nUser int, ts types.TS) bool {
+	min, ok := syn.ColumnMin(nUser)
+	return ok && types.TS(min.Uint()) <= ts
 }
 
 // addLiveRows feeds the qualifying live-zone rows into the partial.

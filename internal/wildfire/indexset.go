@@ -599,7 +599,11 @@ func (e *Engine) CreateIndex(spec SecondaryIndexSpec) error {
 	// post-groomed block, as one bootstrap run.
 	v := e.zone.Load()
 	if v.maxPSN > 0 {
-		entries, err := e.entriesFromBlocks(ti, types.ZonePostGroomed, v.post)
+		ids := make([]uint64, len(v.post))
+		for i, pb := range v.post {
+			ids[i] = pb.id
+		}
+		entries, err := e.entriesFromBlocks(ti, types.ZonePostGroomed, ids)
 		if err != nil {
 			ti.idx.Close()
 			return err

@@ -146,6 +146,7 @@ func (e *Engine) PostGroom() (types.PSN, error) {
 		return 0, err
 	}
 	var writtenIDs []uint64
+	var written []*postBlock
 	for b, bucket := range buckets {
 		if len(bucket) == 0 {
 			continue
@@ -168,6 +169,9 @@ func (e *Engine) PostGroom() (types.PSN, error) {
 		}
 		e.cacheBlock(postBlockName(e.table.Name, blockID[b]), blk)
 		writtenIDs = append(writtenIDs, blockID[b])
+		pb := &postBlock{id: blockID[b]}
+		pb.syn.Store(blk.Synopsis())
+		written = append(written, pb)
 	}
 
 	// Persist the endTS sidecar (no in-place updates on shared storage).
@@ -196,7 +200,7 @@ func (e *Engine) PostGroom() (types.PSN, error) {
 		return 0, err
 	}
 	e.publish(func(v *zoneVersion) {
-		v.post = append(slices.Clip(v.post), writtenIDs...)
+		v.post = append(slices.Clip(v.post), written...)
 		v.pending = v.pending[len(blocks):]
 		v.maxPSN = psn
 		v.consumedHi = hi
