@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -67,9 +66,10 @@ func e2eRun(name string, p e2eParams) (*e2eStats, error) {
 	if p.cacheBytes >= 0 {
 		cache = storage.NewSSDCache(p.cacheBytes, storage.LatencyModel{})
 	}
-	cfg := wildfire.Config{
+	cfg := wildfire.ShardedConfig{
 		Table:    table,
 		Index:    spec,
+		Shards:   1,
 		Store:    storage.NewMemStore(p.storeLat),
 		Cache:    cache,
 		Replicas: 2,
@@ -79,7 +79,7 @@ func e2eRun(name string, p e2eParams) (*e2eStats, error) {
 	// End-to-end figures measure grooming and lookups, not commit
 	// syncs; Figure S3 measures the write path.
 	cfg.Durability.SyncPolicy = wildfire.SyncOff
-	eng, err := wildfire.NewEngine(cfg)
+	eng, err := wildfire.NewShardedEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,7 @@ func e2eRun(name string, p e2eParams) (*e2eStats, error) {
 				}
 				c := int(cycle.Load())
 				start := time.Now()
-				if _, _, err := eng.GetBatchContext(context.Background(), keys, wildfire.QueryOptions{}); err != nil {
+				if _, _, err := eng.GetBatch(keys, wildfire.QueryOptions{}); err != nil {
 					return
 				}
 				if c >= 0 {
@@ -172,7 +172,7 @@ func e2eRun(name string, p e2eParams) (*e2eStats, error) {
 			return nil, err
 		}
 		if p.postGroom && (c+1)%p.scale.PostGroomEvery == 0 {
-			if _, err := eng.PostGroom(); err != nil {
+			if err := eng.PostGroom(); err != nil {
 				stop.Store(true)
 				wg.Wait()
 				return nil, err
@@ -183,13 +183,13 @@ func e2eRun(name string, p e2eParams) (*e2eStats, error) {
 				return nil, err
 			}
 		}
-		if _, err := eng.Index().MaintainOnce(); err != nil {
+		if _, err := eng.MaintainOnce(); err != nil {
 			stop.Store(true)
 			wg.Wait()
 			return nil, err
 		}
 		if p.cachedLevel >= -1 {
-			eng.Index().SetCachedLevel(p.cachedLevel)
+			eng.SetCachedLevel(p.cachedLevel)
 		}
 		// Give readers a slice of every cycle even on fast machines.
 		time.Sleep(time.Millisecond)

@@ -59,13 +59,14 @@ func WALIngest(name string, opts wildfire.DurabilityOptions, writers, commits, r
 		PrimaryKey: []string{"writer", "seq"},
 		ShardKey:   []string{"writer"},
 	}
-	cfg := wildfire.Config{
+	cfg := wildfire.ShardedConfig{
 		Table:      table,
 		Index:      wildfire.IndexSpec{Equality: []string{"writer"}, Sort: []string{"seq"}},
+		Shards:     1,
 		Store:      storage.NewMemStore(lat),
 		Durability: opts,
 	}
-	eng, err := wildfire.NewEngine(cfg)
+	eng, err := wildfire.NewShardedEngine(cfg)
 	if err != nil {
 		return 0, err
 	}

@@ -49,7 +49,7 @@ func crashBackend(t *testing.T, name string) storage.ObjectStore {
 
 // verifyOracle checks scan and point-get equivalence between the engine
 // and the oracle (pk encoding -> freshest acknowledged row).
-func verifyOracle(t *testing.T, e *Engine, oracle map[string]Row) {
+func verifyOracle(t *testing.T, e *shard, oracle map[string]Row) {
 	t.Helper()
 	opts := QueryOptions{TS: types.MaxTS, IncludeLive: true}
 
@@ -115,7 +115,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + seed)))
 			backend := crashBackend(t, fmt.Sprintf("prop-%d", seed))
 			cs := storage.NewFaultStore(backend, 0)
-			cfg := Config{
+			cfg := ShardedConfig{
 				Table:    iotTable(),
 				Index:    iotIndex(),
 				Store:    cs,
@@ -134,7 +134,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			lifetimes := 6
 			for life := 0; life < lifetimes; life++ {
 				cs.Revive(rng.Int63n(60) + 5)
-				e, err := NewEngine(cfg)
+				e, err := openShard(cfg)
 				if err != nil {
 					if errors.Is(err, storage.ErrInjectedFault) {
 						continue // crashed during recovery; next lifetime retries
@@ -150,7 +150,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 						for i := range rows {
 							rows[i] = row(rng.Int63n(4), rng.Int63n(16), rng.Float64()*100, rng.Int63n(3))
 						}
-						if err := e.UpsertRows(rng.Intn(2), rows...); err != nil {
+						if err := e.upsert(rng.Intn(2), rows...); err != nil {
 							crashed = true
 							break
 						}
@@ -161,17 +161,17 @@ func TestCrashRecoveryProperty(t *testing.T) {
 							oracle[def.pkEncoding(r)] = r
 						}
 					case r < 8:
-						if err := e.Groom(); err != nil {
+						if _, err := e.groomCount(); err != nil {
 							crashed = true
-						} else if _, err := e.MaintainOnce(); err != nil {
+						} else if _, err := e.maintainOnce(); err != nil {
 							crashed = true
 						}
 					case r < 9:
-						if _, err := e.PostGroom(); err != nil {
+						if _, err := e.postGroom(); err != nil {
 							crashed = true
 						}
 					default:
-						if err := e.SyncIndex(); err != nil {
+						if err := e.syncIndex(); err != nil {
 							crashed = true
 						}
 					}
@@ -180,7 +180,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					// Occasionally shut down cleanly so recovery also
 					// exercises the clean-marker fast path.
 					cs.Revive(1 << 50)
-					if err := e.Close(); err != nil {
+					if err := e.close(); err != nil {
 						t.Fatalf("lifetime %d: clean close: %v", life, err)
 					}
 					continue
@@ -192,22 +192,22 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			// Final reopen with unbounded storage: full equivalence, then
 			// quiesce and check the log is bounded.
 			cs.Revive(1 << 50)
-			e, err := NewEngine(cfg)
+			e, err := openShard(cfg)
 			if err != nil {
 				t.Fatalf("final reopen: %v", err)
 			}
-			defer e.Close()
+			defer e.close()
 			verifyOracle(t, e, oracle)
 
 			sentinel := row(3, 15, 1.5, 0)
-			if err := e.UpsertRows(0, sentinel); err != nil {
+			if err := e.upsert(0, sentinel); err != nil {
 				t.Fatal(err)
 			}
 			oracle[def.pkEncoding(sentinel)] = sentinel
-			if err := e.Groom(); err != nil {
+			if _, err := e.groomCount(); err != nil {
 				t.Fatal(err)
 			}
-			st := e.WALStatus()
+			st := e.walStatus()
 			if st.Mark != st.MaxSeq {
 				t.Fatalf("after quiescing groom: mark %d != max commit seq %d", st.Mark, st.MaxSeq)
 			}
@@ -226,7 +226,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 func TestCrashRecoveryConcurrent(t *testing.T) {
 	backend := crashBackend(t, "concurrent")
 	cs := storage.NewFaultStore(backend, 0)
-	cfg := Config{
+	cfg := ShardedConfig{
 		Table:      iotTable(),
 		Index:      iotIndex(),
 		Store:      cs,
@@ -236,7 +236,7 @@ func TestCrashRecoveryConcurrent(t *testing.T) {
 	cfg.IndexTuning.BlockSize = 1024
 	cfg.IndexTuning.K = 2
 	cs.Revive(400)
-	e, err := NewEngine(cfg)
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCrashRecoveryConcurrent(t *testing.T) {
 			for msg := int64(0); ; msg++ {
 				r := row(int64(w), msg, rng.Float64()*10, msg%3)
 				attempted[w][cfg.Table.pkEncoding(r)] = r
-				if err := e.UpsertRows(w%2, r); err != nil {
+				if err := e.upsert(w%2, r); err != nil {
 					return // crash reached this writer
 				}
 				acked[w][cfg.Table.pkEncoding(r)] = r
@@ -272,17 +272,17 @@ func TestCrashRecoveryConcurrent(t *testing.T) {
 			// Two grooms and a merge pass per post-groom: the crash finds
 			// merged groomed runs that exist in memory only.
 			for i := 0; i < 2; i++ {
-				if err := e.Groom(); err != nil {
+				if _, err := e.groomCount(); err != nil {
 					return
 				}
-				if _, err := e.MaintainOnce(); err != nil {
+				if _, err := e.maintainOnce(); err != nil {
 					return
 				}
 			}
-			if _, err := e.PostGroom(); err != nil {
+			if _, err := e.postGroom(); err != nil {
 				return
 			}
-			if err := e.SyncIndex(); err != nil {
+			if err := e.syncIndex(); err != nil {
 				return
 			}
 		}
@@ -290,11 +290,11 @@ func TestCrashRecoveryConcurrent(t *testing.T) {
 	wg.Wait()
 	// Crash: drop the engine without Close and reopen on the survivors.
 	cs.Revive(1 << 50)
-	e2, err := NewEngine(cfg)
+	e2, err := openShard(cfg)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer e2.Close()
+	defer e2.close()
 
 	opts := QueryOptions{TS: types.MaxTS, IncludeLive: true}
 	for w := 0; w < writers; w++ {
@@ -332,31 +332,31 @@ func TestCrashRecoveryConcurrent(t *testing.T) {
 // the log tail.
 func TestRecoveryReplaysLiveTail(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
-	cfg := Config{Table: iotTable(), Index: iotIndex(), Store: store, Replicas: 2}
-	e, err := NewEngine(cfg)
+	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: store, Replicas: 2}
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Some rows groomed, some only committed.
-	if err := e.UpsertRows(0, row(1, 1, 10, 0), row(1, 2, 11, 0)); err != nil {
+	if err := e.upsert(0, row(1, 1, 10, 0), row(1, 2, 11, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UpsertRows(1, row(1, 3, 12, 0), row(2, 1, 13, 0)); err != nil {
+	if err := e.upsert(1, row(1, 3, 12, 0), row(2, 1, 13, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UpsertRows(0, row(1, 2, 99, 0)); err != nil { // overwrite a groomed key
+	if err := e.upsert(0, row(1, 2, 99, 0)); err != nil { // overwrite a groomed key
 		t.Fatal(err)
 	}
 	// Crash without Close.
-	e2, err := NewEngine(cfg)
+	e2, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e2.Close()
-	if got := e2.LiveCount(); got != 3 {
+	defer e2.close()
+	if got := e2.liveCount(); got != 3 {
 		t.Fatalf("replayed live zone holds %d records, want 3", got)
 	}
 	opts := QueryOptions{TS: types.MaxTS, IncludeLive: true}
@@ -372,10 +372,10 @@ func TestRecoveryReplaysLiveTail(t *testing.T) {
 		}
 	}
 	// The tail grooms normally after recovery and the log drains.
-	if err := e2.Groom(); err != nil {
+	if _, err := e2.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	st := e2.WALStatus()
+	st := e2.walStatus()
 	if st.Mark != st.MaxSeq || st.Segments != 0 {
 		t.Fatalf("after groom: mark=%d maxSeq=%d segments=%d, want drained log", st.Mark, st.MaxSeq, st.Segments)
 	}
@@ -387,38 +387,38 @@ func TestRecoveryReplaysLiveTail(t *testing.T) {
 // was only buffered survives because Close flushed it.
 func TestRecoveryCleanShutdown(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
-	cfg := Config{
+	cfg := ShardedConfig{
 		Table: iotTable(), Index: iotIndex(), Store: store, Replicas: 1,
 		Durability: DurabilityOptions{SyncPolicy: SyncOff, SegmentBytes: 1 << 20},
 	}
-	e, err := NewEngine(cfg)
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UpsertRows(0, row(1, 1, 10, 0), row(1, 2, 11, 0)); err != nil {
+	if err := e.upsert(0, row(1, 1, 10, 0), row(1, 2, 11, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.WALStatus(); st.Segments != 0 {
+	if st := e.walStatus(); st.Segments != 0 {
 		t.Fatalf("SyncOff flushed %d segments before Close", st.Segments)
 	}
-	if err := e.Close(); err != nil {
+	if err := e.close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Close(); err != nil {
+	if err := e.close(); err != nil {
 		t.Fatalf("Close after Close: %v", err)
 	}
 	if _, err := store.Get(walCleanName(cfg.Table.Name)); err != nil {
 		t.Fatalf("clean-shutdown marker missing: %v", err)
 	}
-	e2, err := NewEngine(cfg)
+	e2, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e2.Close()
+	defer e2.close()
 	if _, err := store.Get(walCleanName(cfg.Table.Name)); err == nil {
 		t.Fatal("clean-shutdown marker not consumed on open")
 	}
-	if got := e2.LiveCount(); got != 2 {
+	if got := e2.liveCount(); got != 2 {
 		t.Fatalf("flushed SyncOff tail lost: live=%d, want 2", got)
 	}
 }
@@ -427,28 +427,28 @@ func TestRecoveryCleanShutdown(t *testing.T) {
 // groomed) lets the next open skip reading log segments entirely.
 func TestRecoveryCleanShutdownSkipsReplay(t *testing.T) {
 	mem := storage.NewMemStore(storage.LatencyModel{})
-	cfg := Config{Table: iotTable(), Index: iotIndex(), Store: mem, Replicas: 1}
-	e, err := NewEngine(cfg)
+	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: mem, Replicas: 1}
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UpsertRows(0, row(1, 1, 10, 0)); err != nil {
+	if err := e.upsert(0, row(1, 1, 10, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Close(); err != nil {
+	if err := e.close(); err != nil {
 		t.Fatal(err)
 	}
 	reads := mem.Stats().Snapshot().Reads
-	e2, err := NewEngine(cfg)
+	e2, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e2.Close()
-	if e2.LiveCount() != 0 {
-		t.Fatalf("quiesced reopen rebuilt %d live records", e2.LiveCount())
+	defer e2.close()
+	if e2.liveCount() != 0 {
+		t.Fatalf("quiesced reopen rebuilt %d live records", e2.liveCount())
 	}
 	// The log was fully reclaimed at groom time, so the clean path reads
 	// no segment objects; this stays true if a segment listing sneaks
@@ -463,31 +463,31 @@ func TestRecoveryCleanShutdownSkipsReplay(t *testing.T) {
 // segment flush or groom — and never corrupts recovered state.
 func TestRecoverySyncOffLosesOnlyTail(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
-	cfg := Config{
+	cfg := ShardedConfig{
 		Table: iotTable(), Index: iotIndex(), Store: store, Replicas: 1,
 		Durability: DurabilityOptions{SyncPolicy: SyncOff, SegmentBytes: 1 << 20},
 	}
-	e, err := NewEngine(cfg)
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UpsertRows(0, row(1, 1, 10, 0)); err != nil {
+	if err := e.upsert(0, row(1, 1, 10, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil { // durable via the groomed block
+	if _, err := e.groomCount(); err != nil { // durable via the groomed block
 		t.Fatal(err)
 	}
-	if err := e.UpsertRows(0, row(1, 2, 11, 0)); err != nil { // buffered only
+	if err := e.upsert(0, row(1, 2, 11, 0)); err != nil { // buffered only
 		t.Fatal(err)
 	}
 	// Crash without Close: the buffered row is gone, the groomed one is
 	// not.
-	e2, err := NewEngine(cfg)
+	e2, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e2.Close()
-	if got := e2.LiveCount(); got != 0 {
+	defer e2.close()
+	if got := e2.liveCount(); got != 0 {
 		t.Fatalf("SyncOff crash recovered %d buffered records, want 0", got)
 	}
 	eq, sortv := key(1, 1)
@@ -543,7 +543,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 	for dev := int64(0); dev < devices; dev++ {
 		for msg := int64(0); msg < msgs; msg++ {
 			eq, sortv := key(dev, msg)
-			rec, found, err := getOn(s2, "", eq, sortv, opts)
+			rec, found, err := tableGetOn(s2, "", eq, sortv, opts)
 			if err != nil || !found {
 				t.Fatalf("dev %d msg %d: found=%v err=%v", dev, msg, found, err)
 			}
@@ -587,41 +587,41 @@ func (s *failPSNMetaPut) Put(name string, data []byte) error {
 // lifetime and after a crash; recovery must ignore the leftover.
 func TestPostGroomRetryRecovery(t *testing.T) {
 	fs := &failPSNMetaPut{ObjectStore: crashBackend(t, "postgroom-retry")}
-	cfg := Config{Table: iotTable(), Index: iotIndex(), Store: fs, Replicas: 1}
-	e, err := NewEngine(cfg)
+	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: fs, Replicas: 1}
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := map[string]Row{}
-	commit := func(e *Engine, v float64) {
+	commit := func(e *shard, v float64) {
 		t.Helper()
 		rows := []Row{row(1, 1, v, 100), row(1, 2, v, 100), row(2, 1, v, 101)}
-		if err := e.UpsertRows(0, rows...); err != nil {
+		if err := e.upsert(0, rows...); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Groom(); err != nil {
+		if _, err := e.groomCount(); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
 			oracle[cfg.Table.pkEncoding(r)] = r
 		}
 	}
-	postGroom := func(e *Engine) {
+	postGroom := func(e *shard) {
 		t.Helper()
-		if _, err := e.PostGroom(); err != nil {
+		if _, err := e.postGroom(); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SyncIndex(); err != nil {
+		if err := e.syncIndex(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// failPostGroom updates the post-groomed keys, so the post-groom
 	// writes a sidecar, and fails its PSN meta Put.
-	failPostGroom := func(e *Engine, v float64) {
+	failPostGroom := func(e *shard, v float64) {
 		t.Helper()
 		commit(e, v)
 		fs.arm()
-		if _, err := e.PostGroom(); !errors.Is(err, storage.ErrInjectedFault) {
+		if _, err := e.postGroom(); !errors.Is(err, storage.ErrInjectedFault) {
 			t.Fatalf("post-groom with a failing PSN meta Put: err = %v", err)
 		}
 		if names, _ := fs.List("tbl/" + cfg.Table.Name + "/endts/"); len(names) == 0 {
@@ -638,11 +638,11 @@ func TestPostGroomRetryRecovery(t *testing.T) {
 	failPostGroom(e, 3)
 	// Crash: drop the engine without Close, with the leftover sidecar of
 	// the failed post-groom above the recovered maxPSN.
-	e, err = NewEngine(cfg)
+	e, err = openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { e.Close() }()
+	defer func() { e.close() }()
 	verifyOracle(t, e, oracle)
 	// Recovery ignored the leftover: the newest post-groomed version of
 	// a key it overrode is still current.
@@ -651,15 +651,15 @@ func TestPostGroomRetryRecovery(t *testing.T) {
 	if err != nil || !found {
 		t.Fatal(err, found)
 	}
-	if rec, err := e.FetchContext(context.Background(), ent.RID); err != nil || rec.EndTS != types.MaxTS {
+	if rec, err := e.fetch(context.Background(), ent.RID); err != nil || rec.EndTS != types.MaxTS {
 		t.Fatalf("newest post-groomed version: endTS = %v, err = %v; want MaxTS", rec.EndTS, err)
 	}
 	postGroom(e) // the retry after recovery
 	verifyOracle(t, e, oracle)
-	if err := e.Close(); err != nil {
+	if err := e.close(); err != nil {
 		t.Fatal(err)
 	}
-	if e, err = NewEngine(cfg); err != nil {
+	if e, err = openShard(cfg); err != nil {
 		t.Fatal(err)
 	}
 	verifyOracle(t, e, oracle)

@@ -22,7 +22,7 @@ import (
 // without a partial-parse state to clean up. A retired groomed block
 // stays in storage until every query that could hold its RIDs has
 // drained (reclaimDeprecated).
-func (e *Engine) fetchBlock(ctx context.Context, name string) (*columnar.Block, error) {
+func (e *shard) fetchBlock(ctx context.Context, name string) (*columnar.Block, error) {
 	blk, dedup, err := e.blocks.getOrFetch(ctx, name, func() (*columnar.Block, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -46,7 +46,7 @@ func (e *Engine) fetchBlock(ctx context.Context, name string) (*columnar.Block, 
 
 // cacheBlock pre-populates the cache with a block the engine just built
 // (groom and post-groom both write the object and keep the decode hot).
-func (e *Engine) cacheBlock(name string, blk *columnar.Block) {
+func (e *shard) cacheBlock(name string, blk *columnar.Block) {
 	e.blocks.put(name, blk)
 }
 
@@ -54,7 +54,7 @@ func (e *Engine) cacheBlock(name string, blk *columnar.Block) {
 // filters in groomed and post-groomed blocks: the primary-key columns
 // plus every index's equality columns — exactly the columns point
 // lookups and selective equality predicates probe by content.
-func (e *Engine) bloomOrdinals() []int {
+func (e *shard) bloomOrdinals() []int {
 	seen := make(map[int]bool)
 	var ords []int
 	add := func(name string) {
@@ -84,12 +84,12 @@ type Record struct {
 	RID     types.RID
 }
 
-// FetchContext resolves an RID to its record (§2.1 footnote 2: an RID is
+// fetch resolves an RID to its record (§2.1 footnote 2: an RID is
 // the combination of zone, block ID and record offset). The endTS
 // overrides of the current zone version are applied on the way out. A
 // cancelled context stops the block fetch before it reaches shared
 // storage.
-func (e *Engine) FetchContext(ctx context.Context, rid types.RID) (Record, error) {
+func (e *shard) fetch(ctx context.Context, rid types.RID) (Record, error) {
 	var name string
 	switch rid.Zone {
 	case types.ZoneGroomed:

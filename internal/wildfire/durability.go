@@ -74,7 +74,7 @@ func (d DurabilityOptions) walOptions() wal.Options {
 // sync-latency histograms, swallowed buffered-policy flush failures are
 // counted (they retry internally and would otherwise be invisible), and
 // reclaimed segments accumulate.
-func (e *Engine) walOptions() wal.Options {
+func (e *shard) walOptions() wal.Options {
 	o := e.durable.walOptions()
 	// Read e.mx per call, not captured: the overhead benchmark swaps the
 	// bundle after construction, and the hooks must follow it.
@@ -162,7 +162,7 @@ func LoadWALMark(store storage.ObjectStore, table string) (mark, cycle, seq uint
 // and returns the first commit sequence assigned to them. On error the
 // sequences are recorded as lost so the watermark can advance past
 // them (they exist nowhere durable and never will).
-func (e *Engine) stageCommit(replica int, rows []Row) (uint64, error) {
+func (e *shard) stageCommit(replica int, rows []Row) (uint64, error) {
 	n := uint64(len(rows))
 	base := e.commitSeq.Add(n)
 	first := base - n + 1
@@ -189,7 +189,7 @@ func (e *Engine) stageCommit(replica int, rows []Row) (uint64, error) {
 // noteLostSeqs records sequences that will never reach the live zone
 // (failed log appends) so the contiguous groomed prefix can advance
 // over them.
-func (e *Engine) noteLostSeqs(first, last uint64) {
+func (e *shard) noteLostSeqs(first, last uint64) {
 	e.walMu.Lock()
 	for s := first; s <= last; s++ {
 		e.walDrained[s] = struct{}{}
@@ -203,7 +203,7 @@ func (e *Engine) noteLostSeqs(first, last uint64) {
 // between log append and live-zone publish when the groom drained) stay
 // in the pending set until the gap closes; the watermark never jumps a
 // sequence that could still surface.
-func (e *Engine) noteGroomedSeqs(seqs []uint64) uint64 {
+func (e *shard) noteGroomedSeqs(seqs []uint64) uint64 {
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
 	for _, s := range seqs {
@@ -221,16 +221,13 @@ func (e *Engine) noteGroomedSeqs(seqs []uint64) uint64 {
 	return e.walMark
 }
 
-// WALMark returns the in-memory groom watermark: every commit sequence
-// at or below it is durably groomed.
-func (e *Engine) WALMark() uint64 {
+// currentWALMark returns the in-memory groom watermark: every commit
+// sequence at or below it is durably groomed.
+func (e *shard) currentWALMark() uint64 {
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
 	return e.walMark
 }
-
-// MaxCommitSeq returns the largest commit sequence assigned so far.
-func (e *Engine) MaxCommitSeq() uint64 { return e.commitSeq.Load() }
 
 // publishWalMark persists the watermark reached by the groom of cycle,
 // prunes superseded mark records, and reclaims log segments wholly at
@@ -241,7 +238,7 @@ func (e *Engine) MaxCommitSeq() uint64 { return e.commitSeq.Load() }
 // needed again: replay starts above it, and lost index runs are
 // re-derived from the groomed data blocks, not from the log (§5.5).
 // Callers hold writerMu.
-func (e *Engine) publishWalMark(mark, cycle uint64) error {
+func (e *shard) publishWalMark(mark, cycle uint64) error {
 	if mark <= e.walMarkPersisted {
 		// Nothing new to persist, but retry reclamation: a groom whose
 		// Reclaim failed transiently must not leak consumed segments
@@ -289,7 +286,7 @@ func (e *Engine) publishWalMark(mark, cycle uint64) error {
 // never reused. Sequences above the watermark present in no segment
 // (commits the crash cut before their flush) are recorded as lost so
 // the watermark does not wedge below them forever.
-func (e *Engine) recoverWAL() error {
+func (e *shard) recoverWAL() error {
 	mark, _, markSeq, _, err := LoadWALMark(e.store, e.table.Name)
 	if err != nil {
 		return err
@@ -377,7 +374,7 @@ func (e *Engine) recoverWAL() error {
 
 // closeWAL flushes the log and writes the clean-shutdown marker; called
 // once from Close.
-func (e *Engine) closeWAL() error {
+func (e *shard) closeWAL() error {
 	err := e.wal.Close()
 	data, merr := json.Marshal(walCleanRecord{Magic: walCleanMagic, MaxSeq: e.commitSeq.Load()})
 	if merr != nil {
@@ -403,13 +400,13 @@ type WALStatus struct {
 	MaxSeq       uint64 // largest commit sequence assigned
 }
 
-// WALStatus reports the shard's commit-log state (tooling and tests).
-func (e *Engine) WALStatus() WALStatus {
+// walStatus reports the shard's commit-log state (tooling and tests).
+func (e *shard) walStatus() WALStatus {
 	segs, bytes := e.wal.Stats()
 	return WALStatus{
 		Segments:     segs,
 		SegmentBytes: bytes,
-		Mark:         e.WALMark(),
+		Mark:         e.currentWALMark(),
 		MaxSeq:       e.commitSeq.Load(),
 	}
 }

@@ -23,7 +23,7 @@ import (
 
 // checkExec runs p on e and compares the result with the naive reference
 // over visible.
-func checkExec(t *testing.T, e *Engine, p exec.Plan, rf refFilter, opts QueryOptions, visible []Row, label string) {
+func checkExec(t *testing.T, e *shard, p exec.Plan, rf refFilter, opts QueryOptions, visible []Row, label string) {
 	t.Helper()
 	got, err := execute(e, p, opts)
 	if err != nil {
@@ -46,7 +46,7 @@ func TestExecuteEndTSMatchesOracle(t *testing.T) {
 	model := map[string]Row{}
 	commit := func(rows ...Row) {
 		t.Helper()
-		if err := e.UpsertRows(0, rows...); err != nil {
+		if err := e.upsert(0, rows...); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
@@ -55,13 +55,13 @@ func TestExecuteEndTSMatchesOracle(t *testing.T) {
 	}
 	groom := func(post bool) {
 		t.Helper()
-		if err := e.Groom(); err != nil {
+		if _, err := e.groomCount(); err != nil {
 			t.Fatal(err)
 		}
 		if !post {
 			return
 		}
-		if _, err := e.PostGroom(); err != nil {
+		if _, err := e.postGroom(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func TestExecuteEndTSMatchesOracle(t *testing.T) {
 	live := map[string]Row{}
 	for i := 0; i < 8; i++ {
 		r := row(rng.Int63n(4), rng.Int63n(6), float64(rng.Int63n(1000)), 100+rng.Int63n(3))
-		if err := e.UpsertRows(0, r); err != nil {
+		if err := e.upsert(0, r); err != nil {
 			t.Fatal(err)
 		}
 		live[td.pkEncoding(r)] = r
@@ -142,10 +142,10 @@ func TestExecuteWinnerInserts(t *testing.T) {
 	}
 	ingestAndGroom(t, e, rows...)
 	ingestAndGroom(t, e, row(0, 0, 5, 100), row(1, 1, 6, 101)) // two updates
-	if _, err := e.PostGroom(); err != nil {
+	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	count := exec.Plan{Aggs: []exec.Agg{{Func: exec.Count}}}
@@ -179,21 +179,21 @@ func TestExecuteWinnerInserts(t *testing.T) {
 // object checksum.
 func TestRecoverRejectsDamagedSidecar(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
-	cfg := Config{Table: iotTable(), Index: iotIndex(), Store: store, Replicas: 1}
-	e, err := NewEngine(cfg)
+	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: store, Replicas: 1}
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 3; v++ {
 		ingestAndGroom(t, e, row(1, 1, float64(v), 100), row(1, 2, float64(v), 100))
-		if _, err := e.PostGroom(); err != nil {
+		if _, err := e.postGroom(); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SyncIndex(); err != nil {
+		if err := e.syncIndex(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.Close()
+	e.close()
 	names, err := store.List("tbl/" + cfg.Table.Name + "/endts/")
 	if err != nil || len(names) != 2 {
 		t.Fatalf("sidecars = %v, %v; want 2", names, err)
@@ -216,19 +216,19 @@ func TestRecoverRejectsDamagedSidecar(t *testing.T) {
 			t.Fatal(err)
 		}
 		replace(names[i], damage(append([]byte(nil), good...)))
-		if e, err := NewEngine(cfg); err == nil {
-			e.Close()
+		if e, err := openShard(cfg); err == nil {
+			e.close()
 			t.Fatalf("damage %d: recovery accepted a damaged sidecar", i)
 		} else if !strings.Contains(err.Error(), names[i]) {
 			t.Errorf("damage %d: error does not name %s: %v", i, names[i], err)
 		}
 		replace(names[i], good)
 	}
-	e, err = NewEngine(cfg)
+	e, err = openShard(cfg)
 	if err != nil {
 		t.Fatalf("recovery with the sidecars restored: %v", err)
 	}
-	e.Close()
+	e.close()
 }
 
 // TestFetchOverlayAllocs: resolving a sidecar override on the point-get
@@ -237,10 +237,10 @@ func TestFetchOverlayAllocs(t *testing.T) {
 	e := newTestEngine(t, nil)
 	for v := 0; v < 2; v++ {
 		ingestAndGroom(t, e, row(1, 1, float64(v), 100), row(1, 2, float64(v), 100))
-		if _, err := e.PostGroom(); err != nil {
+		if _, err := e.postGroom(); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SyncIndex(); err != nil {
+		if err := e.syncIndex(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,7 +250,7 @@ func TestFetchOverlayAllocs(t *testing.T) {
 		t.Fatal(err, found)
 	}
 	ctx := context.Background()
-	replaced, err := e.FetchContext(ctx, cur.PrevRID)
+	replaced, err := e.fetch(ctx, cur.PrevRID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +260,10 @@ func TestFetchOverlayAllocs(t *testing.T) {
 	if raceEnabled {
 		return // the race detector adds a varying number of allocations
 	}
-	withOverride := testing.AllocsPerRun(100, func() { e.FetchContext(ctx, cur.PrevRID) })
-	plain := testing.AllocsPerRun(100, func() { e.FetchContext(ctx, cur.RID) })
+	withOverride := testing.AllocsPerRun(100, func() { e.fetch(ctx, cur.PrevRID) })
+	plain := testing.AllocsPerRun(100, func() { e.fetch(ctx, cur.RID) })
 	if withOverride > plain {
-		t.Errorf("FetchContext allocs: %v with an override, %v without", withOverride, plain)
+		t.Errorf("fetch allocs: %v with an override, %v without", withOverride, plain)
 	}
 }
 

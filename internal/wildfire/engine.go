@@ -2,70 +2,21 @@ package wildfire
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"umzi/internal/columnar"
 	"umzi/internal/core"
-	"umzi/internal/obs"
 	"umzi/internal/storage"
 	"umzi/internal/types"
 	"umzi/internal/wal"
 )
 
-// Config configures an Engine (one table shard).
-type Config struct {
-	Table TableDef
-	Index IndexSpec
-	// Secondaries declares secondary indexes maintained alongside the
-	// primary through the whole groom/post-groom/evolve pipeline. On a
-	// recovered table, declarations already in the stored index catalog
-	// are reopened (their specs must match); new names are built online
-	// from the existing zones (CREATE INDEX backfill).
-	Secondaries []SecondaryIndexSpec
-	// Store is the shared storage backend for data blocks, index runs and
-	// engine metadata.
-	Store storage.ObjectStore
-	// Cache is the local SSD cache shared by the index and data blocks.
-	Cache *storage.SSDCache
-	// BlockCache, when set, is a shared decoded-block cache (the table
-	// passes one cache to every shard so it has one byte budget). Nil
-	// gives the engine a private cache of BlockCacheBytes.
-	BlockCache *BlockCache
-	// BlockCacheBytes budgets the private decoded-block cache when
-	// BlockCache is nil (<=0 selects DefaultBlockCacheBytes).
-	BlockCacheBytes int64
-	// ScanParallelism bounds the engine's intra-shard scan worker pool:
-	// an analytical scan fetches, decodes and classifies its candidate
-	// blocks on up to this many workers. <=0 derives it from GOMAXPROCS;
-	// 1 scans sequentially.
-	ScanParallelism int
-	// Replicas is the number of multi-master shard replicas (default 1).
-	Replicas int
-	// Partitions is the number of partition-key buckets the post-groomer
-	// writes (default 4; ignored without a partition key).
-	Partitions int
-	// IndexTuning forwards merge-policy and level-assignment knobs to
-	// every Umzi index of the table; zero values keep core defaults.
-	// Name/Def/Store/Cache are managed by the engine and ignored here.
-	IndexTuning core.Config
-	// Durability configures the shard's commit log: transactions append
-	// to it before they are acknowledged and before they enter the live
-	// zone, and recovery replays its tail above the groom watermark. The
-	// zero value is full per-commit durability with group commit.
-	Durability DurabilityOptions
-	// Obs is the metric registry the engine records into, keyed by the
-	// table name. Nil gives the engine a private registry: fully
-	// instrumented, nothing exposed.
-	Obs *obs.Registry
-}
-
-// Engine is one Wildfire table shard — the unit of grooming,
+// shard is one Wildfire table shard — the unit of grooming,
 // post-grooming and indexing (§2.1): live zone, groomer, post-groomer,
 // indexer and the per-shard read primitives the table's coordinator
 // (ShardedEngine) routes to.
-type Engine struct {
+type shard struct {
 	table      TableDef
 	ixSpec     IndexSpec
 	store      storage.ObjectStore
@@ -116,7 +67,7 @@ type Engine struct {
 	zone atomic.Pointer[zoneVersion]
 
 	// writerMu is the shard's one zone-writer mutex: groom, post-groom,
-	// index evolve with block reclaim, and CreateIndex each hold it for
+	// index evolve with block reclaim, and createIndex each hold it for
 	// their whole operation, so the writers of the zone state, the commit
 	// log watermark and the retire queue never overlap.
 	writerMu sync.Mutex
@@ -136,7 +87,7 @@ type Engine struct {
 	// that resolved RIDs into a block before it was retired can still
 	// read it — "marked deprecated and eventually deleted" (§5.4)
 	// without blocking readers. Both are touched only under writerMu
-	// (evolveOne and reclaimDeprecated run inside SyncIndex) or by
+	// (evolveOne and reclaimDeprecated run inside syncIndex) or by
 	// single-threaded recovery.
 	gate        queryGate
 	deprecated  map[uint64]struct{}
@@ -189,75 +140,47 @@ type postBlock struct {
 // publish replaces the zone version with an edited copy of it. Callers
 // hold writerMu. Slices reachable from the current version must be
 // copied before they are appended to.
-func (e *Engine) publish(edit func(v *zoneVersion)) {
+func (e *shard) publish(edit func(v *zoneVersion)) {
 	next := *e.zone.Load()
 	edit(&next)
 	e.zone.Store(&next)
 }
 
-// NewEngine creates a fresh engine, or recovers one when storage already
-// holds the table. The index set is restored from the persisted catalog;
-// Config.Secondaries not yet in the catalog are built online from the
-// existing zones.
-func NewEngine(cfg Config) (*Engine, error) {
-	if err := cfg.Table.Validate(); err != nil {
-		return nil, err
+// newShard opens shard ord of the table cfg declares: fresh, or recovered
+// when storage already holds it. NewShardedEngine has validated cfg and
+// applied its defaults; blocks is the table's decoded-block cache and
+// scanPar the per-shard scan parallelism. The index set is restored from
+// the persisted catalog; cfg.Secondaries not yet in the catalog are built
+// online from the existing zones.
+func newShard(cfg ShardedConfig, ord int, blocks *BlockCache, scanPar int) (*shard, error) {
+	table := cfg.Table
+	table.Name = ShardTableName(cfg.Table.Name, cfg.Shards, ord)
+	store := cfg.Store
+	if cfg.ShardStore != nil {
+		store = cfg.ShardStore(ord)
 	}
-	if err := cfg.Index.Validate(cfg.Table); err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	for _, s := range cfg.Secondaries {
-		if err := s.Validate(cfg.Table); err != nil {
-			return nil, err
-		}
-		if seen[s.Name] {
-			return nil, fmt.Errorf("wildfire: duplicate secondary index %q", s.Name)
-		}
-		seen[s.Name] = true
-	}
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("wildfire: Config.Store is required")
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 1
-	}
-	if cfg.Partitions <= 0 {
-		cfg.Partitions = 4
-	}
-
-	e := &Engine{
-		table:      cfg.Table,
+	e := &shard{
+		table:      table,
 		ixSpec:     cfg.Index,
-		store:      cfg.Store,
+		store:      store,
 		cache:      cfg.Cache,
 		tuning:     cfg.IndexTuning,
 		durable:    cfg.Durability,
+		partitions: cfg.Partitions,
+		mx:         newEngineMetrics(cfg.Obs, table.Name),
+		blocks:     blocks,
+		scanPool:   newGatherPool(scanPar),
 		deprecated: make(map[uint64]struct{}),
 		walDrained: make(map[uint64]struct{}),
 	}
-	e.mx = newEngineMetrics(cfg.Obs, cfg.Table.Name)
-	e.blocks = cfg.BlockCache
-	if e.blocks == nil {
-		// A private per-engine cache; a shard of a sharded table instead
-		// shares the one the sharded layer created and instrumented.
-		e.blocks = NewBlockCache(cfg.BlockCacheBytes)
-		e.blocks.instrument(cfg.Obs, cfg.Table.Name)
-	}
-	scanPar := cfg.ScanParallelism
-	if scanPar <= 0 {
-		scanPar = runtime.GOMAXPROCS(0)
-	}
-	e.scanPool = newGatherPool(scanPar)
-	e.partitions = cfg.Partitions
-	for i := 0; i < cfg.Replicas; i++ {
-		e.replicas = append(e.replicas, &replica{id: i})
+	for r := 0; r < cfg.Replicas; r++ {
+		e.replicas = append(e.replicas, &replica{id: r})
 	}
 
 	// The catalog is the authoritative index set; a table without one
 	// (fresh, or created before catalogs existed) starts primary-only and
 	// every declared secondary goes through the backfill path below.
-	catalog, seq, err := LoadIndexCatalog(cfg.Store, cfg.Table.Name)
+	catalog, seq, err := LoadIndexCatalog(store, table.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +189,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if catalogMissing {
 		catalog = []IndexCatalogEntry{{Name: "", Spec: cfg.Index}}
 	} else if !specEqual(catalog[0].Spec, cfg.Index) {
-		return nil, fmt.Errorf("wildfire: table %s: primary index spec differs from the stored catalog", cfg.Table.Name)
+		return nil, fmt.Errorf("wildfire: table %s: primary index spec differs from the stored catalog", table.Name)
 	}
 	var set []*tableIndex
 	closeAll := func() {
@@ -278,7 +201,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		if i > 0 {
 			if entry.Name == "" {
 				closeAll()
-				return nil, fmt.Errorf("wildfire: table %s: catalog names a second primary", cfg.Table.Name)
+				return nil, fmt.Errorf("wildfire: table %s: catalog names a second primary", table.Name)
 			}
 			if decl, ok := declaredSecondary(cfg.Secondaries, entry.Name); ok && !specEqual(decl, entry.Spec) {
 				closeAll()
@@ -310,13 +233,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// The commit log opens before recovery: recoverState restores the
 	// groomed/post-groomed state and recoverWAL then replays the log
 	// tail above the groom watermark to rebuild the live zone.
-	log, err := wal.Open(cfg.Store, WALStoragePrefix(cfg.Table.Name), e.walOptions())
+	log, err := wal.Open(store, WALStoragePrefix(table.Name), e.walOptions())
 	if err != nil {
 		closeAll()
 		return nil, err
 	}
 	e.wal = log
-	fail := func(err error) (*Engine, error) {
+	fail := func(err error) (*shard, error) {
 		e.wal.Close()
 		for _, ti := range e.indexSet() {
 			ti.idx.Close()
@@ -335,7 +258,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		if _, err := e.lookupIndex(s.Name); err == nil {
 			continue
 		}
-		if err := e.CreateIndex(s); err != nil {
+		if err := e.createIndex(s); err != nil {
 			return fail(err)
 		}
 	}
@@ -352,14 +275,9 @@ func declaredSecondary(specs []SecondaryIndexSpec, name string) (IndexSpec, bool
 	return IndexSpec{}, false
 }
 
-// Index exposes the underlying primary Umzi index (benchmarks tune and
-// inspect it directly).
-func (e *Engine) Index() *core.Index { return e.idx }
-
-// MaintainOnce runs one maintenance pass (one merge attempt per level of
+// maintainOnce runs one maintenance pass (one merge attempt per level of
 // each zone) on every index of the set; it reports whether any merged.
-// The table's index maintainer does the same once per tick.
-func (e *Engine) MaintainOnce() (bool, error) {
+func (e *shard) maintainOnce() (bool, error) {
 	worked := false
 	for _, ti := range e.indexSet() {
 		did, err := ti.idx.MaintainOnce()
@@ -371,32 +289,19 @@ func (e *Engine) MaintainOnce() (bool, error) {
 	return worked, nil
 }
 
-// BlockCache returns the decoded-block cache the engine reads through
-// (possibly shared with other shards of its table).
-func (e *Engine) BlockCache() *BlockCache { return e.blocks }
-
-// Table returns the table definition.
-func (e *Engine) Table() TableDef { return e.table }
-
-// IndexSpec returns the primary index's declared spec.
-func (e *Engine) IndexSpec() IndexSpec { return e.ixSpec }
-
-// LastGroomTS returns the snapshot boundary: the largest beginTS any
+// lastGroomTS returns the snapshot boundary: the largest beginTS any
 // groomed version can carry. Queries at this timestamp see everything
 // groomed so far ("quorum-readable" content, §2.1).
-func (e *Engine) LastGroomTS() types.TS { return e.zone.Load().lastGroomTS }
+func (e *shard) lastGroomTS() types.TS { return e.zone.Load().lastGroomTS }
 
-// MaxPSN returns the post-groomer's published watermark.
-func (e *Engine) MaxPSN() types.PSN { return e.zone.Load().maxPSN }
-
-// Close closes the index set, flushes any buffered
+// close closes the index set, flushes any buffered
 // commit-log batch and writes the clean-shutdown marker (so an orderly
 // restart can skip log replay). The teardown holds indexMu so it
-// serializes against an in-flight CreateIndex: either the create
+// serializes against an in-flight createIndex: either the create
 // publishes first (and its index is closed here) or it observes closed
 // under the lock and aborts — no created index is left open after
-// Close. Close after Close is a no-op.
-func (e *Engine) Close() error {
+// close. close after close is a no-op.
+func (e *shard) close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
@@ -416,7 +321,7 @@ func (e *Engine) Close() error {
 // indexes of their evolve watermark and their oldest live groomed run.
 // Deprecated blocks below the boundary are unreachable from every index
 // and safe to delete (§5.4, generalized to N indexes).
-func (e *Engine) safeReclaimBoundary() uint64 {
+func (e *shard) safeReclaimBoundary() uint64 {
 	safe := ^uint64(0)
 	for _, ti := range e.indexSet() {
 		s := ti.idx.MaxCoveredGroomedID() + 1
@@ -436,7 +341,7 @@ func (e *Engine) safeReclaimBoundary() uint64 {
 // groomed block listing, the endTS overrides from the sidecar objects)
 // — and any index run a crash lost between a groom's block write and its
 // per-index run builds.
-func (e *Engine) recoverState() error {
+func (e *shard) recoverState() error {
 	prefix := "tbl/" + e.table.Name
 
 	// PSN metas first: they are the truth of what post-grooming consumed
@@ -569,7 +474,7 @@ func (e *Engine) recoverState() error {
 
 // rebuildLostRuns re-creates per-index runs for pending groomed blocks
 // an index does not cover.
-func (e *Engine) rebuildLostRuns() error {
+func (e *shard) rebuildLostRuns() error {
 	for _, id := range e.zone.Load().pending {
 		for _, ti := range e.indexSet() {
 			if ti.idx.CoversGroomedBlock(id) {

@@ -40,9 +40,9 @@ func iotIndex() IndexSpec {
 	}
 }
 
-func newTestEngine(t *testing.T, mutate func(*Config)) *Engine {
+func newTestEngine(t *testing.T, mutate func(*ShardedConfig)) *shard {
 	t.Helper()
-	cfg := Config{
+	cfg := ShardedConfig{
 		Table:    iotTable(),
 		Index:    iotIndex(),
 		Store:    storage.NewMemStore(storage.LatencyModel{}),
@@ -55,11 +55,11 @@ func newTestEngine(t *testing.T, mutate func(*Config)) *Engine {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	e, err := NewEngine(cfg)
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
+	t.Cleanup(func() { e.close() })
 	return e
 }
 
@@ -126,20 +126,20 @@ func TestIndexSpecValidation(t *testing.T) {
 
 func TestIngestGroomGet(t *testing.T) {
 	e := newTestEngine(t, nil)
-	if err := e.UpsertRows(0, row(1, 1, 20.5, 100), row(2, 1, 21.0, 100)); err != nil {
+	if err := e.upsert(0, row(1, 1, 20.5, 100), row(2, 1, 21.0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.LiveCount(); got != 2 {
+	if got := e.liveCount(); got != 2 {
 		t.Fatalf("LiveCount = %d, want 2", got)
 	}
-	n, err := e.GroomCount()
+	n, err := e.groomCount()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
 		t.Fatalf("groomed %d records, want 2", n)
 	}
-	if got := e.LiveCount(); got != 0 {
+	if got := e.liveCount(); got != 0 {
 		t.Fatalf("LiveCount after groom = %d, want 0", got)
 	}
 	eq, sortv := key(1, 1)
@@ -165,17 +165,17 @@ func TestIngestGroomGet(t *testing.T) {
 
 func TestUpsertIsUpdate(t *testing.T) {
 	e := newTestEngine(t, nil)
-	if err := e.UpsertRows(0, row(1, 1, 20.0, 100)); err != nil {
+	if err := e.upsert(0, row(1, 1, 20.0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	ts1 := e.LastGroomTS()
-	if err := e.UpsertRows(0, row(1, 1, 25.0, 100)); err != nil {
+	ts1 := e.lastGroomTS()
+	if err := e.upsert(0, row(1, 1, 25.0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	eq, sortv := key(1, 1)
@@ -200,13 +200,13 @@ func TestLastWriterWinsAcrossReplicas(t *testing.T) {
 	e := newTestEngine(t, nil)
 	// Concurrent updates to the same key on different replicas: commit
 	// order decides (LWW, §2.1).
-	if err := e.UpsertRows(0, row(1, 1, 10.0, 100)); err != nil {
+	if err := e.upsert(0, row(1, 1, 10.0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UpsertRows(1, row(1, 1, 99.0, 100)); err != nil {
+	if err := e.upsert(1, row(1, 1, 99.0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	eq, sortv := key(1, 1)
@@ -219,40 +219,40 @@ func TestLastWriterWinsAcrossReplicas(t *testing.T) {
 	}
 }
 
-// TestTxnLifecycle covers what a shard's UpsertRows checks: a bad
+// TestTxnLifecycle covers what a table's UpsertRows checks: a bad
 // replica or a bad row anywhere in the batch commits nothing.
 func TestTxnLifecycle(t *testing.T) {
-	e := newTestEngine(t, nil)
-	if err := e.UpsertRows(99, row(1, 1, 1.0, 1)); err == nil {
+	s := newTestShardedEngine(t, 1, nil)
+	if err := s.UpsertRows(99, row(1, 1, 1.0, 1)); err == nil {
 		t.Error("bad replica accepted")
 	}
-	if err := e.UpsertRows(0, row(1, 1, 1.0, 1), Row{keyenc.I64(1)}); err == nil {
+	if err := s.UpsertRows(0, row(1, 1, 1.0, 1), Row{keyenc.I64(1)}); err == nil {
 		t.Error("short row accepted")
 	}
-	if err := e.UpsertRows(0, row(1, 1, 1.0, 1), Row{keyenc.Str("x"), keyenc.I64(1), keyenc.F64(0), keyenc.I64(0)}); err == nil {
+	if err := s.UpsertRows(0, row(1, 1, 1.0, 1), Row{keyenc.Str("x"), keyenc.I64(1), keyenc.F64(0), keyenc.I64(0)}); err == nil {
 		t.Error("wrong kind accepted")
 	}
-	if e.LiveCount() != 0 {
-		t.Errorf("LiveCount = %d, want 0 (rejected batches commit nothing)", e.LiveCount())
+	if s.LiveCount() != 0 {
+		t.Errorf("LiveCount = %d, want 0 (rejected batches commit nothing)", s.LiveCount())
 	}
-	if err := e.UpsertRows(1, row(1, 1, 1.0, 1), row(1, 2, 1.0, 1)); err != nil {
+	if err := s.UpsertRows(1, row(1, 1, 1.0, 1), row(1, 2, 1.0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if e.LiveCount() != 2 {
-		t.Errorf("LiveCount = %d, want 2", e.LiveCount())
+	if s.LiveCount() != 2 {
+		t.Errorf("LiveCount = %d, want 2", s.LiveCount())
 	}
 }
 
 func TestLiveZoneReads(t *testing.T) {
 	e := newTestEngine(t, nil)
-	if err := e.UpsertRows(0, row(1, 1, 10.0, 100)); err != nil {
+	if err := e.upsert(0, row(1, 1, 10.0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	// Newer committed-but-ungroomed update.
-	if err := e.UpsertRows(0, row(1, 1, 20.0, 100)); err != nil {
+	if err := e.upsert(0, row(1, 1, 20.0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	eq, sortv := key(1, 1)
@@ -277,11 +277,11 @@ func TestLiveZoneReads(t *testing.T) {
 func TestScanAndIndexOnlyScan(t *testing.T) {
 	e := newTestEngine(t, nil)
 	for msg := int64(0); msg < 20; msg++ {
-		if err := e.UpsertRows(int(msg)%2, row(7, msg, float64(msg)/2, 100+msg%3)); err != nil {
+		if err := e.upsert(int(msg)%2, row(7, msg, float64(msg)/2, 100+msg%3)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	eq := []keyenc.Value{keyenc.I64(7)}
@@ -315,11 +315,11 @@ func TestScanAndIndexOnlyScan(t *testing.T) {
 func TestGetBatch(t *testing.T) {
 	e := newTestEngine(t, nil)
 	for msg := int64(0); msg < 10; msg++ {
-		if err := e.UpsertRows(0, row(1, msg, float64(msg), 100)); err != nil {
+		if err := e.upsert(0, row(1, msg, float64(msg), 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	var keys []core.LookupKey
@@ -329,7 +329,7 @@ func TestGetBatch(t *testing.T) {
 			Sort:     []keyenc.Value{keyenc.I64(msg)},
 		})
 	}
-	recs, found, err := e.GetBatchContext(context.Background(), keys, QueryOptions{})
+	recs, found, err := e.getBatch(context.Background(), keys, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,21 +349,21 @@ func TestGetBatch(t *testing.T) {
 // than the plain layout of the same data.
 func TestEncodedFootprintSmallerThanPlain(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
-	e := newTestEngine(t, func(cfg *Config) { cfg.Store = store })
+	e := newTestEngine(t, func(cfg *ShardedConfig) { cfg.Store = store })
 	for round := int64(0); round < 4; round++ {
 		rows := make([]Row, 0, 500)
 		for i := int64(0); i < 500; i++ {
 			msg := round*500 + i
 			rows = append(rows, row(msg%8, msg, float64(msg%97), 100+msg/250))
 		}
-		if err := e.UpsertRows(0, rows...); err != nil {
+		if err := e.upsert(0, rows...); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Groom(); err != nil {
+		if _, err := e.groomCount(); err != nil {
 			t.Fatal(err)
 		}
 		if round%2 == 1 {
-			if _, err := e.PostGroom(); err != nil {
+			if _, err := e.postGroom(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -45,7 +45,7 @@ type liveBest struct {
 // liveOverlay takes a query's cut (capture) and folds its live records
 // into the newest version per primary key. The map is nil when the
 // query does not read live.
-func (e *Engine) liveOverlay(opts QueryOptions) (map[string]liveBest, *zoneVersion, types.TS) {
+func (e *shard) liveOverlay(opts QueryOptions) (map[string]liveBest, *zoneVersion, types.TS) {
 	var live map[string]liveBest
 	var visit func(logRecord)
 	if opts.IncludeLive {
@@ -89,7 +89,7 @@ type scanBlk struct {
 // map (newest beginTS wins, live beats groomed), skipped pending blocks
 // included since their versions still shadow; a post-groomed row whose
 // key is in the map is dropped, pending and live versions being newer.
-func (e *Engine) executeBound(ctx context.Context, bound *exec.BoundPlan, opts QueryOptions) (*exec.Partial, error) {
+func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts QueryOptions) (*exec.Partial, error) {
 	if e.closed.Load() {
 		return nil, fmt.Errorf("wildfire: engine closed")
 	}

@@ -83,7 +83,7 @@ func TestExecuteConcurrentWithMaintenance(t *testing.T) {
 			defer workers.Done()
 			for i := 0; i < 200 && !stop.Load(); i++ {
 				opts := QueryOptions{IncludeLive: i%2 == 0}
-				res, err := execute(s, countPlan, opts)
+				res, err := tableExecute(s, countPlan, opts)
 				if err != nil {
 					report(err)
 					return
@@ -93,7 +93,7 @@ func TestExecuteConcurrentWithMaintenance(t *testing.T) {
 						res.Rows[0][0].Int(), devices*msgs)
 					return
 				}
-				grouped, err := execute(s, perDevice, opts)
+				grouped, err := tableExecute(s, perDevice, opts)
 				if err != nil {
 					report(err)
 					return
@@ -127,7 +127,7 @@ func TestExecuteConcurrentWithMaintenance(t *testing.T) {
 	if err := s.Groom(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := execute(s, countPlan, QueryOptions{})
+	res, err := tableExecute(s, countPlan, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

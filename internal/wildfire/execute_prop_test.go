@@ -12,7 +12,7 @@ import (
 	"umzi/internal/types"
 )
 
-// TestExecuteEquivalenceProperty drives a single Engine and a 4-shard
+// TestExecuteEquivalenceProperty drives a single shard and a 4-shard
 // ShardedEngine with the same random workload — upserts with key
 // updates, lockstep grooms, post-grooms — and checks random analytical
 // plans (filters, projections, aggregates, GROUP BY) against a naive
@@ -385,7 +385,7 @@ func executeEquivalence(t *testing.T, seed int64, layout equivLayout) {
 			run  func() (*exec.Result, error)
 		}{
 			{"single", func() (*exec.Result, error) { return execute(single, p, opts) }},
-			{"sharded", func() (*exec.Result, error) { return execute(sharded, p, opts) }},
+			{"sharded", func() (*exec.Result, error) { return tableExecute(sharded, p, opts) }},
 			{"zone-scan", func() (*exec.Result, error) {
 				o := opts
 				o.NoIndexSelection = true
@@ -403,20 +403,20 @@ func executeEquivalence(t *testing.T, seed int64, layout equivLayout) {
 	for round := 0; round < equivRounds; round++ {
 		// Groom what the previous round left live (lockstep on both
 		// sides), recording the boundary and the model snapshot.
-		if _, err := single.GroomCount(); err != nil {
+		if _, err := single.groomCount(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sharded.GroomCount(); err != nil {
+		if _, err := sharded.groomCount(); err != nil {
 			t.Fatal(err)
 		}
 		for k, v := range liveModel {
 			groomedModel[k] = v
 		}
 		liveModel = map[string]Row{}
-		if single.LastGroomTS() != sharded.SnapshotTS() {
-			t.Fatalf("round %d: boundaries diverged: %v vs %v", round, single.LastGroomTS(), sharded.SnapshotTS())
+		if single.lastGroomTS() != sharded.SnapshotTS() {
+			t.Fatalf("round %d: boundaries diverged: %v vs %v", round, single.lastGroomTS(), sharded.SnapshotTS())
 		}
-		boundaries = append(boundaries, single.LastGroomTS())
+		boundaries = append(boundaries, single.lastGroomTS())
 		snap := make(map[string]Row, len(groomedModel))
 		for k, v := range groomedModel {
 			snap[k] = v
@@ -424,10 +424,10 @@ func executeEquivalence(t *testing.T, seed int64, layout equivLayout) {
 		history = append(history, snap)
 
 		if layout.postGroom(rng, round) {
-			if _, err := single.PostGroom(); err != nil {
+			if _, err := single.postGroom(); err != nil {
 				t.Fatal(err)
 			}
-			if err := single.SyncIndex(); err != nil {
+			if err := single.syncIndex(); err != nil {
 				t.Fatal(err)
 			}
 			if err := sharded.PostGroom(); err != nil {
@@ -442,7 +442,7 @@ func executeEquivalence(t *testing.T, seed int64, layout equivLayout) {
 		// some keys have a groomed version shadowed by a live one.
 		rows := layout.rows(rng, round)
 		replica := rng.Intn(2)
-		if err := single.UpsertRows(replica, rows...); err != nil {
+		if err := single.upsert(replica, rows...); err != nil {
 			t.Fatal(err)
 		}
 		if err := sharded.UpsertRows(replica, rows...); err != nil {

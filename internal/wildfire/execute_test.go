@@ -14,7 +14,7 @@ import (
 // post-block list, and limit pushdown in the sharded ordered scan. The
 // randomized equivalence property lives in execute_prop_test.go.
 
-func sumReadings(t *testing.T, eng streamer, p exec.Plan, opts QueryOptions) *exec.Result {
+func sumReadings(t *testing.T, eng *shard, p exec.Plan, opts QueryOptions) *exec.Result {
 	t.Helper()
 	res, err := execute(eng, p, opts)
 	if err != nil {
@@ -29,28 +29,28 @@ func TestExecuteAggregatesAcrossZones(t *testing.T) {
 	// Cycle 1: devices 0..2, then post-groom so the rows live in the
 	// post-groomed zone. Cycle 2 stays groomed. Cycle 3 stays live.
 	for dev := int64(0); dev < 3; dev++ {
-		if err := e.UpsertRows(0, row(dev, 1, 10, 1)); err != nil {
+		if err := e.upsert(0, row(dev, 1, 10, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PostGroom(); err != nil {
+	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	for dev := int64(0); dev < 3; dev++ {
-		if err := e.UpsertRows(0, row(dev, 2, 20, 1)); err != nil {
+		if err := e.upsert(0, row(dev, 2, 20, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UpsertRows(0, row(0, 3, 40, 2)); err != nil {
+	if err := e.upsert(0, row(0, 3, 40, 2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,20 +92,20 @@ func TestExecuteUpdateShadowing(t *testing.T) {
 	e := newTestEngine(t, nil)
 
 	// v1 of both keys matches reading < 50.
-	if err := e.UpsertRows(0, row(1, 1, 10, 1), row(2, 1, 20, 1)); err != nil {
+	if err := e.upsert(0, row(1, 1, 10, 1), row(2, 1, 20, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	firstTS := e.LastGroomTS()
+	firstTS := e.lastGroomTS()
 	// v2 of key (1,1) does not match; the whole cycle-2 block is out of
 	// the filter's range, so the executor prunes it by synopsis and must
 	// still let it shadow v1.
-	if err := e.UpsertRows(0, row(1, 1, 100, 1)); err != nil {
+	if err := e.upsert(0, row(1, 1, 100, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,7 +125,7 @@ func TestExecuteUpdateShadowing(t *testing.T) {
 
 	// A live update shadows key (2,1) when the live zone is included,
 	// and is invisible without it.
-	if err := e.UpsertRows(0, row(2, 1, 200, 1)); err != nil {
+	if err := e.upsert(0, row(2, 1, 200, 1)); err != nil {
 		t.Fatal(err)
 	}
 	res = sumReadings(t, e, plan, QueryOptions{})
@@ -142,45 +142,45 @@ func TestExecuteUpdateShadowing(t *testing.T) {
 // the published post-block list from PSN metadata: post-groomed records
 // must stay visible to the executor after a restart.
 func TestExecuteRecoversPostBlocks(t *testing.T) {
-	cfg := Config{
+	cfg := ShardedConfig{
 		Table: iotTable(),
 		Index: iotIndex(),
 		Store: storage.NewMemStore(storage.LatencyModel{}),
 	}
-	e, err := NewEngine(cfg)
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for dev := int64(0); dev < 4; dev++ {
-		if err := e.UpsertRows(0, row(dev, 1, float64(dev), 1)); err != nil {
+		if err := e.upsert(0, row(dev, 1, float64(dev), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PostGroom(); err != nil {
+	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	// One more groomed-but-not-post-groomed cycle.
-	if err := e.UpsertRows(0, row(9, 1, 9, 2)); err != nil {
+	if err := e.upsert(0, row(9, 1, 9, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Close(); err != nil {
+	if err := e.close(); err != nil {
 		t.Fatal(err)
 	}
 
-	e2, err := NewEngine(cfg)
+	e2, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e2.Close()
+	defer e2.close()
 	res, err := execute(e2, exec.Plan{Aggs: []exec.Agg{{Func: exec.Count}, {Func: exec.Sum, Col: "reading"}}}, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestExecuteRecoversPostBlocks(t *testing.T) {
 
 func TestExecuteErrors(t *testing.T) {
 	s := newTestShardedEngine(t, 2, nil)
-	if _, err := execute(s, exec.Plan{Filter: exec.Eq("nope", keyenc.I64(1))}, QueryOptions{}); err == nil {
+	if _, err := tableExecute(s, exec.Plan{Filter: exec.Eq("nope", keyenc.I64(1))}, QueryOptions{}); err == nil {
 		t.Fatal("bad plan accepted by sharded Execute")
 	}
 	e := newTestEngine(t, nil)
@@ -218,7 +218,7 @@ func TestShardedScanLimit(t *testing.T) {
 		}
 	}
 	eq := []keyenc.Value{keyenc.I64(7)}
-	full, err := scanOn(s, "", eq, nil, nil, QueryOptions{})
+	full, err := tableScanOn(s, "", eq, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestShardedScanLimit(t *testing.T) {
 		t.Fatalf("full scan returned %d rows, want %d", len(full), msgs)
 	}
 	for _, limit := range []int{1, 7, msgs, msgs + 5} {
-		got, err := scanOn(s, "", eq, nil, nil, QueryOptions{Limit: limit})
+		got, err := tableScanOn(s, "", eq, nil, nil, QueryOptions{Limit: limit})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestShardedScanLimit(t *testing.T) {
 			}
 		}
 		// Index-only scans honor the limit identically.
-		ir, err := indexOnlyOn(s, "", eq, nil, nil, QueryOptions{Limit: limit})
+		ir, err := tableIndexOnlyOn(s, "", eq, nil, nil, QueryOptions{Limit: limit})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestShardedScanLimit(t *testing.T) {
 	}
 	// The per-shard scans saw the limit too: a 1-row limit must not make
 	// any shard return its full partition.
-	one, err := scanOn(s.Shard(0), "", eq, nil, nil, QueryOptions{Limit: 1})
+	one, err := scanOn(s.shards[0], "", eq, nil, nil, QueryOptions{Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

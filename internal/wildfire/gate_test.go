@@ -104,19 +104,19 @@ func TestUpdateSkewedEngineWorkload(t *testing.T) {
 			dev := int64(i % 4)
 			m := int64((c*3 + i) % 10) // heavy overlap across cycles
 			val := float64(c*100 + i)
-			if err := e.UpsertRows(i%2, row(dev, m, val, 100)); err != nil {
+			if err := e.upsert(i%2, row(dev, m, val, 100)); err != nil {
 				t.Fatal(err)
 			}
 			latest[[2]int64{dev, m}] = val
 		}
-		if err := e.Groom(); err != nil {
+		if _, err := e.groomCount(); err != nil {
 			t.Fatal(err)
 		}
 		if c%3 == 2 {
-			if _, err := e.PostGroom(); err != nil {
+			if _, err := e.postGroom(); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.SyncIndex(); err != nil {
+			if err := e.syncIndex(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -136,11 +136,11 @@ func TestUpdateSkewedEngineWorkload(t *testing.T) {
 func TestIndexOnlyScanMatchesScan(t *testing.T) {
 	e := newTestEngine(t, nil)
 	for i := 0; i < 30; i++ {
-		if err := e.UpsertRows(0, row(1, int64(i), float64(i)*1.5, 100)); err != nil {
+		if err := e.upsert(0, row(1, int64(i), float64(i)*1.5, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	full, err := scanOn(e, "", []keyenc.Value{keyenc.I64(1)}, nil, nil, QueryOptions{})

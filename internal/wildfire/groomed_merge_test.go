@@ -33,7 +33,7 @@ func (p *putLog) Put(name string, data []byte) error {
 // engine dropped without Close reopens from the level-0 runs alone.
 func TestGroomedMergesNeverReachSharedStorage(t *testing.T) {
 	store := &putLog{ObjectStore: storage.NewMemStore(storage.LatencyModel{})}
-	cfg := Config{
+	cfg := ShardedConfig{
 		Table:       ordersTestTable(),
 		Index:       ordersPrimary(),
 		Secondaries: []SecondaryIndexSpec{byRegion(), byStatusAmount()},
@@ -41,34 +41,34 @@ func TestGroomedMergesNeverReachSharedStorage(t *testing.T) {
 	}
 	cfg.IndexTuning.K = 2
 	cfg.IndexTuning.BlockSize = 1024
-	e, err := NewEngine(cfg)
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(20))
 	shadow := shadowOrders{}
-	groomSome := func(e *Engine, grooms int) {
+	groomSome := func(e *shard, grooms int) {
 		t.Helper()
 		for g := 0; g < grooms; g++ {
 			for i := 0; i < 6; i++ {
 				// A small id space: most writes are updates that move a
 				// row between regions and statuses.
 				r := orderRow(rng.Int63n(80), testRegions[rng.Intn(len(testRegions))], rng.Int63n(4), rng.Int63n(1000))
-				if err := e.UpsertRows(0, r); err != nil {
+				if err := e.upsert(0, r); err != nil {
 					t.Fatal(err)
 				}
 				shadow[r[0].Int()] = r
 			}
-			if err := e.Groom(); err != nil {
+			if _, err := e.groomCount(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.MaintainOnce(); err != nil {
+			if _, err := e.maintainOnce(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	check := func(e *Engine, when string) {
+	check := func(e *shard, when string) {
 		t.Helper()
 		opts := QueryOptions{TS: types.MaxTS}
 		for id := int64(0); id < 82; id++ {
@@ -97,7 +97,7 @@ func TestGroomedMergesNeverReachSharedStorage(t *testing.T) {
 			sameRows(t, when+": region "+region, recordsToMap(t, recs), shadow.byRegion(region))
 		}
 	}
-	merges := func(e *Engine) (n int64) {
+	merges := func(e *shard) (n int64) {
 		for _, ti := range e.indexSet() {
 			n += ti.idx.Stats().Merges
 		}
@@ -109,10 +109,10 @@ func TestGroomedMergesNeverReachSharedStorage(t *testing.T) {
 		t.Fatal("40 grooms merged nothing")
 	}
 	check(e, "groomed")
-	if _, err := e.PostGroom(); err != nil {
+	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	check(e, "evolved")
@@ -143,10 +143,10 @@ func TestGroomedMergesNeverReachSharedStorage(t *testing.T) {
 	}
 
 	// Crash: drop the engine without Close.
-	e2, err := NewEngine(cfg)
+	e2, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e2.Close()
+	defer e2.close()
 	check(e2, "reopened")
 }

@@ -11,7 +11,7 @@ import (
 	"umzi/internal/types"
 )
 
-// Groom performs one groom operation (§2.1): it merges the committed
+// groomCount performs one groom operation (§2.1): it merges the committed
 // logs of all shard replicas in commit-time order, resolves concurrent
 // updates to the same key by last-writer-wins (the later commit gets the
 // larger beginTS, so queries reconcile to it), assigns monotonically
@@ -21,13 +21,7 @@ import (
 //
 // It returns the number of records groomed; zero means the live zone was
 // empty and no block or run was produced.
-func (e *Engine) Groom() error {
-	_, err := e.GroomCount()
-	return err
-}
-
-// GroomCount is Groom returning the number of records groomed.
-func (e *Engine) GroomCount() (int, error) {
+func (e *shard) groomCount() (int, error) {
 	if e.closed.Load() {
 		return 0, fmt.Errorf("wildfire: engine closed")
 	}
@@ -155,7 +149,7 @@ func (e *Engine) GroomCount() (int, error) {
 // boundary. Skipped cycle numbers are legal everywhere block IDs appear:
 // recovery takes the maximum over existing blocks, and post-groom block
 // ranges simply cover IDs that carry no data.
-func (e *Engine) alignGroomCycle(cycle uint64) {
+func (e *shard) alignGroomCycle(cycle uint64) {
 	e.writerMu.Lock()
 	defer e.writerMu.Unlock()
 	if e.groomCycle.Load() >= cycle {

@@ -33,7 +33,7 @@ func (s *parkStore) Put(name string, data []byte) error {
 // checkAcked asserts that a point get, a forced zone scan and an
 // index-selected executor scan at MaxTS+IncludeLive each return exactly
 // the acknowledged rows.
-func checkAcked(t *testing.T, stage string, e *Engine, oracle map[string]Row) {
+func checkAcked(t *testing.T, stage string, e *shard, oracle map[string]Row) {
 	t.Helper()
 	opts := QueryOptions{TS: types.MaxTS, IncludeLive: true}
 	same := func(a, b Row) bool {
@@ -94,11 +94,11 @@ func TestGroomHandOffKeepsAckedRowsVisible(t *testing.T) {
 		parked:      make(chan string),
 		release:     make(chan error),
 	}
-	e := newTestEngine(t, func(c *Config) { c.Store = ps })
+	e := newTestEngine(t, func(c *ShardedConfig) { c.Store = ps })
 	oracle := map[string]Row{}
 	upsert := func(replica int, rows ...Row) {
 		t.Helper()
-		if err := e.UpsertRows(replica, rows...); err != nil {
+		if err := e.upsert(replica, rows...); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
@@ -109,7 +109,7 @@ func TestGroomHandOffKeepsAckedRowsVisible(t *testing.T) {
 	groom := func(stage string, release error) error {
 		t.Helper()
 		done := make(chan error, 1)
-		go func() { done <- e.Groom() }()
+		go func() { _, err := e.groomCount(); done <- err }()
 		<-ps.parked
 		checkAcked(t, stage, e, oracle)
 		ps.release <- release
@@ -121,7 +121,7 @@ func TestGroomHandOffKeepsAckedRowsVisible(t *testing.T) {
 	if err := groom("first groom", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PostGroom(); err != nil {
+	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
 	upsert(1, row(1, 0, 2, 0), row(1, 2, 2, 1))
@@ -140,7 +140,7 @@ func TestGroomHandOffKeepsAckedRowsVisible(t *testing.T) {
 	if err := groom("retry parked", nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.LiveCount(); n != 0 {
+	if n := e.liveCount(); n != 0 {
 		t.Fatalf("live zone holds %d records after the retry", n)
 	}
 	checkAcked(t, "groomed", e, oracle)

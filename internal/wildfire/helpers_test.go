@@ -8,71 +8,128 @@ import (
 	"umzi/internal/keyenc"
 )
 
-// Materializing test helpers over the record-level primitives: tests
-// compare whole result sets, production code streams.
-
-// streamer is the record-level scan surface a shard and a table share.
-type streamer interface {
-	ScanStreamOn(ctx context.Context, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) (*Cursor[Record], error)
-	IndexOnlyStreamOn(ctx context.Context, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) (*Cursor[[]keyenc.Value], error)
-}
-
-func scanOn(r streamer, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([]Record, error) {
-	return drainCursor(r.ScanStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
-}
-
-func indexOnlyOn(r streamer, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([][]keyenc.Value, error) {
-	return drainCursor(r.IndexOnlyStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
-}
-
-func getOn(r streamer, index string, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
-	switch r := r.(type) {
-	case *Engine:
-		return r.GetOnContext(context.Background(), index, eq, sortv, opts)
-	case *ShardedEngine:
-		if index == "" {
-			return r.get(context.Background(), eq, sortv, opts)
-		}
+// openShard opens a one-shard table over cfg.Store through the
+// production constructor and returns its shard, so every test shard is
+// validated, defaulted and named exactly as a table's shards are.
+// Closing the shard is the caller's business; a crash test drops it
+// unclosed.
+func openShard(cfg ShardedConfig) (*shard, error) {
+	cfg.Shards = 1
+	s, err := NewShardedEngine(cfg)
+	if err != nil {
+		return nil, err
 	}
-	// A table has no secondary get: first match of a one-key scan.
-	recs, err := scanOn(r, index, eq, sortv, sortv, withLimit(opts, 1))
+	return s.shards[0], nil
+}
+
+// upsert commits copies of rows through one replica of a test shard.
+// The table's Commit checks the replica and the rows; shard tests pass
+// valid ones.
+func (e *shard) upsert(replica int, rows ...Row) error {
+	return e.commit(replica, cloneRows(rows))
+}
+
+// Materializing test helpers over the record-level primitives: tests
+// compare whole result sets, production code streams. The shard helpers
+// call one shard's primitives; the table helpers go through the
+// coordinator.
+
+func scanOn(e *shard, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([]Record, error) {
+	return drainCursor(e.scanStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
+}
+
+func indexOnlyOn(e *shard, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([][]keyenc.Value, error) {
+	return drainCursor(e.indexOnlyStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
+}
+
+// getOn is a point get on the primary, or on a secondary the newest
+// visible version of the first match of a one-key scan: eq and sortv
+// then cover the index's declared equality and sort columns.
+func getOn(e *shard, index string, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
+	if index == "" {
+		return e.getOn(context.Background(), eq, sortv, opts)
+	}
+	return firstRecord(scanOn(e, index, eq, sortv, sortv, withLimit(opts, 1)))
+}
+
+// execute runs an analytical plan on one shard's executePlan primitive
+// and finalizes the partial — the executor with QueryOptions exposed,
+// below the QuerySpec compile step.
+func execute(e *shard, p exec.Plan, opts QueryOptions) (*exec.Result, error) {
+	bound, err := p.Bind(e.table.Columns)
+	if err != nil {
+		return nil, err
+	}
+	part, err := e.executePlan(context.Background(), bound, p.Filter, opts)
+	if err != nil {
+		return nil, err
+	}
+	return bound.Finalize(part), nil
+}
+
+func tableScanOn(s *ShardedEngine, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([]Record, error) {
+	return drainCursor(s.ScanStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
+}
+
+func tableIndexOnlyOn(s *ShardedEngine, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([][]keyenc.Value, error) {
+	return drainCursor(s.IndexOnlyStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
+}
+
+// tableGetOn is getOn through the coordinator.
+func tableGetOn(s *ShardedEngine, index string, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
+	if index == "" {
+		return s.get(context.Background(), eq, sortv, opts)
+	}
+	return firstRecord(tableScanOn(s, index, eq, sortv, sortv, withLimit(opts, 1)))
+}
+
+// tableExecute is execute on every shard of a table through the
+// coordinator's execPartials.
+func tableExecute(s *ShardedEngine, p exec.Plan, opts QueryOptions) (*exec.Result, error) {
+	if s.closed.Load() {
+		return nil, fmt.Errorf("wildfire: engine closed")
+	}
+	bound, err := p.Bind(s.table.Columns)
+	if err != nil {
+		return nil, err
+	}
+	opts.TS = s.resolveTS(opts)
+	parts, err := s.execPartials(context.Background(), bound, p.Filter, opts)
+	if err != nil {
+		return nil, err
+	}
+	return bound.Finalize(parts...), nil
+}
+
+func firstRecord(recs []Record, err error) (Record, bool, error) {
 	if err != nil || len(recs) == 0 {
 		return Record{}, false, err
 	}
 	return recs[0], true, nil
 }
 
-// execute runs an analytical plan on one shard's executePlan primitive,
-// or on every shard of a table through the coordinator's execPartials,
-// and finalizes the partials — the executor with QueryOptions exposed,
-// below the QuerySpec compile step.
-func execute(r streamer, p exec.Plan, opts QueryOptions) (*exec.Result, error) {
-	ctx := context.Background()
-	switch r := r.(type) {
-	case *Engine:
-		bound, err := p.Bind(r.table.Columns)
-		if err != nil {
-			return nil, err
-		}
-		part, err := r.executePlan(ctx, bound, p.Filter, opts)
-		if err != nil {
-			return nil, err
-		}
-		return bound.Finalize(part), nil
-	case *ShardedEngine:
-		if r.closed.Load() {
-			return nil, fmt.Errorf("wildfire: engine closed")
-		}
-		bound, err := p.Bind(r.table.Columns)
-		if err != nil {
-			return nil, err
-		}
-		opts.TS = r.resolveTS(opts)
-		parts, err := r.execPartials(ctx, bound, p.Filter, opts)
-		if err != nil {
-			return nil, err
-		}
-		return bound.Finalize(parts...), nil
+// drainCursor materializes a cursor. A release-path failure surfaces
+// when iteration itself succeeded (exhaustion auto-closes, so Err
+// already carries it; the explicit Close covers an early break).
+func drainCursor[T any](cur *Cursor[T], err error) ([]T, error) {
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("execute: unsupported %T", r)
+	var out []T
+	for cur.Next() {
+		out = append(out, cur.Value())
+	}
+	err = cur.Err()
+	if cerr := cur.Close(); err == nil {
+		err = cerr
+	}
+	return out, err
+}
+
+// withLimit tightens the options' row limit.
+func withLimit(opts QueryOptions, limit int) QueryOptions {
+	if opts.Limit == 0 || opts.Limit > limit {
+		opts.Limit = limit
+	}
+	return opts
 }

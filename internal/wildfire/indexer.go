@@ -16,24 +16,24 @@ import (
 // groomed blocks are dropped, and dropping is gated on EVERY index
 // having passed the block.
 
-// SyncIndex applies every published-but-unindexed post-groom operation
+// syncIndex applies every published-but-unindexed post-groom operation
 // to every index of the set, then deletes the retired blocks whose query
 // epoch has drained. It is the last step of the propagation owner;
 // tests call it directly for determinism.
-func (e *Engine) SyncIndex() error {
+func (e *shard) syncIndex() error {
 	e.writerMu.Lock()
 	defer e.writerMu.Unlock()
 	return e.syncIndexLocked()
 }
 
-// syncIndexLocked is SyncIndex for callers that hold writerMu; evolves of
+// syncIndexLocked is syncIndex for callers that hold writerMu; evolves of
 // one index arrive in PSN order because writerMu serializes them.
-func (e *Engine) syncIndexLocked() error {
+func (e *shard) syncIndexLocked() error {
 	defer e.releaseRetired()
 	for _, ti := range e.indexSet() {
 		for {
 			indexed := ti.idx.IndexedPSN()
-			if indexed >= e.MaxPSN() {
+			if indexed >= e.zone.Load().maxPSN {
 				break
 			}
 			if err := e.evolveOne(ti, indexed+1); err != nil {
@@ -47,7 +47,7 @@ func (e *Engine) syncIndexLocked() error {
 // evolveOne builds one index's entries for one post-groom operation and
 // hands them to that index's evolve, then retires whatever deprecated
 // groomed blocks the whole set has passed.
-func (e *Engine) evolveOne(ti *tableIndex, psn types.PSN) error {
+func (e *shard) evolveOne(ti *tableIndex, psn types.PSN) error {
 	meta, err := e.store.Get(psnMetaName(e.table.Name, psn))
 	if err != nil {
 		return fmt.Errorf("wildfire: reading PSN %d meta: %w", psn, err)
@@ -82,7 +82,7 @@ func (e *Engine) evolveOne(ti *tableIndex, psn types.PSN) error {
 //   - in-flight queries that already resolved a groomed RID can still
 //     read the block: a retired block is deleted only once its query
 //     epoch drains (epoch-based reclamation, releaseRetired).
-func (e *Engine) reclaimDeprecated(lo, hi uint64) {
+func (e *shard) reclaimDeprecated(lo, hi uint64) {
 	for id := lo; id <= hi; id++ {
 		e.deprecated[id] = struct{}{}
 	}
@@ -108,7 +108,7 @@ type retireItem struct {
 // once the queries of its tag epoch have exited nothing can read it.
 // With no query in flight the epoch advances twice and everything
 // queued goes at once.
-func (e *Engine) releaseRetired() {
+func (e *shard) releaseRetired() {
 	if e.gate.tryAdvance() {
 		e.gate.tryAdvance()
 	}

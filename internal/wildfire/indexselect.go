@@ -38,7 +38,7 @@ var errIndexPlanTooBroad = fmt.Errorf("wildfire: index plan exceeds the candidat
 // when the index probe turns out too broad to beat the scan. filter is
 // the plan's original predicate expression (the bound plan cannot be
 // introspected syntactically).
-func (e *Engine) executePlan(ctx context.Context, bound *exec.BoundPlan, filter exec.Expr, opts QueryOptions) (*exec.Partial, error) {
+func (e *shard) executePlan(ctx context.Context, bound *exec.BoundPlan, filter exec.Expr, opts QueryOptions) (*exec.Partial, error) {
 	if !opts.NoIndexSelection {
 		if ti, cons, ok := e.chooseIndex(filter); ok {
 			part, err := e.executeViaIndex(ctx, bound, ti, cons, opts)
@@ -56,7 +56,7 @@ func (e *Engine) executePlan(ctx context.Context, bound *exec.BoundPlan, filter 
 // both sides), pick the one matching the most key columns. Returns
 // ok=false when the predicate is not conjunctive or no index qualifies —
 // the plan then runs as a zone scan.
-func (e *Engine) chooseIndex(filter exec.Expr) (*tableIndex, exec.IndexConstraints, bool) {
+func (e *shard) chooseIndex(filter exec.Expr) (*tableIndex, exec.IndexConstraints, bool) {
 	if filter == nil {
 		return nil, exec.IndexConstraints{}, false
 	}
@@ -178,7 +178,7 @@ func (ti *tableIndex) indexScanBounds(t TableDef, cons exec.IndexConstraints) (e
 // by RID fetch. Multi-version semantics match executeBound: exactly the
 // newest visible version of each primary key qualifies, live records
 // (when requested at the newest snapshot) supersede indexed ones.
-func (e *Engine) executeViaIndex(ctx context.Context, bound *exec.BoundPlan, ti *tableIndex, cons exec.IndexConstraints, opts QueryOptions) (*exec.Partial, error) {
+func (e *shard) executeViaIndex(ctx context.Context, bound *exec.BoundPlan, ti *tableIndex, cons exec.IndexConstraints, opts QueryOptions) (*exec.Partial, error) {
 	if e.closed.Load() {
 		return nil, fmt.Errorf("wildfire: engine closed")
 	}
@@ -228,7 +228,7 @@ func (e *Engine) executeViaIndex(ctx context.Context, bound *exec.BoundPlan, ti 
 			flat, pos := ve.flat, ti.valPos
 			view = func(c int) keyenc.Value { return flat[pos[c]] }
 		} else {
-			rec, err := e.FetchContext(ctx, ve.entry.RID)
+			rec, err := e.fetch(ctx, ve.entry.RID)
 			if err != nil {
 				return nil, err
 			}
@@ -303,11 +303,11 @@ func (s *ShardedEngine) CreateIndex(spec SecondaryIndexSpec) error {
 		return fmt.Errorf("wildfire: table %s already has an index %q with a different spec", s.table.Name, spec.Name)
 	}
 	s.secMu.Unlock()
-	// Per-shard CreateIndex is idempotent on an identical spec, so a
+	// Per-shard createIndex is idempotent on an identical spec, so a
 	// partial failure (some shards built, some not) is retryable: rerun
 	// and only the stragglers backfill.
 	err := s.pool.each(context.Background(), len(s.shards), func(i int) error {
-		return s.shards[i].CreateIndex(spec)
+		return s.shards[i].createIndex(spec)
 	})
 	if err != nil {
 		return err

@@ -454,7 +454,7 @@ func LoadIndexCatalog(store storage.ObjectStore, table string) ([]IndexCatalogEn
 
 // writeCatalogLocked persists the current index set as a fresh catalog
 // record and prunes old records. Callers hold e.indexMu.
-func (e *Engine) writeCatalogLocked() error {
+func (e *shard) writeCatalogLocked() error {
 	var entries []IndexCatalogEntry
 	for _, ti := range e.indexSet() {
 		entries = append(entries, IndexCatalogEntry{Name: ti.name, Spec: ti.declared})
@@ -473,14 +473,14 @@ func (e *Engine) writeCatalogLocked() error {
 	return nil
 }
 
-// ---- Engine-side set management ------------------------------------
+// ---- Shard-side set management ------------------------------------
 
 // indexSet returns the current index set; element 0 is the primary. The
 // slice is immutable (copy-on-write installs).
-func (e *Engine) indexSet() []*tableIndex { return *e.indexes.Load() }
+func (e *shard) indexSet() []*tableIndex { return *e.indexes.Load() }
 
 // lookupIndex resolves an index by name; "" is the primary.
-func (e *Engine) lookupIndex(name string) (*tableIndex, error) {
+func (e *shard) lookupIndex(name string) (*tableIndex, error) {
 	for _, ti := range e.indexSet() {
 		if ti.name == name {
 			return ti, nil
@@ -489,20 +489,9 @@ func (e *Engine) lookupIndex(name string) (*tableIndex, error) {
 	return nil, fmt.Errorf("wildfire: table %s has no index %q", e.table.Name, name)
 }
 
-// SecondaryNames lists the table's secondary indexes in creation order.
-func (e *Engine) SecondaryNames() []string {
-	var out []string
-	for _, ti := range e.indexSet() {
-		if !ti.primary() {
-			out = append(out, ti.name)
-		}
-	}
-	return out
-}
-
-// SecondarySpecs returns the declared spec of every secondary, in
+// secondarySpecs returns the declared spec of every secondary, in
 // creation order.
-func (e *Engine) SecondarySpecs() []SecondaryIndexSpec {
+func (e *shard) secondarySpecs() []SecondaryIndexSpec {
 	var out []SecondaryIndexSpec
 	for _, ti := range e.indexSet() {
 		if !ti.primary() {
@@ -512,18 +501,8 @@ func (e *Engine) SecondarySpecs() []SecondaryIndexSpec {
 	return out
 }
 
-// SecondaryIndex exposes one secondary's Umzi instance (inspection,
-// benchmarks).
-func (e *Engine) SecondaryIndex(name string) (*core.Index, error) {
-	ti, err := e.lookupIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	return ti.idx, nil
-}
-
 // openTableIndex opens (or creates) the core index of one set member.
-func (e *Engine) openTableIndex(name string, declared IndexSpec) (*tableIndex, error) {
+func (e *shard) openTableIndex(name string, declared IndexSpec) (*tableIndex, error) {
 	ti := newTableIndex(e.table, e.ixSpec, name, declared, nil)
 	ixCfg := e.tuning
 	ixCfg.Name = IndexStoragePrefix(e.table.Name, name)
@@ -538,7 +517,7 @@ func (e *Engine) openTableIndex(name string, declared IndexSpec) (*tableIndex, e
 	return ti, nil
 }
 
-// CreateIndex builds a new secondary index online from the existing
+// createIndex builds a new secondary index online from the existing
 // zones and adds it to the set: the post-groomed zone is adopted
 // wholesale (one bootstrap run over the published post-groomed blocks,
 // watermark fast-forwarded to the engine's PSN), the pending groomed
@@ -546,7 +525,7 @@ func (e *Engine) openTableIndex(name string, declared IndexSpec) (*tableIndex, e
 // and every subsequent groom/post-groom/evolve cycle maintain it.
 // It holds the writer mutex, so grooming, post-grooming and evolve are
 // blocked for the duration; queries are not.
-func (e *Engine) CreateIndex(spec SecondaryIndexSpec) error {
+func (e *shard) createIndex(spec SecondaryIndexSpec) error {
 	if e.closed.Load() {
 		return fmt.Errorf("wildfire: engine closed")
 	}
@@ -642,7 +621,7 @@ func (e *Engine) CreateIndex(spec SecondaryIndexSpec) error {
 // entriesFromBlocks builds one index's entries for the listed data
 // blocks of a zone, in block order. It reads only the index's own
 // columns and beginTS, numeric columns a column at a time.
-func (e *Engine) entriesFromBlocks(ti *tableIndex, zone types.ZoneID, blockIDs []uint64) ([]run.Entry, error) {
+func (e *shard) entriesFromBlocks(ti *tableIndex, zone types.ZoneID, blockIDs []uint64) ([]run.Entry, error) {
 	var entries []run.Entry
 	nUser := len(e.table.Columns)
 	cols := slices.Concat(ti.eqIdx, ti.sortIdx, ti.inclIdx)

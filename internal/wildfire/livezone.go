@@ -2,14 +2,13 @@ package wildfire
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sync"
 	"time"
 )
 
 // The live zone (§2.1): a transaction's uncommitted upserts are its
-// side-log, which here is umzi.Tx's staging. At commit, Engine.commit
+// side-log, which here is umzi.Tx's staging. At commit, shard.commit
 // makes each shard's share durable in the shard's commit log
 // (internal/wal) and then publishes it to the replica's committed
 // in-memory log with its tentative commit sequences. The
@@ -65,7 +64,7 @@ func (r *replica) requeue(recs []logRecord) {
 // replicas"), into the zone version's grooming set and returns them. It
 // holds every replica lock until the version is published, so a reader
 // that finds a record gone from its log loads a version that holds it.
-func (e *Engine) drainLive() []logRecord {
+func (e *shard) drainLive() []logRecord {
 	var recs []logRecord
 	for _, r := range e.replicas {
 		r.mu.Lock()
@@ -100,7 +99,7 @@ func (r *replica) size() int {
 // shard's commit log, then publishes them, uncopied, to the replica's
 // committed log. An error from the log append means the rows are
 // neither durable nor visible.
-func (e *Engine) commit(replica int, rows []Row) error {
+func (e *shard) commit(replica int, rows []Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
@@ -115,20 +114,6 @@ func (e *Engine) commit(replica int, rows []Row) error {
 	return nil
 }
 
-// UpsertRows commits copies of rows through one replica of this shard;
-// a bad replica or any bad row commits nothing.
-func (e *Engine) UpsertRows(replicaID int, rows ...Row) error {
-	if replicaID < 0 || replicaID >= len(e.replicas) {
-		return fmt.Errorf("wildfire: replica %d out of range (%d replicas)", replicaID, len(e.replicas))
-	}
-	for _, r := range rows {
-		if err := e.table.validateRow(r); err != nil {
-			return err
-		}
-	}
-	return e.commit(replicaID, cloneRows(rows))
-}
-
 // cloneRows copies every row, so the engine can keep the copies.
 func cloneRows(rows []Row) []Row {
 	out := make([]Row, len(rows))
@@ -138,9 +123,9 @@ func cloneRows(rows []Row) []Row {
 	return out
 }
 
-// LiveCount reports the number of committed-but-ungroomed records across
+// liveCount reports the number of committed-but-ungroomed records across
 // all replicas (live-zone size).
-func (e *Engine) LiveCount() int {
+func (e *shard) liveCount() int {
 	n := 0
 	for _, r := range e.replicas {
 		n += r.size()

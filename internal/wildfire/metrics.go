@@ -7,10 +7,10 @@ import (
 	"umzi/internal/obs"
 )
 
-// Engine observability. Every Engine (one table shard) owns an
-// engineMetrics bundle: typed handles into an obs.Registry, labeled with
-// the shard-qualified table name, so recording on hot paths is a direct
-// atomic op with no registry lookup. A ShardedEngine carries its own
+// Engine observability. Every shard owns an engineMetrics bundle: typed
+// handles into an obs.Registry, labeled with the shard-qualified table
+// name, so recording on hot paths is a direct atomic op with no registry
+// lookup. A ShardedEngine carries its own
 // bundle under the base table name for the query-level signals it owns
 // (plan counts, latencies, cursor lifetimes); the per-shard write/groom
 // signals live under each shard's name — which for a 1-shard table is
@@ -131,24 +131,24 @@ func (m *engineMetrics) onReleaseErr(error) { m.releaseErrors.Inc() }
 // registerGauges wires the engine-state gauges: values read live at
 // snapshot time. GaugeFunc re-registration replaces the closure, so a
 // table closed and reopened in-process reports through the new engine.
-func (e *Engine) registerGauges() {
+func (e *shard) registerGauges() {
 	l := obs.Labels{"table": e.table.Name}
 	reg := e.mx.reg
-	reg.GaugeFunc("wal_watermark_lag", "commit sequences not yet durably groomed (MaxCommitSeq - WALMark)", l,
-		func() int64 { return int64(e.MaxCommitSeq() - e.WALMark()) })
+	reg.GaugeFunc("wal_watermark_lag", "commit sequences not yet durably groomed (max commit sequence - WAL mark)", l,
+		func() int64 { return int64(e.commitSeq.Load() - e.currentWALMark()) })
 	reg.GaugeFunc("wal_segments", "durable log segments held", l,
 		func() int64 { n, _ := e.wal.Stats(); return int64(n) })
 	reg.GaugeFunc("wal_segment_bytes", "durable log bytes held", l,
 		func() int64 { _, b := e.wal.Stats(); return b })
 	reg.GaugeFunc("live_records", "committed-but-ungroomed records (live-zone size)", l,
-		func() int64 { return int64(e.LiveCount()) })
+		func() int64 { return int64(e.liveCount()) })
 	reg.GaugeFunc("live_bytes", "estimated live-zone memory", l, e.liveBytes)
 }
 
 // liveBytes estimates the live zone's memory footprint: per-value struct
 // overhead plus byte/string payload lengths, summed over every committed
 // record awaiting grooming.
-func (e *Engine) liveBytes() int64 {
+func (e *shard) liveBytes() int64 {
 	var total int64
 	for _, r := range e.replicas {
 		r.scan(func(rec logRecord) {

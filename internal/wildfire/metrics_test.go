@@ -17,10 +17,10 @@ import (
 // own status APIs do.
 func TestEngineMetricsFlow(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := newTestEngine(t, func(cfg *Config) { cfg.Obs = reg })
+	e := newTestEngine(t, func(cfg *ShardedConfig) { cfg.Obs = reg })
 	const n = 10
 	for i := int64(0); i < n; i++ {
-		if err := e.UpsertRows(0, row(1, i, float64(i), 100)); err != nil {
+		if err := e.upsert(0, row(1, i, float64(i), 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,7 +41,7 @@ func TestEngineMetricsFlow(t *testing.T) {
 		t.Errorf("wal_watermark_lag = %d before groom, want %d", lag, n)
 	}
 
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	snap = reg.Snapshot()
@@ -60,13 +60,13 @@ func TestEngineMetricsFlow(t *testing.T) {
 	if lag := snap.Get("wal_watermark_lag", lbl).Value; lag != 0 {
 		t.Errorf("wal_watermark_lag = %d after groom, want 0", lag)
 	}
-	if st := e.WALStatus(); int64(st.MaxSeq-st.Mark) != snap.Get("wal_watermark_lag", lbl).Value {
+	if st := e.walStatus(); int64(st.MaxSeq-st.Mark) != snap.Get("wal_watermark_lag", lbl).Value {
 		t.Errorf("gauge disagrees with WALStatus: %+v", st)
 	}
 
 	// A secondary scan back-checks every candidate against the primary;
 	// the verification counter must move once per scanned entry.
-	if err := e.CreateIndex(SecondaryIndexSpec{
+	if err := e.createIndex(SecondaryIndexSpec{
 		Name:      "by_day",
 		IndexSpec: IndexSpec{Equality: []string{"day"}, HashBits: 4},
 	}); err != nil {
@@ -110,14 +110,14 @@ func TestWALFlushErrorCounted(t *testing.T) {
 		ObjectStore: storage.NewMemStore(storage.LatencyModel{}),
 		substr:      "/wal",
 	}
-	e := newTestEngine(t, func(cfg *Config) {
+	e := newTestEngine(t, func(cfg *ShardedConfig) {
 		cfg.Obs = reg
 		cfg.Store = fs
 		cfg.Durability.SyncPolicy = SyncOff
 		cfg.Durability.SegmentBytes = 64 // first commit overflows the buffer
 	})
 	fs.fail.Store(true)
-	if err := e.UpsertRows(0, row(1, 1, 1.0, 1), row(1, 2, 2.0, 1)); err != nil {
+	if err := e.upsert(0, row(1, 1, 1.0, 1), row(1, 2, 2.0, 1)); err != nil {
 		t.Fatalf("buffered commit must not fail on a flush error: %v", err)
 	}
 	lbl := obs.Labels{"table": "sensors"}
@@ -126,7 +126,7 @@ func TestWALFlushErrorCounted(t *testing.T) {
 	}
 	// Let the retry (groom-time flush, close) succeed again.
 	fs.fail.Store(false)
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 }

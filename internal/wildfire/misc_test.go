@@ -12,15 +12,15 @@ func TestFetchErrors(t *testing.T) {
 	e := newTestEngine(t, nil)
 	ingestAndGroom(t, e, row(1, 1, 1.0, 100))
 	// Live-zone RIDs have no blocks.
-	if _, err := e.FetchContext(context.Background(), types.RID{Zone: types.ZoneLive, Block: 1}); err == nil {
+	if _, err := e.fetch(context.Background(), types.RID{Zone: types.ZoneLive, Block: 1}); err == nil {
 		t.Error("Fetch of live-zone RID accepted")
 	}
 	// Offset out of range.
-	if _, err := e.FetchContext(context.Background(), types.RID{Zone: types.ZoneGroomed, Block: 1, Offset: 999}); err == nil {
+	if _, err := e.fetch(context.Background(), types.RID{Zone: types.ZoneGroomed, Block: 1, Offset: 999}); err == nil {
 		t.Error("Fetch past block size accepted")
 	}
 	// Missing block.
-	if _, err := e.FetchContext(context.Background(), types.RID{Zone: types.ZonePostGroomed, Block: 42, Offset: 0}); err == nil {
+	if _, err := e.fetch(context.Background(), types.RID{Zone: types.ZonePostGroomed, Block: 42, Offset: 0}); err == nil {
 		t.Error("Fetch of missing block accepted")
 	}
 }
@@ -85,21 +85,21 @@ func TestPostGroomRetriesAfterFailure(t *testing.T) {
 	if err := e.store.Put(psnMetaName(e.table.Name, 1), []byte("squatter")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PostGroom(); err == nil {
+	if _, err := e.postGroom(); err == nil {
 		t.Fatal("post-groom should fail on the occupied meta name")
 	}
 	// Clear the squatter; the retry must pick the same blocks up again.
 	if err := e.store.Delete(psnMetaName(e.table.Name, 1)); err != nil {
 		t.Fatal(err)
 	}
-	psn, err := e.PostGroom()
+	psn, err := e.postGroom()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if psn != 1 {
 		t.Fatalf("retry PSN = %d, want 1", psn)
 	}
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	eq, sortv := key(1, 1)
@@ -111,10 +111,10 @@ func TestPostGroomRetriesAfterFailure(t *testing.T) {
 func TestLiveLookupPrefersLatestCommit(t *testing.T) {
 	e := newTestEngine(t, nil)
 	// Two ungroomed versions of the same key on different replicas.
-	if err := e.UpsertRows(0, row(1, 1, 1.0, 100)); err != nil {
+	if err := e.upsert(0, row(1, 1, 1.0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UpsertRows(1, row(1, 1, 2.0, 100)); err != nil {
+	if err := e.upsert(1, row(1, 1, 2.0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := e.liveLookup([]keyenc.Value{keyenc.I64(1)}, []keyenc.Value{keyenc.I64(1)}, QueryOptions{IncludeLive: true})
@@ -124,7 +124,7 @@ func TestLiveLookupPrefersLatestCommit(t *testing.T) {
 }
 
 func TestPartitionOfStability(t *testing.T) {
-	e := newTestEngine(t, func(c *Config) { c.Partitions = 8 })
+	e := newTestEngine(t, func(c *ShardedConfig) { c.Partitions = 8 })
 	r := row(1, 1, 1.0, 100)
 	p := e.partitionOf(r)
 	for i := 0; i < 10; i++ {
@@ -136,7 +136,7 @@ func TestPartitionOfStability(t *testing.T) {
 		t.Fatalf("partition %d out of range", p)
 	}
 	// No partition key: everything lands in bucket 0.
-	e2 := newTestEngine(t, func(c *Config) { c.Table.PartitionKey = "" })
+	e2 := newTestEngine(t, func(c *ShardedConfig) { c.Table.PartitionKey = "" })
 	if e2.partitionOf(r) != 0 {
 		t.Error("no partition key must map to bucket 0")
 	}

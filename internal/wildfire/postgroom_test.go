@@ -12,12 +12,12 @@ import (
 	"umzi/internal/types"
 )
 
-func ingestAndGroom(t *testing.T, e *Engine, rows ...Row) {
+func ingestAndGroom(t *testing.T, e *shard, rows ...Row) {
 	t.Helper()
-	if err := e.UpsertRows(0, rows...); err != nil {
+	if err := e.upsert(0, rows...); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -27,15 +27,15 @@ func TestPostGroomEndToEnd(t *testing.T) {
 	ingestAndGroom(t, e, row(1, 1, 10.0, 100), row(1, 2, 11.0, 101))
 	ingestAndGroom(t, e, row(1, 1, 20.0, 100), row(2, 1, 30.0, 102))
 
-	psn, err := e.PostGroom()
+	psn, err := e.postGroom()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if psn != 1 {
 		t.Fatalf("PSN = %d, want 1", psn)
 	}
-	if e.MaxPSN() != 1 {
-		t.Fatalf("MaxPSN = %d", e.MaxPSN())
+	if e.zone.Load().maxPSN != 1 {
+		t.Fatalf("MaxPSN = %d", e.zone.Load().maxPSN)
 	}
 	// Indexer is asynchronous: before SyncIndex the index still reads the
 	// groomed zone. Queries must be correct either way.
@@ -48,7 +48,7 @@ func TestPostGroomEndToEnd(t *testing.T) {
 		t.Errorf("pre-sync read = %v", rec.Row[2])
 	}
 
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.idx.IndexedPSN(); got != 1 {
@@ -81,18 +81,18 @@ func TestReclaimWaitsForQueryEpoch(t *testing.T) {
 	ingestAndGroom(t, e, row(1, 1, 10.0, 100), row(1, 2, 11.0, 101))
 	epoch := e.gate.enter()
 	eq, sortv := key(1, 1)
-	entry, found, err := e.idx.PointLookup(eq, sortv, e.LastGroomTS())
+	entry, found, err := e.idx.PointLookup(eq, sortv, e.lastGroomTS())
 	if err != nil || !found || entry.RID.Zone != types.ZoneGroomed {
 		t.Fatalf("lookup = %v, %v, %v; want a groomed RID", entry.RID, found, err)
 	}
 	name := groomedBlockName(e.table.Name, entry.RID.Block)
-	if _, err := e.PostGroom(); err != nil {
+	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if rec, err := e.FetchContext(context.Background(), entry.RID); err != nil || rec.Row[2].Float() != 10.0 {
+	if rec, err := e.fetch(context.Background(), entry.RID); err != nil || rec.Row[2].Float() != 10.0 {
 		t.Fatalf("in-flight query reads its groomed RID: %v, %v", rec.Row, err)
 	}
 	if _, err := e.store.Get(name); err != nil {
@@ -100,7 +100,7 @@ func TestReclaimWaitsForQueryEpoch(t *testing.T) {
 	}
 
 	e.gate.exit(epoch)
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.store.Get(name); err == nil {
@@ -115,10 +115,10 @@ func TestPostGroomSetsPrevRIDAndEndTS(t *testing.T) {
 	e := newTestEngine(t, nil)
 	ingestAndGroom(t, e, row(1, 1, 10.0, 100))
 	ingestAndGroom(t, e, row(1, 1, 20.0, 100))
-	if _, err := e.PostGroom(); err != nil {
+	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	eq, sortv := key(1, 1)
@@ -129,7 +129,7 @@ func TestPostGroomSetsPrevRIDAndEndTS(t *testing.T) {
 	if rec.PrevRID.IsZero() {
 		t.Fatal("newest version has no prevRID after post-groom")
 	}
-	prev, err := e.FetchContext(context.Background(), rec.PrevRID)
+	prev, err := e.fetch(context.Background(), rec.PrevRID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,18 +149,15 @@ func TestHistoryWalk(t *testing.T) {
 	e := newTestEngine(t, nil)
 	for v := 1; v <= 4; v++ {
 		ingestAndGroom(t, e, row(1, 1, float64(v*10), 100))
-		if _, err := e.PostGroom(); err != nil {
+		if _, err := e.postGroom(); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SyncIndex(); err != nil {
+		if err := e.syncIndex(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	eq, sortv := key(1, 1)
-	hist, err := e.History(eq, sortv, QueryOptions{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := history(t, e, eq, sortv)
 	if len(hist) != 4 {
 		t.Fatalf("history length = %d, want 4", len(hist))
 	}
@@ -176,25 +173,37 @@ func TestHistoryWalk(t *testing.T) {
 			t.Errorf("chain broken at %d: endTS %v != beginTS %v", i, hist[i+1].EndTS, hist[i].BeginTS)
 		}
 	}
-	// Limited walk.
-	hist, err = e.History(eq, sortv, QueryOptions{}, 2)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// history walks a key's version chain backwards from its newest visible
+// version through prevRID (time travel, §2.1): the head get, then one
+// fetch per resolved predecessor. Versions groomed but never
+// post-groomed have no prevRID yet.
+func history(t *testing.T, e *shard, eq, sortv []keyenc.Value) []Record {
+	t.Helper()
+	rec, found, err := getOn(e, "", eq, sortv, QueryOptions{})
+	if err != nil || !found {
+		t.Fatalf("head get: found=%v err=%v", found, err)
 	}
-	if len(hist) != 2 {
-		t.Errorf("limited history length = %d, want 2", len(hist))
+	out := []Record{rec}
+	for !rec.PrevRID.IsZero() {
+		if rec, err = e.fetch(context.Background(), rec.PrevRID); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
 	}
+	return out
 }
 
 func TestPostGroomPartitionsByKey(t *testing.T) {
-	e := newTestEngine(t, func(c *Config) { c.Partitions = 4 })
+	e := newTestEngine(t, func(c *ShardedConfig) { c.Partitions = 4 })
 	// Rows across 4 distinct days: expect multiple post blocks.
 	var rows []Row
 	for msg := int64(0); msg < 16; msg++ {
 		rows = append(rows, row(1, msg, 1.0, 100+msg%4))
 	}
 	ingestAndGroom(t, e, rows...)
-	if _, err := e.PostGroom(); err != nil {
+	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
 	names, err := e.store.List("tbl/sensors/post/")
@@ -204,7 +213,7 @@ func TestPostGroomPartitionsByKey(t *testing.T) {
 	if len(names) < 2 {
 		t.Errorf("partitioned post-groom produced %d blocks, want >= 2", len(names))
 	}
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	// All rows still reachable.
@@ -219,7 +228,7 @@ func TestPostGroomPartitionsByKey(t *testing.T) {
 
 func TestPostGroomNothingPending(t *testing.T) {
 	e := newTestEngine(t, nil)
-	psn, err := e.PostGroom()
+	psn, err := e.postGroom()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,16 +245,16 @@ func TestMultiplePostGroomCycles(t *testing.T) {
 			row(2, int64(c), float64(c)*2, 101),
 		)
 		if c%2 == 1 {
-			if _, err := e.PostGroom(); err != nil {
+			if _, err := e.postGroom(); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.SyncIndex(); err != nil {
+			if err := e.syncIndex(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if e.MaxPSN() != 3 {
-		t.Fatalf("MaxPSN = %d, want 3", e.MaxPSN())
+	if e.zone.Load().maxPSN != 3 {
+		t.Fatalf("MaxPSN = %d, want 3", e.zone.Load().maxPSN)
 	}
 	recs, err := scanOn(e, "", []keyenc.Value{keyenc.I64(1)}, nil, nil, QueryOptions{})
 	if err != nil {
@@ -261,55 +270,55 @@ func TestMultiplePostGroomCycles(t *testing.T) {
 
 func TestEngineRecovery(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
-	cfg := Config{
+	cfg := ShardedConfig{
 		Table:    iotTable(),
 		Index:    iotIndex(),
 		Store:    store,
 		Replicas: 1,
 	}
-	e, err := NewEngine(cfg)
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UpsertRows(0, row(1, 1, 10.0, 100), row(1, 2, 11.0, 100)); err != nil {
+	if err := e.upsert(0, row(1, 1, 10.0, 100), row(1, 2, 11.0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UpsertRows(0, row(1, 1, 20.0, 100)); err != nil {
+	if err := e.upsert(0, row(1, 1, 20.0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PostGroom(); err != nil {
+	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	// More data groomed after the post-groom so both zones are live.
-	if err := e.UpsertRows(0, row(2, 1, 30.0, 101)); err != nil {
+	if err := e.upsert(0, row(2, 1, 30.0, 101)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	lastTS := e.LastGroomTS()
-	e.Close()
+	lastTS := e.lastGroomTS()
+	e.close()
 
 	// Crash: a new engine over the same storage.
-	e2, err := NewEngine(cfg)
+	e2, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e2.Close()
-	if e2.LastGroomTS() < lastTS {
-		t.Errorf("recovered groom TS %v < pre-crash %v", e2.LastGroomTS(), lastTS)
+	defer e2.close()
+	if e2.lastGroomTS() < lastTS {
+		t.Errorf("recovered groom TS %v < pre-crash %v", e2.lastGroomTS(), lastTS)
 	}
-	if e2.MaxPSN() != 1 {
-		t.Errorf("recovered MaxPSN = %d, want 1", e2.MaxPSN())
+	if e2.zone.Load().maxPSN != 1 {
+		t.Errorf("recovered MaxPSN = %d, want 1", e2.zone.Load().maxPSN)
 	}
 	eq, sortv := key(1, 1)
 	rec, found, err := getOn(e2, "", eq, sortv, QueryOptions{})
@@ -321,7 +330,7 @@ func TestEngineRecovery(t *testing.T) {
 	}
 	// endTS overlay recovered from sidecars.
 	if !rec.PrevRID.IsZero() {
-		prev, err := e2.FetchContext(context.Background(), rec.PrevRID)
+		prev, err := e2.fetch(context.Background(), rec.PrevRID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,16 +343,16 @@ func TestEngineRecovery(t *testing.T) {
 		t.Error("groomed-after-postgroom record lost in recovery")
 	}
 	// The engine keeps working after recovery.
-	if err := e2.UpsertRows(0, row(3, 1, 40.0, 102)); err != nil {
+	if err := e2.upsert(0, row(3, 1, 40.0, 102)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.Groom(); err != nil {
+	if _, err := e2.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e2.PostGroom(); err != nil {
+	if _, err := e2.postGroom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.SyncIndex(); err != nil {
+	if err := e2.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	eq, sortv = key(3, 1)
@@ -355,18 +364,18 @@ func TestEngineRecovery(t *testing.T) {
 func TestBackgroundDaemons(t *testing.T) {
 	// A 1-shard table's daemons drive its only shard's whole pipeline.
 	s := newTestShardedEngine(t, 1, nil)
-	e := s.Shard(0)
+	e := s.shards[0]
 	s.Start(2*time.Millisecond, 10*time.Millisecond)
 	for i := int64(0); i < 50; i++ {
-		if err := e.UpsertRows(int(i)%2, row(1, i, float64(i), 100+i%3)); err != nil {
+		if err := e.upsert(int(i)%2, row(1, i, float64(i), 100+i%3)); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(500 * time.Microsecond)
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for e.MaxPSN() == 0 || uint64(e.idx.IndexedPSN()) < uint64(e.MaxPSN()) {
+	for e.zone.Load().maxPSN == 0 || uint64(e.idx.IndexedPSN()) < uint64(e.zone.Load().maxPSN) {
 		if time.Now().After(deadline) {
-			t.Fatalf("daemons stalled: MaxPSN=%d IndexedPSN=%d live=%d", e.MaxPSN(), e.idx.IndexedPSN(), e.LiveCount())
+			t.Fatalf("daemons stalled: MaxPSN=%d IndexedPSN=%d live=%d", e.zone.Load().maxPSN, e.idx.IndexedPSN(), e.liveCount())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -410,21 +419,21 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 		defer stop.Store(true)
 		for round := 0; round < 15; round++ {
 			for d := int64(0); d < devices; d++ {
-				if err := e.UpsertRows(int(d)%2, row(d, int64(round)%msgs, float64(round), 100+int64(round)%4)); err != nil {
+				if err := e.upsert(int(d)%2, row(d, int64(round)%msgs, float64(round), 100+int64(round)%4)); err != nil {
 					report(err)
 					return
 				}
 			}
-			if err := e.Groom(); err != nil {
+			if _, err := e.groomCount(); err != nil {
 				report(err)
 				return
 			}
 			if round%4 == 3 {
-				if _, err := e.PostGroom(); err != nil {
+				if _, err := e.postGroom(); err != nil {
 					report(err)
 					return
 				}
-				if err := e.SyncIndex(); err != nil {
+				if err := e.syncIndex(); err != nil {
 					report(err)
 					return
 				}

@@ -15,7 +15,7 @@ import (
 	"umzi/internal/types"
 )
 
-// PostGroom performs one post-groom operation (§2.1): it takes every
+// postGroom performs one post-groom operation (§2.1): it takes every
 // groomed block not yet post-groomed, uses the post-groomed portion of
 // the index to collect the RIDs of the already-post-groomed records that
 // the new records replace, sets prevRID on the new copies and endTS on
@@ -32,7 +32,7 @@ import (
 // its replaced predecessor — living in an older, immutable post-groomed
 // block — needs the endTS sidecar (shared storage forbids in-place
 // updates; Wildfire versions this metadata similarly).
-func (e *Engine) PostGroom() (types.PSN, error) {
+func (e *shard) postGroom() (types.PSN, error) {
 	if e.closed.Load() {
 		return 0, fmt.Errorf("wildfire: engine closed")
 	}
@@ -211,7 +211,7 @@ func (e *Engine) PostGroom() (types.PSN, error) {
 
 // partitionOf buckets a row by its partition key (hash partitioning); a
 // table without a partition key lands everything in bucket 0.
-func (e *Engine) partitionOf(row Row) int {
+func (e *shard) partitionOf(row Row) int {
 	if e.table.PartitionKey == "" || e.partitions <= 1 {
 		return 0
 	}

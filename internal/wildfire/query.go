@@ -50,7 +50,7 @@ type QueryOptions struct {
 	Trace *obs.QueryTrace
 }
 
-func (e *Engine) resolveTS(opts QueryOptions) types.TS {
+func (e *shard) resolveTS(opts QueryOptions) types.TS {
 	_, ts, _ := e.capture(opts, nil)
 	return ts
 }
@@ -64,7 +64,7 @@ func (e *Engine) resolveTS(opts QueryOptions) types.TS {
 // twice; it carries its commit sequence). It returns the version, the
 // query timestamp and whether the cut reads live: live records have no
 // beginTS yet, so only reads at the newest snapshot see them.
-func (e *Engine) capture(opts QueryOptions, visit func(logRecord)) (*zoneVersion, types.TS, bool) {
+func (e *shard) capture(opts QueryOptions, visit func(logRecord)) (*zoneVersion, types.TS, bool) {
 	if visit != nil {
 		for _, r := range e.replicas {
 			r.scan(visit)
@@ -84,21 +84,10 @@ func (e *Engine) capture(opts QueryOptions, visit func(logRecord)) (*zoneVersion
 	return v, ts, true
 }
 
-// GetOnContext returns the newest visible version of a key through a
-// chosen index ("" is the primary, whose key — equality + sort column
-// values — is unique). For a secondary the key need not be unique: eq
-// and sortv cover the index's declared equality and sort columns (not
-// the primary-key uniquifier), and the newest visible version of the
-// first matching key in index order is returned. Only primary gets
-// consult the live zone.
-func (e *Engine) GetOnContext(ctx context.Context, index string, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
-	if index != "" {
-		recs, err := drainCursor(e.ScanStreamOn(ctx, index, eq, sortv, sortv, withLimit(opts, 1)))
-		if err != nil || len(recs) == 0 {
-			return Record{}, false, err
-		}
-		return recs[0], true, nil
-	}
+// getOn returns the newest visible version of a primary key (its
+// equality and sort column values), consulting the live zone when the
+// options ask for it.
+func (e *shard) getOn(ctx context.Context, eq, sortv []keyenc.Value, opts QueryOptions) (Record, bool, error) {
 	if e.closed.Load() {
 		return Record{}, false, fmt.Errorf("wildfire: engine closed")
 	}
@@ -115,19 +104,11 @@ func (e *Engine) GetOnContext(ctx context.Context, index string, eq, sortv []key
 	if err != nil || !found {
 		return Record{}, false, err
 	}
-	rec, err := e.FetchContext(ctx, entry.RID)
+	rec, err := e.fetch(ctx, entry.RID)
 	if err != nil {
 		return Record{}, false, err
 	}
 	return rec, true, nil
-}
-
-// withLimit tightens the options' row limit.
-func withLimit(opts QueryOptions, limit int) QueryOptions {
-	if opts.Limit == 0 || opts.Limit > limit {
-		opts.Limit = limit
-	}
-	return opts
 }
 
 // liveLookup takes a point get's cut (capture): it returns the newest
@@ -138,7 +119,7 @@ func withLimit(opts QueryOptions, limit int) QueryOptions {
 // target segment through a reusable scratch buffer, bailing at the first
 // mismatch instead of building a full composite (and an allocation) per
 // record.
-func (e *Engine) liveLookup(eq, sortv []keyenc.Value, opts QueryOptions) (Row, types.TS) {
+func (e *shard) liveLookup(eq, sortv []keyenc.Value, opts QueryOptions) (Row, types.TS) {
 	if !opts.IncludeLive {
 		return nil, e.resolveTS(opts)
 	}
@@ -173,9 +154,9 @@ func (e *Engine) liveLookup(eq, sortv []keyenc.Value, opts QueryOptions) (Row, t
 	return best, ts
 }
 
-// GetBatchContext resolves a batch of point lookups through the index's
+// getBatch resolves a batch of point lookups through the index's
 // sorted batch path (§7.2).
-func (e *Engine) GetBatchContext(ctx context.Context, keys []core.LookupKey, opts QueryOptions) ([]Record, []bool, error) {
+func (e *shard) getBatch(ctx context.Context, keys []core.LookupKey, opts QueryOptions) ([]Record, []bool, error) {
 	if e.closed.Load() {
 		return nil, nil, fmt.Errorf("wildfire: engine closed")
 	}
@@ -190,7 +171,7 @@ func (e *Engine) GetBatchContext(ctx context.Context, keys []core.LookupKey, opt
 		if !found[i] {
 			continue
 		}
-		rec, err := e.FetchContext(ctx, entries[i].RID)
+		rec, err := e.fetch(ctx, entries[i].RID)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -227,7 +208,7 @@ const verifyCheckEvery = 256
 // superseded under a different secondary key and is dropped. For the
 // primary, flat is decoded only when decode is set. limit counts
 // verified entries; 0 means unlimited. Callers hold a gate epoch.
-func (e *Engine) indexScanEntries(ctx context.Context, ti *tableIndex, eq, sortLo, sortHi []keyenc.Value, ts types.TS, limit int, decode bool, tr *obs.QueryTrace) ([]verifiedEntry, error) {
+func (e *shard) indexScanEntries(ctx context.Context, ti *tableIndex, eq, sortLo, sortHi []keyenc.Value, ts types.TS, limit int, decode bool, tr *obs.QueryTrace) ([]verifiedEntry, error) {
 	if len(eq) != len(ti.spec.Equality) {
 		return nil, fmt.Errorf("wildfire: index %q scan requires all equality values (%d, want %d)",
 			ti.name, len(eq), len(ti.spec.Equality))
@@ -268,7 +249,7 @@ func (e *Engine) indexScanEntries(ctx context.Context, ti *tableIndex, eq, sortL
 // verifyEntry runs the primary back-check (and optional decode) over
 // one scanned entry; ok=false means the candidate was superseded under
 // another secondary key and must be dropped.
-func (e *Engine) verifyEntry(ti *tableIndex, entry run.Entry, ts types.TS, decode bool, tr *obs.QueryTrace) (verifiedEntry, bool, error) {
+func (e *shard) verifyEntry(ti *tableIndex, entry run.Entry, ts types.TS, decode bool, tr *obs.QueryTrace) (verifiedEntry, bool, error) {
 	ve := verifiedEntry{entry: entry}
 	var err error
 	if !ti.primary() || decode {
@@ -298,7 +279,7 @@ func (e *Engine) verifyEntry(ti *tableIndex, entry run.Entry, ts types.TS, decod
 // scanned entries, stopping after limit verified results (0 = all). The
 // context is checked every verifyCheckEvery entries so a cancelled
 // query abandons a large verification pass promptly.
-func (e *Engine) verifyEntries(ctx context.Context, ti *tableIndex, entries []run.Entry, ts types.TS, limit int, decode bool, tr *obs.QueryTrace) ([]verifiedEntry, error) {
+func (e *shard) verifyEntries(ctx context.Context, ti *tableIndex, entries []run.Entry, ts types.TS, limit int, decode bool, tr *obs.QueryTrace) ([]verifiedEntry, error) {
 	out := make([]verifiedEntry, 0, len(entries))
 	for i, entry := range entries {
 		if i%verifyCheckEvery == 0 {
@@ -321,14 +302,14 @@ func (e *Engine) verifyEntries(ctx context.Context, ti *tableIndex, entries []ru
 	return out, nil
 }
 
-// ScanStreamOn streams the newest visible version of every key matching
+// scanStreamOn streams the newest visible version of every key matching
 // the equality values and the inclusive bounds on a prefix of the
 // chosen index's sort columns, in index-key order ("" is the primary).
 // The raw index walk runs up front (bounded by opts.Limit when set);
 // data blocks — and, for unlimited scans, the per-entry verification
 // back-check — run lazily per Next, honoring the context. The cursor
 // holds a query-gate epoch until Close or exhaustion.
-func (e *Engine) ScanStreamOn(ctx context.Context, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) (*Cursor[Record], error) {
+func (e *shard) scanStreamOn(ctx context.Context, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) (*Cursor[Record], error) {
 	next, release, err := e.openIndexScan(ctx, index, eq, sortLo, sortHi, opts, false)
 	if err != nil {
 		return nil, err
@@ -338,7 +319,7 @@ func (e *Engine) ScanStreamOn(ctx context.Context, index string, eq, sortLo, sor
 		if err != nil || !ok {
 			return Record{}, false, err
 		}
-		rec, err := e.FetchContext(ctx, ve.entry.RID)
+		rec, err := e.fetch(ctx, ve.entry.RID)
 		if err != nil {
 			return Record{}, false, err
 		}
@@ -347,12 +328,12 @@ func (e *Engine) ScanStreamOn(ctx context.Context, index string, eq, sortLo, sor
 	return newCursor(fetch, release), nil
 }
 
-// IndexOnlyStreamOn is ScanStreamOn without record fetches: result rows
+// indexOnlyStreamOn is scanStreamOn without record fetches: result rows
 // are assembled entirely from the chosen index, in its effective column
 // order (equality, sort — including the primary-key uniquifier for
 // secondaries — then included columns). Verification still runs, but
 // touches only the primary index, never a data block.
-func (e *Engine) IndexOnlyStreamOn(ctx context.Context, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) (*Cursor[[]keyenc.Value], error) {
+func (e *shard) indexOnlyStreamOn(ctx context.Context, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) (*Cursor[[]keyenc.Value], error) {
 	next, release, err := e.openIndexScan(ctx, index, eq, sortLo, sortHi, opts, true)
 	if err != nil {
 		return nil, err
@@ -377,7 +358,7 @@ func (e *Engine) IndexOnlyStreamOn(ctx context.Context, index string, eq, sortLo
 // — happens only as the consumer advances, so an early Close abandons
 // it. The returned release func exits the gate epoch and must be called
 // exactly once (the cursors do this via Close).
-func (e *Engine) openIndexScan(ctx context.Context, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions, decode bool) (func() (verifiedEntry, bool, error), func() error, error) {
+func (e *shard) openIndexScan(ctx context.Context, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions, decode bool) (func() (verifiedEntry, bool, error), func() error, error) {
 	if e.closed.Load() {
 		return nil, nil, fmt.Errorf("wildfire: engine closed")
 	}
@@ -449,28 +430,4 @@ func (e *Engine) openIndexScan(ctx context.Context, index string, eq, sortLo, so
 		}
 	}
 	return next, release, nil
-}
-
-// History walks the version chain of a key backwards from its newest
-// visible version using prevRID (time travel, §2.1). Versions groomed
-// but never post-groomed have no prevRID yet; the walk covers what the
-// post-groomer has resolved plus the head version.
-func (e *Engine) History(eq, sortv []keyenc.Value, opts QueryOptions, limit int) ([]Record, error) {
-	epoch := e.gate.enter()
-	defer e.gate.exit(epoch)
-	ctx := context.Background()
-	rec, found, err := e.GetOnContext(ctx, "", eq, sortv, opts)
-	if err != nil || !found {
-		return nil, err
-	}
-	out := []Record{rec}
-	for len(out) != limit && !rec.PrevRID.IsZero() {
-		prev, err := e.FetchContext(ctx, rec.PrevRID)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, prev)
-		rec = prev
-	}
-	return out, nil
 }

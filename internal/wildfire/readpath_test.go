@@ -19,17 +19,17 @@ import (
 // readers piggyback.
 func TestBlockCacheStampede(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
-	e := newTestEngine(t, func(cfg *Config) { cfg.Store = store })
+	e := newTestEngine(t, func(cfg *ShardedConfig) { cfg.Store = store })
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 4; round++ {
 		rows := make([]Row, 24)
 		for i := range rows {
 			rows[i] = row(rng.Int63n(8), rng.Int63n(64), float64(rng.Int63n(1000)), 100+rng.Int63n(3))
 		}
-		if err := e.UpsertRows(0, rows...); err != nil {
+		if err := e.upsert(0, rows...); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.GroomCount(); err != nil {
+		if _, err := e.groomCount(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,15 +98,15 @@ func readPathEquivalence(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	const devices, msgs = 6, 9
 
-	seq := newTestEngine(t, func(cfg *Config) { cfg.ScanParallelism = 1 })
-	par := newTestEngine(t, func(cfg *Config) { cfg.ScanParallelism = 8 })
-	starved := newTestEngine(t, func(cfg *Config) {
+	seq := newTestEngine(t, func(cfg *ShardedConfig) { cfg.ScanParallelism = 1 })
+	par := newTestEngine(t, func(cfg *ShardedConfig) { cfg.ScanParallelism = 8 })
+	starved := newTestEngine(t, func(cfg *ShardedConfig) {
 		cfg.ScanParallelism = 8
 		cfg.BlockCacheBytes = 16 << 10
 	})
 	sharded := newTestShardedEngine(t, 4, func(cfg *ShardedConfig) { cfg.ScanParallelism = 4 })
 
-	singles := []*Engine{seq, par, starved}
+	singles := []*shard{seq, par, starved}
 	var boundaries []types.TS
 
 	check := func(p exec.Plan, opts QueryOptions, label string) {
@@ -121,7 +121,7 @@ func readPathEquivalence(t *testing.T, seed int64) {
 		}{
 			{"par", func() (*exec.Result, error) { return execute(par, p, opts) }},
 			{"starved", func() (*exec.Result, error) { return execute(starved, p, opts) }},
-			{"sharded", func() (*exec.Result, error) { return execute(sharded, p, opts) }},
+			{"sharded", func() (*exec.Result, error) { return tableExecute(sharded, p, opts) }},
 			{"par-zone-scan", func() (*exec.Result, error) {
 				o := opts
 				o.NoIndexSelection = true
@@ -161,24 +161,24 @@ func readPathEquivalence(t *testing.T, seed int64) {
 
 	for round := 0; round < 16; round++ {
 		for _, e := range singles {
-			if _, err := e.GroomCount(); err != nil {
+			if _, err := e.groomCount(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := sharded.GroomCount(); err != nil {
+		if _, err := sharded.groomCount(); err != nil {
 			t.Fatal(err)
 		}
-		if seq.LastGroomTS() != par.LastGroomTS() || seq.LastGroomTS() != sharded.SnapshotTS() {
+		if seq.lastGroomTS() != par.lastGroomTS() || seq.lastGroomTS() != sharded.SnapshotTS() {
 			t.Fatalf("round %d: groom boundaries diverged", round)
 		}
-		boundaries = append(boundaries, seq.LastGroomTS())
+		boundaries = append(boundaries, seq.lastGroomTS())
 
 		if rng.Intn(3) == 0 {
 			for _, e := range singles {
-				if _, err := e.PostGroom(); err != nil {
+				if _, err := e.postGroom(); err != nil {
 					t.Fatal(err)
 				}
-				if err := e.SyncIndex(); err != nil {
+				if err := e.syncIndex(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -197,7 +197,7 @@ func readPathEquivalence(t *testing.T, seed int64) {
 		}
 		replica := rng.Intn(2)
 		for _, e := range singles {
-			if err := e.UpsertRows(replica, rows...); err != nil {
+			if err := e.upsert(replica, rows...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -221,7 +221,7 @@ func readPathEquivalence(t *testing.T, seed int64) {
 
 	// The starved engine must actually have churned; otherwise the
 	// eviction path went untested.
-	if st := starved.BlockCache().Stats(); st.Evictions == 0 {
+	if st := starved.blocks.Stats(); st.Evictions == 0 {
 		t.Fatalf("starved engine saw no evictions; budget too generous for the test to bite: %+v", st)
 	}
 }
@@ -233,7 +233,7 @@ func readPathEquivalence(t *testing.T, seed int64) {
 // the byte budget.
 func TestBlockCacheChurnInvariant(t *testing.T) {
 	const budget = 16 << 10
-	e := newTestEngine(t, func(cfg *Config) {
+	e := newTestEngine(t, func(cfg *ShardedConfig) {
 		cfg.ScanParallelism = 4
 		cfg.BlockCacheBytes = budget
 	})
@@ -242,13 +242,13 @@ func TestBlockCacheChurnInvariant(t *testing.T) {
 	for i := range seedRows {
 		seedRows[i] = row(rng.Int63n(8), rng.Int63n(64), float64(rng.Int63n(1000)), 100+rng.Int63n(3))
 	}
-	if err := e.UpsertRows(0, seedRows...); err != nil {
+	if err := e.upsert(0, seedRows...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.GroomCount(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	ts0 := e.LastGroomTS()
+	ts0 := e.lastGroomTS()
 	plan := exec.Plan{
 		GroupBy: []string{"day"},
 		Aggs:    []exec.Agg{{Func: exec.Count}, {Func: exec.Sum, Col: "reading"}},
@@ -299,17 +299,17 @@ func TestBlockCacheChurnInvariant(t *testing.T) {
 		for i := range rows {
 			rows[i] = row(rng.Int63n(8), rng.Int63n(64), float64(rng.Int63n(1000)), 100+rng.Int63n(3))
 		}
-		if err := e.UpsertRows(0, rows...); err != nil {
+		if err := e.upsert(0, rows...); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.GroomCount(); err != nil {
+		if _, err := e.groomCount(); err != nil {
 			t.Fatal(err)
 		}
 		if round%3 == 2 {
-			if _, err := e.PostGroom(); err != nil {
+			if _, err := e.postGroom(); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.SyncIndex(); err != nil {
+			if err := e.syncIndex(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -336,7 +336,7 @@ func TestBlockCacheChurnInvariant(t *testing.T) {
 func BenchmarkParallelScan(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := Config{
+			cfg := ShardedConfig{
 				Table:    iotTable(),
 				Index:    iotIndex(),
 				Store:    storage.NewMemStore(storage.LatencyModel{}),
@@ -347,21 +347,21 @@ func BenchmarkParallelScan(b *testing.B) {
 			cfg.IndexTuning.PostGroomedLevels = 2
 			cfg.IndexTuning.BlockSize = 1024
 			cfg.ScanParallelism = workers
-			e, err := NewEngine(cfg)
+			e, err := openShard(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer e.Close()
+			defer e.close()
 			rng := rand.New(rand.NewSource(3))
 			for round := 0; round < 8; round++ {
 				rows := make([]Row, 512)
 				for i := range rows {
 					rows[i] = row(rng.Int63n(64), rng.Int63n(1024), float64(rng.Int63n(1000)), 100+rng.Int63n(3))
 				}
-				if err := e.UpsertRows(0, rows...); err != nil {
+				if err := e.upsert(0, rows...); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := e.GroomCount(); err != nil {
+				if _, err := e.groomCount(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -97,7 +97,7 @@ func (r *shardRouter) shardOfRow(row Row) int {
 }
 
 // shardOfKey returns the shard owning a full query key (all equality and
-// sort values present, as in Get/GetBatch/History).
+// sort values present, as in a point get or GetBatch).
 func (r *shardRouter) shardOfKey(eq, sortv []keyenc.Value) int {
 	var scratch [4]keyenc.Value
 	vals := scratch[:0]

@@ -37,7 +37,7 @@ func TestSecondaryConcurrentWithPipeline(t *testing.T) {
 			for i := 0; i < opsPerGor; i++ {
 				id := int64(rng.Intn(keySpace))
 				r := orderRow(id, testRegions[rng.Intn(len(testRegions))], int64(rng.Intn(3)), int64(rng.Intn(1000)))
-				if err := e.UpsertRows(0, r); err != nil {
+				if err := e.upsert(0, r); err != nil {
 					t.Error(err)
 					return
 				}
@@ -50,18 +50,18 @@ func TestSecondaryConcurrentWithPipeline(t *testing.T) {
 	go func() {
 		defer wgPipe.Done()
 		for i := 0; !stop.Load(); i++ {
-			if err := e.Groom(); err != nil {
+			if _, err := e.groomCount(); err != nil {
 				t.Error(err)
 				return
 			}
 			if i%3 == 1 {
-				if _, err := e.PostGroom(); err != nil {
+				if _, err := e.postGroom(); err != nil {
 					t.Error(err)
 					return
 				}
 			}
 			if i%3 == 2 {
-				if err := e.SyncIndex(); err != nil {
+				if err := e.syncIndex(); err != nil {
 					t.Error(err)
 					return
 				}
@@ -140,13 +140,13 @@ func TestSecondaryConcurrentWithPipeline(t *testing.T) {
 	stop.Store(true)
 	wgPipe.Wait()
 	// Final flush, then structural invariants on every index.
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PostGroom(); err != nil {
+	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	for _, ti := range e.indexSet() {

@@ -45,9 +45,9 @@ func byStatusAmount() SecondaryIndexSpec {
 	}
 }
 
-func newOrdersEngine(t *testing.T, mutate func(*Config)) *Engine {
+func newOrdersEngine(t *testing.T, mutate func(*ShardedConfig)) *shard {
 	t.Helper()
-	cfg := Config{
+	cfg := ShardedConfig{
 		Table:       ordersTestTable(),
 		Index:       ordersPrimary(),
 		Secondaries: []SecondaryIndexSpec{byRegion(), byStatusAmount()},
@@ -60,11 +60,11 @@ func newOrdersEngine(t *testing.T, mutate func(*Config)) *Engine {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	e, err := NewEngine(cfg)
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
+	t.Cleanup(func() { e.close() })
 	return e
 }
 
@@ -134,17 +134,17 @@ func sameRows(t *testing.T, what string, got, want map[int64]Row) {
 // reads at an older snapshot still see it there.
 func TestSecondaryStaleEntrySuppression(t *testing.T) {
 	e := newOrdersEngine(t, nil)
-	if err := e.UpsertRows(0, orderRow(1, "amer", 0, 100)); err != nil {
+	if err := e.upsert(0, orderRow(1, "amer", 0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	tsOld := e.LastGroomTS()
-	if err := e.UpsertRows(0, orderRow(1, "emea", 1, 150)); err != nil {
+	tsOld := e.lastGroomTS()
+	if err := e.upsert(0, orderRow(1, "emea", 1, 150)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -154,10 +154,10 @@ func TestSecondaryStaleEntrySuppression(t *testing.T) {
 	}{
 		{"groomed-only", func() error { return nil }},
 		{"post-groomed", func() error {
-			if _, err := e.PostGroom(); err != nil {
+			if _, err := e.postGroom(); err != nil {
 				return err
 			}
-			return e.SyncIndex()
+			return e.syncIndex()
 		}},
 	}
 	for _, st := range stages {
@@ -271,20 +271,20 @@ func TestSecondaryPropertyVsNaive(t *testing.T) {
 		for i := 0; i < n; i++ {
 			id := int64(rng.Intn(keySpace))
 			r := orderRow(id, testRegions[rng.Intn(len(testRegions))], int64(rng.Intn(3)), int64(rng.Intn(1000)))
-			if err := e.UpsertRows(0, r); err != nil {
+			if err := e.upsert(0, r); err != nil {
 				t.Fatal(err)
 			}
 			shadow[id] = r
 		}
-		if err := e.Groom(); err != nil {
+		if _, err := e.groomCount(); err != nil {
 			t.Fatal(err)
 		}
 		switch round % 3 {
 		case 1:
-			if _, err := e.PostGroom(); err != nil {
+			if _, err := e.postGroom(); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.SyncIndex(); err != nil {
+			if err := e.syncIndex(); err != nil {
 				t.Fatal(err)
 			}
 		case 2:
@@ -302,47 +302,47 @@ func TestSecondaryPropertyVsNaive(t *testing.T) {
 // already holds data in every zone and checks they answer like the
 // pipeline-maintained ones.
 func TestCreateIndexBackfill(t *testing.T) {
-	e := newOrdersEngine(t, func(cfg *Config) { cfg.Secondaries = nil })
+	e := newOrdersEngine(t, func(cfg *ShardedConfig) { cfg.Secondaries = nil })
 	rng := rand.New(rand.NewSource(7))
 	shadow := shadowOrders{}
 	for round := 0; round < 6; round++ {
 		for i := 0; i < 30; i++ {
 			id := int64(rng.Intn(50))
 			r := orderRow(id, testRegions[rng.Intn(len(testRegions))], int64(rng.Intn(3)), int64(rng.Intn(1000)))
-			if err := e.UpsertRows(0, r); err != nil {
+			if err := e.upsert(0, r); err != nil {
 				t.Fatal(err)
 			}
 			shadow[id] = r
 		}
-		if err := e.Groom(); err != nil {
+		if _, err := e.groomCount(); err != nil {
 			t.Fatal(err)
 		}
 		if round == 2 {
 			// Leave rounds 3..5 pending so the backfill covers both the
 			// post-groomed and the groomed zone.
-			if _, err := e.PostGroom(); err != nil {
+			if _, err := e.postGroom(); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.SyncIndex(); err != nil {
+			if err := e.syncIndex(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
-	if err := e.CreateIndex(byRegion()); err != nil {
+	if err := e.createIndex(byRegion()); err != nil {
 		t.Fatal(err)
 	}
 	// Identical redeclaration is idempotent (sharded retry path); a
 	// conflicting one is rejected.
-	if err := e.CreateIndex(byRegion()); err != nil {
+	if err := e.createIndex(byRegion()); err != nil {
 		t.Fatalf("idempotent CreateIndex failed: %v", err)
 	}
-	if names := e.SecondaryNames(); len(names) != 1 {
-		t.Fatalf("idempotent CreateIndex duplicated the index: %v", names)
+	if specs := e.secondarySpecs(); len(specs) != 1 {
+		t.Fatalf("idempotent CreateIndex duplicated the index: %v", specs)
 	}
 	conflict := byRegion()
 	conflict.Equality = []string{"status"}
-	if err := e.CreateIndex(conflict); err == nil {
+	if err := e.createIndex(conflict); err == nil {
 		t.Fatal("conflicting CreateIndex succeeded")
 	}
 	for _, region := range testRegions {
@@ -354,10 +354,10 @@ func TestCreateIndexBackfill(t *testing.T) {
 	}
 
 	// The new index must be maintained from here on.
-	if err := e.UpsertRows(0, orderRow(999, "amer", 0, 1)); err != nil {
+	if err := e.upsert(0, orderRow(999, "amer", 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	shadow[999] = orderRow(999, "amer", 0, 1)
@@ -372,14 +372,14 @@ func TestCreateIndexBackfill(t *testing.T) {
 // online-created secondaries — from shared storage alone.
 func TestSecondaryRecovery(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
-	cfg := Config{
+	cfg := ShardedConfig{
 		Table:       ordersTestTable(),
 		Index:       ordersPrimary(),
 		Secondaries: []SecondaryIndexSpec{byRegion()},
 		Store:       store,
 	}
 	cfg.IndexTuning.BlockSize = 1024
-	e, err := NewEngine(cfg)
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,44 +390,44 @@ func TestSecondaryRecovery(t *testing.T) {
 		for i := 0; i < n; i++ {
 			id := int64(rng.Intn(40))
 			r := orderRow(id, testRegions[rng.Intn(len(testRegions))], int64(rng.Intn(3)), int64(rng.Intn(1000)))
-			if err := e.UpsertRows(0, r); err != nil {
+			if err := e.upsert(0, r); err != nil {
 				t.Fatal(err)
 			}
 			shadow[id] = r
 		}
-		if err := e.Groom(); err != nil {
+		if _, err := e.groomCount(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ingest(40)
 	ingest(40)
-	if _, err := e.PostGroom(); err != nil {
+	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	// Online-created second secondary, then more groomed-but-not-post-
 	// groomed data so recovery sees every zone populated.
-	if err := e.CreateIndex(byStatusAmount()); err != nil {
+	if err := e.createIndex(byStatusAmount()); err != nil {
 		t.Fatal(err)
 	}
 	ingest(40)
-	if err := e.Close(); err != nil {
+	if err := e.close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Reopen WITHOUT declaring any secondary: the catalog restores both.
 	cfg2 := cfg
 	cfg2.Secondaries = nil
-	e, err = NewEngine(cfg2)
+	e, err = openShard(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	names := e.SecondaryNames()
-	if len(names) != 2 || names[0] != "by_region" || names[1] != "by_status_amount" {
-		t.Fatalf("recovered secondaries = %v", names)
+	defer e.close()
+	specs := e.secondarySpecs()
+	if len(specs) != 2 || specs[0].Name != "by_region" || specs[1].Name != "by_status_amount" {
+		t.Fatalf("recovered secondaries = %v", specs)
 	}
 	for _, region := range testRegions {
 		recs, err := scanOn(e, "by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{})
@@ -455,7 +455,7 @@ func TestSecondaryRecovery(t *testing.T) {
 		Name:      "by_region",
 		IndexSpec: IndexSpec{Equality: []string{"status"}},
 	}}
-	if _, err := NewEngine(bad); err == nil {
+	if _, err := openShard(bad); err == nil {
 		t.Fatal("conflicting secondary spec accepted on recovery")
 	}
 }
@@ -468,46 +468,46 @@ func TestSecondaryRecovery(t *testing.T) {
 // newest-version reconciliation.
 func TestRecoveryAfterFullReclamation(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
-	cfg := Config{
+	cfg := ShardedConfig{
 		Table: ordersTestTable(),
 		Index: ordersPrimary(),
 		Store: store,
 	}
-	e, err := NewEngine(cfg)
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 100; i++ {
-		if err := e.UpsertRows(0, orderRow(i, "amer", 0, i)); err != nil {
+		if err := e.upsert(0, orderRow(i, "amer", 0, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PostGroom(); err != nil {
+	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err) // every groomed block is now consumed and reclaimed
 	}
 	oldCycle := e.groomCycle.Load()
-	if err := e.Close(); err != nil {
+	if err := e.close(); err != nil {
 		t.Fatal(err)
 	}
 
-	e, err = NewEngine(cfg)
+	e, err = openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	defer e.close()
 	if got := e.groomCycle.Load(); got < oldCycle {
 		t.Fatalf("groom clock ran backwards across recovery: %d < %d", got, oldCycle)
 	}
-	if err := e.UpsertRows(0, orderRow(5, "emea", 1, 9999)); err != nil {
+	if err := e.upsert(0, orderRow(5, "emea", 1, 9999)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	rec, found, err := getOn(e, "", []keyenc.Value{keyenc.I64(5)}, nil, QueryOptions{})
@@ -526,21 +526,21 @@ func TestRecoveryAfterFullReclamation(t *testing.T) {
 func TestSecondaryLimitedScanWidens(t *testing.T) {
 	e := newOrdersEngine(t, nil)
 	for i := int64(0); i < 40; i++ {
-		if err := e.UpsertRows(0, orderRow(i, "amer", 0, i)); err != nil {
+		if err := e.upsert(0, orderRow(i, "amer", 0, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	// Move ids 0..35 out of amer: their by_region entries under "amer"
 	// are now stale, and they sort before the four ids still there.
 	for i := int64(0); i < 36; i++ {
-		if err := e.UpsertRows(0, orderRow(i, "emea", 1, i)); err != nil {
+		if err := e.upsert(0, orderRow(i, "emea", 1, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := scanOn(e, "by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{Limit: 2})
@@ -589,34 +589,34 @@ func TestExecuteIndexSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200; i++ {
 		r := orderRow(int64(i), testRegions[rng.Intn(len(testRegions))], int64(rng.Intn(3)), int64(rng.Intn(1000)))
-		if err := e.UpsertRows(0, r); err != nil {
+		if err := e.upsert(0, r); err != nil {
 			t.Fatal(err)
 		}
 		if i%60 == 59 {
-			if err := e.Groom(); err != nil {
+			if _, err := e.groomCount(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PostGroom(); err != nil {
+	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SyncIndex(); err != nil {
+	if err := e.syncIndex(); err != nil {
 		t.Fatal(err)
 	}
 	// Move a few rows across regions, and leave some live records.
 	for i := 0; i < 20; i++ {
-		if err := e.UpsertRows(0, orderRow(int64(i), "apac", 2, 5000+int64(i))); err != nil {
+		if err := e.upsert(0, orderRow(int64(i), "apac", 2, 5000+int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UpsertRows(0, orderRow(500, "apac", 2, 9999)); err != nil {
+	if err := e.upsert(0, orderRow(500, "apac", 2, 9999)); err != nil {
 		t.Fatal(err) // stays live
 	}
 
@@ -665,11 +665,11 @@ func TestExecuteIndexPlanTooBroadFallsBack(t *testing.T) {
 	e := newOrdersEngine(t, nil)
 	n := int64(indexPlanCandidateCap + 500)
 	for i := int64(0); i < n; i++ {
-		if err := e.UpsertRows(0, orderRow(i, "amer", 0, i)); err != nil {
+		if err := e.upsert(0, orderRow(i, "amer", 0, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Groom(); err != nil {
+	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	p := exec.Plan{
@@ -725,7 +725,7 @@ func TestShardedSecondaryQueries(t *testing.T) {
 	}
 
 	for _, region := range testRegions {
-		recs, err := scanOn(s, "by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{})
+		recs, err := tableScanOn(s, "by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -738,7 +738,7 @@ func TestShardedSecondaryQueries(t *testing.T) {
 			}
 		}
 		// Limit pushdown through the merge.
-		limited, err := scanOn(s, "by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{Limit: 5})
+		limited, err := tableScanOn(s, "by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{Limit: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -757,7 +757,7 @@ func TestShardedSecondaryQueries(t *testing.T) {
 	}
 
 	// Covered index-only scatter scan.
-	rows, err := indexOnlyOn(s, "by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{})
+	rows, err := tableIndexOnlyOn(s, "by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -772,11 +772,11 @@ func TestShardedSecondaryQueries(t *testing.T) {
 		GroupBy: []string{"status"},
 		Aggs:    []exec.Agg{{Func: exec.Count}, {Func: exec.Sum, Col: "amount"}},
 	}
-	got, err := execute(s, p, QueryOptions{})
+	got, err := tableExecute(s, p, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := execute(s, p, QueryOptions{NoIndexSelection: true})
+	wantRes, err := tableExecute(s, p, QueryOptions{NoIndexSelection: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -810,7 +810,7 @@ func TestShardedSecondaryQueries(t *testing.T) {
 		if _, ok := s.pinSecondary(ti, []keyenc.Value{keyenc.I64(id)}); !ok {
 			t.Fatal("by_id_amount query did not pin despite the sharding key being bound")
 		}
-		rec, found, err := getOn(s, "by_id_amount", []keyenc.Value{keyenc.I64(id)}, nil, QueryOptions{})
+		rec, found, err := tableGetOn(s, "by_id_amount", []keyenc.Value{keyenc.I64(id)}, nil, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

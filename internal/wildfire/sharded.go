@@ -20,7 +20,7 @@ import (
 // is hash-partitioned by its sharding key across shards, each shard is
 // the unit of grooming, post-grooming and indexing, and each runs its
 // own Umzi index instance (§2.1, §3). ShardedEngine is that table: it
-// composes N>=1 independent Engines — every table runs on one, an
+// composes N>=1 independent shards — every table runs on one, an
 // unsharded table being the N=1 case, which never scatters — routes
 // upsert transactions to the shard owning their rows, and either pins a
 // query to one shard or scatter-gathers it across all of them through a
@@ -40,8 +40,12 @@ import (
 type ShardedConfig struct {
 	Table TableDef
 	Index IndexSpec
-	// Secondaries declares secondary indexes; every shard maintains its
-	// own instance of each (see Config.Secondaries).
+	// Secondaries declares secondary indexes maintained alongside the
+	// primary through the whole groom/post-groom/evolve pipeline; every
+	// shard maintains its own instance of each. On a recovered table,
+	// declarations already in a shard's stored index catalog are reopened
+	// (their specs must match); new names are built online from the
+	// existing zones (CREATE INDEX backfill).
 	Secondaries []SecondaryIndexSpec
 	// Shards is the number of hash partitions (default 4).
 	Shards int
@@ -73,11 +77,15 @@ type ShardedConfig struct {
 	// shard count, so a fan-out query saturates the machine without
 	// oversubscribing it; 1 scans each shard sequentially.
 	ScanParallelism int
-	// Replicas is the number of multi-master replicas per shard.
+	// Replicas is the number of multi-master replicas per shard
+	// (default 1).
 	Replicas int
-	// Partitions is the number of partition-key buckets per shard.
+	// Partitions is the number of partition-key buckets each shard's
+	// post-groomer writes (default 4; ignored without a partition key).
 	Partitions int
-	// IndexTuning forwards index knobs to every shard's Umzi instance.
+	// IndexTuning forwards merge-policy and level-assignment knobs to
+	// every Umzi index of every shard; zero values keep core defaults.
+	// Name/Def/Store/Cache are managed by the engine and ignored here.
 	IndexTuning core.Config
 	// Durability configures every shard's commit log (one log per
 	// shard). Shard watermarks advance in lockstep with the groom
@@ -90,12 +98,12 @@ type ShardedConfig struct {
 	Obs *obs.Registry
 }
 
-// ShardedEngine is a Wildfire table: N>=1 shard engines behind one
+// ShardedEngine is a Wildfire table: N>=1 shards behind one
 // routing, ingest and query front end (RunQuery).
 type ShardedEngine struct {
 	table  TableDef
 	ixSpec IndexSpec
-	shards []*Engine
+	shards []*shard
 	router *shardRouter
 	pool   *gatherPool
 
@@ -126,24 +134,21 @@ type ShardedEngine struct {
 	closed atomic.Bool
 }
 
-// shardTableName names one shard's table; every storage object of the
+// ShardTableName names one shard's table; every storage object of the
 // shard lives under the derived "tbl/<this>/" prefix, disjoint between
 // shards and recoverable independently. The only shard of a 1-shard
 // table is the table itself: its objects and metric labels carry no
 // shard segment.
-func shardTableName(base string, shards, shard int) string {
+func ShardTableName(base string, shards, shard int) string {
 	if shards <= 1 {
 		return base
 	}
 	return fmt.Sprintf("%s/shard-%03d", base, shard)
 }
 
-// ShardTableName exposes the shard naming scheme to storage tooling.
-func ShardTableName(base string, shards, shard int) string {
-	return shardTableName(base, shards, shard)
-}
-
 // NewShardedEngine creates (or recovers, per shard) a sharded engine.
+// The config is validated and defaulted once, here, before any shard
+// opens.
 func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	if err := cfg.Table.Validate(); err != nil {
 		return nil, err
@@ -151,14 +156,30 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	if err := cfg.Index.Validate(cfg.Table); err != nil {
 		return nil, err
 	}
+	declared := map[string]bool{}
+	for _, sec := range cfg.Secondaries {
+		if err := sec.Validate(cfg.Table); err != nil {
+			return nil, err
+		}
+		if declared[sec.Name] {
+			return nil, fmt.Errorf("wildfire: duplicate secondary index %q", sec.Name)
+		}
+		declared[sec.Name] = true
+	}
+	if cfg.Store == nil && cfg.ShardStore == nil {
+		return nil, fmt.Errorf("wildfire: ShardedConfig needs Store or ShardStore")
+	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = cfg.Shards
 	}
-	if cfg.Store == nil && cfg.ShardStore == nil {
-		return nil, fmt.Errorf("wildfire: ShardedConfig needs Store or ShardStore")
+	if cfg.Replicas <= 0 {
+		cfg.Replicas = 1
+	}
+	if cfg.Partitions <= 0 {
+		cfg.Partitions = 4
 	}
 
 	router, err := newShardRouter(cfg.Table, cfg.Index, cfg.Shards)
@@ -193,32 +214,14 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		shardCfg := Config{
-			Table:           cfg.Table,
-			Index:           cfg.Index,
-			Secondaries:     cfg.Secondaries,
-			Store:           cfg.Store,
-			Cache:           cfg.Cache,
-			BlockCache:      blocks,
-			ScanParallelism: scanPar,
-			Replicas:        cfg.Replicas,
-			Partitions:      cfg.Partitions,
-			IndexTuning:     cfg.IndexTuning,
-			Durability:      cfg.Durability,
-			Obs:             cfg.Obs,
-		}
-		shardCfg.Table.Name = shardTableName(cfg.Table.Name, cfg.Shards, i)
-		if cfg.ShardStore != nil {
-			shardCfg.Store = cfg.ShardStore(i)
-		}
-		eng, err := NewEngine(shardCfg)
+		sh, err := newShard(cfg, i, blocks, scanPar)
 		if err != nil {
 			for _, e := range s.shards {
-				e.Close()
+				e.close()
 			}
 			return nil, fmt.Errorf("wildfire: shard %d: %w", i, err)
 		}
-		s.shards = append(s.shards, eng)
+		s.shards = append(s.shards, sh)
 	}
 	// Recovery can leave shard groom clocks unequal (empty-cycle advances
 	// are not persisted); realign so the first snapshot is consistent.
@@ -235,13 +238,13 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	// hold — declared ones plus any recovered from the shard catalogs.
 	// The union is taken across ALL shards and healed everywhere: a crash
 	// mid-CreateIndex can leave an index on a subset of shards, and
-	// per-shard CreateIndex is idempotent, so re-running it converges
+	// per-shard createIndex is idempotent, so re-running it converges
 	// the stragglers (backfilling from their zones) instead of leaving
 	// scattered queries to fail on the shards that missed it.
 	var union []SecondaryIndexSpec
 	seen := map[string]IndexSpec{}
 	for i, e := range s.shards {
-		for _, spec := range e.SecondarySpecs() {
+		for _, spec := range e.secondarySpecs() {
 			if prev, ok := seen[spec.Name]; ok {
 				if !specEqual(prev, spec.IndexSpec) {
 					s.Close()
@@ -256,12 +259,12 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	for _, spec := range union {
 		for i, e := range s.shards {
 			// Only the stragglers rebuild; a shard that recovered the
-			// index from its own catalog is left untouched (CreateIndex
+			// index from its own catalog is left untouched (createIndex
 			// would be idempotent but rewrites the catalog).
 			if _, err := e.lookupIndex(spec.Name); err == nil {
 				continue
 			}
-			if err := e.CreateIndex(spec); err != nil {
+			if err := e.createIndex(spec); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("wildfire: shard %d: healing index %q: %w", i, spec.Name, err)
 			}
@@ -277,21 +280,14 @@ func (s *ShardedEngine) NumShards() int { return len(s.shards) }
 // BlockCache returns the decoded-block cache shared by every shard.
 func (s *ShardedEngine) BlockCache() *BlockCache { return s.shards[0].blocks }
 
-// Shard exposes one shard's engine (benchmarks and tests inspect shards
-// directly; production code should not bypass routing).
-func (s *ShardedEngine) Shard(i int) *Engine { return s.shards[i] }
-
 // SecondarySpecs returns the declared spec of every secondary, in
 // creation order (every shard holds the same set; shard 0 answers).
 func (s *ShardedEngine) SecondarySpecs() []SecondaryIndexSpec {
-	return s.shards[0].SecondarySpecs()
+	return s.shards[0].secondarySpecs()
 }
 
 // Table returns the table definition.
 func (s *ShardedEngine) Table() TableDef { return s.table }
-
-// IndexSpec returns the primary index's declared spec.
-func (s *ShardedEngine) IndexSpec() IndexSpec { return s.ixSpec }
 
 // SnapshotTS returns the default cross-shard read point: the minimum
 // groom boundary over all shards. Every shard shows a groomed prefix at
@@ -300,7 +296,7 @@ func (s *ShardedEngine) IndexSpec() IndexSpec { return s.ixSpec }
 func (s *ShardedEngine) SnapshotTS() types.TS {
 	min := types.MaxTS
 	for _, e := range s.shards {
-		if ts := e.LastGroomTS(); ts < min {
+		if ts := e.lastGroomTS(); ts < min {
 			min = ts
 		}
 	}
@@ -387,7 +383,7 @@ func (s *ShardedEngine) Close() error {
 	s.wg.Wait()
 	var first error
 	for _, e := range s.shards {
-		if err := e.Close(); err != nil && first == nil {
+		if err := e.close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -445,7 +441,7 @@ func (s *ShardedEngine) UpsertRows(replicaID int, rows ...Row) error {
 func (s *ShardedEngine) WALStatus() []WALStatus {
 	out := make([]WALStatus, len(s.shards))
 	for i, e := range s.shards {
-		out[i] = e.WALStatus()
+		out[i] = e.walStatus()
 	}
 	return out
 }
@@ -454,7 +450,7 @@ func (s *ShardedEngine) WALStatus() []WALStatus {
 func (s *ShardedEngine) LiveCount() int {
 	n := 0
 	for _, e := range s.shards {
-		n += e.LiveCount()
+		n += e.liveCount()
 	}
 	return n
 }
@@ -463,12 +459,12 @@ func (s *ShardedEngine) LiveCount() int {
 // parallel, then shards that had nothing advance their groom clock to
 // the round's cycle so the cross-shard snapshot boundary moves as one.
 func (s *ShardedEngine) Groom() error {
-	_, err := s.GroomCount()
+	_, err := s.groomCount()
 	return err
 }
 
-// GroomCount is Groom returning the total records groomed.
-func (s *ShardedEngine) GroomCount() (int, error) {
+// groomCount is Groom returning the total records groomed.
+func (s *ShardedEngine) groomCount() (int, error) {
 	if s.closed.Load() {
 		return 0, fmt.Errorf("wildfire: engine closed")
 	}
@@ -476,7 +472,7 @@ func (s *ShardedEngine) GroomCount() (int, error) {
 	defer s.groomMu.Unlock()
 	counts := make([]int, len(s.shards))
 	err := s.pool.each(context.Background(), len(s.shards), func(i int) error {
-		n, err := s.shards[i].GroomCount()
+		n, err := s.shards[i].groomCount()
 		counts[i] = n
 		return err
 	})
@@ -505,7 +501,7 @@ func (s *ShardedEngine) PostGroom() error {
 		return fmt.Errorf("wildfire: engine closed")
 	}
 	return s.pool.each(context.Background(), len(s.shards), func(i int) error {
-		_, err := s.shards[i].PostGroom()
+		_, err := s.shards[i].postGroom()
 		return err
 	})
 }
@@ -516,7 +512,7 @@ func (s *ShardedEngine) SyncIndex() error {
 		return fmt.Errorf("wildfire: engine closed")
 	}
 	return s.pool.each(context.Background(), len(s.shards), func(i int) error {
-		return s.shards[i].SyncIndex()
+		return s.shards[i].syncIndex()
 	})
 }
 
@@ -530,7 +526,7 @@ func (s *ShardedEngine) MaintainOnce() (bool, error) {
 	}
 	did := make([]bool, len(s.shards))
 	err := s.pool.each(context.Background(), len(s.shards), func(i int) error {
-		d, err := s.shards[i].MaintainOnce()
+		d, err := s.shards[i].maintainOnce()
 		did[i] = d
 		return err
 	})
@@ -540,6 +536,17 @@ func (s *ShardedEngine) MaintainOnce() (bool, error) {
 		}
 	}
 	return false, err
+}
+
+// SetCachedLevel moves the cached level (§6.2) of every index of every
+// shard: runs above level leave the SSD cache and the rest are loaded
+// back; -1 purges every run. Figure 14 sweeps it.
+func (s *ShardedEngine) SetCachedLevel(level int) {
+	for _, e := range s.shards {
+		for _, ti := range e.indexSet() {
+			ti.idx.SetCachedLevel(level)
+		}
+	}
 }
 
 // checkFullKey validates a point-lookup key before routing: the router
@@ -564,19 +571,7 @@ func (s *ShardedEngine) get(ctx context.Context, eq, sortv []keyenc.Value, opts 
 		return Record{}, false, err
 	}
 	opts.TS = s.resolveTS(opts)
-	return s.shards[s.router.shardOfKey(eq, sortv)].GetOnContext(ctx, "", eq, sortv, opts)
-}
-
-// History walks a key's version chain on its owning shard.
-func (s *ShardedEngine) History(eq, sortv []keyenc.Value, opts QueryOptions, limit int) ([]Record, error) {
-	if s.closed.Load() {
-		return nil, fmt.Errorf("wildfire: engine closed")
-	}
-	if err := s.checkFullKey(eq, sortv); err != nil {
-		return nil, err
-	}
-	opts.TS = s.resolveTS(opts)
-	return s.shards[s.router.shardOfKey(eq, sortv)].History(eq, sortv, opts, limit)
+	return s.shards[s.router.shardOfKey(eq, sortv)].getOn(ctx, eq, sortv, opts)
 }
 
 // GetBatch resolves a batch of point lookups: keys group by owning
@@ -605,7 +600,7 @@ func (s *ShardedEngine) GetBatch(keys []core.LookupKey, opts QueryOptions) ([]Re
 		if len(perShard[i]) == 0 {
 			return nil
 		}
-		recs, ok, err := s.shards[i].GetBatchContext(context.Background(), perShard[i], opts)
+		recs, ok, err := s.shards[i].getBatch(context.Background(), perShard[i], opts)
 		if err != nil {
 			return err
 		}
@@ -657,12 +652,12 @@ func (s *ShardedEngine) ScanStreamOn(ctx context.Context, index string, eq, sort
 		return nil, err
 	}
 	if shard, ok := s.pinStream(ti, eq); ok {
-		return s.shards[shard].ScanStreamOn(ctx, index, eq, sortLo, sortHi, opts)
+		return s.shards[shard].scanStreamOn(ctx, index, eq, sortLo, sortHi, opts)
 	}
 	sortIdx := ti.sortIdx
 	return scatterStream(ctx, s.pool, len(s.shards), opts.Limit,
 		func(ctx context.Context, shard int) (*Cursor[Record], error) {
-			return s.shards[shard].ScanStreamOn(ctx, index, eq, sortLo, sortHi, opts)
+			return s.shards[shard].scanStreamOn(ctx, index, eq, sortLo, sortHi, opts)
 		},
 		func(r Record) []byte { return sortKeyOfRecord(sortIdx, &r) },
 		s.mx.onReleaseErr,
@@ -678,12 +673,12 @@ func (s *ShardedEngine) IndexOnlyStreamOn(ctx context.Context, index string, eq,
 		return nil, err
 	}
 	if shard, ok := s.pinStream(ti, eq); ok {
-		return s.shards[shard].IndexOnlyStreamOn(ctx, index, eq, sortLo, sortHi, opts)
+		return s.shards[shard].indexOnlyStreamOn(ctx, index, eq, sortLo, sortHi, opts)
 	}
 	nEq, nSort := len(ti.spec.Equality), len(ti.spec.Sort)
 	return scatterStream(ctx, s.pool, len(s.shards), opts.Limit,
 		func(ctx context.Context, shard int) (*Cursor[[]keyenc.Value], error) {
-			return s.shards[shard].IndexOnlyStreamOn(ctx, index, eq, sortLo, sortHi, opts)
+			return s.shards[shard].indexOnlyStreamOn(ctx, index, eq, sortLo, sortHi, opts)
 		},
 		func(row []keyenc.Value) []byte { return sortKeyOfIndexRow(nEq, nSort, row) },
 		s.mx.onReleaseErr,

@@ -87,7 +87,7 @@ func TestShardedConcurrentIngestAndScatterGather(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				dev := int64((r + i) % devices)
 				eq := []keyenc.Value{keyenc.I64(dev)}
-				recs, err := scanOn(s, "", eq, nil, nil, QueryOptions{TS: types.MaxTS})
+				recs, err := tableScanOn(s, "", eq, nil, nil, QueryOptions{TS: types.MaxTS})
 				if err != nil {
 					report(err)
 					return
@@ -136,7 +136,7 @@ func TestShardedConcurrentIngestAndScatterGather(t *testing.T) {
 
 	// Final state: every key visible exactly once with the right value.
 	for dev := int64(0); dev < devices; dev++ {
-		recs, err := scanOn(s, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
+		recs, err := tableScanOn(s, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestShardedConcurrentIngestAndScatterGather(t *testing.T) {
 		}
 	}
 	for i := 0; i < s.NumShards(); i++ {
-		if err := s.Shard(i).Index().VerifyInvariants(); err != nil {
+		if err := s.shards[i].idx.VerifyInvariants(); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestShardedConcurrentIngestAndScatterGather(t *testing.T) {
 // allIngested reports whether every expected key is visible at MaxTS.
 func allIngested(s *ShardedEngine, devices, msgs int64) bool {
 	for dev := int64(0); dev < devices; dev++ {
-		recs, err := scanOn(s, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
+		recs, err := tableScanOn(s, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
 		if err != nil || int64(len(recs)) != msgs {
 			return false
 		}
@@ -196,7 +196,7 @@ func TestShardedSnapshotStabilityUnderIngest(t *testing.T) {
 					return
 				}
 			}
-			if _, err := s.GroomCount(); err != nil {
+			if _, err := s.groomCount(); err != nil {
 				report(err)
 				return
 			}
@@ -221,12 +221,12 @@ func TestShardedSnapshotStabilityUnderIngest(t *testing.T) {
 				ts := s.SnapshotTS()
 				dev := int64(r) % devices
 				eq := []keyenc.Value{keyenc.I64(dev)}
-				first, err := scanOn(s, "", eq, nil, nil, QueryOptions{TS: ts})
+				first, err := tableScanOn(s, "", eq, nil, nil, QueryOptions{TS: ts})
 				if err != nil {
 					report(err)
 					return
 				}
-				second, err := scanOn(s, "", eq, nil, nil, QueryOptions{TS: ts})
+				second, err := tableScanOn(s, "", eq, nil, nil, QueryOptions{TS: ts})
 				if err != nil {
 					report(err)
 					return
@@ -284,7 +284,7 @@ func TestShardedConcurrentTxns(t *testing.T) {
 	go func() {
 		defer close(groomerDone)
 		for !stop.Load() {
-			if _, err := s.GroomCount(); err != nil {
+			if _, err := s.groomCount(); err != nil {
 				errCh <- err
 				return
 			}
@@ -302,7 +302,7 @@ func TestShardedConcurrentTxns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for dev := int64(0); dev < 4; dev++ {
-		recs, err := scanOn(s, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
+		recs, err := tableScanOn(s, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,11 +63,11 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 	}
 
 	groomBoth := func() {
-		n1, err := single.GroomCount()
+		n1, err := single.groomCount()
 		if err != nil {
 			t.Fatal(err)
 		}
-		n2, err := sharded.GroomCount()
+		n2, err := sharded.groomCount()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,11 +166,11 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 				{nil, nil},
 				{{keyenc.I64(lo)}, {keyenc.I64(hi)}},
 			} {
-				want, err := scanOn(single, "", eq, bounds[0], bounds[1], opts)
+				want, err := tableScanOn(single, "", eq, bounds[0], bounds[1], opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := scanOn(sharded, "", eq, bounds[0], bounds[1], opts)
+				got, err := tableScanOn(sharded, "", eq, bounds[0], bounds[1], opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -185,11 +185,11 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 				}
 			}
 			// Index-only scans agree value-for-value.
-			wantRows, err := indexOnlyOn(single, "", eq, nil, nil, opts)
+			wantRows, err := tableIndexOnlyOn(single, "", eq, nil, nil, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotRows, err := indexOnlyOn(sharded, "", eq, nil, nil, opts)
+			gotRows, err := tableIndexOnlyOn(sharded, "", eq, nil, nil, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,11 +209,11 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 		for dev := int64(0); dev < devices+1; dev++ {
 			for msg := int64(0); msg < msgs+1; msg++ {
 				eq, sortv := key(dev, msg)
-				wr, wf, err := getOn(single, "", eq, sortv, opts)
+				wr, wf, err := tableGetOn(single, "", eq, sortv, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gr, gf, err := getOn(sharded, "", eq, sortv, opts)
+				gr, gf, err := tableGetOn(sharded, "", eq, sortv, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

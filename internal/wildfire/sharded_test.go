@@ -107,7 +107,7 @@ func TestShardedIngestGroomGet(t *testing.T) {
 	if got := s.LiveCount(); got != devices*msgs {
 		t.Fatalf("LiveCount = %d, want %d", got, devices*msgs)
 	}
-	n, err := s.GroomCount()
+	n, err := s.groomCount()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestShardedIngestGroomGet(t *testing.T) {
 	for dev := int64(0); dev < devices; dev++ {
 		for msg := int64(0); msg < msgs; msg++ {
 			eq, sortv := key(dev, msg)
-			rec, found, err := getOn(s, "", eq, sortv, QueryOptions{})
+			rec, found, err := tableGetOn(s, "", eq, sortv, QueryOptions{})
 			if err != nil || !found {
 				t.Fatalf("get (%d,%d): %v %v", dev, msg, err, found)
 			}
@@ -130,7 +130,7 @@ func TestShardedIngestGroomGet(t *testing.T) {
 		}
 	}
 	eq, sortv := key(99, 99)
-	if _, found, _ := getOn(s, "", eq, sortv, QueryOptions{}); found {
+	if _, found, _ := tableGetOn(s, "", eq, sortv, QueryOptions{}); found {
 		t.Error("found absent key")
 	}
 }
@@ -149,7 +149,7 @@ func TestShardedScanFanOutOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	eq := []keyenc.Value{keyenc.I64(7)}
-	recs, err := scanOn(s, "", eq, []keyenc.Value{keyenc.I64(5)}, []keyenc.Value{keyenc.I64(34)}, QueryOptions{})
+	recs, err := tableScanOn(s, "", eq, []keyenc.Value{keyenc.I64(5)}, []keyenc.Value{keyenc.I64(34)}, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestShardedScanFanOutOrdered(t *testing.T) {
 		}
 	}
 	// Index-only fan-out scan merges the same way.
-	rows, err := indexOnlyOn(s, "", eq, nil, nil, QueryOptions{})
+	rows, err := tableIndexOnlyOn(s, "", eq, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestShardedScanPinned(t *testing.T) {
 	}
 	for dev := int64(0); dev < 6; dev++ {
 		eq := []keyenc.Value{keyenc.I64(dev)}
-		got, err := scanOn(s, "", eq, nil, nil, QueryOptions{})
+		got, err := tableScanOn(s, "", eq, nil, nil, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestShardedScanPinned(t *testing.T) {
 		if !ok {
 			t.Fatal("expected pinned scan")
 		}
-		direct, err := scanOn(s.Shard(shard), "", eq, nil, nil, QueryOptions{TS: types.MaxTS})
+		direct, err := scanOn(s.shards[shard], "", eq, nil, nil, QueryOptions{TS: types.MaxTS})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestShardedTxnLifecycle(t *testing.T) {
 	}
 	touched := 0
 	for i, e := range s.shards {
-		if got := e.LiveCount(); got != want[i] {
+		if got := e.liveCount(); got != want[i] {
 			t.Errorf("shard %d: LiveCount = %d, want %d", i, got, want[i])
 		}
 		if want[i] > 0 {
@@ -307,7 +307,7 @@ func TestShardedTxnLifecycle(t *testing.T) {
 	}
 	for _, r := range rows {
 		eq, sortv := key(r[0].Int(), r[1].Int())
-		if _, found, err := getOn(s, "", eq, sortv, QueryOptions{}); err != nil || !found {
+		if _, found, err := tableGetOn(s, "", eq, sortv, QueryOptions{}); err != nil || !found {
 			t.Fatalf("row %v: found=%v err=%v", r[:2], found, err)
 		}
 	}
@@ -336,7 +336,7 @@ func TestShardedSnapshotLockstep(t *testing.T) {
 		lastTS = ts
 		// Default-snapshot reads see everything groomed so far.
 		for dev := int64(0); dev <= round; dev++ {
-			recs, err := scanOn(s, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{})
+			recs, err := tableScanOn(s, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,9 +346,9 @@ func TestShardedSnapshotLockstep(t *testing.T) {
 		}
 	}
 	// All shard clocks are equal after lockstep rounds.
-	c0 := s.Shard(0).groomCycle.Load()
+	c0 := s.shards[0].groomCycle.Load()
 	for i := 1; i < s.NumShards(); i++ {
-		if c := s.Shard(i).groomCycle.Load(); c != c0 {
+		if c := s.shards[i].groomCycle.Load(); c != c0 {
 			t.Fatalf("shard %d at cycle %d, shard 0 at %d", i, c, c0)
 		}
 	}
@@ -397,7 +397,7 @@ func TestShardedRecovery(t *testing.T) {
 	}
 	defer s2.Close()
 	for dev := int64(0); dev < devices; dev++ {
-		recs, err := scanOn(s2, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
+		recs, err := tableScanOn(s2, "", []keyenc.Value{keyenc.I64(dev)}, nil, nil, QueryOptions{TS: types.MaxTS})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,10 +431,7 @@ func TestShardedHistoryAndPostGroom(t *testing.T) {
 		}
 	}
 	eq, sortv := key(5, 1)
-	hist, err := s.History(eq, sortv, QueryOptions{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := history(t, s.shards[s.router.shardOfKey(eq, sortv)], eq, sortv)
 	if len(hist) != 3 {
 		t.Fatalf("history length %d, want 3", len(hist))
 	}
@@ -481,7 +478,7 @@ func TestShardedBackgroundDaemons(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		// Default-snapshot read (TS zero resolves to SnapshotTS).
-		rec, found, err := getOn(s, "", eq, sortv, QueryOptions{})
+		rec, found, err := tableGetOn(s, "", eq, sortv, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,19 +512,16 @@ func TestShardedMalformedKeys(t *testing.T) {
 	if err := s.Groom(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := getOn(s, "", nil, nil, QueryOptions{}); err == nil {
+	if _, _, err := tableGetOn(s, "", nil, nil, QueryOptions{}); err == nil {
 		t.Error("Get with empty key accepted")
 	}
-	if _, _, err := getOn(s, "", []keyenc.Value{keyenc.I64(1)}, nil, QueryOptions{}); err == nil {
+	if _, _, err := tableGetOn(s, "", []keyenc.Value{keyenc.I64(1)}, nil, QueryOptions{}); err == nil {
 		t.Error("Get without sort values accepted")
 	}
-	if _, err := s.History(nil, nil, QueryOptions{}, 0); err == nil {
-		t.Error("History with empty key accepted")
-	}
-	if _, err := scanOn(s, "", nil, nil, nil, QueryOptions{}); err == nil {
+	if _, err := tableScanOn(s, "", nil, nil, nil, QueryOptions{}); err == nil {
 		t.Error("Scan without equality values accepted")
 	}
-	if _, err := indexOnlyOn(s, "", nil, nil, nil, QueryOptions{}); err == nil {
+	if _, err := tableIndexOnlyOn(s, "", nil, nil, nil, QueryOptions{}); err == nil {
 		t.Error("IndexOnlyScan without equality values accepted")
 	}
 	if _, _, err := s.GetBatch([]core.LookupKey{{Equality: []keyenc.Value{keyenc.I64(1)}}}, QueryOptions{}); err == nil {
@@ -556,7 +550,19 @@ func TestShardedConfigValidation(t *testing.T) {
 	if _, err := NewShardedEngine(bad); err == nil {
 		t.Error("invalid index spec accepted")
 	}
-	// Defaults: 4 shards, per-shard stores via ShardStore.
+	byReading := SecondaryIndexSpec{Name: "by_reading", IndexSpec: IndexSpec{Equality: []string{"reading"}}}
+	bad = base
+	bad.Secondaries = []SecondaryIndexSpec{{Name: "by_ghost", IndexSpec: IndexSpec{Equality: []string{"ghost"}}}}
+	if _, err := NewShardedEngine(bad); err == nil {
+		t.Error("invalid secondary spec accepted")
+	}
+	bad = base
+	bad.Secondaries = []SecondaryIndexSpec{byReading, byReading}
+	if _, err := NewShardedEngine(bad); err == nil {
+		t.Error("duplicate secondary name accepted")
+	}
+	// Defaults: 4 shards of 1 replica and 4 partitions each, per-shard
+	// stores via ShardStore.
 	good := base
 	good.Store = nil
 	good.ShardStore = func(int) storage.ObjectStore { return storage.NewMemStore(storage.LatencyModel{}) }
@@ -568,6 +574,11 @@ func TestShardedConfigValidation(t *testing.T) {
 	if s.NumShards() != 4 {
 		t.Errorf("default shards = %d, want 4", s.NumShards())
 	}
+	for i, e := range s.shards {
+		if len(e.replicas) != 1 || e.partitions != 4 {
+			t.Errorf("shard %d: %d replicas, %d partitions; want 1 and 4", i, len(e.replicas), e.partitions)
+		}
+	}
 	if err := s.UpsertRows(0, row(1, 1, 1.0, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +586,70 @@ func TestShardedConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	eq, sortv := key(1, 1)
-	if _, found, err := getOn(s, "", eq, sortv, QueryOptions{}); err != nil || !found {
+	if _, found, err := tableGetOn(s, "", eq, sortv, QueryOptions{}); err != nil || !found {
 		t.Fatalf("per-shard-store get: %v %v", err, found)
+	}
+}
+
+// TestShardedSetCachedLevel checks that the table's purge control
+// reaches every index of every shard (Figure 14): level -1 purges every
+// persisted run from the SSD cache, and the maximum level loads them
+// back.
+func TestShardedSetCachedLevel(t *testing.T) {
+	cache := storage.NewSSDCache(1<<20, storage.LatencyModel{})
+	s := newTestShardedEngine(t, 2, func(c *ShardedConfig) {
+		c.Cache = cache
+		c.Secondaries = []SecondaryIndexSpec{{Name: "by_day", IndexSpec: IndexSpec{Equality: []string{"day"}}}}
+	})
+	for round := int64(0); round < 3; round++ {
+		var rows []Row
+		for dev := int64(0); dev < 8; dev++ {
+			rows = append(rows, row(dev, round, float64(dev), 100+round))
+		}
+		if err := s.UpsertRows(0, rows...); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Groom(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.PostGroom(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SyncIndex(); err != nil {
+		t.Fatal(err)
+	}
+	cached := cache.Used()
+	if cached == 0 {
+		t.Fatal("no index run in the SSD cache before the purge")
+	}
+
+	s.SetCachedLevel(-1)
+	for i, e := range s.shards {
+		if n := len(e.indexSet()); n != 2 {
+			t.Fatalf("shard %d has %d indexes, want 2", i, n)
+		}
+		for _, ti := range e.indexSet() {
+			if got := ti.idx.CachedLevel(); got != -1 {
+				t.Errorf("shard %d index %q: cached level %d after SetCachedLevel(-1)", i, ti.name, got)
+			}
+		}
+	}
+	purged := cache.Used()
+	if purged >= cached {
+		t.Fatalf("SSD cache holds %d bytes after purging all, %d before", purged, cached)
+	}
+
+	maxLevel := s.shards[0].idx.MaxLevel()
+	s.SetCachedLevel(maxLevel)
+	for i, e := range s.shards {
+		for _, ti := range e.indexSet() {
+			if got := ti.idx.CachedLevel(); got != maxLevel {
+				t.Errorf("shard %d index %q: cached level %d, want %d", i, ti.name, got, maxLevel)
+			}
+		}
+	}
+	if loaded := cache.Used(); loaded <= purged {
+		t.Errorf("SSD cache holds %d bytes after loading every level, %d purged", loaded, purged)
 	}
 }

@@ -56,7 +56,7 @@ func msgAtLeastRef(r Row) bool { return r[1].Int() >= 100 }
 
 // tracedExec runs p on e and checks its rows against the reference over
 // visible; it returns the trace.
-func tracedExec(t *testing.T, e *Engine, p exec.Plan, rf refFilter, visible []Row, label string) obs.TraceSnapshot {
+func tracedExec(t *testing.T, e *shard, p exec.Plan, rf refFilter, visible []Row, label string) obs.TraceSnapshot {
 	t.Helper()
 	tr := obs.NewQueryTrace()
 	got, err := execute(e, p, QueryOptions{Trace: tr})
@@ -75,7 +75,7 @@ func tracedExec(t *testing.T, e *Engine, p exec.Plan, rf refFilter, visible []Ro
 // which proves the failure was armed.
 func TestSynopsisSkippedBlockNeverFetched(t *testing.T) {
 	store := &failGets{ObjectStore: storage.NewMemStore(storage.LatencyModel{})}
-	e := newTestEngine(t, func(cfg *Config) {
+	e := newTestEngine(t, func(cfg *ShardedConfig) {
 		cfg.Store = store
 		cfg.BlockCacheBytes = 1
 	})
@@ -89,7 +89,7 @@ func TestSynopsisSkippedBlockNeverFetched(t *testing.T) {
 		if !post {
 			return
 		}
-		if _, err := e.PostGroom(); err != nil {
+		if _, err := e.postGroom(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,14 +118,14 @@ func TestSynopsisSkippedBlockNeverFetched(t *testing.T) {
 // last left pending — closes the engine and reopens it over the same
 // store. excluded counts the post blocks of the first batch, which hold
 // only msgs below 100.
-func reopenedEngine(t *testing.T) (e *Engine, model map[string]Row, excluded int64) {
+func reopenedEngine(t *testing.T) (e *shard, model map[string]Row, excluded int64) {
 	t.Helper()
-	cfg := Config{
+	cfg := ShardedConfig{
 		Table: iotTable(),
 		Index: iotIndex(),
 		Store: storage.NewMemStore(storage.LatencyModel{}),
 	}
-	e, err := NewEngine(cfg)
+	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,21 +139,21 @@ func reopenedEngine(t *testing.T) (e *Engine, model map[string]Row, excluded int
 		if i == 2 {
 			break // the last batch stays pending
 		}
-		if _, err := e.PostGroom(); err != nil {
+		if _, err := e.postGroom(); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
 			excluded = int64(len(e.zone.Load().post))
 		}
 	}
-	if err := e.Close(); err != nil {
+	if err := e.close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if e, err = NewEngine(cfg); err != nil {
+	if e, err = openShard(cfg); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
+	t.Cleanup(func() { e.close() })
 	v := e.zone.Load()
 	for _, pb := range v.post {
 		if pb.syn.Load() != nil {

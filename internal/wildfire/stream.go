@@ -81,25 +81,6 @@ func (c *Cursor[T]) Close() error {
 	return nil
 }
 
-// drainCursor materializes a cursor (first-match gets, tests). A
-// release-path failure surfaces when iteration itself succeeded
-// (exhaustion auto-closes, so Err already carries it; the explicit
-// Close covers an early break).
-func drainCursor[T any](cur *Cursor[T], err error) ([]T, error) {
-	if err != nil {
-		return nil, err
-	}
-	var out []T
-	for cur.Next() {
-		out = append(out, cur.Value())
-	}
-	err = cur.Err()
-	if cerr := cur.Close(); err == nil {
-		err = cerr
-	}
-	return out, err
-}
-
 // streamBuf is the per-shard channel depth of a sharded stream: deep
 // enough to overlap shard production with consumer-side merging, shallow
 // enough that an abandoned query has little in flight.

@@ -1,6 +1,6 @@
 // Package wildfire implements the HTAP engine substrate Umzi lives in
 // (§2.1 of the paper): the live zone's committed logs, which every
-// commit enters through one shard append (Engine.commit), the groomer
+// commit enters through one shard append (shard.commit), the groomer
 // that migrates committed data into columnar groomed blocks with
 // monotonic beginTS, the post-groomer that resolves
 // endTS/prevRID and re-organizes data by partition key, and the indexer
@@ -9,9 +9,10 @@
 // these as one propagation owner and merges as one index maintainer
 // (ShardedEngine.Start).
 //
-// The engine models a single table shard — the basic unit of grooming,
-// post-grooming and indexing (§2.1, §3) — with a configurable number of
-// multi-master shard replicas, each with its own committed log.
+// ShardedEngine is the one exported engine: a table of N>=1 shards, each
+// the basic unit of grooming, post-grooming and indexing (§2.1, §3) with
+// a configurable number of multi-master replicas, each with its own
+// committed log. A shard is unexported; the table routes to it.
 package wildfire
 
 import (
