@@ -79,20 +79,10 @@ func BenchmarkAblationBatchSort(b *testing.B) { benchFigure(b, bench.AblationBat
 // BenchmarkAblationMergePolicy sweeps the merge knobs K and T (A5).
 func BenchmarkAblationMergePolicy(b *testing.B) { benchFigure(b, bench.AblationMergePolicy) }
 
-// BenchmarkAblationAggPushdown runs the aggregation pushdown vs
-// client-side sweep (A7).
-func BenchmarkAblationAggPushdown(b *testing.B) { benchFigure(b, bench.AblationAggPushdown) }
-
 // BenchmarkFigS1ShardScaling regenerates Figure S1 (the scatter-gather
 // shard-count sweep, an extension beyond the paper's single-shard
 // evaluation).
 func BenchmarkFigS1ShardScaling(b *testing.B) { benchFigure(b, bench.FigS1ShardScaling) }
-
-// BenchmarkFigS4Serving regenerates Figure S4 (the serving layer's
-// client-count sweep over real TCP, with and without write admission
-// control) — so the figure, server boot included, runs on every PR via
-// bench-smoke.
-func BenchmarkFigS4Serving(b *testing.B) { benchFigure(b, bench.FigS4Serving) }
 
 // Scatter-gather benchmarks: the same dataset partitioned across 1, 2, 4
 // and 8 shards, queried through the sharded engine. Shared storage
@@ -152,14 +142,12 @@ func BenchmarkShardedScan(b *testing.B) {
 	}
 }
 
-// BenchmarkAggPushdown compares the analytical executor against the
-// client-side plan it replaces, on a low-selectivity aggregation over a
-// 4-shard orders table (amount <= 1% of the key space; COUNT +
-// SUM(amount)). The pushdown path ships per-shard partial aggregates —
+// BenchmarkAggPushdown measures the analytical executor on a
+// low-selectivity aggregation over a 4-shard orders table (amount <= 1%
+// of the key space; COUNT + SUM(amount)), checking the result on every
+// iteration. The pushdown path ships per-shard partial aggregates —
 // sum/count pairs — to the coordinator and skips non-qualifying blocks
-// by their min/max synopses; the client-side path scatter-gathers every
-// record to the coordinator and filters and aggregates there. Expect
-// the pushdown to win by well over 2x.
+// by their min/max synopses.
 func BenchmarkAggPushdown(b *testing.B) {
 	const shards = 4
 	eng, err := bench.NewShardedOrders("baggpush", shards, shardBenchRows,
@@ -182,18 +170,6 @@ func BenchmarkAggPushdown(b *testing.B) {
 			}
 			if res.Rows[0][0].Int() != wantCount || res.Rows[0][1].Int() != wantSum {
 				b.Fatalf("pushdown aggregate = %v, want (%d, %d)", res.Rows[0], wantCount, wantSum)
-			}
-		}
-	})
-	b.Run("client-side", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			count, sum, err := bench.ClientSideAggregate(eng, threshold)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if count != wantCount || sum != wantSum {
-				b.Fatalf("client aggregate = (%d, %d), want (%d, %d)", count, sum, wantCount, wantSum)
 			}
 		}
 	})

@@ -41,19 +41,17 @@ func drivers() []driver {
 		{"15", "Figure 15: index evolve on/off", bench.Fig15Evolve},
 		{"s1", "Figure S1: scatter-gather shard scaling (extension)", bench.FigS1ShardScaling},
 		{"s3", "Figure S3: ingest throughput vs sync policy and group commit (extension)", bench.FigS3GroupCommit},
-		{"s4", "Figure S4: serving layer — throughput vs concurrent clients (extension)", bench.FigS4Serving},
 		{"a1", "Ablation A1: offset array width", bench.AblationOffsetArray},
 		{"a2", "Ablation A2: set vs priority-queue reconciliation", bench.AblationReconcile},
 		{"a3", "Ablation A3: synopsis pruning", bench.AblationSynopsis},
 		{"a4", "Ablation A4: batched vs individual lookups", bench.AblationBatchSort},
 		{"a5", "Ablation A5: merge policy knobs", bench.AblationMergePolicy},
-		{"a7", "Ablation A7: aggregation pushdown vs client-side", bench.AblationAggPushdown},
 		{"a8", "Ablation A8: secondary-index selection vs zone scan", bench.AblationSecondaryIndex},
 	}
 }
 
 func main() {
-	figure := flag.String("figure", "", "figure to run: 8..15, s1, s3, s4, a1..a5, a7, a8, or 'all'")
+	figure := flag.String("figure", "", "figure to run: 8..15, s1, s3, a1..a5, a8, or 'all'")
 	scaleName := flag.String("scale", "small", "sweep scale: small | paper | tiny")
 	list := flag.Bool("list", false, "list available figures and exit")
 	flag.Parse()

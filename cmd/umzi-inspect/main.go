@@ -143,10 +143,7 @@ func inspectMetrics(store storage.ObjectStore, tableFilter string) error {
 
 // printReadPathSummary condenses the read-path metric families into one
 // block per table: decoded-block cache occupancy against its byte
-// budget and the hit ratio, plus the server statement cache when a
-// server shares this registry (umzi-inspect opens the DB without one,
-// so the statement-cache line appears only behind a live server's
-// metrics endpoint or in embedding processes).
+// budget and the hit ratio.
 func printReadPathSummary(db *umzi.DB, tableFilter string) {
 	fmt.Println("\nread path:")
 	for _, name := range db.Tables() {
@@ -167,20 +164,6 @@ func printReadPathSummary(db *umzi.DB, tableFilter string) {
 		}
 		fmt.Printf("  %-12s %d hits / %d misses (%.1f%% hit ratio), %d evictions, %d dedup'd fetches\n",
 			"", st.Hits, st.Misses, ratio, st.Evictions, st.Dedups)
-	}
-	snap := db.Metrics()
-	if m := snap.Get("server_stmt_cache_hits", nil); m != nil {
-		hits := m.Value
-		misses := snap.Sum("server_stmt_cache_misses", nil)
-		entries := snap.Sum("server_stmt_cache_entries", nil)
-		ratio := 0.0
-		if hits+misses > 0 {
-			ratio = 100 * float64(hits) / float64(hits+misses)
-		}
-		fmt.Printf("  %-12s statement cache %d entries, %d hits / %d misses (%.1f%% hit ratio)\n",
-			"(server)", entries, hits, misses, ratio)
-	} else {
-		fmt.Println("  (statement-cache metrics appear when a umzi-server shares this registry)")
 	}
 }
 

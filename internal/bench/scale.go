@@ -45,9 +45,6 @@ type Scale struct {
 	// it stays fixed across shard counts so the sweep isolates the
 	// scatter-gather effect on the same data.
 	ShardScanRows int
-	// AggSelectivities sweeps the filter selectivity of the aggregation
-	// pushdown ablation (A7).
-	AggSelectivities []float64
 	// SecondaryCardinalities sweeps the secondary column's distinct-value
 	// count for the index-selection ablation (A8); selectivity of the
 	// equality query is 1/cardinality.
@@ -61,13 +58,6 @@ type Scale struct {
 	WALCommits int
 	// WALRowsPerCommit is the rows per transaction in Figure S3.
 	WALRowsPerCommit int
-
-	// ServeClients sweeps the number of concurrent network clients of
-	// the serving-layer experiment (Figure S4).
-	ServeClients []int
-	// ServeOpsPerClient is the operations (one commit + one point query)
-	// each client performs per Figure S4 cell.
-	ServeOpsPerClient int
 }
 
 // SmallScale returns the default laptop-scale configuration used by the
@@ -90,13 +80,10 @@ func SmallScale() Scale {
 		UpdateRates:            []int{0, 20, 40, 60, 80, 100},
 		ShardCounts:            []int{1, 2, 4, 8},
 		ShardScanRows:          16_000,
-		AggSelectivities:       []float64{0.001, 0.01, 0.1, 1},
 		SecondaryCardinalities: []int{4, 16, 64, 256},
 		WALWriters:             []int{1, 8, 32},
 		WALCommits:             120,
 		WALRowsPerCommit:       4,
-		ServeClients:           []int{1, 4, 16, 64},
-		ServeOpsPerClient:      40,
 	}
 }
 
@@ -121,13 +108,10 @@ func PaperScale() Scale {
 		UpdateRates:            []int{0, 20, 40, 60, 80, 100},
 		ShardCounts:            []int{1, 2, 4, 8, 16},
 		ShardScanRows:          200_000,
-		AggSelectivities:       []float64{0.0001, 0.001, 0.01, 0.1, 1},
 		SecondaryCardinalities: []int{4, 16, 64, 256, 1024},
 		WALWriters:             []int{1, 8, 32, 128},
 		WALCommits:             400,
 		WALRowsPerCommit:       4,
-		ServeClients:           []int{1, 4, 16, 32, 64},
-		ServeOpsPerClient:      200,
 	}
 }
 
@@ -150,12 +134,9 @@ func TinyScale() Scale {
 		UpdateRates:            []int{0, 100},
 		ShardCounts:            []int{1, 2},
 		ShardScanRows:          2_000,
-		AggSelectivities:       []float64{0.01, 1},
 		SecondaryCardinalities: []int{4, 64},
 		WALWriters:             []int{1, 8},
 		WALCommits:             24,
 		WALRowsPerCommit:       4,
-		ServeClients:           []int{1, 4},
-		ServeOpsPerClient:      8,
 	}
 }

@@ -107,12 +107,6 @@ type Config struct {
 	PostGroomedLevels int
 	// DisableSynopsis turns off run pruning (ablation benches only).
 	DisableSynopsis bool
-	// PerKeyBatchPruning additionally checks every key of a batched
-	// lookup against each run's synopsis before seeking. The paper prunes
-	// candidates per batch only (§7.2, §8.3.2); per-key pruning is an
-	// extension that collapses random batches over sequentially ingested
-	// data to ~one run per key. Off by default for paper fidelity.
-	PerKeyBatchPruning bool
 	// DisableOffsetArray builds runs without offset arrays (ablation).
 	DisableOffsetArray bool
 }

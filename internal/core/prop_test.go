@@ -220,52 +220,6 @@ func TestLookupBatchPruning(t *testing.T) {
 	}
 }
 
-// TestPerKeyBatchPruning verifies the opt-in extension: with it enabled, a
-// random batch over sequentially ingested runs searches each run only for
-// the keys it can contain.
-func TestPerKeyBatchPruning(t *testing.T) {
-	scanned := func(perKey bool) int64 {
-		cfg := testConfig("pk")
-		cfg.PerKeyBatchPruning = perKey
-		ix, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		// Sequentially ingested: run c holds devices [10c, 10c+9].
-		for c := uint64(1); c <= 4; c++ {
-			var recs []record
-			for d := int64(0); d < 10; d++ {
-				recs = append(recs, record{device: int64(c)*10 + d, msg: 1})
-			}
-			groom(t, ix, nil, c, recs)
-		}
-		// A batch spanning all runs.
-		var keys []LookupKey
-		for _, dev := range []int64{11, 22, 33, 44} {
-			keys = append(keys, LookupKey{
-				Equality: []keyenc.Value{keyenc.I64(dev)},
-				Sort:     []keyenc.Value{keyenc.I64(1)},
-			})
-		}
-		_, found, err := ix.LookupBatch(keys, types.MaxTS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, f := range found {
-			if !f {
-				t.Fatalf("key %d not found", i)
-			}
-		}
-		return ix.Stats().EntriesScanned
-	}
-	with := scanned(true)
-	without := scanned(false)
-	if with >= without {
-		t.Errorf("per-key pruning scanned %d entries, plain batch scanned %d", with, without)
-	}
-}
-
 // TestPointLookupPostGroomed verifies the zone-restricted lookup the
 // post-groomer depends on.
 func TestPointLookupPostGroomed(t *testing.T) {

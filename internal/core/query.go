@@ -522,9 +522,8 @@ func (ix *Index) LookupBatch(keys []LookupKey, ts types.TS) ([]run.Entry, []bool
 	}
 
 	type item struct {
-		key  run.SearchKey
-		segs [][]byte // per-key-column encoded values, for synopsis checks
-		pos  int
+		key run.SearchKey
+		pos int
 	}
 	nKeyCols := len(ix.rdef.EqualityKinds) + len(ix.rdef.SortKinds)
 	items := make([]item, len(keys))
@@ -554,7 +553,7 @@ func (ix *Index) LookupBatch(keys []LookupKey, ts types.TS) ([]run.Entry, []bool
 				batchBounds[c].Hi = seg
 			}
 		}
-		items[i] = item{key: sk, segs: segs, pos: i}
+		items[i] = item{key: sk, pos: i}
 	}
 	// Sort the batch by hash, equality and sort columns (§7.2) so each
 	// run is read in one forward pass.
@@ -568,22 +567,6 @@ func (ix *Index) LookupBatch(keys []LookupKey, ts types.TS) ([]run.Entry, []bool
 	refs, release := ix.collectCandidates(nil, nil, nil)
 	defer release()
 	ix.stats.Queries.Add(1)
-
-	// keyInRun checks one key against a run's synopsis: a cheap memcmp
-	// per column. The paper prunes candidates per batch only (a random
-	// batch therefore searches every run, §8.3.2); per-key pruning is an
-	// extension enabled by Config.PerKeyBatchPruning.
-	keyInRun := func(segs [][]byte, h *run.Header) bool {
-		for c, seg := range segs {
-			if c >= len(h.SynMin) || h.SynMin[c] == nil {
-				continue
-			}
-			if bytes.Compare(seg, h.SynMin[c]) < 0 || bytes.Compare(seg, h.SynMax[c]) > 0 {
-				return false
-			}
-		}
-		return true
-	}
 
 	remaining := len(items)
 	for _, ref := range refs {
@@ -610,9 +593,6 @@ func (ix *Index) LookupBatch(keys []LookupKey, ts types.TS) ([]run.Entry, []bool
 			defer it.Close()
 			for i := range items {
 				if found[items[i].pos] {
-					continue
-				}
-				if ix.cfg.PerKeyBatchPruning && !ix.cfg.DisableSynopsis && !keyInRun(items[i].segs, ref.header) {
 					continue
 				}
 				k := items[i].key

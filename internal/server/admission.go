@@ -229,15 +229,3 @@ func (a *admission) admit(ctx context.Context, table string) error {
 		}
 	}
 }
-
-// Pressured reports the tables currently under write pressure; tests
-// and Figure S4 use it to observe the controller directly.
-func (a *admission) Pressured() map[string]string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]string, len(a.pressured))
-	for k, v := range a.pressured {
-		out[k] = v
-	}
-	return out
-}

@@ -271,20 +271,9 @@ func (h *connHandler) handleQuery(payload []byte) error {
 	if err := d.Err(); err != nil {
 		return h.replyErr(fmt.Errorf("malformed query frame: %w", err))
 	}
-	// Statement cache: a repeated spec (same tenant, same raw bytes)
-	// skips decode and validation. The cached spec is handed out by
-	// value; the engine never mutates it (see stmtCache).
-	spec, cached := h.s.stmts.lookup(h.tenant, specBytes)
-	if cached {
-		h.s.mx.stmtHits.Inc()
-	} else {
-		h.s.mx.stmtMisses.Inc()
-		var err error
-		spec, err = wildfire.UnmarshalQuerySpec(specBytes)
-		if err != nil {
-			return h.replyErr(err)
-		}
-		h.s.stmts.store(h.tenant, specBytes, spec)
+	spec, err := wildfire.UnmarshalQuerySpec(specBytes)
+	if err != nil {
+		return h.replyErr(err)
 	}
 	tbl, err := h.s.db.Table(table)
 	if err != nil {

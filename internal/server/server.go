@@ -44,20 +44,14 @@ type Config struct {
 	// Admission configures write admission control; the zero value
 	// admits everything.
 	Admission AdmissionConfig
-	// StmtCacheSize bounds the server-side statement cache: decoded
-	// QuerySpecs keyed per tenant on the raw spec bytes, so repeated
-	// statements skip decode and validation. 0 means 256; negative
-	// disables the cache.
-	StmtCacheSize int
 }
 
 // Server is one running umzi network front end.
 type Server struct {
-	cfg   Config
-	db    *umzi.DB
-	adm   *admission
-	stmts *stmtCache
-	mx    serverMetrics
+	cfg Config
+	db  *umzi.DB
+	adm *admission
+	mx  serverMetrics
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -85,8 +79,6 @@ type serverMetrics struct {
 	commits       *obs.Counter
 	commitRows    *obs.Counter
 	queueDepth    *obs.Gauge
-	stmtHits      *obs.Counter
-	stmtMisses    *obs.Counter
 }
 
 func newServerMetrics(reg *obs.Registry) serverMetrics {
@@ -101,8 +93,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		commits:       reg.Counter("server_commits", "commit requests admitted and applied", nil),
 		commitRows:    reg.Counter("server_commit_rows", "rows committed through the server", nil),
 		queueDepth:    reg.Gauge("server_queue_depth", "writes currently queued by admission control", nil),
-		stmtHits:      reg.Counter("server_stmt_cache_hits", "query specs served from the statement cache (decode skipped)", nil),
-		stmtMisses:    reg.Counter("server_stmt_cache_misses", "query specs decoded and validated from wire bytes", nil),
 	}
 }
 
@@ -134,15 +124,6 @@ func New(cfg Config) (*Server, error) {
 		ctx:    ctx,
 		cancel: cancel,
 		conns:  make(map[net.Conn]struct{}),
-	}
-	if cfg.StmtCacheSize >= 0 {
-		size := cfg.StmtCacheSize
-		if size == 0 {
-			size = 256
-		}
-		s.stmts = newStmtCache(size)
-		s.mx.reg.GaugeFunc("server_stmt_cache_entries", "statements resident in the server statement cache", nil,
-			func() int64 { return int64(s.stmts.size()) })
 	}
 	s.adm = newAdmission(cfg.DB, cfg.Admission, &s.mx)
 	return s, nil

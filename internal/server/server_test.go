@@ -608,61 +608,6 @@ func TestShutdownUnblocksStreams(t *testing.T) {
 	rows.Close()
 }
 
-// TestStatementCacheHits repeats one remote query and checks the server
-// served the later spec decodes from the statement cache — and that a
-// different statement does not hit.
-func TestStatementCacheHits(t *testing.T) {
-	db, _, addr := boot(t, server.Config{})
-	tbl := mkTable(t, db, "t", 2)
-	ctx := context.Background()
-	for i := 0; i < 20; i++ {
-		if err := tbl.Upsert(ctx, umzi.Row{umzi.I64(int64(i)), umzi.Str("v")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.Groom(); err != nil {
-		t.Fatal(err)
-	}
-
-	cdb, err := client.Open(client.Config{Addr: addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cdb.Close()
-
-	const reps = 5
-	for i := 0; i < reps; i++ {
-		rows, err := cdb.Table("t").Query().Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rows.Next() {
-		}
-		if err := rows.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := db.Metrics()
-	if got := metricValue(snap, "server_stmt_cache_hits"); got != reps-1 {
-		t.Errorf("server_stmt_cache_hits = %d, want %d", got, reps-1)
-	}
-	if got := metricValue(snap, "server_stmt_cache_misses"); got != 1 {
-		t.Errorf("server_stmt_cache_misses = %d, want 1", got)
-	}
-
-	// A different statement is its own cache entry: one more miss.
-	rows, err := cdb.Table("t").Query().Limit(3).Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rows.Next() {
-	}
-	rows.Close()
-	if got := metricValue(db.Metrics(), "server_stmt_cache_misses"); got != 2 {
-		t.Errorf("server_stmt_cache_misses after new statement = %d, want 2", got)
-	}
-}
-
 func metricValue(snap *umzi.MetricsSnapshot, name string) int64 {
 	var total int64
 	for i := range snap.Metrics {

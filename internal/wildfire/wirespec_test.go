@@ -256,3 +256,47 @@ func TestQuerySpecGarbageNeverPanics(t *testing.T) {
 		UnmarshalQuerySpec(b) // must not panic; errors are fine
 	}
 }
+
+// FuzzUnmarshalQuerySpec feeds untrusted bytes to the spec decoder every
+// remote query runs: it must never panic, and an accepted spec must
+// re-marshal to bytes that decode and re-marshal to themselves.
+func FuzzUnmarshalQuerySpec(f *testing.F) {
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 16; i++ {
+		b, err := MarshalQuerySpec(randQuerySpec(rng))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	garbage := rand.New(rand.NewSource(7))
+	for i := 0; i < 8; i++ {
+		b := make([]byte, garbage.Intn(64))
+		garbage.Read(b)
+		if len(b) > 0 {
+			b[0] = wireSpecVersion
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := UnmarshalQuerySpec(data)
+		if err != nil {
+			return
+		}
+		b1, err := MarshalQuerySpec(spec)
+		if err != nil {
+			t.Fatalf("accepted %x but cannot re-marshal it: %v", data, err)
+		}
+		again, err := UnmarshalQuerySpec(b1)
+		if err != nil {
+			t.Fatalf("re-marshaled %x does not decode: %v", b1, err)
+		}
+		b2, err := MarshalQuerySpec(again)
+		if err != nil {
+			t.Fatalf("re-decoded spec does not marshal: %v", err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("re-marshal is not stable:\n  %x\n  %x", b1, b2)
+		}
+	})
+}

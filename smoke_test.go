@@ -54,7 +54,6 @@ func TestExamplesAndCommandsSmoke(t *testing.T) {
 		{"cmd/umzi-bench", []string{"-list"}, "available figures"},
 		{"cmd/umzi-bench", []string{"-figure", "s1", "-scale", "tiny"}, "Figure S1"},
 		{"cmd/umzi-bench", []string{"-figure", "s3", "-scale", "tiny"}, "Figure S3"},
-		{"cmd/umzi-bench", []string{"-figure", "a7", "-scale", "tiny"}, "Ablation A7"},
 		{"cmd/umzi-bench", []string{"-figure", "a8", "-scale", "tiny"}, "Ablation A8"},
 		{"cmd/umzi-inspect", []string{"-store", dir}, ""},
 		{"cmd/umzi-workload", []string{"-list"}, "htap.OrderAnalytics"},
