@@ -431,6 +431,30 @@ func (blk *Block) AppendNums(col int, dst []uint64) []uint64 {
 	}
 }
 
+// AppendDict appends, for a dict-encoded column, every row's dictionary
+// code to codes and the sorted dictionary itself, as values, to dict —
+// so dict[codes[r]] is the value at row r. ok is false, and nothing is
+// appended, for any other encoding. The values alias block-owned memory.
+func (blk *Block) AppendDict(col int, codes []uint64, dict []keyenc.Value) ([]uint64, []keyenc.Value, bool) {
+	c := &blk.cols[col]
+	if c.enc != EncDict {
+		return codes, dict, false
+	}
+	for r := 0; r < blk.rows; r++ {
+		codes = append(codes, packGet(c.packed, c.width, r))
+	}
+	str := blk.schema.Col(col).Kind == keyenc.KindString
+	for i := 0; i+1 < len(c.dictOffsets); i++ {
+		b := c.dictPayload[c.dictOffsets[i]:c.dictOffsets[i+1]]
+		if str {
+			dict = append(dict, keyenc.StrBytes(b))
+		} else {
+			dict = append(dict, keyenc.Raw(b))
+		}
+	}
+	return codes, dict, true
+}
+
 // ColumnMin returns the minimum value of the column; ok is false for an
 // empty block.
 func (blk *Block) ColumnMin(col int) (keyenc.Value, bool) {

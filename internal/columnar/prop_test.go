@@ -160,6 +160,22 @@ func TestForcedEncodingsRoundTrip(t *testing.T) {
 					if !blk.HasBloom(c) {
 						t.Fatalf("%v trial %d %s: col %d missing bloom", force, trial, label, c)
 					}
+					// AppendDict serves dict columns only: dict[codes[r]]
+					// is row r's value, over a strictly ascending dict.
+					codes, dict, ok := blk.AppendDict(c, nil, nil)
+					if ok != (got == EncDict) || (!ok && (codes != nil || dict != nil)) {
+						t.Fatalf("%v trial %d %s: col %d (%v): AppendDict ok=%v", force, trial, label, c, got, ok)
+					}
+					for i := 1; i < len(dict); i++ {
+						if keyenc.Compare(dict[i-1], dict[i]) >= 0 {
+							t.Fatalf("%v trial %d %s: col %d: dict not strictly ascending at %d", force, trial, label, c, i)
+						}
+					}
+					for r := 0; ok && r < len(rows); r++ {
+						if v := dict[codes[r]]; v.Kind() != blk.Value(r, c).Kind() || keyenc.Compare(v, rows[r][c]) != 0 {
+							t.Fatalf("%v trial %d %s: (%d,%d): dict value %v, want %v", force, trial, label, r, c, v, rows[r][c])
+						}
+					}
 				}
 				for r := range rows {
 					for c := range rows[r] {

@@ -2,8 +2,11 @@ package exec
 
 import (
 	"bytes"
+	"math"
+	"math/bits"
 	"sort"
 
+	"umzi/internal/columnar"
 	"umzi/internal/keyenc"
 )
 
@@ -115,6 +118,15 @@ type Partial struct {
 	rowKeys [][]byte
 
 	keyBuf []byte // group-key scratch
+
+	// AddBlock scratch, reused from block to block: each selected row's
+	// group, a dict GROUP BY column's codes and dictionary with each
+	// code's group, and one numeric column's raw words.
+	rowGroups  []*groupState
+	codes      []uint64
+	dict       []keyenc.Value
+	codeGroups []*groupState
+	nums       []uint64
 }
 
 // NewPartial returns an empty accumulator for the plan.
@@ -151,6 +163,21 @@ func (p *Partial) Add(row RowView) {
 		}
 		return
 	}
+	g := p.group(row)
+	for i := range b.aggs {
+		a := &b.aggs[i]
+		var v keyenc.Value
+		if a.col >= 0 {
+			v = row(a.col)
+		}
+		g.accs[i].add(a.fn, a.kind, v)
+	}
+}
+
+// group returns the state of the group that row's GROUP BY values
+// name, creating it on first sight.
+func (p *Partial) group(row RowView) *groupState {
+	b := p.plan
 	p.keyBuf = p.keyBuf[:0]
 	for _, c := range b.groupBy {
 		p.keyBuf = keyenc.Append(p.keyBuf, row(c))
@@ -166,13 +193,121 @@ func (p *Partial) Add(row RowView) {
 		}
 		p.groups[string(p.keyBuf)] = g
 	}
+	return g
+}
+
+// AddBlock accumulates the rows of blk that sel selects, exactly as Add
+// would row by row; the caller has filtered and reconciled them. sel is
+// not retained; group keys and MIN/MAX values alias the immutable
+// block, as Add's alias what its view returns.
+//
+// An aggregating plan runs column at a time. Each selected row first
+// resolves to its group: the one group without GROUP BY, its
+// dictionary code's group — looked up once per code per block — when
+// the only GROUP BY column is dict-encoded, otherwise its own key
+// encode and map probe. Each aggregate then runs down its column over
+// the selection: COUNT on the bits, SUM and AVG on the raw words,
+// MIN and MAX on values. Every accumulator takes its inputs in row
+// order, so sums are bit-identical to Add's. A row plan projects row
+// by row through Add.
+func (p *Partial) AddBlock(blk *columnar.Block, sel *Bitmap) {
+	if sel.None() {
+		return
+	}
+	b := p.plan
+	var r int // one view per block, re-pointed per row
+	view := RowView(func(c int) keyenc.Value { return blk.Value(r, c) })
+	if !b.Aggregating() {
+		for w, word := range sel.words {
+			for ; word != 0; word &= word - 1 {
+				r = w<<6 | bits.TrailingZeros64(word)
+				p.Add(view)
+			}
+		}
+		return
+	}
+
+	n := blk.NumRows()
+	if cap(p.rowGroups) < n {
+		p.rowGroups = make([]*groupState, n)
+	}
+	groups := p.rowGroups[:n] // valid at selected rows only
+	var dictCol bool
+	if len(b.groupBy) == 1 {
+		p.codes, p.dict, dictCol = blk.AppendDict(b.groupBy[0], p.codes[:0], p.dict[:0])
+	}
+	switch {
+	case len(b.groupBy) == 0:
+		g := p.group(nil)
+		for w, word := range sel.words {
+			for ; word != 0; word &= word - 1 {
+				groups[w<<6|bits.TrailingZeros64(word)] = g
+			}
+		}
+	case dictCol:
+		if cap(p.codeGroups) < len(p.dict) {
+			p.codeGroups = make([]*groupState, len(p.dict))
+		}
+		codeGroups := p.codeGroups[:len(p.dict)]
+		clear(codeGroups)
+		var code uint64
+		dictView := RowView(func(int) keyenc.Value { return p.dict[code] })
+		for w, word := range sel.words {
+			for ; word != 0; word &= word - 1 {
+				row := w<<6 | bits.TrailingZeros64(word)
+				code = p.codes[row]
+				if codeGroups[code] == nil {
+					codeGroups[code] = p.group(dictView)
+				}
+				groups[row] = codeGroups[code]
+			}
+		}
+	default:
+		for w, word := range sel.words {
+			for ; word != 0; word &= word - 1 {
+				r = w<<6 | bits.TrailingZeros64(word)
+				groups[r] = p.group(view)
+			}
+		}
+	}
+
 	for i := range b.aggs {
 		a := &b.aggs[i]
-		var v keyenc.Value
-		if a.col >= 0 {
-			v = row(a.col)
+		switch {
+		case a.fn == Min || a.fn == Max:
+			for w, word := range sel.words {
+				for ; word != 0; word &= word - 1 {
+					row := w<<6 | bits.TrailingZeros64(word)
+					groups[row].accs[i].add(a.fn, a.kind, blk.Value(row, a.col))
+				}
+			}
+		case a.fn == Count:
+			for w, word := range sel.words {
+				for ; word != 0; word &= word - 1 {
+					groups[w<<6|bits.TrailingZeros64(word)].accs[i].count++
+				}
+			}
+		default: // Sum, Avg: numeric columns, summed from the raw words
+			p.nums = blk.AppendNums(a.col, p.nums[:0])
+			nums := p.nums
+			for w, word := range sel.words {
+				for ; word != 0; word &= word - 1 {
+					row := w<<6 | bits.TrailingZeros64(word)
+					acc := &groups[row].accs[i]
+					acc.count++
+					switch raw := nums[row]; a.kind {
+					case keyenc.KindInt64:
+						acc.isum += int64(raw)
+						acc.fsum += float64(int64(raw))
+					case keyenc.KindUint64:
+						acc.usum += raw
+						acc.fsum += float64(raw)
+					default:
+						acc.fsum += math.Float64frombits(raw)
+					}
+				}
+			}
 		}
-		g.accs[i].add(a.fn, a.kind, v)
 	}
 }
 

@@ -13,8 +13,11 @@
 // instead of rows.
 //
 // Usage: declare a Plan against table column names, Bind it once to the
-// table's columns, feed qualifying rows into per-shard Partials, then
-// Finalize the partials into a Result. Block pruning comes for free:
+// table's columns, feed qualifying rows into per-shard Partials — a
+// block's selected rows at once through AddBlock, which aggregates
+// column at a time over the selection bitmap, and rows that live in no
+// block one by one through Add — then Finalize the partials into a
+// Result. Block pruning comes for free:
 // CanMatchBlock consults the per-column min/max synopses of a columnar
 // block and reports whether any of its rows could satisfy the filter.
 package exec

@@ -26,14 +26,11 @@ import (
 // merges before finalizing (ShardedEngine.execPartials).
 
 // execCandidate is one primary key's newest visible pending version so
-// far. sel is its block's selection bitmap; it is nil when the skip
-// structures excluded the block — the version still shadows older ones
-// but cannot itself qualify.
+// far: a row of the query's pending block classified[block].
 type execCandidate struct {
 	beginTS uint64
-	blk     *columnar.Block
+	block   int
 	row     int
-	sel     *exec.Bitmap
 }
 
 // liveBest is the newest committed-but-ungroomed version of one key.
@@ -50,10 +47,11 @@ func (e *shard) liveOverlay(opts QueryOptions) (map[string]liveBest, *zoneVersio
 	var visit func(logRecord)
 	if opts.IncludeLive {
 		live = make(map[string]liveBest)
+		var pk []byte
 		visit = func(rec logRecord) {
-			pk := e.table.pkEncoding(rec.row)
-			if best, ok := live[pk]; !ok || rec.commitSeq >= best.seq {
-				live[pk] = liveBest{row: rec.row, seq: rec.commitSeq}
+			pk = e.table.appendPK(pk[:0], rec.row)
+			if best, ok := live[string(pk)]; !ok || rec.commitSeq >= best.seq {
+				live[string(pk)] = liveBest{row: rec.row, seq: rec.commitSeq}
 			}
 		}
 	}
@@ -196,11 +194,13 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 	// Phase 2: reconcile the newest visible pending version per primary
 	// key. Live records are newer than every groomed version of their key
 	// (the groomer will assign them a larger beginTS), so they supersede.
+	// A pending block the skip structures excluded keeps a nil selection:
+	// its versions still shadow older ones but cannot themselves qualify.
+	sels := make([]*exec.Bitmap, nPending)
 	winners := make(map[string]execCandidate)
-	for _, sb := range classified[:nPending] {
-		var sel *exec.Bitmap
+	for i, sb := range classified[:nPending] {
 		if sb.skip == exec.SkipNone {
-			sel = bound.FilterBlock(sb.blk)
+			sels[i] = bound.FilterBlock(sb.blk)
 		}
 		blk := sb.blk
 		tsBuf = blk.AppendNums(nUser, tsBuf[:0])
@@ -214,13 +214,14 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 			if w, ok := winners[string(pk)]; ok && w.beginTS >= beginTS {
 				continue
 			}
-			winners[string(pk)] = execCandidate{beginTS: beginTS, blk: blk, row: r, sel: sel}
+			winners[string(pk)] = execCandidate{beginTS: beginTS, block: i, row: r}
 		}
 	}
 	winnerInserts += liveUnion
 
 	// Phase 3: post-groomed rows visible by beginTS/endTS, minus overrides
-	// in effect at zts and keys a pending or live version shadows.
+	// in effect at zts and keys a pending or live version shadows, each
+	// block's survivors accumulated in one call.
 	for i, sb := range classified[nPending:] {
 		if sb.skip != exec.SkipNone {
 			continue
@@ -238,29 +239,38 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 				words[o.offset>>6] &^= 1 << (o.offset & 63)
 			}
 		}
-		var r int // one view per block, re-pointed per row
-		view := exec.RowView(func(c int) keyenc.Value { return blk.Value(r, c) })
-		for w, word := range words {
-			for ; word != 0; word &= word - 1 {
-				r = w<<6 | bits.TrailingZeros64(word)
-				if len(winners)+len(live) > 0 {
-					pk := appendPK(blk, r)
+		if len(winners)+len(live) > 0 {
+			for w, word := range words {
+				for ; word != 0; word &= word - 1 {
+					bit := bits.TrailingZeros64(word)
+					pk := appendPK(blk, w<<6|bit)
 					_, pending := winners[string(pk)]
 					if _, isLive := live[string(pk)]; pending || isLive {
-						continue
+						words[w] &^= 1 << bit
 					}
 				}
-				part.Add(view)
 			}
 		}
+		part.AddBlock(blk, sel)
 	}
 
+	// The qualifying pending winners, one bitmap per pending block, fed
+	// in zone order.
+	wins := make([]*exec.Bitmap, nPending)
 	for pk, w := range winners {
-		if _, isLive := live[pk]; isLive || w.sel == nil || !w.sel.Get(w.row) {
+		sel := sels[w.block]
+		if _, isLive := live[pk]; isLive || sel == nil || !sel.Get(w.row) {
 			continue
 		}
-		blk, r := w.blk, w.row
-		part.Add(func(c int) keyenc.Value { return blk.Value(r, c) })
+		if wins[w.block] == nil {
+			wins[w.block] = exec.NewBitmap(sel.Len())
+		}
+		wins[w.block].Words()[w.row>>6] |= 1 << (w.row & 63)
+	}
+	for i, win := range wins {
+		if win != nil {
+			part.AddBlock(classified[i].blk, win)
+		}
 	}
 	addLiveRows(part, bound, live)
 	return part, nil
@@ -273,11 +283,13 @@ func visibleAt(syn exec.BlockSynopsis, nUser int, ts types.TS) bool {
 	return ok && types.TS(min.Uint()) <= ts
 }
 
-// addLiveRows feeds the qualifying live-zone rows into the partial.
+// addLiveRows feeds the qualifying live-zone rows into the partial,
+// through one view re-pointed per row.
 func addLiveRows(part *exec.Partial, bound *exec.BoundPlan, live map[string]liveBest) {
+	var row Row
+	view := exec.RowView(func(c int) keyenc.Value { return row[c] })
 	for _, best := range live {
-		row := best.row
-		view := exec.RowView(func(c int) keyenc.Value { return row[c] })
+		row = best.row
 		if bound.Matches(view) {
 			part.Add(view)
 		}

@@ -140,20 +140,19 @@ func (t TableDef) validateRow(r Row) error {
 	return nil
 }
 
-// pkValues extracts the primary-key values of a row in PK declaration
-// order.
-func (t TableDef) pkValues(r Row) []keyenc.Value {
-	out := make([]keyenc.Value, len(t.PrimaryKey))
-	for i, k := range t.PrimaryKey {
-		out[i] = r[t.colIndex(k)]
+// appendPK appends the encodings of a row's primary-key values, in PK
+// declaration order, to dst.
+func (t TableDef) appendPK(dst []byte, r Row) []byte {
+	for _, k := range t.PrimaryKey {
+		dst = keyenc.Append(dst, r[t.colIndex(k)])
 	}
-	return out
+	return dst
 }
 
 // pkEncoding is the canonical byte encoding of a row's primary key; the
 // groomer and post-groomer use it to group versions of the same key.
 func (t TableDef) pkEncoding(r Row) string {
-	return string(keyenc.AppendComposite(nil, t.pkValues(r)...))
+	return string(t.appendPK(nil, r))
 }
 
 // IndexSpec selects the index key layout over a table (§4.1). Because the
