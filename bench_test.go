@@ -66,10 +66,6 @@ func BenchmarkFig15Evolve(b *testing.B) { benchFigure(b, bench.Fig15Evolve) }
 // BenchmarkAblationOffsetArray measures the offset-array ablation (A1).
 func BenchmarkAblationOffsetArray(b *testing.B) { benchFigure(b, bench.AblationOffsetArray) }
 
-// BenchmarkAblationReconcile measures set vs priority-queue
-// reconciliation (A2).
-func BenchmarkAblationReconcile(b *testing.B) { benchFigure(b, bench.AblationReconcile) }
-
 // BenchmarkAblationSynopsis measures synopsis pruning on/off (A3).
 func BenchmarkAblationSynopsis(b *testing.B) { benchFigure(b, bench.AblationSynopsis) }
 

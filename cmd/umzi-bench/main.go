@@ -42,7 +42,6 @@ func drivers() []driver {
 		{"s1", "Figure S1: scatter-gather shard scaling (extension)", bench.FigS1ShardScaling},
 		{"s3", "Figure S3: ingest throughput vs sync policy and group commit (extension)", bench.FigS3GroupCommit},
 		{"a1", "Ablation A1: offset array width", bench.AblationOffsetArray},
-		{"a2", "Ablation A2: set vs priority-queue reconciliation", bench.AblationReconcile},
 		{"a3", "Ablation A3: synopsis pruning", bench.AblationSynopsis},
 		{"a4", "Ablation A4: batched vs individual lookups", bench.AblationBatchSort},
 		{"a5", "Ablation A5: merge policy knobs", bench.AblationMergePolicy},
@@ -51,7 +50,7 @@ func drivers() []driver {
 }
 
 func main() {
-	figure := flag.String("figure", "", "figure to run: 8..15, s1, s3, a1..a5, a8, or 'all'")
+	figure := flag.String("figure", "", "figure to run: 8..15, s1, s3, a1, a3..a5, a8, or 'all'")
 	scaleName := flag.String("scale", "small", "sweep scale: small | paper | tiny")
 	list := flag.Bool("list", false, "list available figures and exit")
 	flag.Parse()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"umzi/internal/core"
-	"umzi/internal/keyenc"
 	"umzi/internal/run"
 	"umzi/internal/storage"
 	"umzi/internal/types"
@@ -68,56 +67,6 @@ func AblationOffsetArray(s Scale) (*Result, error) {
 	}
 	res.Series = []Series{series}
 	res.Notes = append(res.Notes, "expect wider arrays to shrink the binary-search window and speed lookups")
-	return res, nil
-}
-
-// AblationReconcile compares the set and priority-queue reconciliation
-// methods (§7.1.2) as the scan range grows: the set approach must keep
-// intermediate results in memory, the queue streams.
-func AblationReconcile(s Scale) (*Result, error) {
-	res := &Result{
-		Figure:   "Ablation A2",
-		Title:    "Set vs priority-queue reconciliation",
-		XLabel:   "scan range",
-		YLabel:   "normalized scan time",
-		Baseline: "set approach at the smallest range",
-	}
-	ix, d, err := multiRunIndex("a2", s.MultiRunCount, s.MultiRunSize, false)
-	if err != nil {
-		return nil, err
-	}
-	defer ix.Close()
-	_ = d
-	var setS, pqS Series
-	setS.Name = "set"
-	pqS.Name = "priority queue"
-	var base float64
-	for _, rng := range s.ScanRanges {
-		res.X = append(res.X, humanCount(rng))
-		scan := func(m core.Method) float64 {
-			return timeAvg(s.Reps, func() {
-				_, err := ix.RangeScan(core.ScanOptions{
-					Equality: []keyenc.Value{keyenc.I64(0)},
-					SortLo:   []keyenc.Value{keyenc.I64(0)},
-					SortHi:   []keyenc.Value{keyenc.I64(int64(rng) - 1)},
-					TS:       types.MaxTS,
-					Method:   m,
-				})
-				if err != nil {
-					panic(err)
-				}
-			})
-		}
-		tSet := scan(core.MethodSet)
-		tPQ := scan(core.MethodPQ)
-		if base == 0 {
-			base = tSet
-		}
-		setS.Y = append(setS.Y, tSet/base)
-		pqS.Y = append(pqS.Y, tPQ/base)
-	}
-	res.Series = []Series{setS, pqS}
-	res.Notes = append(res.Notes, "both linear in range; the set approach pays for the result set, the queue for heap ops")
 	return res, nil
 }
 

@@ -156,7 +156,6 @@ func TestAblations(t *testing.T) {
 	s := TinyScale()
 	for name, f := range map[string]func(Scale) (*Result, error){
 		"offset-array": AblationOffsetArray,
-		"reconcile":    AblationReconcile,
 		"synopsis":     AblationSynopsis,
 		"batch-sort":   AblationBatchSort,
 		"merge-policy": AblationMergePolicy,

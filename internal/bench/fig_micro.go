@@ -254,7 +254,6 @@ func figMultiRun(s Scale, randomIngest bool) (*Result, error) {
 				SortLo:   []keyenc.Value{keyenc.I64(lo)},
 				SortHi:   []keyenc.Value{keyenc.I64(hi)},
 				TS:       types.MaxTS,
-				Method:   core.MethodPQ,
 			})
 			if err != nil {
 				panic(err)

@@ -129,7 +129,6 @@ func TestConcurrentReadersDuringMaintenance(t *testing.T) {
 					got, err := ix.RangeScan(ScanOptions{
 						Equality: []keyenc.Value{keyenc.I64(dev)},
 						TS:       types.MaxTS,
-						Method:   MethodPQ,
 					})
 					if err != nil {
 						report(err)

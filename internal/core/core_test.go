@@ -161,16 +161,14 @@ func checkLookup(t *testing.T, ix *Index, m *model, device, msg int64, ts types.
 	}
 }
 
-// checkScan asserts a range scan (PQ method: globally ordered) against the
-// model.
-func checkScan(t *testing.T, ix *Index, m *model, device, msgLo, msgHi int64, ts types.TS, method Method) {
+// checkScan asserts a range scan against the model, in key order.
+func checkScan(t *testing.T, ix *Index, m *model, device, msgLo, msgHi int64, ts types.TS) {
 	t.Helper()
 	got, err := ix.RangeScan(ScanOptions{
 		Equality: []keyenc.Value{keyenc.I64(device)},
 		SortLo:   []keyenc.Value{keyenc.I64(msgLo)},
 		SortHi:   []keyenc.Value{keyenc.I64(msgHi)},
 		TS:       ts,
-		Method:   method,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,19 +177,14 @@ func checkScan(t *testing.T, ix *Index, m *model, device, msgLo, msgHi int64, ts
 	if len(got) != len(want) {
 		t.Fatalf("scan(dev=%d, %d..%d)@%v: %d results, want %d", device, msgLo, msgHi, ts, len(got), len(want))
 	}
-	// Normalize got into (msg -> record) since set-method order is by run.
-	byMsg := map[int64]run.Entry{}
-	for _, e := range got {
+	for i, w := range want {
+		e := got[i]
 		_, sortv, _, err := ix.DecodeEntry(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		byMsg[sortv[0].Int()] = e
-	}
-	for _, w := range want {
-		e, ok := byMsg[w.msg]
-		if !ok {
-			t.Fatalf("scan missing msg %d", w.msg)
+		if msg := sortv[0].Int(); msg != w.msg {
+			t.Fatalf("scan result %d: msg %d, want %d", i, msg, w.msg)
 		}
 		if e.BeginTS != w.ts || e.RID != w.rid {
 			t.Fatalf("scan msg %d: (ts=%v, rid=%v), want (ts=%v, rid=%v)", w.msg, e.BeginTS, e.RID, w.ts, w.rid)
@@ -293,23 +286,24 @@ func TestSnapshotReads(t *testing.T) {
 	for c := uint64(1); c <= 4; c++ {
 		ts := types.MakeTS(c, 1<<20) // end of cycle c
 		checkLookup(t, ix, m, 1, 2, ts)
-		checkScan(t, ix, m, 1, 0, 9, ts, MethodPQ)
+		checkScan(t, ix, m, 1, 0, 9, ts)
 	}
 	// Before any data.
 	checkLookup(t, ix, m, 1, 2, types.MakeTS(0, 0))
 }
 
-func TestRangeScanMethodsAgree(t *testing.T) {
+// TestRangeScanMatchesModel checks wide, narrow and pinned (point-like)
+// ranges over overlapping runs against the model.
+func TestRangeScanMatchesModel(t *testing.T) {
 	ix := newTestIndex(t, nil)
 	m := newModel()
 	for c := uint64(1); c <= 6; c++ {
 		groom(t, ix, m, c, recsSeq(60, 4, int64(c)))
 	}
 	for dev := int64(0); dev < 4; dev++ {
-		checkScan(t, ix, m, dev, 0, 25, types.MaxTS, MethodSet)
-		checkScan(t, ix, m, dev, 0, 25, types.MaxTS, MethodPQ)
-		checkScan(t, ix, m, dev, 3, 7, types.MaxTS, MethodSet)
-		checkScan(t, ix, m, dev, 3, 7, types.MaxTS, MethodPQ)
+		checkScan(t, ix, m, dev, 0, 25, types.MaxTS)
+		checkScan(t, ix, m, dev, 3, 7, types.MaxTS)
+		checkScan(t, ix, m, dev, 5, 5, types.MaxTS)
 	}
 }
 
@@ -322,7 +316,6 @@ func TestRangeScanPQOrdered(t *testing.T) {
 	got, err := ix.RangeScan(ScanOptions{
 		Equality: []keyenc.Value{keyenc.I64(1)},
 		TS:       types.MaxTS,
-		Method:   MethodPQ,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +342,6 @@ func TestRangeScanLimit(t *testing.T) {
 	got, err := ix.RangeScan(ScanOptions{
 		Equality: []keyenc.Value{keyenc.I64(0)},
 		TS:       types.MaxTS,
-		Method:   MethodPQ,
 		Limit:    7,
 	})
 	if err != nil {
@@ -357,18 +349,6 @@ func TestRangeScanLimit(t *testing.T) {
 	}
 	if len(got) != 7 {
 		t.Fatalf("limit scan returned %d, want 7", len(got))
-	}
-	got, err = ix.RangeScan(ScanOptions{
-		Equality: []keyenc.Value{keyenc.I64(0)},
-		TS:       types.MaxTS,
-		Method:   MethodSet,
-		Limit:    7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 7 {
-		t.Fatalf("limit set-scan returned %d, want 7", len(got))
 	}
 }
 

@@ -164,7 +164,7 @@ func TestEvolveChainAndPostZoneMerge(t *testing.T) {
 	// Historical reads still correct after evolve + merges.
 	for c := uint64(1); c <= 12; c += 3 {
 		checkLookup(t, ix, m, 1, 4, types.MakeTS(c, 1<<20))
-		checkScan(t, ix, m, 1, 0, 9, types.MakeTS(c, 1<<20), MethodPQ)
+		checkScan(t, ix, m, 1, 0, 9, types.MakeTS(c, 1<<20))
 	}
 }
 
@@ -237,7 +237,6 @@ func TestQueryDuringEvolveSeesEverythingOnce(t *testing.T) {
 			got, err := ix.RangeScan(ScanOptions{
 				Equality: []keyenc.Value{keyenc.I64(1)},
 				TS:       types.MaxTS,
-				Method:   MethodPQ,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -256,18 +255,6 @@ func TestQueryDuringEvolveSeesEverythingOnce(t *testing.T) {
 			}
 			if len(seen) != 10 {
 				t.Fatalf("mid-evolve scan returned %d keys, want 10 (%s)", len(seen), point)
-			}
-			// Set method must agree.
-			got2, err := ix.RangeScan(ScanOptions{
-				Equality: []keyenc.Value{keyenc.I64(1)},
-				TS:       types.MaxTS,
-				Method:   MethodSet,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got2) != len(got) {
-				t.Fatalf("set method returned %d, PQ returned %d mid-evolve", len(got2), len(got))
 			}
 		})
 	}

@@ -11,9 +11,9 @@ import (
 
 // TestRandomizedWorkloadAgainstModel drives the index with a long random
 // sequence of grooms, updates, merges, evolves and recoveries, checking
-// every few steps that point lookups, range scans (both reconciliation
-// methods) and batched lookups agree exactly with a simple in-memory
-// model at randomly chosen snapshot timestamps. This is the repository's
+// every few steps that point lookups, range scans and batched lookups
+// agree exactly with a simple in-memory model at randomly chosen snapshot
+// timestamps. This is the repository's
 // strongest single correctness check: it composes every maintenance
 // operation with every query path under multi-version semantics.
 func TestRandomizedWorkloadAgainstModel(t *testing.T) {
@@ -80,10 +80,8 @@ func randomizedWorkload(t *testing.T, seed int64) {
 				checkLookup(t, ix, m, dev, msg, ts)
 			}
 		}
-		// Range scans with both methods on a random device.
-		dev := int64(rng.Intn(devices))
-		checkScanValues(t, ix, m, dev, ts, MethodSet)
-		checkScanValues(t, ix, m, dev, ts, MethodPQ)
+		// A range scan on a random device.
+		checkScanValues(t, ix, m, int64(rng.Intn(devices)), ts)
 		// A batched lookup mixing hits and misses.
 		var keys []LookupKey
 		type kk struct{ dev, msg int64 }
@@ -150,12 +148,11 @@ func randomizedWorkload(t *testing.T, seed int64) {
 // checkScanValues compares an unbounded per-device scan against the model
 // (value-level comparison; RIDs may legitimately point at either zone for
 // duplicated versions).
-func checkScanValues(t *testing.T, ix *Index, m *model, device int64, ts types.TS, method Method) {
+func checkScanValues(t *testing.T, ix *Index, m *model, device int64, ts types.TS) {
 	t.Helper()
 	got, err := ix.RangeScan(ScanOptions{
 		Equality: []keyenc.Value{keyenc.I64(device)},
 		TS:       ts,
-		Method:   method,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +167,7 @@ func checkScanValues(t *testing.T, ix *Index, m *model, device int64, ts types.T
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("scan dev %d @%v (%v): %d results, want %d", device, ts, method, len(got), len(want))
+		t.Fatalf("scan dev %d @%v: %d results, want %d", device, ts, len(got), len(want))
 	}
 	for _, e := range got {
 		_, sortv, incl, err := ix.DecodeEntry(e)

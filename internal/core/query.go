@@ -2,28 +2,14 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 
 	"umzi/internal/keyenc"
 	"umzi/internal/run"
 	"umzi/internal/types"
-)
-
-// Method selects the multi-run reconciliation strategy of §7.1.2.
-type Method int
-
-const (
-	// MethodAuto picks the set approach for point-like scans and the
-	// priority-queue approach otherwise.
-	MethodAuto Method = iota
-	// MethodSet searches runs newest to oldest remembering returned keys.
-	// Intermediate results stay in memory; best for small ranges.
-	MethodSet
-	// MethodPQ merges all run streams through a priority queue, retaining
-	// a global key order without remembering intermediate results.
-	MethodPQ
 )
 
 // ScanOptions describes a range scan (§7.1). A query specifies values for
@@ -38,21 +24,19 @@ type ScanOptions struct {
 	// TS is the query timestamp. Pass types.MaxTS to see the newest
 	// version of everything; a zero TS sees nothing (no version has
 	// beginTS <= 0).
-	TS     types.TS
-	Method Method
+	TS types.TS
 	// Limit stops the scan after this many results; 0 means unlimited.
 	Limit int
 }
 
 // RangeScan executes a range scan and returns the newest visible version
-// of every matching key. With MethodPQ (and MethodAuto for ranges) results
-// are in global key order; MethodSet returns them grouped by run. Returned
-// entries reference immutable run memory and remain valid indefinitely.
+// of every matching key in key order. The candidate runs merge through
+// one priority queue (§7.1.2). Returned entries reference immutable run
+// memory and remain valid indefinitely.
 func (ix *Index) RangeScan(opts ScanOptions) ([]run.Entry, error) {
 	if ix.closed.Load() {
 		return nil, fmt.Errorf("core: index closed")
 	}
-	ts := opts.TS
 	lo, err := run.MakeSearchKey(ix.rdef, opts.Equality, opts.SortLo)
 	if err != nil {
 		return nil, err
@@ -73,33 +57,7 @@ func (ix *Index) RangeScan(opts ScanOptions) ([]run.Entry, error) {
 	refs, release := ix.collectCandidates(opts.Equality, opts.SortLo, opts.SortHi)
 	defer release()
 	ix.stats.Queries.Add(1)
-
-	method := opts.Method
-	if method == MethodAuto {
-		// Point-like scans (sort columns pinned to a single value)
-		// reconcile cheaply via the set approach; real ranges use the
-		// priority queue, which also yields global key order (§7.1.2:
-		// "the set approach mainly works well for small range queries").
-		method = MethodPQ
-		if len(opts.SortLo) == len(ix.rdef.SortKinds) && len(opts.SortHi) == len(opts.SortLo) {
-			pinned := true
-			for i := range opts.SortLo {
-				if keyenc.Compare(opts.SortLo[i], opts.SortHi[i]) != 0 {
-					pinned = false
-					break
-				}
-			}
-			if pinned {
-				method = MethodSet
-			}
-		}
-	}
-	switch method {
-	case MethodSet:
-		return ix.scanSet(refs, lo, group, upper, ts, opts.Limit)
-	default:
-		return ix.scanPQ(refs, lo, group, upper, ts, opts.Limit)
-	}
+	return ix.scanPQ(refs, lo, group, upper, opts.TS, opts.Limit)
 }
 
 // collectCandidates snapshots the run lists in query order — groomed runs
@@ -187,83 +145,6 @@ func inUpperBound(key, upper []byte) bool {
 	return true // equal prefix: inside regardless of which is longer
 }
 
-// searchRun implements the single-run range search of §7.1.1: binary
-// search (narrowed by the offset array) to the first matching key, then
-// forward iteration within the equality group and upper bound, filtering
-// on beginTS and keeping only the newest visible version per key. emit
-// returns false to stop early.
-func (ix *Index) searchRun(ref *runRef, lo, group run.SearchKey, upper []byte, ts types.TS, emit func(run.Entry) bool) error {
-	ix.stats.RunsSearched.Add(1)
-	src := ix.source(ref)
-	defer func() {
-		if ts, ok := src.(*tieredSource); ok {
-			ts.Close()
-		}
-	}()
-	r := run.NewReader(ref.header, src)
-	it, err := r.SeekGE(lo)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-
-	var curKey []byte
-	var curHash uint64
-	emittedCur := false
-	for ; it.Valid(); it.Next() {
-		e, err := it.Entry()
-		if err != nil {
-			return err
-		}
-		ix.stats.EntriesScanned.Add(1)
-		if !run.HasPrefix(e, group) {
-			break // left the equality group
-		}
-		if !inUpperBound(e.Key, upper) {
-			break
-		}
-		if curKey == nil || e.Hash != curHash || !bytes.Equal(e.Key, curKey) {
-			curKey = e.Key
-			curHash = e.Hash
-			emittedCur = false
-		}
-		if emittedCur || e.BeginTS > ts {
-			continue // older version of an emitted key, or not yet visible
-		}
-		emittedCur = true
-		if !emit(e) {
-			return nil
-		}
-	}
-	return it.Err()
-}
-
-// scanSet reconciles with the set approach (§7.1.2): runs are searched
-// newest to oldest and a set of already-returned keys suppresses older
-// versions from older runs.
-func (ix *Index) scanSet(refs []*runRef, lo, group run.SearchKey, upper []byte, ts types.TS, limit int) ([]run.Entry, error) {
-	seen := make(map[string]struct{})
-	var out []run.Entry
-	for _, ref := range refs {
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-		err := ix.searchRun(ref, lo, group, upper, ts, func(e run.Entry) bool {
-			k := string(e.Key)
-			if _, dup := seen[k]; dup {
-				return true
-			}
-			seen[k] = struct{}{}
-			out = append(out, e)
-			return !(limit > 0 && len(out) >= limit)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // scanPQ reconciles with the priority-queue approach (§7.1.2): all run
 // streams merge through a heap that orders by key and then by descending
 // beginTS and run recency, so the first entry popped for each key is the
@@ -314,8 +195,11 @@ func (ix *Index) scanPQ(refs []*runRef, lo, group run.SearchKey, upper []byte, t
 	return out, nil
 }
 
-// scanStream adapts searchRun's filtering into a pull-based stream for the
-// priority-queue reconciliation.
+// scanStream is one run's side of the priority queue: the single-run
+// range search of §7.1.1 as a pull-based stream. It seeks (binary search
+// narrowed by the offset array) to the first matching key, then iterates
+// forward within the equality group and upper bound, filtering on
+// beginTS and keeping only the newest visible version per key.
 type scanStream struct {
 	ix    *Index
 	src   run.BlockSource
@@ -400,69 +284,45 @@ func (h *scanHeap) Pop() interface{} {
 	return x
 }
 
+// LookupKey is one key of a batched point lookup.
+type LookupKey struct {
+	Equality []keyenc.Value
+	Sort     []keyenc.Value
+}
+
+// lookupItem is one exact key of a lookup batch. pos is its slot in the
+// caller's results. bounds, when set, pins every key column to the key's
+// value, so a run whose synopsis excludes the key is not searched for it.
+type lookupItem struct {
+	key    run.SearchKey
+	bounds []run.ColumnBound
+	pos    int
+}
+
+// pointKey builds the search key of one exact key (all equality and all
+// sort columns specified).
+func (ix *Index) pointKey(eq, sortv []keyenc.Value) (run.SearchKey, error) {
+	if len(sortv) != len(ix.rdef.SortKinds) {
+		return run.SearchKey{}, fmt.Errorf("core: point lookup requires the full key (%d sort values, want %d)", len(sortv), len(ix.rdef.SortKinds))
+	}
+	return run.MakeSearchKey(ix.rdef, eq, sortv)
+}
+
 // PointLookup finds the newest version with beginTS <= ts of the exact
-// key (all equality and all sort columns specified). It searches runs
-// newest to oldest and stops at the first hit (§7.2), which is correct
-// because run block ranges are disjoint within a zone and beginTS grows
-// with groomed block ID.
+// key (all equality and all sort columns specified). It is a batch of one
+// over the runs whose synopsis admits the key.
 func (ix *Index) PointLookup(eq, sortv []keyenc.Value, ts types.TS) (run.Entry, bool, error) {
 	if ix.closed.Load() {
 		return run.Entry{}, false, fmt.Errorf("core: index closed")
 	}
-	if len(sortv) != len(ix.rdef.SortKinds) {
-		return run.Entry{}, false, fmt.Errorf("core: point lookup requires the full key (%d sort values, want %d)", len(sortv), len(ix.rdef.SortKinds))
-	}
-	key, err := run.MakeSearchKey(ix.rdef, eq, sortv)
+	key, err := ix.pointKey(eq, sortv)
 	if err != nil {
 		return run.Entry{}, false, err
 	}
 	refs, release := ix.collectCandidates(eq, sortv, sortv)
 	defer release()
-	ix.stats.Queries.Add(1)
-
-	for _, ref := range refs {
-		e, found, err := ix.lookupInRun(ref, key, ts)
-		if err != nil {
-			return run.Entry{}, false, err
-		}
-		if found {
-			return e, true, nil
-		}
-	}
-	return run.Entry{}, false, nil
-}
-
-// lookupInRun finds the newest visible version of an exact key inside one
-// run: the point lookup is a range scan whose lower and upper bounds
-// coincide (§7.2).
-func (ix *Index) lookupInRun(ref *runRef, key run.SearchKey, ts types.TS) (run.Entry, bool, error) {
-	ix.stats.RunsSearched.Add(1)
-	src := ix.source(ref)
-	defer func() {
-		if t, ok := src.(*tieredSource); ok {
-			t.Close()
-		}
-	}()
-	r := run.NewReader(ref.header, src)
-	it, err := r.SeekGE(key)
-	if err != nil {
-		return run.Entry{}, false, err
-	}
-	defer it.Close()
-	for ; it.Valid(); it.Next() {
-		e, err := it.Entry()
-		if err != nil {
-			return run.Entry{}, false, err
-		}
-		ix.stats.EntriesScanned.Add(1)
-		if e.Hash != key.Hash || !bytes.Equal(e.Key, key.Key) {
-			break // moved past the key
-		}
-		if e.BeginTS <= ts {
-			return e, true, nil
-		}
-	}
-	return run.Entry{}, false, it.Err()
+	// collectCandidates pruned by this key's bounds already.
+	return ix.lookupOne(refs, lookupItem{key: key}, ts)
 }
 
 // PointLookupPostGroomed is PointLookup restricted to the post-groomed
@@ -473,44 +333,27 @@ func (ix *Index) PointLookupPostGroomed(eq, sortv []keyenc.Value, ts types.TS) (
 	if ix.closed.Load() {
 		return run.Entry{}, false, fmt.Errorf("core: index closed")
 	}
-	if len(sortv) != len(ix.rdef.SortKinds) {
-		return run.Entry{}, false, fmt.Errorf("core: point lookup requires the full key")
-	}
-	key, err := run.MakeSearchKey(ix.rdef, eq, sortv)
+	key, err := ix.pointKey(eq, sortv)
 	if err != nil {
 		return run.Entry{}, false, err
 	}
 	refs, release := ix.post.snapshot()
 	defer release()
-	ix.stats.Queries.Add(1)
-	bounds := ix.synopsisBounds(eq, sortv, sortv)
-	for _, ref := range refs {
-		if bounds != nil && !run.HeaderMayContain(ref.header, bounds) {
-			ix.stats.RunsPruned.Add(1)
-			continue
-		}
-		e, found, err := ix.lookupInRun(ref, key, ts)
-		if err != nil {
-			return run.Entry{}, false, err
-		}
-		if found {
-			return e, true, nil
-		}
-	}
-	return run.Entry{}, false, nil
+	return ix.lookupOne(refs, lookupItem{key: key, bounds: ix.synopsisBounds(eq, sortv, sortv)}, ts)
 }
 
-// LookupKey is one key of a batched point lookup.
-type LookupKey struct {
-	Equality []keyenc.Value
-	Sort     []keyenc.Value
+// lookupOne is a batch of one, kept on the stack.
+func (ix *Index) lookupOne(refs []*runRef, item lookupItem, ts types.TS) (run.Entry, bool, error) {
+	items := [1]lookupItem{item}
+	var out [1]run.Entry
+	var found [1]bool
+	err := ix.lookup(refs, items[:], ts, out[:], found[:])
+	return out[0], found[0], err
 }
 
-// LookupBatch resolves a batch of point lookups at one timestamp. Keys are
-// first sorted by their index order so every run is searched sequentially
-// and at most once, newest to oldest, until all keys are found or the runs
-// are exhausted (§7.2). Results align with the input: found[i] reports
-// whether keys[i] matched and out[i] holds its newest visible version.
+// LookupBatch resolves a batch of point lookups at one timestamp. Results
+// align with the input: found[i] reports whether keys[i] matched and
+// out[i] holds its newest visible version.
 func (ix *Index) LookupBatch(keys []LookupKey, ts types.TS) ([]run.Entry, []bool, error) {
 	if ix.closed.Load() {
 		return nil, nil, fmt.Errorf("core: index closed")
@@ -520,83 +363,70 @@ func (ix *Index) LookupBatch(keys []LookupKey, ts types.TS) ([]run.Entry, []bool
 	if len(keys) == 0 {
 		return out, found, nil
 	}
-
-	type item struct {
-		key run.SearchKey
-		pos int
-	}
-	nKeyCols := len(ix.rdef.EqualityKinds) + len(ix.rdef.SortKinds)
-	items := make([]item, len(keys))
-	// batchBounds accumulates the per-column min/max over the whole
-	// batch, pruning runs that overlap none of the batch's keys.
-	batchBounds := make([]run.ColumnBound, nKeyCols)
+	items := make([]lookupItem, len(keys))
 	for i, k := range keys {
-		if len(k.Sort) != len(ix.rdef.SortKinds) {
-			return nil, nil, fmt.Errorf("core: batch key %d: point lookup requires the full key", i)
-		}
-		sk, err := run.MakeSearchKey(ix.rdef, k.Equality, k.Sort)
+		sk, err := ix.pointKey(k.Equality, k.Sort)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: batch key %d: %w", i, err)
 		}
-		segs := make([][]byte, 0, nKeyCols)
-		for _, v := range k.Equality {
-			segs = append(segs, keyenc.Append(nil, v))
-		}
-		for _, v := range k.Sort {
-			segs = append(segs, keyenc.Append(nil, v))
-		}
-		for c, seg := range segs {
-			if batchBounds[c].Lo == nil || bytes.Compare(seg, batchBounds[c].Lo) < 0 {
-				batchBounds[c].Lo = seg
-			}
-			if batchBounds[c].Hi == nil || bytes.Compare(seg, batchBounds[c].Hi) > 0 {
-				batchBounds[c].Hi = seg
-			}
-		}
-		items[i] = item{key: sk, pos: i}
+		items[i] = lookupItem{key: sk, bounds: ix.synopsisBounds(k.Equality, k.Sort, k.Sort), pos: i}
 	}
 	// Sort the batch by hash, equality and sort columns (§7.2) so each
 	// run is read in one forward pass.
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].key.Hash != items[j].key.Hash {
-			return items[i].key.Hash < items[j].key.Hash
+	slices.SortFunc(items, func(a, b lookupItem) int {
+		if c := cmp.Compare(a.key.Hash, b.key.Hash); c != 0 {
+			return c
 		}
-		return bytes.Compare(items[i].key.Key, items[j].key.Key) < 0
+		return bytes.Compare(a.key.Key, b.key.Key)
 	})
-
 	refs, release := ix.collectCandidates(nil, nil, nil)
 	defer release()
-	ix.stats.Queries.Add(1)
+	if err := ix.lookup(refs, items, ts, out, found); err != nil {
+		return nil, nil, err
+	}
+	return out, found, nil
+}
 
+// lookup resolves items, sorted by hash and key, against refs in query
+// order (§7.2): runs newest to oldest, until every key is found or the
+// runs are exhausted. Taking the first visible version is correct because
+// run block ranges are disjoint within a zone and beginTS grows with
+// groomed block ID. A key is sought in a run only while it is unfound and
+// the run's synopsis admits it; a run in which no key is sought counts as
+// pruned.
+func (ix *Index) lookup(refs []*runRef, items []lookupItem, ts types.TS, out []run.Entry, found []bool) error {
+	ix.stats.Queries.Add(1)
 	remaining := len(items)
 	for _, ref := range refs {
 		if remaining == 0 {
-			break
-		}
-		if !ix.cfg.DisableSynopsis && !run.HeaderMayContain(ref.header, batchBounds) {
-			ix.stats.RunsPruned.Add(1)
-			continue
+			return nil
 		}
 		err := func() error {
-			ix.stats.RunsSearched.Add(1)
-			src := ix.source(ref)
+			var src run.BlockSource
+			var it *run.Iter
 			defer func() {
-				if t, ok := src.(*tieredSource); ok {
-					t.Close()
+				if it != nil {
+					it.Close()
+					if t, ok := src.(*tieredSource); ok {
+						t.Close()
+					}
 				}
 			}()
-			r := run.NewReader(ref.header, src)
-			// One iterator per run: since the batch is sorted, successive
-			// seeks land in the same or the next data block, and the
-			// iterator keeps the block it holds — a single fetch (§8.3.2).
-			it := r.Begin()
-			defer it.Close()
 			for i := range items {
-				if found[items[i].pos] {
+				k := &items[i]
+				if found[k.pos] || (k.bounds != nil && !run.HeaderMayContain(ref.header, k.bounds)) {
 					continue
 				}
-				k := items[i].key
-				if err := it.SeekGE(k); err != nil {
+				if it == nil {
+					ix.stats.RunsSearched.Add(1)
+					// One iterator per run: the batch is sorted, so
+					// successive seeks land in the same or a later data
+					// block, and the iterator keeps the block it holds —
+					// a single fetch (§8.3.2).
+					src = ix.source(ref)
+					it = run.NewReader(ref.header, src).Begin()
+				}
+				if err := it.SeekGE(k.key); err != nil {
 					return err
 				}
 				for ; it.Valid(); it.Next() {
@@ -605,12 +435,11 @@ func (ix *Index) LookupBatch(keys []LookupKey, ts types.TS) ([]run.Entry, []bool
 						return err
 					}
 					ix.stats.EntriesScanned.Add(1)
-					if e.Hash != k.Hash || !bytes.Equal(e.Key, k.Key) {
+					if e.Hash != k.key.Hash || !bytes.Equal(e.Key, k.key.Key) {
 						break
 					}
 					if e.BeginTS <= ts {
-						out[items[i].pos] = e
-						found[items[i].pos] = true
+						out[k.pos], found[k.pos] = e, true
 						remaining--
 						break
 					}
@@ -619,13 +448,16 @@ func (ix *Index) LookupBatch(keys []LookupKey, ts types.TS) ([]run.Entry, []bool
 					return err
 				}
 			}
+			if it == nil {
+				ix.stats.RunsPruned.Add(1)
+			}
 			return nil
 		}()
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
-	return out, found, nil
+	return nil
 }
 
 // DecodeEntry splits an entry back into its column values.

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"umzi/internal/run"
@@ -61,12 +62,12 @@ func (ix *Index) recover() error {
 		}
 		// Sort by descending end groomed block ID; among equal ends the
 		// larger range (the merged superset) wins.
-		sort.Slice(cands, func(i, j int) bool {
-			bi, bj := cands[i].h.Meta.Blocks, cands[j].h.Meta.Blocks
-			if bi.Max != bj.Max {
-				return bi.Max > bj.Max
+		slices.SortFunc(cands, func(a, b cand) int {
+			ba, bb := a.h.Meta.Blocks, b.h.Meta.Blocks
+			if c := cmp.Compare(bb.Max, ba.Max); c != 0 {
+				return c
 			}
-			return bi.Len() > bj.Len()
+			return cmp.Compare(bb.Len(), ba.Len())
 		})
 		var kept []cand
 		for _, c := range cands {

@@ -198,7 +198,6 @@ func (e *shard) executeViaIndex(ctx context.Context, bound *exec.BoundPlan, ti *
 		SortLo:   sortLo,
 		SortHi:   sortHi,
 		TS:       ts,
-		Method:   core.MethodPQ,
 		Limit:    indexPlanCandidateCap + 1,
 	})
 	if err != nil {

@@ -229,7 +229,6 @@ func (e *shard) indexScanEntries(ctx context.Context, ti *tableIndex, eq, sortLo
 			SortLo:   sortLo,
 			SortHi:   sortHi,
 			TS:       ts,
-			Method:   core.MethodPQ,
 			Limit:    scanLimit,
 		})
 		if err != nil {
@@ -400,7 +399,6 @@ func (e *shard) openIndexScan(ctx context.Context, index string, eq, sortLo, sor
 		SortLo:   sortLo,
 		SortHi:   sortHi,
 		TS:       ts,
-		Method:   core.MethodPQ,
 	})
 	if err != nil {
 		release()

@@ -69,19 +69,10 @@ type (
 	ScanOptions = core.ScanOptions
 	// LookupKey is one key of a batched point lookup.
 	LookupKey = core.LookupKey
-	// Method selects the reconciliation strategy (§7.1.2).
-	Method = core.Method
 	// StatsSnapshot is a copy of the index counters.
 	StatsSnapshot = core.StatsSnapshot
 	// Entry is one index entry (hash, key, beginTS, RID, included cols).
 	Entry = run.Entry
-)
-
-// Reconciliation methods.
-const (
-	MethodAuto = core.MethodAuto
-	MethodSet  = core.MethodSet
-	MethodPQ   = core.MethodPQ
 )
 
 // New creates a fresh index; it fails if shared storage already holds an

@@ -84,7 +84,6 @@ func TestPublicAPIIndexLifecycle(t *testing.T) {
 		SortLo:   []umzi.Value{umzi.U64(5)},
 		SortHi:   []umzi.Value{umzi.U64(9)},
 		TS:       umzi.MaxTS,
-		Method:   umzi.MethodPQ,
 	})
 	if err != nil {
 		t.Fatal(err)
