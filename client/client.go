@@ -1,8 +1,12 @@
-// Package client is the Go client for umzi-server. Its API mirrors the
-// in-process umzi surface — Open returns a DB, tables hand out fluent
-// Query builders, results stream through Rows with the same
-// Next/Scan/Close discipline — so a program written against umzi.DB
-// ports to the network with an import swap and an address.
+// Package client is the Go client for umzi-server: the network
+// transport under the umzi query builder. A remote table's Query returns
+// the same umzi.Query an in-process table does, and results stream
+// through the same umzi.Rows — one builder, two transports — so a
+// program written against umzi.DB ports to the network with an import
+// swap and an address. This package supplies only what is specific to
+// the network: the connection pool, frames, the handshake, shipping the
+// compiled spec (Table.RunSpec), and the frame reader that cancels and
+// drains.
 //
 //	db, err := client.Open(client.Config{Addr: "127.0.0.1:7777", Token: "t0"})
 //	rows, err := db.Table("orders").Query().
@@ -12,11 +16,13 @@
 //
 // One TCP connection carries one request at a time (a streaming query
 // holds its connection until drained or closed); concurrency comes from
-// a connection pool bounded by Config.MaxConns. Contexts work like they
-// do locally: cancelling a query's context — or closing its Rows early
-// — sends a Cancel frame, the server stops its cursor and shard
-// workers, and the client drains to the stream's end so the connection
-// returns to the pool. Neither side leaks a goroutine on that path.
+// a connection pool bounded by Config.MaxConns. Cancellation follows
+// umzi.Rows: cancelling a query's context — or closing its Rows early —
+// sends a Cancel frame, the server stops its cursor and shard workers,
+// and the client drains to the stream's end so the connection returns
+// to the pool. Neither side leaks a goroutine on that path. Explain
+// traces are process-local: a remote query that carries one fails at
+// Run.
 package client
 
 import (
@@ -144,7 +150,7 @@ type conn struct {
 	tenant        string
 	serverVersion string
 	// broken means protocol state is lost; do not pool. Atomic because a
-	// Rows' context watcher and DB.Close set it from goroutines racing
+	// stream's context watcher and DB.Close set it from goroutines racing
 	// the connection's owner.
 	broken atomic.Bool
 }
@@ -338,7 +344,7 @@ func (db *DB) withConn(ctx context.Context, fn func(cn *conn) error) error {
 		}
 		err = fn(cn)
 		if err == errPinned {
-			// The connection now belongs to a streaming Rows, which
+			// The connection now belongs to a query stream, which
 			// releases it when the stream ends; see errPinned.
 			return err
 		}

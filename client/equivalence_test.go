@@ -194,14 +194,91 @@ func eqSpec(rng *rand.Rand) wildfire.QuerySpec {
 	return spec
 }
 
-// encodeRows canonicalizes a result set: each row wire-encoded, so
-// value comparison is the codec's own bit-exact equality.
+// encodeRow canonicalizes a result row: wire-encoded, so value
+// comparison is the codec's own bit-exact equality.
 func encodeRow(t *testing.T, vals []umzi.Value) string {
 	b, err := wire.AppendRow(nil, vals)
 	if err != nil {
 		t.Fatalf("encode row: %v", err)
 	}
 	return string(b)
+}
+
+// eqBuild lowers a spec through the builder's chained calls — the same
+// builder over either transport.
+func eqBuild(q *umzi.Query, spec wildfire.QuerySpec) *umzi.Query {
+	if spec.Filter != nil {
+		q = q.Where(spec.Filter)
+	}
+	if len(spec.Columns) > 0 {
+		q = q.Select(spec.Columns...)
+	}
+	if len(spec.OrderBy) > 0 {
+		q = q.OrderBy(spec.OrderBy...)
+	}
+	if len(spec.GroupBy) > 0 {
+		q = q.GroupBy(spec.GroupBy...)
+	}
+	if len(spec.Aggs) > 0 {
+		q = q.Aggs(spec.Aggs...)
+	}
+	if spec.Limit > 0 {
+		q = q.Limit(spec.Limit)
+	}
+	if spec.ViaSet {
+		q = q.Via(spec.Via)
+	}
+	if spec.IncludeLive {
+		q = q.IncludeLive()
+	}
+	if spec.NoIndexSelection {
+		q = q.NoIndex()
+	}
+	return q
+}
+
+// eqDrain reads a whole result, encoding each row; a compile error is
+// returned, a stream error fails the test.
+func eqDrain(t *testing.T, what string, rows *umzi.Rows, err error) (cols, out []string, _ error) {
+	t.Helper()
+	if err != nil {
+		return nil, nil, err
+	}
+	defer rows.Close()
+	for rows.Next() {
+		out = append(out, encodeRow(t, rows.Values()))
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("%s: stream: %v", what, err)
+	}
+	return rows.Columns(), out, nil
+}
+
+// eqSameRows fails unless got holds want's rows: row for row when the
+// spec orders its result (OrderBy, or aggregates ordered by group key),
+// as a multiset otherwise.
+func eqSameRows(t *testing.T, what string, spec wildfire.QuerySpec, want, got []string) {
+	t.Helper()
+	if len(spec.OrderBy) > 0 || len(spec.Aggs) > 0 {
+		for j := range want {
+			if j >= len(got) || want[j] != got[j] {
+				t.Fatalf("%s: ordered rows diverge at %d (want %d rows, got %d; spec %+v)",
+					what, j, len(want), len(got), spec)
+			}
+		}
+	}
+	want = append([]string(nil), want...)
+	got = append([]string(nil), got...)
+	sort.Strings(want)
+	sort.Strings(got)
+	if len(want) != len(got) {
+		t.Fatalf("%s: row counts differ: want %d got %d (spec %+v)", what, len(want), len(got), spec)
+	}
+	for j := range want {
+		if want[j] != got[j] {
+			t.Fatalf("%s: row multisets differ at %d (spec %+v)", what, j, spec)
+		}
+	}
 }
 
 func TestLocalRemoteEquivalence(t *testing.T) {
@@ -211,41 +288,39 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 
 	const iters = 300
-	ran, failedBoth := 0, 0
+	ran, failedBoth, conveniences := 0, 0, 0
 	for i := 0; i < iters; i++ {
 		spec := eqSpec(rng)
+		label := func(side string) string { return fmt.Sprintf("iter %d: %s", i, side) }
 
-		var localRows []string
-		var localCols []string
 		lr, lerr := tbl.RunSpec(ctx, spec)
-		if lerr == nil {
-			localCols = lr.Columns()
-			for lr.Next() {
-				localRows = append(localRows, encodeRow(t, lr.Values()))
-			}
-			if err := lr.Err(); err != nil {
-				t.Fatalf("iter %d: local stream: %v (spec %+v)", i, err, spec)
-			}
-			lr.Close()
-		}
-
-		var remoteRows []string
-		var remoteCols []string
+		localCols, localRows, lerr := eqDrain(t, label("local"), lr, lerr)
 		rr, rerr := ctbl.RunSpec(ctx, spec)
-		if rerr == nil {
-			remoteCols = rr.Columns()
-			for rr.Next() {
-				remoteRows = append(remoteRows, encodeRow(t, rr.Values()))
-			}
-			if err := rr.Err(); err != nil {
-				t.Fatalf("iter %d: remote stream: %v (spec %+v)", i, err, spec)
-			}
-			rr.Close()
-		}
+		remoteCols, remoteRows, rerr := eqDrain(t, label("remote"), rr, rerr)
 
 		if (lerr == nil) != (rerr == nil) {
 			t.Fatalf("iter %d: compile divergence: local=%v remote=%v (spec %+v)", i, lerr, rerr, spec)
 		}
+
+		// The builder's chained calls compile the spec RunSpec was given,
+		// over either transport.
+		for _, b := range []struct {
+			side string
+			q    *umzi.Query
+		}{{"local builder", eqBuild(tbl.Query(), spec)}, {"remote builder", eqBuild(ctbl.Query(), spec)}} {
+			rows, err := b.q.Run(ctx)
+			cols, got, err := eqDrain(t, label(b.side), rows, err)
+			if (err == nil) != (lerr == nil) {
+				t.Fatalf("iter %d: %s compile divergence: %v, RunSpec %v (spec %+v)", i, b.side, err, lerr, spec)
+			}
+			if err == nil {
+				if strings.Join(cols, ",") != strings.Join(localCols, ",") {
+					t.Fatalf("iter %d: %s columns %v, RunSpec %v (spec %+v)", i, b.side, cols, localCols, spec)
+				}
+				eqSameRows(t, label(b.side), spec, localRows, got)
+			}
+		}
+
 		if lerr != nil {
 			failedBoth++
 			continue
@@ -255,29 +330,86 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 		if strings.Join(localCols, ",") != strings.Join(remoteCols, ",") {
 			t.Fatalf("iter %d: columns differ: local %v remote %v (spec %+v)", i, localCols, remoteCols, spec)
 		}
-		if len(spec.OrderBy) > 0 || len(spec.Aggs) > 0 {
-			// Ordered results (and aggregate results, ordered by group
-			// key) must match row for row.
-			for j := range localRows {
-				if j >= len(remoteRows) || localRows[j] != remoteRows[j] {
-					t.Fatalf("iter %d: ordered rows diverge at %d (local %d rows, remote %d; spec %+v)",
-						i, j, len(localRows), len(remoteRows), spec)
-				}
-			}
-		}
-		sort.Strings(localRows)
-		sort.Strings(remoteRows)
-		if len(localRows) != len(remoteRows) {
-			t.Fatalf("iter %d: row counts differ: local %d remote %d (spec %+v)", i, len(localRows), len(remoteRows), spec)
-		}
-		for j := range localRows {
-			if localRows[j] != remoteRows[j] {
-				t.Fatalf("iter %d: row multisets differ at %d (spec %+v)", i, j, spec)
-			}
+		eqSameRows(t, label("remote"), spec, localRows, remoteRows)
+
+		if i%5 == 0 {
+			conveniences++
+			eqConveniences(t, label("conveniences"), tbl, ctbl, spec, localRows)
 		}
 	}
 	if ran == 0 {
 		t.Fatal("no generated spec compiled; the generator is broken")
 	}
-	t.Logf("equivalence held on %d specs (%d refused identically on both sides)", ran, failedBoth)
+	t.Logf("equivalence held on %d specs (%d refused identically on both sides; %d also through All/One/Count)",
+		ran, failedBoth, conveniences)
+}
+
+// eqConveniences runs All, One and Count of one compiling spec on both
+// transports: each pair must agree, and All must return the rows the
+// spec streams.
+func eqConveniences(t *testing.T, what string, tbl *umzi.Table, ctbl *client.Table, spec wildfire.QuerySpec, want []string) {
+	t.Helper()
+	ctx := context.Background()
+	encode := func(rows [][]umzi.Value) []string {
+		var out []string
+		for _, r := range rows {
+			out = append(out, encodeRow(t, r))
+		}
+		return out
+	}
+
+	lall, err := eqBuild(tbl.Query(), spec).All(ctx)
+	if err != nil {
+		t.Fatalf("%s: local All: %v", what, err)
+	}
+	rall, err := eqBuild(ctbl.Query(), spec).All(ctx)
+	if err != nil {
+		t.Fatalf("%s: remote All: %v", what, err)
+	}
+	eqSameRows(t, what+" local All", spec, want, encode(lall))
+	eqSameRows(t, what+" remote All", spec, want, encode(rall))
+
+	lone, lfound, lerr := eqBuild(tbl.Query(), spec).One(ctx)
+	rone, rfound, rerr := eqBuild(ctbl.Query(), spec).One(ctx)
+	if lerr != nil || rerr != nil {
+		t.Fatalf("%s: One: local %v, remote %v (spec %+v)", what, lerr, rerr, spec)
+	}
+	if lfound != rfound || (lfound && encodeRow(t, lone) != encodeRow(t, rone)) {
+		t.Fatalf("%s: One differs: local %v/%v remote %v/%v (spec %+v)", what, lone, lfound, rone, rfound, spec)
+	}
+	if lfound != (len(want) > 0) {
+		t.Fatalf("%s: One found=%v over %d rows (spec %+v)", what, lfound, len(want), spec)
+	}
+
+	lcount, lerr := eqBuild(tbl.Query(), spec).Count(ctx)
+	rcount, rerr := eqBuild(ctbl.Query(), spec).Count(ctx)
+	if (lerr == nil) != (rerr == nil) || lcount != rcount {
+		t.Fatalf("%s: Count differs: local %d/%v remote %d/%v (spec %+v)", what, lcount, lerr, rcount, rerr, spec)
+	}
+	// Count is a bare-filter aggregate, and Via cannot force an
+	// aggregate's index: every other spec must be refused.
+	bare := len(spec.Columns)+len(spec.OrderBy)+len(spec.GroupBy)+len(spec.Aggs) == 0 && !spec.ViaSet
+	if bare != (lerr == nil) {
+		t.Fatalf("%s: Count on bare=%v spec: err %v (spec %+v)", what, bare, lerr, spec)
+	}
+	if bare && spec.Limit == 0 && lcount != int64(len(want)) {
+		t.Fatalf("%s: Count = %d over %d streamed rows (spec %+v)", what, lcount, len(want), spec)
+	}
+}
+
+// TestRemoteExplainRefused pins that an Explain trace, which does not
+// travel, fails the remote query loudly instead of staying empty.
+func TestRemoteExplainRefused(t *testing.T) {
+	_, ctbl, cleanup := eqSetup(t)
+	defer cleanup()
+	q := ctbl.Query().Where(umzi.Eq("k", umzi.I64(7)))
+	q.Explain()
+	rows, err := q.Run(context.Background())
+	if err == nil {
+		rows.Close()
+		t.Fatal("remote Run with an Explain trace succeeded; want an error")
+	}
+	if !strings.Contains(err.Error(), "process-local") {
+		t.Fatalf("remote Explain error = %v, want it to say traces are process-local", err)
+	}
 }

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -19,97 +20,32 @@ type Table struct {
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// Query starts a fluent query against the remote table. The builder
-// surface mirrors umzi.Query — the spec it assembles is the same one —
-// minus Explain: traces are process-local and do not travel.
-type Query struct {
-	tbl  *Table
-	spec wildfire.QuerySpec
-}
+// Query is umzi.Query, the one query builder: Table.Query returns it,
+// running over this package's transport. The alias exists only because
+// benchmarks/target.go names client.Query; it goes when remoteTarget
+// there names umzi.Query instead.
+type Query = umzi.Query
 
-// Query starts a fluent query against the table.
-func (t *Table) Query() *Query { return &Query{tbl: t} }
+// Rows is umzi.Rows, the one streaming result type. Like Query, the
+// alias exists only for benchmarks/target.go and goes with the same
+// remoteTarget edit.
+type Rows = umzi.Rows
 
-// Where filters rows by a predicate (build with umzi.Eq/Lt/.../And/Or).
-// Multiple calls AND their predicates.
-func (q *Query) Where(e umzi.Expr) *Query {
-	if q.spec.Filter == nil {
-		q.spec.Filter = e
-	} else {
-		q.spec.Filter = umzi.And(q.spec.Filter, e)
-	}
-	return q
-}
-
-// Select projects the result to the named columns.
-func (q *Query) Select(cols ...string) *Query {
-	q.spec.Columns = cols
-	return q
-}
-
-// OrderBy asks for rows ordered by the named columns (index-served,
-// like the local builder).
-func (q *Query) OrderBy(cols ...string) *Query {
-	q.spec.OrderBy = cols
-	return q
-}
-
-// GroupBy groups an aggregate query by the named columns.
-func (q *Query) GroupBy(cols ...string) *Query {
-	q.spec.GroupBy = cols
-	return q
-}
-
-// Aggs requests aggregates.
-func (q *Query) Aggs(aggs ...umzi.Agg) *Query {
-	q.spec.Aggs = append(q.spec.Aggs, aggs...)
-	return q
-}
-
-// Limit caps the result rows; 0 means unlimited.
-func (q *Query) Limit(n int) *Query {
-	q.spec.Limit = n
-	return q
-}
-
-// At pins the snapshot timestamp (time travel).
-func (q *Query) At(ts umzi.TS) *Query {
-	q.spec.TS = ts
-	return q
-}
-
-// Via forces the named index ("" is the primary).
-func (q *Query) Via(index string) *Query {
-	q.spec.Via = index
-	q.spec.ViaSet = true
-	return q
-}
-
-// IncludeLive unions committed-but-ungroomed records into point gets
-// and executor plans.
-func (q *Query) IncludeLive() *Query {
-	q.spec.IncludeLive = true
-	return q
-}
-
-// NoIndex forces executor plans to scan the columnar zones.
-func (q *Query) NoIndex() *Query {
-	q.spec.NoIndexSelection = true
-	return q
-}
-
-// Run ships the compiled spec to the server and streams the result.
-// The context governs the whole result lifetime: cancelling it — or
-// closing the Rows early — sends a Cancel frame that stops the
-// server-side cursor and its shard workers.
-func (q *Query) Run(ctx context.Context) (*Rows, error) {
-	return q.tbl.RunSpec(ctx, q.spec)
-}
+// Query starts a fluent query against the remote table: the root
+// package's builder, whose Run ships the compiled spec through RunSpec.
+func (t *Table) Query() *Query { return umzi.NewQuery(t.RunSpec) }
 
 // RunSpec runs a pre-built declarative spec remotely — the network
-// analogue of umzi.Table.RunSpec, and what the local-vs-remote
-// equivalence property test drives both sides with.
+// transport under the builder, and the analogue of umzi.Table.RunSpec.
+// It ships the spec to the server and returns the streamed result,
+// which owns the connection until the stream ends or is closed. A spec
+// that carries a trace (Query.Explain) is refused.
 func (t *Table) RunSpec(ctx context.Context, spec wildfire.QuerySpec) (*Rows, error) {
+	if spec.Trace != nil {
+		// The spec codec does not carry traces: a remote Explain would
+		// return one that silently stays empty.
+		return nil, errors.New("client: Explain traces are process-local and do not travel; explain the query in process")
+	}
 	specBytes, err := wildfire.MarshalQuerySpec(spec)
 	if err != nil {
 		return nil, err
@@ -127,7 +63,8 @@ func (t *Table) RunSpec(ctx context.Context, spec wildfire.QuerySpec) (*Rows, er
 	payload = wire.AppendUvarint(payload, uint64(len(specBytes)))
 	payload = append(payload, specBytes...)
 
-	// The connection is held for the stream's lifetime; Rows releases it.
+	// The connection is held for the stream's lifetime; the stream
+	// releases it.
 	var rows *Rows
 	err = t.db.withConn(ctx, func(cn *conn) error {
 		if err := cn.write(wire.FrameQuery, payload); err != nil {
@@ -147,9 +84,8 @@ func (t *Table) RunSpec(ctx context.Context, spec wildfire.QuerySpec) (*Rows, er
 				cn.broken.Store(true)
 				return err
 			}
-			rows = newRows(t.db, cn, ctx, cols)
-			// Pin the conn: hand withConn a pinned marker so release is
-			// deferred to the Rows. See pinErr below.
+			rows = umzi.NewRows(ctx, cols, newStream(t.db, cn, ctx))
+			// Pin the conn: withConn leaves its release to the stream.
 			return errPinned
 		case wire.FrameDone:
 			return doneError(doneParts(resp))
@@ -162,45 +98,4 @@ func (t *Table) RunSpec(ctx context.Context, spec wildfire.QuerySpec) (*Rows, er
 		return rows, nil
 	}
 	return nil, err
-}
-
-// All runs the query and materializes every row.
-func (q *Query) All(ctx context.Context) ([][]umzi.Value, error) {
-	rows, err := q.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	var out [][]umzi.Value
-	for rows.Next() {
-		out = append(out, append([]umzi.Value(nil), rows.Values()...))
-	}
-	return out, rows.Err()
-}
-
-// One runs the query and returns its first row, with found=false when
-// the result is empty.
-func (q *Query) One(ctx context.Context) ([]umzi.Value, bool, error) {
-	rows, err := q.Limit(1).Run(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	defer rows.Close()
-	if !rows.Next() {
-		return nil, false, rows.Err()
-	}
-	return append([]umzi.Value(nil), rows.Values()...), true, nil
-}
-
-// Count runs the query as COUNT(*) over its filter.
-func (q *Query) Count(ctx context.Context) (int64, error) {
-	if len(q.spec.Columns)+len(q.spec.GroupBy)+len(q.spec.Aggs)+len(q.spec.OrderBy) > 0 {
-		return 0, fmt.Errorf("client: Count is a bare-filter convenience; build the aggregate explicitly instead")
-	}
-	q.spec.Aggs = []umzi.Agg{{Func: umzi.AggCount}}
-	row, found, err := q.One(ctx)
-	if err != nil || !found {
-		return 0, err
-	}
-	return row[0].Int(), nil
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // errPinned is the sentinel a streaming request returns through withConn
-// to say "the connection now belongs to a Rows; do not release it".
+// to say "the connection now belongs to a stream; do not release it".
 var errPinned = errors.New("client: conn pinned to stream")
 
 // drainGrace bounds how long Close waits for the server to acknowledge
@@ -31,32 +31,31 @@ var frameBufPool = sync.Pool{
 	},
 }
 
-// Rows streams one remote query result. It mirrors umzi.Rows: call Next
-// until false, read Values/Scan per row, check Err, and always Close.
-// The Rows owns its connection until the stream ends; Close on a
-// half-read stream sends a Cancel frame — stopping the server-side
-// cursor and its shard workers — and drains to the terminal Done so the
-// connection returns to the pool at a frame boundary.
-type Rows struct {
-	db   *DB
-	cn   *conn
-	ctx  context.Context
-	cols []string
+// stream reads one remote query result off its connection: the
+// RowSource that umzi.Rows wraps over the network. It owns the
+// connection until the stream ends. Close on a half-read stream sends a
+// Cancel frame — stopping the server-side cursor and its shard workers —
+// and drains to the terminal Done so the connection returns to the pool
+// at a frame boundary.
+type stream struct {
+	db  *DB
+	cn  *conn
+	ctx context.Context
 
 	// stopWatch tears down the context watcher goroutine.
 	stopWatch chan struct{}
 
 	// mu guards the done transition. The context watcher's select can
 	// pick ctx.Done over an already-closed stopWatch, so sendCancel must
-	// re-check ownership under mu before touching a connection that
-	// finish/fail may have released to the pool.
+	// re-check ownership under mu before touching a connection that end
+	// may have released to the pool.
 	mu sync.Mutex
 
 	batch [][]umzi.Value
 	idx   int // position in batch; -1 before the first Next
 
 	// rbuf is the pooled frame read buffer; released once the stream
-	// reaches a terminal state (finish or fail).
+	// ends.
 	rbuf *[]byte
 
 	err      error
@@ -65,13 +64,13 @@ type Rows struct {
 	canceled bool // we sent a Cancel frame
 }
 
-func newRows(db *DB, cn *conn, ctx context.Context, cols []string) *Rows {
-	r := &Rows{db: db, cn: cn, ctx: ctx, cols: cols, idx: -1,
+func newStream(db *DB, cn *conn, ctx context.Context) *stream {
+	r := &stream{db: db, cn: cn, ctx: ctx, idx: -1,
 		stopWatch: make(chan struct{}), rbuf: frameBufPool.Get().(*[]byte)}
 	if ctx.Done() != nil {
-		// The watcher translates context cancellation into a Cancel frame.
-		// The server answers with Done(Canceled), so the blocked Next read
-		// completes; no read-deadline games needed on this path.
+		// The watcher translates context cancellation into a Cancel frame,
+		// so a Next blocked on a read completes: the server answers with
+		// Done(Canceled).
 		go func() {
 			select {
 			case <-ctx.Done():
@@ -83,15 +82,12 @@ func newRows(db *DB, cn *conn, ctx context.Context, cols []string) *Rows {
 	return r
 }
 
-// Columns returns the result's output column names.
-func (r *Rows) Columns() []string { return r.cols }
-
 // sendCancel sends one Cancel frame (idempotence is the server's
 // problem; stale cancels are ignored there) and bounds the drain that
 // must follow. It is a no-op once the stream is done: the connection
 // then belongs to the pool (or another request), and arming a deadline
 // or writing a frame on it would poison an unrelated round-trip.
-func (r *Rows) sendCancel() {
+func (r *stream) sendCancel() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.done {
@@ -106,7 +102,7 @@ func (r *Rows) sendCancel() {
 // Next advances to the next row, pulling RowBatch frames off the wire
 // as needed. It returns false at the end of the stream or on error;
 // check Err to tell the two apart.
-func (r *Rows) Next() bool {
+func (r *stream) Next() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
@@ -114,20 +110,25 @@ func (r *Rows) Next() bool {
 		r.idx++
 		return true
 	}
-	if r.done {
-		return false
-	}
-	// Batch exhausted: read the next frame. The previous batch's values
-	// were copied out of rbuf at decode time, so reusing it here cannot
-	// corrupt rows a caller still holds.
+	return !r.done && r.advance(false)
+}
+
+// advance reads frames until the next non-empty row batch (true) or the
+// stream's terminal Done or failure (false); draining discards batches.
+// The previous batch's values were copied out of rbuf at decode time,
+// so reusing it cannot corrupt rows a caller still holds.
+func (r *stream) advance(draining bool) bool {
 	for {
 		typ, payload, err := wire.ReadFrameInto(r.cn.br, r.rbuf)
 		if err != nil {
-			r.fail(fmt.Errorf("client: reading query stream: %w", err))
+			r.end(fmt.Errorf("client: reading query stream: %w", err), false)
 			return false
 		}
 		switch typ {
 		case wire.FrameRowBatch:
+			if draining {
+				continue
+			}
 			d := wire.NewDec(payload)
 			n := d.Count(1 << 20)
 			batch := r.batch[:0]
@@ -135,7 +136,7 @@ func (r *Rows) Next() bool {
 				batch = append(batch, d.Row())
 			}
 			if err := d.Err(); err != nil {
-				r.fail(err)
+				r.end(err, false)
 				return false
 			}
 			if n == 0 {
@@ -144,147 +145,68 @@ func (r *Rows) Next() bool {
 			r.batch, r.idx = batch, 0
 			return true
 		case wire.FrameDone:
-			r.finish(doneError(doneParts(payload)))
+			r.end(doneError(doneParts(payload)), true)
 			return false
 		default:
-			r.fail(fmt.Errorf("client: unexpected frame 0x%02x in query stream", typ))
+			r.end(fmt.Errorf("client: unexpected frame 0x%02x in query stream", typ), false)
 			return false
 		}
 	}
 }
 
-// fail records a transport-level error: the connection is mid-stream
-// and unpoolable.
-func (r *Rows) fail(err error) {
+// end records the stream's outcome and releases its connection: to the
+// pool after the terminal Done (atBoundary), torn down after a transport
+// failure, which leaves the connection mid-stream. It runs once. A
+// context-driven end reports the context's error: the Done(Canceled)
+// answering the watcher's Cancel, or the deadline error of a read the
+// watcher unblocked.
+func (r *stream) end(err error, atBoundary bool) {
 	r.mu.Lock()
-	if r.err == nil {
-		// A read unblocked by the context watcher surfaces as a deadline
-		// error; report the context's instead.
-		if ctxErr := r.ctx.Err(); ctxErr != nil {
-			err = ctxErr
-		}
-		r.err = err
+	if ctxErr := r.ctx.Err(); ctxErr != nil && (!atBoundary || errors.Is(err, context.Canceled)) {
+		err = ctxErr
 	}
-	if r.done {
-		r.mu.Unlock()
-		return
-	}
-	r.done = true
+	r.err, r.done = err, true
 	r.mu.Unlock()
 	close(r.stopWatch)
-	r.releaseBuf()
-	r.cn.destroy()
+	frameBufPool.Put(r.rbuf)
+	r.rbuf = nil
+	if !atBoundary {
+		r.cn.destroy()
+	}
 	r.db.release(r.cn)
 }
 
-// finish consumes the stream's terminal Done: the connection is at a
-// frame boundary and goes back to the pool.
-func (r *Rows) finish(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		if err != nil && errors.Is(err, context.Canceled) && r.ctx.Err() != nil {
-			err = r.ctx.Err()
-		}
-		r.err = err
-	}
-	if r.done {
-		r.mu.Unlock()
-		return
-	}
-	r.done = true
-	r.mu.Unlock()
-	close(r.stopWatch)
-	r.releaseBuf()
-	r.cn.c.SetReadDeadline(time.Time{})
-	r.db.release(r.cn)
-}
-
-// releaseBuf returns the frame read buffer to the pool; finish and fail
-// are mutually exclusive and run once, so this never double-releases.
-func (r *Rows) releaseBuf() {
-	if r.rbuf != nil {
-		frameBufPool.Put(r.rbuf)
-		r.rbuf = nil
-	}
-}
-
-// Values returns the current row. The slice is reused; copy it to keep
+// Value returns the current row. The slice is reused; copy it to keep
 // it past the next call to Next.
-func (r *Rows) Values() []umzi.Value {
+func (r *stream) Value() []umzi.Value {
 	if r.idx < 0 || r.idx >= len(r.batch) {
 		return nil
 	}
 	return r.batch[r.idx]
 }
 
-// Scan copies the current row's values into dest pointers
-// (*int64, *uint64, *float64, *bool, *string, *[]byte, *umzi.Value, or
-// *any), one per output column.
-func (r *Rows) Scan(dest ...any) error {
-	vals := r.Values()
-	if vals == nil {
-		return fmt.Errorf("client: Scan called without a current row")
-	}
-	if len(dest) != len(vals) {
-		return fmt.Errorf("client: Scan got %d destinations for %d columns", len(dest), len(vals))
-	}
-	for i, v := range vals {
-		if err := umzi.ScanValue(v, dest[i]); err != nil {
-			return fmt.Errorf("column %d (%s): %w", i, r.cols[i], err)
-		}
-	}
-	return nil
-}
-
 // Err returns the first error hit while streaming (nil after a clean
 // end of stream). A context-driven cancellation reports the context's
 // error; a server-reported admission or execution failure arrives here
 // too.
-func (r *Rows) Err() error { return r.err }
+func (r *stream) Err() error { return r.err }
 
-// Close releases the result. On a half-read stream it cancels the
-// server-side cursor (Cancel frame) and drains to the terminal Done so
-// the connection is reusable; either way the connection goes back to
-// the pool or, if the protocol state is lost, is torn down. Close is
-// idempotent and returns the stream's first error, matching the local
-// umzi.Rows contract that teardown failures are not silently dropped.
-func (r *Rows) Close() error {
-	if r.closed {
-		return r.closeErr()
+// Close releases the stream. On a half-read stream it cancels the
+// server-side cursor (Cancel frame) and drains to the terminal Done —
+// the server owes exactly one — so the connection is reusable; either
+// way the connection goes back to the pool or, if the protocol state is
+// lost, is torn down. Close is idempotent and returns the stream's first
+// error, so teardown failures are not silently dropped; an early Close
+// that canceled a healthy stream is a success, not a context.Canceled.
+func (r *stream) Close() error {
+	if !r.closed && !r.done {
+		r.canceled = true
+		r.sendCancel()
+		r.advance(true)
 	}
 	r.closed = true
-	if r.done {
-		return r.closeErr()
-	}
-	r.canceled = true
-	r.sendCancel()
-	// Drain to Done. The server owes exactly one terminal frame; row
-	// batches in flight before the cancel took effect are discarded.
-	for {
-		typ, payload, err := wire.ReadFrameInto(r.cn.br, r.rbuf)
-		if err != nil {
-			r.fail(fmt.Errorf("client: draining canceled stream: %w", err))
-			return r.closeErr()
-		}
-		switch typ {
-		case wire.FrameRowBatch:
-			continue
-		case wire.FrameDone:
-			r.finish(doneError(doneParts(payload)))
-			return r.closeErr()
-		default:
-			r.fail(fmt.Errorf("client: unexpected frame 0x%02x draining stream", typ))
-			return r.closeErr()
-		}
-	}
-}
-
-// closeErr is the error Close reports: an early Close that canceled a
-// healthy stream is a success, not a context.Canceled.
-func (r *Rows) closeErr() error {
-	err := r.Err()
-	if r.canceled && (errors.Is(err, context.Canceled) && r.ctx.Err() == nil) {
+	if r.canceled && errors.Is(r.err, context.Canceled) && r.ctx.Err() == nil {
 		return nil
 	}
-	return err
+	return r.err
 }

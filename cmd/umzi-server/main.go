@@ -202,8 +202,11 @@ func runSelftest(addr string, tokens map[string]string) error {
 	for rows.Next() {
 		n++
 	}
-	if err := rows.Close(); err != nil {
+	if err := rows.Err(); err != nil {
 		return fmt.Errorf("stream: %w", err)
+	}
+	if err := rows.Close(); err != nil {
+		return fmt.Errorf("close: %w", err)
 	}
 	if n != 10 {
 		return fmt.Errorf("queried %d rows, want 10", n)

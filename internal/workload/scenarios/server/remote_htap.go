@@ -103,7 +103,12 @@ func RemoteHTAP(ctx context.Context, s *workload.State) {
 				for rows.Next() {
 					n++
 				}
-				err = rows.Close()
+				// Close after the end of the stream reports nothing; the
+				// stream's own failure is in Err.
+				err = rows.Err()
+				if cerr := rows.Close(); err == nil {
+					err = cerr
+				}
 				if actx.Err() != nil {
 					return
 				}
@@ -139,6 +144,9 @@ func RemoteHTAP(ctx context.Context, s *workload.State) {
 	seen := 0
 	for rows.Next() {
 		seen++
+	}
+	if err := rows.Err(); err != nil {
+		s.Errorf("reconcile stream: %v", err)
 	}
 	if err := rows.Close(); err != nil {
 		s.Errorf("reconcile close: %v", err)

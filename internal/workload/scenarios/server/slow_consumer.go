@@ -131,6 +131,9 @@ func SlowConsumer(ctx context.Context, s *workload.State) {
 	for stream.Next() {
 		drained++
 	}
+	if err := stream.Err(); err != nil {
+		s.Errorf("final drain stream: %v", err)
+	}
 	if err := stream.Close(); err != nil {
 		s.Errorf("final drain close: %v", err)
 	}

@@ -23,9 +23,20 @@ import (
 //
 // Builders are single-use and not safe for concurrent use; each method
 // returns the receiver for chaining.
+//
+// The builder is the same over both transports: Table.Query runs the
+// compiled spec in process, and the network client's Table.Query ships
+// it to umzi-server. Either way the result is one Rows.
 type Query struct {
-	tbl  *Table
+	run  func(context.Context, wildfire.QuerySpec) (*Rows, error)
 	spec wildfire.QuerySpec
+}
+
+// NewQuery starts a builder over a transport: run executes the spec the
+// builder compiles and returns its rows. Table.RunSpec is the in-process
+// transport; the network client passes its own RunSpec.
+func NewQuery(run func(ctx context.Context, spec wildfire.QuerySpec) (*Rows, error)) *Query {
+	return &Query{run: run}
 }
 
 // Where filters rows by a predicate (build with Eq/Lt/.../And/Or).
@@ -112,7 +123,8 @@ func (q *Query) NoIndex() *Query {
 // blocks read vs. synopsis-skipped, live-union sizes, back-check counts
 // and rows emitted. The trace settles as the result streams — drain or
 // close the Rows before reading totals. Calling Explain again returns
-// the same trace.
+// the same trace. Traces are process-local: a remote transport refuses
+// to run a query that carries one.
 //
 //	tr := q.Explain()
 //	rows, err := q.Run(ctx)
@@ -125,12 +137,13 @@ func (q *Query) Explain() *QueryTrace {
 	return q.spec.Trace
 }
 
-// Run compiles the query and starts it, returning a streaming Rows
-// cursor. The context governs the whole result lifetime: cancelling it
-// — or closing the Rows early — stops per-shard workers, k-way merging
-// and block fetches.
+// Run compiles the query and starts it over the builder's transport,
+// returning a streaming Rows cursor. The context governs the whole
+// result lifetime (see Rows): cancelling it — or closing the Rows early
+// — stops per-shard workers, k-way merging and block fetches, and a
+// remote stream sends its Cancel frame.
 func (q *Query) Run(ctx context.Context) (*Rows, error) {
-	return q.tbl.RunSpec(ctx, q.spec)
+	return q.run(ctx, q.spec)
 }
 
 // All runs the query and materializes every row — a convenience for

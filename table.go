@@ -48,23 +48,20 @@ func (t *Table) entry() dbCatalogEntry { return t.catalogEntry }
 
 // Query starts a fluent query against the table; see Query's docs for
 // the builder surface and Run for execution.
-func (t *Table) Query() *Query {
-	return &Query{tbl: t}
-}
+func (t *Table) Query() *Query { return NewQuery(t.RunSpec) }
 
 // RunSpec compiles and starts one pre-built declarative query spec,
-// returning the same streaming Rows that Query().…Run(ctx) would. The
-// builder lowers to it; the server front end calls it directly with
-// specs that arrived over the wire (wildfire.UnmarshalQuerySpec), so
-// local and remote execution share one entry point.
+// returning the same streaming Rows that Query().…Run(ctx) would: it is
+// the in-process transport the builder runs over. The server front end
+// calls it directly with specs that arrived over the wire
+// (wildfire.UnmarshalQuerySpec), so local and remote execution share
+// one entry point.
 func (t *Table) RunSpec(ctx context.Context, spec wildfire.QuerySpec) (*Rows, error) {
-	ctx, cancel := context.WithCancel(ctx)
 	qr, err := t.eng.RunQuery(ctx, spec)
 	if err != nil {
-		cancel()
 		return nil, err
 	}
-	return &Rows{qr: qr, cancel: cancel}, nil
+	return NewRows(ctx, qr.Columns, qr.Cursor), nil
 }
 
 // Upsert runs one auto-committed transaction staging the rows on
