@@ -3,14 +3,14 @@ package umzi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"umzi/internal/obs"
+	"umzi/internal/storage"
 	"umzi/internal/wildfire"
 )
 
@@ -383,10 +383,10 @@ func (tx *Tx) Abort() {
 
 // ---- Persisted DB catalog --------------------------------------------
 //
-// Sequenced records under db/catalog/, newest valid record wins —
-// shared storage has no in-place update — mirroring the per-table index
-// catalog. The record is JSON: it is tiny, written once per DDL, and
-// umzi-inspect prints it for humans.
+// Sequenced records under db/catalog/ (storage.LoadRecord,
+// storage.WriteRecord), like the per-table index catalog. The record is
+// JSON: it is tiny, written once per DDL, and umzi-inspect prints it for
+// humans.
 
 // dbCatalogEntry is one table of the catalog.
 type dbCatalogEntry struct {
@@ -416,45 +416,31 @@ type dbCatalogRecord struct {
 
 const dbCatalogMagic = "UMZIDB1"
 
-func dbCatalogName(seq uint64) string {
-	return fmt.Sprintf("db/catalog/%012d", seq)
-}
-
 // DBCatalogPrefix is where the multi-table catalog lives in a store;
 // exported for inspection tooling.
 const DBCatalogPrefix = "db/catalog/"
 
-// loadDBCatalog reads the newest valid catalog record, returning
-// (nil, 0, nil) for a store that never had one.
+// loadDBCatalog reads the newest valid catalog record and the newest
+// listed record sequence, returning (nil, 0, nil) for a store that never
+// had one.
 func loadDBCatalog(store ObjectStore) ([]dbCatalogEntry, uint64, error) {
-	names, err := store.List(DBCatalogPrefix)
+	rec, seq, ok, err := storage.LoadRecord(store, DBCatalogPrefix, func(data []byte) (rec dbCatalogRecord, err error) {
+		if err = json.Unmarshal(data, &rec); err == nil && rec.Magic != dbCatalogMagic {
+			err = errors.New("umzi: bad db catalog record")
+		}
+		return rec, err
+	})
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("umzi: loading db catalog: %w", err)
 	}
-	if len(names) == 0 {
-		return nil, 0, nil
+	if !ok && seq > 0 {
+		return nil, seq, fmt.Errorf("umzi: store has db catalog objects but no readable record")
 	}
-	sort.Strings(names)
-	var maxSeq uint64
-	fmt.Sscanf(strings.TrimPrefix(names[len(names)-1], DBCatalogPrefix), "%d", &maxSeq)
-	// Newest to oldest: only a record that exists but does not decode is
-	// an interrupted write we may skip; a failing Get surfaces.
-	for i := len(names) - 1; i >= 0; i-- {
-		data, err := store.Get(names[i])
-		if err != nil {
-			return nil, 0, fmt.Errorf("umzi: reading db catalog record %s: %w", names[i], err)
-		}
-		var rec dbCatalogRecord
-		if err := json.Unmarshal(data, &rec); err != nil || rec.Magic != dbCatalogMagic {
-			continue
-		}
-		return rec.Tables, maxSeq, nil
-	}
-	return nil, maxSeq, fmt.Errorf("umzi: store has db catalog objects but no readable record")
+	return rec.Tables, seq, nil
 }
 
 // writeCatalogLocked persists the current table set as a fresh catalog
-// record and prunes old records. Callers hold db.mu.
+// record. Callers hold db.mu.
 func (db *DB) writeCatalogLocked() error {
 	rec := dbCatalogRecord{Magic: dbCatalogMagic}
 	for _, name := range db.order {
@@ -465,17 +451,9 @@ func (db *DB) writeCatalogLocked() error {
 		return err
 	}
 	db.catalogSeq++
-	if err := db.store.Put(dbCatalogName(db.catalogSeq), data); err != nil {
-		return err
-	}
-	names, err := db.store.List(DBCatalogPrefix)
-	if err == nil && len(names) > 2 {
-		sort.Strings(names)
-		for _, n := range names[:len(names)-2] {
-			_ = db.store.Delete(n)
-		}
-	}
-	return nil
+	// A failed prune leaves only superseded records; the next write retries it.
+	_, err = storage.WriteRecord(db.store, DBCatalogPrefix, db.catalogSeq, data)
+	return err
 }
 
 // InspectDBCatalog reads a store's multi-table catalog for tooling:
@@ -488,14 +466,10 @@ func InspectDBCatalog(store ObjectStore) ([]DBTableInfo, error) {
 	}
 	out := make([]DBTableInfo, 0, len(entries))
 	for _, e := range entries {
-		shards := e.Shards
-		if shards < 1 {
-			shards = 1
-		}
 		out = append(out, DBTableInfo{
 			Def:             e.Def,
 			Index:           e.Index,
-			Shards:          shards,
+			Shards:          max(e.Shards, 1),
 			ScanParallelism: e.ScanParallelism,
 			BlockCacheBytes: e.BlockCacheBytes,
 		})

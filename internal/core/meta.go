@@ -2,86 +2,58 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
-	"sort"
-	"strings"
+	"errors"
 
 	"umzi/internal/storage"
 )
 
 // Index meta records persist the evolve watermark — maxCoveredGroomedID
-// and IndexedPSN (§5.5) — in shared storage. Because shared storage has no
-// in-place update, each write creates a new sequenced object under
-// <name>/meta/ and recovery reads the highest sequence; older records are
-// pruned opportunistically.
+// and IndexedPSN (§5.5) — in shared storage as sequenced records under
+// <name>/meta/ (storage.LoadRecord, storage.WriteRecord).
 
 const metaMagic = "UMZIMETA"
 
+func metaPrefix(prefix string) string { return prefix + "/meta/" }
+
 func metaName(prefix string, seq uint64) string {
-	return fmt.Sprintf("%s/meta/%012d", prefix, seq)
+	return storage.RecordName(metaPrefix(prefix), seq)
+}
+
+// metaRecord is the decoded watermark pair.
+type metaRecord struct{ maxCovered, indexedPSN uint64 }
+
+func decodeMeta(data []byte) (metaRecord, error) {
+	if len(data) != 8+16 || string(data[:8]) != metaMagic {
+		return metaRecord{}, errors.New("core: bad meta record")
+	}
+	return metaRecord{binary.BigEndian.Uint64(data[8:16]), binary.BigEndian.Uint64(data[16:24])}, nil
 }
 
 // writeMeta persists the current watermark as a fresh meta object.
 func (ix *Index) writeMeta() error {
-	seq := ix.metaSeq.Add(1)
 	buf := make([]byte, 0, 8+16)
 	buf = append(buf, metaMagic...)
 	buf = binary.BigEndian.AppendUint64(buf, ix.maxCovered.Load())
 	buf = binary.BigEndian.AppendUint64(buf, ix.indexedPSN.Load())
-	if err := ix.store.Put(metaName(ix.cfg.Name, seq), buf); err != nil {
-		return err
-	}
-	// Prune all but the two most recent records; failures are harmless
-	// (recovery always picks the highest sequence).
-	names, err := ix.store.List(ix.cfg.Name + "/meta/")
-	if err == nil && len(names) > 2 {
-		sort.Strings(names)
-		for _, n := range names[:len(names)-2] {
-			_ = ix.store.Delete(n)
-		}
-	}
-	return nil
-}
-
-// newestMeta walks the meta records under prefix newest to oldest (in
-// case the newest is an unreadable interrupted write) and decodes the
-// first valid one, including its sequence number. ok is false when no
-// valid record exists. Both the recovery path (readMeta) and offline
-// tooling (InspectMeta) parse the record format through this one
-// function.
-func newestMeta(store storage.ObjectStore, prefix string) (maxCovered, indexedPSN, seq uint64, ok bool, err error) {
-	names, err := store.List(prefix + "/meta/")
-	if err != nil {
-		return 0, 0, 0, false, err
-	}
-	sort.Strings(names)
-	for i := len(names) - 1; i >= 0; i-- {
-		data, err := store.Get(names[i])
-		if err != nil {
-			continue
-		}
-		if len(data) != 8+16 || string(data[:8]) != metaMagic {
-			continue
-		}
-		var s uint64
-		fmt.Sscanf(strings.TrimPrefix(names[i], prefix+"/meta/"), "%d", &s)
-		return binary.BigEndian.Uint64(data[8:16]), binary.BigEndian.Uint64(data[16:24]), s, true, nil
-	}
-	return 0, 0, 0, false, nil
+	// A failed prune leaves only superseded records; the next write retries it.
+	_, err := storage.WriteRecord(ix.store, metaPrefix(ix.cfg.Name), ix.metaSeq.Add(1), buf)
+	return err
 }
 
 // InspectMeta reads the newest meta record of the index stored under
 // prefix without opening (and thereby repairing) the index: the evolve
 // watermark pair (maxCoveredGroomedID, IndexedPSN). ok is false when the
-// index has never persisted a meta record. Offline tooling
+// index has no readable meta record. Offline tooling
 // (cmd/umzi-inspect) uses it; engines use Open.
 func InspectMeta(store storage.ObjectStore, prefix string) (maxCovered, indexedPSN uint64, ok bool, err error) {
-	maxCovered, indexedPSN, _, ok, err = newestMeta(store, prefix)
-	return maxCovered, indexedPSN, ok, err
+	m, _, ok, err := storage.LoadRecord(store, metaPrefix(prefix), decodeMeta)
+	return m.maxCovered, m.indexedPSN, ok, err
 }
 
-// readMeta loads the most recent meta record, returning ok=false when the
-// index has never written one.
+// readMeta loads the newest readable meta record (ok is false when there
+// is none) and the newest listed meta sequence, which the next writeMeta
+// must exceed.
 func (ix *Index) readMeta() (maxCovered, indexedPSN uint64, seq uint64, ok bool, err error) {
-	return newestMeta(ix.store, ix.cfg.Name)
+	m, seq, ok, err := storage.LoadRecord(ix.store, metaPrefix(ix.cfg.Name), decodeMeta)
+	return m.maxCovered, m.indexedPSN, seq, ok, err
 }

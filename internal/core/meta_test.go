@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"umzi/internal/storage"
 	"umzi/internal/types"
 )
 
@@ -51,6 +53,77 @@ func TestMetaRecoverySkipsCorruptRecord(t *testing.T) {
 	ix2 := reopen(t, ix)
 	if got := ix2.IndexedPSN(); got != 1 {
 		t.Errorf("recovered PSN = %d, want 1", got)
+	}
+}
+
+// TestMetaSeqPastUnreadableNewest: a meta record that does not decode
+// (an interrupted write) still takes its name, so the first evolve after
+// a reopen must write past it rather than collide with it on write-once
+// ErrExists.
+func TestMetaSeqPastUnreadableNewest(t *testing.T) {
+	ix := newTestIndex(t, nil)
+	m := newModel()
+	groom(t, ix, m, 1, recsSeq(4, 2, 0))
+	postGroom(t, ix, m, 1, 1, 1)
+	_, _, seq, _, err := ix.readMeta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.store.Put(metaName("t", seq+1), []byte("torn")); err != nil {
+		t.Fatal(err)
+	}
+	ix2 := reopen(t, ix)
+	groom(t, ix2, m, 2, recsSeq(4, 2, 0))
+	postGroom(t, ix2, m, 2, 2, 2)
+	covered, psn, newSeq, ok, err := ix2.readMeta()
+	if err != nil || !ok {
+		t.Fatal(err, ok)
+	}
+	if covered != 2 || psn != 2 || newSeq <= seq+1 {
+		t.Errorf("meta record %d = (covered %d, psn %d), want a record past %d holding (2, 2)", newSeq, covered, psn, seq+1)
+	}
+}
+
+// failGetStore fails every Get of one object.
+type failGetStore struct {
+	storage.ObjectStore
+	name string
+}
+
+var errInjectedRead = errors.New("injected read failure")
+
+func (s failGetStore) Get(name string) ([]byte, error) {
+	if name == s.name {
+		return nil, errInjectedRead
+	}
+	return s.ObjectStore.Get(name)
+}
+
+// TestMetaReadErrorFailsOpen: a meta record that exists but cannot be
+// read fails recovery; Open must not quietly recover from an older
+// record.
+func TestMetaReadErrorFailsOpen(t *testing.T) {
+	ix := newTestIndex(t, nil)
+	m := newModel()
+	for c := uint64(1); c <= 2; c++ {
+		groom(t, ix, m, c, recsSeq(4, 2, 0))
+		postGroom(t, ix, m, types.PSN(c), c, c)
+	}
+	names, err := ix.store.List("t/meta/")
+	if err != nil || len(names) < 2 {
+		t.Fatalf("meta records %v, err %v; want two", names, err)
+	}
+	cfg := ix.cfg
+	cfg.Store = failGetStore{cfg.Store, names[len(names)-1]}
+	ix2, err := Open(cfg)
+	if err == nil {
+		ix2.Close()
+	}
+	if !errors.Is(err, errInjectedRead) {
+		t.Fatalf("Open over an unreadable newest meta record: err = %v, want the read failure", err)
+	}
+	if _, _, _, err := InspectMeta(cfg.Store, "t"); !errors.Is(err, errInjectedRead) {
+		t.Fatalf("InspectMeta: err = %v, want the read failure", err)
 	}
 }
 

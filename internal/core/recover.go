@@ -33,8 +33,8 @@ func (ix *Index) recover() error {
 	if haveMeta {
 		ix.maxCovered.Store(maxCovered)
 		ix.indexedPSN.Store(psn)
-		ix.metaSeq.Store(metaSeq)
 	}
+	ix.metaSeq.Store(metaSeq)
 
 	maxSeq := uint64(0)
 	for _, z := range []*zoneList{ix.groomed, ix.post} {

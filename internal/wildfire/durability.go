@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"umzi/internal/keyenc"
@@ -95,16 +93,12 @@ func WALStoragePrefix(table string) string { return "tbl/" + table + "/wal" }
 
 func walMarkPrefix(table string) string { return "tbl/" + table + "/wal-mark/" }
 
-func walMarkName(table string, seq uint64) string {
-	return fmt.Sprintf("%s%012d", walMarkPrefix(table), seq)
-}
-
 func walCleanName(table string) string { return "tbl/" + table + "/wal-clean" }
 
 // walMarkRecord is the persisted groom watermark: every log row with
 // sequence <= Mark is durably contained in groomed blocks (and their
-// index runs), written by the groom of cycle Cycle. Records are
-// sequenced and immutable like the catalogs; newest valid wins.
+// index runs), written by the groom of cycle Cycle. It is a sequenced
+// record like the catalogs (storage.LoadRecord, storage.WriteRecord).
 type walMarkRecord struct {
 	Magic string
 	Mark  uint64
@@ -127,33 +121,18 @@ const walCleanMagic = "UMZIWCL1"
 
 // LoadWALMark reads a table shard's newest valid groom watermark from
 // storage alone (inspection and recovery). ok is false when the table
-// has never persisted one.
+// has no readable one; seq is the newest listed mark-record sequence.
 func LoadWALMark(store storage.ObjectStore, table string) (mark, cycle, seq uint64, ok bool, err error) {
-	names, err := store.List(walMarkPrefix(table))
+	rec, seq, ok, err := storage.LoadRecord(store, walMarkPrefix(table), func(data []byte) (rec walMarkRecord, err error) {
+		if err = json.Unmarshal(data, &rec); err == nil && rec.Magic != walMarkMagic {
+			err = errors.New("wildfire: bad wal mark record")
+		}
+		return rec, err
+	})
 	if err != nil {
-		return 0, 0, 0, false, err
+		return 0, 0, 0, false, fmt.Errorf("wildfire: loading wal mark: %w", err)
 	}
-	sort.Strings(names)
-	for i := len(names) - 1; i >= 0; i-- {
-		data, err := store.Get(names[i])
-		if errors.Is(err, storage.ErrNotExist) {
-			continue // racing prune (inspection of a live store)
-		}
-		if err != nil {
-			// A transient read failure must not silently fall back to an
-			// older mark: recovery would adopt a stale watermark and a
-			// stale mark-record sequence.
-			return 0, 0, 0, false, fmt.Errorf("wildfire: reading wal mark %s: %w", names[i], err)
-		}
-		var rec walMarkRecord
-		if json.Unmarshal(data, &rec) != nil || rec.Magic != walMarkMagic {
-			continue // interrupted write
-		}
-		var s uint64
-		fmt.Sscanf(strings.TrimPrefix(names[i], walMarkPrefix(table)), "%d", &s)
-		return rec.Mark, rec.Cycle, s, true, nil
-	}
-	return 0, 0, 0, false, nil
+	return rec.Mark, rec.Cycle, seq, ok, nil
 }
 
 // ---- engine glue ------------------------------------------------------
@@ -251,25 +230,15 @@ func (e *shard) publishWalMark(mark, cycle uint64) error {
 		return err
 	}
 	// The sequence is never rolled back on failure: mark names need not
-	// be dense (LoadWALMark takes the newest valid record), and reusing
-	// a sequence after a failure that actually published — or that
-	// collided with an object a stale in-memory counter missed — would
-	// wedge every future publish on write-once ErrExists.
+	// be dense, and reusing a sequence after a failure that actually
+	// published would wedge every future publish on write-once ErrExists.
 	e.walMarkSeq++
-	if err := e.store.Put(walMarkName(e.table.Name, e.walMarkSeq), data); err != nil {
+	pruneFailures, err := storage.WriteRecord(e.store, walMarkPrefix(e.table.Name), e.walMarkSeq, data)
+	if err != nil {
 		return fmt.Errorf("wildfire: persisting wal mark: %w", err)
 	}
 	e.walMarkPersisted = mark
-	if names, err := e.store.List(walMarkPrefix(e.table.Name)); err == nil && len(names) > 2 {
-		sort.Strings(names)
-		for _, n := range names[:len(names)-2] {
-			// A failed prune is retried on the next publish (the record is
-			// superseded, not load-bearing), but it must not be invisible.
-			if err := e.store.Delete(n); err != nil {
-				e.mx.walPruneErrors.Inc()
-			}
-		}
-	}
+	e.mx.walPruneErrors.Add(int64(pruneFailures))
 	if _, err := e.wal.Reclaim(mark); err != nil {
 		return fmt.Errorf("wildfire: reclaiming wal segments: %w", err)
 	}

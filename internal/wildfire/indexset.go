@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"umzi/internal/core"
@@ -306,9 +305,8 @@ func specEqual(a, b IndexSpec) bool {
 // The catalog persists the table's index set — the primary spec plus
 // every secondary declaration — so that recovery restores the full set
 // from shared storage alone (§5.5), including secondaries created online
-// after the engine first started. Like index meta records, catalog
-// objects are sequenced (shared storage has no in-place update) and the
-// newest valid record wins.
+// after the engine first started. Like index meta records, the catalog is
+// a sequenced record (storage.LoadRecord, storage.WriteRecord).
 
 // IndexCatalogEntry is one catalog record: the declared spec of one
 // index. Name "" is the primary.
@@ -319,9 +317,7 @@ type IndexCatalogEntry struct {
 
 const catalogMagic = "UMZICAT1"
 
-func catalogName(table string, seq uint64) string {
-	return fmt.Sprintf("tbl/%s/catalog/%012d", table, seq)
-}
+func catalogPrefix(table string) string { return "tbl/" + table + "/catalog/" }
 
 func appendCatalogString(out []byte, s string) []byte {
 	out = binary.BigEndian.AppendUint16(out, uint16(len(s)))
@@ -349,43 +345,39 @@ func encodeIndexCatalog(entries []IndexCatalogEntry) []byte {
 	return out
 }
 
+// catalogReader decodes a catalog record; after the first truncation
+// every read returns a zero value and err holds the failure.
 type catalogReader struct {
 	data []byte
 	off  int
 	err  error
 }
 
-func (r *catalogReader) str() string {
+// take returns the next n bytes, or nil once the record is truncated.
+func (r *catalogReader) take(n int) []byte {
+	if r.err == nil && r.off+n > len(r.data) {
+		r.err = fmt.Errorf("wildfire: truncated index catalog")
+	}
 	if r.err != nil {
-		return ""
+		return nil
 	}
-	if r.off+2 > len(r.data) {
-		r.err = fmt.Errorf("wildfire: truncated index catalog")
-		return ""
-	}
-	n := int(binary.BigEndian.Uint16(r.data[r.off:]))
-	r.off += 2
-	if r.off+n > len(r.data) {
-		r.err = fmt.Errorf("wildfire: truncated index catalog")
-		return ""
-	}
-	s := string(r.data[r.off : r.off+n])
+	b := r.data[r.off : r.off+n]
 	r.off += n
-	return s
+	return b
 }
 
+func (r *catalogReader) u16() int {
+	if b := r.take(2); b != nil {
+		return int(binary.BigEndian.Uint16(b))
+	}
+	return 0
+}
+
+func (r *catalogReader) str() string { return string(r.take(r.u16())) }
+
 func (r *catalogReader) group() []string {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+2 > len(r.data) {
-		r.err = fmt.Errorf("wildfire: truncated index catalog")
-		return nil
-	}
-	n := int(binary.BigEndian.Uint16(r.data[r.off:]))
-	r.off += 2
 	var out []string
-	for i := 0; i < n; i++ {
+	for i, n := 0, r.u16(); i < n && r.err == nil; i++ {
 		out = append(out, r.str())
 	}
 	return out
@@ -398,22 +390,21 @@ func decodeIndexCatalog(data []byte) ([]IndexCatalogEntry, error) {
 	n := int(binary.BigEndian.Uint32(data[8:12]))
 	r := &catalogReader{data: data, off: 12}
 	var out []IndexCatalogEntry
-	for i := 0; i < n; i++ {
-		var e IndexCatalogEntry
-		e.Name = r.str()
-		if r.err == nil && r.off < len(r.data) {
-			e.Spec.HashBits = r.data[r.off]
-			r.off++
-		} else if r.err == nil {
-			r.err = fmt.Errorf("wildfire: truncated index catalog")
+	for i := 0; i < n && r.err == nil; i++ {
+		e := IndexCatalogEntry{Name: r.str()}
+		if b := r.take(1); b != nil {
+			e.Spec.HashBits = b[0]
 		}
 		e.Spec.Equality = r.group()
 		e.Spec.Sort = r.group()
 		e.Spec.Included = r.group()
-		if r.err != nil {
-			return nil, r.err
-		}
 		out = append(out, e)
+	}
+	if r.err == nil && r.off != len(data) {
+		r.err = fmt.Errorf("wildfire: index catalog has %d trailing bytes", len(data)-r.off)
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return out, nil
 }
@@ -421,56 +412,30 @@ func decodeIndexCatalog(data []byte) ([]IndexCatalogEntry, error) {
 // LoadIndexCatalog reads the newest valid catalog record of a table from
 // shared storage, returning (nil, 0, nil) when the table has never
 // written one (pre-catalog tables recover as primary-only). seq is the
-// record's sequence number, so writers can continue the sequence.
+// newest listed record sequence, so writers can continue the sequence.
+// Objects that exist but none of which decodes are an error: falling
+// back to the primary-only set would drop online-created secondaries.
 func LoadIndexCatalog(store storage.ObjectStore, table string) ([]IndexCatalogEntry, uint64, error) {
-	names, err := store.List("tbl/" + table + "/catalog/")
+	entries, seq, ok, err := storage.LoadRecord(store, catalogPrefix(table), decodeIndexCatalog)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("wildfire: loading catalog of %s: %w", table, err)
 	}
-	if len(names) == 0 {
-		return nil, 0, nil
+	if !ok && seq > 0 {
+		return nil, seq, fmt.Errorf("wildfire: table %s has catalog objects but no readable record", table)
 	}
-	sort.Strings(names)
-	var maxSeq uint64
-	fmt.Sscanf(strings.TrimPrefix(names[len(names)-1], "tbl/"+table+"/catalog/"), "%d", &maxSeq)
-	// Walk newest to oldest: only a record that exists but does not
-	// decode is an interrupted write we may skip. A failing Get on a
-	// listed object is a storage error and must surface — silently
-	// falling back to an older catalog would drop online-created
-	// secondaries from the recovered set.
-	for i := len(names) - 1; i >= 0; i-- {
-		data, err := store.Get(names[i])
-		if err != nil {
-			return nil, 0, fmt.Errorf("wildfire: reading catalog record %s: %w", names[i], err)
-		}
-		entries, err := decodeIndexCatalog(data)
-		if err != nil {
-			continue
-		}
-		return entries, maxSeq, nil
-	}
-	return nil, maxSeq, fmt.Errorf("wildfire: table %s has catalog objects but no readable record", table)
+	return entries, seq, nil
 }
 
 // writeCatalogLocked persists the current index set as a fresh catalog
-// record and prunes old records. Callers hold e.indexMu.
+// record. Callers hold e.indexMu.
 func (e *shard) writeCatalogLocked() error {
 	var entries []IndexCatalogEntry
 	for _, ti := range e.indexSet() {
 		entries = append(entries, IndexCatalogEntry{Name: ti.name, Spec: ti.declared})
 	}
-	seq := e.catalogSeq.Add(1)
-	if err := e.store.Put(catalogName(e.table.Name, seq), encodeIndexCatalog(entries)); err != nil {
-		return err
-	}
-	names, err := e.store.List("tbl/" + e.table.Name + "/catalog/")
-	if err == nil && len(names) > 2 {
-		sort.Strings(names)
-		for _, n := range names[:len(names)-2] {
-			_ = e.store.Delete(n)
-		}
-	}
-	return nil
+	// A failed prune leaves only superseded records; the next write retries it.
+	_, err := storage.WriteRecord(e.store, catalogPrefix(e.table.Name), e.catalogSeq.Add(1), encodeIndexCatalog(entries))
+	return err
 }
 
 // ---- Shard-side set management ------------------------------------

@@ -96,7 +96,7 @@ func newEngineMetrics(reg *obs.Registry, table string) *engineMetrics {
 		walBatch:        reg.Histogram("wal_batch_records", "records per durable segment write (group-commit batch size)", "records", l),
 		walSync:         reg.Histogram("wal_sync_ns", "segment write (sync) latency", "ns", l),
 		walReclaimed:    reg.Counter("wal_segments_reclaimed", "log segments deleted below the groom watermark", l),
-		walPruneErrors:  reg.Counter("wal_mark_prune_errors", "superseded watermark records whose delete failed", l),
+		walPruneErrors:  reg.Counter("wal_mark_prune_errors", "superseded watermark records whose delete failed (a failed listing counts once)", l),
 		groomCycles:     reg.Counter("groom_cycles", "groom operations that produced a block", l),
 		groomDuration:   reg.Histogram("groom_duration_ns", "groom cycle duration", "ns", l),
 		groomRows:       reg.Histogram("groom_rows", "records groomed per cycle", "records", l),

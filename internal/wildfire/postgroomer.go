@@ -174,11 +174,15 @@ func (e *shard) postGroom() (types.PSN, error) {
 		written = append(written, pb)
 	}
 
-	// Persist the endTS sidecar (no in-place updates on shared storage).
-	// A sidecar already under this PSN is the leftover of an attempt that
-	// failed before its PSN meta: no version references a sidecar above
-	// maxPSN, so it is replaced.
+	// Persist the endTS sidecar (no in-place updates on shared storage)
+	// in RID order: pass 2 ranged over a map, and the same rows must
+	// store the same bytes. A sidecar already under this PSN is the
+	// leftover of an attempt that failed before its PSN meta: no version
+	// references a sidecar above maxPSN, so it is replaced.
 	if len(endTSUpdates) > 0 {
+		slices.SortFunc(endTSUpdates, func(a, b endTSUpdate) int {
+			return cmp.Or(cmp.Compare(a.rid.Block, b.rid.Block), cmp.Compare(a.rid.Offset, b.rid.Offset))
+		})
 		name, sidecar := endTSName(e.table.Name, psn), encodeEndTSSidecar(endTSUpdates)
 		err := e.store.Put(name, sidecar)
 		if errors.Is(err, storage.ErrExists) {
