@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"umzi/internal/keyenc"
 )
@@ -132,6 +133,7 @@ type Block struct {
 	cols   []column
 	mins   []keyenc.Value // per column; invalid Value when rows == 0
 	maxs   []keyenc.Value
+	fps    atomic.Pointer[[]uint32] // published by KeyFingerprints
 }
 
 // Builder accumulates rows and produces an immutable Block. Rows are

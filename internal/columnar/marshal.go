@@ -181,7 +181,8 @@ func (blk *Block) PlainSize() int {
 }
 
 // MemSize estimates the decoded block's resident memory: every encoded
-// column body plus fixed per-column and per-block struct overhead. Block
+// column body, the key fingerprint column once published, plus fixed
+// per-column and per-block struct overhead. Block
 // caches use it as the charge unit for byte budgeting, so it only needs
 // to track the real footprint closely enough that a budget of N bytes
 // holds roughly N bytes of blocks.
@@ -191,7 +192,7 @@ func (blk *Block) MemSize() int {
 		columnOverhead = 160 // column struct: encoding tag + 8 slice headers
 		valueOverhead  = 48  // keyenc.Value tagged union (min + max entries)
 	)
-	size := blockOverhead
+	size := blockOverhead + blk.fingerprintBytes()
 	for i := range blk.cols {
 		c := &blk.cols[i]
 		size += columnOverhead + valueOverhead

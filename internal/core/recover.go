@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -14,7 +15,8 @@ import (
 //
 //  1. read the newest meta record for the evolve watermark;
 //  2. list each zone's run objects and parse their headers — unparseable
-//     objects are incomplete writes and are deleted;
+//     objects (run.ErrCorrupt) are incomplete writes and are deleted, and
+//     a header that cannot be read fails the recovery;
 //  3. per zone, sort runs by descending end groomed block ID and add them
 //     one by one, keeping the run with the largest range among overlapping
 //     candidates and deleting the rest (they were already merged);
@@ -50,10 +52,15 @@ func (ix *Index) recover() error {
 		var cands []cand
 		for _, name := range names {
 			h, err := run.LoadHeader(ix.store, name)
-			if err != nil {
+			if errors.Is(err, run.ErrCorrupt) {
 				// Unparseable object: an interrupted write. Clean it up.
 				_ = ix.store.Delete(name)
 				continue
+			}
+			if err != nil {
+				// A read that failed says nothing about the run; deleting
+				// it would lose a valid run.
+				return fmt.Errorf("core: recover run %s: %w", name, err)
 			}
 			cands = append(cands, cand{name: name, h: h})
 			if s := runSeqFromName(name); s > maxSeq {

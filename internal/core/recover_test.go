@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"umzi/internal/keyenc"
+	"umzi/internal/storage"
 	"umzi/internal/types"
 )
 
@@ -167,6 +170,51 @@ func TestRecoverDeletesCorruptObjects(t *testing.T) {
 	if len(names) != 1 {
 		t.Errorf("corrupt object survived recovery: %v", names)
 	}
+}
+
+// failRangeStore fails every GetRange of one object, as a transient
+// store fault would.
+type failRangeStore struct {
+	storage.ObjectStore
+	name string
+}
+
+var errTransientRead = errors.New("transient read fault")
+
+func (s failRangeStore) GetRange(name string, off, n int64) ([]byte, error) {
+	if name == s.name {
+		return nil, errTransientRead
+	}
+	return s.ObjectStore.GetRange(name, off, n)
+}
+
+// TestRecoverReadErrorKeepsRun: a run header that cannot be read is not
+// an interrupted write. Open must fail with the read error and leave the
+// run in storage, where the next Open recovers it.
+func TestRecoverReadErrorKeepsRun(t *testing.T) {
+	ix := newTestIndex(t, nil)
+	m := newModel()
+	groom(t, ix, m, 1, recsSeq(10, 2, 0))
+	names, err := ix.store.List("t/z1/")
+	if err != nil || len(names) != 1 || !strings.Contains(names[0], "-L0-") {
+		t.Fatalf("setup: groomed runs %v (%v), want one level-0 run", names, err)
+	}
+	cfg := ix.cfg
+	cfg.Store = failRangeStore{ObjectStore: ix.store, name: names[0]}
+	if bad, err := Open(cfg); err == nil {
+		bad.Close()
+		t.Fatal("Open succeeded over an unreadable run header")
+	} else if !errors.Is(err, errTransientRead) {
+		t.Fatalf("Open: %v, want the read error", err)
+	}
+	if after, _ := ix.store.List("t/z1/"); len(after) != 1 || after[0] != names[0] {
+		t.Fatalf("run listing after the failed Open: %v, want %v", after, names)
+	}
+	ix2 := reopen(t, ix)
+	if g, _ := ix2.RunCounts(); g != 1 {
+		t.Fatalf("recovered %d groomed runs, want 1", g)
+	}
+	checkAll(t, ix2, m, 2, 10, types.MaxTS)
 }
 
 func TestRecoverAfterEvolve(t *testing.T) {

@@ -11,7 +11,8 @@ import (
 
 // QueryTrace captures one query's execution profile: the plan the
 // compiler chose, per-shard spans, and cross-shard totals for blocks
-// read vs. synopsis-skipped, blocks fetched, live-zone union size, and
+// read vs. synopsis-skipped, blocks fetched, live-zone union size,
+// executor reconciliation work (winner inserts, shadow checks), and
 // secondary-index rows back-checked against the primary. A trace is attached to a
 // query with Query.Explain(); the engine writes into it from every
 // shard worker concurrently, so counters are atomic and spans append
@@ -32,6 +33,7 @@ type QueryTrace struct {
 	backCheckDropped   atomic.Int64
 	rowsEmitted        atomic.Int64
 	winnerInserts      atomic.Int64
+	shadowChecks       atomic.Int64
 }
 
 // TraceSpan is one shard's slice of a query.
@@ -43,6 +45,7 @@ type TraceSpan struct {
 	BlocksFetched      int64         `json:"blocks_fetched"`
 	LiveUnion          int64         `json:"live_union"`
 	WinnerInserts      int64         `json:"winner_inserts"`
+	ShadowChecks       int64         `json:"shadow_checks"`
 	Elapsed            time.Duration `json:"elapsed_ns"`
 }
 
@@ -140,6 +143,15 @@ func (t *QueryTrace) AddWinnerInserts(n int64) {
 	}
 }
 
+// AddShadowChecks counts post-groomed rows whose primary-key fingerprint
+// hit the pending/live shadow, so the executor compared their keys
+// exactly; a row whose fingerprint misses is kept with no key work.
+func (t *QueryTrace) AddShadowChecks(n int64) {
+	if t != nil {
+		t.shadowChecks.Add(n)
+	}
+}
+
 // TraceSnapshot is an immutable copy of a QueryTrace.
 type TraceSnapshot struct {
 	Plan               string      `json:"plan"`
@@ -153,6 +165,7 @@ type TraceSnapshot struct {
 	BackCheckDropped   int64       `json:"back_check_dropped"`
 	RowsEmitted        int64       `json:"rows_emitted"`
 	WinnerInserts      int64       `json:"winner_inserts"`
+	ShadowChecks       int64       `json:"shadow_checks"`
 	Spans              []TraceSpan `json:"spans,omitempty"`
 }
 
@@ -180,6 +193,7 @@ func (t *QueryTrace) Snapshot() TraceSnapshot {
 		BackCheckDropped:   t.backCheckDropped.Load(),
 		RowsEmitted:        t.rowsEmitted.Load(),
 		WinnerInserts:      t.winnerInserts.Load(),
+		ShadowChecks:       t.shadowChecks.Load(),
 		Spans:              spans,
 	}
 }
@@ -195,11 +209,11 @@ func (t *QueryTrace) String() string {
 	if s.Index != "" {
 		fmt.Fprintf(&b, " index=%s", s.Index)
 	}
-	fmt.Fprintf(&b, " blocks=%d read/%d skipped (%d by bloom), %d fetched live_union=%d winner_inserts=%d back_checked=%d (%d dropped) rows=%d",
-		s.BlocksRead, s.BlocksSkipped, s.BlocksBloomSkipped, s.BlocksFetched, s.LiveUnion, s.WinnerInserts, s.BackChecked, s.BackCheckDropped, s.RowsEmitted)
+	fmt.Fprintf(&b, " blocks=%d read/%d skipped (%d by bloom), %d fetched live_union=%d winner_inserts=%d shadow_checks=%d back_checked=%d (%d dropped) rows=%d",
+		s.BlocksRead, s.BlocksSkipped, s.BlocksBloomSkipped, s.BlocksFetched, s.LiveUnion, s.WinnerInserts, s.ShadowChecks, s.BackChecked, s.BackCheckDropped, s.RowsEmitted)
 	for _, sp := range s.Spans {
-		fmt.Fprintf(&b, "\n  shard %s: blocks=%d read/%d skipped, %d fetched live_union=%d winner_inserts=%d in %s",
-			sp.Shard, sp.BlocksRead, sp.BlocksSkipped, sp.BlocksFetched, sp.LiveUnion, sp.WinnerInserts, sp.Elapsed)
+		fmt.Fprintf(&b, "\n  shard %s: blocks=%d read/%d skipped, %d fetched live_union=%d winner_inserts=%d shadow_checks=%d in %s",
+			sp.Shard, sp.BlocksRead, sp.BlocksSkipped, sp.BlocksFetched, sp.LiveUnion, sp.WinnerInserts, sp.ShadowChecks, sp.Elapsed)
 	}
 	return b.String()
 }

@@ -1,10 +1,17 @@
 package run
 
 import (
+	"errors"
 	"fmt"
 
 	"umzi/internal/storage"
 )
+
+// ErrCorrupt marks an object whose bytes were read but do not parse as a
+// run: an interrupted write or damage at rest. LoadHeader wraps every
+// such failure in it; a failed read is returned as the store reported
+// it, so a caller can tell "not a run" from "could not read".
+var ErrCorrupt = errors.New("run: corrupt object")
 
 // LoadHeader fetches and parses just the header block of a run object in
 // shared storage: a footer read plus a header read, no data-block traffic.
@@ -16,7 +23,7 @@ func LoadHeader(store storage.ObjectStore, name string) (*Header, error) {
 		return nil, err
 	}
 	if size < FooterSize {
-		return nil, fmt.Errorf("run: object %s too small (%d bytes)", name, size)
+		return nil, fmt.Errorf("%w: %s too small (%d bytes)", ErrCorrupt, name, size)
 	}
 	tail, err := store.GetRange(name, size-FooterSize, FooterSize)
 	if err != nil {
@@ -24,10 +31,10 @@ func LoadHeader(store storage.ObjectStore, name string) (*Header, error) {
 	}
 	off, l, err := ParseFooter(tail)
 	if err != nil {
-		return nil, fmt.Errorf("run: object %s: %w", name, err)
+		return nil, fmt.Errorf("%w: %s: %w", ErrCorrupt, name, err)
 	}
 	if body := uint64(size - FooterSize); off > body || uint64(l) > body-off {
-		return nil, fmt.Errorf("run: object %s: header extent out of range", name)
+		return nil, fmt.Errorf("%w: %s: header extent out of range", ErrCorrupt, name)
 	}
 	hdr, err := store.GetRange(name, int64(off), int64(l))
 	if err != nil {
@@ -35,10 +42,10 @@ func LoadHeader(store storage.ObjectStore, name string) (*Header, error) {
 	}
 	h, err := ParseHeader(hdr)
 	if err != nil {
-		return nil, fmt.Errorf("run: object %s: %w", name, err)
+		return nil, fmt.Errorf("%w: %s: %w", ErrCorrupt, name, err)
 	}
 	if h.DataEnd != off {
-		return nil, fmt.Errorf("run: object %s: header says data ends at %d, footer at %d", name, h.DataEnd, off)
+		return nil, fmt.Errorf("%w: %s: header says data ends at %d, footer at %d", ErrCorrupt, name, h.DataEnd, off)
 	}
 	return h, nil
 }

@@ -26,7 +26,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -422,7 +423,7 @@ func (l *Log) Replay(afterSeq uint64, visit func(Record) error) error {
 	l.mu.Lock()
 	segs := append([]SegmentInfo(nil), l.segments...)
 	l.mu.Unlock()
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Name < segs[j].Name })
+	slices.SortFunc(segs, func(a, b SegmentInfo) int { return strings.Compare(a.Name, b.Name) })
 	for _, s := range segs {
 		if s.Last <= afterSeq {
 			continue

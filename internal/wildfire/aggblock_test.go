@@ -184,7 +184,10 @@ func TestExecuteGroupByDictColumn(t *testing.T) {
 // the 16,384-row table may allocate more than the 2,048-row one only in
 // proportion to its extra blocks. The live arm holds the live union to
 // one allocation per live row: the primary-key string of the overlay
-// map, not a view per row.
+// map, not a view per row. The pending arm puts pending groomed updates
+// of post-groomed keys beside the post zone, so every selected post row
+// is probed against the shadow: that costs nothing per post row
+// scanned, and nothing per pending row reconciled.
 func TestAggregateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds a varying number of allocations")
@@ -196,9 +199,11 @@ func TestAggregateAllocs(t *testing.T) {
 	}
 	const batch = 1024
 	// measure builds a shard of rows post-groomed rows, one groom and
-	// post-groom per batch, plus live new keys, and returns the
-	// aggregate's allocations and the blocks it reads.
-	measure := func(rows, liveRows int) (float64, int64) {
+	// post-groom per batch, plus pendingRows (at most rows) groomed but
+	// not post-groomed updates of its first keys and liveRows live new
+	// keys, and returns
+	// the aggregate's allocations and the blocks it reads.
+	measure := func(rows, liveRows, pendingRows int) (float64, int64) {
 		e := newTestEngine(t, regionTable)
 		mk := func(from, n int) []Row {
 			out := make([]Row, n)
@@ -221,6 +226,14 @@ func TestAggregateAllocs(t *testing.T) {
 		}
 		if err := e.syncIndex(); err != nil {
 			t.Fatal(err)
+		}
+		for from := 0; from < pendingRows; from += batch {
+			if err := e.upsert(0, mk(from, min(batch, pendingRows-from))...); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.groomCount(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := e.upsert(0, mk(rows, liveRows)...); err != nil {
 			t.Fatal(err)
@@ -252,17 +265,31 @@ func TestAggregateAllocs(t *testing.T) {
 	// selection and visibility bitmaps, the scan pool's bookkeeping and
 	// the kernel's scratch when it grows.
 	const perBlock = 12
-	small, smallBlocks := measure(2*batch, 0)
-	large, largeBlocks := measure(16*batch, 0)
+	small, smallBlocks := measure(2*batch, 0, 0)
+	large, largeBlocks := measure(16*batch, 0, 0)
 	if extra := large - small; extra > perBlock*float64(largeBlocks-smallBlocks) {
 		t.Errorf("aggregate allocs: %v at %d rows over %d blocks, %v at %d rows over %d blocks (+%v, budget %d per extra block)",
 			small, 2*batch, smallBlocks, large, 16*batch, largeBlocks, extra, perBlock)
 	}
 
-	few, _ := measure(2*batch, 256)
-	many, _ := measure(2*batch, 2048)
+	few, _ := measure(2*batch, 256, 0)
+	many, _ := measure(2*batch, 2048, 0)
 	if perRow := (many - few) / (2048 - 256); perRow > 1.25 {
 		t.Errorf("live union: %.2f allocations per live row (%v at 256 live rows, %v at 2048), want at most its key string",
 			perRow, few, many)
+	}
+
+	// The shadow arm: the same pending updates beside a small and a large
+	// post zone, then more pending rows beside the same post zone.
+	shadowSmall, shadowSmallBlocks := measure(2*batch, 0, 512)
+	shadowLarge, shadowLargeBlocks := measure(16*batch, 0, 512)
+	if extra := shadowLarge - shadowSmall; extra > perBlock*float64(shadowLargeBlocks-shadowSmallBlocks) {
+		t.Errorf("shadowed aggregate allocs: %v at %d post rows over %d blocks, %v at %d over %d blocks (+%v, budget %d per extra block)",
+			shadowSmall, 2*batch, shadowSmallBlocks, shadowLarge, 16*batch, shadowLargeBlocks, extra, perBlock)
+	}
+	shadowMore, shadowMoreBlocks := measure(2*batch, 0, 2*batch)
+	if extra := shadowMore - shadowSmall; extra > perBlock*float64(shadowMoreBlocks-shadowSmallBlocks) {
+		t.Errorf("shadowed aggregate allocs: %v at 512 pending rows over %d blocks, %v at %d over %d blocks (+%v, budget %d per extra block)",
+			shadowSmall, shadowSmallBlocks, shadowMore, 2*batch, shadowMoreBlocks, extra, perBlock)
 	}
 }

@@ -254,17 +254,8 @@ func (c *BlockCache) insert(name string, blk *columnar.Block) {
 		return
 	}
 	s.mu.Unlock()
-	for {
-		cur := c.bytes.Load()
-		if cur+size <= c.budget {
-			if c.bytes.CompareAndSwap(cur, cur+size) {
-				break
-			}
-			continue
-		}
-		if !c.evictOne() {
-			return
-		}
+	if !c.reserve(size) {
+		return
 	}
 	s.mu.Lock()
 	if old, ok := s.entries[name]; ok {
@@ -280,6 +271,59 @@ func (c *BlockCache) insert(name string, blk *columnar.Block) {
 	s.entries[name] = e
 	c.entries.Add(1)
 	s.mu.Unlock()
+	if int64(blk.MemSize()) > size {
+		// The block grew between the size read and the entry's admission;
+		// a recharge in that window found no entry to charge.
+		c.recharge(name, blk)
+	}
+}
+
+// reserve takes size bytes of the budget, evicting LRU tails while the
+// total cannot take them. It reports false, reserving nothing, once
+// every stripe is empty and the bytes still do not fit.
+func (c *BlockCache) reserve(size int64) bool {
+	for {
+		cur := c.bytes.Load()
+		if cur+size <= c.budget {
+			if c.bytes.CompareAndSwap(cur, cur+size) {
+				return true
+			}
+			continue
+		}
+		if !c.evictOne() {
+			return false
+		}
+	}
+}
+
+// recharge brings a resident block's charge up to its current MemSize.
+// A decoded block grows once after admission, when a query publishes its
+// key fingerprints on it; the growth is reserved under the budget like an
+// insert, so occupancy still never exceeds it. A block that is not the
+// resident decode of name is charged nothing.
+func (c *BlockCache) recharge(name string, blk *columnar.Block) {
+	s := c.shard(name)
+	s.mu.Lock()
+	e, ok := s.entries[name]
+	if !ok || e.blk != blk {
+		s.mu.Unlock()
+		return
+	}
+	charged := e.size
+	s.mu.Unlock()
+	grow := int64(blk.MemSize()) - charged
+	if grow <= 0 || !c.reserve(grow) {
+		return
+	}
+	s.mu.Lock()
+	if cur, ok := s.entries[name]; ok && cur == e && e.size == charged {
+		e.size += grow
+		s.mu.Unlock()
+		return
+	}
+	// Evicted while reserving, or charged by a racing recharge.
+	s.mu.Unlock()
+	c.bytes.Add(-grow)
 }
 
 // evictOne removes one stripe's LRU tail, starting from a rotating

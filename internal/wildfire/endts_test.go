@@ -285,3 +285,68 @@ func FuzzEndTSSidecar(f *testing.F) {
 		}
 	})
 }
+
+// TestExecuteShadowChecks: a post-groomed row pays the exact key check
+// only when its fingerprint hits the pending/live shadow. With no
+// shadow there are none; beside live updates of post-groomed keys,
+// exactly the updated keys' rows are checked; and when every
+// fingerprint collides, every selected post row is.
+func TestExecuteShadowChecks(t *testing.T) {
+	e := newTestEngine(t, nil)
+	var rows []Row
+	for m := int64(0); m < 40; m++ {
+		rows = append(rows, row(m%4, m, float64(m), 100+m%2))
+	}
+	ingestAndGroom(t, e, rows...)
+	if _, err := e.postGroom(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.syncIndex(); err != nil {
+		t.Fatal(err)
+	}
+	count := exec.Plan{Aggs: []exec.Agg{{Func: exec.Count}}}
+	run := func(opts QueryOptions, wantCount, wantChecks int64) {
+		t.Helper()
+		tr := obs.NewQueryTrace()
+		opts.Trace = tr
+		res, err := execute(e, count, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].Int(); got != wantCount {
+			t.Errorf("count = %d, want %d", got, wantCount)
+		}
+		s := tr.Snapshot()
+		if s.ShadowChecks != wantChecks || len(s.Spans) != 1 || s.Spans[0].ShadowChecks != wantChecks {
+			t.Errorf("ShadowChecks = %d (spans %+v), want %d", s.ShadowChecks, s.Spans, wantChecks)
+		}
+		if !strings.Contains(tr.String(), fmt.Sprintf("shadow_checks=%d", wantChecks)) {
+			t.Errorf("trace text lacks shadow_checks=%d:\n%s", wantChecks, tr)
+		}
+	}
+	run(QueryOptions{}, 40, 0)
+	run(QueryOptions{IncludeLive: true}, 40, 0)
+
+	// Three live updates of post-groomed keys and two new keys.
+	if err := e.upsert(0, row(0, 0, 1, 100), row(1, 1, 2, 101), row(2, 2, 3, 100), row(0, 40, 4, 100), row(1, 41, 5, 101)); err != nil {
+		t.Fatal(err)
+	}
+	run(QueryOptions{}, 40, 0)
+	run(QueryOptions{IncludeLive: true}, 42, 3)
+
+	collideFingerprints = true
+	defer func() { collideFingerprints = false }()
+	run(QueryOptions{IncludeLive: true}, 42, 40)
+	run(QueryOptions{}, 40, 0)
+}
+
+// TestExecuteFingerprintCollisions: with every key fingerprint forced
+// equal, each probe of the shadow hits and only the exact key check
+// tells keys apart; the executor must still return the oracle's rows.
+func TestExecuteFingerprintCollisions(t *testing.T) {
+	collideFingerprints = true
+	defer func() { collideFingerprints = false }()
+	t.Run("equivalence", TestExecuteEquivalenceProperty)
+	t.Run("endTS", TestExecuteEndTSMatchesOracle)
+	t.Run("groupByDict", TestExecuteGroupByDictColumn)
+}

@@ -20,18 +20,15 @@ import (
 // post-groomed blocks — skipping blocks whose per-column min/max
 // synopses prove no row can match, before the fetch for a post block
 // whose synopsis the zone version holds — and unions in the live zone at
-// the query timestamp for freshness. Each shard reduces to an
-// exec.Partial (per-group aggregate states, not rows — row-shaped plans
-// carry their qualifying projected rows), which is what the coordinator
-// merges before finalizing (ShardedEngine.execPartials).
-
-// execCandidate is one primary key's newest visible pending version so
-// far: a row of the query's pending block classified[block].
-type execCandidate struct {
-	beginTS uint64
-	block   int
-	row     int
-}
+// the query timestamp for freshness. Versions reconcile through the
+// shadow (shadow.go): the keys of the pending versions and live records,
+// in a set keyed on primary-key fingerprints, against which every
+// selected post-groomed row is probed by its block's fingerprint column
+// — an exact key comparison runs only on a fingerprint hit (the trace's
+// shadow_checks). Each shard reduces to an exec.Partial (per-group
+// aggregate states, not rows — row-shaped plans carry their qualifying
+// projected rows), which is what the coordinator merges before
+// finalizing (ShardedEngine.execPartials).
 
 // liveBest is the newest committed-but-ungroomed version of one key.
 type liveBest struct {
@@ -62,10 +59,12 @@ func (e *shard) liveOverlay(opts QueryOptions) (map[string]liveBest, *zoneVersio
 	return live, v, ts
 }
 
-// scanBlk is one zone block of a query, with its skip verdict; blk is
-// nil when a post block's synopsis skipped it before its fetch.
+// scanBlk is one zone block of a query, with its object name and skip
+// verdict; blk is nil, and name empty, when a post block's synopsis
+// skipped it before its fetch.
 type scanBlk struct {
 	blk  *columnar.Block
+	name string
 	skip exec.SkipReason
 }
 
@@ -83,10 +82,12 @@ type scanBlk struct {
 // is not even fetched. zts clamps TS to the version's lastGroomTS, which
 // bounds every finite endTS in it, so that a current version stays
 // visible at MaxTS.
-// Pending groomed blocks and the live zone go through a per-key winner
-// map (newest beginTS wins, live beats groomed), skipped pending blocks
-// included since their versions still shadow; a post-groomed row whose
-// key is in the map is dropped, pending and live versions being newer.
+// Pending groomed blocks and the live zone go through the shadow, a
+// per-key winner set keyed on primary-key fingerprints (newest beginTS
+// wins, live beats groomed), skipped pending blocks included since their
+// versions still shadow; a post-groomed row whose key is in the set is
+// dropped, pending and live versions being newer. A post row is checked
+// against the set's keys exactly only when its fingerprint hits.
 func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts QueryOptions) (*exec.Partial, error) {
 	if e.closed.Load() {
 		return nil, fmt.Errorf("wildfire: engine closed")
@@ -134,7 +135,7 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 		if pb != nil && pb.syn.Load() == nil {
 			pb.syn.CompareAndSwap(nil, blk.Synopsis())
 		}
-		classified[i] = scanBlk{blk: blk, skip: exec.SkipSynopsis}
+		classified[i] = scanBlk{blk: blk, name: name, skip: exec.SkipSynopsis}
 		if visibleAt(blk, nUser, ts) {
 			classified[i].skip = bound.BlockSkip(blk)
 		}
@@ -143,7 +144,7 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 	if err != nil {
 		return nil, err
 	}
-	var blocksRead, blocksSkipped, blocksBloomSkipped, blocksFetched, winnerInserts int64
+	var blocksRead, blocksSkipped, blocksBloomSkipped, blocksFetched, winnerInserts, shadowChecks int64
 	for _, sb := range classified {
 		if sb.skip != exec.SkipNone {
 			blocksSkipped++
@@ -168,6 +169,7 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 	opts.Trace.AddLiveUnion(liveUnion)
 	defer func() {
 		opts.Trace.AddWinnerInserts(winnerInserts)
+		opts.Trace.AddShadowChecks(shadowChecks)
 		opts.Trace.AddSpan(obs.TraceSpan{
 			Shard:              e.table.Name,
 			BlocksRead:         blocksRead,
@@ -176,52 +178,48 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 			BlocksFetched:      blocksFetched,
 			LiveUnion:          liveUnion,
 			WinnerInserts:      winnerInserts,
+			ShadowChecks:       shadowChecks,
 			Elapsed:            time.Since(start),
 		})
 	}()
 
 	part := bound.NewPartial()
-	var keyBuf []byte
 	var tsBuf []uint64
-	appendPK := func(blk *columnar.Block, r int) []byte {
-		keyBuf = keyBuf[:0]
-		for _, c := range pkIdx {
-			keyBuf = keyenc.Append(keyBuf, blk.Value(r, c))
-		}
-		return keyBuf
-	}
 
 	// Phase 2: reconcile the newest visible pending version per primary
-	// key. Live records are newer than every groomed version of their key
-	// (the groomer will assign them a larger beginTS), so they supersede.
-	// A pending block the skip structures excluded keeps a nil selection:
-	// its versions still shadow older ones but cannot themselves qualify.
+	// key into the shadow. Live records are newer than every groomed
+	// version of their key (the groomer will assign them a larger
+	// beginTS), so they supersede. A pending block the skip structures
+	// excluded keeps a nil selection: its versions still shadow older
+	// ones but cannot themselves qualify.
+	shadow := newShadowSet(classified[:nPending], len(live), pkIdx)
 	sels := make([]*exec.Bitmap, nPending)
-	winners := make(map[string]execCandidate)
 	for i, sb := range classified[:nPending] {
 		if sb.skip == exec.SkipNone {
 			sels[i] = bound.FilterBlock(sb.blk)
 		}
-		blk := sb.blk
-		tsBuf = blk.AppendNums(nUser, tsBuf[:0])
-		for r := 0; r < blk.NumRows(); r++ {
-			beginTS := tsBuf[r]
+		tsBuf = sb.blk.AppendNums(nUser, tsBuf[:0])
+		var fps []uint32
+		for r, beginTS := range tsBuf {
 			if types.TS(beginTS) > ts {
 				continue
 			}
-			winnerInserts++
-			pk := appendPK(blk, r)
-			if w, ok := winners[string(pk)]; ok && w.beginTS >= beginTS {
-				continue
+			if fps == nil {
+				fps = e.keyFingerprints(sb, pkIdx)
 			}
-			winners[string(pk)] = execCandidate{beginTS: beginTS, block: i, row: r}
+			winnerInserts++
+			shadow.addPending(fps[r], i, r, beginTS)
 		}
+	}
+	for _, best := range live {
+		shadow.addLive(liveFingerprint(best.row, pkIdx), best.row)
 	}
 	winnerInserts += liveUnion
 
 	// Phase 3: post-groomed rows visible by beginTS/endTS, minus overrides
-	// in effect at zts and keys a pending or live version shadows, each
-	// block's survivors accumulated in one call.
+	// in effect at zts and keys the shadow holds, each block's survivors
+	// accumulated in one call. A row whose fingerprint misses the shadow
+	// is kept with no key work; a hit is settled by the exact check.
 	for i, sb := range classified[nPending:] {
 		if sb.skip != exec.SkipNone {
 			continue
@@ -239,13 +237,20 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 				words[o.offset>>6] &^= 1 << (o.offset & 63)
 			}
 		}
-		if len(winners)+len(live) > 0 {
+		if shadow.n > 0 {
+			var fps []uint32
 			for w, word := range words {
 				for ; word != 0; word &= word - 1 {
+					if fps == nil {
+						fps = e.keyFingerprints(sb, pkIdx)
+					}
 					bit := bits.TrailingZeros64(word)
-					pk := appendPK(blk, w<<6|bit)
-					_, pending := winners[string(pk)]
-					if _, isLive := live[string(pk)]; pending || isLive {
+					r := w<<6 | bit
+					if !shadow.hit(fps[r]) {
+						continue
+					}
+					shadowChecks++
+					if shadow.holds(fps[r], blk, r) {
 						words[w] &^= 1 << bit
 					}
 				}
@@ -256,18 +261,7 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 
 	// The qualifying pending winners, one bitmap per pending block, fed
 	// in zone order.
-	wins := make([]*exec.Bitmap, nPending)
-	for pk, w := range winners {
-		sel := sels[w.block]
-		if _, isLive := live[pk]; isLive || sel == nil || !sel.Get(w.row) {
-			continue
-		}
-		if wins[w.block] == nil {
-			wins[w.block] = exec.NewBitmap(sel.Len())
-		}
-		wins[w.block].Words()[w.row>>6] |= 1 << (w.row & 63)
-	}
-	for i, win := range wins {
+	for i, win := range shadow.winners(sels) {
 		if win != nil {
 			part.AddBlock(classified[i].blk, win)
 		}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"umzi/internal/columnar"
 	"umzi/internal/exec"
 	"umzi/internal/keyenc"
 	"umzi/internal/storage"
@@ -327,6 +328,102 @@ func TestBlockCacheChurnInvariant(t *testing.T) {
 	}
 	if st.Bytes > st.Budget {
 		t.Fatalf("final occupancy %d exceeds budget %d", st.Bytes, st.Budget)
+	}
+}
+
+// cacheCharges sums the MemSize of every resident block and fails the
+// test if an entry's charge differs from its block's MemSize.
+func cacheCharges(t *testing.T, c *BlockCache) (sum int64) {
+	t.Helper()
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for name, ent := range s.entries {
+			if size := int64(ent.blk.MemSize()); ent.size != size {
+				t.Errorf("%s charged %d bytes, MemSize %d", name, ent.size, size)
+			}
+			sum += ent.size
+		}
+		s.mu.Unlock()
+	}
+	return sum
+}
+
+// TestBlockCacheChargesFingerprints: the key fingerprint column a query
+// beside a live writer publishes on a cached post block is charged to
+// the block cache — occupancy grows by at least 4 bytes per post row and
+// equals the resident blocks' MemSize, fingerprints included.
+func TestBlockCacheChargesFingerprints(t *testing.T) {
+	e := newTestEngine(t, nil)
+	var rows []Row
+	for m := int64(0); m < 200; m++ {
+		rows = append(rows, row(m%8, m, float64(m), 100+m%3))
+	}
+	ingestAndGroom(t, e, rows...)
+	if _, err := e.postGroom(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.syncIndex(); err != nil {
+		t.Fatal(err)
+	}
+	count := exec.Plan{Aggs: []exec.Agg{{Func: exec.Count}}}
+	if _, err := execute(e, count, QueryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	before := e.blocks.Stats().Bytes
+	if err := e.upsert(0, row(0, 0, 1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := execute(e, count, QueryOptions{IncludeLive: true}); err != nil {
+		t.Fatal(err)
+	}
+	after := e.blocks.Stats().Bytes
+	if after-before < 4*int64(len(rows)) {
+		t.Errorf("occupancy grew %d bytes (%d -> %d) for %d fingerprinted post rows", after-before, before, after, len(rows))
+	}
+	if sum := cacheCharges(t, e.blocks); sum != after {
+		t.Errorf("occupancy %d, resident blocks' MemSize %d", after, sum)
+	}
+}
+
+// TestBlockCacheRechargeEvicts: growing a resident block by its
+// fingerprints reserves the growth under the budget, evicting LRU tails
+// to make room; a block no longer resident is charged nothing.
+func TestBlockCacheRechargeEvicts(t *testing.T) {
+	mk := func(n int) *columnar.Block {
+		b := columnar.NewBuilder(columnar.MustSchema(columnar.Column{Name: "k", Kind: keyenc.KindInt64}))
+		for i := 0; i < n; i++ {
+			// Spread keys: 8 bytes a row under any encoding, twice the
+			// fingerprint column's 4.
+			if err := b.Append([]keyenc.Value{keyenc.I64(int64(uint64(i) * 0x9e3779b97f4a7c15))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Build()
+	}
+	a, b := mk(512), mk(512)
+	budget := int64(a.MemSize() + b.MemSize())
+	c := NewBlockCache(budget)
+	c.put("a", a)
+	c.put("b", b)
+	if st := c.Stats(); st.Blocks != 2 || st.Bytes != budget {
+		t.Fatalf("setup: %+v", st)
+	}
+	if _, published := b.KeyFingerprints([]int{0}); !published {
+		t.Fatal("fingerprints not published")
+	}
+	c.recharge("b", b)
+	st := c.Stats()
+	if st.Bytes > st.Budget || st.Evictions != 1 || st.Blocks != 1 {
+		t.Fatalf("after recharge: %+v, want b alone, charged with its fingerprints", st)
+	}
+	if _, ok := c.get("b"); !ok || st.Bytes != int64(b.MemSize()) || cacheCharges(t, c) != st.Bytes {
+		t.Fatalf("b resident %v, occupancy %d, MemSize %d", ok, st.Bytes, b.MemSize())
+	}
+	a.KeyFingerprints([]int{0})
+	c.recharge("a", a) // evicted: nothing to charge
+	if got := c.Stats(); got.Bytes != st.Bytes || got.Blocks != 1 {
+		t.Fatalf("recharge of an evicted block changed the cache: %+v", got)
 	}
 }
 
