@@ -14,6 +14,7 @@ import (
 
 	"umzi"
 	"umzi/internal/bench"
+	"umzi/internal/core"
 	"umzi/internal/exec"
 	"umzi/internal/wildfire"
 )
@@ -238,9 +239,9 @@ func BenchmarkShardedLookup(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			eng := newShardBenchEngine(b, fmt.Sprintf("blook%d", shards), shards)
 			rng := rand.New(rand.NewSource(11))
-			keys := make([]umzi.LookupKey, shardBenchBatch)
+			keys := make([]core.LookupKey, shardBenchBatch)
 			for i := range keys {
-				keys[i] = umzi.LookupKey{Sort: []umzi.Value{umzi.I64(rng.Int63n(shardBenchRows))}}
+				keys[i] = core.LookupKey{Sort: []umzi.Value{umzi.I64(rng.Int63n(shardBenchRows))}}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

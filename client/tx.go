@@ -23,7 +23,7 @@ type TableOptions struct {
 	Replicas int
 	// Partitions is the groomed-zone partition count; 0 means default.
 	Partitions int
-	// Parallelism caps per-shard scan workers; 0 means default.
+	// Parallelism bounds the table's scatter-gather pool; 0 means one per shard.
 	Parallelism int
 	// Durability configures the per-shard commit log.
 	Durability umzi.DurabilityOptions
@@ -102,9 +102,9 @@ func (db *DB) Catalog(ctx context.Context) ([]TableInfo, error) {
 }
 
 // Tx is a client-side transaction: rows stage locally and ship to the
-// server in one Commit frame, which applies them in one engine
-// transaction — all tables, all rows, atomically, under write
-// admission control.
+// server in one Commit frame, which the server applies under write
+// admission control as one umzi.Tx. That commits table by table, so a
+// failure mid-commit can leave a committed prefix.
 type Tx struct {
 	db      *DB
 	replica int

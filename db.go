@@ -75,8 +75,6 @@ type TableOptions struct {
 	// across its shards (<=0 inherits DBConfig.BlockCacheBytes, then the
 	// engine default).
 	BlockCacheBytes int64
-	// IndexTuning forwards merge-policy knobs to every Umzi instance.
-	IndexTuning Config
 	// Durability configures the table's per-shard commit logs; it is
 	// persisted in the DB catalog, so a reopened store recovers each
 	// table's un-groomed log tail with the same policy it was written
@@ -172,7 +170,6 @@ func (db *DB) CreateTable(def TableDef, opts TableOptions) (*Table, error) {
 	if entry.BlockCacheBytes <= 0 {
 		entry.BlockCacheBytes = db.blockCacheBytes
 	}
-	entry.tuning = opts.IndexTuning
 	// Secondaries ride through the engine config only at creation — the
 	// engine validates the whole declaration (primary spec, every
 	// secondary, duplicate names) before its first store write, so invalid
@@ -215,7 +212,6 @@ func (db *DB) openTable(e dbCatalogEntry, secondaries []SecondaryIndexSpec) (*Ta
 		Cache:           db.cache,
 		Replicas:        e.Replicas,
 		Partitions:      e.Partitions,
-		IndexTuning:     e.tuning,
 		Durability:      e.Durability,
 		Obs:             db.obs,
 	})
@@ -326,8 +322,8 @@ func (tx *Tx) WithReplica(replica int) *Tx {
 	return tx
 }
 
-// Upsert stages copies of rows into one table; validation happens
-// eagerly.
+// Upsert stages copies of rows into one table. Every row is validated
+// before any is staged, so a call that fails stages nothing.
 func (tx *Tx) Upsert(table string, rows ...Row) error {
 	if tx.done {
 		return fmt.Errorf("umzi: transaction already finished")
@@ -341,6 +337,8 @@ func (tx *Tx) Upsert(table string, rows ...Row) error {
 		if err := wildfire.ValidateRow(def, r); err != nil {
 			return err
 		}
+	}
+	for _, r := range rows {
 		if _, ok := tx.staged[tbl]; !ok {
 			tx.order = append(tx.order, tbl)
 		}
@@ -402,10 +400,6 @@ type dbCatalogEntry struct {
 	// means OpenDB replays every table's un-groomed log tail under the
 	// policy it was written with, with no per-table setup.
 	Durability DurabilityOptions
-
-	// tuning is carried in memory only (and never marshaled): core.Config
-	// holds live handles and tuning is a process-local concern.
-	tuning Config
 }
 
 // dbCatalogRecord is the stored record.
@@ -416,15 +410,14 @@ type dbCatalogRecord struct {
 
 const dbCatalogMagic = "UMZIDB1"
 
-// DBCatalogPrefix is where the multi-table catalog lives in a store;
-// exported for inspection tooling.
-const DBCatalogPrefix = "db/catalog/"
+// dbCatalogPrefix is where the multi-table catalog lives in a store.
+const dbCatalogPrefix = "db/catalog/"
 
 // loadDBCatalog reads the newest valid catalog record and the newest
 // listed record sequence, returning (nil, 0, nil) for a store that never
 // had one.
 func loadDBCatalog(store ObjectStore) ([]dbCatalogEntry, uint64, error) {
-	rec, seq, ok, err := storage.LoadRecord(store, DBCatalogPrefix, func(data []byte) (rec dbCatalogRecord, err error) {
+	rec, seq, ok, err := storage.LoadRecord(store, dbCatalogPrefix, func(data []byte) (rec dbCatalogRecord, err error) {
 		if err = json.Unmarshal(data, &rec); err == nil && rec.Magic != dbCatalogMagic {
 			err = errors.New("umzi: bad db catalog record")
 		}
@@ -452,7 +445,7 @@ func (db *DB) writeCatalogLocked() error {
 	}
 	db.catalogSeq++
 	// A failed prune leaves only superseded records; the next write retries it.
-	_, err = storage.WriteRecord(db.store, DBCatalogPrefix, db.catalogSeq, data)
+	_, err = storage.WriteRecord(db.store, dbCatalogPrefix, db.catalogSeq, data)
 	return err
 }
 

@@ -605,3 +605,112 @@ func fmtRuns(ix *Index) string {
 }
 
 var _ = fmtRuns // debugging helper for failed maintenance tests
+
+// TestIndexLifecycle drives one index through its whole lifecycle:
+// create, build, query at timestamps, merge, evolve, crash-recover via
+// Open, and keep working.
+func TestIndexLifecycle(t *testing.T) {
+	store := storage.NewMemStore(storage.LatencyModel{})
+	cfg := Config{
+		Name: "pub",
+		Def: IndexDef{
+			Equality: []Column{{Name: "k", Kind: keyenc.KindString}},
+			Sort:     []Column{{Name: "seq", Kind: keyenc.KindUint64}},
+			Included: []Column{{Name: "v", Kind: keyenc.KindInt64}},
+		},
+		Store: store,
+		Cache: storage.NewSSDCache(0, storage.LatencyModel{}),
+		K:     2,
+	}
+	ix, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	build := func(cycle uint64, zone types.ZoneID, val int64) []run.Entry {
+		var entries []run.Entry
+		for i := uint32(0); i < 20; i++ {
+			e, err := ix.MakeEntry(
+				[]keyenc.Value{keyenc.Str("stream-A")},
+				[]keyenc.Value{keyenc.U64(uint64(i))},
+				[]keyenc.Value{keyenc.I64(val)},
+				types.MakeTS(cycle, i),
+				types.RID{Zone: zone, Block: cycle, Offset: i},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries = append(entries, e)
+		}
+		return entries
+	}
+	for c := uint64(1); c <= 4; c++ {
+		if err := ix.BuildRun(build(c, types.ZoneGroomed, int64(c)), types.BlockRange{Min: c, Max: c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Newest version wins; historical snapshot sees cycle 2.
+	e, found, err := ix.PointLookup([]keyenc.Value{keyenc.Str("stream-A")}, []keyenc.Value{keyenc.U64(3)}, types.MaxTS)
+	if err != nil || !found {
+		t.Fatal(err, found)
+	}
+	_, _, incl, err := ix.DecodeEntry(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if incl[0].Int() != 4 {
+		t.Fatalf("newest value = %d, want 4", incl[0].Int())
+	}
+	e, found, err = ix.PointLookup([]keyenc.Value{keyenc.Str("stream-A")}, []keyenc.Value{keyenc.U64(3)}, types.MakeTS(2, 1<<20))
+	if err != nil || !found {
+		t.Fatal(err, found)
+	}
+	if e.BeginTS.GroomSeq() != 2 {
+		t.Fatalf("snapshot version from cycle %d, want 2", e.BeginTS.GroomSeq())
+	}
+
+	// Evolve cycles 1-2 and scan across the zone boundary.
+	if err := ix.Evolve(1, build(2, types.ZonePostGroomed, 2), types.BlockRange{Min: 1, Max: 2}); err != nil {
+		t.Fatal(err)
+	}
+	matches, err := ix.RangeScan(ScanOptions{
+		Equality: []keyenc.Value{keyenc.Str("stream-A")},
+		SortLo:   []keyenc.Value{keyenc.U64(5)},
+		SortHi:   []keyenc.Value{keyenc.U64(9)},
+		TS:       types.MaxTS,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) != 5 {
+		t.Fatalf("scan returned %d, want 5", len(matches))
+	}
+
+	// Crash + recover through the facade.
+	ix.Close()
+	ix2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix2.Close()
+	if got := ix2.MaxCoveredGroomedID(); got != 2 {
+		t.Fatalf("recovered watermark = %d, want 2", got)
+	}
+	out, foundB, err := ix2.LookupBatch([]LookupKey{
+		{Equality: []keyenc.Value{keyenc.Str("stream-A")}, Sort: []keyenc.Value{keyenc.U64(7)}},
+		{Equality: []keyenc.Value{keyenc.Str("stream-B")}, Sort: []keyenc.Value{keyenc.U64(0)}},
+	}, types.MaxTS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !foundB[0] || foundB[1] {
+		t.Fatalf("batch found = %v, want [true false]", foundB)
+	}
+	if out[0].BeginTS.GroomSeq() != 4 {
+		t.Fatalf("batch version from cycle %d, want 4", out[0].BeginTS.GroomSeq())
+	}
+}

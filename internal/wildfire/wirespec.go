@@ -196,9 +196,9 @@ func decodeExpr(d *wire.Dec, depth int, nodes *int) exec.Expr {
 // catalog they mirror. They live here (not in package wire) because
 // they name engine types; wire stays leaf-level.
 
-// CreateTableRequest is the payload of a CreateTable frame. It mirrors
-// the DB layer's TableOptions minus IndexTuning, which holds live
-// process-local handles and cannot travel.
+// CreateTableRequest is the payload of a CreateTable frame: the DB
+// layer's TableOptions minus ScanParallelism and BlockCacheBytes, which
+// a remote table leaves at the server's defaults.
 type CreateTableRequest struct {
 	Def         TableDef
 	Index       IndexSpec            `json:",omitempty"`

@@ -116,6 +116,39 @@ func TestDBTxBadReplicaCommitsNothing(t *testing.T) {
 	}
 }
 
+// TestDBTxUpsertStagesAllOrNone: a multi-row Upsert with one malformed
+// row stages none of its rows, so a later Commit writes nothing.
+func TestDBTxUpsertStagesAllOrNone(t *testing.T) {
+	ctx := context.Background()
+	db, err := umzi.OpenDB(umzi.DBConfig{Store: umzi.NewMemStore(umzi.LatencyModel{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable(ordersDef("orders"), umzi.TableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := umzi.Row{umzi.I64(1), umzi.I64(0), umzi.F64(1), umzi.Str("amer")}
+	if err := tx.Upsert("orders", good, umzi.Row{umzi.I64(2)}); err == nil {
+		t.Fatal("upsert with a short row accepted")
+	}
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	n, err := tbl.Query().IncludeLive().Count(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Errorf("Count after Commit = %d, want 0 (the failed Upsert staged nothing)", n)
+	}
+}
+
 // TestCommitAllocs budgets the allocations of a 100-row Table.Upsert
 // (SyncOff, in-memory store, no background loops): staging copies each
 // row once and the engine keeps the copy.

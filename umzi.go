@@ -3,26 +3,15 @@
 // ("Umzi: Unified Multi-Zone Indexing for Large-Scale HTAP", Luo et al.,
 // EDBT 2019), together with the engine substrate it lives in.
 //
-// Two levels of API are exposed:
-//
-//   - The index itself (New / Open, returning *Index): an LSM-like
-//     structure whose runs are divided into a groomed and a post-groomed
-//     zone, merged within zones under a hybrid K/T policy, migrated
-//     between zones by lock-free evolve operations, persisted in
-//     append-only shared storage and cached block-by-block in a local SSD
-//     cache. Queries — range scans, point lookups, sorted batches — are
-//     non-blocking and multi-version (every read carries a timestamp).
-//
-//   - The Wildfire-style database (OpenDB, returning *DB): a
-//     multi-table catalog over one shared store and SSD cache, each
-//     table a *Table handle over N>=1 hash shards, with multi-master transactional ingest (DB.Begin / Table.Upsert), one
-//     declarative query surface (Table.Query, a fluent builder compiled
-//     into point-get / index-scan / index-only / executor plans) and
-//     streaming Rows results. Every read and write takes a
-//     context.Context; cancellation propagates into per-shard
-//     scatter-gather workers, k-way merges and block fetches.
-//
-// The typical application speaks to the DB layer only:
+// As in Wildfire, applications reach the index only through the
+// database. OpenDB returns a *DB: a multi-table catalog over one shared
+// store and SSD cache, each table a *Table handle over N>=1 hash shards,
+// with multi-master transactional ingest (DB.Begin / Table.Upsert), one
+// declarative query surface (Table.Query, a fluent builder compiled into
+// point-get / index-scan / index-only / executor plans) and streaming
+// Rows results. Every read is multi-version and takes a context.Context;
+// cancellation propagates into per-shard scatter-gather workers, k-way
+// merges and block fetches. A typical application:
 //
 //	db, err := umzi.OpenDB(umzi.DBConfig{Store: umzi.NewMemStore(umzi.LatencyModel{})})
 //	tbl, err := db.CreateTable(umzi.TableDef{
@@ -46,42 +35,12 @@
 package umzi
 
 import (
-	"umzi/internal/core"
 	"umzi/internal/exec"
 	"umzi/internal/keyenc"
-	"umzi/internal/run"
 	"umzi/internal/storage"
 	"umzi/internal/types"
 	"umzi/internal/wildfire"
 )
-
-// Core index API (internal/core).
-type (
-	// Index is one Umzi index instance serving a single table shard.
-	Index = core.Index
-	// Config configures an Index.
-	Config = core.Config
-	// IndexDef declares equality, sort and included columns (§4.1).
-	IndexDef = core.IndexDef
-	// Column names one indexed column.
-	Column = core.Column
-	// ScanOptions describes a range scan.
-	ScanOptions = core.ScanOptions
-	// LookupKey is one key of a batched point lookup.
-	LookupKey = core.LookupKey
-	// StatsSnapshot is a copy of the index counters.
-	StatsSnapshot = core.StatsSnapshot
-	// Entry is one index entry (hash, key, beginTS, RID, included cols).
-	Entry = run.Entry
-)
-
-// New creates a fresh index; it fails if shared storage already holds an
-// index under Config.Name.
-func New(cfg Config) (*Index, error) { return core.New(cfg) }
-
-// Open recovers an index from shared storage (§5.5), or creates a fresh
-// one when the name is unused.
-func Open(cfg Config) (*Index, error) { return core.Open(cfg) }
 
 // Value model (internal/keyenc).
 type (
@@ -119,32 +78,12 @@ func Raw(v []byte) Value { return keyenc.Raw(v) }
 // Bool returns a bool value.
 func Bool(v bool) Value { return keyenc.B(v) }
 
-// Shared primitives (internal/types).
-type (
-	// TS is a multi-version timestamp; beginTS composes a groom-cycle
-	// part and a commit-sequence part (§2.1).
-	TS = types.TS
-	// RID locates a record: zone, block ID, record offset.
-	RID = types.RID
-	// ZoneID identifies a data zone.
-	ZoneID = types.ZoneID
-	// PSN is a post-groom sequence number (§5.4).
-	PSN = types.PSN
-	// BlockRange is an inclusive range of groomed block IDs.
-	BlockRange = types.BlockRange
-)
+// TS is a multi-version timestamp; beginTS composes a groom-cycle part
+// and a commit-sequence part (§2.1).
+type TS = types.TS
 
-// Zone identifiers and timestamp bounds.
-const (
-	ZoneLive        = types.ZoneLive
-	ZoneGroomed     = types.ZoneGroomed
-	ZonePostGroomed = types.ZonePostGroomed
-	// MaxTS reads the newest version of everything.
-	MaxTS = types.MaxTS
-)
-
-// MakeTS builds a hybrid timestamp from a groom cycle and commit sequence.
-func MakeTS(groomSeq uint64, commitSeq uint32) TS { return types.MakeTS(groomSeq, commitSeq) }
+// MaxTS reads the newest version of everything.
+const MaxTS = types.MaxTS
 
 // Storage hierarchy (internal/storage).
 type (
