@@ -1,12 +1,11 @@
 // Package client is the Go client for umzi-server: the network
-// transport under the umzi query builder. A remote table's Query returns
-// the same umzi.Query an in-process table does, and results stream
-// through the same umzi.Rows — one builder, two transports — so a
-// program written against umzi.DB ports to the network with an import
-// swap and an address. This package supplies only what is specific to
-// the network: the connection pool, frames, the handshake, shipping the
-// compiled spec (Table.RunSpec), and the frame reader that cancels and
-// drains.
+// transport under the umzi front end. Table.Query returns umzi.Query,
+// results stream through umzi.Rows, DB.Begin returns umzi.Tx and
+// DB.CreateTable takes umzi.TableOptions, so a program written against
+// umzi.DB ports to the network with an import swap and an address.
+// This package supplies only the network: the connection pool, frames,
+// the handshake, shipping the compiled spec, the frame reader that
+// cancels and drains, and a transaction's one Commit frame.
 //
 //	db, err := client.Open(client.Config{Addr: "127.0.0.1:7777", Token: "t0"})
 //	rows, err := db.Table("orders").Query().
@@ -350,14 +349,11 @@ func (db *DB) withConn(ctx context.Context, fn func(cn *conn) error) error {
 		}
 		db.release(cn)
 		var retry errRetryable
-		if err != nil && errors.As(err, &retry) && attempt == 0 {
-			continue
-		}
-		if err != nil {
-			var r errRetryable
-			if errors.As(err, &r) {
-				return r.err
+		if errors.As(err, &retry) {
+			if attempt == 0 {
+				continue
 			}
+			return retry.err
 		}
 		return err
 	}
@@ -385,35 +381,40 @@ func doneError(status byte, msg string) error {
 	}
 }
 
-// roundTrip sends one request frame and reads the one Done that answers
-// it, honoring ctx via a read-deadline watcher. idempotent declares
-// whether the request is safe to re-run when the response never
-// arrives: a write failure leaves at most a partial (unparseable) frame
-// on the wire, so it is always retryable, but a read failure after a
-// completed write is ambiguous — the server may already have applied
-// the request — so only idempotent round-trips (Ping, reads) report it
-// as retryable; Commit and CreateTable surface the ambiguity instead of
-// risking a silent double-apply.
-func (cn *conn) roundTrip(ctx context.Context, typ byte, payload []byte, idempotent bool) (err error) {
+// roundTrip sends one request frame and reads the one frame that
+// answers it, honoring ctx via a read-deadline watcher: a Done, whose
+// status becomes the error, or a frame of type data, whose payload it
+// returns (pass wire.FrameDone when only a Done may answer). idempotent
+// declares whether the request is safe to re-run when the response
+// never arrives: a write failure leaves at most a partial (unparseable)
+// frame on the wire, so it is always retryable, but a read failure
+// after a completed write is ambiguous — the server may already have
+// applied the request — so only idempotent round-trips (Ping, reads)
+// report it as retryable; Commit and CreateTable surface the ambiguity
+// instead of risking a silent double-apply.
+func (cn *conn) roundTrip(ctx context.Context, typ byte, payload []byte, data byte, idempotent bool) (resp []byte, err error) {
 	stop := cn.watch(ctx)
 	defer func() { err = stop(err) }()
 	if err := cn.write(typ, payload); err != nil {
 		cn.broken.Store(true)
-		return errRetryable{err}
+		return nil, errRetryable{err}
 	}
 	ftyp, resp, err := wire.ReadFrame(cn.br)
 	if err != nil {
 		cn.broken.Store(true)
 		if idempotent {
-			return errRetryable{err}
+			return nil, errRetryable{err}
 		}
-		return fmt.Errorf("client: connection lost awaiting response (request may have been applied): %w", err)
+		return nil, fmt.Errorf("client: connection lost awaiting response (request may have been applied): %w", err)
 	}
-	if ftyp != wire.FrameDone {
-		cn.broken.Store(true)
-		return fmt.Errorf("client: unexpected frame 0x%02x awaiting Done", ftyp)
+	switch ftyp {
+	case wire.FrameDone:
+		return nil, doneError(doneParts(resp))
+	case data:
+		return resp, nil
 	}
-	return doneError(doneParts(resp))
+	cn.broken.Store(true)
+	return nil, fmt.Errorf("client: unexpected frame 0x%02x awaiting response", ftyp)
 }
 
 // watch unblocks this connection's reads when ctx ends by expiring the
@@ -454,6 +455,7 @@ func (cn *conn) watch(ctx context.Context) func(error) error {
 // Ping round-trips a health check.
 func (db *DB) Ping(ctx context.Context) error {
 	return db.withConn(ctx, func(cn *conn) error {
-		return cn.roundTrip(ctx, wire.FramePing, nil, true)
+		_, err := cn.roundTrip(ctx, wire.FramePing, nil, wire.FrameDone, true)
+		return err
 	})
 }

@@ -12,6 +12,7 @@ import (
 
 	"umzi"
 	"umzi/client"
+	"umzi/internal/front"
 	"umzi/internal/server"
 	"umzi/internal/wildfire"
 	"umzi/internal/wire"
@@ -293,9 +294,9 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 		spec := eqSpec(rng)
 		label := func(side string) string { return fmt.Sprintf("iter %d: %s", i, side) }
 
-		lr, lerr := tbl.RunSpec(ctx, spec)
+		lr, lerr := front.RunSpec(ctx, tbl.Query(), spec)
 		localCols, localRows, lerr := eqDrain(t, label("local"), lr, lerr)
-		rr, rerr := ctbl.RunSpec(ctx, spec)
+		rr, rerr := front.RunSpec(ctx, ctbl.Query(), spec)
 		remoteCols, remoteRows, rerr := eqDrain(t, label("remote"), rr, rerr)
 
 		if (lerr == nil) != (rerr == nil) {

@@ -3,10 +3,10 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"umzi"
+	"umzi/internal/front"
 	"umzi/internal/wildfire"
 	"umzi/internal/wire"
 )
@@ -32,15 +32,14 @@ type Query = umzi.Query
 type Rows = umzi.Rows
 
 // Query starts a fluent query against the remote table: the root
-// package's builder, whose Run ships the compiled spec through RunSpec.
-func (t *Table) Query() *Query { return umzi.NewQuery(t.RunSpec) }
+// package's builder, whose Run ships the compiled spec to the server.
+// A query that carries an Explain trace is refused at Run.
+func (t *Table) Query() *Query { return front.NewQuery(t.runSpec) }
 
-// RunSpec runs a pre-built declarative spec remotely — the network
-// transport under the builder, and the analogue of umzi.Table.RunSpec.
-// It ships the spec to the server and returns the streamed result,
-// which owns the connection until the stream ends or is closed. A spec
-// that carries a trace (Query.Explain) is refused.
-func (t *Table) RunSpec(ctx context.Context, spec wildfire.QuerySpec) (*Rows, error) {
+// runSpec is the network transport under the builder: it ships the
+// spec to the server and returns the streamed result, which owns the
+// connection until the stream ends or is closed.
+func (t *Table) runSpec(ctx context.Context, spec wildfire.QuerySpec) (*Rows, error) {
 	if spec.Trace != nil {
 		// The spec codec does not carry traces: a remote Explain would
 		// return one that silently stays empty.
@@ -67,32 +66,19 @@ func (t *Table) RunSpec(ctx context.Context, spec wildfire.QuerySpec) (*Rows, er
 	// releases it.
 	var rows *Rows
 	err = t.db.withConn(ctx, func(cn *conn) error {
-		if err := cn.write(wire.FrameQuery, payload); err != nil {
-			cn.broken.Store(true)
-			return errRetryable{err}
-		}
-		typ, resp, err := wire.ReadFrame(cn.br)
+		resp, err := cn.roundTrip(ctx, wire.FrameQuery, payload, wire.FrameRowHeader, true)
 		if err != nil {
-			cn.broken.Store(true)
-			return errRetryable{err}
+			return err
 		}
-		switch typ {
-		case wire.FrameRowHeader:
-			d := wire.NewDec(resp)
-			cols := d.Strings()
-			if err := d.Err(); err != nil {
-				cn.broken.Store(true)
-				return err
-			}
-			rows = umzi.NewRows(ctx, cols, newStream(t.db, cn, ctx))
-			// Pin the conn: withConn leaves its release to the stream.
-			return errPinned
-		case wire.FrameDone:
-			return doneError(doneParts(resp))
-		default:
+		d := wire.NewDec(resp)
+		cols := d.Strings()
+		if err := d.Err(); err != nil {
 			cn.broken.Store(true)
-			return fmt.Errorf("client: unexpected frame 0x%02x awaiting query header", typ)
+			return err
 		}
+		rows = front.NewRows(ctx, cols, newStream(t.db, cn, ctx))
+		// Pin the conn: withConn leaves its release to the stream.
+		return errPinned
 	})
 	if err == errPinned {
 		return rows, nil

@@ -6,28 +6,10 @@ import (
 	"fmt"
 
 	"umzi"
+	"umzi/internal/front"
 	"umzi/internal/wildfire"
 	"umzi/internal/wire"
 )
-
-// TableOptions mirror umzi.TableOptions for remote table creation; the
-// zero value means defaults, exactly as locally.
-type TableOptions struct {
-	// Shards is the hash-shard count; 0 means unsharded.
-	Shards int
-	// Index overrides the primary Umzi index layout.
-	Index umzi.IndexSpec
-	// Secondaries declares secondary indexes built at creation.
-	Secondaries []umzi.SecondaryIndexSpec
-	// Replicas is the multi-master replica count; 0 means 1.
-	Replicas int
-	// Partitions is the groomed-zone partition count; 0 means default.
-	Partitions int
-	// Parallelism bounds the table's scatter-gather pool; 0 means one per shard.
-	Parallelism int
-	// Durability configures the per-shard commit log.
-	Durability umzi.DurabilityOptions
-}
 
 // TableInfo is one catalog entry as reported by the server.
 type TableInfo struct {
@@ -36,23 +18,17 @@ type TableInfo struct {
 	Shards int
 }
 
-// CreateTable creates a table on the server.
-func (db *DB) CreateTable(ctx context.Context, def umzi.TableDef, opts TableOptions) (*Table, error) {
-	payload, err := json.Marshal(wildfire.CreateTableRequest{
-		Def:         def,
-		Index:       opts.Index,
-		Secondaries: opts.Secondaries,
-		Shards:      opts.Shards,
-		Replicas:    opts.Replicas,
-		Partitions:  opts.Partitions,
-		Parallelism: opts.Parallelism,
-		Durability:  opts.Durability,
-	})
+// CreateTable creates a table on the server with the options a local
+// umzi.DB.CreateTable takes. The server refuses ScanParallelism and
+// BlockCacheBytes, which budget its own CPU and memory.
+func (db *DB) CreateTable(ctx context.Context, def umzi.TableDef, opts umzi.TableOptions) (*Table, error) {
+	payload, err := json.Marshal(front.CreateTableRequest{Def: def, TableOptions: opts})
 	if err != nil {
 		return nil, err
 	}
 	err = db.withConn(ctx, func(cn *conn) error {
-		return cn.roundTrip(ctx, wire.FrameCreateTable, payload, false)
+		_, err := cn.roundTrip(ctx, wire.FrameCreateTable, payload, wire.FrameDone, false)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -62,114 +38,66 @@ func (db *DB) CreateTable(ctx context.Context, def umzi.TableDef, opts TableOpti
 
 // Catalog lists the server's tables.
 func (db *DB) Catalog(ctx context.Context) ([]TableInfo, error) {
-	var out []TableInfo
-	err := db.withConn(ctx, func(cn *conn) error {
-		stop := cn.watch(ctx)
-		err := func() error {
-			if err := cn.write(wire.FrameCatalog, nil); err != nil {
-				cn.broken.Store(true)
-				return errRetryable{err}
-			}
-			typ, resp, err := wire.ReadFrame(cn.br)
-			if err != nil {
-				cn.broken.Store(true)
-				return errRetryable{err}
-			}
-			switch typ {
-			case wire.FrameCatalogData:
-				var cr wildfire.CatalogResponse
-				if err := json.Unmarshal(resp, &cr); err != nil {
-					return fmt.Errorf("client: decoding catalog: %w", err)
-				}
-				out = out[:0]
-				for _, t := range cr.Tables {
-					out = append(out, TableInfo{Def: t.Def, Index: t.Index, Shards: t.Shards})
-				}
-				return nil
-			case wire.FrameDone:
-				return doneError(doneParts(resp))
-			default:
-				cn.broken.Store(true)
-				return fmt.Errorf("client: unexpected frame 0x%02x awaiting catalog", typ)
-			}
-		}()
-		return stop(err)
+	var resp []byte
+	err := db.withConn(ctx, func(cn *conn) (err error) {
+		resp, err = cn.roundTrip(ctx, wire.FrameCatalog, nil, wire.FrameCatalogData, true)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	var cr wildfire.CatalogResponse
+	if err := json.Unmarshal(resp, &cr); err != nil {
+		return nil, fmt.Errorf("client: decoding catalog: %w", err)
+	}
+	out := make([]TableInfo, 0, len(cr.Tables))
+	for _, t := range cr.Tables {
+		out = append(out, TableInfo(t))
+	}
 	return out, nil
 }
 
-// Tx is a client-side transaction: rows stage locally and ship to the
-// server in one Commit frame, which the server applies under write
-// admission control as one umzi.Tx. That commits table by table, so a
-// failure mid-commit can leave a committed prefix.
-type Tx struct {
-	db      *DB
-	replica int
-	order   []string
-	staged  map[string][]umzi.Row
-	done    bool
-}
-
-// Begin starts a transaction. Staging is purely local; Commit talks to
-// the server.
-func (db *DB) Begin(ctx context.Context) (*Tx, error) {
+// Begin starts a transaction over the network: the same umzi.Tx the
+// in-process DB returns. Rows stage in the client and ship to the
+// server in one Commit frame, which the server validates and applies
+// under write admission control as one in-process transaction. That
+// commits table by table, so a failure mid-commit can leave a
+// committed prefix; a malformed row fails the commit before any table
+// commits. A server refusal under write pressure surfaces as
+// *AdmissionError.
+func (db *DB) Begin(ctx context.Context) (*umzi.Tx, error) {
 	db.mu.Lock()
 	closed := db.closed
 	db.mu.Unlock()
 	if closed {
 		return nil, fmt.Errorf("client: db closed")
 	}
-	_ = ctx
-	return &Tx{db: db, staged: make(map[string][]umzi.Row)}, nil
+	return front.Begin(ctx, txSink{db})
 }
 
-// WithReplica routes the commit through a chosen multi-master replica.
-func (tx *Tx) WithReplica(replica int) *Tx {
-	tx.replica = replica
-	return tx
-}
+// txSink is the network transport under umzi.Tx: Stage does nothing,
+// since the server validates rows at Commit, and Commit ships the
+// staged rows in one Commit frame.
+type txSink struct{ db *DB }
 
-// Upsert stages rows into the named table.
-func (tx *Tx) Upsert(table string, rows ...umzi.Row) error {
-	if tx.done {
-		return fmt.Errorf("client: transaction already finished")
-	}
-	if _, ok := tx.staged[table]; !ok {
-		tx.order = append(tx.order, table)
-	}
-	tx.staged[table] = append(tx.staged[table], rows...)
-	return nil
-}
+func (txSink) Stage(string, []umzi.Row) error { return nil }
 
-// Abort discards the staged rows; nothing has reached the server.
-func (tx *Tx) Abort() { tx.done = true; tx.staged = nil }
-
-// Commit ships the staged rows. A server refusal under write pressure
-// surfaces as *AdmissionError.
-func (tx *Tx) Commit(ctx context.Context) error {
-	if tx.done {
-		return fmt.Errorf("client: transaction already finished")
-	}
-	tx.done = true
-	payload := wire.AppendUvarint(nil, uint64(tx.replica))
-	payload = wire.AppendUvarint(payload, uint64(len(tx.order)))
-	for _, table := range tx.order {
-		rows := tx.staged[table]
-		payload = wire.AppendString(payload, table)
-		payload = wire.AppendUvarint(payload, uint64(len(rows)))
-		for _, row := range rows {
+func (s txSink) Commit(ctx context.Context, replica int, staged []front.Staged) error {
+	payload := wire.AppendUvarint(nil, uint64(replica))
+	payload = wire.AppendUvarint(payload, uint64(len(staged)))
+	for _, st := range staged {
+		payload = wire.AppendString(payload, st.Table)
+		payload = wire.AppendUvarint(payload, uint64(len(st.Rows)))
+		for _, row := range st.Rows {
 			var err error
 			if payload, err = wire.AppendRow(payload, row); err != nil {
 				return err
 			}
 		}
 	}
-	tx.staged = nil
-	return tx.db.withConn(ctx, func(cn *conn) error {
-		return cn.roundTrip(ctx, wire.FrameCommit, payload, false)
+	return s.db.withConn(ctx, func(cn *conn) error {
+		_, err := cn.roundTrip(ctx, wire.FrameCommit, payload, wire.FrameDone, false)
+		return err
 	})
 }
 

@@ -185,7 +185,7 @@ func runSelftest(addr string, tokens map[string]string) error {
 		Name:       "selftest",
 		Columns:    []umzi.TableColumn{{Name: "k", Kind: umzi.KindInt64}, {Name: "v", Kind: umzi.KindString}},
 		PrimaryKey: []string{"k"},
-	}, client.TableOptions{})
+	}, umzi.TableOptions{})
 	if err != nil {
 		return fmt.Errorf("create table: %w", err)
 	}

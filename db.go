@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
+	"umzi/internal/front"
 	"umzi/internal/obs"
 	"umzi/internal/storage"
 	"umzi/internal/wildfire"
@@ -49,38 +49,14 @@ type DBConfig struct {
 	BlockCacheBytes int64
 }
 
-// TableOptions configures one table at creation.
-type TableOptions struct {
-	// Shards is the number of hash partitions (0 means 1). A 1-shard
-	// table stores its objects under "tbl/<name>/" with no shard segment
-	// and never scatters a query.
-	Shards int
-	// Index is the primary Umzi index layout. Zero value derives a
-	// default: the table's sharding key as equality columns and the
-	// remaining primary-key columns as sort columns.
-	Index IndexSpec
-	// Secondaries declares secondary indexes built with the table.
-	Secondaries []SecondaryIndexSpec
-	// Replicas is the number of multi-master replicas per shard.
-	Replicas int
-	// Partitions is the number of partition-key buckets per shard.
-	Partitions int
-	// Parallelism bounds the table's scatter-gather pool (default: one
-	// worker per shard).
-	Parallelism int
-	// ScanParallelism bounds each shard's intra-shard scan worker pool
-	// (0 derives a default from GOMAXPROCS; 1 scans sequentially).
-	ScanParallelism int
-	// BlockCacheBytes budgets the table's decoded-block cache, shared
-	// across its shards (<=0 inherits DBConfig.BlockCacheBytes, then the
-	// engine default).
-	BlockCacheBytes int64
-	// Durability configures the table's per-shard commit logs; it is
-	// persisted in the DB catalog, so a reopened store recovers each
-	// table's un-groomed log tail with the same policy it was written
-	// under. The zero value inherits DBConfig.Durability.
-	Durability DurabilityOptions
-}
+// TableOptions configures one table at creation: shard count, the
+// primary index layout and secondary indexes, replicas, partitions,
+// scatter-gather and scan parallelism, the decoded-block cache budget
+// and commit-log durability. The zero value means defaults everywhere.
+// The same options create a table remotely through the network client,
+// whose server refuses the two that budget its own host:
+// ScanParallelism and BlockCacheBytes.
+type TableOptions = front.TableOptions
 
 // DB is one Wildfire-style multi-table database over a shared store.
 type DB struct {
@@ -150,17 +126,14 @@ func (db *DB) CreateTable(def TableDef, opts TableOptions) (*Table, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
 	}
-	entry := dbCatalogEntry{
-		Def:             def,
-		Index:           opts.Index,
-		Shards:          opts.Shards,
-		Replicas:        opts.Replicas,
-		Partitions:      opts.Partitions,
-		Parallelism:     opts.Parallelism,
-		ScanParallelism: opts.ScanParallelism,
-		BlockCacheBytes: opts.BlockCacheBytes,
-		Durability:      opts.Durability,
-	}
+	// Secondaries ride through the engine config only at creation — the
+	// engine validates the whole declaration (primary spec, every
+	// secondary, duplicate names) before its first store write, so invalid
+	// DDL leaves nothing behind. The per-table index catalog owns them
+	// from here (CreateIndex included), so the DB catalog needs just the
+	// table-level shape.
+	entry := dbCatalogEntry{Def: def, TableOptions: opts}
+	entry.Secondaries = nil
 	if specZero(entry.Index) {
 		entry.Index = defaultIndexSpec(def)
 	}
@@ -170,12 +143,6 @@ func (db *DB) CreateTable(def TableDef, opts TableOptions) (*Table, error) {
 	if entry.BlockCacheBytes <= 0 {
 		entry.BlockCacheBytes = db.blockCacheBytes
 	}
-	// Secondaries ride through the engine config only at creation — the
-	// engine validates the whole declaration (primary spec, every
-	// secondary, duplicate names) before its first store write, so invalid
-	// DDL leaves nothing behind. The per-table index catalog owns them
-	// from here (CreateIndex included), so the DB catalog needs just the
-	// table-level shape.
 	tbl, err := db.openTable(entry, opts.Secondaries)
 	if err != nil {
 		return nil, err
@@ -287,17 +254,15 @@ func defaultIndexSpec(def TableDef) IndexSpec {
 
 // ---- Multi-table transactions ----------------------------------------
 
-// Tx stages upserts across any tables of the DB; Commit routes them to
+// Tx stages upserts across any tables of a DB; Commit routes them to
 // their tables (and, within a table, their shards). Like Wildfire's
 // multi-master shard commits, cross-table commits are not atomic: a
 // failure or cancellation mid-commit can leave a committed prefix.
-type Tx struct {
-	db      *DB
-	replica int
-	staged  map[*Table][]Row
-	order   []*Table
-	done    bool
-}
+// Upsert copies its rows; in process it first validates them all, so a
+// call that fails stages nothing. The network client's DB.Begin returns
+// the same Tx, whose rows the server validates at Commit instead: a
+// malformed row fails the whole commit before any table commits.
+type Tx = front.Tx
 
 // Begin starts a transaction. The context is consulted immediately and
 // again at Commit; a transaction carries no locks, so there is nothing
@@ -309,26 +274,17 @@ func (db *DB) Begin(ctx context.Context) (*Tx, error) {
 	if closed {
 		return nil, fmt.Errorf("umzi: db closed")
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return &Tx{db: db, staged: make(map[*Table][]Row)}, nil
+	return front.Begin(ctx, txSink{db})
 }
 
-// WithReplica routes the transaction's commits through the given
-// multi-master replica ordinal (default 0).
-func (tx *Tx) WithReplica(replica int) *Tx {
-	tx.replica = replica
-	return tx
-}
+// txSink is the in-process transport under Tx: Stage validates rows
+// against their table, and Commit hands them to the tables' engines
+// table by table. The replica ordinal is checked against every table
+// before any commits; the context is checked before each table's.
+type txSink struct{ db *DB }
 
-// Upsert stages copies of rows into one table. Every row is validated
-// before any is staged, so a call that fails stages nothing.
-func (tx *Tx) Upsert(table string, rows ...Row) error {
-	if tx.done {
-		return fmt.Errorf("umzi: transaction already finished")
-	}
-	tbl, err := tx.db.Table(table)
+func (s txSink) Stage(table string, rows []Row) error {
+	tbl, err := s.db.Table(table)
 	if err != nil {
 		return err
 	}
@@ -338,45 +294,30 @@ func (tx *Tx) Upsert(table string, rows ...Row) error {
 			return err
 		}
 	}
-	for _, r := range rows {
-		if _, ok := tx.staged[tbl]; !ok {
-			tx.order = append(tx.order, tbl)
-		}
-		tx.staged[tbl] = append(tx.staged[tbl], slices.Clone(r))
-	}
 	return nil
 }
 
-// Commit hands the staged rows to their tables' engines table by table
-// (and shard by shard within a table). The replica ordinal is checked
-// against every table before any commits; the context is checked before
-// each table's commit.
-func (tx *Tx) Commit(ctx context.Context) error {
-	if tx.done {
-		return fmt.Errorf("umzi: transaction already finished")
-	}
-	tx.done = true
-	for _, tbl := range tx.order {
-		if n := max(tbl.catalogEntry.Replicas, 1); tx.replica < 0 || tx.replica >= n {
-			return fmt.Errorf("umzi: table %s: replica %d out of range (%d replicas)", tbl.name, tx.replica, n)
+func (s txSink) Commit(ctx context.Context, replica int, staged []front.Staged) error {
+	tbls := make([]*Table, len(staged))
+	for i, st := range staged {
+		tbl, err := s.db.Table(st.Table)
+		if err != nil {
+			return err
 		}
+		if n := max(tbl.catalogEntry.Replicas, 1); replica < 0 || replica >= n {
+			return fmt.Errorf("umzi: table %s: replica %d out of range (%d replicas)", tbl.name, replica, n)
+		}
+		tbls[i] = tbl
 	}
-	for _, tbl := range tx.order {
+	for i, tbl := range tbls {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("umzi: commit interrupted before table %s (earlier tables are durable): %w", tbl.name, err)
 		}
-		if err := tbl.eng.Commit(ctx, tx.replica, tx.staged[tbl]); err != nil {
+		if err := tbl.eng.Commit(ctx, replica, staged[i].Rows); err != nil {
 			return err
 		}
 	}
-	tx.staged = nil
 	return nil
-}
-
-// Abort discards the staged rows.
-func (tx *Tx) Abort() {
-	tx.done = true
-	tx.staged = nil
 }
 
 // ---- Persisted DB catalog --------------------------------------------
@@ -386,20 +327,14 @@ func (tx *Tx) Abort() {
 // JSON: it is tiny, written once per DDL, and umzi-inspect prints it for
 // humans.
 
-// dbCatalogEntry is one table of the catalog.
+// dbCatalogEntry is one table of the catalog: its definition and the
+// options it was created with, defaults resolved. Secondaries stay out:
+// the table's own index catalog holds them. Persisting Durability means
+// OpenDB replays every table's un-groomed log tail under the policy it
+// was written with, with no per-table setup.
 type dbCatalogEntry struct {
-	Def             TableDef
-	Index           IndexSpec
-	Shards          int   `json:",omitempty"`
-	Replicas        int   `json:",omitempty"`
-	Partitions      int   `json:",omitempty"`
-	Parallelism     int   `json:",omitempty"`
-	ScanParallelism int   `json:",omitempty"`
-	BlockCacheBytes int64 `json:",omitempty"`
-	// Durability is the table's commit-log configuration; persisting it
-	// means OpenDB replays every table's un-groomed log tail under the
-	// policy it was written with, with no per-table setup.
-	Durability DurabilityOptions
+	Def TableDef
+	TableOptions
 }
 
 // dbCatalogRecord is the stored record.

@@ -1,15 +1,11 @@
-// The serving layer end to end: an umzi-server embedded in-process, a
-// client.DB speaking the wire protocol to it over TCP, and the property
-// the protocol exists to preserve — remote queries return exactly what
-// the same queries return against the same DB locally.
-//
-// The program boots a server with token auth on an ephemeral port,
-// creates a sharded table through the client, ingests through client
-// transactions, grooms, then runs the HTAP reads from the quickstart
-// twice — once in-process, once over the wire — and verifies the
-// answers agree. It ends by abandoning a streaming scan mid-flight to
-// show cancellation: the server stops the cursor, the connection
-// returns to the pool, and the next request proceeds.
+// The serving layer end to end: one front end over two transports.
+// The order-entry-and-report code is written once, against umzi.Tx and
+// umzi.Query, and runs twice: on an in-process *umzi.DB, and on a
+// client.DB speaking the wire protocol to an umzi-server (token auth,
+// ephemeral port) embedded in the same process over a second DB. Both
+// runs must read the same rows. The program ends by abandoning a
+// streaming scan mid-flight: the server stops the cursor, and the
+// connection returns to the pool for the next request.
 package main
 
 import (
@@ -24,19 +20,83 @@ import (
 	"umzi/internal/server"
 )
 
-func main() {
-	ctx := context.Background()
+var (
+	ordersDef = umzi.TableDef{
+		Name: "orders",
+		Columns: []umzi.TableColumn{
+			{Name: "order_id", Kind: umzi.KindInt64},
+			{Name: "region", Kind: umzi.KindString},
+			{Name: "revenue", Kind: umzi.KindFloat64},
+		},
+		PrimaryKey: []string{"order_id"},
+		ShardKey:   []string{"order_id"},
+	}
+	ordersOpts = umzi.TableOptions{Shards: 4, Index: umzi.IndexSpec{Sort: []string{"order_id"}}}
+	regions    = []string{"amer", "emea", "apac"}
+)
 
-	// The database and the server serving it. A real deployment runs
-	// `umzi-server -addr :7777 -dir /data -token team=s3cret`; embedding
-	// is the same three calls.
-	db, err := umzi.OpenDB(umzi.DBConfig{Store: umzi.NewMemStore(umzi.LatencyModel{})})
+// orderEntryAndReport enters orders through transactions and reports on
+// them, naming no transport: begin and orders come from either DB. It
+// returns order 42, then the count of big orders per region.
+func orderEntryAndReport(ctx context.Context, begin func(context.Context) (*umzi.Tx, error), orders func() *umzi.Query) [][]umzi.Value {
+	const rows = 30_000
+	for lo := int64(0); lo < rows; lo += 1000 {
+		tx, err := begin(ctx)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i := lo; i < lo+1000; i++ {
+			row := umzi.Row{umzi.I64(i), umzi.Str(regions[i%3]), umzi.F64(float64(i % 1000))}
+			if err := tx.Upsert("orders", row); err != nil {
+				log.Fatal(err)
+			}
+		}
+		if err := tx.Commit(ctx); err != nil {
+			log.Fatal(err)
+		}
+	}
+
+	// A point get and an analytical report; IncludeLive reads the
+	// committed rows not yet groomed.
+	order, found, err := orders().Where(umzi.Eq("order_id", umzi.I64(42))).IncludeLive().One(ctx)
+	if err != nil || !found {
+		log.Fatalf("point get: found=%v err=%v", found, err)
+	}
+	report, err := orders().
+		Where(umzi.Ge("revenue", umzi.F64(500))).
+		GroupBy("region").
+		Aggs(umzi.Agg{Func: umzi.AggCount, As: "orders"}).
+		IncludeLive().
+		All(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
+	return append([][]umzi.Value{order}, report...)
+}
+
+func main() {
+	ctx := context.Background()
+	openDB := func() *umzi.DB {
+		db, err := umzi.OpenDB(umzi.DBConfig{Store: umzi.NewMemStore(umzi.LatencyModel{})})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return db
+	}
+
+	local := openDB() // the in-process transport
+	defer local.Close()
+	localOrders, err := local.CreateTable(ordersDef, ordersOpts)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// The network transport. A real deployment runs `umzi-server -addr
+	// :7777 -dir /data -token team=s3cret`; embedding is three calls.
+	served := openDB()
+	defer served.Close()
 	srv, err := server.New(server.Config{
-		DB:     db,
+		DB:     served,
 		Tokens: map[string]string{"s3cret": "team"},
 	})
 	if err != nil {
@@ -56,8 +116,7 @@ func main() {
 		fmt.Println("server shut down cleanly")
 	}()
 
-	// A client. Open dials and authenticates; the handle pools
-	// connections and is safe for concurrent use.
+	// Open dials and authenticates; the handle pools connections.
 	cdb, err := client.Open(client.Config{Addr: ln.Addr().String(), Token: "s3cret"})
 	if err != nil {
 		log.Fatal(err)
@@ -65,90 +124,36 @@ func main() {
 	defer cdb.Close()
 	fmt.Printf("connected to %s as tenant %q\n", cdb.ServerVersion(), cdb.Tenant())
 
-	// DDL over the wire: the same TableDef the local API takes.
-	orders, err := cdb.CreateTable(ctx, umzi.TableDef{
-		Name: "orders",
-		Columns: []umzi.TableColumn{
-			{Name: "order_id", Kind: umzi.KindInt64},
-			{Name: "region", Kind: umzi.KindString},
-			{Name: "revenue", Kind: umzi.KindFloat64},
-		},
-		PrimaryKey: []string{"order_id"},
-		ShardKey:   []string{"order_id"},
-	}, client.TableOptions{Shards: 4, Index: umzi.IndexSpec{Sort: []string{"order_id"}}})
+	// DDL over the wire: the same TableDef and TableOptions.
+	remoteOrders, err := cdb.CreateTable(ctx, ordersDef, ordersOpts)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Transactional ingest through client transactions: rows stage
-	// locally and ship in one Commit frame, applied atomically under the
+	// Remote transactions ship in one Commit frame, applied under the
 	// server's write admission control.
-	regions := []string{"amer", "emea", "apac"}
-	const rows = 30_000
-	for lo := int64(0); lo < rows; lo += 1000 {
-		tx, err := cdb.Begin(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i := lo; i < lo+1000; i++ {
-			row := umzi.Row{umzi.I64(i), umzi.Str(regions[i%3]), umzi.F64(float64(i % 1000))}
-			if err := tx.Upsert("orders", row); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := tx.Commit(ctx); err != nil {
-			log.Fatal(err)
-		}
+	inProcess := orderEntryAndReport(ctx, local.Begin, localOrders.Query)
+	remote := orderEntryAndReport(ctx, cdb.Begin, remoteOrders.Query)
+	if fmt.Sprint(inProcess) != fmt.Sprint(remote) {
+		log.Fatalf("local read %v, remote read %v", inProcess, remote)
 	}
-	local, err := db.Table("orders")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := local.Groom(); err != nil {
-		log.Fatal(err)
-	}
-
-	// Point read over the wire: the filter pins the primary key, the
-	// server compiles a point get routed to the owning shard.
-	row, found, err := orders.Query().Where(umzi.Eq("order_id", umzi.I64(42))).One(ctx)
-	if err != nil || !found {
-		log.Fatalf("point get: found=%v err=%v", found, err)
-	}
-	fmt.Println("order 42 revenue:", row[2])
-
-	// The same analytical question asked both ways must agree — the
-	// equivalence the wire protocol is tested on.
-	agg := func(all func(ctx context.Context) ([][]umzi.Value, error)) map[string]int64 {
-		groups, err := all(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out := map[string]int64{}
-		for _, g := range groups {
-			out[g[0].String()] = g[1].Int()
-		}
-		return out
-	}
-	remote := agg(orders.Query().
-		Where(umzi.Ge("revenue", umzi.F64(500))).
-		GroupBy("region").
-		Aggs(umzi.Agg{Func: umzi.AggCount, As: "orders"}).All)
-	inProcess := agg(local.Query().
-		Where(umzi.Ge("revenue", umzi.F64(500))).
-		GroupBy("region").
-		Aggs(umzi.Agg{Func: umzi.AggCount, As: "orders"}).All)
-	for region, n := range inProcess {
-		if remote[region] != n {
-			log.Fatalf("region %s: local %d rows, remote %d", region, n, remote[region])
-		}
-		fmt.Printf("big orders in %s: %d\n", region, n)
+	fmt.Println("order 42 revenue:", inProcess[0][2])
+	for _, g := range inProcess[1:] {
+		fmt.Printf("big orders in %s: %d\n", g[0].Bytes(), g[1].Int())
 	}
 	fmt.Println("local and remote agree")
 
-	// Streaming reads hold their connection until drained — or until
-	// Close, which cancels the server-side cursor mid-flight and returns
-	// the connection to the pool. The Ping proves the channel survived.
-	stream, err := orders.Query().Select("order_id").OrderBy("order_id").Run(ctx)
+	// A stream holds its connection until drained or closed; Close
+	// cancels the server-side cursor, and the Ping proves the connection
+	// survived. An ordered scan reads groomed zones, so groom first.
+	servedOrders, err := served.Table("orders")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := servedOrders.Groom(); err != nil {
+		log.Fatal(err)
+	}
+	stream, err := remoteOrders.Query().Select("order_id").OrderBy("order_id").Run(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

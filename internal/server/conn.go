@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"umzi"
+	"umzi/internal/front"
 	"umzi/internal/wildfire"
 	"umzi/internal/wire"
 )
@@ -290,7 +291,7 @@ func (h *connHandler) handleQuery(payload []byte) error {
 	defer cancel()
 	disarm := h.armQuery(cancel)
 
-	rows, err := tbl.RunSpec(qctx, spec)
+	rows, err := front.RunSpec(qctx, tbl.Query(), spec)
 	if err != nil {
 		disarm()
 		return h.replyErr(err)
@@ -381,19 +382,15 @@ func (h *connHandler) handleCommit(payload []byte) error {
 	d := wire.NewDec(payload)
 	replica := int(d.Uvarint())
 	nTables := d.Count(1 << 12)
-	type stage struct {
-		table string
-		rows  []umzi.Row
-	}
-	stages := make([]stage, 0, nTables)
+	stages := make([]front.Staged, 0, nTables)
 	total := 0
 	for i := 0; i < nTables && d.Err() == nil; i++ {
-		st := stage{table: d.String()}
+		st := front.Staged{Table: d.String()}
 		nRows := d.Count(1 << 20)
 		for j := 0; j < nRows && d.Err() == nil; j++ {
-			st.rows = append(st.rows, umzi.Row(d.Row()))
+			st.Rows = append(st.Rows, umzi.Row(d.Row()))
 		}
-		total += len(st.rows)
+		total += len(st.Rows)
 		stages = append(stages, st)
 	}
 	if err := d.Err(); err != nil {
@@ -403,12 +400,12 @@ func (h *connHandler) handleCommit(payload []byte) error {
 	// Admission: every target table must be clear (or clear up) before
 	// any row is staged; reads never pass through here.
 	for _, st := range stages {
-		if err := h.s.adm.admit(h.s.ctx, st.table); err != nil {
+		if err := h.s.adm.admit(h.s.ctx, st.Table); err != nil {
 			// Only true refusals count; a context error (server shutdown
 			// while queued) is not an admission rejection.
 			var adm *AdmissionError
 			if errors.As(err, &adm) {
-				h.s.mx.admissionRejected(st.table).Inc()
+				h.s.mx.admissionRejected(st.Table).Inc()
 			}
 			return h.replyErr(err)
 		}
@@ -420,7 +417,7 @@ func (h *connHandler) handleCommit(payload []byte) error {
 	}
 	tx.WithReplica(replica)
 	for _, st := range stages {
-		if err := tx.Upsert(st.table, st.rows...); err != nil {
+		if err := tx.Upsert(st.Table, st.Rows...); err != nil {
 			tx.Abort()
 			return h.replyErr(err)
 		}
@@ -433,22 +430,24 @@ func (h *connHandler) handleCommit(payload []byte) error {
 	return h.reply(wire.StatusOK, "")
 }
 
-// handleCreateTable serves one CreateTable frame.
+// handleCreateTable serves one CreateTable frame. It refuses the two
+// options that budget this server's CPU and memory, not a tenant's.
 func (h *connHandler) handleCreateTable(payload []byte) error {
-	var req wildfire.CreateTableRequest
+	var req front.CreateTableRequest
 	if err := json.Unmarshal(payload, &req); err != nil {
 		return h.replyErr(fmt.Errorf("malformed CreateTable request: %w", err))
 	}
-	_, err := h.s.db.CreateTable(req.Def, umzi.TableOptions{
-		Shards:      req.Shards,
-		Index:       req.Index,
-		Secondaries: req.Secondaries,
-		Replicas:    req.Replicas,
-		Partitions:  req.Partitions,
-		Parallelism: req.Parallelism,
-		Durability:  req.Durability,
-	})
-	if err != nil {
+	field := ""
+	switch {
+	case req.ScanParallelism != 0:
+		field = "ScanParallelism"
+	case req.BlockCacheBytes != 0:
+		field = "BlockCacheBytes"
+	}
+	if field != "" {
+		return h.replyErr(fmt.Errorf("TableOptions.%s is a server-side setting; a remote CreateTable may not set it", field))
+	}
+	if _, err := h.s.db.CreateTable(req.Def, req.TableOptions); err != nil {
 		return h.replyErr(err)
 	}
 	return h.reply(wire.StatusOK, "")

@@ -176,6 +176,11 @@ func TestQueryRoundTripAndScan(t *testing.T) {
 		}
 		got[k] = v
 	}
+	// An ended stream holds no row, as in process
+	// (TestRowsExhaustionThenClose).
+	if v := rows.Values(); v != nil {
+		t.Errorf("Values after the stream ended = %v, want nil", v)
+	}
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +224,9 @@ func TestRemoteCommitVisibleLocally(t *testing.T) {
 	}
 }
 
+// TestCreateTableAndCatalog creates tables through the client with
+// umzi.TableOptions. The server refuses the two options that budget its
+// own CPU and memory, names the field, and creates nothing.
 func TestCreateTableAndCatalog(t *testing.T) {
 	_, _, addr := boot(t, server.Config{})
 	ctx := context.Background()
@@ -227,14 +235,30 @@ func TestCreateTableAndCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cdb.Close()
-	_, err = cdb.CreateTable(ctx, umzi.TableDef{
-		Name:       "made",
-		Columns:    []umzi.TableColumn{{Name: "k", Kind: umzi.KindInt64}},
-		PrimaryKey: []string{"k"},
-		ShardKey:   []string{"k"},
-	}, client.TableOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
+	def := func(name string) umzi.TableDef {
+		return umzi.TableDef{
+			Name:       name,
+			Columns:    []umzi.TableColumn{{Name: "k", Kind: umzi.KindInt64}},
+			PrimaryKey: []string{"k"},
+			ShardKey:   []string{"k"},
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		opts    umzi.TableOptions
+		refused string // the field the error names; "" when accepted
+	}{
+		{"made", umzi.TableOptions{Shards: 3}, ""},
+		{"scan", umzi.TableOptions{Shards: 3, ScanParallelism: 2}, "ScanParallelism"},
+		{"cache", umzi.TableOptions{BlockCacheBytes: 1 << 20}, "BlockCacheBytes"},
+	} {
+		_, err := cdb.CreateTable(ctx, def(c.name), c.opts)
+		switch {
+		case c.refused == "" && err != nil:
+			t.Fatalf("%s: %v", c.name, err)
+		case c.refused != "" && (err == nil || !strings.Contains(err.Error(), c.refused)):
+			t.Fatalf("%s: err = %v, want a refusal naming %s", c.name, err, c.refused)
+		}
 	}
 	infos, err := cdb.Catalog(ctx)
 	if err != nil {

@@ -189,26 +189,13 @@ func decodeExpr(d *wire.Dec, depth int, nodes *int) exec.Expr {
 	}
 }
 
-// ---- DDL and catalog DTOs --------------------------------------------
+// ---- Catalog DTOs -----------------------------------------------------
 //
-// CreateTable and Catalog payloads are JSON: they are tiny, once-per-DDL
-// and debuggable with standard tools, exactly like the persisted DB
-// catalog they mirror. They live here (not in package wire) because
-// they name engine types; wire stays leaf-level.
-
-// CreateTableRequest is the payload of a CreateTable frame: the DB
-// layer's TableOptions minus ScanParallelism and BlockCacheBytes, which
-// a remote table leaves at the server's defaults.
-type CreateTableRequest struct {
-	Def         TableDef
-	Index       IndexSpec            `json:",omitempty"`
-	Secondaries []SecondaryIndexSpec `json:",omitempty"`
-	Shards      int                  `json:",omitempty"`
-	Replicas    int                  `json:",omitempty"`
-	Partitions  int                  `json:",omitempty"`
-	Parallelism int                  `json:",omitempty"`
-	Durability  DurabilityOptions
-}
+// Catalog payloads are JSON: they are tiny, once-per-DDL and debuggable
+// with standard tools, exactly like the persisted DB catalog they
+// mirror. They live here (not in package wire) because they name engine
+// types; wire stays leaf-level. The CreateTable payload is
+// front.CreateTableRequest.
 
 // CatalogTable is one table of a CatalogResponse.
 type CatalogTable struct {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"umzi"
-	"umzi/client"
 	"umzi/internal/workload"
 )
 
@@ -41,7 +40,7 @@ func RemoteHTAP(ctx context.Context, s *workload.State) {
 		},
 		PrimaryKey: []string{"customer", "order"},
 		ShardKey:   []string{"customer"},
-	}, client.TableOptions{
+	}, umzi.TableOptions{
 		Shards: 4,
 		Index: umzi.IndexSpec{
 			Equality: []string{"customer"},

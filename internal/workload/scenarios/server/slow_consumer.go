@@ -55,7 +55,7 @@ func SlowConsumer(ctx context.Context, s *workload.State) {
 		},
 		PrimaryKey: []string{"k"},
 		ShardKey:   []string{"k"},
-	}, client.TableOptions{Shards: 4})
+	}, umzi.TableOptions{Shards: 4})
 	if err != nil {
 		s.Fatalf("create table: %v", err)
 	}

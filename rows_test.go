@@ -7,10 +7,25 @@ import (
 	"strings"
 	"testing"
 
+	"umzi/internal/front"
 	"umzi/internal/keyenc"
 )
 
-// Scan destination/kind matrix for scanValue: every supported pairing,
+// oneRow is a RowSource positioned on one row.
+type oneRow []Value
+
+func (r oneRow) Next() bool     { return false }
+func (r oneRow) Value() []Value { return r }
+func (oneRow) Err() error       { return nil }
+func (oneRow) Close() error     { return nil }
+
+// scanValue scans one value through Rows.Scan, the public path into the
+// destination/kind conversions.
+func scanValue(v Value, dest any) error {
+	return front.NewRows(context.Background(), []string{"v"}, oneRow{v}).Scan(dest)
+}
+
+// Scan destination/kind matrix for Rows.Scan: every supported pairing,
 // the numeric narrowing overflow errors (ErrRange), and the rejection
 // paths for mismatched kinds and unsupported destination types.
 func TestScanValueMatrix(t *testing.T) {

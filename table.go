@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"umzi/internal/front"
 	"umzi/internal/wildfire"
 )
 
@@ -48,20 +49,16 @@ func (t *Table) entry() dbCatalogEntry { return t.catalogEntry }
 
 // Query starts a fluent query against the table; see Query's docs for
 // the builder surface and Run for execution.
-func (t *Table) Query() *Query { return NewQuery(t.RunSpec) }
+func (t *Table) Query() *Query { return front.NewQuery(t.runSpec) }
 
-// RunSpec compiles and starts one pre-built declarative query spec,
-// returning the same streaming Rows that Query().…Run(ctx) would: it is
-// the in-process transport the builder runs over. The server front end
-// calls it directly with specs that arrived over the wire
-// (wildfire.UnmarshalQuerySpec), so local and remote execution share
-// one entry point.
-func (t *Table) RunSpec(ctx context.Context, spec wildfire.QuerySpec) (*Rows, error) {
+// runSpec compiles and starts one declarative query spec in process:
+// the transport Table.Query's builder runs over.
+func (t *Table) runSpec(ctx context.Context, spec wildfire.QuerySpec) (*Rows, error) {
 	qr, err := t.eng.RunQuery(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	return NewRows(ctx, qr.Columns, qr.Cursor), nil
+	return front.NewRows(ctx, qr.Columns, qr.Cursor), nil
 }
 
 // Upsert runs one auto-committed transaction staging the rows on

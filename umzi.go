@@ -30,12 +30,17 @@
 //	    OrderBy("order").
 //	    Run(ctx)
 //
+// Query, Rows, Tx and TableOptions are one front end over two
+// transports: this package runs them in process, and package client
+// runs the same types against umzi-server over the network.
+//
 // See examples/ for complete programs and DESIGN.md for the map from
 // paper sections to packages.
 package umzi
 
 import (
 	"umzi/internal/exec"
+	"umzi/internal/front"
 	"umzi/internal/keyenc"
 	"umzi/internal/storage"
 	"umzi/internal/types"
@@ -235,3 +240,61 @@ func And(kids ...Expr) Expr { return exec.And(kids...) }
 
 // Or builds the disjunction of the operands.
 func Or(kids ...Expr) Expr { return exec.Or(kids...) }
+
+// Query is the one query surface of a Table: a fluent builder compiled
+// at Run into the cheapest access path that serves it — point get,
+// index scan, index-only scan, or a pushed-down executor plan — by the
+// planner in internal/wildfire: the predicate goes into Where, and the
+// planner makes the access-path decision.
+//
+//	rows, err := tbl.Query().
+//	    Where(umzi.Eq("customer", umzi.I64(7))).
+//	    Select("order", "total").
+//	    OrderBy("order").
+//	    Limit(100).
+//	    Run(ctx)
+//
+// The builder methods (Where, Select, OrderBy, GroupBy, Aggs, Limit, At,
+// Via, IncludeLive, NoIndex, Explain) return the receiver; Run streams
+// the result, and All, One and Count materialize it. Builders are
+// single-use and not safe for concurrent use. The network client's
+// Table.Query returns the same builder, shipping the spec to
+// umzi-server.
+type Query = front.Query
+
+// Rows is a streaming query result, styled after database/sql.Rows:
+//
+//	rows, err := tbl.Query().Where(...).OrderBy("seq").Run(ctx)
+//	if err != nil { ... }
+//	defer rows.Close()
+//	for rows.Next() {
+//	    var seq int64
+//	    var amount float64
+//	    if err := rows.Scan(&seq, &amount); err != nil { ... }
+//	}
+//	if err := rows.Err(); err != nil { ... }
+//
+// Its methods are Columns, Next, Values, Scan, Err and Close; one Rows
+// type serves both transports. Index-served queries (point gets,
+// OrderBy/Via scans) are pulled lazily: per-shard scan workers,
+// the k-way merge, verification and data-block fetches advance only as
+// Next is called, and Close stops them — the workers are cancelled and
+// waited out, so an early Close leaks nothing and abandons the remaining
+// work. Executor plans (aggregates, unordered row queries) necessarily
+// complete their per-shard scans inside Run — partial aggregates cannot
+// finalize early — and stream only the emission. Over the network, an
+// early Close sends a Cancel frame and drains the stream to its end, so
+// the connection goes back to the pool.
+//
+// Cancellation: Next checks the Run context without blocking before it
+// reads a row. Once that context is done, Next returns false, Err
+// returns the context's error, and the source is closed (remotely:
+// Cancel and drain). A stream that was fully read — Next already
+// returned false — before the context ended keeps its outcome: Err
+// stays nil on a clean end.
+type Rows = front.Rows
+
+// ErrRange reports that Rows.Scan would have to narrow a numeric value
+// that does not fit the destination (uint64 into *int64/*int, or int64
+// into *int on 32-bit platforms). Test with errors.Is.
+var ErrRange = front.ErrRange
