@@ -119,15 +119,18 @@ func BenchmarkShardedScan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cur, err := eng.IndexOnlyStreamOn(context.Background(), "", nil, nil, nil, wildfire.QueryOptions{})
+				// The primary forced with every indexed column selected:
+				// a covered index-only scan, scattered and merged.
+				qr, err := eng.RunQuery(context.Background(),
+					wildfire.QuerySpec{Columns: []string{"id", "payload"}, ViaSet: true})
 				if err != nil {
 					b.Fatal(err)
 				}
 				rows := 0
-				for cur.Next() {
+				for qr.Cursor.Next() {
 					rows++
 				}
-				if err := cur.Err(); err != nil {
+				if err := qr.Cursor.Err(); err != nil {
 					b.Fatal(err)
 				}
 				if rows != shardBenchRows {

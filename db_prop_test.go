@@ -1,6 +1,7 @@
 package umzi_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -8,37 +9,63 @@ import (
 	"testing"
 
 	"umzi"
+	"umzi/internal/keyenc"
 	"umzi/internal/wildfire"
 )
 
 // Property test: every Query() builder formulation — point get, primary
 // index scan, secondary scan, index-only scan, aggregate, unordered row
-// query — returns what an oracle that is not the planner returns: the
-// record-level stream primitives (ScanStreamOn / IndexOnlyStreamOn) of
-// a second engine, with aggregates and unordered selections folded
-// client-side over a full scan. 1-shard and 8-shard tables. The builder
-// table and the oracle engine ingest the same row sequence (with key
-// collisions, i.e. updates) into separate stores and groom in lockstep,
-// so every query must see the same reconciled multi-version state.
+// query — returns what an oracle that reads no index returns: a second
+// engine's forced zone scan of the whole table, with every index scan
+// answered client-side (filter on the scan's key range, order by the
+// index key) and aggregates and unordered selections folded over it.
+// 1-shard and 8-shard tables. The builder table and the oracle engine
+// ingest the same row sequence (with key collisions, i.e. updates) into
+// separate stores and groom in lockstep, so every query must see the
+// same reconciled multi-version state.
 
-// oracleScan drains the oracle's record-level scan through an index.
-func oracleScan(t *testing.T, eng *wildfire.ShardedEngine, index string, eq, lo, hi []umzi.Value, limit int) []wildfire.Record {
+// oracleRows is the oracle's reconciled table at MaxTS: the engine's
+// forced zone scan (the executor with index selection off).
+func oracleRows(t *testing.T, eng *wildfire.ShardedEngine) [][]umzi.Value {
 	t.Helper()
-	cur, err := eng.ScanStreamOn(context.Background(), index, eq, lo, hi,
-		wildfire.QueryOptions{TS: umzi.MaxTS, Limit: limit})
+	qr, err := eng.RunQuery(context.Background(), wildfire.QuerySpec{TS: umzi.MaxTS, NoIndexSelection: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cur.Close()
-	var out []wildfire.Record
-	for cur.Next() {
-		out = append(out, cur.Value())
+	defer qr.Close()
+	var out [][]umzi.Value
+	for qr.Cursor.Next() {
+		out = append(out, qr.Cursor.Value())
 	}
-	if err := cur.Err(); err != nil {
+	if err := qr.Cursor.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
+
+// oracleScan answers an ordered index scan client-side: the rows keep
+// accepts, ordered by their encoded index key (key's columns) and cut
+// to limit rows (0 = all).
+func oracleScan(all [][]umzi.Value, keep func(row []umzi.Value) bool, key func(row []umzi.Value) []umzi.Value, limit int) [][]umzi.Value {
+	var out [][]umzi.Value
+	for _, row := range all {
+		if keep(row) {
+			out = append(out, row)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		return bytes.Compare(keyenc.AppendComposite(nil, key(out[i])...), keyenc.AppendComposite(nil, key(out[j])...)) < 0
+	})
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out
+}
+
+// primaryKey and customerKey are the key columns of the two indexes:
+// order_id, and by_customer's customer then its order_id uniquifier.
+func primaryKey(row []umzi.Value) []umzi.Value  { return row[:1] }
+func customerKey(row []umzi.Value) []umzi.Value { return []umzi.Value{row[1], row[0]} }
 
 func propTableDef() umzi.TableDef {
 	return umzi.TableDef{
@@ -72,14 +99,14 @@ func valuesEqual(a, b []umzi.Value) bool {
 	return true
 }
 
-func rowsEqualRecords(t *testing.T, what string, got [][]umzi.Value, want []wildfire.Record) {
+func rowsEqual(t *testing.T, what string, got, want [][]umzi.Value) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: builder returned %d rows, oracle %d", what, len(got), len(want))
 	}
 	for i := range got {
-		if !valuesEqual(got[i], want[i].Row) {
-			t.Fatalf("%s: row %d: builder %v, oracle %v", what, i, got[i], want[i].Row)
+		if !valuesEqual(got[i], want[i]) {
+			t.Fatalf("%s: row %d: builder %v, oracle %v", what, i, got[i], want[i])
 		}
 	}
 }
@@ -173,6 +200,9 @@ func testBuilderStreamOracleEquivalence(t *testing.T, shards int, seed int64) {
 		t.Fatal(err)
 	}
 
+	// The reconciled table, for every oracle answer below.
+	all := oracleRows(t, oracle)
+
 	// Point gets (hits and misses) vs a one-key scan.
 	for trial := 0; trial < 30; trial++ {
 		id := int64(rng.Intn(keyspace + 20))
@@ -183,18 +213,17 @@ func testBuilderStreamOracleEquivalence(t *testing.T, shards int, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := []umzi.Value{umzi.I64(id)}
-		recs := oracleScan(t, oracle, "", nil, key, key, 0)
+		recs := oracleScan(all, func(r []umzi.Value) bool { return r[0].Int() == id }, primaryKey, 0)
 		if found != (len(recs) == 1) {
 			t.Fatalf("point get %d: builder found=%v, oracle %d records", id, found, len(recs))
 		}
-		if found && !valuesEqual(row, recs[0].Row) {
-			t.Fatalf("point get %d: builder %v, oracle %v", id, row, recs[0].Row)
+		if found && !valuesEqual(row, recs[0]) {
+			t.Fatalf("point get %d: builder %v, oracle %v", id, row, recs[0])
 		}
 	}
 
 	// Primary ordered range scans (with and without limit) vs the
-	// primary's record stream.
+	// oracle's rows in the range, in primary-key order.
 	for trial := 0; trial < 15; trial++ {
 		lo := int64(rng.Intn(keyspace))
 		hi := lo + int64(rng.Intn(keyspace))
@@ -211,12 +240,13 @@ func testBuilderStreamOracleEquivalence(t *testing.T, shards int, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := oracleScan(t, oracle, "", nil, []umzi.Value{umzi.I64(lo)}, []umzi.Value{umzi.I64(hi)}, limit)
-		rowsEqualRecords(t, fmt.Sprintf("range [%d,%d] limit %d", lo, hi, limit), got, want)
+		inRange := func(r []umzi.Value) bool { return r[0].Int() >= lo && r[0].Int() <= hi }
+		want := oracleScan(all, inRange, primaryKey, limit)
+		rowsEqual(t, fmt.Sprintf("range [%d,%d] limit %d", lo, hi, limit), got, want)
 	}
 
-	// Secondary scans via the forced index vs the secondary's record
-	// stream.
+	// Secondary scans via the forced index vs the oracle's rows of the
+	// customer, in by_customer key order.
 	for cust := int64(0); cust < customers; cust++ {
 		got, err := tbl.Query().
 			Where(umzi.Eq("customer", umzi.I64(cust))).
@@ -226,12 +256,13 @@ func testBuilderStreamOracleEquivalence(t *testing.T, shards int, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := oracleScan(t, oracle, "by_customer", []umzi.Value{umzi.I64(cust)}, nil, nil, 0)
-		rowsEqualRecords(t, fmt.Sprintf("secondary customer %d", cust), got, want)
+		want := oracleScan(all, func(r []umzi.Value) bool { return r[1].Int() == cust }, customerKey, 0)
+		rowsEqual(t, fmt.Sprintf("secondary customer %d", cust), got, want)
 	}
 
-	// Covered (index-only) queries vs IndexOnlyStreamOn: the secondary
-	// carries customer, order_id (uniquifier) and amount.
+	// Covered (index-only) queries vs the same oracle rows in the index
+	// layout: the secondary carries customer, order_id (uniquifier) and
+	// amount.
 	for cust := int64(0); cust < customers; cust++ {
 		got, err := tbl.Query().
 			Where(umzi.Eq("customer", umzi.I64(cust))).
@@ -242,28 +273,21 @@ func testBuilderStreamOracleEquivalence(t *testing.T, shards int, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur, err := oracle.IndexOnlyStreamOn(ctx, "by_customer", []umzi.Value{umzi.I64(cust)}, nil, nil,
-			wildfire.QueryOptions{TS: umzi.MaxTS})
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Index layout: equality (customer), sort (order_id), included (amount).
-		n := 0
-		for ; cur.Next(); n++ {
-			if n < len(got) && !valuesEqual(got[n], cur.Value()) {
-				t.Fatalf("index-only customer %d row %d: builder %v, oracle %v", cust, n, got[n], cur.Value())
-			}
+		var want [][]umzi.Value
+		for _, r := range oracleScan(all, func(r []umzi.Value) bool { return r[1].Int() == cust }, customerKey, 0) {
+			want = append(want, []umzi.Value{r[1], r[0], r[2]})
 		}
-		if err := cur.Err(); err != nil {
-			t.Fatal(err)
+		n := 0
+		for ; n < len(want); n++ {
+			if n < len(got) && !valuesEqual(got[n], want[n]) {
+				t.Fatalf("index-only customer %d row %d: builder %v, oracle %v", cust, n, got[n], want[n])
+			}
 		}
 		if n != len(got) {
 			t.Fatalf("index-only customer %d: builder %d rows, oracle %d", cust, len(got), n)
 		}
 	}
-
-	// The reconciled table, for the client-side folds below.
-	all := oracleScan(t, oracle, "", nil, nil, nil, 0)
 
 	// Aggregates vs a client-side fold: filtered GROUP BY, both
 	// index-selected and forced zone scan.
@@ -286,12 +310,12 @@ func testBuilderStreamOracleEquivalence(t *testing.T, shards int, seed int64) {
 			sum, max float64
 		}
 		groups := map[string]*acc{}
-		for _, rec := range all {
-			amount := rec.Row[2].Float()
+		for _, row := range all {
+			amount := row[2].Float()
 			if amount < minAmount {
 				continue
 			}
-			region := string(rec.Row[3].Bytes())
+			region := string(row[3].Bytes())
 			g := groups[region]
 			if g == nil {
 				g = &acc{max: amount}
@@ -332,9 +356,9 @@ func testBuilderStreamOracleEquivalence(t *testing.T, shards int, seed int64) {
 		t.Fatal(err)
 	}
 	var wantSel [][]umzi.Value
-	for _, rec := range all {
-		if rec.Row[2].Float() < 500 {
-			wantSel = append(wantSel, []umzi.Value{rec.Row[0], rec.Row[2]})
+	for _, row := range oracleScan(all, func([]umzi.Value) bool { return true }, primaryKey, 0) {
+		if row[2].Float() < 500 {
+			wantSel = append(wantSel, []umzi.Value{row[0], row[2]})
 		}
 	}
 	if len(sel) != len(wantSel) {

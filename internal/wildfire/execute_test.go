@@ -226,7 +226,7 @@ func TestShardedScanLimit(t *testing.T) {
 		t.Fatalf("full scan returned %d rows, want %d", len(full), msgs)
 	}
 	for _, limit := range []int{1, 7, msgs, msgs + 5} {
-		got, err := tableScanOn(s, "", eq, nil, nil, QueryOptions{Limit: limit})
+		got, err := tableScanOnLimit(s, "", eq, nil, nil, QueryOptions{}, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestShardedScanLimit(t *testing.T) {
 			}
 		}
 		// Index-only scans honor the limit identically.
-		ir, err := tableIndexOnlyOn(s, "", eq, nil, nil, QueryOptions{Limit: limit})
+		ir, err := tableIndexOnlyOnLimit(s, "", eq, nil, nil, QueryOptions{}, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestShardedScanLimit(t *testing.T) {
 	}
 	// The per-shard scans saw the limit too: a 1-row limit must not make
 	// any shard return its full partition.
-	one, err := scanOn(s.shards[0], "", eq, nil, nil, QueryOptions{Limit: 1})
+	one, err := scanOnLimit(s.shards[0], "", eq, nil, nil, QueryOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,17 +29,49 @@ func (e *shard) upsert(replica int, rows ...Row) error {
 	return e.commit(replica, cloneRows(rows))
 }
 
-// Materializing test helpers over the record-level primitives: tests
+// Materializing test helpers over the one ordered index stream: tests
 // compare whole result sets, production code streams. The shard helpers
-// call one shard's primitives; the table helpers go through the
-// coordinator.
+// drain one shard's indexStream; the table helpers go through the
+// coordinator's tableIndexStream. A scan helper's rows are whole
+// records (fetched by RID), an index-only helper's the decoded entries
+// (equality ++ sort ++ included). The *Limit variants stop after limit
+// rows (0 = all), bounding the index walk as an exact query scan does.
+
+// fetchRecord is the record-level row step.
+func fetchRecord(ctx context.Context, e *shard, ve verifiedEntry) (Record, bool, error) {
+	rec, err := e.fetch(ctx, ve.entry.RID)
+	return rec, err == nil, err
+}
+
+// decodedEntry is the index-only row step.
+func decodedEntry(_ context.Context, _ *shard, ve verifiedEntry) ([]keyenc.Value, bool, error) {
+	return ve.flat, true, nil
+}
+
+func helperScan(index string, eq, sortLo, sortHi []keyenc.Value, limit int, decode bool) indexScan {
+	return indexScan{index: index, eq: eq, lo: sortLo, hi: sortHi, limit: limit, exact: true, decode: decode}
+}
+
+// drainShard materializes one shard's index stream.
+func drainShard[T any](e *shard, sc indexScan, opts QueryOptions, step rowStep[T]) ([]T, error) {
+	items, err := drainCursor(indexStream(context.Background(), e, sc, opts, step))
+	var out []T
+	for _, it := range items {
+		out = append(out, it.val)
+	}
+	return out, err
+}
 
 func scanOn(e *shard, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([]Record, error) {
-	return drainCursor(e.scanStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
+	return scanOnLimit(e, index, eq, sortLo, sortHi, opts, 0)
+}
+
+func scanOnLimit(e *shard, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions, limit int) ([]Record, error) {
+	return drainShard(e, helperScan(index, eq, sortLo, sortHi, limit, false), opts, fetchRecord)
 }
 
 func indexOnlyOn(e *shard, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([][]keyenc.Value, error) {
-	return drainCursor(e.indexOnlyStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
+	return drainShard(e, helperScan(index, eq, sortLo, sortHi, 0, true), opts, decodedEntry)
 }
 
 // getOn is a point get on the primary, or on a secondary the newest
@@ -49,7 +81,7 @@ func getOn(e *shard, index string, eq, sortv []keyenc.Value, opts QueryOptions) 
 	if index == "" {
 		return e.getOn(context.Background(), eq, sortv, opts)
 	}
-	return firstRecord(scanOn(e, index, eq, sortv, sortv, withLimit(opts, 1)))
+	return firstRecord(scanOnLimit(e, index, eq, sortv, sortv, opts, 1))
 }
 
 // execute runs an analytical plan on one shard's executePlan primitive
@@ -68,11 +100,19 @@ func execute(e *shard, p exec.Plan, opts QueryOptions) (*exec.Result, error) {
 }
 
 func tableScanOn(s *ShardedEngine, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([]Record, error) {
-	return drainCursor(s.ScanStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
+	return tableScanOnLimit(s, index, eq, sortLo, sortHi, opts, 0)
+}
+
+func tableScanOnLimit(s *ShardedEngine, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions, limit int) ([]Record, error) {
+	return drainCursor(tableIndexStream(context.Background(), s, helperScan(index, eq, sortLo, sortHi, limit, false), opts, fetchRecord))
 }
 
 func tableIndexOnlyOn(s *ShardedEngine, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) ([][]keyenc.Value, error) {
-	return drainCursor(s.IndexOnlyStreamOn(context.Background(), index, eq, sortLo, sortHi, opts))
+	return tableIndexOnlyOnLimit(s, index, eq, sortLo, sortHi, opts, 0)
+}
+
+func tableIndexOnlyOnLimit(s *ShardedEngine, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions, limit int) ([][]keyenc.Value, error) {
+	return drainCursor(tableIndexStream(context.Background(), s, helperScan(index, eq, sortLo, sortHi, limit, true), opts, decodedEntry))
 }
 
 // tableGetOn is getOn through the coordinator.
@@ -80,7 +120,7 @@ func tableGetOn(s *ShardedEngine, index string, eq, sortv []keyenc.Value, opts Q
 	if index == "" {
 		return s.get(context.Background(), eq, sortv, opts)
 	}
-	return firstRecord(tableScanOn(s, index, eq, sortv, sortv, withLimit(opts, 1)))
+	return firstRecord(tableScanOnLimit(s, index, eq, sortv, sortv, opts, 1))
 }
 
 // tableExecute is execute on every shard of a table through the
@@ -124,12 +164,4 @@ func drainCursor[T any](cur *Cursor[T], err error) ([]T, error) {
 		err = cerr
 	}
 	return out, err
-}
-
-// withLimit tightens the options' row limit.
-func withLimit(opts QueryOptions, limit int) QueryOptions {
-	if opts.Limit == 0 || opts.Limit > limit {
-		opts.Limit = limit
-	}
-	return opts
 }

@@ -171,13 +171,14 @@ func (ti *tableIndex) indexScanBounds(t TableDef, cons exec.IndexConstraints) (e
 	return eq, sortLo, sortHi, consumed
 }
 
-// executeViaIndex evaluates a bound plan through one index: a verified
-// range scan bounded by the extracted constraints, the full filter
-// re-applied per row, rows fed to the partial either straight from the
-// index (covered plans: every referenced column is an index column) or
-// by RID fetch. Multi-version semantics match executeBound: exactly the
-// newest visible version of each primary key qualifies, live records
-// (when requested at the newest snapshot) supersede indexed ones.
+// executeViaIndex evaluates a bound plan through one index: a range scan
+// bounded by the extracted constraints and verified by the one
+// back-check (backCheck), the full filter re-applied per row, rows fed
+// to the partial either straight from the index (covered plans: every
+// referenced column is an index column) or by RID fetch. Multi-version
+// semantics match executeBound: exactly the newest visible version of
+// each primary key qualifies, live records (when requested at the
+// newest snapshot) supersede indexed ones.
 func (e *shard) executeViaIndex(ctx context.Context, bound *exec.BoundPlan, ti *tableIndex, cons exec.IndexConstraints, opts QueryOptions) (*exec.Partial, error) {
 	if e.closed.Load() {
 		return nil, fmt.Errorf("wildfire: engine closed")
@@ -210,7 +211,7 @@ func (e *shard) executeViaIndex(ctx context.Context, bound *exec.BoundPlan, ti *
 	// primary keys for live suppression; a non-covered primary-index
 	// plan with no live overlay fetches by RID and never reads them
 	// (secondaries always decode for the back-check).
-	ves, err := e.verifyEntries(ctx, ti, entries, ts, 0, covered || live != nil, opts.Trace)
+	ves, err := e.backCheck(ctx, ti, entries, ts, covered || live != nil, opts.Trace, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -222,31 +223,38 @@ func (e *shard) executeViaIndex(ctx context.Context, bound *exec.BoundPlan, ti *
 				continue
 			}
 		}
-		var view exec.RowView
-		if covered {
-			flat, pos := ve.flat, ti.valPos
-			view = func(c int) keyenc.Value { return flat[pos[c]] }
-		} else {
-			rec, err := e.fetch(ctx, ve.entry.RID)
-			if err != nil {
-				return nil, err
-			}
-			row := rec.Row
-			view = func(c int) keyenc.Value { return row[c] }
+		view, err := e.entryView(ctx, ti, ve, covered)
+		if err != nil {
+			return nil, err
 		}
-		if !bound.Matches(view) {
-			continue
+		if bound.Matches(view) {
+			part.Add(view)
 		}
-		part.Add(view)
 	}
 	addLiveRows(part, bound, live)
 	return part, nil
 }
 
+// entryView is the row of a verified entry: its decoded values when the
+// index covers the reader (ve must be decoded), else the record its RID
+// names.
+func (e *shard) entryView(ctx context.Context, ti *tableIndex, ve verifiedEntry, covered bool) (exec.RowView, error) {
+	if covered {
+		flat, pos := ve.flat, ti.valPos
+		return func(c int) keyenc.Value { return flat[pos[c]] }, nil
+	}
+	rec, err := e.fetch(ctx, ve.entry.RID)
+	if err != nil {
+		return nil, err
+	}
+	row := rec.Row
+	return func(c int) keyenc.Value { return row[c] }, nil
+}
+
 // ---- Index-choice reads on the sharded engine ----------------------
 
 // secondaryMeta resolves the sharded layer's own metadata for a named
-// secondary (ordinals for routing and merge keys; idx is nil).
+// secondary (its key layout, for routing; idx is nil).
 func (s *ShardedEngine) secondaryMeta(name string) (*tableIndex, error) {
 	s.secMu.Lock()
 	defer s.secMu.Unlock()
@@ -279,7 +287,7 @@ func (s *ShardedEngine) pinSecondary(ti *tableIndex, eq []keyenc.Value) (int, bo
 }
 
 // CreateIndex builds a new secondary on every shard (backfill runs
-// per shard, online) and registers it for routing and merging.
+// per shard, online) and registers it for routing.
 func (s *ShardedEngine) CreateIndex(spec SecondaryIndexSpec) error {
 	if s.closed.Load() {
 		return fmt.Errorf("wildfire: engine closed")
@@ -315,7 +323,7 @@ func (s *ShardedEngine) CreateIndex(spec SecondaryIndexSpec) error {
 	return nil
 }
 
-// registerSecondary records a secondary's routing/merge metadata.
+// registerSecondary records a secondary's routing metadata.
 func (s *ShardedEngine) registerSecondary(spec SecondaryIndexSpec) {
 	ti := newTableIndex(s.table, s.ixSpec, spec.Name, spec.IndexSpec, nil)
 	s.secMu.Lock()

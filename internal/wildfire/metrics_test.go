@@ -131,26 +131,30 @@ func TestWALFlushErrorCounted(t *testing.T) {
 	}
 }
 
+// keyedInt is one item of a synthetic shard stream, keyed by its value.
+func keyedInt(v int) shardItem[int] {
+	return shardItem[int]{val: v, key: []byte{byte(v >> 8), byte(v)}}
+}
+
 // TestScatterStreamReleaseErrorCounted checks the other audited path: a
 // cancelled scatter worker closing its shard cursor counts the Close
 // error AND surfaces the first one through the merged cursor's Close —
 // the mid-stream-disconnect teardown the network server runs.
 func TestScatterStreamReleaseErrorCounted(t *testing.T) {
 	var released atomic.Int64
-	open := func(ctx context.Context, shard int) (*Cursor[int], error) {
+	open := func(ctx context.Context, shard int) (*Cursor[shardItem[int]], error) {
 		v := shard * 1000
 		return newCursor(
-			func() (int, bool, error) { v++; return v, true, nil }, // endless
+			func() (shardItem[int], bool, error) { v++; return keyedInt(v), true, nil }, // endless
 			func() error { return errors.New("release failed") },
 		), nil
 	}
-	keyOf := func(v int) []byte { return []byte{byte(v >> 8), byte(v)} }
 	onErr := func(err error) {
 		if err != nil {
 			released.Add(1)
 		}
 	}
-	cur := scatterStream(context.Background(), newGatherPool(2), 2, 0, open, keyOf, onErr)
+	cur := scatterStream(context.Background(), newGatherPool(2), 2, 0, open, onErr)
 	if !cur.Next() {
 		t.Fatalf("no first row: %v", cur.Err())
 	}
@@ -171,16 +175,15 @@ func TestScatterStreamReleaseErrorCounted(t *testing.T) {
 // but does NOT turn an orderly early Close into a failure.
 func TestScatterStreamReleaseCancelNoiseFiltered(t *testing.T) {
 	var released atomic.Int64
-	open := func(ctx context.Context, shard int) (*Cursor[int], error) {
+	open := func(ctx context.Context, shard int) (*Cursor[shardItem[int]], error) {
 		v := shard * 1000
 		return newCursor(
-			func() (int, bool, error) { v++; return v, true, nil },
+			func() (shardItem[int], bool, error) { v++; return keyedInt(v), true, nil },
 			func() error { return context.Canceled },
 		), nil
 	}
-	keyOf := func(v int) []byte { return []byte{byte(v >> 8), byte(v)} }
 	onErr := func(err error) { released.Add(1) }
-	cur := scatterStream(context.Background(), newGatherPool(2), 2, 0, open, keyOf, onErr)
+	cur := scatterStream(context.Background(), newGatherPool(2), 2, 0, open, onErr)
 	if !cur.Next() {
 		t.Fatalf("no first row: %v", cur.Err())
 	}

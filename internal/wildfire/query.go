@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 
 	"umzi/internal/core"
 	"umzi/internal/keyenc"
@@ -18,11 +19,13 @@ import (
 // because the groomer runs every second — is scanned directly when the
 // caller asks for it.
 //
-// Every read path exists in one implementation, the streaming one:
-// ScanStreamOn / IndexOnlyStreamOn return cursors that fetch data blocks
-// lazily and honor context cancellation. QueryOptions.Limit therefore
-// behaves identically everywhere — it bounds the index scan, the
-// verification pass and the emission, on one shard or many.
+// An ordered index scan has one implementation, indexStream: a lazy
+// cursor over one shard's index walk whose secondary candidates are
+// back-checked against the primary a chunk at a time, through one
+// sorted LookupBatch per chunk (§7.2). RunQuery's index plans, the
+// executor's index plan and every shard of a scatter run through it, so
+// a row limit bounds the index walk, the back-check and the emission
+// the same way on one shard or many.
 
 // QueryOptions control snapshot and freshness semantics.
 type QueryOptions struct {
@@ -34,12 +37,6 @@ type QueryOptions struct {
 	// trading latency for freshness. Live records have no final beginTS
 	// yet, so they are only consulted for reads at the newest snapshot.
 	IncludeLive bool
-	// Limit stops a scan after this many rows; 0 means unlimited. The
-	// sharded layer pushes the limit into every shard and stops its
-	// k-way merge after emitting Limit rows, so no shard materializes
-	// more than Limit rows for a limited scan. Executor plans carry their
-	// own limit (exec.Plan.Limit) and ignore this one.
-	Limit int
 	// NoIndexSelection makes executePlan evaluate its plan as a zone scan
 	// even when the filter matches an index (baselines, ablations).
 	NoIndexSelection bool
@@ -180,252 +177,191 @@ func (e *shard) getBatch(ctx context.Context, keys []core.LookupKey, opts QueryO
 	return out, found, nil
 }
 
-// ---- Index-choice queries ------------------------------------------
+// ---- Ordered index scans -------------------------------------------
 //
-// The *On primitives accept an index choice ("" is the primary). A
-// secondary query walks the chosen index and re-validates every
-// candidate against the primary at the query timestamp (see indexset.go
-// on the stale-entry problem), so its results match what a
-// scan-and-filter over the reconciled table would produce for the
-// indexed zones. Scans do not consult the live zone.
+// A scan walks one index of the set ("" is the primary). A secondary
+// scan re-validates every candidate against the primary at the query
+// timestamp (see indexset.go on the stale-entry problem), so its results
+// match what a scan-and-filter over the reconciled table would produce
+// for the indexed zones. Scans do not consult the live zone.
 
-// verifiedEntry is one secondary-index candidate that survived the
-// primary back-check: the entry plus its decoded value layout
+// verifiedEntry is one index candidate that survived the primary
+// back-check: the scanned entry plus, when decoded, its value layout
 // (equality ++ sort ++ included).
 type verifiedEntry struct {
-	entry run.Entry
+	entry *run.Entry
 	flat  []keyenc.Value
 }
 
-// verifyCheckEvery is how many entries a verification pass processes
-// between context checks.
+// verifyCheckEvery is the most candidates one back-check chunk holds:
+// one LookupBatch, and one context check, per chunk.
 const verifyCheckEvery = 256
 
-// indexScanEntries runs a range scan on one index of the set and
-// returns the entries a caller may act on. For secondaries every entry
-// is decoded and back-checked against the primary: a candidate whose
-// beginTS is no longer the row's newest visible version at ts was
-// superseded under a different secondary key and is dropped. For the
-// primary, flat is decoded only when decode is set. limit counts
-// verified entries; 0 means unlimited. Callers hold a gate epoch.
-func (e *shard) indexScanEntries(ctx context.Context, ti *tableIndex, eq, sortLo, sortHi []keyenc.Value, ts types.TS, limit int, decode bool, tr *obs.QueryTrace) ([]verifiedEntry, error) {
-	if len(eq) != len(ti.spec.Equality) {
-		return nil, fmt.Errorf("wildfire: index %q scan requires all equality values (%d, want %d)",
-			ti.name, len(eq), len(ti.spec.Equality))
-	}
-	// The back-check may drop candidates, so a limited secondary scan
-	// over-fetches (4x) rather than materializing every match; if the
-	// drops eat the headroom, one retry rescans unbounded.
-	scanLimit := limit
-	if !ti.primary() && limit > 0 {
-		scanLimit = 4 * limit
-	}
-	for {
+// backCheck is the one verifier of index candidates. It appends the
+// entries that survive to out, decoded when decode is set (secondaries
+// always decode, for their primary keys). A secondary's candidates are
+// looked up in the primary at ts, one sorted LookupBatch per chunk of
+// verifyCheckEvery; a candidate whose beginTS is no longer its row's
+// newest visible version was superseded under a different secondary key
+// and is dropped. The context is checked once per chunk. Callers hold a
+// gate epoch.
+func (e *shard) backCheck(ctx context.Context, ti *tableIndex, entries []run.Entry, ts types.TS, decode bool, tr *obs.QueryTrace, out []verifiedEntry) ([]verifiedEntry, error) {
+	decode = decode || !ti.primary()
+	var keys []core.LookupKey
+	for len(entries) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		entries, err := ti.idx.RangeScan(core.ScanOptions{
-			Equality: eq,
-			SortLo:   sortLo,
-			SortHi:   sortHi,
-			TS:       ts,
-			Limit:    scanLimit,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out, err := e.verifyEntries(ctx, ti, entries, ts, limit, decode, tr)
-		if err != nil {
-			return nil, err
-		}
-		if limit == 0 || len(out) >= limit || scanLimit == 0 || len(entries) < scanLimit {
-			return out, nil // limit reached, or the scan was exhaustive
-		}
-		scanLimit = 0
-	}
-}
-
-// verifyEntry runs the primary back-check (and optional decode) over
-// one scanned entry; ok=false means the candidate was superseded under
-// another secondary key and must be dropped.
-func (e *shard) verifyEntry(ti *tableIndex, entry run.Entry, ts types.TS, decode bool, tr *obs.QueryTrace) (verifiedEntry, bool, error) {
-	ve := verifiedEntry{entry: entry}
-	var err error
-	if !ti.primary() || decode {
-		ve.flat, err = ti.decodeFlat(entry)
-		if err != nil {
-			return ve, false, err
-		}
-	}
-	if !ti.primary() {
-		e.mx.backChecks.Inc()
-		tr.AddBackChecked(1)
-		pkEq, pkSort := ti.pkFromFlat(ve.flat)
-		pe, found, err := e.idx.PointLookup(pkEq, pkSort, ts)
-		if err != nil {
-			return ve, false, err
-		}
-		if !found || pe.BeginTS != entry.BeginTS {
-			e.mx.backCheckDrops.Inc()
-			tr.AddBackCheckDropped(1)
-			return ve, false, nil // superseded under another secondary key
-		}
-	}
-	return ve, true, nil
-}
-
-// verifyEntries runs the primary back-check (and optional decode) over
-// scanned entries, stopping after limit verified results (0 = all). The
-// context is checked every verifyCheckEvery entries so a cancelled
-// query abandons a large verification pass promptly.
-func (e *shard) verifyEntries(ctx context.Context, ti *tableIndex, entries []run.Entry, ts types.TS, limit int, decode bool, tr *obs.QueryTrace) ([]verifiedEntry, error) {
-	out := make([]verifiedEntry, 0, len(entries))
-	for i, entry := range entries {
-		if i%verifyCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+		chunk := entries[:min(len(entries), verifyCheckEvery)]
+		entries = entries[len(chunk):]
+		first := len(out)
+		out = slices.Grow(out, len(chunk))
+		keys = keys[:0]
+		for i := range chunk {
+			ve := verifiedEntry{entry: &chunk[i]}
+			if decode {
+				var err error
+				if ve.flat, err = ti.decodeFlat(chunk[i]); err != nil {
+					return nil, err
+				}
 			}
+			if !ti.primary() {
+				pkEq, pkSort := ti.pkFromFlat(ve.flat)
+				keys = append(keys, core.LookupKey{Equality: pkEq, Sort: pkSort})
+			}
+			out = append(out, ve)
 		}
-		ve, ok, err := e.verifyEntry(ti, entry, ts, decode, tr)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
+		if ti.primary() {
 			continue
 		}
-		out = append(out, ve)
-		if limit > 0 && len(out) >= limit {
-			break
+		e.mx.backChecks.Add(int64(len(chunk)))
+		tr.AddBackChecked(int64(len(chunk)))
+		current, found, err := e.idx.LookupBatch(keys, ts)
+		if err != nil {
+			return nil, err
 		}
+		kept := out[:first]
+		for i, ve := range out[first:] {
+			if found[i] && current[i].BeginTS == ve.entry.BeginTS {
+				kept = append(kept, ve)
+			}
+		}
+		if dropped := int64(len(out) - len(kept)); dropped > 0 {
+			e.mx.backCheckDrops.Add(dropped)
+			tr.AddBackCheckDropped(dropped)
+		}
+		out = kept
 	}
 	return out, nil
 }
 
-// scanStreamOn streams the newest visible version of every key matching
-// the equality values and the inclusive bounds on a prefix of the
-// chosen index's sort columns, in index-key order ("" is the primary).
-// The raw index walk runs up front (bounded by opts.Limit when set);
-// data blocks — and, for unlimited scans, the per-entry verification
-// back-check — run lazily per Next, honoring the context. The cursor
-// holds a query-gate epoch until Close or exhaustion.
-func (e *shard) scanStreamOn(ctx context.Context, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) (*Cursor[Record], error) {
-	next, release, err := e.openIndexScan(ctx, index, eq, sortLo, sortHi, opts, false)
-	if err != nil {
-		return nil, err
-	}
-	fetch := func() (Record, bool, error) {
-		ve, ok, err := next()
-		if err != nil || !ok {
-			return Record{}, false, err
-		}
-		rec, err := e.fetch(ctx, ve.entry.RID)
-		if err != nil {
-			return Record{}, false, err
-		}
-		return rec, true, nil
-	}
-	return newCursor(fetch, release), nil
+// indexScan is one ordered scan of an index: the equality values,
+// inclusive bounds on a prefix of its sort columns, and a row limit
+// (0 = all). exact reports that the bounds absorb the query's filter,
+// so every verified entry becomes a row and the limit may bound the raw
+// index walk; decode asks for every entry's decoded values.
+type indexScan struct {
+	index      string
+	eq, lo, hi []keyenc.Value
+	limit      int
+	exact      bool
+	decode     bool
 }
 
-// indexOnlyStreamOn is scanStreamOn without record fetches: result rows
-// are assembled entirely from the chosen index, in its effective column
-// order (equality, sort — including the primary-key uniquifier for
-// secondaries — then included columns). Verification still runs, but
-// touches only the primary index, never a data block.
-func (e *shard) indexOnlyStreamOn(ctx context.Context, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) (*Cursor[[]keyenc.Value], error) {
-	next, release, err := e.openIndexScan(ctx, index, eq, sortLo, sortHi, opts, true)
-	if err != nil {
-		return nil, err
-	}
-	fetch := func() ([]keyenc.Value, bool, error) {
-		ve, ok, err := next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		return ve.flat, true, nil
-	}
-	return newCursor(fetch, release), nil
-}
+// rowStep turns one verified entry into a result on the shard that
+// produced it — in its scatter worker, so record fetches overlap across
+// shards. ok=false drops the entry (a residual filter rejected it).
+type rowStep[T any] func(ctx context.Context, e *shard, ve verifiedEntry) (T, bool, error)
 
-// openIndexScan is the shared front half of the streaming scans: enter
-// the query gate, resolve the index, run the raw index walk, and return
-// a pull function over verified entries. Limited scans verify eagerly —
-// the existing over-fetch/retry machinery bounds the work to ~4x the
-// limit. Unlimited scans verify LAZILY, one entry per pull: the raw
-// entries are materialized (that is the core index's scan contract),
-// but the expensive part — per-candidate decode and primary back-check
-// — happens only as the consumer advances, so an early Close abandons
-// it. The returned release func exits the gate epoch and must be called
-// exactly once (the cursors do this via Close).
-func (e *shard) openIndexScan(ctx context.Context, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions, decode bool) (func() (verifiedEntry, bool, error), func() error, error) {
+// indexStream is the one ordered index scan of a shard: it walks the
+// index at the query timestamp, back-checks the candidates a chunk at a
+// time, and emits step's results lazily in index-key order, each keyed
+// by its entry's key bytes for the cross-shard merge. A limited scan
+// stops after sc.limit results, and no chunk holds more candidates than
+// results still wanted. An exact limited scan also bounds the walk:
+// sc.limit entries on the primary, 4x on a secondary, whose back-check
+// may drop candidates. If that window runs dry short of the limit, one
+// unbounded walk resumes after the window's last key — nothing is
+// verified twice. The cursor holds a query-gate epoch until Close or
+// exhaustion.
+func indexStream[T any](ctx context.Context, e *shard, sc indexScan, opts QueryOptions, step rowStep[T]) (*Cursor[shardItem[T]], error) {
 	if e.closed.Load() {
-		return nil, nil, fmt.Errorf("wildfire: engine closed")
+		return nil, fmt.Errorf("wildfire: engine closed")
 	}
-	ti, err := e.lookupIndex(index)
+	ti, err := e.lookupIndex(sc.index)
 	if err != nil {
-		return nil, nil, err
-	}
-	if len(eq) != len(ti.spec.Equality) {
-		return nil, nil, fmt.Errorf("wildfire: index %q scan requires all equality values (%d, want %d)",
-			ti.name, len(eq), len(ti.spec.Equality))
+		return nil, err
 	}
 	ts := e.resolveTS(opts)
+	window := 0
+	if sc.exact && sc.limit > 0 {
+		window = sc.limit
+		if !ti.primary() {
+			window *= 4
+		}
+	}
 	epoch := e.gate.enter()
 	release := func() error { e.gate.exit(epoch); return nil }
-
-	if opts.Limit > 0 {
-		ves, err := e.indexScanEntries(ctx, ti, eq, sortLo, sortHi, ts, opts.Limit, decode, opts.Trace)
-		if err != nil {
-			release()
-			return nil, nil, err
-		}
-		i := 0
-		next := func() (verifiedEntry, bool, error) {
-			if err := ctx.Err(); err != nil {
-				return verifiedEntry{}, false, err
-			}
-			if i >= len(ves) {
-				return verifiedEntry{}, false, nil
-			}
-			ve := ves[i]
-			i++
-			return ve, true, nil
-		}
-		return next, release, nil
-	}
-
-	entries, err := ti.idx.RangeScan(core.ScanOptions{
-		Equality: eq,
-		SortLo:   sortLo,
-		SortHi:   sortHi,
-		TS:       ts,
-	})
+	walk := core.ScanOptions{Equality: sc.eq, SortLo: sc.lo, SortHi: sc.hi, TS: ts, Limit: window}
+	raw, err := ti.idx.RangeScan(walk)
 	if err != nil {
 		release()
-		return nil, nil, err
+		return nil, err
 	}
-	i := 0
-	next := func() (verifiedEntry, bool, error) {
+	resume := window > 0 && len(raw) == window
+	var buf []verifiedEntry
+	var last run.Entry
+	next, emitted := 0, 0
+	fetch := func() (shardItem[T], bool, error) {
 		for {
-			if i%verifyCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return verifiedEntry{}, false, err
+			for next < len(buf) {
+				ve := buf[next]
+				next++
+				v, ok, err := step(ctx, e, ve)
+				if err != nil {
+					return shardItem[T]{}, false, err
+				}
+				if ok {
+					emitted++
+					return shardItem[T]{val: v, key: ve.entry.Key}, true, nil
 				}
 			}
-			if i >= len(entries) {
-				return verifiedEntry{}, false, nil
+			if err := ctx.Err(); err != nil {
+				return shardItem[T]{}, false, err
 			}
-			entry := entries[i]
-			i++
-			ve, ok, err := e.verifyEntry(ti, entry, ts, decode, opts.Trace)
-			if err != nil {
-				return verifiedEntry{}, false, err
+			if sc.limit > 0 && emitted >= sc.limit {
+				return shardItem[T]{}, false, nil
 			}
-			if !ok {
+			if len(raw) == 0 {
+				if !resume {
+					return shardItem[T]{}, false, nil
+				}
+				// The window ran dry: walk on, unbounded, from the
+				// window's last key (inclusive, so skip it).
+				resume = false
+				flat, err := ti.decodeFlat(last)
+				if err != nil {
+					return shardItem[T]{}, false, err
+				}
+				nEq := len(ti.spec.Equality)
+				walk.SortLo, walk.Limit = flat[nEq:nEq+len(ti.spec.Sort)], 0
+				if raw, err = ti.idx.RangeScan(walk); err != nil {
+					return shardItem[T]{}, false, err
+				}
+				for len(raw) > 0 && bytes.Compare(raw[0].Key, last.Key) <= 0 {
+					raw = raw[1:]
+				}
 				continue
 			}
-			return ve, true, nil
+			n := min(len(raw), verifyCheckEvery)
+			if sc.limit > 0 {
+				n = min(n, sc.limit-emitted)
+			}
+			if buf, err = e.backCheck(ctx, ti, raw[:n], ts, sc.decode, opts.Trace, buf[:0]); err != nil {
+				return shardItem[T]{}, false, err
+			}
+			last, raw, next = raw[n-1], raw[n:], 0
 		}
 	}
-	return next, release, nil
+	return newCursor(fetch, release), nil
 }

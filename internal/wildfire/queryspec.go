@@ -20,17 +20,21 @@ import (
 //   - point get: the filter pins the whole primary key with equality
 //     constraints — one index lookup, one block fetch;
 //   - index scan: a forced (Via) or order-serving (OrderBy) index with
-//     its equality columns pinned — a verified streaming range scan,
-//     record fetches per row;
-//   - index-only scan: the same, when the index covers every referenced
-//     column — no data block is ever touched;
+//     its equality columns pinned — the verified index stream
+//     (indexStream), a record fetch per row;
+//   - index-only scan: the same stream, when the index covers every
+//     referenced column — rows come from the decoded entries and no
+//     data block is ever touched;
 //   - executor plan: everything else — aggregates, unordered row
 //     queries, non-conjunctive filters — evaluated block-at-a-time with
 //     the executor's own per-shard index selection (chooseIndex).
 //
-// Results stream: RunQuery returns a QueryRows whose cursor pulls rows
-// lazily and honors the context, so early close and cancellation
-// propagate into per-shard workers and block fetches.
+// The two index modes are one path, labelled apart only in traces and
+// metrics: each shard's stream builds, filters and projects its rows in
+// its own worker, and the coordinator merges the shards on entry key
+// bytes. Results stream: RunQuery returns a QueryRows whose cursor
+// pulls rows lazily and honors the context, so early close and
+// cancellation propagate into per-shard workers and block fetches.
 
 // QuerySpec is one declarative table query.
 type QuerySpec struct {
@@ -52,10 +56,14 @@ type QuerySpec struct {
 	// Limit truncates the result; 0 means unlimited.
 	Limit int
 	// TS is the snapshot timestamp; zero selects the newest groomed
-	// snapshot.
+	// snapshot — one cut across shards (SnapshotTS), except with
+	// IncludeLive, where each shard reads at its own groom boundary.
 	TS types.TS
 	// IncludeLive unions committed-but-ungroomed records into point gets
-	// and executor plans (index scans serve the indexed zones only).
+	// and executor plans (index scans serve the indexed zones only). At
+	// the default TS every shard reads its own newest groomed version
+	// plus its live zone, so a groom round that has reached only some
+	// shards hides no row.
 	IncludeLive bool
 	// NoIndexSelection forces executor plans to scan the zones even when
 	// the filter matches an index (baselines, ablations).
@@ -96,16 +104,12 @@ type compiledQuery struct {
 	bound *exec.BoundPlan
 	mode  queryMode
 
-	// Index modes.
-	index      string
-	ti         *tableIndex
-	eq, lo, hi []keyenc.Value
-	project    []int // table-column ordinals of the output columns
-	// pushLimit is set when the scan bounds absorb the filter exactly,
-	// so the residual filter drops nothing and the row limit may be
-	// pushed into the index scan itself (every scanned row is an
-	// emitted row). Otherwise the limit counts emissions only.
-	pushLimit bool
+	// Index modes: the index, its scan and the table-column ordinals of
+	// the output columns. A point get keeps its full key in scan.eq
+	// (equality) and scan.lo (sort).
+	ti      *tableIndex
+	scan    indexScan
+	project []int
 }
 
 // planQuery compiles a spec against a table and its index set. The
@@ -194,10 +198,10 @@ func planQuery(t TableDef, indexes []*tableIndex, spec QuerySpec) (*compiledQuer
 			cq.mode = modePointGet
 			cq.ti = primary
 			for _, c := range primary.spec.Equality {
-				cq.eq = append(cq.eq, cons.Eq[c])
+				cq.scan.eq = append(cq.scan.eq, cons.Eq[c])
 			}
 			for _, c := range primary.spec.Sort {
-				cq.lo = append(cq.lo, cons.Eq[c])
+				cq.scan.lo = append(cq.scan.lo, cons.Eq[c])
 			}
 			return cq, nil
 		}
@@ -207,25 +211,24 @@ func planQuery(t TableDef, indexes []*tableIndex, spec QuerySpec) (*compiledQuer
 }
 
 // bindIndexScan lowers a row query onto one index: scan bounds from the
-// constraints, covered test deciding index-only vs record fetches, and
-// the limit-pushdown decision (safe exactly when the bounds absorb the
-// whole filter, so the residual re-check drops nothing).
+// constraints, the covered test deciding index-only vs record fetches,
+// and whether the bounds absorb the whole filter (then the residual
+// re-check drops nothing, and the row limit may bound the index walk).
 func (cq *compiledQuery) bindIndexScan(t TableDef, ti *tableIndex, cons exec.IndexConstraints, pinned func(string) bool) error {
 	for _, c := range ti.spec.Equality {
 		if !pinned(c) {
 			return fmt.Errorf("wildfire: index %q needs the filter to pin equality column %q", ti.name, c)
 		}
 	}
-	cq.index = ti.name
 	cq.ti = ti
-	var consumed map[string]bool
-	cq.eq, cq.lo, cq.hi, consumed = ti.indexScanBounds(t, cons)
-	if ti.coversOrdinals(cq.bound.ReferencedOrdinals()) {
+	eq, lo, hi, consumed := ti.indexScanBounds(t, cons)
+	covered := ti.coversOrdinals(cq.bound.ReferencedOrdinals())
+	cq.mode = modeIndexScan
+	if covered {
 		cq.mode = modeIndexOnly
-	} else {
-		cq.mode = modeIndexScan
 	}
-	cq.pushLimit = filterAbsorbed(cq.spec.Filter, consumed)
+	cq.scan = indexScan{index: ti.name, eq: eq, lo: lo, hi: hi, limit: cq.spec.Limit,
+		exact: filterAbsorbed(cq.spec.Filter, consumed), decode: covered}
 	return nil
 }
 
@@ -294,11 +297,11 @@ func findIndexMeta(indexes []*tableIndex, name string) *tableIndex {
 func (s *ShardedEngine) runCompiled(ctx context.Context, cq *compiledQuery) (*QueryRows, error) {
 	spec := cq.spec
 	opts := QueryOptions{TS: spec.TS, IncludeLive: spec.IncludeLive, NoIndexSelection: spec.NoIndexSelection, Trace: spec.Trace}
-	spec.Trace.SetPlan(planLabel(cq.mode), cq.index)
+	spec.Trace.SetPlan(planLabel(cq.mode), cq.scan.index)
 
 	switch cq.mode {
 	case modePointGet:
-		rec, found, err := s.get(ctx, cq.eq, cq.lo, opts)
+		rec, found, err := s.get(ctx, cq.scan.eq, cq.scan.lo, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -316,59 +319,12 @@ func (s *ShardedEngine) runCompiled(ctx context.Context, cq *compiledQuery) (*Qu
 		}
 		return &QueryRows{Columns: cq.bound.Columns(), Cursor: newCursor(fetch, nil)}, nil
 
-	case modeIndexScan:
-		// The scan limit is pushed down when the bounds absorb the
-		// filter exactly (pushLimit); a residual filter can drop scanned
-		// rows, so otherwise the limit counts emissions only — the
-		// stream stops pulling (and cancels shard workers) as soon as it
-		// has them.
-		scanOpts := opts
-		if cq.pushLimit {
-			scanOpts.Limit = spec.Limit
-		}
-		cur, err := s.ScanStreamOn(ctx, cq.index, cq.eq, cq.lo, cq.hi, scanOpts)
+	case modeIndexScan, modeIndexOnly:
+		cur, err := tableIndexStream(ctx, s, cq.scan, opts, cq.indexRow)
 		if err != nil {
 			return nil, err
 		}
-		project := cq.project
-		fetch := limitedFetch(spec.Limit, func() ([]keyenc.Value, bool, error) {
-			for cur.Next() {
-				rec := cur.Value()
-				row := rec.Row
-				if !cq.bound.Matches(func(c int) keyenc.Value { return row[c] }) {
-					continue
-				}
-				return projectRow(row, project), true, nil
-			}
-			return nil, false, cur.Err()
-		})
-		return &QueryRows{Columns: cq.bound.Columns(), Cursor: newCursor(fetch, cur.Close)}, nil
-
-	case modeIndexOnly:
-		scanOpts := opts
-		if cq.pushLimit {
-			scanOpts.Limit = spec.Limit
-		}
-		cur, err := s.IndexOnlyStreamOn(ctx, cq.index, cq.eq, cq.lo, cq.hi, scanOpts)
-		if err != nil {
-			return nil, err
-		}
-		valPos, project := cq.ti.valPos, cq.project
-		fetch := limitedFetch(spec.Limit, func() ([]keyenc.Value, bool, error) {
-			for cur.Next() {
-				flat := cur.Value()
-				if !cq.bound.Matches(func(c int) keyenc.Value { return flat[valPos[c]] }) {
-					continue
-				}
-				out := make([]keyenc.Value, len(project))
-				for i, ord := range project {
-					out[i] = flat[valPos[ord]]
-				}
-				return out, true, nil
-			}
-			return nil, false, cur.Err()
-		})
-		return &QueryRows{Columns: cq.bound.Columns(), Cursor: newCursor(fetch, cur.Close)}, nil
+		return &QueryRows{Columns: cq.bound.Columns(), Cursor: cur}, nil
 
 	default: // modeExec
 		parts, err := s.execPartials(ctx, cq.bound, spec.Filter, opts)
@@ -387,22 +343,19 @@ func (s *ShardedEngine) runCompiled(ctx context.Context, cq *compiledQuery) (*Qu
 	}
 }
 
-// limitedFetch caps a fetch function at limit emissions (0 = no cap).
-func limitedFetch(limit int, fetch func() ([]keyenc.Value, bool, error)) func() ([]keyenc.Value, bool, error) {
-	if limit <= 0 {
-		return fetch
+// indexRow is an index plan's row step: the verified entry's row —
+// decoded when the index covers the query, fetched by RID otherwise —
+// through the residual filter, projected to the output columns.
+func (cq *compiledQuery) indexRow(ctx context.Context, e *shard, ve verifiedEntry) ([]keyenc.Value, bool, error) {
+	view, err := e.entryView(ctx, cq.ti, ve, cq.mode == modeIndexOnly)
+	if err != nil || !cq.bound.Matches(view) {
+		return nil, false, err
 	}
-	emitted := 0
-	return func() ([]keyenc.Value, bool, error) {
-		if emitted >= limit {
-			return nil, false, nil
-		}
-		row, ok, err := fetch()
-		if ok {
-			emitted++
-		}
-		return row, ok, err
+	out := make([]keyenc.Value, len(cq.project))
+	for i, ord := range cq.project {
+		out[i] = view(ord)
 	}
+	return out, true, nil
 }
 
 func projectRow(row Row, ords []int) []keyenc.Value {
@@ -443,7 +396,7 @@ func (s *ShardedEngine) RunQuery(ctx context.Context, spec QuerySpec) (*QueryRow
 	if s.closed.Load() {
 		return nil, fmt.Errorf("wildfire: engine closed")
 	}
-	if spec.TS == 0 {
+	if spec.TS == 0 && !spec.IncludeLive {
 		spec.TS = s.SnapshotTS()
 	}
 	start := time.Now()

@@ -8,6 +8,7 @@ import (
 	"umzi/internal/columnar"
 	"umzi/internal/exec"
 	"umzi/internal/keyenc"
+	"umzi/internal/obs"
 	"umzi/internal/storage"
 )
 
@@ -45,8 +46,9 @@ func byStatusAmount() SecondaryIndexSpec {
 	}
 }
 
-func newOrdersEngine(t *testing.T, mutate func(*ShardedConfig)) *shard {
-	t.Helper()
+// ordersConfig is the orders table with both secondaries and a small
+// merge fan-out, so a few grooms already build several runs.
+func ordersConfig() ShardedConfig {
 	cfg := ShardedConfig{
 		Table:       ordersTestTable(),
 		Index:       ordersPrimary(),
@@ -57,6 +59,12 @@ func newOrdersEngine(t *testing.T, mutate func(*ShardedConfig)) *shard {
 	cfg.IndexTuning.GroomedLevels = 3
 	cfg.IndexTuning.PostGroomedLevels = 2
 	cfg.IndexTuning.BlockSize = 1024
+	return cfg
+}
+
+func newOrdersEngine(t *testing.T, mutate func(*ShardedConfig)) *shard {
+	t.Helper()
+	cfg := ordersConfig()
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -519,13 +527,91 @@ func TestRecoveryAfterFullReclamation(t *testing.T) {
 	}
 }
 
-// TestSecondaryLimitedScanWidens pins the over-fetch/rescan behavior of
+// TestSecondaryLimitedScanWidens pins the over-fetch/resume behavior of
 // limited secondary scans: when stale entries outnumber the over-fetch
-// headroom (4x the limit), the scan must widen and still find the
-// matching rows instead of returning short.
+// window (4x the limit), the scan must walk on and still find the
+// matching rows instead of returning short — resuming after the
+// window's last key, so no candidate is back-checked twice and no row
+// is emitted twice. One shard, and four shards whose windows run dry
+// independently under the merge.
 func TestSecondaryLimitedScanWidens(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := ordersConfig()
+			cfg.Shards = shards
+			s, err := NewShardedEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			// 40 ids in amer and 40 in apac.
+			for i := int64(0); i < 40; i++ {
+				if err := s.UpsertRows(0, orderRow(i, "amer", 0, i), orderRow(100+i, "apac", 0, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Groom(); err != nil {
+				t.Fatal(err)
+			}
+			// Move amer ids 0..35 and apac ids 101..135 to emea: their
+			// old entries are now stale. In amer the stale entries sort
+			// before the four ids still there; in apac id 100 still
+			// leads them, so a row is emitted before the window runs dry.
+			for i := int64(0); i < 36; i++ {
+				rows := []Row{orderRow(i, "emea", 1, i)}
+				if i > 0 {
+					rows = append(rows, orderRow(100+i, "emea", 1, i))
+				}
+				if err := s.UpsertRows(0, rows...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Groom(); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				region string
+				limit  int
+				want   []int64
+			}{
+				{"amer", 2, []int64{36, 37}},
+				{"amer", 4, []int64{36, 37, 38, 39}},
+				{"apac", 2, []int64{100, 136}},
+				{"apac", 3, []int64{100, 136, 137}},
+			} {
+				tr := obs.NewQueryTrace()
+				recs, err := tableScanOnLimit(s, "by_region", []keyenc.Value{keyenc.Str(c.region)}, nil, nil, QueryOptions{Trace: tr}, c.limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []int64
+				for _, r := range recs {
+					got = append(got, r.Row[0].Int())
+				}
+				if fmt.Sprint(got) != fmt.Sprint(c.want) {
+					t.Fatalf("%s limit %d after heavy staleness = %v, want ids %v", c.region, c.limit, got, c.want)
+				}
+				// 40 raw entries carry the region at the snapshot; each is
+				// back-checked at most once.
+				if n := tr.Snapshot().BackChecked; n > 40 {
+					t.Fatalf("%s limit %d: %d back-checks over 40 candidates", c.region, c.limit, n)
+				}
+			}
+			rec, found, err := tableGetOn(s, "by_region", []keyenc.Value{keyenc.Str("amer")}, nil, QueryOptions{})
+			if err != nil || !found || rec.Row[0].Int() != 36 {
+				t.Fatalf("GetOn after heavy staleness: found=%v rec=%v err=%v, want id 36", found, rec.Row, err)
+			}
+		})
+	}
+}
+
+// TestSecondaryBackCheckBatched pins the batched verifier: an unlimited
+// secondary scan back-checks its candidates with one primary
+// LookupBatch per verifyCheckEvery of them, not one lookup each.
+func TestSecondaryBackCheckBatched(t *testing.T) {
 	e := newOrdersEngine(t, nil)
-	for i := int64(0); i < 40; i++ {
+	const n = 2*verifyCheckEvery + 17
+	for i := int64(0); i < n; i++ {
 		if err := e.upsert(0, orderRow(i, "amer", 0, i)); err != nil {
 			t.Fatal(err)
 		}
@@ -533,26 +619,17 @@ func TestSecondaryLimitedScanWidens(t *testing.T) {
 	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	// Move ids 0..35 out of amer: their by_region entries under "amer"
-	// are now stale, and they sort before the four ids still there.
-	for i := int64(0); i < 36; i++ {
-		if err := e.upsert(0, orderRow(i, "emea", 1, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.groomCount(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := scanOn(e, "by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{Limit: 2})
+	before := e.idx.Stats().Queries
+	recs, err := scanOn(e, "by_region", []keyenc.Value{keyenc.Str("amer")}, nil, nil, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].Row[0].Int() != 36 || recs[1].Row[0].Int() != 37 {
-		t.Fatalf("limited scan after heavy staleness = %v, want ids 36,37", recs)
+	if len(recs) != n {
+		t.Fatalf("scan returned %d rows, want %d", len(recs), n)
 	}
-	rec, found, err := getOn(e, "by_region", []keyenc.Value{keyenc.Str("amer")}, nil, QueryOptions{})
-	if err != nil || !found || rec.Row[0].Int() != 36 {
-		t.Fatalf("GetOn after heavy staleness: found=%v rec=%v err=%v, want id 36", found, rec.Row, err)
+	want := int64((n + verifyCheckEvery - 1) / verifyCheckEvery)
+	if got := e.idx.Stats().Queries - before; got != want {
+		t.Fatalf("primary index queries = %d for %d candidates, want %d (one batch per %d)", got, n, want, verifyCheckEvery)
 	}
 }
 
@@ -738,7 +815,7 @@ func TestShardedSecondaryQueries(t *testing.T) {
 			}
 		}
 		// Limit pushdown through the merge.
-		limited, err := tableScanOn(s, "by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{Limit: 5})
+		limited, err := tableScanOnLimit(s, "by_region", []keyenc.Value{keyenc.Str(region)}, nil, nil, QueryOptions{}, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

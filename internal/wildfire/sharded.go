@@ -113,12 +113,12 @@ type ShardedEngine struct {
 	// bundles (same registry, shard-qualified table label).
 	mx *engineMetrics
 
-	// primaryMeta is the primary index's routing/merge metadata (the
+	// primaryMeta is the primary index's routing metadata (the
 	// sharded-level analogue of a shard's tableIndex, with no core index
-	// attached); merge-key extraction reads its sortIdx.
+	// attached).
 	primaryMeta *tableIndex
 
-	// secondaries holds per-secondary routing/merge metadata (no index
+	// secondaries holds per-secondary routing metadata (no index
 	// instance — those live in the shards); createMu serializes whole
 	// CreateIndex operations across callers.
 	secMu       sync.Mutex
@@ -234,7 +234,7 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	for _, e := range s.shards {
 		e.alignGroomCycle(max)
 	}
-	// Register routing/merge metadata for every secondary the shards
+	// Register routing metadata for every secondary the shards
 	// hold — declared ones plus any recovered from the shard catalogs.
 	// The union is taken across ALL shards and healed everywhere: a crash
 	// mid-CreateIndex can leave an index on a subset of shards, and
@@ -303,8 +303,13 @@ func (s *ShardedEngine) SnapshotTS() types.TS {
 	return min
 }
 
+// resolveTS pins a default read (TS 0) to SnapshotTS, so every shard is
+// cut at one groomed prefix. A default read that includes live keeps TS
+// 0: each shard then reads at its own groom boundary plus its live
+// zone, which loses no row while a groom round has reached only some
+// shards (a shard past SnapshotTS no longer holds those rows live).
 func (s *ShardedEngine) resolveTS(opts QueryOptions) types.TS {
-	if opts.TS == 0 {
+	if opts.TS == 0 && !opts.IncludeLive {
 		return s.SnapshotTS()
 	}
 	return opts.TS
@@ -616,7 +621,7 @@ func (s *ShardedEngine) GetBatch(keys []core.LookupKey, opts QueryOptions) ([]Re
 	return out, found, nil
 }
 
-// indexMeta resolves the sharded layer's routing/merge metadata for an
+// indexMeta resolves the sharded layer's routing metadata for an
 // index choice ("" is the primary).
 func (s *ShardedEngine) indexMeta(index string) (*tableIndex, error) {
 	if index == "" {
@@ -639,66 +644,43 @@ func (s *ShardedEngine) pinStream(ti *tableIndex, eq []keyenc.Value) (int, bool)
 	return s.pinSecondary(ti, eq)
 }
 
-// ScanStreamOn streams Scan through a chosen index across shards: pin
-// to one shard when the sharding key is contained in the index's
-// equality columns, otherwise scatter one worker per shard and k-way
-// merge the per-shard streams on the index's effective sort columns
-// (which embed the primary key for secondaries, so merge keys are
-// unique across shards). Closing the cursor early — or cancelling ctx —
-// stops the workers; they are waited out before Close returns.
-func (s *ShardedEngine) ScanStreamOn(ctx context.Context, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) (*Cursor[Record], error) {
-	ti, opts, err := s.openStream(index, eq, opts)
-	if err != nil {
-		return nil, err
-	}
-	if shard, ok := s.pinStream(ti, eq); ok {
-		return s.shards[shard].scanStreamOn(ctx, index, eq, sortLo, sortHi, opts)
-	}
-	sortIdx := ti.sortIdx
-	return scatterStream(ctx, s.pool, len(s.shards), opts.Limit,
-		func(ctx context.Context, shard int) (*Cursor[Record], error) {
-			return s.shards[shard].scanStreamOn(ctx, index, eq, sortLo, sortHi, opts)
-		},
-		func(r Record) []byte { return sortKeyOfRecord(sortIdx, &r) },
-		s.mx.onReleaseErr,
-	), nil
-}
-
-// IndexOnlyStreamOn is ScanStreamOn assembled entirely from the shards'
-// chosen indexes: scatter (or pin), then sort-merge the per-shard
-// index-only streams on the effective sort columns.
-func (s *ShardedEngine) IndexOnlyStreamOn(ctx context.Context, index string, eq, sortLo, sortHi []keyenc.Value, opts QueryOptions) (*Cursor[[]keyenc.Value], error) {
-	ti, opts, err := s.openStream(index, eq, opts)
-	if err != nil {
-		return nil, err
-	}
-	if shard, ok := s.pinStream(ti, eq); ok {
-		return s.shards[shard].indexOnlyStreamOn(ctx, index, eq, sortLo, sortHi, opts)
-	}
-	nEq, nSort := len(ti.spec.Equality), len(ti.spec.Sort)
-	return scatterStream(ctx, s.pool, len(s.shards), opts.Limit,
-		func(ctx context.Context, shard int) (*Cursor[[]keyenc.Value], error) {
-			return s.shards[shard].indexOnlyStreamOn(ctx, index, eq, sortLo, sortHi, opts)
-		},
-		func(row []keyenc.Value) []byte { return sortKeyOfIndexRow(nEq, nSort, row) },
-		s.mx.onReleaseErr,
-	), nil
-}
-
-// openStream validates a streaming scan and resolves its index metadata
-// and timestamp.
-func (s *ShardedEngine) openStream(index string, eq []keyenc.Value, opts QueryOptions) (*tableIndex, QueryOptions, error) {
+// tableIndexStream opens the one ordered index stream of the table:
+// pinned to the single shard able to serve it, or scattered to every
+// shard with the per-shard indexStreams k-way merged on their entries'
+// key bytes. Those bytes order like the index key and share the
+// equality prefix on every shard, and secondary keys embed the primary
+// key, so they merge without re-encoding and never tie across shards.
+// Closing the cursor early — or cancelling ctx — stops the workers;
+// they are waited out before Close returns.
+func tableIndexStream[T any](ctx context.Context, s *ShardedEngine, sc indexScan, opts QueryOptions, step rowStep[T]) (*Cursor[T], error) {
 	if s.closed.Load() {
-		return nil, opts, fmt.Errorf("wildfire: engine closed")
+		return nil, fmt.Errorf("wildfire: engine closed")
 	}
-	ti, err := s.indexMeta(index)
+	ti, err := s.indexMeta(sc.index)
 	if err != nil {
-		return nil, opts, err
+		return nil, err
 	}
-	if len(eq) != len(ti.spec.Equality) {
-		return nil, opts, fmt.Errorf("wildfire: index %q scan requires all equality values (%d, want %d)",
-			ti.name, len(eq), len(ti.spec.Equality))
+	if len(sc.eq) != len(ti.spec.Equality) {
+		return nil, fmt.Errorf("wildfire: index %q scan requires all equality values (%d, want %d)",
+			ti.name, len(sc.eq), len(ti.spec.Equality))
 	}
 	opts.TS = s.resolveTS(opts)
-	return ti, opts, nil
+	open := func(ctx context.Context, shard int) (*Cursor[shardItem[T]], error) {
+		return indexStream(ctx, s.shards[shard], sc, opts, step)
+	}
+	shard, pinned := s.pinStream(ti, sc.eq)
+	if !pinned {
+		return scatterStream(ctx, s.pool, len(s.shards), sc.limit, open, s.mx.onReleaseErr), nil
+	}
+	cur, err := open(ctx, shard)
+	if err != nil {
+		return nil, err
+	}
+	return newCursor(func() (T, bool, error) {
+		if cur.Next() {
+			return cur.Value().val, true, nil
+		}
+		var zero T
+		return zero, false, cur.Err()
+	}, cur.Close), nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"umzi/internal/core"
+	"umzi/internal/exec"
 	"umzi/internal/keyenc"
 	"umzi/internal/storage"
 	"umzi/internal/types"
@@ -352,6 +353,44 @@ func TestShardedSnapshotLockstep(t *testing.T) {
 			t.Fatalf("shard %d at cycle %d, shard 0 at %d", i, c, c0)
 		}
 	}
+}
+
+// TestShardedLiveReadMidGroomRound pins the default read point of a
+// read that includes live: while a lockstep groom round has reached only
+// some shards, COUNT(*) must still count every committed row. Resolving
+// TS 0 to SnapshotTS (the minimum over shards) would cut the groomed
+// shard below its new groom boundary, where it no longer reads live —
+// its just-groomed rows would vanish until the round finishes.
+func TestShardedLiveReadMidGroomRound(t *testing.T) {
+	s := newTestShardedEngine(t, 4, nil)
+	for dev := int64(0); dev < 40; dev++ {
+		if err := s.UpsertRows(0, row(dev, 0, 1, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := func(stage string) {
+		t.Helper()
+		qr, err := s.RunQuery(context.Background(), QuerySpec{Aggs: []exec.Agg{{Func: exec.Count}}, IncludeLive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := drainCursor(qr.Cursor, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := rows[0][0].Int(); n != 40 {
+			t.Fatalf("%s: COUNT(*) with live = %d, want 40", stage, n)
+		}
+	}
+	count("all live")
+	if _, err := s.shards[0].groomCount(); err != nil {
+		t.Fatal(err)
+	}
+	count("shard 0 groomed")
+	if err := s.Groom(); err != nil {
+		t.Fatal(err)
+	}
+	count("round finished")
 }
 
 func TestShardedRecovery(t *testing.T) {

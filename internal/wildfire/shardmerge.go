@@ -3,18 +3,16 @@ package wildfire
 import (
 	"context"
 	"sync"
-
-	"umzi/internal/keyenc"
 )
 
 // Scatter-gather machinery of the sharding layer: a bounded worker pool
 // that fans a batch task out to every shard concurrently. Ordered
-// scatter-gather scans stream through scatterStream (stream.go) instead
-// — per-shard workers feeding a k-way merge — with their eager phase
-// (index walks, verification) admitted through this same pool, so the
-// pool bounds the heavy work of every path: grooming rounds, batched
-// lookups, unordered scans, pushed-down analytical plans and the
-// streaming scans' startup.
+// index scans stream through scatterStream (stream.go) instead —
+// per-shard indexStream workers feeding a k-way merge on the entries'
+// key bytes — with their eager phase (the raw index walk) admitted
+// through this same pool, so the pool bounds the heavy work of every
+// path: grooming rounds, batched lookups, unordered scans, pushed-down
+// analytical plans and the streaming scans' startup.
 
 // gatherPool bounds the number of per-shard tasks running at once. One
 // pool is shared by every batch query of a ShardedEngine, so a burst of
@@ -72,21 +70,4 @@ func (p *gatherPool) each(ctx context.Context, n int, f func(int) error) error {
 		}
 	}
 	return ctx.Err()
-}
-
-// sortKeyOfRecord encodes the sort-column values of a record for merging,
-// using the spec's sort-column ordinals in the table row.
-func sortKeyOfRecord(sortIdx []int, rec *Record) []byte {
-	var scratch [4]keyenc.Value
-	vals := scratch[:0]
-	for _, i := range sortIdx {
-		vals = append(vals, rec.Row[i])
-	}
-	return keyenc.AppendComposite(nil, vals...)
-}
-
-// sortKeyOfIndexRow encodes the sort-column values of an index-only
-// result row (layout: equality, sort, included — §4.1).
-func sortKeyOfIndexRow(nEq, nSort int, row []keyenc.Value) []byte {
-	return keyenc.AppendComposite(nil, row[nEq:nEq+nSort]...)
 }

@@ -86,8 +86,8 @@ func (c *Cursor[T]) Close() error {
 // enough that an abandoned query has little in flight.
 const streamBuf = 64
 
-// shardItem is one value of a per-shard stream with its precomputed
-// merge key (computed in the worker, so key encoding parallelizes). A
+// shardItem is one value of a per-shard stream with its merge key (an
+// index scan's is its entry's key bytes, so no key is encoded). A
 // worker that fails delivers its error IN-BAND as the stream's final
 // item: the merge encounters it exactly when it would next need that
 // shard's rows, so a limited scan can never paper over a failed shard
@@ -129,7 +129,7 @@ func (h *streamHeap[T]) Pop() interface{} {
 
 // scatterStream fans a streaming scan out to nShards workers and k-way
 // merges their ordered streams into one cursor. open must honor the
-// context it is given; keyOf extracts the merge key of one item. limit
+// context it is given; its items carry their merge keys. limit
 // caps the merged emission (0 = unlimited) — per-shard limits are the
 // open callback's business (limit pushdown). The merged cursor's Close
 // cancels the workers and waits for them, so cancellation propagates
@@ -148,17 +148,15 @@ func (h *streamHeap[T]) Pop() interface{} {
 // The goroutines themselves are per query (a cursor may stay open at
 // the consumer's pleasure, so tying its streaming to a shared pool
 // would let one idle cursor starve every other query), but the
-// expensive eager phase — each shard's index walk and verification
-// pass inside open — is bounded by the engine's scatter-gather pool: a
-// burst of concurrent streaming queries cannot run shards×queries
-// index scans at once. The slot is held only across open, never across
-// a channel send.
+// expensive eager phase — each shard's raw index walk inside open — is
+// bounded by the engine's scatter-gather pool: a burst of concurrent
+// streaming queries cannot run shards×queries index walks at once. The
+// slot is held only across open, never across a channel send.
 func scatterStream[T any](
 	parent context.Context,
 	pool *gatherPool,
 	nShards, limit int,
-	open func(ctx context.Context, shard int) (*Cursor[T], error),
-	keyOf func(v T) []byte,
+	open func(ctx context.Context, shard int) (*Cursor[shardItem[T]], error),
 	onReleaseErr func(error),
 ) *Cursor[T] {
 	ctx, cancel := context.WithCancel(parent)
@@ -226,7 +224,7 @@ func scatterStream[T any](
 			}()
 			for cur.Next() {
 				select {
-				case src.ch <- shardItem[T]{val: cur.Value(), key: keyOf(cur.Value())}:
+				case src.ch <- cur.Value():
 				case <-ctx.Done():
 					return
 				}
