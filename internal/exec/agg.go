@@ -116,6 +116,9 @@ type Partial struct {
 	// memory (limit pushdown: the global first Limit rows in encoded
 	// order are within the union of the per-shard first Limit rows).
 	rowKeys [][]byte
+	// arena is the unused tail of the chunk the next projected rows are
+	// carved from (newRow).
+	arena []keyenc.Value
 
 	keyBuf []byte // group-key scratch
 
@@ -150,7 +153,7 @@ func (p *Partial) NumGroups() int { return len(p.groups) }
 func (p *Partial) Add(row RowView) {
 	b := p.plan
 	if !b.Aggregating() {
-		out := make([]keyenc.Value, len(b.project))
+		out := p.newRow()
 		for i, c := range b.project {
 			out[i] = row(c)
 		}
@@ -172,6 +175,28 @@ func (p *Partial) Add(row RowView) {
 		}
 		g.accs[i].add(a.fn, a.kind, v)
 	}
+}
+
+// Arena chunk sizes, in rows: a chunk holds as many rows as the partial
+// already has, within these bounds, so a small result stays small and a
+// large one pays one allocation per maxArenaRows rows.
+const (
+	minArenaRows = 64
+	maxArenaRows = 1024
+)
+
+// newRow carves one projected row from the partial's arena. The row is
+// capped at its length, so a caller's append copies instead of writing
+// into the next row; a spent chunk is never reused, so rows already
+// handed out stay valid.
+func (p *Partial) newRow() []keyenc.Value {
+	n := len(p.plan.project)
+	if len(p.arena) < n {
+		p.arena = make([]keyenc.Value, n*min(max(len(p.rows), minArenaRows), maxArenaRows))
+	}
+	row := p.arena[:n:n]
+	p.arena = p.arena[n:]
+	return row
 }
 
 // group returns the state of the group that row's GROUP BY values
@@ -351,9 +376,13 @@ func (p *Partial) truncateToLimit() {
 
 // Result is a finalized query result: output column names and rows.
 // Aggregate results carry one row per group (group-by values first, then
-// one value per aggregate) sorted by group key; row-query results are the
-// projected rows sorted by their encoded values. Both orders are
-// deterministic regardless of shard count and block layout.
+// one value per aggregate) sorted by group key, whatever the shard count
+// and block layout. Limited row-query results are the first Limit
+// projected rows in encoded-value order, likewise layout-independent.
+// Unlimited row-query results are unsorted: each partial's rows in the
+// order they were added, the partials in the order Finalize was given
+// them — repeatable for the same partials, but it may differ across
+// shard counts and block layouts.
 type Result struct {
 	Columns []string
 	Rows    [][]keyenc.Value
@@ -379,9 +408,14 @@ func (it *RowIter) Next() ([]keyenc.Value, bool) { return it.next() }
 
 // FinalizeIter merges the partials (the coordinator step: partial
 // aggregates in, no rows shipped) and returns a RowIter streaming the
-// finalized rows in the result's deterministic order. It consumes the
-// partials; nil entries — shards with nothing — are skipped.
+// finalized rows in the result's order (see Result). It consumes the
+// partials; nil entries — shards with nothing — are skipped. An
+// unlimited row plan merges and sorts nothing: the iterator walks the
+// partials' rows where they lie.
 func (b *BoundPlan) FinalizeIter(parts ...*Partial) *RowIter {
+	if !b.Aggregating() && b.limit == 0 {
+		return b.concatIter(parts)
+	}
 	var merged *Partial
 	for _, p := range parts {
 		if p == nil {
@@ -434,17 +468,15 @@ func (b *BoundPlan) FinalizeIter(parts ...*Partial) *RowIter {
 		}
 		return it
 	}
+	// A limited row plan: the first Limit rows in encoded-value order,
+	// sorted on the keys its partials kept for pruning.
 	rows := merged.rows
 	sorted := false
 	i := 0
 	it.next = func() ([]keyenc.Value, bool) {
 		if !sorted {
 			sorted = true
-			keys := make([][]byte, len(rows))
-			for j, r := range rows {
-				keys[j] = keyenc.AppendComposite(nil, r...)
-			}
-			sort.Sort(&rowSorter{rows: rows, keys: keys})
+			sort.Sort(&rowSorter{rows: rows, keys: merged.rowKeys})
 		}
 		if i >= len(rows) {
 			return nil, false
@@ -454,6 +486,26 @@ func (b *BoundPlan) FinalizeIter(parts ...*Partial) *RowIter {
 		return capped(row, true)
 	}
 	return it
+}
+
+// concatIter hands out each partial's rows in the order they were
+// added, the partials in order.
+func (b *BoundPlan) concatIter(parts []*Partial) *RowIter {
+	var rows [][]keyenc.Value
+	return &RowIter{cols: b.outCols, next: func() ([]keyenc.Value, bool) {
+		for len(rows) == 0 {
+			if len(parts) == 0 {
+				return nil, false
+			}
+			if parts[0] != nil {
+				rows = parts[0].rows
+			}
+			parts = parts[1:]
+		}
+		row := rows[0]
+		rows = rows[1:]
+		return row, true
+	}}
 }
 
 // Finalize is FinalizeIter drained into a materialized Result.

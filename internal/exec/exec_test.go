@@ -278,6 +278,49 @@ func TestRowQuerySortAndLimit(t *testing.T) {
 	}
 }
 
+// TestRowQueryUnsortedOrder: an unlimited row query is not sorted.
+// Finalize hands out each partial's rows in the order they were added
+// and the partials in the order it was given them, nil ones skipped;
+// across more rows than one arena chunk holds, every row keeps its own
+// values, and appending to a returned row never writes into the next.
+func TestRowQueryUnsortedOrder(t *testing.T) {
+	b, err := Plan{Columns: []string{"id", "region"}}.Bind(testCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, p2 := b.NewPartial(), b.NewPartial()
+	var want []int64
+	for id := int64(2*maxArenaRows + 5); id > 0; id-- {
+		part := p1
+		if id <= maxArenaRows {
+			part = p2
+		}
+		part.Add(testRow(id, "r", 0, 0))
+	}
+	for id := int64(maxArenaRows); id > 0; id-- {
+		want = append(want, id)
+	}
+	for id := int64(2*maxArenaRows + 5); id > maxArenaRows; id-- {
+		want = append(want, id)
+	}
+	res := b.Finalize(p2, nil, p1)
+	if len(res.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(res.Rows), len(want))
+	}
+	for i, r := range res.Rows {
+		if len(r) != 2 || cap(r) != 2 {
+			t.Fatalf("row %d: len %d cap %d, want a capped 2-value row", i, len(r), cap(r))
+		}
+		if r[0].Int() != want[i] || string(r[1].Bytes()) != "r" {
+			t.Fatalf("row %d = %v, want id %d", i, r, want[i])
+		}
+	}
+	_ = append(res.Rows[0], keyenc.I64(-1))
+	if res.Rows[1][0].Int() != want[1] {
+		t.Fatalf("append to row 0 overwrote row 1: %v", res.Rows[1])
+	}
+}
+
 // TestRowQueryLimitPushdown checks that a limited row query's partials
 // hold at most Limit rows however many qualify, and that truncation
 // never changes the final answer: the global first Limit rows in

@@ -80,8 +80,9 @@ func (a Agg) outName() string {
 // Plan is one analytical query. Exactly two shapes exist:
 //
 //   - Row query (Aggs empty): the qualifying rows, projected to Columns
-//     (all user columns when empty), sorted by their encoded values for
-//     determinism, truncated to Limit when nonzero.
+//     (all user columns when empty). With a Limit, the first Limit rows
+//     in encoded-value order; without one, every row unsorted, in the
+//     order the partials produced them (see Result).
 //   - Aggregate query (Aggs nonempty): one output row per GROUP BY group
 //     (a single row without GroupBy), sorted by group key; groups with no
 //     qualifying rows do not appear — a query matching nothing yields an
@@ -96,9 +97,11 @@ type Plan struct {
 	GroupBy []string
 	// Aggs requests aggregation; empty makes this a row query.
 	Aggs []Agg
-	// Limit truncates the result rows after the deterministic sort;
-	// 0 means unlimited. For row queries the limit is also pushed into
-	// the per-shard partials, which keep at most Limit rows each.
+	// Limit truncates the result rows after the deterministic sort
+	// (encoded values for row queries, group keys for aggregates);
+	// 0 means unlimited, and an unlimited row query is not sorted. For
+	// row queries the limit is also pushed into the per-shard partials,
+	// which keep at most Limit rows each.
 	Limit int
 }
 

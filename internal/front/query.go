@@ -53,8 +53,11 @@ func (q *Query) Select(cols ...string) *Query {
 // OrderBy asks for rows ordered by the named columns. Order is served
 // from an index whose sort columns start with them (and whose equality
 // columns the filter pins); Run fails when no index qualifies. Without
-// OrderBy, row-query results come in the executor's deterministic
-// encoded-value order.
+// OrderBy, row-query results are unsorted. With a Limit they are the
+// first Limit rows in encoded-value order; without one they come shard
+// by shard in each shard's zone order, the same order for the same
+// table state on either transport, but not across shard counts,
+// layouts or grooms.
 func (q *Query) OrderBy(cols ...string) *Query {
 	q.spec.OrderBy = cols
 	return q

@@ -293,3 +293,56 @@ func TestAggregateAllocs(t *testing.T) {
 			shadowSmall, shadowSmallBlocks, shadowMore, 2*batch, shadowMoreBlocks, extra, perBlock)
 	}
 }
+
+// TestRowPlanAllocs: an unordered 3-column projection of a post-groomed
+// 16,384-row table, run and drained through RunQuery, allocates per
+// arena chunk and per block, not per row: its projected rows are carved
+// from the partial's arena, and finalizing encodes and sorts nothing.
+func TestRowPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds a varying number of allocations")
+	}
+	const rows, batch = 16 * 1024, 1024
+	s := newTestShardedEngine(t, 1, nil)
+	for from := 0; from < rows; from += batch {
+		out := make([]Row, batch)
+		for i := range out {
+			k := int64(from + i)
+			out[i] = row(k/64, k%64, float64(k%100), 100)
+		}
+		if err := s.UpsertRows(0, out...); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Groom(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PostGroom(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SyncIndex(); err != nil {
+		t.Fatal(err)
+	}
+	spec := QuerySpec{Columns: []string{"device", "msg", "reading"}, TS: types.MaxTS}
+	drain := func() int {
+		qr, err := s.RunQuery(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for qr.Cursor.Next() {
+			n++
+		}
+		if err := qr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := drain(); n != rows { // also warms the block cache
+		t.Fatalf("projection returned %d rows, want %d", n, rows)
+	}
+	allocs := testing.AllocsPerRun(10, func() { drain() })
+	if perRow := allocs / rows; perRow > 0.05 {
+		t.Errorf("row plan: %.0f allocations for %d rows (%.3f per row), budget 0.05 per row", allocs, rows, perRow)
+	}
+}

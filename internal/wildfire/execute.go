@@ -1,9 +1,11 @@
 package wildfire
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"umzi/internal/columnar"
@@ -28,7 +30,10 @@ import (
 // shadow_checks). Each shard reduces to an exec.Partial (per-group
 // aggregate states, not rows — row-shaped plans carry their qualifying
 // projected rows), which is what the coordinator merges before
-// finalizing (ShardedEngine.execPartials).
+// finalizing (ShardedEngine.execPartials). A shard adds its rows in one
+// stated order: post-groomed blocks in zone order, then the pending
+// winners in zone order, then the live rows in commit-sequence order;
+// an unlimited row plan emits them in exactly that order.
 
 // liveBest is the newest committed-but-ungroomed version of one key.
 type liveBest struct {
@@ -277,15 +282,22 @@ func visibleAt(syn exec.BlockSynopsis, nUser int, ts types.TS) bool {
 	return ok && types.TS(min.Uint()) <= ts
 }
 
-// addLiveRows feeds the qualifying live-zone rows into the partial,
-// through one view re-pointed per row.
+// addLiveRows feeds the qualifying live-zone rows into the partial in
+// commit-sequence order (unique per shard), through one view re-pointed
+// per row, so one live zone always yields one row order.
 func addLiveRows(part *exec.Partial, bound *exec.BoundPlan, live map[string]liveBest) {
 	var row Row
 	view := exec.RowView(func(c int) keyenc.Value { return row[c] })
+	var wins []liveBest
 	for _, best := range live {
 		row = best.row
 		if bound.Matches(view) {
-			part.Add(view)
+			wins = append(wins, best)
 		}
+	}
+	slices.SortFunc(wins, func(a, b liveBest) int { return cmp.Compare(a.seq, b.seq) })
+	for _, best := range wins {
+		row = best.row
+		part.Add(view)
 	}
 }

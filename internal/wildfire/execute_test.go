@@ -274,3 +274,111 @@ func TestShardedScanLimit(t *testing.T) {
 		t.Fatalf("executor plan limit 7: %d rows", len(rows))
 	}
 }
+
+// TestUnorderedRowOrderStated: an unlimited row query without OrderBy
+// is not sorted, but its order is stated and repeatable. On an unchanged
+// 4-shard table with post-groomed, pending and live rows, two runs
+// return the same rows in the same order; the rows come shard by shard,
+// each shard's post rows before its pending winners before its live
+// rows, and the live rows in commit order. The day column tags each
+// version's zone; a live row's reading is its commit counter.
+func TestUnorderedRowOrderStated(t *testing.T) {
+	s := newTestShardedEngine(t, 4, nil)
+	const postDay, pendingDay, liveDay = 100, 200, 300
+	var post []Row
+	for dev := int64(0); dev < 16; dev++ {
+		for msg := int64(0); msg < 16; msg++ {
+			post = append(post, row(dev, msg, float64(msg), postDay))
+		}
+	}
+	if err := s.UpsertRows(0, post...); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Groom(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PostGroom(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SyncIndex(); err != nil {
+		t.Fatal(err)
+	}
+	// Pending: updates of every fourth post key, and new keys.
+	var pending []Row
+	for dev := int64(0); dev < 16; dev++ {
+		for msg := int64(0); msg < 16; msg += 4 {
+			pending = append(pending, row(dev, msg, -1, pendingDay))
+		}
+		pending = append(pending, row(dev, 100, -1, pendingDay))
+	}
+	if err := s.UpsertRows(0, pending...); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Groom(); err != nil {
+		t.Fatal(err)
+	}
+	// Live, one commit each: updates of post and pending keys, new keys,
+	// and keys committed twice, whose second version wins.
+	commit := 0
+	for _, k := range [][2]int64{{3, 1}, {7, 100}, {0, 200}, {12, 5}, {3, 4}, {9, 200}, {0, 200}, {15, 100}, {3, 1}, {6, 9}} {
+		if err := s.UpsertRows(commit%2, row(k[0], k[1], float64(commit), liveDay)); err != nil {
+			t.Fatal(err)
+		}
+		commit++
+	}
+
+	spec := QuerySpec{IncludeLive: true}
+	run := func() [][]keyenc.Value {
+		rows, err := drainCursor(func() (*Cursor[[]keyenc.Value], error) {
+			qr, err := s.RunQuery(context.Background(), spec)
+			if err != nil {
+				return nil, err
+			}
+			return qr.Cursor, nil
+		}())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	first, second := run(), run()
+	if want := 16*16 + 16 + 2; len(first) != want { // two live keys are new
+		t.Fatalf("%d rows, want %d", len(first), want)
+	}
+	if len(second) != len(first) {
+		t.Fatalf("second run: %d rows, first %d", len(second), len(first))
+	}
+	for i := range first {
+		for c := range first[i] {
+			if keyenc.Compare(first[i][c], second[i][c]) != 0 {
+				t.Fatalf("row %d differs between runs: %v then %v", i, first[i], second[i])
+			}
+		}
+	}
+
+	lastShard, lastDay, lastCommit := -1, int64(0), -1.0
+	live := 0
+	for i, r := range first {
+		sh, day := s.router.shardOfRow(r), r[3].Int()
+		switch {
+		case sh < lastShard:
+			t.Fatalf("row %d %v: shard %d after shard %d", i, r, sh, lastShard)
+		case sh > lastShard:
+			lastShard, lastDay, lastCommit = sh, 0, -1
+		}
+		if day < lastDay {
+			t.Fatalf("row %d %v: day %d after day %d in shard %d (zones out of order)", i, r, day, lastDay, sh)
+		}
+		lastDay = day
+		if day == liveDay {
+			live++
+			if r[2].Float() <= lastCommit {
+				t.Fatalf("row %d %v: live commit %v after commit %v in shard %d", i, r, r[2].Float(), lastCommit, sh)
+			}
+			lastCommit = r[2].Float()
+		}
+	}
+	if live != 8 {
+		t.Fatalf("%d live rows, want 8 (10 commits, 2 keys twice)", live)
+	}
+}

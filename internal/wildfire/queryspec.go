@@ -46,8 +46,10 @@ type QuerySpec struct {
 	// OrderBy asks for rows ordered by these columns. Order is served
 	// from an index whose sort columns start with OrderBy and whose
 	// equality columns the filter pins; compilation fails when no index
-	// qualifies. Empty leaves row queries in the executor's
-	// deterministic (encoded-value) order.
+	// qualifies. Empty leaves row queries unsorted: a limited one
+	// returns the first Limit rows in encoded-value order, an unlimited
+	// one its rows in the executor's shard-by-shard zone order
+	// (execPartials), repeatable on one table state.
 	OrderBy []string
 	// GroupBy names the grouping columns of an aggregate query.
 	GroupBy []string
@@ -371,10 +373,16 @@ func projectRow(row Row, ords []int) []keyenc.Value {
 // records to an exec.Partial, and the coordinator merges the partial
 // aggregates — sum/count pairs and per-group accumulator maps, never
 // rows — at finalize. Row-shaped plans are the exception: shards return
-// their qualifying projected rows, concatenated and deterministically
-// sorted at finalize. Index selection runs per shard: every shard holds
-// the same index set, so the (deterministic) rule picks the same access
-// path everywhere.
+// their qualifying projected rows. Unlimited, they leave unsorted: shard
+// by shard in shard order, and within a shard in the order the shard
+// added them — post-groomed blocks, then pending winners, each in zone
+// order, then live rows in commit-sequence order (an index plan adds
+// its verified entries in index order, then live rows). One table state
+// therefore gives one row order; another shard count, layout or groom
+// may give another. Limited, they are sorted at finalize and cut to the
+// first Limit rows in encoded-value order. Index selection runs per
+// shard: every shard holds the same index set, so the (deterministic)
+// rule picks the same access path everywhere.
 func (s *ShardedEngine) execPartials(ctx context.Context, bound *exec.BoundPlan, filter exec.Expr, opts QueryOptions) ([]*exec.Partial, error) {
 	parts := make([]*exec.Partial, len(s.shards))
 	err := s.pool.each(ctx, len(s.shards), func(i int) error {
