@@ -256,8 +256,8 @@ func eqDrain(t *testing.T, what string, rows *umzi.Rows, err error) (cols, out [
 
 // eqSameRows fails unless got holds want's rows, row for row. Both
 // sides read one quiescent DB, and every result has one order on one
-// table state (OrderBy, group key, encoded values under a Limit, the
-// shards' zone order otherwise), so no spec shape is canonicalized.
+// table state (OrderBy, group key, the shards' zone order otherwise; a
+// Limit keeps a prefix of it), so no spec shape is canonicalized.
 func eqSameRows(t *testing.T, what string, spec wildfire.QuerySpec, want, got []string) {
 	t.Helper()
 	for j := range want {
@@ -321,6 +321,25 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 			t.Fatalf("iter %d: columns differ: local %v remote %v (spec %+v)", i, localCols, remoteCols, spec)
 		}
 		eqSameRows(t, label("remote"), spec, localRows, remoteRows)
+
+		// A limited row spec returns the first Limit rows of the same
+		// spec run without one, on either transport.
+		if spec.Limit > 0 && len(spec.Aggs) == 0 {
+			unlimited := spec
+			unlimited.Limit = 0
+			for _, side := range []struct {
+				name string
+				q    *umzi.Query
+				rows []string
+			}{{"local", tbl.Query(), localRows}, {"remote", ctbl.Query(), remoteRows}} {
+				ur, uerr := front.RunSpec(ctx, side.q, unlimited)
+				_, all, uerr := eqDrain(t, label(side.name+" unlimited"), ur, uerr)
+				if uerr != nil {
+					t.Fatalf("iter %d: %s unlimited spec refused: %v (spec %+v)", i, side.name, uerr, spec)
+				}
+				eqSameRows(t, label(side.name+" prefix"), spec, all[:min(spec.Limit, len(all))], side.rows)
+			}
+		}
 
 		if i%5 == 0 {
 			conveniences++

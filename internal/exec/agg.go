@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"bytes"
 	"math"
 	"math/bits"
 	"sort"
@@ -111,11 +110,6 @@ type Partial struct {
 	plan   *BoundPlan
 	groups map[string]*groupState
 	rows   [][]keyenc.Value
-	// rowKeys are the rows' composite encodings, kept only for limited
-	// row queries so the partial can hold its top-Limit rows in bounded
-	// memory (limit pushdown: the global first Limit rows in encoded
-	// order are within the union of the per-shard first Limit rows).
-	rowKeys [][]byte
 	// arena is the unused tail of the chunk the next projected rows are
 	// carved from (newRow).
 	arena []keyenc.Value
@@ -149,21 +143,20 @@ func (p *Partial) NumGroups() int { return len(p.groups) }
 
 // Add accumulates one qualifying row. The caller is responsible for
 // filtering (Matches) and for multi-version reconciliation; Add reads
-// only the columns the plan touches and does not retain row.
+// only the columns the plan touches and does not retain row. A limited
+// row plan's partial keeps the first Limit rows it is given and drops
+// the rest: no row after them can be among the result's first Limit.
 func (p *Partial) Add(row RowView) {
 	b := p.plan
 	if !b.Aggregating() {
+		if b.limit > 0 && len(p.rows) >= b.limit {
+			return
+		}
 		out := p.newRow()
 		for i, c := range b.project {
 			out[i] = row(c)
 		}
 		p.rows = append(p.rows, out)
-		if b.limit > 0 {
-			p.rowKeys = append(p.rowKeys, keyenc.AppendComposite(nil, out...))
-			if len(p.rows) >= 2*b.limit {
-				p.truncateToLimit()
-			}
-		}
 		return
 	}
 	g := p.group(row)
@@ -336,17 +329,11 @@ func (p *Partial) AddBlock(blk *columnar.Block, sel *Bitmap) {
 	}
 }
 
-// Merge folds another shard's partial of the same plan into p.
+// Merge folds another shard's partial of the same aggregating plan
+// into p. Row plans do not merge: FinalizeIter walks their partials in
+// turn.
 func (p *Partial) Merge(o *Partial) {
 	if o == nil {
-		return
-	}
-	if !p.plan.Aggregating() {
-		p.rows = append(p.rows, o.rows...)
-		if p.plan.limit > 0 {
-			p.rowKeys = append(p.rowKeys, o.rowKeys...)
-			p.truncateToLimit()
-		}
 		return
 	}
 	for k, og := range o.groups {
@@ -361,28 +348,15 @@ func (p *Partial) Merge(o *Partial) {
 	}
 }
 
-// truncateToLimit keeps the partial's first limit rows in encoded
-// order. Safe at any point: a dropped row sorts after limit retained
-// rows, so it cannot be part of the global first limit rows either.
-func (p *Partial) truncateToLimit() {
-	limit := p.plan.limit
-	if limit <= 0 || len(p.rows) <= limit {
-		return
-	}
-	sort.Sort(&rowSorter{rows: p.rows, keys: p.rowKeys})
-	p.rows = p.rows[:limit]
-	p.rowKeys = p.rowKeys[:limit]
-}
-
 // Result is a finalized query result: output column names and rows.
 // Aggregate results carry one row per group (group-by values first, then
 // one value per aggregate) sorted by group key, whatever the shard count
-// and block layout. Limited row-query results are the first Limit
-// projected rows in encoded-value order, likewise layout-independent.
-// Unlimited row-query results are unsorted: each partial's rows in the
-// order they were added, the partials in the order Finalize was given
-// them — repeatable for the same partials, but it may differ across
-// shard counts and block layouts.
+// and block layout. Row-query results are unsorted: each partial's rows
+// in the order they were added, the partials in the order Finalize was
+// given them — repeatable for the same partials, but it may differ
+// across shard counts and block layouts. A Limit keeps the first Limit
+// rows of that order, so a limited result is a prefix of the unlimited
+// one.
 type Result struct {
 	Columns []string
 	Rows    [][]keyenc.Value
@@ -409,11 +383,11 @@ func (it *RowIter) Next() ([]keyenc.Value, bool) { return it.next() }
 // FinalizeIter merges the partials (the coordinator step: partial
 // aggregates in, no rows shipped) and returns a RowIter streaming the
 // finalized rows in the result's order (see Result). It consumes the
-// partials; nil entries — shards with nothing — are skipped. An
-// unlimited row plan merges and sorts nothing: the iterator walks the
-// partials' rows where they lie.
+// partials; nil entries — shards with nothing — are skipped. A row
+// plan merges and sorts nothing: the iterator walks the partials' rows
+// where they lie.
 func (b *BoundPlan) FinalizeIter(parts ...*Partial) *RowIter {
-	if !b.Aggregating() && b.limit == 0 {
+	if !b.Aggregating() {
 		return b.concatIter(parts)
 	}
 	var merged *Partial
@@ -430,69 +404,48 @@ func (b *BoundPlan) FinalizeIter(parts ...*Partial) *RowIter {
 	if merged == nil {
 		merged = b.NewPartial()
 	}
-	if b.Aggregating() && len(b.groupBy) == 0 && len(merged.groups) == 0 {
+	if len(b.groupBy) == 0 && len(merged.groups) == 0 {
 		// A global aggregate (no GROUP BY) always has exactly one result
 		// row, even over zero qualifying rows: COUNT(*) is 0, SUM the
 		// typed zero, AVG/MIN/MAX the zero Value (the NULL stand-in) —
 		// not an empty result set.
 		merged.groups[""] = &groupState{accs: make([]aggAcc, len(b.aggs))}
 	}
-	emitted := 0
-	capped := func(row []keyenc.Value, ok bool) ([]keyenc.Value, bool) {
-		if !ok || (b.limit > 0 && emitted >= b.limit) {
+	keys := make([]string, 0, len(merged.groups))
+	for k := range merged.groups {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if b.limit > 0 && len(keys) > b.limit {
+		keys = keys[:b.limit]
+	}
+	return &RowIter{cols: b.outCols, next: func() ([]keyenc.Value, bool) {
+		if len(keys) == 0 {
 			return nil, false
 		}
-		emitted++
-		return row, true
-	}
-	it := &RowIter{cols: b.outCols}
-	if b.Aggregating() {
-		keys := make([]string, 0, len(merged.groups))
-		for k := range merged.groups {
-			keys = append(keys, k)
+		g := merged.groups[keys[0]]
+		keys = keys[1:]
+		out := make([]keyenc.Value, 0, len(b.groupBy)+len(b.aggs))
+		out = append(out, g.keyVals...)
+		for j := range b.aggs {
+			out = append(out, g.accs[j].finalize(b.aggs[j].fn, b.aggs[j].kind))
 		}
-		sort.Strings(keys)
-		i := 0
-		it.next = func() ([]keyenc.Value, bool) {
-			if i >= len(keys) {
-				return nil, false
-			}
-			g := merged.groups[keys[i]]
-			i++
-			out := make([]keyenc.Value, 0, len(b.groupBy)+len(b.aggs))
-			out = append(out, g.keyVals...)
-			for j := range b.aggs {
-				out = append(out, g.accs[j].finalize(b.aggs[j].fn, b.aggs[j].kind))
-			}
-			return capped(out, true)
-		}
-		return it
-	}
-	// A limited row plan: the first Limit rows in encoded-value order,
-	// sorted on the keys its partials kept for pruning.
-	rows := merged.rows
-	sorted := false
-	i := 0
-	it.next = func() ([]keyenc.Value, bool) {
-		if !sorted {
-			sorted = true
-			sort.Sort(&rowSorter{rows: rows, keys: merged.rowKeys})
-		}
-		if i >= len(rows) {
-			return nil, false
-		}
-		row := rows[i]
-		i++
-		return capped(row, true)
-	}
-	return it
+		return out, true
+	}}
 }
 
 // concatIter hands out each partial's rows in the order they were
-// added, the partials in order.
+// added, the partials in order, and stops after Limit rows.
 func (b *BoundPlan) concatIter(parts []*Partial) *RowIter {
 	var rows [][]keyenc.Value
+	left := b.limit
+	if left == 0 {
+		left = math.MaxInt
+	}
 	return &RowIter{cols: b.outCols, next: func() ([]keyenc.Value, bool) {
+		if left == 0 {
+			return nil, false
+		}
 		for len(rows) == 0 {
 			if len(parts) == 0 {
 				return nil, false
@@ -502,6 +455,7 @@ func (b *BoundPlan) concatIter(parts []*Partial) *RowIter {
 			}
 			parts = parts[1:]
 		}
+		left--
 		row := rows[0]
 		rows = rows[1:]
 		return row, true
@@ -519,17 +473,4 @@ func (b *BoundPlan) Finalize(parts ...*Partial) *Result {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-}
-
-// rowSorter orders row-query results by their composite encoding.
-type rowSorter struct {
-	rows [][]keyenc.Value
-	keys [][]byte
-}
-
-func (s *rowSorter) Len() int           { return len(s.rows) }
-func (s *rowSorter) Less(i, j int) bool { return bytes.Compare(s.keys[i], s.keys[j]) < 0 }
-func (s *rowSorter) Swap(i, j int) {
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }

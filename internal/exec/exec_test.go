@@ -248,6 +248,10 @@ func TestGlobalAggregateAndEmptyResult(t *testing.T) {
 	}
 }
 
+// TestRowQuerySortAndLimit: a limited row query sorts nothing; it
+// returns the first Limit rows of the unlimited query's order — each
+// partial's rows as added, the partials in the order Finalize is given
+// them.
 func TestRowQuerySortAndLimit(t *testing.T) {
 	plan := Plan{
 		Filter:  Ge("id", keyenc.I64(2)),
@@ -263,14 +267,14 @@ func TestRowQuerySortAndLimit(t *testing.T) {
 	p1.Add(testRow(2, "b", 0, 0))
 	p2.Add(testRow(5, "e", 0, 0))
 	p2.Add(testRow(3, "b", 0, 0))
-	res := b.Finalize(p2, p1) // shard order must not matter
+	res := b.Finalize(p2, p1) // partial order is result order
 	if !reflect.DeepEqual(res.Columns, []string{"region", "id"}) {
 		t.Fatalf("columns = %v", res.Columns)
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("limit not applied: %d rows", len(res.Rows))
 	}
-	want := [][2]interface{}{{"b", int64(2)}, {"b", int64(3)}, {"d", int64(4)}}
+	want := [][2]interface{}{{"e", int64(5)}, {"b", int64(3)}, {"d", int64(4)}}
 	for i, w := range want {
 		if string(res.Rows[i][0].Bytes()) != w[0].(string) || res.Rows[i][1].Int() != w[1].(int64) {
 			t.Fatalf("row %d = %v, want %v", i, res.Rows[i], w)
@@ -322,17 +326,16 @@ func TestRowQueryUnsortedOrder(t *testing.T) {
 }
 
 // TestRowQueryLimitPushdown checks that a limited row query's partials
-// hold at most Limit rows however many qualify, and that truncation
-// never changes the final answer: the global first Limit rows in
-// encoded order survive per-partial pruning.
+// hold at most Limit rows however many qualify, and that pruning never
+// changes the final answer: the first Limit rows of the unlimited
+// result (the first partial's first rows) survive it.
 func TestRowQueryLimitPushdown(t *testing.T) {
 	const limit = 5
 	b, err := Plan{Columns: []string{"id"}, Limit: limit}.Bind(testCols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two partials fed descending ids, so the globally smallest rows
-	// arrive last — the worst case for premature pruning.
+	// Two partials fed descending ids: p1 the odd ones, p2 the even.
 	p1, p2 := b.NewPartial(), b.NewPartial()
 	for id := int64(99); id >= 0; id-- {
 		part := p1
@@ -342,8 +345,8 @@ func TestRowQueryLimitPushdown(t *testing.T) {
 		part.Add(testRow(id, "", 0, 0))
 	}
 	for _, p := range []*Partial{p1, p2} {
-		if p.NumRows() >= 2*limit {
-			t.Fatalf("partial holds %d rows, limit pushdown bounds it below %d", p.NumRows(), 2*limit)
+		if p.NumRows() > limit {
+			t.Fatalf("partial holds %d rows, limit pushdown bounds it at %d", p.NumRows(), limit)
 		}
 	}
 	res := b.Finalize(p1, p2)
@@ -351,8 +354,8 @@ func TestRowQueryLimitPushdown(t *testing.T) {
 		t.Fatalf("got %d rows, want %d", len(res.Rows), limit)
 	}
 	for i, r := range res.Rows {
-		if r[0].Int() != int64(i) {
-			t.Fatalf("row %d = %v, want id %d", i, r, i)
+		if want := int64(99 - 2*i); r[0].Int() != want {
+			t.Fatalf("row %d = %v, want id %d", i, r, want)
 		}
 	}
 }

@@ -80,13 +80,12 @@ func (a Agg) outName() string {
 // Plan is one analytical query. Exactly two shapes exist:
 //
 //   - Row query (Aggs empty): the qualifying rows, projected to Columns
-//     (all user columns when empty). With a Limit, the first Limit rows
-//     in encoded-value order; without one, every row unsorted, in the
-//     order the partials produced them (see Result).
-//   - Aggregate query (Aggs nonempty): one output row per GROUP BY group
-//     (a single row without GroupBy), sorted by group key; groups with no
-//     qualifying rows do not appear — a query matching nothing yields an
-//     empty result, even for plain COUNT.
+//     (all user columns when empty), unsorted, in the order the partials
+//     produced them (see Result). A Limit keeps the first Limit of them.
+//   - Aggregate query (Aggs nonempty): one output row per GROUP BY group,
+//     sorted by group key; groups with no qualifying rows do not appear.
+//     Without GroupBy the result is exactly one row, even when nothing
+//     qualifies (COUNT 0).
 type Plan struct {
 	// Filter keeps the rows the predicate accepts; nil keeps everything.
 	Filter Expr
@@ -97,11 +96,11 @@ type Plan struct {
 	GroupBy []string
 	// Aggs requests aggregation; empty makes this a row query.
 	Aggs []Agg
-	// Limit truncates the result rows after the deterministic sort
-	// (encoded values for row queries, group keys for aggregates);
-	// 0 means unlimited, and an unlimited row query is not sorted. For
-	// row queries the limit is also pushed into the per-shard partials,
-	// which keep at most Limit rows each.
+	// Limit keeps the first Limit result rows; 0 means unlimited. A
+	// limited row query returns the first Limit rows of the unlimited
+	// one's order, and each partial keeps only the first Limit rows it
+	// is given. An aggregate query cuts its groups after the sort by
+	// group key.
 	Limit int
 }
 

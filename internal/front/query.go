@@ -53,11 +53,10 @@ func (q *Query) Select(cols ...string) *Query {
 // OrderBy asks for rows ordered by the named columns. Order is served
 // from an index whose sort columns start with them (and whose equality
 // columns the filter pins); Run fails when no index qualifies. Without
-// OrderBy, row-query results are unsorted. With a Limit they are the
-// first Limit rows in encoded-value order; without one they come shard
-// by shard in each shard's zone order, the same order for the same
-// table state on either transport, but not across shard counts,
-// layouts or grooms.
+// OrderBy, row-query results are unsorted: they come shard by shard in
+// each shard's zone order, the same order for the same table state on
+// either transport, but not across shard counts, layouts or grooms. A
+// Limit keeps the first rows of that order.
 func (q *Query) OrderBy(cols ...string) *Query {
 	q.spec.OrderBy = cols
 	return q
@@ -77,8 +76,10 @@ func (q *Query) Aggs(aggs ...exec.Agg) *Query {
 	return q
 }
 
-// Limit caps the result rows; 0 means unlimited. The limit is pushed
-// into per-shard scans and stops the scatter-gather merge early.
+// Limit caps the result rows; 0 means unlimited. A limited query
+// returns the first n rows of what the unlimited one returns on the
+// same table state, in the same order. The limit is pushed into
+// per-shard scans and stops the scatter-gather merge early.
 func (q *Query) Limit(n int) *Query {
 	q.spec.Limit = n
 	return q
@@ -157,8 +158,9 @@ func (q *Query) All(ctx context.Context) ([][]keyenc.Value, error) {
 	return out, rows.Err()
 }
 
-// One runs the query and returns its first row, with found=false when
-// the result is empty.
+// One runs the query with Limit 1 and returns its first row — without
+// OrderBy, the first row of the unlimited query's order — with
+// found=false when the result is empty.
 func (q *Query) One(ctx context.Context) ([]keyenc.Value, bool, error) {
 	rows, err := q.Limit(1).Run(ctx)
 	if err != nil {

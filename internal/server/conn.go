@@ -47,6 +47,11 @@ const (
 	batchBytes = 128 << 10
 )
 
+// beforeRowBatch, when set, runs before each RowBatch frame a query
+// sends, with the query's context. It is nil except in tests, which set
+// it to hold a stream at a known point.
+var beforeRowBatch func(ctx context.Context)
+
 type frame struct {
 	typ     byte
 	payload []byte
@@ -322,6 +327,9 @@ func (h *connHandler) handleQuery(payload []byte) error {
 	flush := func() error {
 		if nRows == 0 {
 			return nil
+		}
+		if beforeRowBatch != nil {
+			beforeRowBatch(qctx)
 		}
 		pb := batchBufPool.Get().(*[]byte)
 		payload := wire.AppendUvarint((*pb)[:0], uint64(nRows))

@@ -589,7 +589,21 @@ func TestAdmissionQueueWaitsForGroom(t *testing.T) {
 	}
 }
 
+// TestShutdownUnblocksStreams: Shutdown ends a stream the server is
+// still writing, and the client sees an error rather than a hang or a
+// complete result. The server is held before its second RowBatch frame
+// until Shutdown cancels the query, so the stream is mid-flight however
+// much of it the sockets could have buffered.
 func TestShutdownUnblocksStreams(t *testing.T) {
+	held := make(chan struct{})
+	var batches int
+	server.SetBeforeRowBatch(func(ctx context.Context) {
+		if batches++; batches == 2 {
+			close(held)
+			<-ctx.Done()
+		}
+	})
+	t.Cleanup(func() { server.SetBeforeRowBatch(nil) })
 	db, srv, addr := boot(t, server.Config{})
 	tbl := mkTable(t, db, "big", 2)
 	ctx := context.Background()
@@ -616,7 +630,14 @@ func TestShutdownUnblocksStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows.Next() // leave the stream mid-flight
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	select {
+	case <-held: // the server is about to send its second batch
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server never reached its second row batch")
+	}
 
 	sctx, scancel := context.WithTimeout(ctx, 10*time.Second)
 	defer scancel()

@@ -296,8 +296,10 @@ func TestAggregateAllocs(t *testing.T) {
 
 // TestRowPlanAllocs: an unordered 3-column projection of a post-groomed
 // 16,384-row table, run and drained through RunQuery, allocates per
-// arena chunk and per block, not per row: its projected rows are carved
-// from the partial's arena, and finalizing encodes and sorts nothing.
+// arena chunk and per block, not per scanned row: its projected rows
+// are carved from the partial's arena, and finalizing encodes and sorts
+// nothing. The same holds at Limit 1 and Limit 100, where the partial
+// drops every row after its first Limit without encoding a key for it.
 func TestRowPlanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds a varying number of allocations")
@@ -323,26 +325,34 @@ func TestRowPlanAllocs(t *testing.T) {
 	if err := s.SyncIndex(); err != nil {
 		t.Fatal(err)
 	}
-	spec := QuerySpec{Columns: []string{"device", "msg", "reading"}, TS: types.MaxTS}
-	drain := func() int {
-		qr, err := s.RunQuery(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
+	for _, limit := range []int{0, 1, 100} {
+		spec := QuerySpec{Columns: []string{"device", "msg", "reading"}, Limit: limit, TS: types.MaxTS}
+		drain := func() int {
+			qr, err := s.RunQuery(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for qr.Cursor.Next() {
+				n++
+			}
+			if err := qr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return n
 		}
-		n := 0
-		for qr.Cursor.Next() {
-			n++
+		want := rows
+		if limit > 0 {
+			want = limit
 		}
-		if err := qr.Close(); err != nil {
-			t.Fatal(err)
+		if n := drain(); n != want { // also warms the block cache
+			t.Fatalf("projection at Limit %d returned %d rows, want %d", limit, n, want)
 		}
-		return n
-	}
-	if n := drain(); n != rows { // also warms the block cache
-		t.Fatalf("projection returned %d rows, want %d", n, rows)
-	}
-	allocs := testing.AllocsPerRun(10, func() { drain() })
-	if perRow := allocs / rows; perRow > 0.05 {
-		t.Errorf("row plan: %.0f allocations for %d rows (%.3f per row), budget 0.05 per row", allocs, rows, perRow)
+		allocs := testing.AllocsPerRun(10, func() { drain() })
+		perRow := allocs / rows
+		t.Logf("Limit %d: %.3f allocations per scanned row", limit, perRow)
+		if perRow > 0.05 {
+			t.Errorf("row plan at Limit %d: %.0f allocations for %d scanned rows (%.3f per row), budget 0.05 per row", limit, allocs, rows, perRow)
+		}
 	}
 }

@@ -21,15 +21,12 @@ import (
 // tests pin the shadow check, the version's ownership of its overrides,
 // and the sidecar's fail-loudly decoding.
 
-// checkExec runs p on e and compares the result with the naive reference
-// over visible.
+// checkExec runs p on e and checks the result against the naive
+// reference over visible (checkRun).
 func checkExec(t *testing.T, e *shard, p exec.Plan, rf refFilter, opts QueryOptions, visible []Row, label string) {
 	t.Helper()
-	got, err := execute(e, p, opts)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	compareRows(t, label, p, got.Rows, naiveExecute(e.table, p, rf, visible))
+	run := func(p exec.Plan) (*exec.Result, error) { return execute(e, p, opts) }
+	checkRun(t, label, p, run, naiveExecute(e.table, p, rf, visible))
 }
 
 // TestExecuteEndTSMatchesOracle executes on a stale zone version: a query

@@ -155,14 +155,10 @@ func (e *shard) publish(edit func(v *zoneVersion)) {
 func newShard(cfg ShardedConfig, ord int, blocks *BlockCache, scanPar int) (*shard, error) {
 	table := cfg.Table
 	table.Name = ShardTableName(cfg.Table.Name, cfg.Shards, ord)
-	store := cfg.Store
-	if cfg.ShardStore != nil {
-		store = cfg.ShardStore(ord)
-	}
 	e := &shard{
 		table:      table,
 		ixSpec:     cfg.Index,
-		store:      store,
+		store:      cfg.Store,
 		cache:      cfg.Cache,
 		tuning:     cfg.IndexTuning,
 		durable:    cfg.Durability,
@@ -180,7 +176,7 @@ func newShard(cfg ShardedConfig, ord int, blocks *BlockCache, scanPar int) (*sha
 	// The catalog is the authoritative index set; a table without one
 	// (fresh, or created before catalogs existed) starts primary-only and
 	// every declared secondary goes through the backfill path below.
-	catalog, seq, err := LoadIndexCatalog(store, table.Name)
+	catalog, seq, err := LoadIndexCatalog(e.store, table.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +229,7 @@ func newShard(cfg ShardedConfig, ord int, blocks *BlockCache, scanPar int) (*sha
 	// The commit log opens before recovery: recoverState restores the
 	// groomed/post-groomed state and recoverWAL then replays the log
 	// tail above the groom watermark to rebuild the live zone.
-	log, err := wal.Open(store, WALStoragePrefix(table.Name), e.walOptions())
+	log, err := wal.Open(e.store, WALStoragePrefix(table.Name), e.walOptions())
 	if err != nil {
 		closeAll()
 		return nil, err

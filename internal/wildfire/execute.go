@@ -33,7 +33,8 @@ import (
 // finalizing (ShardedEngine.execPartials). A shard adds its rows in one
 // stated order: post-groomed blocks in zone order, then the pending
 // winners in zone order, then the live rows in commit-sequence order;
-// an unlimited row plan emits them in exactly that order.
+// a row plan emits them in exactly that order, a limited one only the
+// first Limit of them.
 
 // liveBest is the newest committed-but-ungroomed version of one key.
 type liveBest struct {

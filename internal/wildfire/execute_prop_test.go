@@ -206,7 +206,9 @@ func genPlan(rng *rand.Rand, devices, msgs int64) (exec.Plan, refFilter) {
 
 // naiveExecute is the reference: filter the reconciled rows, then
 // project or aggregate with plain Go — no exec machinery beyond the
-// plan shape itself.
+// plan shape itself. A row plan's reference is every qualifying row,
+// whatever its Limit: which rows a limited plan keeps depends on the
+// engine's row order (compareRows, checkLimitPrefix).
 func naiveExecute(td TableDef, p exec.Plan, rf refFilter, visible []Row) [][]keyenc.Value {
 	var match []Row
 	for _, r := range visible {
@@ -230,14 +232,6 @@ func naiveExecute(td TableDef, p exec.Plan, rf refFilter, visible []Row) [][]key
 				pr[i] = r[colIdx(n)]
 			}
 			out = append(out, pr)
-		}
-		sort.Slice(out, func(i, j int) bool {
-			a := keyenc.AppendComposite(nil, out[i]...)
-			b := keyenc.AppendComposite(nil, out[j]...)
-			return string(a) < string(b)
-		})
-		if p.Limit > 0 && len(out) > p.Limit {
-			out = out[:p.Limit]
 		}
 		return out
 	}
@@ -342,11 +336,11 @@ func modelRows(models ...map[string]Row) []Row {
 }
 
 // canonicalRows returns rows sorted by their composite encoding when p
-// is an unlimited row plan, whose rows come in an order that depends on
-// the shard count and block layout, so that such results compare as
-// multisets; ordered, limited and aggregate results keep their sequence.
+// is a row plan, whose rows come in an order that depends on the shard
+// count and block layout, so that such results compare as multisets;
+// aggregate results keep their sequence.
 func canonicalRows(p exec.Plan, rows [][]keyenc.Value) [][]keyenc.Value {
-	if len(p.Aggs) > 0 || p.Limit > 0 {
+	if len(p.Aggs) > 0 {
 		return rows
 	}
 	out := slices.Clone(rows)
@@ -356,11 +350,66 @@ func canonicalRows(p exec.Plan, rows [][]keyenc.Value) [][]keyenc.Value {
 	return out
 }
 
-// compareRows fails the test unless got equals the reference want, row
-// for row (as multisets for unlimited row plans: canonicalRows).
+// compareRows fails the test unless got, an engine's result for p,
+// matches the reference want: row for row for aggregates, as multisets
+// for row plans (canonicalRows). A limited row plan's reference holds
+// every qualifying row; got must hold min(Limit, len(want)) of them.
 func compareRows(t *testing.T, label string, p exec.Plan, got, want [][]keyenc.Value) {
 	t.Helper()
-	got, want = canonicalRows(p, got), canonicalRows(p, want)
+	if len(p.Aggs) == 0 && p.Limit > 0 {
+		if n := min(p.Limit, len(want)); len(got) != n {
+			t.Fatalf("%s: %d rows, want %d (Limit %d, reference %d)\nplan: %+v\ngot:  %v", label, len(got), n, p.Limit, len(want), p, got)
+		}
+		left := make(map[string]int, len(want))
+		for _, r := range want {
+			left[string(keyenc.AppendComposite(nil, r...))]++
+		}
+		for i, r := range got {
+			k := string(keyenc.AppendComposite(nil, r...))
+			if left[k] == 0 {
+				t.Fatalf("%s row %d: %v is not a reference row (or repeats one)\nplan: %+v\ngot:  %v\nwant: %v", label, i, r, p, got, want)
+			}
+			left[k]--
+		}
+		return
+	}
+	equalRows(t, label, p, canonicalRows(p, got), canonicalRows(p, want))
+}
+
+// checkLimitPrefix fails the test unless got, an engine's result for a
+// limited row plan p, is the first Limit rows of run's result for p
+// without its Limit: the same engine on the same table state. Other
+// plans pass.
+func checkLimitPrefix(t *testing.T, label string, p exec.Plan, got [][]keyenc.Value, run func(exec.Plan) (*exec.Result, error)) {
+	t.Helper()
+	if len(p.Aggs) > 0 || p.Limit == 0 {
+		return
+	}
+	unlimited := p
+	unlimited.Limit = 0
+	full, err := run(unlimited)
+	if err != nil {
+		t.Fatalf("%s unlimited: %v", label, err)
+	}
+	equalRows(t, label+" prefix", p, got, full.Rows[:min(p.Limit, len(full.Rows))])
+}
+
+// checkRun runs p through run and checks the result against the
+// reference want (compareRows) and, for a limited row plan, against
+// run's own unlimited result (checkLimitPrefix).
+func checkRun(t *testing.T, label string, p exec.Plan, run func(exec.Plan) (*exec.Result, error), want [][]keyenc.Value) {
+	t.Helper()
+	got, err := run(p)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	compareRows(t, label, p, got.Rows, want)
+	checkLimitPrefix(t, label, p, got.Rows, run)
+}
+
+// equalRows fails the test unless got equals want row for row.
+func equalRows(t *testing.T, label string, p exec.Plan, got, want [][]keyenc.Value) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d rows, reference %d\nplan: %+v\ngot:  %v\nwant: %v", label, len(got), len(want), p, got, want)
 	}
@@ -401,21 +450,17 @@ func executeEquivalence(t *testing.T, seed int64, layout equivLayout) {
 		want := naiveExecute(td, p, rf, visible)
 		for _, eng := range []struct {
 			name string
-			run  func() (*exec.Result, error)
+			run  func(exec.Plan) (*exec.Result, error)
 		}{
-			{"single", func() (*exec.Result, error) { return execute(single, p, opts) }},
-			{"sharded", func() (*exec.Result, error) { return tableExecute(sharded, p, opts) }},
-			{"zone-scan", func() (*exec.Result, error) {
+			{"single", func(p exec.Plan) (*exec.Result, error) { return execute(single, p, opts) }},
+			{"sharded", func(p exec.Plan) (*exec.Result, error) { return tableExecute(sharded, p, opts) }},
+			{"zone-scan", func(p exec.Plan) (*exec.Result, error) {
 				o := opts
 				o.NoIndexSelection = true
 				return execute(single, p, o)
 			}},
 		} {
-			got, err := eng.run()
-			if err != nil {
-				t.Fatalf("%s %s: %v", label, eng.name, err)
-			}
-			compareRows(t, label+" "+eng.name, p, got.Rows, want)
+			checkRun(t, label+" "+eng.name, p, eng.run, want)
 		}
 	}
 

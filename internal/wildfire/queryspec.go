@@ -46,16 +46,18 @@ type QuerySpec struct {
 	// OrderBy asks for rows ordered by these columns. Order is served
 	// from an index whose sort columns start with OrderBy and whose
 	// equality columns the filter pins; compilation fails when no index
-	// qualifies. Empty leaves row queries unsorted: a limited one
-	// returns the first Limit rows in encoded-value order, an unlimited
-	// one its rows in the executor's shard-by-shard zone order
-	// (execPartials), repeatable on one table state.
+	// qualifies. Empty leaves row queries unsorted: their rows come in
+	// the executor's shard-by-shard zone order (execPartials),
+	// repeatable on one table state, and a Limit keeps the first Limit
+	// of them.
 	OrderBy []string
 	// GroupBy names the grouping columns of an aggregate query.
 	GroupBy []string
 	// Aggs requests aggregation; empty makes this a row query.
 	Aggs []exec.Agg
-	// Limit truncates the result; 0 means unlimited.
+	// Limit truncates the result to its first Limit rows; 0 means
+	// unlimited. A limited result is a prefix of the unlimited one on
+	// the same table state.
 	Limit int
 	// TS is the snapshot timestamp; zero selects the newest groomed
 	// snapshot — one cut across shards (SnapshotTS), except with
@@ -373,14 +375,15 @@ func projectRow(row Row, ords []int) []keyenc.Value {
 // records to an exec.Partial, and the coordinator merges the partial
 // aggregates — sum/count pairs and per-group accumulator maps, never
 // rows — at finalize. Row-shaped plans are the exception: shards return
-// their qualifying projected rows. Unlimited, they leave unsorted: shard
-// by shard in shard order, and within a shard in the order the shard
-// added them — post-groomed blocks, then pending winners, each in zone
-// order, then live rows in commit-sequence order (an index plan adds
-// its verified entries in index order, then live rows). One table state
-// therefore gives one row order; another shard count, layout or groom
-// may give another. Limited, they are sorted at finalize and cut to the
-// first Limit rows in encoded-value order. Index selection runs per
+// their qualifying projected rows, which leave unsorted: shard by shard
+// in shard order, and within a shard in the order the shard added them
+// — post-groomed blocks, then pending winners, each in zone order, then
+// live rows in commit-sequence order (an index plan adds its verified
+// entries in index order, then live rows). One table state therefore
+// gives one row order; another shard count, layout or groom may give
+// another. A limited plan's partials keep their first Limit rows, and
+// finalize stops after the first Limit rows of that same order, so its
+// result is a prefix of the unlimited one. Index selection runs per
 // shard: every shard holds the same index set, so the (deterministic)
 // rule picks the same access path everywhere.
 func (s *ShardedEngine) execPartials(ctx context.Context, bound *exec.BoundPlan, filter exec.Expr, opts QueryOptions) ([]*exec.Partial, error) {

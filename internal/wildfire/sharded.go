@@ -59,18 +59,13 @@ type ShardedConfig struct {
 	// objects live under "tbl/<name>/shard-NNN/..." ("tbl/<name>/..." for
 	// a 1-shard table).
 	Store storage.ObjectStore
-	// ShardStore, when set, gives each shard its own storage backend
-	// (modeling scale-out across storage nodes); Store is then ignored.
-	ShardStore func(shard int) storage.ObjectStore
 	// Cache is the local SSD cache shared by all shards (one node's
 	// cache in front of shared storage); nil disables caching.
 	Cache *storage.SSDCache
-	// BlockCache, when set, is the decoded-block cache every shard reads
-	// through; nil creates one sized by BlockCacheBytes. Shard block
-	// names are globally disjoint, so one byte budget covers the table.
-	BlockCache *BlockCache
-	// BlockCacheBytes budgets the table's decoded-block cache when
-	// BlockCache is nil (<=0 selects DefaultBlockCacheBytes).
+	// BlockCacheBytes budgets the table's decoded-block cache, which
+	// every shard reads through (<=0 selects DefaultBlockCacheBytes).
+	// Shard block names are globally disjoint, so one byte budget
+	// covers the table.
 	BlockCacheBytes int64
 	// ScanParallelism bounds each shard's intra-shard scan worker pool.
 	// <=0 derives a per-shard default from GOMAXPROCS divided by the
@@ -166,8 +161,8 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 		}
 		declared[sec.Name] = true
 	}
-	if cfg.Store == nil && cfg.ShardStore == nil {
-		return nil, fmt.Errorf("wildfire: ShardedConfig needs Store or ShardStore")
+	if cfg.Store == nil {
+		return nil, fmt.Errorf("wildfire: ShardedConfig needs Store")
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
@@ -199,11 +194,8 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	// One decoded-block cache for the whole table: shard object names
 	// are disjoint, so the shards share a single byte budget instead of
 	// each holding 1/Nth privately.
-	blocks := cfg.BlockCache
-	if blocks == nil {
-		blocks = NewBlockCache(cfg.BlockCacheBytes)
-		blocks.instrument(cfg.Obs, cfg.Table.Name)
-	}
+	blocks := NewBlockCache(cfg.BlockCacheBytes)
+	blocks.instrument(cfg.Obs, cfg.Table.Name)
 	scanPar := cfg.ScanParallelism
 	if scanPar <= 0 {
 		// A scatter-gather query already runs one goroutine per shard;
@@ -581,10 +573,15 @@ func (s *ShardedEngine) get(ctx context.Context, eq, sortv []keyenc.Value, opts 
 
 // GetBatch resolves a batch of point lookups: keys group by owning
 // shard, the per-shard sub-batches run concurrently through each shard's
-// sorted-batch path (§7.2), and results reassemble positionally.
+// sorted-batch path (§7.2), and results reassemble positionally. It
+// reads the indexed zones only, so it refuses IncludeLive rather than
+// return a groomed version a live one has replaced.
 func (s *ShardedEngine) GetBatch(keys []core.LookupKey, opts QueryOptions) ([]Record, []bool, error) {
 	if s.closed.Load() {
 		return nil, nil, fmt.Errorf("wildfire: engine closed")
+	}
+	if opts.IncludeLive {
+		return nil, nil, fmt.Errorf("wildfire: GetBatch does not support IncludeLive (it reads the indexed zones only)")
 	}
 	opts.TS = s.resolveTS(opts)
 	perShard := make([][]core.LookupKey, len(s.shards))

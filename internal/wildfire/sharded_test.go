@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -252,6 +253,37 @@ func TestShardedGetBatch(t *testing.T) {
 		if found[i] && recs[i].Row[2].Float() != float64(k.dev*10+k.msg) {
 			t.Errorf("batch[%d]: reading %v", i, recs[i].Row[2])
 		}
+	}
+}
+
+// TestShardedGetBatchRefusesIncludeLive: a batched lookup reads the
+// indexed zones only, so with IncludeLive it would return a groomed
+// version that a live update has replaced. It refuses the option
+// instead, naming it; the point get honors it.
+func TestShardedGetBatchRefusesIncludeLive(t *testing.T) {
+	s := newTestShardedEngine(t, 4, nil)
+	if err := s.UpsertRows(0, row(1, 1, 1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Groom(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.UpsertRows(0, row(1, 1, 2, 100)); err != nil {
+		t.Fatal(err)
+	}
+	eq, sortv := []keyenc.Value{keyenc.I64(1)}, []keyenc.Value{keyenc.I64(1)}
+	live := QueryOptions{IncludeLive: true}
+	rec, found, err := tableGetOn(s, "", eq, sortv, live)
+	if err != nil || !found || rec.Row[2].Float() != 2 {
+		t.Fatalf("point get with IncludeLive: %v found=%v err=%v, want reading 2", rec.Row, found, err)
+	}
+	keys := []core.LookupKey{{Equality: eq, Sort: sortv}}
+	if _, _, err := s.GetBatch(keys, live); err == nil || !strings.Contains(err.Error(), "IncludeLive") {
+		t.Fatalf("GetBatch with IncludeLive: err = %v, want a refusal naming IncludeLive", err)
+	}
+	recs, ok, err := s.GetBatch(keys, QueryOptions{})
+	if err != nil || !ok[0] || recs[0].Row[2].Float() != 1 {
+		t.Fatalf("GetBatch: %v found=%v err=%v, want the groomed reading 1", recs, ok, err)
 	}
 }
 
@@ -600,11 +632,9 @@ func TestShardedConfigValidation(t *testing.T) {
 	if _, err := NewShardedEngine(bad); err == nil {
 		t.Error("duplicate secondary name accepted")
 	}
-	// Defaults: 4 shards of 1 replica and 4 partitions each, per-shard
-	// stores via ShardStore.
+	// Defaults: 4 shards of 1 replica and 4 partitions each.
 	good := base
-	good.Store = nil
-	good.ShardStore = func(int) storage.ObjectStore { return storage.NewMemStore(storage.LatencyModel{}) }
+	good.Store = storage.NewMemStore(storage.LatencyModel{})
 	s, err := NewShardedEngine(good)
 	if err != nil {
 		t.Fatal(err)
