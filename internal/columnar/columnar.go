@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"umzi/internal/keyenc"
@@ -433,28 +434,90 @@ func (blk *Block) AppendNums(col int, dst []uint64) []uint64 {
 	}
 }
 
-// AppendDict appends, for a dict-encoded column, every row's dictionary
-// code to codes and the sorted dictionary itself, as values, to dict —
-// so dict[codes[r]] is the value at row r. ok is false, and nothing is
-// appended, for any other encoding. The values alias block-owned memory.
-func (blk *Block) AppendDict(col int, codes []uint64, dict []keyenc.Value) ([]uint64, []keyenc.Value, bool) {
+// NumsWord decodes one selection word of a fixed column: bit i of word
+// selects row base+i, base a multiple of 64, and the raw 64-bit word (as
+// AppendNums gives it) of the k-th selected row, in row order, lands in
+// out[k]. Only the selected rows are decoded, straight from the encoding:
+// a plain column copies, a bit-packed one unpacks its deltas, an RLE one
+// walks forward from one run search. out past the selected count is left
+// as it was.
+func (blk *Block) NumsWord(col, base int, word uint64, out *[64]uint64) {
+	c := &blk.cols[col]
+	switch c.enc {
+	case EncPlain:
+		if word == ^uint64(0) {
+			copy(out[:], c.nums[base:base+64])
+			return
+		}
+		for k := 0; word != 0; word &= word - 1 {
+			out[k] = c.nums[base+bits.TrailingZeros64(word)]
+			k++
+		}
+	case EncBitPack:
+		kind := blk.schema.Col(col).Kind
+		for k := 0; word != 0; word &= word - 1 {
+			out[k] = keyenc.SortKeyBitsInv(kind, c.base+packGet(c.packed, c.width, base+bits.TrailingZeros64(word)))
+			k++
+		}
+	case EncRLE:
+		if word == 0 {
+			return
+		}
+		run := runIndex(c.runEnds, base+bits.TrailingZeros64(word))
+		for k := 0; word != 0; word &= word - 1 {
+			r := base + bits.TrailingZeros64(word)
+			for int(c.runEnds[run]) <= r {
+				run++
+			}
+			out[k] = c.runNums[run]
+			k++
+		}
+	default:
+		panic("columnar: NumsWord on variable-kind column")
+	}
+}
+
+// CodesWord is NumsWord for a dict-encoded column: the k-th selected
+// row's dictionary code lands in out[k].
+func (blk *Block) CodesWord(col, base int, word uint64, out *[64]uint64) {
 	c := &blk.cols[col]
 	if c.enc != EncDict {
-		return codes, dict, false
+		panic("columnar: CodesWord on a column that is not dict-encoded")
 	}
-	for r := 0; r < blk.rows; r++ {
-		codes = append(codes, packGet(c.packed, c.width, r))
+	for k := 0; word != 0; word &= word - 1 {
+		out[k] = packGet(c.packed, c.width, base+bits.TrailingZeros64(word))
+		k++
 	}
-	str := blk.schema.Col(col).Kind == keyenc.KindString
-	for i := 0; i+1 < len(c.dictOffsets); i++ {
-		b := c.dictPayload[c.dictOffsets[i]:c.dictOffsets[i+1]]
-		if str {
-			dict = append(dict, keyenc.StrBytes(b))
-		} else {
-			dict = append(dict, keyenc.Raw(b))
-		}
+}
+
+// Dict is the sorted dictionary of a dict-encoded column: code i names
+// Value(i), so code order is value order. It aliases block-owned memory.
+type Dict struct {
+	offsets []uint32
+	payload []byte
+	str     bool
+}
+
+// Dict returns the dictionary of a dict-encoded column; ok is false for
+// any other encoding.
+func (blk *Block) Dict(col int) (d Dict, ok bool) {
+	c := &blk.cols[col]
+	if c.enc != EncDict {
+		return Dict{}, false
 	}
-	return codes, dict, true
+	return Dict{offsets: c.dictOffsets, payload: c.dictPayload, str: blk.schema.Col(col).Kind == keyenc.KindString}, true
+}
+
+// Len returns the number of dictionary entries.
+func (d Dict) Len() int { return max(len(d.offsets)-1, 0) }
+
+// Value returns the value a code names.
+func (d Dict) Value(code uint64) keyenc.Value {
+	b := d.payload[d.offsets[code]:d.offsets[code+1]]
+	if d.str {
+		return keyenc.StrBytes(b)
+	}
+	return keyenc.Raw(b)
 }
 
 // ColumnMin returns the minimum value of the column; ok is false for an

@@ -3,6 +3,7 @@ package columnar
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -160,22 +161,9 @@ func TestForcedEncodingsRoundTrip(t *testing.T) {
 					if !blk.HasBloom(c) {
 						t.Fatalf("%v trial %d %s: col %d missing bloom", force, trial, label, c)
 					}
-					// AppendDict serves dict columns only: dict[codes[r]]
-					// is row r's value, over a strictly ascending dict.
-					codes, dict, ok := blk.AppendDict(c, nil, nil)
-					if ok != (got == EncDict) || (!ok && (codes != nil || dict != nil)) {
-						t.Fatalf("%v trial %d %s: col %d (%v): AppendDict ok=%v", force, trial, label, c, got, ok)
-					}
-					for i := 1; i < len(dict); i++ {
-						if keyenc.Compare(dict[i-1], dict[i]) >= 0 {
-							t.Fatalf("%v trial %d %s: col %d: dict not strictly ascending at %d", force, trial, label, c, i)
-						}
-					}
-					for r := 0; ok && r < len(rows); r++ {
-						if v := dict[codes[r]]; v.Kind() != blk.Value(r, c).Kind() || keyenc.Compare(v, rows[r][c]) != 0 {
-							t.Fatalf("%v trial %d %s: (%d,%d): dict value %v, want %v", force, trial, label, r, c, v, rows[r][c])
-						}
-					}
+					// Dict serves dict columns only: its value at row r's
+					// code is row r's value, over a strictly ascending dict.
+					checkDict(t, blk, c, rows, fmt.Sprintf("%v trial %d %s", force, trial, label))
 				}
 				for r := range rows {
 					for c := range rows[r] {
@@ -355,5 +343,146 @@ func TestAutoDictMatchesForced(t *testing.T) {
 	}
 	if dicts == 0 {
 		t.Fatal("no column chose EncDict")
+	}
+}
+
+// checkDict checks a column's dictionary accessor against the block: a
+// dict column has a strictly ascending dictionary whose value at row r's
+// code is row r's value, of its kind; any other column has none.
+func checkDict(t *testing.T, blk *Block, col int, rows [][]keyenc.Value, label string) {
+	t.Helper()
+	d, ok := blk.Dict(col)
+	if ok != (blk.ColumnEncoding(col) == EncDict) || (!ok && d.Len() != 0) {
+		t.Fatalf("%s: col %d (%v): Dict ok=%v len %d", label, col, blk.ColumnEncoding(col), ok, d.Len())
+	}
+	if !ok {
+		return
+	}
+	for i := 1; i < d.Len(); i++ {
+		if keyenc.Compare(d.Value(uint64(i-1)), d.Value(uint64(i))) >= 0 {
+			t.Fatalf("%s: col %d: dict not strictly ascending at %d", label, col, i)
+		}
+	}
+	var codes [64]uint64
+	for base := 0; base < len(rows); base += 64 {
+		n := min(64, len(rows)-base)
+		blk.CodesWord(col, base, lowBits(n), &codes)
+		for k := 0; k < n; k++ {
+			r := base + k
+			if v := d.Value(codes[k]); v.Kind() != blk.Value(r, col).Kind() || keyenc.Compare(v, rows[r][col]) != 0 {
+				t.Fatalf("%s: (%d,%d): dict value %v, want %v", label, r, col, v, rows[r][col])
+			}
+		}
+	}
+}
+
+// lowBits returns a word with its n lowest bits set.
+func lowBits(n int) uint64 {
+	if n >= 64 {
+		return ^uint64(0)
+	}
+	return 1<<uint(n) - 1
+}
+
+// TestWordDecodersProperty: NumsWord and CodesWord agree with Value at
+// every selected row, in row order, and touch nothing past the selected
+// count. Blocks carry one column of every kind under every encoding,
+// forced and automatic (long runs make RLE win, few distinct values
+// make dict and bit-pack win), with row counts on and off a word
+// boundary; each word is decoded empty, full, sparse and as one bit.
+func TestWordDecodersProperty(t *testing.T) {
+	kinds := []keyenc.Kind{
+		keyenc.KindInt64, keyenc.KindUint64, keyenc.KindFloat64,
+		keyenc.KindString, keyenc.KindBytes, keyenc.KindBool,
+	}
+	cols := make([]Column, len(kinds))
+	for i, k := range kinds {
+		cols[i] = Column{Name: fmt.Sprintf("c%d", i), Kind: k}
+	}
+	schema := MustSchema(cols...)
+	forces := []*Encoding{nil}
+	for _, e := range []Encoding{EncPlain, EncDict, EncBitPack, EncRLE} {
+		forces = append(forces, &e)
+	}
+	const sentinel = 0x5a5a5a5a5a5a5a5a
+	seen := map[Encoding]int{}
+	rng := rand.New(rand.NewSource(63))
+	for trial := 0; trial < 120; trial++ {
+		force := forces[trial%len(forces)]
+		nRows := []int{0, 1, 63, 64, 65, 127, 128, 129, 1 + rng.Intn(400)}[rng.Intn(9)]
+		b := NewBuilder(schema)
+		if force != nil {
+			b.ForceEncoding(*force)
+		}
+		// Per trial, values are runs (a new value with probability 1/20),
+		// a few distinct values, or random ones.
+		style := rng.Intn(3)
+		rows := make([][]keyenc.Value, nRows)
+		for r := range rows {
+			row := make([]keyenc.Value, len(kinds))
+			for c, k := range kinds {
+				switch {
+				case style == 0 && r > 0 && rng.Intn(20) != 0:
+					row[c] = rows[r-1][c]
+				case style == 1:
+					row[c] = lowCardVal(rng, k)
+				default:
+					row[c] = randVal(rng, k)
+				}
+			}
+			rows[r] = row
+			if err := b.Append(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		blk := b.Build()
+		for c, k := range kinds {
+			enc := blk.ColumnEncoding(c)
+			seen[enc]++
+			if !k.Fixed() && enc != EncDict {
+				continue
+			}
+			label := fmt.Sprintf("trial %d (%d rows) col %d (%v %v)", trial, nRows, c, k, enc)
+			checkDict(t, blk, c, rows, label)
+			d, _ := blk.Dict(c)
+			for base := 0; base < nRows; base += 64 {
+				valid := lowBits(nRows - base)
+				one := uint64(1) << uint(rng.Intn(min(64, nRows-base)))
+				for _, word := range []uint64{0, valid, rng.Uint64() & rng.Uint64() & valid, one} {
+					var out [64]uint64
+					for i := range out {
+						out[i] = sentinel
+					}
+					if k.Fixed() {
+						blk.NumsWord(c, base, word, &out)
+					} else {
+						blk.CodesWord(c, base, word, &out)
+					}
+					kk := 0
+					for wd := word; wd != 0; wd &= wd - 1 {
+						r := base + bits.TrailingZeros64(wd)
+						want := blk.Value(r, c)
+						if k.Fixed() {
+							if out[kk] != rawBits(want) {
+								t.Fatalf("%s: word %#x row %d: raw %#x, want %#x", label, word, r, out[kk], rawBits(want))
+							}
+						} else if got := d.Value(out[kk]); keyenc.Compare(got, want) != 0 || got.Kind() != want.Kind() {
+							t.Fatalf("%s: word %#x row %d: code %d names %v, want %v", label, word, r, out[kk], got, want)
+						}
+						kk++
+					}
+					for ; kk < 64; kk++ {
+						if out[kk] != sentinel {
+							t.Fatalf("%s: word %#x wrote out[%d] past its %d selected rows", label, word, kk, bits.OnesCount64(word))
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, e := range []Encoding{EncPlain, EncDict, EncBitPack, EncRLE} {
+		if seen[e] == 0 {
+			t.Errorf("no column took %v; the property went unexercised there", e)
+		}
 	}
 }

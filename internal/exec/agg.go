@@ -116,14 +116,10 @@ type Partial struct {
 
 	keyBuf []byte // group-key scratch
 
-	// AddBlock scratch, reused from block to block: each selected row's
-	// group, a dict GROUP BY column's codes and dictionary with each
-	// code's group, and one numeric column's raw words.
-	rowGroups  []*groupState
-	codes      []uint64
-	dict       []keyenc.Value
+	// codeGroups is AddBlock's scratch for a dict GROUP BY column: each
+	// dictionary code's group, sized to one block's dictionary and
+	// reused from block to block.
 	codeGroups []*groupState
-	nums       []uint64
 }
 
 // NewPartial returns an empty accumulator for the plan.
@@ -219,15 +215,17 @@ func (p *Partial) group(row RowView) *groupState {
 // not retained; group keys and MIN/MAX values alias the immutable
 // block, as Add's alias what its view returns.
 //
-// An aggregating plan runs column at a time. Each selected row first
-// resolves to its group: the one group without GROUP BY, its
-// dictionary code's group — looked up once per code per block — when
-// the only GROUP BY column is dict-encoded, otherwise its own key
-// encode and map probe. Each aggregate then runs down its column over
-// the selection: COUNT on the bits, SUM and AVG on the raw words,
-// MIN and MAX on values. Every accumulator takes its inputs in row
-// order, so sums are bit-identical to Add's. A row plan projects row
-// by row through Add.
+// An aggregating plan runs one selection word at a time, and decodes
+// only the rows the word selects, into 64-entry buffers on the stack.
+// Each selected row first resolves to its group: the one group without
+// GROUP BY; its dictionary code's group — looked up once per code per
+// block — when the only GROUP BY column is dict-encoded; otherwise its
+// own key encode and map probe. Each aggregate then folds the word:
+// COUNT on the bits (one popcount without GROUP BY), SUM and AVG on the
+// raw words decoded straight from the column's encoding, MIN and MAX
+// on values. Every accumulator takes its inputs in row order, so sums
+// are bit-identical to Add's. A row plan projects row by row through
+// Add.
 func (p *Partial) AddBlock(blk *columnar.Block, sel *Bitmap) {
 	if sel.None() {
 		return
@@ -245,87 +243,99 @@ func (p *Partial) AddBlock(blk *columnar.Block, sel *Bitmap) {
 		return
 	}
 
-	n := blk.NumRows()
-	if cap(p.rowGroups) < n {
-		p.rowGroups = make([]*groupState, n)
-	}
-	groups := p.rowGroups[:n] // valid at selected rows only
+	var global *groupState // the one group without GROUP BY
+	var dict columnar.Dict
 	var dictCol bool
-	if len(b.groupBy) == 1 {
-		p.codes, p.dict, dictCol = blk.AppendDict(b.groupBy[0], p.codes[:0], p.dict[:0])
-	}
 	switch {
 	case len(b.groupBy) == 0:
-		g := p.group(nil)
-		for w, word := range sel.words {
-			for ; word != 0; word &= word - 1 {
-				groups[w<<6|bits.TrailingZeros64(word)] = g
+		global = p.group(nil)
+	case len(b.groupBy) == 1:
+		if dict, dictCol = blk.Dict(b.groupBy[0]); dictCol {
+			if cap(p.codeGroups) < dict.Len() {
+				p.codeGroups = make([]*groupState, dict.Len())
 			}
+			p.codeGroups = p.codeGroups[:dict.Len()]
+			clear(p.codeGroups)
 		}
-	case dictCol:
-		if cap(p.codeGroups) < len(p.dict) {
-			p.codeGroups = make([]*groupState, len(p.dict))
+	}
+	var code uint64
+	dictView := RowView(func(int) keyenc.Value { return dict.Value(code) })
+
+	var groups [64]*groupState // the k-th selected row's group
+	var buf [64]uint64         // the k-th selected row's code or raw word
+	for w, word := range sel.words {
+		if word == 0 {
+			continue
 		}
-		codeGroups := p.codeGroups[:len(p.dict)]
-		clear(codeGroups)
-		var code uint64
-		dictView := RowView(func(int) keyenc.Value { return p.dict[code] })
-		for w, word := range sel.words {
-			for ; word != 0; word &= word - 1 {
-				row := w<<6 | bits.TrailingZeros64(word)
-				code = p.codes[row]
-				if codeGroups[code] == nil {
-					codeGroups[code] = p.group(dictView)
+		base, n := w<<6, bits.OnesCount64(word)
+		switch {
+		case dictCol:
+			blk.CodesWord(b.groupBy[0], base, word, &buf)
+			for k, c := range buf[:n] {
+				g := p.codeGroups[c]
+				if g == nil {
+					code = c
+					g = p.group(dictView)
+					p.codeGroups[c] = g
 				}
-				groups[row] = codeGroups[code]
+				groups[k] = g
+			}
+		case global == nil:
+			for k, wd := 0, word; wd != 0; wd &= wd - 1 {
+				r = base | bits.TrailingZeros64(wd)
+				groups[k] = p.group(view)
+				k++
 			}
 		}
-	default:
-		for w, word := range sel.words {
-			for ; word != 0; word &= word - 1 {
-				r = w<<6 | bits.TrailingZeros64(word)
-				groups[r] = p.group(view)
+		for i := range b.aggs {
+			a := &b.aggs[i]
+			switch {
+			case a.fn == Min || a.fn == Max:
+				for k, wd := 0, word; wd != 0; wd &= wd - 1 {
+					g := global
+					if g == nil {
+						g = groups[k]
+					}
+					g.accs[i].add(a.fn, a.kind, blk.Value(base|bits.TrailingZeros64(wd), a.col))
+					k++
+				}
+			case a.fn == Count:
+				if global != nil {
+					global.accs[i].count += int64(n)
+					continue
+				}
+				for _, g := range groups[:n] {
+					g.accs[i].count++
+				}
+			default: // Sum, Avg: numeric columns, summed from the raw words
+				blk.NumsWord(a.col, base, word, &buf)
+				if global != nil {
+					acc := &global.accs[i]
+					for _, raw := range buf[:n] {
+						acc.addRaw(a.kind, raw)
+					}
+					continue
+				}
+				for k, raw := range buf[:n] {
+					groups[k].accs[i].addRaw(a.kind, raw)
+				}
 			}
 		}
 	}
+}
 
-	for i := range b.aggs {
-		a := &b.aggs[i]
-		switch {
-		case a.fn == Min || a.fn == Max:
-			for w, word := range sel.words {
-				for ; word != 0; word &= word - 1 {
-					row := w<<6 | bits.TrailingZeros64(word)
-					groups[row].accs[i].add(a.fn, a.kind, blk.Value(row, a.col))
-				}
-			}
-		case a.fn == Count:
-			for w, word := range sel.words {
-				for ; word != 0; word &= word - 1 {
-					groups[w<<6|bits.TrailingZeros64(word)].accs[i].count++
-				}
-			}
-		default: // Sum, Avg: numeric columns, summed from the raw words
-			p.nums = blk.AppendNums(a.col, p.nums[:0])
-			nums := p.nums
-			for w, word := range sel.words {
-				for ; word != 0; word &= word - 1 {
-					row := w<<6 | bits.TrailingZeros64(word)
-					acc := &groups[row].accs[i]
-					acc.count++
-					switch raw := nums[row]; a.kind {
-					case keyenc.KindInt64:
-						acc.isum += int64(raw)
-						acc.fsum += float64(int64(raw))
-					case keyenc.KindUint64:
-						acc.usum += raw
-						acc.fsum += float64(raw)
-					default:
-						acc.fsum += math.Float64frombits(raw)
-					}
-				}
-			}
-		}
+// addRaw accumulates one SUM/AVG input given as its raw column word.
+func (a *aggAcc) addRaw(kind keyenc.Kind, raw uint64) {
+	a.count++
+	switch kind {
+	case keyenc.KindInt64:
+		a.isum += int64(raw)
+		a.fsum += float64(int64(raw))
+	case keyenc.KindUint64:
+		a.usum += raw
+		a.fsum += float64(raw)
+	default:
+		a.fsum += math.Float64frombits(raw)
 	}
 }
 

@@ -129,3 +129,91 @@ func identicalValue(a, b keyenc.Value) bool {
 		return keyenc.Compare(a, b) == 0
 	}
 }
+
+// TestAddBlockAllocs: a fresh partial and its first 4,096-row block cost
+// the partial, its group map and its groups, never the block's rows —
+// AddBlock decodes each selection word into buffers on its stack. The
+// cases cover a global aggregate, a GROUP BY on a dict-encoded column
+// (whose code table, sized to the dictionary, is the one scratch slice)
+// and SUM columns of every fixed kind encoded plain, bit-packed and RLE.
+func TestAddBlockAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds a varying number of allocations")
+	}
+	const rows = 4096
+	build := func(force *columnar.Encoding) *columnar.Block {
+		b := columnar.NewBuilder(columnar.MustSchema(testCols...))
+		if force != nil {
+			b.ForceEncoding(*force)
+		}
+		for r := 0; r < rows; r++ {
+			row := []keyenc.Value{
+				keyenc.I64(int64(r / 3)),
+				keyenc.Str(regionOf(r)),
+				keyenc.F64(float64(r%20) / 4),
+				keyenc.U64(uint64(r % 3)),
+			}
+			if err := b.Append(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Build()
+	}
+	sums := []Agg{
+		{Func: Count},
+		{Func: Sum, Col: "id"}, {Func: Sum, Col: "amount"}, {Func: Sum, Col: "qty"},
+		{Func: Avg, Col: "id"}, {Func: Avg, Col: "amount"}, {Func: Avg, Col: "qty"},
+	}
+	enc := func(e columnar.Encoding) *columnar.Encoding { return &e }
+	cases := []struct {
+		name    string
+		force   *columnar.Encoding // nil: automatic selection
+		groupBy []string
+		groups  int
+	}{
+		{"global", nil, nil, 1},
+		{"dict group by", nil, []string{"region"}, 4},
+		{"plain sums", enc(columnar.EncPlain), nil, 1},
+		{"bit-packed sums", enc(columnar.EncBitPack), nil, 1},
+		{"RLE sums", enc(columnar.EncRLE), nil, 1},
+	}
+	for _, c := range cases {
+		blk := build(c.force)
+		for col := 0; c.force != nil && col < len(testCols); col++ {
+			if got := blk.ColumnEncoding(col); testCols[col].Kind.Fixed() && got != *c.force {
+				t.Fatalf("%s: column %s is %v", c.name, testCols[col].Name, got)
+			}
+		}
+		if _, dict := blk.Dict(1); dict != (c.force == nil) {
+			t.Fatalf("%s: region dict-encoded = %v", c.name, dict)
+		}
+		bound, err := Plan{GroupBy: c.groupBy, Aggs: sums}.Bind(testCols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := NewBitmap(rows)
+		sel.SetAll()
+		var part *Partial
+		allocs := testing.AllocsPerRun(20, func() {
+			part = bound.NewPartial()
+			part.AddBlock(blk, sel)
+		})
+		if n := part.NumGroups(); n != c.groups {
+			t.Fatalf("%s: %d groups, want %d", c.name, n, c.groups)
+		}
+		// The partial and its map; per group its state and accumulators;
+		// the map's table. A GROUP BY adds per group its key values and
+		// map key, plus the key scratch and the dict column's code table.
+		perGroup, scratch := 2, 1
+		if c.groupBy != nil {
+			perGroup, scratch = 4, 3
+		}
+		budget := 2 + perGroup*c.groups + scratch
+		if allocs > float64(budget) {
+			t.Errorf("%s: NewPartial + AddBlock over %d rows: %v allocations, budget %d", c.name, rows, allocs, budget)
+		}
+	}
+}
+
+// regionOf is row r's region: four values, in runs of one.
+func regionOf(r int) string { return []string{"apac", "emea", "latam", "na"}[r%4] }

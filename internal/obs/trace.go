@@ -12,12 +12,13 @@ import (
 // QueryTrace captures one query's execution profile: the plan the
 // compiler chose, per-shard spans, and cross-shard totals for blocks
 // read vs. synopsis-skipped, blocks fetched, live-zone union size,
-// executor reconciliation work (winner inserts, shadow checks), and
-// secondary-index rows back-checked against the primary. A trace is attached to a
-// query with Query.Explain(); the engine writes into it from every
-// shard worker concurrently, so counters are atomic and spans append
-// under a mutex. Every method is nil-receiver safe: an untraced query
-// pays a nil check per call site and nothing else.
+// executor reconciliation work (winner inserts, shadow probes and
+// checks), and secondary-index rows back-checked against the primary.
+// A trace is attached to a query with Query.Explain(); the engine
+// writes into it from every shard worker concurrently, so counters are
+// atomic and spans append under a mutex. Every method is nil-receiver
+// safe: an untraced query pays a nil check per call site and nothing
+// else.
 type QueryTrace struct {
 	mu    sync.Mutex
 	plan  string
@@ -33,6 +34,7 @@ type QueryTrace struct {
 	backCheckDropped   atomic.Int64
 	rowsEmitted        atomic.Int64
 	winnerInserts      atomic.Int64
+	shadowProbes       atomic.Int64
 	shadowChecks       atomic.Int64
 }
 
@@ -45,6 +47,7 @@ type TraceSpan struct {
 	BlocksFetched      int64         `json:"blocks_fetched"`
 	LiveUnion          int64         `json:"live_union"`
 	WinnerInserts      int64         `json:"winner_inserts"`
+	ShadowProbes       int64         `json:"shadow_probes"`
 	ShadowChecks       int64         `json:"shadow_checks"`
 	Elapsed            time.Duration `json:"elapsed_ns"`
 }
@@ -143,6 +146,15 @@ func (t *QueryTrace) AddWinnerInserts(n int64) {
 	}
 }
 
+// AddShadowProbes counts post-groomed rows the executor probed against
+// the pending/live shadow by primary-key fingerprint: every selected
+// post row, whenever the shadow holds a key.
+func (t *QueryTrace) AddShadowProbes(n int64) {
+	if t != nil {
+		t.shadowProbes.Add(n)
+	}
+}
+
 // AddShadowChecks counts post-groomed rows whose primary-key fingerprint
 // hit the pending/live shadow, so the executor compared their keys
 // exactly; a row whose fingerprint misses is kept with no key work.
@@ -165,6 +177,7 @@ type TraceSnapshot struct {
 	BackCheckDropped   int64       `json:"back_check_dropped"`
 	RowsEmitted        int64       `json:"rows_emitted"`
 	WinnerInserts      int64       `json:"winner_inserts"`
+	ShadowProbes       int64       `json:"shadow_probes"`
 	ShadowChecks       int64       `json:"shadow_checks"`
 	Spans              []TraceSpan `json:"spans,omitempty"`
 }
@@ -193,6 +206,7 @@ func (t *QueryTrace) Snapshot() TraceSnapshot {
 		BackCheckDropped:   t.backCheckDropped.Load(),
 		RowsEmitted:        t.rowsEmitted.Load(),
 		WinnerInserts:      t.winnerInserts.Load(),
+		ShadowProbes:       t.shadowProbes.Load(),
 		ShadowChecks:       t.shadowChecks.Load(),
 		Spans:              spans,
 	}
@@ -209,11 +223,11 @@ func (t *QueryTrace) String() string {
 	if s.Index != "" {
 		fmt.Fprintf(&b, " index=%s", s.Index)
 	}
-	fmt.Fprintf(&b, " blocks=%d read/%d skipped (%d by bloom), %d fetched live_union=%d winner_inserts=%d shadow_checks=%d back_checked=%d (%d dropped) rows=%d",
-		s.BlocksRead, s.BlocksSkipped, s.BlocksBloomSkipped, s.BlocksFetched, s.LiveUnion, s.WinnerInserts, s.ShadowChecks, s.BackChecked, s.BackCheckDropped, s.RowsEmitted)
+	fmt.Fprintf(&b, " blocks=%d read/%d skipped (%d by bloom), %d fetched live_union=%d winner_inserts=%d shadow_probes=%d shadow_checks=%d back_checked=%d (%d dropped) rows=%d",
+		s.BlocksRead, s.BlocksSkipped, s.BlocksBloomSkipped, s.BlocksFetched, s.LiveUnion, s.WinnerInserts, s.ShadowProbes, s.ShadowChecks, s.BackChecked, s.BackCheckDropped, s.RowsEmitted)
 	for _, sp := range s.Spans {
-		fmt.Fprintf(&b, "\n  shard %s: blocks=%d read/%d skipped, %d fetched live_union=%d winner_inserts=%d shadow_checks=%d in %s",
-			sp.Shard, sp.BlocksRead, sp.BlocksSkipped, sp.BlocksFetched, sp.LiveUnion, sp.WinnerInserts, sp.ShadowChecks, sp.Elapsed)
+		fmt.Fprintf(&b, "\n  shard %s: blocks=%d read/%d skipped, %d fetched live_union=%d winner_inserts=%d shadow_probes=%d shadow_checks=%d in %s",
+			sp.Shard, sp.BlocksRead, sp.BlocksSkipped, sp.BlocksFetched, sp.LiveUnion, sp.WinnerInserts, sp.ShadowProbes, sp.ShadowChecks, sp.Elapsed)
 	}
 	return b.String()
 }

@@ -187,7 +187,10 @@ func TestExecuteGroupByDictColumn(t *testing.T) {
 // map, not a view per row. The pending arm puts pending groomed updates
 // of post-groomed keys beside the post zone, so every selected post row
 // is probed against the shadow: that costs nothing per post row
-// scanned, and nothing per pending row reconciled.
+// scanned, and nothing per pending row reconciled. The 2,048-row query
+// has a fixed budget of its own. The skip arm's filter excludes every
+// post block by its synopsis, before the fetch: a skipped block costs
+// less than a scanned one, and builds no object name.
 func TestAggregateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds a varying number of allocations")
@@ -197,13 +200,15 @@ func TestAggregateAllocs(t *testing.T) {
 		GroupBy: []string{"region"},
 		Aggs:    []exec.Agg{{Func: exec.Count}, {Func: exec.Sum, Col: "amount"}},
 	}
+	skipAll := plan
+	skipAll.Filter = exec.Ge("amount", keyenc.F64(1000)) // amounts are below 100
 	const batch = 1024
 	// measure builds a shard of rows post-groomed rows, one groom and
 	// post-groom per batch, plus pendingRows (at most rows) groomed but
 	// not post-groomed updates of its first keys and liveRows live new
-	// keys, and returns
-	// the aggregate's allocations and the blocks it reads.
-	measure := func(rows, liveRows, pendingRows int) (float64, int64) {
+	// keys, and returns the aggregate's allocations and the blocks it
+	// reads and skips. With skip set, the query runs skipAll.
+	measure := func(skip bool, rows, liveRows, pendingRows int) (float64, int64, int64) {
 		e := newTestEngine(t, regionTable)
 		mk := func(from, n int) []Row {
 			out := make([]Row, n)
@@ -238,11 +243,15 @@ func TestAggregateAllocs(t *testing.T) {
 		if err := e.upsert(0, mk(rows, liveRows)...); err != nil {
 			t.Fatal(err)
 		}
+		p, wantCount, wantGroups := plan, int64(rows+liveRows), len(regionNames)
+		if skip {
+			p, wantCount, wantGroups = skipAll, 0, 0
+		}
 		opts := QueryOptions{IncludeLive: liveRows > 0, NoIndexSelection: true}
 		tr := obs.NewQueryTrace()
 		traced := opts
 		traced.Trace = tr
-		res, err := execute(e, plan, traced) // also warms the block cache
+		res, err := execute(e, p, traced) // also warms the block cache and the synopses
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,30 +259,48 @@ func TestAggregateAllocs(t *testing.T) {
 		for _, r := range res.Rows {
 			count += r[1].Int()
 		}
-		if count != int64(rows+liveRows) || len(res.Rows) != len(regionNames) {
+		if count != wantCount || len(res.Rows) != wantGroups {
 			t.Fatalf("%d rows + %d live: COUNT %d over %d groups", rows, liveRows, count, len(res.Rows))
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := execute(e, plan, opts); err != nil {
+			if _, err := execute(e, p, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
-		return allocs, tr.Snapshot().BlocksRead
+		snap := tr.Snapshot()
+		return allocs, snap.BlocksRead, snap.BlocksSkipped
 	}
 
 	// perBlock bounds what one more scanned block may cost: its
 	// selection and visibility bitmaps, the scan pool's bookkeeping and
 	// the kernel's scratch when it grows.
 	const perBlock = 12
-	small, smallBlocks := measure(2*batch, 0, 0)
-	large, largeBlocks := measure(16*batch, 0, 0)
+	small, smallBlocks, _ := measure(false, 2*batch, 0, 0)
+	large, largeBlocks, _ := measure(false, 16*batch, 0, 0)
 	if extra := large - small; extra > perBlock*float64(largeBlocks-smallBlocks) {
 		t.Errorf("aggregate allocs: %v at %d rows over %d blocks, %v at %d rows over %d blocks (+%v, budget %d per extra block)",
 			small, 2*batch, smallBlocks, large, 16*batch, largeBlocks, extra, perBlock)
 	}
+	// perQuery bounds the whole 2,048-row query: the plan's partial, its
+	// groups, the scan's bookkeeping and two blocks' bitmaps.
+	const perQuery = 75
+	if small > perQuery {
+		t.Errorf("aggregate allocs: %v at %d rows over %d blocks, budget %d", small, 2*batch, smallBlocks, perQuery)
+	}
 
-	few, _ := measure(2*batch, 256, 0)
-	many, _ := measure(2*batch, 2048, 0)
+	// perSkipped bounds what one more synopsis-skipped post block may
+	// cost: its share of the scan pool's bookkeeping, no fetch and no
+	// object name.
+	const perSkipped = 3
+	skipSmall, _, skipSmallBlocks := measure(true, 2*batch, 0, 0)
+	skipLarge, _, skipLargeBlocks := measure(true, 16*batch, 0, 0)
+	if extra := skipLarge - skipSmall; skipLargeBlocks <= skipSmallBlocks || extra > perSkipped*float64(skipLargeBlocks-skipSmallBlocks) {
+		t.Errorf("skipped aggregate allocs: %v at %d rows over %d skipped blocks, %v at %d rows over %d (+%v, budget %d per extra skipped block)",
+			skipSmall, 2*batch, skipSmallBlocks, skipLarge, 16*batch, skipLargeBlocks, extra, perSkipped)
+	}
+
+	few, _, _ := measure(false, 2*batch, 256, 0)
+	many, _, _ := measure(false, 2*batch, 2048, 0)
 	if perRow := (many - few) / (2048 - 256); perRow > 1.25 {
 		t.Errorf("live union: %.2f allocations per live row (%v at 256 live rows, %v at 2048), want at most its key string",
 			perRow, few, many)
@@ -281,13 +308,13 @@ func TestAggregateAllocs(t *testing.T) {
 
 	// The shadow arm: the same pending updates beside a small and a large
 	// post zone, then more pending rows beside the same post zone.
-	shadowSmall, shadowSmallBlocks := measure(2*batch, 0, 512)
-	shadowLarge, shadowLargeBlocks := measure(16*batch, 0, 512)
+	shadowSmall, shadowSmallBlocks, _ := measure(false, 2*batch, 0, 512)
+	shadowLarge, shadowLargeBlocks, _ := measure(false, 16*batch, 0, 512)
 	if extra := shadowLarge - shadowSmall; extra > perBlock*float64(shadowLargeBlocks-shadowSmallBlocks) {
 		t.Errorf("shadowed aggregate allocs: %v at %d post rows over %d blocks, %v at %d over %d blocks (+%v, budget %d per extra block)",
 			shadowSmall, 2*batch, shadowSmallBlocks, shadowLarge, 16*batch, shadowLargeBlocks, extra, perBlock)
 	}
-	shadowMore, shadowMoreBlocks := measure(2*batch, 0, 2*batch)
+	shadowMore, shadowMoreBlocks, _ := measure(false, 2*batch, 0, 2*batch)
 	if extra := shadowMore - shadowSmall; extra > perBlock*float64(shadowMoreBlocks-shadowSmallBlocks) {
 		t.Errorf("shadowed aggregate allocs: %v at 512 pending rows over %d blocks, %v at %d over %d blocks (+%v, budget %d per extra block)",
 			shadowSmall, shadowSmallBlocks, shadowMore, 2*batch, shadowMoreBlocks, extra, perBlock)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"umzi/internal/exec"
+	"umzi/internal/keyenc"
 	"umzi/internal/obs"
 	"umzi/internal/storage"
 	"umzi/internal/types"
@@ -335,6 +336,65 @@ func TestExecuteShadowChecks(t *testing.T) {
 	defer func() { collideFingerprints = false }()
 	run(QueryOptions{IncludeLive: true}, 42, 40)
 	run(QueryOptions{}, 40, 0)
+}
+
+// TestExecuteShadowProbes: whenever the shadow holds a key, every
+// selected visible post-groomed row is probed against it once, and only
+// a probe's fingerprint hit leads to an exact check. The shard holds 40
+// post-groomed rows, of which the filter selects 30; beside them sit
+// three pending groomed updates of selected keys and two live rows, one
+// updating a selected key.
+func TestExecuteShadowProbes(t *testing.T) {
+	e := newTestEngine(t, nil)
+	var rows []Row
+	for m := int64(0); m < 40; m++ {
+		rows = append(rows, row(m%4, m, float64(m), 100+m%2))
+	}
+	ingestAndGroom(t, e, rows...)
+	if _, err := e.postGroom(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.syncIndex(); err != nil {
+		t.Fatal(err)
+	}
+	plan := exec.Plan{Filter: exec.Ge("reading", keyenc.F64(10)), Aggs: []exec.Agg{{Func: exec.Count}}}
+	run := func(opts QueryOptions, wantCount, wantProbes, wantChecks int64) {
+		t.Helper()
+		tr := obs.NewQueryTrace()
+		opts.Trace = tr
+		opts.NoIndexSelection = true
+		res, err := execute(e, plan, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].Int(); got != wantCount {
+			t.Errorf("count = %d, want %d", got, wantCount)
+		}
+		s := tr.Snapshot()
+		if s.ShadowProbes != wantProbes || s.ShadowChecks != wantChecks || len(s.Spans) != 1 ||
+			s.Spans[0].ShadowProbes != wantProbes || s.Spans[0].ShadowChecks != wantChecks {
+			t.Errorf("ShadowProbes = %d, ShadowChecks = %d (spans %+v), want %d and %d",
+				s.ShadowProbes, s.ShadowChecks, s.Spans, wantProbes, wantChecks)
+		}
+		if s.ShadowProbes < s.ShadowChecks {
+			t.Errorf("%d shadow checks from %d probes", s.ShadowChecks, s.ShadowProbes)
+		}
+		if !strings.Contains(tr.String(), fmt.Sprintf("shadow_probes=%d shadow_checks=%d", wantProbes, wantChecks)) {
+			t.Errorf("trace text lacks shadow_probes=%d shadow_checks=%d:\n%s", wantProbes, wantChecks, tr)
+		}
+	}
+	run(QueryOptions{IncludeLive: true}, 30, 0, 0) // no shadow, no probe
+
+	ingestAndGroom(t, e, row(0, 12, 12.5, 100), row(1, 13, 13.5, 101), row(0, 20, 20.5, 100))
+	if err := e.upsert(0, row(2, 30, 50, 100), row(1, 41, 41, 101)); err != nil {
+		t.Fatal(err)
+	}
+	run(QueryOptions{}, 30, 30, 3)
+	run(QueryOptions{IncludeLive: true}, 31, 30, 4)
+
+	collideFingerprints = true
+	defer func() { collideFingerprints = false }()
+	run(QueryOptions{IncludeLive: true}, 31, 30, 30)
 }
 
 // TestExecuteFingerprintCollisions: with every key fingerprint forced

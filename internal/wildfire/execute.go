@@ -26,15 +26,15 @@ import (
 // shadow (shadow.go): the keys of the pending versions and live records,
 // in a set keyed on primary-key fingerprints, against which every
 // selected post-groomed row is probed by its block's fingerprint column
-// — an exact key comparison runs only on a fingerprint hit (the trace's
-// shadow_checks). Each shard reduces to an exec.Partial (per-group
-// aggregate states, not rows — row-shaped plans carry their qualifying
-// projected rows), which is what the coordinator merges before
-// finalizing (ShardedEngine.execPartials). A shard adds its rows in one
-// stated order: post-groomed blocks in zone order, then the pending
-// winners in zone order, then the live rows in commit-sequence order;
-// a row plan emits them in exactly that order, a limited one only the
-// first Limit of them.
+// (the trace's shadow_probes) — an exact key comparison runs only on a
+// fingerprint hit (shadow_checks). Each shard reduces to an
+// exec.Partial (per-group aggregate states, not rows — row-shaped plans
+// carry their qualifying projected rows), which is what the coordinator
+// merges before finalizing (ShardedEngine.execPartials). A shard adds
+// its rows in one stated order: post-groomed blocks in zone order, then
+// the pending winners in zone order, then the live rows in
+// commit-sequence order; a row plan emits them in exactly that order, a
+// limited one only the first Limit of them.
 
 // liveBest is the newest committed-but-ungroomed version of one key.
 type liveBest struct {
@@ -128,11 +128,11 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 			name = groomedBlockName(e.table.Name, v.pending[i])
 		} else {
 			pb = v.post[i-nPending]
-			name = postBlockName(e.table.Name, pb.id)
 			if syn := pb.syn.Load(); syn != nil && !(visibleAt(syn, nUser, ts) && bound.CanMatchBlock(syn)) {
 				classified[i].skip = exec.SkipSynopsis
 				return nil
 			}
+			name = postBlockName(e.table.Name, pb.id)
 		}
 		blk, err := e.fetchBlock(ctx, name)
 		if err != nil {
@@ -150,7 +150,7 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 	if err != nil {
 		return nil, err
 	}
-	var blocksRead, blocksSkipped, blocksBloomSkipped, blocksFetched, winnerInserts, shadowChecks int64
+	var blocksRead, blocksSkipped, blocksBloomSkipped, blocksFetched, winnerInserts, shadowProbes, shadowChecks int64
 	for _, sb := range classified {
 		if sb.skip != exec.SkipNone {
 			blocksSkipped++
@@ -175,6 +175,7 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 	opts.Trace.AddLiveUnion(liveUnion)
 	defer func() {
 		opts.Trace.AddWinnerInserts(winnerInserts)
+		opts.Trace.AddShadowProbes(shadowProbes)
 		opts.Trace.AddShadowChecks(shadowChecks)
 		opts.Trace.AddSpan(obs.TraceSpan{
 			Shard:              e.table.Name,
@@ -184,6 +185,7 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 			BlocksFetched:      blocksFetched,
 			LiveUnion:          liveUnion,
 			WinnerInserts:      winnerInserts,
+			ShadowProbes:       shadowProbes,
 			ShadowChecks:       shadowChecks,
 			Elapsed:            time.Since(start),
 		})
@@ -252,6 +254,7 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 					}
 					bit := bits.TrailingZeros64(word)
 					r := w<<6 | bit
+					shadowProbes++
 					if !shadow.hit(fps[r]) {
 						continue
 					}
