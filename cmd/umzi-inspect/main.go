@@ -309,9 +309,8 @@ func inspectTable(store storage.ObjectStore, table string) error {
 	fmt.Printf("  segments:        %d (%d bytes)\n", w.segments, w.bytes)
 	fmt.Printf("  max logged seq:  %d\n", w.maxSeq)
 	fmt.Printf("  replay tail:     %d rows (rebuilt into the live zone on reopen)\n", w.tailRows)
-	// Data-block inventory: physical encodings, bloom filters, and the
-	// on-store footprint of each block against the plain layout of the
-	// same rows.
+	// Data-block inventory: physical encodings and the on-store
+	// footprint of each block against the plain layout of the same rows.
 	for _, zone := range []string{"groomed", "post"} {
 		prefix := fmt.Sprintf("tbl/%s/%s/", table, zone)
 		blocks, err := store.List(prefix)
@@ -341,11 +340,7 @@ func inspectTable(store storage.ObjectStore, table string) error {
 				100*float64(len(data))/float64(plain))
 			var cols []string
 			for c := 0; c < blk.Schema().NumCols(); c++ {
-				desc := fmt.Sprintf("%s=%v", blk.Schema().Col(c).Name, blk.ColumnEncoding(c))
-				if blk.HasBloom(c) {
-					desc += "+bloom"
-				}
-				cols = append(cols, desc)
+				cols = append(cols, fmt.Sprintf("%s=%v", blk.Schema().Col(c).Name, blk.ColumnEncoding(c)))
 			}
 			fmt.Printf("    %s\n", strings.Join(cols, " "))
 		}

@@ -10,10 +10,10 @@
 // exactly those properties with a compact self-describing encoding.
 //
 // Columns are stored under per-column encodings (see encoding.go) chosen
-// automatically at Build() time, carry optional bloom filters (bloom.go),
-// and support vectorized predicate evaluation through CmpSelect, which
-// compares an entire column against a constant directly over the encoded
-// representation and emits a selection bitmap.
+// automatically at Build() time and support vectorized predicate
+// evaluation through CmpSelect, which compares an entire column against a
+// constant directly over the encoded representation and emits a selection
+// bitmap.
 package columnar
 
 import (
@@ -123,8 +123,6 @@ type column struct {
 	runNums    []uint64
 	runOffsets []uint32 // len runs+1
 	runPayload []byte
-
-	bloom *bloom
 }
 
 // Block is an immutable columnar data block.
@@ -140,14 +138,13 @@ type Block struct {
 // Builder accumulates rows and produces an immutable Block. Rows are
 // buffered plain; Build() rewrites each column to its best encoding.
 type Builder struct {
-	schema    *Schema
-	rows      int
-	cols      []column
-	mins      []keyenc.Value
-	maxs      []keyenc.Value
-	arena     arena
-	bloomCols []int
-	forceEnc  *Encoding
+	schema   *Schema
+	rows     int
+	cols     []column
+	mins     []keyenc.Value
+	maxs     []keyenc.Value
+	arena    arena
+	forceEnc *Encoding
 }
 
 // NewBuilder returns a builder for the schema.
@@ -164,12 +161,6 @@ func NewBuilder(schema *Schema) *Builder {
 		}
 	}
 	return b
-}
-
-// AddBloom designates columns (by ordinal) to carry bloom filters in the
-// built block. Must be called before Build.
-func (b *Builder) AddBloom(ordinals ...int) {
-	b.bloomCols = append(b.bloomCols, ordinals...)
 }
 
 // ForceEncoding overrides automatic encoding selection: every column the
@@ -264,32 +255,10 @@ func (b *Builder) cloneValue(v keyenc.Value) keyenc.Value {
 // NumRows returns the number of rows appended so far.
 func (b *Builder) NumRows() int { return b.rows }
 
-// Build freezes the builder into a Block: blooms are built for the
-// designated columns, then each column is rewritten to the encoding with
-// the smallest estimated wire size. The builder must not be used
-// afterwards.
+// Build freezes the builder into a Block: each column is rewritten to
+// the encoding with the smallest estimated wire size. The builder must
+// not be used afterwards.
 func (b *Builder) Build() *Block {
-	for _, ord := range b.bloomCols {
-		if ord < 0 || ord >= len(b.cols) || b.rows == 0 {
-			continue
-		}
-		c := &b.cols[ord]
-		if c.bloom != nil {
-			continue
-		}
-		f := newBloom(b.rows)
-		if b.schema.Col(ord).Kind.Fixed() {
-			kind := b.schema.Col(ord).Kind
-			for _, raw := range c.nums {
-				f.add(bloomHashKey(keyenc.SortKeyBits(kind, raw)))
-			}
-		} else {
-			for r := 0; r < b.rows; r++ {
-				f.add(bloomHashBytes(c.payload[c.offsets[r]:c.offsets[r+1]]))
-			}
-		}
-		c.bloom = f
-	}
 	for i := range b.cols {
 		chooseEncoding(&b.cols[i], b.schema.Col(i).Kind, b.rows, b.forceEnc)
 	}
@@ -304,19 +273,6 @@ func (blk *Block) NumRows() int { return blk.rows }
 
 // ColumnEncoding returns the physical encoding of the column.
 func (blk *Block) ColumnEncoding(col int) Encoding { return blk.cols[col].enc }
-
-// HasBloom reports whether the column carries a bloom filter.
-func (blk *Block) HasBloom(col int) bool { return blk.cols[col].bloom != nil }
-
-// BloomMightContain reports whether the column's bloom filter admits v.
-// It returns true when the column has no filter (no exclusion possible).
-func (blk *Block) BloomMightContain(col int, v keyenc.Value) bool {
-	f := blk.cols[col].bloom
-	if f == nil {
-		return true
-	}
-	return f.mightContain(bloomHashValue(blk.schema.Col(col).Kind, v))
-}
 
 // rawBits returns the 64-bit raw representation of a fixed-kind value,
 // as stored in a plain column's nums.

@@ -9,7 +9,7 @@ import (
 
 // Wire format of a Block (all integers big-endian):
 //
-//	magic   [8]byte  "UMZICOL2"
+//	magic   [8]byte  "UMZICOL3"
 //	rows    u32
 //	ncols   u16
 //	per column:
@@ -19,9 +19,6 @@ import (
 //	    minLen   u32, min encoding (keyenc ascending)
 //	    maxLen   u32, max encoding
 //	    enc      u8 (Encoding)
-//	    bloomK   u8 (0: no bloom filter)
-//	    if bloomK > 0:
-//	        bloomWords  u32, words × u64
 //	    column body, by enc:
 //	        plain, fixed kind:  nums  rows × u64
 //	        plain, var kind:    offsets (rows+1) × u32, payload
@@ -35,9 +32,10 @@ import (
 // The format is self-describing: Unmarshal rebuilds the schema from the
 // header, so readers need no side-channel schema registry. It is the
 // only format: any other magic — including the pre-encoding "UMZICOL1"
-// layout no store still holds — is rejected, never decoded.
+// layout and the "UMZICOL2" layout with per-column filters, which no
+// store still holds — is rejected, never decoded.
 
-const blockMagic = "UMZICOL2"
+const blockMagic = "UMZICOL3"
 
 // Marshal encodes the block for storage as one immutable object.
 func (blk *Block) Marshal() []byte {
@@ -65,15 +63,6 @@ func (blk *Block) Marshal() []byte {
 		}
 		c := &blk.cols[i]
 		out = append(out, byte(c.enc))
-		if c.bloom != nil {
-			out = append(out, c.bloom.k)
-			out = binary.BigEndian.AppendUint32(out, uint32(len(c.bloom.words)))
-			for _, w := range c.bloom.words {
-				out = binary.BigEndian.AppendUint64(out, w)
-			}
-		} else {
-			out = append(out, 0)
-		}
 		switch c.enc {
 		case EncPlain:
 			if col.Kind.Fixed() {
@@ -133,10 +122,7 @@ func (blk *Block) marshalSize() int {
 			size += keyenc.EncodedLen(blk.mins[i]) + keyenc.EncodedLen(blk.maxs[i])
 		}
 		c := &blk.cols[i]
-		size += 1 + 1 // enc, bloomK
-		if c.bloom != nil {
-			size += 4 + 8*len(c.bloom.words)
-		}
+		size++ // enc
 		switch c.enc {
 		case EncPlain:
 			size += plainBodySize(c, blk.schema.Col(i).Kind.Fixed())
@@ -157,7 +143,7 @@ func (blk *Block) marshalSize() int {
 }
 
 // PlainSize returns the number of bytes the block would occupy marshaled
-// with every column plain and no bloom filters. Inspection and
+// with every column plain. Inspection and
 // benchmarks use it as the uncompressed baseline when reporting encoding
 // savings.
 func (blk *Block) PlainSize() int {
@@ -200,9 +186,6 @@ func (blk *Block) MemSize() int {
 		size += 8 * len(c.packed)
 		size += 4*len(c.dictOffsets) + len(c.dictPayload)
 		size += 4*len(c.runEnds) + 8*len(c.runNums) + 4*len(c.runOffsets) + len(c.runPayload)
-		if c.bloom != nil {
-			size += 8*len(c.bloom.words) + 16
-		}
 	}
 	return size
 }
@@ -337,8 +320,8 @@ func readPlainColumn(r *reader, c *column, kind keyenc.Kind, rows int) error {
 	return nil
 }
 
-// readColumn reads one column: encoding tag, optional bloom
-// filter, and the encoding-specific body, validating every structural
+// readColumn reads one column: encoding tag and the encoding-specific
+// body, validating every structural
 // invariant so a corrupted block fails Unmarshal instead of panicking in
 // Value.
 func readColumn(r *reader, c *column, kind keyenc.Kind, rows, col int) error {
@@ -347,24 +330,6 @@ func readColumn(r *reader, c *column, kind keyenc.Kind, rows, col int) error {
 		return err
 	}
 	c.enc = Encoding(encB)
-	bloomK, err := r.u8()
-	if err != nil {
-		return err
-	}
-	if bloomK > 0 {
-		nwords, err := r.u32()
-		if err != nil {
-			return err
-		}
-		if nwords == 0 || nwords&(nwords-1) != 0 || nwords > 1<<26 {
-			return fmt.Errorf("columnar: column %d: bad bloom size %d", col, nwords)
-		}
-		words, err := r.u64s(int(nwords))
-		if err != nil {
-			return err
-		}
-		c.bloom = &bloom{k: bloomK, words: words}
-	}
 	switch c.enc {
 	case EncPlain:
 		return readPlainColumn(r, c, kind, rows)

@@ -98,10 +98,9 @@ func TestRandomBlocksRoundTrip(t *testing.T) {
 }
 
 // TestForcedEncodingsRoundTrip exercises every encoding explicitly: for
-// each forced encoding it builds random blocks (with bloom filters on
-// every column), checks that kind-compatible columns actually took the
-// forced encoding, and verifies values, encodings, and bloom filters
-// survive Marshal/Unmarshal.
+// each forced encoding it builds random blocks, checks that
+// kind-compatible columns actually took the forced encoding, and verifies
+// values and encodings survive Marshal/Unmarshal.
 func TestForcedEncodingsRoundTrip(t *testing.T) {
 	kinds := []keyenc.Kind{
 		keyenc.KindInt64, keyenc.KindUint64, keyenc.KindFloat64,
@@ -117,14 +116,11 @@ func TestForcedEncodingsRoundTrip(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial)*31 + int64(force)))
 			nCols := 1 + rng.Intn(5)
 			cols := make([]Column, nCols)
-			bloomOrds := make([]int, nCols)
 			for i := range cols {
 				cols[i] = Column{Name: fmt.Sprintf("c%d", i), Kind: kinds[rng.Intn(len(kinds))]}
-				bloomOrds[i] = i
 			}
 			b := NewBuilder(MustSchema(cols...))
 			b.ForceEncoding(force)
-			b.AddBloom(bloomOrds...)
 			nRows := 1 + rng.Intn(150)
 			rows := make([][]keyenc.Value, nRows)
 			for r := range rows {
@@ -158,9 +154,6 @@ func TestForcedEncodingsRoundTrip(t *testing.T) {
 						t.Fatalf("%v trial %d %s: col %d (%v) encoding = %v, want %v",
 							force, trial, label, c, cols[c].Kind, got, want)
 					}
-					if !blk.HasBloom(c) {
-						t.Fatalf("%v trial %d %s: col %d missing bloom", force, trial, label, c)
-					}
 					// Dict serves dict columns only: its value at row r's
 					// code is row r's value, over a strictly ascending dict.
 					checkDict(t, blk, c, rows, fmt.Sprintf("%v trial %d %s", force, trial, label))
@@ -170,10 +163,6 @@ func TestForcedEncodingsRoundTrip(t *testing.T) {
 						if keyenc.Compare(blk.Value(r, c), rows[r][c]) != 0 {
 							t.Fatalf("%v trial %d %s: (%d,%d) = %v, want %v",
 								force, trial, label, r, c, blk.Value(r, c), rows[r][c])
-						}
-						if !blk.BloomMightContain(c, rows[r][c]) {
-							t.Fatalf("%v trial %d %s: bloom rejects present value (%d,%d)",
-								force, trial, label, r, c)
 						}
 					}
 				}
@@ -229,9 +218,10 @@ func TestAutoEncodingPicksCompact(t *testing.T) {
 	}
 }
 
-// TestV1MagicRejected: the pre-encoding "UMZICOL1" layout is gone, so an
-// object carrying its magic — here an otherwise well-formed current
-// block — must fail Unmarshal with an error, never decode.
+// TestV1MagicRejected: the pre-encoding "UMZICOL1" layout and the
+// "UMZICOL2" layout with per-column filters are gone, so an object
+// carrying either magic — here an otherwise well-formed current block —
+// must fail Unmarshal with an error, never decode.
 func TestV1MagicRejected(t *testing.T) {
 	schema, err := NewSchema(Column{Name: "c0", Kind: keyenc.KindInt64})
 	if err != nil {
@@ -243,9 +233,11 @@ func TestV1MagicRejected(t *testing.T) {
 	if _, err := Unmarshal(data); err != nil {
 		t.Fatalf("current block rejected: %v", err)
 	}
-	copy(data, "UMZICOL1")
-	if blk, err := Unmarshal(data); err == nil {
-		t.Fatalf("UMZICOL1 object decoded into %d rows", blk.NumRows())
+	for _, magic := range []string{"UMZICOL1", "UMZICOL2"} {
+		copy(data, magic)
+		if blk, err := Unmarshal(data); err == nil {
+			t.Fatalf("%s object decoded into %d rows", magic, blk.NumRows())
+		}
 	}
 }
 

@@ -145,17 +145,14 @@ type RowView func(col int) keyenc.Value
 type boundExpr interface {
 	eval(row RowView) bool
 	// canMatch conservatively reports whether any row of a block with the
-	// given per-column min/max synopses could satisfy the predicate. ok is
-	// false when the block has no synopsis for the column (empty block).
-	canMatch(minmax func(col int) (min, max keyenc.Value, ok bool)) bool
+	// given per-column min/max synopses could satisfy the predicate. A
+	// column without a synopsis (empty block) matches nothing.
+	canMatch(syn BlockSynopsis) bool
 	// columns reports every column ordinal the predicate reads.
 	columns(add func(col int))
 	// evalVec evaluates the predicate over every row of the block at
 	// once, fully overwriting out with the selection (vector.go).
 	evalVec(blk *columnar.Block, out *Bitmap)
-	// bloomMatch conservatively reports whether any block row could
-	// satisfy the predicate, judged by per-column bloom filters.
-	bloomMatch(blk *columnar.Block) bool
 }
 
 type boundCmp struct {
@@ -200,11 +197,12 @@ func (b boundCmp) eval(row RowView) bool {
 	return cmpHolds(b.op, keyenc.Compare(row(b.col), b.val))
 }
 
-func (b boundCmp) canMatch(minmax func(col int) (min, max keyenc.Value, ok bool)) bool {
-	min, max, ok := minmax(b.col)
+func (b boundCmp) canMatch(syn BlockSynopsis) bool {
+	min, ok := syn.ColumnMin(b.col)
 	if !ok {
 		return false
 	}
+	max, _ := syn.ColumnMax(b.col)
 	switch b.op {
 	case OpEq:
 		return keyenc.Compare(b.val, min) >= 0 && keyenc.Compare(b.val, max) <= 0
@@ -279,9 +277,9 @@ func (b boundAnd) eval(row RowView) bool {
 	return true
 }
 
-func (b boundAnd) canMatch(minmax func(col int) (min, max keyenc.Value, ok bool)) bool {
+func (b boundAnd) canMatch(syn BlockSynopsis) bool {
 	for _, k := range b.kids {
-		if !k.canMatch(minmax) {
+		if !k.canMatch(syn) {
 			return false
 		}
 	}
@@ -297,9 +295,9 @@ func (b boundOr) eval(row RowView) bool {
 	return false
 }
 
-func (b boundOr) canMatch(minmax func(col int) (min, max keyenc.Value, ok bool)) bool {
+func (b boundOr) canMatch(syn BlockSynopsis) bool {
 	for _, k := range b.kids {
-		if k.canMatch(minmax) {
+		if k.canMatch(syn) {
 			return true
 		}
 	}

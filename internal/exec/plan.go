@@ -248,12 +248,5 @@ func (b *BoundPlan) CanMatchBlock(syn BlockSynopsis) bool {
 	if b.filter == nil {
 		return syn.NumRows() > 0
 	}
-	return b.filter.canMatch(func(col int) (keyenc.Value, keyenc.Value, bool) {
-		min, ok := syn.ColumnMin(col)
-		if !ok {
-			return keyenc.Value{}, keyenc.Value{}, false
-		}
-		max, _ := syn.ColumnMax(col)
-		return min, max, true
-	})
+	return b.filter.canMatch(syn)
 }

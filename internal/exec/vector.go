@@ -13,11 +13,6 @@ import (
 // word-wise AND/OR over selection bitmaps. Rows materialize only after
 // selection (late materialization): the executor touches data columns
 // only for the rows whose bits survive.
-//
-// BlockSkip extends the min/max synopsis pruning with per-column bloom
-// filters: an equality leaf whose probe value the column's bloom filter
-// rejects cannot match anywhere in the block, and the usual AND/OR
-// short-circuit rules lift leaf verdicts to the whole filter.
 
 // Bitmap is a fixed-length selection vector: bit i is set when row i is
 // selected. Bits at positions >= Len are always zero.
@@ -138,74 +133,6 @@ func (b boundOr) evalVec(blk *columnar.Block, out *Bitmap) {
 		k.evalVec(blk, scratch)
 		out.Or(scratch)
 	}
-}
-
-// bloomMatch conservatively reports whether any row of the block could
-// satisfy the predicate, judged only by per-column bloom filters:
-// equality leaves probe the filter, every other leaf (and columns
-// without a filter) passes.
-func (b boundCmp) bloomMatch(blk *columnar.Block) bool {
-	if b.op != OpEq {
-		return true
-	}
-	return blk.BloomMightContain(b.col, b.val)
-}
-
-func (b boundAnd) bloomMatch(blk *columnar.Block) bool {
-	for _, k := range b.kids {
-		if !k.bloomMatch(blk) {
-			return false
-		}
-	}
-	return true
-}
-
-func (b boundOr) bloomMatch(blk *columnar.Block) bool {
-	for _, k := range b.kids {
-		if k.bloomMatch(blk) {
-			return true
-		}
-	}
-	return false
-}
-
-// SkipReason classifies a block-skip decision.
-type SkipReason int
-
-// Block-skip outcomes, ordered by check sequence: synopses are consulted
-// before bloom filters, so SkipBloom means "inside the min/max range but
-// provably absent".
-const (
-	SkipNone     SkipReason = iota // block must be scanned
-	SkipSynopsis                   // excluded by min/max synopsis
-	SkipBloom                      // excluded by a bloom filter
-)
-
-// String implements fmt.Stringer.
-func (s SkipReason) String() string {
-	switch s {
-	case SkipNone:
-		return "none"
-	case SkipSynopsis:
-		return "synopsis"
-	case SkipBloom:
-		return "bloom"
-	default:
-		return "skip(?)"
-	}
-}
-
-// BlockSkip reports whether the filter provably matches no row of the
-// block, and which pruning structure proved it: min/max synopses first,
-// then per-column bloom filters.
-func (b *BoundPlan) BlockSkip(blk *columnar.Block) SkipReason {
-	if !b.CanMatchBlock(blk) {
-		return SkipSynopsis
-	}
-	if b.filter != nil && !b.filter.bloomMatch(blk) {
-		return SkipBloom
-	}
-	return SkipNone
 }
 
 // FilterBlock evaluates the plan's filter vectorized over the block and

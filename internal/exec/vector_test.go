@@ -12,8 +12,8 @@ import (
 // TestVectorizedEquivalenceProperty is the correctness anchor of the
 // vectorized path: over randomized blocks (every encoding, forced and
 // auto-selected) and randomized predicate trees, FilterBlock must select
-// exactly the rows the scalar Matches path accepts, and BlockSkip must
-// never claim a block skippable when some row matches.
+// exactly the rows the scalar Matches path accepts, and CanMatchBlock
+// must never claim a block skippable when some row matches.
 func TestVectorizedEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xf11e))
 	encodings := []*columnar.Encoding{nil} // nil: automatic selection
@@ -52,8 +52,8 @@ func TestVectorizedEquivalenceProperty(t *testing.T) {
 		if got := sel.Count(); got != matches {
 			t.Fatalf("trial %d: Count() = %d, scalar found %d", trial, got, matches)
 		}
-		if reason := bound.BlockSkip(blk); reason != SkipNone && matches > 0 {
-			t.Fatalf("trial %d: BlockSkip = %v but %d rows match (expr %v)", trial, reason, matches, expr)
+		if !bound.CanMatchBlock(blk) && matches > 0 {
+			t.Fatalf("trial %d: CanMatchBlock = false but %d rows match (expr %v)", trial, matches, expr)
 		}
 		// Marshal round-trip must preserve the verdicts.
 		blk2, err := columnar.Unmarshal(blk.Marshal())
@@ -78,7 +78,6 @@ func randomVecBlock(rng *rand.Rand, rows int, force *columnar.Encoding) *columna
 	if force != nil {
 		b.ForceEncoding(*force)
 	}
-	b.AddBloom(0, 1)
 	base := rng.Int63n(1000)
 	sorted := rng.Intn(2) == 0
 	for r := 0; r < rows; r++ {
@@ -126,54 +125,5 @@ func randomVecExpr(rng *rand.Rand, depth int) Expr {
 		return Cmp("amount", op, keyenc.F64(float64(rng.Intn(22))/4))
 	default:
 		return Cmp("qty", op, keyenc.U64(uint64(rng.Intn(4))))
-	}
-}
-
-// TestBlockSkipBloom pins the bloom skip decision: an equality probe for
-// a value inside the min/max range but absent from the column must be
-// rejected by the bloom filter, and recorded as SkipBloom rather than
-// SkipSynopsis.
-func TestBlockSkipBloom(t *testing.T) {
-	schema := columnar.MustSchema(testCols...)
-	b := columnar.NewBuilder(schema)
-	b.AddBloom(0)
-	// Even ids only: odd probes fall inside [0, 198] but never match.
-	for i := 0; i < 100; i++ {
-		err := b.Append([]keyenc.Value{
-			keyenc.I64(int64(2 * i)), keyenc.Str("x"), keyenc.F64(0), keyenc.U64(0),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	blk := b.Build()
-
-	bind := func(e Expr) *BoundPlan {
-		bp, err := Plan{Filter: e, Aggs: []Agg{{Func: Count}}}.Bind(testCols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return bp
-	}
-	if got := bind(Eq("id", keyenc.I64(500))).BlockSkip(blk); got != SkipSynopsis {
-		t.Errorf("out-of-range probe: BlockSkip = %v, want SkipSynopsis", got)
-	}
-	if got := bind(Eq("id", keyenc.I64(88))).BlockSkip(blk); got != SkipNone {
-		t.Errorf("present probe: BlockSkip = %v, want SkipNone", got)
-	}
-	bloomSkips := 0
-	for probe := int64(1); probe < 198; probe += 2 {
-		if bind(Eq("id", keyenc.I64(probe))).BlockSkip(blk) == SkipBloom {
-			bloomSkips++
-		}
-	}
-	// ~1% false positive rate; well over half of the 99 odd probes must
-	// be excluded by the filter.
-	if bloomSkips < 50 {
-		t.Errorf("bloom excluded %d of 99 absent probes, want >= 50", bloomSkips)
-	}
-	// Range predicates never consult the bloom filter.
-	if got := bind(And(Ge("id", keyenc.I64(1)), Le("id", keyenc.I64(1)))).BlockSkip(blk); got == SkipBloom {
-		t.Errorf("range probe classified as bloom skip")
 	}
 }

@@ -25,20 +25,21 @@ type QueryTrace struct {
 	index string
 	spans []TraceSpan
 
-	blocksRead         atomic.Int64
-	blocksSkipped      atomic.Int64
-	blocksBloomSkipped atomic.Int64
-	blocksFetched      atomic.Int64
-	liveUnion          atomic.Int64
-	backChecked        atomic.Int64
-	backCheckDropped   atomic.Int64
-	rowsEmitted        atomic.Int64
-	winnerInserts      atomic.Int64
-	shadowProbes       atomic.Int64
-	shadowChecks       atomic.Int64
+	blocksRead       atomic.Int64
+	blocksSkipped    atomic.Int64
+	blocksFetched    atomic.Int64
+	liveUnion        atomic.Int64
+	backChecked      atomic.Int64
+	backCheckDropped atomic.Int64
+	rowsEmitted      atomic.Int64
+	winnerInserts    atomic.Int64
+	shadowProbes     atomic.Int64
+	shadowChecks     atomic.Int64
 }
 
-// TraceSpan is one shard's slice of a query.
+// TraceSpan is one shard's slice of a query. BlocksBloomSkipped is
+// always 0: blocks carry no per-column filters, and the field stays only
+// for readers that still decode it.
 type TraceSpan struct {
 	Shard              string        `json:"shard"`
 	BlocksRead         int64         `json:"blocks_read"`
@@ -87,14 +88,6 @@ func (t *QueryTrace) AddBlocksRead(n int64) {
 func (t *QueryTrace) AddBlocksSkipped(n int64) {
 	if t != nil {
 		t.blocksSkipped.Add(n)
-	}
-}
-
-// AddBlocksBloomSkipped counts the subset of skipped blocks that a
-// per-column bloom filter excluded (the min/max synopsis admitted them).
-func (t *QueryTrace) AddBlocksBloomSkipped(n int64) {
-	if t != nil {
-		t.blocksBloomSkipped.Add(n)
 	}
 }
 
@@ -165,6 +158,7 @@ func (t *QueryTrace) AddShadowChecks(n int64) {
 }
 
 // TraceSnapshot is an immutable copy of a QueryTrace.
+// BlocksBloomSkipped is always 0, as in TraceSpan.
 type TraceSnapshot struct {
 	Plan               string      `json:"plan"`
 	Index              string      `json:"index,omitempty"`
@@ -195,20 +189,19 @@ func (t *QueryTrace) Snapshot() TraceSnapshot {
 	t.mu.Unlock()
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Shard < spans[j].Shard })
 	return TraceSnapshot{
-		Plan:               plan,
-		Index:              index,
-		BlocksRead:         t.blocksRead.Load(),
-		BlocksSkipped:      t.blocksSkipped.Load(),
-		BlocksBloomSkipped: t.blocksBloomSkipped.Load(),
-		BlocksFetched:      t.blocksFetched.Load(),
-		LiveUnion:          t.liveUnion.Load(),
-		BackChecked:        t.backChecked.Load(),
-		BackCheckDropped:   t.backCheckDropped.Load(),
-		RowsEmitted:        t.rowsEmitted.Load(),
-		WinnerInserts:      t.winnerInserts.Load(),
-		ShadowProbes:       t.shadowProbes.Load(),
-		ShadowChecks:       t.shadowChecks.Load(),
-		Spans:              spans,
+		Plan:             plan,
+		Index:            index,
+		BlocksRead:       t.blocksRead.Load(),
+		BlocksSkipped:    t.blocksSkipped.Load(),
+		BlocksFetched:    t.blocksFetched.Load(),
+		LiveUnion:        t.liveUnion.Load(),
+		BackChecked:      t.backChecked.Load(),
+		BackCheckDropped: t.backCheckDropped.Load(),
+		RowsEmitted:      t.rowsEmitted.Load(),
+		WinnerInserts:    t.winnerInserts.Load(),
+		ShadowProbes:     t.shadowProbes.Load(),
+		ShadowChecks:     t.shadowChecks.Load(),
+		Spans:            spans,
 	}
 }
 
@@ -223,8 +216,8 @@ func (t *QueryTrace) String() string {
 	if s.Index != "" {
 		fmt.Fprintf(&b, " index=%s", s.Index)
 	}
-	fmt.Fprintf(&b, " blocks=%d read/%d skipped (%d by bloom), %d fetched live_union=%d winner_inserts=%d shadow_probes=%d shadow_checks=%d back_checked=%d (%d dropped) rows=%d",
-		s.BlocksRead, s.BlocksSkipped, s.BlocksBloomSkipped, s.BlocksFetched, s.LiveUnion, s.WinnerInserts, s.ShadowProbes, s.ShadowChecks, s.BackChecked, s.BackCheckDropped, s.RowsEmitted)
+	fmt.Fprintf(&b, " blocks=%d read/%d skipped, %d fetched live_union=%d winner_inserts=%d shadow_probes=%d shadow_checks=%d back_checked=%d (%d dropped) rows=%d",
+		s.BlocksRead, s.BlocksSkipped, s.BlocksFetched, s.LiveUnion, s.WinnerInserts, s.ShadowProbes, s.ShadowChecks, s.BackChecked, s.BackCheckDropped, s.RowsEmitted)
 	for _, sp := range s.Spans {
 		fmt.Fprintf(&b, "\n  shard %s: blocks=%d read/%d skipped, %d fetched live_union=%d winner_inserts=%d shadow_probes=%d shadow_checks=%d in %s",
 			sp.Shard, sp.BlocksRead, sp.BlocksSkipped, sp.BlocksFetched, sp.LiveUnion, sp.WinnerInserts, sp.ShadowProbes, sp.ShadowChecks, sp.Elapsed)

@@ -50,30 +50,6 @@ func (e *shard) cacheBlock(name string, blk *columnar.Block) {
 	e.blocks.put(name, blk)
 }
 
-// bloomOrdinals returns the block-schema ordinals that carry bloom
-// filters in groomed and post-groomed blocks: the primary-key columns
-// plus every index's equality columns — exactly the columns point
-// lookups and selective equality predicates probe by content.
-func (e *shard) bloomOrdinals() []int {
-	seen := make(map[int]bool)
-	var ords []int
-	add := func(name string) {
-		if i := e.table.colIndex(name); i >= 0 && !seen[i] {
-			seen[i] = true
-			ords = append(ords, i)
-		}
-	}
-	for _, k := range e.table.PrimaryKey {
-		add(k)
-	}
-	for _, ti := range e.indexSet() {
-		for _, c := range ti.spec.Equality {
-			add(c)
-		}
-	}
-	return ords
-}
-
 // Record is a fully resolved record version: the user row plus the hidden
 // multi-version columns.
 type Record struct {

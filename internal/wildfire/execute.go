@@ -65,13 +65,13 @@ func (e *shard) liveOverlay(opts QueryOptions) (map[string]liveBest, *zoneVersio
 	return live, v, ts
 }
 
-// scanBlk is one zone block of a query, with its object name and skip
-// verdict; blk is nil, and name empty, when a post block's synopsis
-// skipped it before its fetch.
+// scanBlk is one zone block of a query, with its object name and
+// whether the synopses skip it; blk is nil, and name empty, when a post
+// block's synopsis skipped it before its fetch.
 type scanBlk struct {
 	blk  *columnar.Block
 	name string
-	skip exec.SkipReason
+	skip bool
 }
 
 // executeBound evaluates a bound plan on this shard into a partial
@@ -83,9 +83,8 @@ type scanBlk struct {
 // Post-groomed versions have a resolved endTS (§2.1: in the block, or a
 // sidecar override in the version), so such a row is visible exactly
 // when beginTS <= zts < endTS — no comparison with other versions, and
-// a post-groomed block the synopses or a bloom filter exclude is never
-// scanned; once the version holds its synopsis, one the synopses exclude
-// is not even fetched. zts clamps TS to the version's lastGroomTS, which
+// a post-groomed block the synopses exclude is never scanned; once the
+// version holds its synopsis, it is not even fetched. zts clamps TS to the version's lastGroomTS, which
 // bounds every finite endTS in it, so that a current version stays
 // visible at MaxTS.
 // Pending groomed blocks and the live zone go through the shadow, a
@@ -111,27 +110,34 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 	}
 	nUser := len(e.table.Columns)
 
-	// Phase 1: classify every block of the version, in parallel across
-	// the scan pool (positional writes keep the zone order deterministic;
-	// overlapping storage reads is where a cold scan wins first). A post
-	// block whose synopsis the version already holds is classified from
-	// it, and fetched only if it survives; every other block is fetched
-	// and classified from its decode — pending blocks always, since their
+	// Phase 1: classify every block of the version. A post block whose
+	// synopsis the version already holds is classified from it inline,
+	// and fetched only if it survives; every other block is fetched and
+	// classified from its decode — pending blocks always, since their
 	// versions shadow even when skipped. The verdicts are the same either
-	// way: the synopsis is the block's min/max.
+	// way: the synopsis is the block's min/max. Only the fetches go to
+	// the scan pool (positional writes keep the zone order deterministic;
+	// overlapping storage reads is where a cold scan wins first).
 	nPending := len(v.pending)
 	classified := make([]scanBlk, nPending+len(v.post))
-	err := e.scanPool.each(ctx, len(classified), func(i int) error {
+	fetch := make([]int, 0, len(classified))
+	for i := range classified {
+		if i >= nPending {
+			if syn := v.post[i-nPending].syn.Load(); syn != nil && !(visibleAt(syn, nUser, ts) && bound.CanMatchBlock(syn)) {
+				classified[i].skip = true
+				continue
+			}
+		}
+		fetch = append(fetch, i)
+	}
+	err := e.scanPool.each(ctx, len(fetch), func(j int) error {
+		i := fetch[j]
 		var pb *postBlock
 		var name string
 		if i < nPending {
 			name = groomedBlockName(e.table.Name, v.pending[i])
 		} else {
 			pb = v.post[i-nPending]
-			if syn := pb.syn.Load(); syn != nil && !(visibleAt(syn, nUser, ts) && bound.CanMatchBlock(syn)) {
-				classified[i].skip = exec.SkipSynopsis
-				return nil
-			}
 			name = postBlockName(e.table.Name, pb.id)
 		}
 		blk, err := e.fetchBlock(ctx, name)
@@ -141,36 +147,27 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 		if pb != nil && pb.syn.Load() == nil {
 			pb.syn.CompareAndSwap(nil, blk.Synopsis())
 		}
-		classified[i] = scanBlk{blk: blk, name: name, skip: exec.SkipSynopsis}
-		if visibleAt(blk, nUser, ts) {
-			classified[i].skip = bound.BlockSkip(blk)
-		}
+		skip := !(visibleAt(blk, nUser, ts) && bound.CanMatchBlock(blk))
+		classified[i] = scanBlk{blk: blk, name: name, skip: skip}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var blocksRead, blocksSkipped, blocksBloomSkipped, blocksFetched, winnerInserts, shadowProbes, shadowChecks int64
+	var blocksRead, blocksSkipped, winnerInserts, shadowProbes, shadowChecks int64
 	for _, sb := range classified {
-		if sb.skip != exec.SkipNone {
+		if sb.skip {
 			blocksSkipped++
 		} else {
 			blocksRead++
 		}
-		if sb.skip == exec.SkipBloom {
-			blocksBloomSkipped++
-		}
-		if sb.blk != nil {
-			blocksFetched++
-		}
 	}
+	blocksFetched := int64(len(fetch))
 
 	e.mx.execBlocksRead.Add(blocksRead)
 	e.mx.execBlocksSkipped.Add(blocksSkipped)
-	e.mx.execBlocksBloomSkipped.Add(blocksBloomSkipped)
 	opts.Trace.AddBlocksRead(blocksRead)
 	opts.Trace.AddBlocksSkipped(blocksSkipped)
-	opts.Trace.AddBlocksBloomSkipped(blocksBloomSkipped)
 	opts.Trace.AddBlocksFetched(blocksFetched)
 	opts.Trace.AddLiveUnion(liveUnion)
 	defer func() {
@@ -178,16 +175,15 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 		opts.Trace.AddShadowProbes(shadowProbes)
 		opts.Trace.AddShadowChecks(shadowChecks)
 		opts.Trace.AddSpan(obs.TraceSpan{
-			Shard:              e.table.Name,
-			BlocksRead:         blocksRead,
-			BlocksSkipped:      blocksSkipped,
-			BlocksBloomSkipped: blocksBloomSkipped,
-			BlocksFetched:      blocksFetched,
-			LiveUnion:          liveUnion,
-			WinnerInserts:      winnerInserts,
-			ShadowProbes:       shadowProbes,
-			ShadowChecks:       shadowChecks,
-			Elapsed:            time.Since(start),
+			Shard:         e.table.Name,
+			BlocksRead:    blocksRead,
+			BlocksSkipped: blocksSkipped,
+			BlocksFetched: blocksFetched,
+			LiveUnion:     liveUnion,
+			WinnerInserts: winnerInserts,
+			ShadowProbes:  shadowProbes,
+			ShadowChecks:  shadowChecks,
+			Elapsed:       time.Since(start),
 		})
 	}()
 
@@ -197,13 +193,13 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 	// Phase 2: reconcile the newest visible pending version per primary
 	// key into the shadow. Live records are newer than every groomed
 	// version of their key (the groomer will assign them a larger
-	// beginTS), so they supersede. A pending block the skip structures
-	// excluded keeps a nil selection: its versions still shadow older
+	// beginTS), so they supersede. A pending block the synopses excluded
+	// keeps a nil selection: its versions still shadow older
 	// ones but cannot themselves qualify.
 	shadow := newShadowSet(classified[:nPending], len(live), pkIdx)
 	sels := make([]*exec.Bitmap, nPending)
 	for i, sb := range classified[:nPending] {
-		if sb.skip == exec.SkipNone {
+		if !sb.skip {
 			sels[i] = bound.FilterBlock(sb.blk)
 		}
 		tsBuf = sb.blk.AppendNums(nUser, tsBuf[:0])
@@ -229,7 +225,7 @@ func (e *shard) executeBound(ctx context.Context, bound *exec.BoundPlan, opts Qu
 	// accumulated in one call. A row whose fingerprint misses the shadow
 	// is kept with no key work; a hit is settled by the exact check.
 	for i, sb := range classified[nPending:] {
-		if sb.skip != exec.SkipNone {
+		if sb.skip {
 			continue
 		}
 		blk := sb.blk

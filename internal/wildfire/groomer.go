@@ -51,7 +51,6 @@ func (e *shard) groomCount() (int, error) {
 		return 0, err
 	}
 	builder := columnar.NewBuilder(schema)
-	builder.AddBloom(e.bloomOrdinals()...)
 	// One run per index per groom cycle (§5.2, fanned out to the set):
 	// every index — primary and secondaries — gets entries for every
 	// record of the cycle, so no index ever lags the groomed zone.

@@ -61,9 +61,8 @@ type engineMetrics struct {
 	blockFetches   *obs.Counter
 
 	// Analytical executor.
-	execBlocksRead         *obs.Counter
-	execBlocksSkipped      *obs.Counter
-	execBlocksBloomSkipped *obs.Counter
+	execBlocksRead    *obs.Counter
+	execBlocksSkipped *obs.Counter
 
 	// Secondary-index verification.
 	backChecks     *obs.Counter
@@ -105,9 +104,7 @@ func newEngineMetrics(reg *obs.Registry, table string) *engineMetrics {
 		blockFetches:    reg.Counter("cache_block_fetches", "data-block reads that went to shared storage", l),
 		execBlocksRead:  reg.Counter("exec_blocks_read", "blocks scanned with data columns materialized", l),
 		execBlocksSkipped: reg.Counter("exec_blocks_skipped",
-			"blocks excluded by min/max synopses (timestamp or filter) or bloom filters", l),
-		execBlocksBloomSkipped: reg.Counter("exec_blocks_bloom_skipped",
-			"blocks excluded by per-column bloom filters (subset of exec_blocks_skipped)", l),
+			"blocks excluded by min/max synopses (timestamp or filter)", l),
 		backChecks:     reg.Counter("index_back_checks", "secondary-index candidates verified against the primary", l),
 		backCheckDrops: reg.Counter("index_back_check_drops", "verified candidates dropped as superseded", l),
 		queryCount:     make(map[queryMode]*obs.Counter, len(planModes)),

@@ -152,7 +152,6 @@ func (e *shard) postGroom() (types.PSN, error) {
 			continue
 		}
 		builder := columnar.NewBuilder(schema)
-		builder.AddBloom(e.bloomOrdinals()...)
 		for _, rv := range bucket {
 			full := append(append(Row{}, rv.row...),
 				keyenc.U64(uint64(rv.beginTS)),

@@ -200,7 +200,7 @@ func TestInspectStoreSmoke(t *testing.T) {
 		t.Fatalf("umzi-inspect -table: %v\n%s", err, out)
 	}
 	for _, want := range []string{"2 indexes", "(primary)", "by_region", "IndexedPSN=1",
-		"data blocks", "bytes on store", "plain layout", "+bloom"} {
+		"data blocks", "bytes on store", "plain layout"} {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("inspect -table output missing %q:\n%s", want, out)
 		}

@@ -174,8 +174,7 @@ const (
 // Query vocabulary (internal/exec): the predicates and aggregates the
 // query builder takes. Aggregate and unordered queries evaluate
 // block-at-a-time over the columnar zones, with block skipping by
-// min/max synopses and bloom filters and partial-aggregate merging
-// across shards:
+// min/max synopses and partial-aggregate merging across shards:
 //
 //	rows, err := tbl.Query().
 //	    Where(umzi.Ge("amount", umzi.F64(100))).
