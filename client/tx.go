@@ -82,8 +82,10 @@ type txSink struct{ db *DB }
 
 func (txSink) Stage(string, []umzi.Row) error { return nil }
 
-func (s txSink) Commit(ctx context.Context, replica int, staged []front.Staged) error {
-	payload := wire.AppendUvarint(nil, uint64(replica))
+func (s txSink) Commit(ctx context.Context, staged []front.Staged) error {
+	// The frame's leading uvarint is the replica slot, always 0: a shard
+	// has one committed log.
+	payload := wire.AppendUvarint(nil, 0)
 	payload = wire.AppendUvarint(payload, uint64(len(staged)))
 	for _, st := range staged {
 		payload = wire.AppendString(payload, st.Table)
@@ -101,8 +103,8 @@ func (s txSink) Commit(ctx context.Context, replica int, staged []front.Staged) 
 	})
 }
 
-// Upsert runs one auto-committed transaction staging the rows on
-// replica 0, mirroring umzi.Table.Upsert.
+// Upsert runs one auto-committed transaction staging the rows,
+// mirroring umzi.Table.Upsert.
 func (t *Table) Upsert(ctx context.Context, rows ...umzi.Row) error {
 	tx, err := t.db.Begin(ctx)
 	if err != nil {

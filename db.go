@@ -50,7 +50,7 @@ type DBConfig struct {
 }
 
 // TableOptions configures one table at creation: shard count, the
-// primary index layout and secondary indexes, replicas, partitions,
+// primary index layout and secondary indexes, partitions,
 // scatter-gather and scan parallelism, the decoded-block cache budget
 // and commit-log durability. The zero value means defaults everywhere.
 // The same options create a table remotely through the network client,
@@ -177,7 +177,6 @@ func (db *DB) openTable(e dbCatalogEntry, secondaries []SecondaryIndexSpec) (*Ta
 		BlockCacheBytes: e.BlockCacheBytes,
 		Store:           db.store,
 		Cache:           db.cache,
-		Replicas:        e.Replicas,
 		Partitions:      e.Partitions,
 		Durability:      e.Durability,
 		Obs:             db.obs,
@@ -279,8 +278,8 @@ func (db *DB) Begin(ctx context.Context) (*Tx, error) {
 
 // txSink is the in-process transport under Tx: Stage validates rows
 // against their table, and Commit hands them to the tables' engines
-// table by table. The replica ordinal is checked against every table
-// before any commits; the context is checked before each table's.
+// table by table. Every table is resolved before any commits; the
+// context is checked before each table's.
 type txSink struct{ db *DB }
 
 func (s txSink) Stage(table string, rows []Row) error {
@@ -297,15 +296,12 @@ func (s txSink) Stage(table string, rows []Row) error {
 	return nil
 }
 
-func (s txSink) Commit(ctx context.Context, replica int, staged []front.Staged) error {
+func (s txSink) Commit(ctx context.Context, staged []front.Staged) error {
 	tbls := make([]*Table, len(staged))
 	for i, st := range staged {
 		tbl, err := s.db.Table(st.Table)
 		if err != nil {
 			return err
-		}
-		if n := max(tbl.catalogEntry.Replicas, 1); replica < 0 || replica >= n {
-			return fmt.Errorf("umzi: table %s: replica %d out of range (%d replicas)", tbl.name, replica, n)
 		}
 		tbls[i] = tbl
 	}
@@ -313,7 +309,7 @@ func (s txSink) Commit(ctx context.Context, replica int, staged []front.Staged) 
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("umzi: commit interrupted before table %s (earlier tables are durable): %w", tbl.name, err)
 		}
-		if err := tbl.eng.Commit(ctx, replica, staged[i].Rows); err != nil {
+		if err := tbl.eng.Commit(ctx, staged[i].Rows); err != nil {
 			return err
 		}
 	}

@@ -178,7 +178,7 @@ func testBuilderStreamOracleEquivalence(t *testing.T, shards int, seed int64) {
 		if err := tbl.Upsert(ctx, row); err != nil {
 			t.Fatal(err)
 		}
-		if err := oracle.UpsertRows(0, row); err != nil {
+		if err := oracle.UpsertRows(row); err != nil {
 			t.Fatal(err)
 		}
 		if rng.Intn(60) == 0 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"umzi"
+	"umzi/internal/storage"
 )
 
 func ordersDef(name string) umzi.TableDef {
@@ -185,9 +186,8 @@ func TestDBRestart(t *testing.T) {
 
 	db := open()
 	orders, err := db.CreateTable(ordersDef("orders"), umzi.TableOptions{
-		Shards:   3,
-		Replicas: 2,
-		Index:    umzi.IndexSpec{Sort: []string{"order_id"}},
+		Shards: 3,
+		Index:  umzi.IndexSpec{Sort: []string{"order_id"}},
 		Secondaries: []umzi.SecondaryIndexSpec{{
 			Name:      "by_customer",
 			IndexSpec: umzi.IndexSpec{Equality: []string{"customer"}},
@@ -254,14 +254,6 @@ func TestDBRestart(t *testing.T) {
 	if err != nil || !found || row[2].Float() != 42 {
 		t.Fatalf("point get after restart: row=%v found=%v err=%v", row, found, err)
 	}
-	// Table-level options beyond the topology must survive the restart
-	// too: the table was created with 2 multi-master replicas, so
-	// ingesting through replica 1 must still work.
-	if err := orders2.UpsertReplica(ctx, 1, umzi.Row{
-		umzi.I64(9999), umzi.I64(0), umzi.F64(1), umzi.Str("amer"),
-	}); err != nil {
-		t.Fatalf("replica 1 upsert after restart: %v", err)
-	}
 	events2, err := db2.Table("events")
 	if err != nil {
 		t.Fatal(err)
@@ -269,6 +261,69 @@ func TestDBRestart(t *testing.T) {
 	cnt, err = events2.Query().Where(umzi.Eq("stream", umzi.I64(2))).Count(ctx)
 	if err != nil || cnt != 10 {
 		t.Fatalf("events stream 2 count after restart = %d (err %v), want 10", cnt, err)
+	}
+}
+
+// TestDBOldCatalogReplicasIgnored: stores written before a shard had
+// one committed log carry a "Replicas" option in each table's catalog
+// entry. It never changed which rows a query returns, so OpenDB reads
+// and ignores it: the table opens with its rows and takes new ones.
+func TestDBOldCatalogReplicasIgnored(t *testing.T) {
+	ctx := context.Background()
+	store := umzi.NewMemStore(umzi.LatencyModel{})
+	db, err := umzi.OpenDB(umzi.DBConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders, err := db.CreateTable(ordersDef("orders"), umzi.TableOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillOrders(t, orders, 100)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the catalog as such a store held it: "Replicas" right
+	// after "Shards" in the table's entry.
+	const prefix = "db/catalog/"
+	data, seq, ok, err := storage.LoadRecord(store, prefix, func(b []byte) ([]byte, error) { return b, nil })
+	if err != nil || !ok {
+		t.Fatalf("loading the catalog: ok=%v err=%v", ok, err)
+	}
+	old := strings.Replace(string(data), `"Shards":2,`, `"Shards":2,"Replicas":2,`, 1)
+	if old == string(data) {
+		t.Fatalf("catalog record has no \"Shards\":2 field: %s", data)
+	}
+	if _, err := storage.WriteRecord(store, prefix, seq+1, []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := umzi.OpenDB(umzi.DBConfig{Store: store})
+	if err != nil {
+		t.Fatalf("opening a catalog with Replicas: %v", err)
+	}
+	defer db2.Close()
+	orders2, err := db2.Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orders2.NumShards() != 2 {
+		t.Fatalf("orders reopened with %d shards, want 2", orders2.NumShards())
+	}
+	if cnt, err := orders2.Query().Count(ctx); err != nil || cnt != 100 {
+		t.Fatalf("count after reopen = %d (err %v), want 100", cnt, err)
+	}
+	if err := orders2.Upsert(ctx, umzi.Row{
+		umzi.I64(9999), umzi.I64(0), umzi.F64(1), umzi.Str("amer"),
+	}); err != nil {
+		t.Fatalf("upsert after reopen: %v", err)
+	}
+	if err := orders2.Groom(); err != nil {
+		t.Fatal(err)
+	}
+	if cnt, err := orders2.Query().Count(ctx); err != nil || cnt != 101 {
+		t.Fatalf("count after the upsert = %d (err %v), want 101", cnt, err)
 	}
 }
 

@@ -51,7 +51,6 @@ func main() {
 			Sort:     []string{"seq"},
 			Included: []string{"amount"},
 		},
-		Replicas: 2,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -63,18 +62,18 @@ func main() {
 	var txns, scans atomic.Int64
 	var wg sync.WaitGroup
 
-	// OLTP: two writer threads, one per replica, streaming transactions.
+	// OLTP: two writer threads streaming transactions into the one
+	// committed log per shard, each with its own range of seq values.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
-		go func(replica int) {
+		go func(writer int) {
 			defer wg.Done()
-			seq := int64(replica) * 1_000_000
+			seq := int64(writer) * 1_000_000
 			for !stop.Load() {
 				tx, err := db.Begin(ctx)
 				if err != nil {
 					return
 				}
-				tx.WithReplica(replica)
 				for i := 0; i < 5; i++ {
 					acct := (seq + int64(i)) % accounts
 					row := umzi.Row{

@@ -44,7 +44,6 @@ func main() {
 			Sort:     []string{"msg"},
 			Included: []string{"temp"},
 		},
-		Replicas: 2, // multi-master shard replicas
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -62,8 +61,7 @@ func main() {
 					umzi.F64(18.0 + float64(dev) + float64(burst)/10),
 					umzi.I64(day),
 				}
-				// Any replica can ingest (multi-master).
-				if err := telemetry.UpsertReplica(ctx, int(dev)%2, row); err != nil {
+				if err := telemetry.Upsert(ctx, row); err != nil {
 					log.Fatal(err)
 				}
 				msg[dev]++

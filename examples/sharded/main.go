@@ -60,15 +60,13 @@ func main() {
 			Sort:     []string{"id"},
 			Included: []string{"amount"},
 		},
-		Replicas: 2,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Ingest through both replicas (any replica of a shard can ingest —
-	// multi-master), grooming every ~rows/8 records the way the groomer
-	// daemon would every second.
+	// Ingest in batches, grooming every ~rows/8 records the way the
+	// groomer daemon would every second.
 	fmt.Printf("ingesting %d rows across %d shards...\n", *rows, *shards)
 	start := time.Now()
 	groomEvery := *rows / 8
@@ -77,11 +75,11 @@ func main() {
 	}
 	const batch = 512
 	buf := make([]umzi.Row, 0, batch)
-	flush := func(replica int) {
+	flush := func() {
 		if len(buf) == 0 {
 			return
 		}
-		if err := ledger.UpsertReplica(ctx, replica, buf...); err != nil {
+		if err := ledger.Upsert(ctx, buf...); err != nil {
 			log.Fatal(err)
 		}
 		buf = buf[:0]
@@ -90,16 +88,16 @@ func main() {
 		id := int64(i)
 		buf = append(buf, umzi.Row{umzi.I64(id), umzi.I64(id % 997)})
 		if len(buf) == batch {
-			flush(i % 2)
+			flush()
 		}
 		if (i+1)%groomEvery == 0 {
-			flush(i % 2)
+			flush()
 			if err := ledger.Groom(); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
-	flush(0)
+	flush()
 	if err := ledger.Groom(); err != nil {
 		log.Fatal(err)
 	}

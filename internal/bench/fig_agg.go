@@ -65,7 +65,7 @@ func NewShardedOrders(name string, shards, rows int, lat storage.LatencyModel) (
 				keyenc.Str(orderRegions[id%int64(len(orderRegions))]),
 				keyenc.I64(id),
 			}
-			if err := eng.UpsertRows(0, row); err != nil {
+			if err := eng.UpsertRows(row); err != nil {
 				eng.Close()
 				return nil, err
 			}

@@ -67,12 +67,11 @@ func e2eRun(name string, p e2eParams) (*e2eStats, error) {
 		cache = storage.NewSSDCache(p.cacheBytes, storage.LatencyModel{})
 	}
 	cfg := wildfire.ShardedConfig{
-		Table:    table,
-		Index:    spec,
-		Shards:   1,
-		Store:    storage.NewMemStore(p.storeLat),
-		Cache:    cache,
-		Replicas: 2,
+		Table:  table,
+		Index:  spec,
+		Shards: 1,
+		Store:  storage.NewMemStore(p.storeLat),
+		Cache:  cache,
 	}
 	cfg.IndexTuning.K = 4
 	cfg.IndexTuning.T = 4
@@ -159,8 +158,8 @@ func e2eRun(name string, p e2eParams) (*e2eStats, error) {
 		}
 		cycle.Store(int64(c))
 		keys := gen.Cycle()
-		for i, k := range keys {
-			if err := eng.UpsertRows(i%2, toRow(k)); err != nil {
+		for _, k := range keys {
+			if err := eng.UpsertRows(toRow(k)); err != nil {
 				stop.Store(true)
 				wg.Wait()
 				return nil, err

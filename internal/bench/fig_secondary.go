@@ -85,7 +85,7 @@ func NewSecondaryOrders(name string, shards, rows, regions int, lat storage.Late
 				keyenc.Str(SecondaryRegionName(int(id) % regions)),
 				keyenc.I64(id),
 			}
-			if err := eng.UpsertRows(0, row); err != nil {
+			if err := eng.UpsertRows(row); err != nil {
 				eng.Close()
 				return nil, err
 			}

@@ -80,7 +80,7 @@ func NewShardedLedger(name string, shards, rows int, lat storage.LatencyModel) (
 			count = rows - int(id)
 		}
 		for i := 0; i < count; i++ {
-			if err := eng.UpsertRows(0, wildfire.Row{keyenc.I64(id), keyenc.I64(id * 3)}); err != nil {
+			if err := eng.UpsertRows(wildfire.Row{keyenc.I64(id), keyenc.I64(id * 3)}); err != nil {
 				eng.Close()
 				return nil, err
 			}

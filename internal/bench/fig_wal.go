@@ -89,7 +89,7 @@ func WALIngest(name string, opts wildfire.DurabilityOptions, writers, commits, r
 						keyenc.I64(int64(c)),
 					}
 				}
-				if err := eng.UpsertRows(0, rows...); err != nil {
+				if err := eng.UpsertRows(rows...); err != nil {
 					errs[w] = err
 					return
 				}

@@ -21,8 +21,6 @@ type TableOptions struct {
 	// table stores its objects under "tbl/<name>/" with no shard segment
 	// and never scatters a query.
 	Shards int `json:",omitempty"`
-	// Replicas is the number of multi-master replicas per shard.
-	Replicas int `json:",omitempty"`
 	// Partitions is the number of partition-key buckets per shard.
 	Partitions int `json:",omitempty"`
 	// Parallelism bounds the table's scatter-gather pool (default: one

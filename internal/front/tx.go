@@ -11,10 +11,9 @@ import (
 // Tx is umzi.Tx: it copies rows at Upsert and hands them to its TxSink
 // at Commit.
 type Tx struct {
-	sink    TxSink
-	replica int
-	staged  []Staged
-	done    bool
+	sink   TxSink
+	staged []Staged
+	done   bool
 }
 
 // Staged is one table's rows in a transaction, in staging order.
@@ -25,10 +24,10 @@ type Staged struct {
 
 // TxSink is the transport under a Tx. Stage checks rows bound for one
 // table before the Tx copies them (an error stages none); Commit applies
-// the staged tables in order through one replica ordinal.
+// the staged tables in order.
 type TxSink interface {
 	Stage(table string, rows []wildfire.Row) error
-	Commit(ctx context.Context, replica int, staged []Staged) error
+	Commit(ctx context.Context, staged []Staged) error
 }
 
 var errFinished = errors.New("umzi: transaction already finished")
@@ -39,13 +38,6 @@ func Begin(ctx context.Context, sink TxSink) (*Tx, error) {
 		return nil, err
 	}
 	return &Tx{sink: sink}, nil
-}
-
-// WithReplica routes the commit through a multi-master replica ordinal
-// (default 0).
-func (tx *Tx) WithReplica(replica int) *Tx {
-	tx.replica = replica
-	return tx
 }
 
 // Upsert stages copies of rows into one table once the sink's Stage
@@ -78,7 +70,7 @@ func (tx *Tx) Commit(ctx context.Context) error {
 	tx.done = true
 	staged := tx.staged
 	tx.staged = nil
-	return tx.sink.Commit(ctx, tx.replica, staged)
+	return tx.sink.Commit(ctx, staged)
 }
 
 // Abort discards the staged rows.

@@ -388,7 +388,7 @@ func (h *connHandler) handleQuery(payload []byte) error {
 // handleCommit applies one Commit frame under admission control.
 func (h *connHandler) handleCommit(payload []byte) error {
 	d := wire.NewDec(payload)
-	replica := int(d.Uvarint())
+	replica := d.Uvarint()
 	nTables := d.Count(1 << 12)
 	stages := make([]front.Staged, 0, nTables)
 	total := 0
@@ -403,6 +403,11 @@ func (h *connHandler) handleCommit(payload []byte) error {
 	}
 	if err := d.Err(); err != nil {
 		return h.replyErr(fmt.Errorf("malformed commit frame: %w", err))
+	}
+	// The leading uvarint is the replica slot: a shard has one committed
+	// log, so only 0 is accepted.
+	if replica != 0 {
+		return h.replyErr(fmt.Errorf("commit frame names replica %d: a shard has one committed log, so only replica 0 is accepted", replica))
 	}
 
 	// Admission: every target table must be clear (or clear up) before
@@ -423,7 +428,6 @@ func (h *connHandler) handleCommit(payload []byte) error {
 	if err != nil {
 		return h.replyErr(err)
 	}
-	tx.WithReplica(replica)
 	for _, st := range stages {
 		if err := tx.Upsert(st.Table, st.Rows...); err != nil {
 			tx.Abort()

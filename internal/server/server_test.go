@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"umzi"
 	"umzi/client"
 	"umzi/internal/server"
+	"umzi/internal/wire"
 )
 
 // boot opens an in-memory DB, creates an orders-like table, and serves
@@ -221,6 +223,61 @@ func TestRemoteCommitVisibleLocally(t *testing.T) {
 	}
 	if got := tbl.LiveCount(); got != 2 {
 		t.Errorf("LiveCount = %d after remote commit, want 2", got)
+	}
+}
+
+// TestCommitRefusesNonZeroReplica: a Commit frame's leading uvarint is
+// the retired replica slot. The server refuses a non-zero value with an
+// error that names it and commits nothing; the same frame with 0 commits.
+func TestCommitRefusesNonZeroReplica(t *testing.T) {
+	db, _, addr := boot(t, server.Config{})
+	tbl := mkTable(t, db, "t", 1)
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(c)
+	hello := wire.AppendString(append([]byte(wire.Magic), wire.Version), "")
+	if err := wire.WriteFrame(c, wire.FrameHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := wire.ReadFrame(br); err != nil || typ != wire.FrameHelloOK {
+		t.Fatalf("handshake: frame %#x, err %v", typ, err)
+	}
+	commit := func(replica uint64) (status byte, msg string) {
+		t.Helper()
+		payload := wire.AppendUvarint(nil, replica)
+		payload = wire.AppendUvarint(payload, 1)
+		payload = wire.AppendString(payload, "t")
+		payload = wire.AppendUvarint(payload, 1)
+		payload, err := wire.AppendRow(payload, umzi.Row{umzi.I64(1), umzi.Str("one")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(c, wire.FrameCommit, payload); err != nil {
+			t.Fatal(err)
+		}
+		typ, resp, err := wire.ReadFrame(br)
+		if err != nil || typ != wire.FrameDone || len(resp) == 0 {
+			t.Fatalf("commit reply: frame %#x %q, err %v", typ, resp, err)
+		}
+		return resp[0], string(resp[1:])
+	}
+
+	status, msg := commit(7)
+	if status != wire.StatusError || !strings.Contains(msg, "replica 7") {
+		t.Fatalf("replica 7 commit: status %d %q, want an error naming replica 7", status, msg)
+	}
+	if n := tbl.LiveCount(); n != 0 {
+		t.Fatalf("LiveCount = %d after a refused commit, want 0", n)
+	}
+	if status, msg := commit(0); status != wire.StatusOK {
+		t.Fatalf("replica 0 commit: status %d %q, want OK", status, msg)
+	}
+	if n := tbl.LiveCount(); n != 1 {
+		t.Fatalf("LiveCount = %d after the commit, want 1", n)
 	}
 }
 

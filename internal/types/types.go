@@ -92,9 +92,9 @@ func (r RID) IsZero() bool { return r == RID{} }
 
 // TS is a multi-version timestamp. Wildfire composes beginTS from two
 // parts (§2.1): the high-order part is the groomer's timestamp and the
-// low-order part is the transaction commit time within the shard replica,
-// which effectively postpones commit time to groom time while keeping
-// beginTS monotonically increasing across groom cycles.
+// low-order part is the transaction commit time within the shard's
+// committed log, which effectively postpones commit time to groom time
+// while keeping beginTS monotonically increasing across groom cycles.
 type TS uint64
 
 // MaxTS is the largest timestamp; queries at MaxTS see all versions.

@@ -120,7 +120,8 @@ func (o Options) withDefaults() Options {
 type Record struct {
 	// Table names the owning table shard (sanity-checked at replay).
 	Table string
-	// Replica is the multi-master replica ordinal the commit arrived on.
+	// Replica is written as 0 and ignored at replay: a shard has one
+	// committed log.
 	Replica uint32
 	// Base is the commit sequence number of Rows[0]; Rows[i] carries
 	// sequence Base+i. Sequences are the per-shard commit order the

@@ -134,7 +134,7 @@ func TestExecuteGroupByDictColumn(t *testing.T) {
 		for i := range rows {
 			rows[i] = regionRow(rng.Int63n(6), rng.Int63n(8), regionNames[rng.Intn(len(regionNames))], float64(rng.Int63n(1000)))
 		}
-		if err := e.upsert(rng.Intn(2), rows...); err != nil {
+		if err := e.upsert(rows...); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
@@ -220,7 +220,7 @@ func TestAggregateAllocs(t *testing.T) {
 			return out
 		}
 		for from := 0; from < rows; from += batch {
-			if err := e.upsert(0, mk(from, batch)...); err != nil {
+			if err := e.upsert(mk(from, batch)...); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := e.groomCount(); err != nil {
@@ -234,14 +234,14 @@ func TestAggregateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for from := 0; from < pendingRows; from += batch {
-			if err := e.upsert(0, mk(from, min(batch, pendingRows-from))...); err != nil {
+			if err := e.upsert(mk(from, min(batch, pendingRows-from))...); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := e.groomCount(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := e.upsert(0, mk(rows, liveRows)...); err != nil {
+		if err := e.upsert(mk(rows, liveRows)...); err != nil {
 			t.Fatal(err)
 		}
 		p, wantCount, wantGroups := plan, int64(rows+liveRows), len(regionNames)
@@ -338,7 +338,7 @@ func TestRowPlanAllocs(t *testing.T) {
 			k := int64(from + i)
 			out[i] = row(k/64, k%64, float64(k%100), 100)
 		}
-		if err := s.UpsertRows(0, out...); err != nil {
+		if err := s.UpsertRows(out...); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Groom(); err != nil {

@@ -15,6 +15,7 @@ import (
 	"umzi/internal/keyenc"
 	"umzi/internal/storage"
 	"umzi/internal/types"
+	"umzi/internal/wal"
 )
 
 // Crash-recovery suite for the durable write path: commits append to the
@@ -116,10 +117,9 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			backend := crashBackend(t, fmt.Sprintf("prop-%d", seed))
 			cs := storage.NewFaultStore(backend, 0)
 			cfg := ShardedConfig{
-				Table:    iotTable(),
-				Index:    iotIndex(),
-				Store:    cs,
-				Replicas: 2,
+				Table: iotTable(),
+				Index: iotIndex(),
+				Store: cs,
 				// Tiny segments so lifetimes span several of them.
 				Durability: DurabilityOptions{SyncPolicy: SyncPerCommit, SegmentBytes: 256},
 			}
@@ -150,7 +150,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 						for i := range rows {
 							rows[i] = row(rng.Int63n(4), rng.Int63n(16), rng.Float64()*100, rng.Int63n(3))
 						}
-						if err := e.upsert(rng.Intn(2), rows...); err != nil {
+						if err := e.upsert(rows...); err != nil {
 							crashed = true
 							break
 						}
@@ -200,7 +200,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			verifyOracle(t, e, oracle)
 
 			sentinel := row(3, 15, 1.5, 0)
-			if err := e.upsert(0, sentinel); err != nil {
+			if err := e.upsert(sentinel); err != nil {
 				t.Fatal(err)
 			}
 			oracle[def.pkEncoding(sentinel)] = sentinel
@@ -230,7 +230,6 @@ func TestCrashRecoveryConcurrent(t *testing.T) {
 		Table:      iotTable(),
 		Index:      iotIndex(),
 		Store:      cs,
-		Replicas:   2,
 		Durability: DurabilityOptions{SyncPolicy: SyncPerCommit, SegmentBytes: 512},
 	}
 	cfg.IndexTuning.BlockSize = 1024
@@ -258,7 +257,7 @@ func TestCrashRecoveryConcurrent(t *testing.T) {
 			for msg := int64(0); ; msg++ {
 				r := row(int64(w), msg, rng.Float64()*10, msg%3)
 				attempted[w][cfg.Table.pkEncoding(r)] = r
-				if err := e.upsert(w%2, r); err != nil {
+				if err := e.upsert(r); err != nil {
 					return // crash reached this writer
 				}
 				acked[w][cfg.Table.pkEncoding(r)] = r
@@ -332,22 +331,22 @@ func TestCrashRecoveryConcurrent(t *testing.T) {
 // the log tail.
 func TestRecoveryReplaysLiveTail(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
-	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: store, Replicas: 2}
+	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: store}
 	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Some rows groomed, some only committed.
-	if err := e.upsert(0, row(1, 1, 10, 0), row(1, 2, 11, 0)); err != nil {
+	if err := e.upsert(row(1, 1, 10, 0), row(1, 2, 11, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.upsert(1, row(1, 3, 12, 0), row(2, 1, 13, 0)); err != nil {
+	if err := e.upsert(row(1, 3, 12, 0), row(2, 1, 13, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.upsert(0, row(1, 2, 99, 0)); err != nil { // overwrite a groomed key
+	if err := e.upsert(row(1, 2, 99, 0)); err != nil { // overwrite a groomed key
 		t.Fatal(err)
 	}
 	// Crash without Close.
@@ -381,6 +380,81 @@ func TestRecoveryReplaysLiveTail(t *testing.T) {
 	}
 }
 
+// TestRecoveryReplaysReplicaOneRecords: commit logs written while a
+// shard had several in-memory logs carry a non-zero wal.Record.Replica.
+// Replay ignores the field: such a record's rows come back live after a
+// crash, groom exactly once, and do not replay again.
+func TestRecoveryReplaysReplicaOneRecords(t *testing.T) {
+	store := crashBackend(t, "replica-one")
+	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: store}
+	e, err := openShard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.upsert(row(1, 1, 10, 0)); err != nil {
+		t.Fatal(err)
+	}
+	old := []Row{row(1, 2, 11, 0), row(2, 1, 12, 0)}
+	n := uint64(len(old))
+	rec := wal.Record{Table: e.table.Name, Replica: 1, Base: e.commitSeq.Add(n) - n + 1, CommitTS: 1}
+	for _, r := range old {
+		rec.Rows = append(rec.Rows, keyenc.AppendComposite(nil, r...))
+	}
+	if err := e.wal.Commit(rec); err != nil {
+		t.Fatal(err)
+	}
+	// Crash without Close.
+	e2, err := openShard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e2.liveCount(); got != 3 {
+		t.Fatalf("replayed live zone holds %d records, want 3", got)
+	}
+	expect := map[[2]int64]float64{{1, 1}: 10, {1, 2}: 11, {2, 1}: 12}
+	check := func(stage string, e *shard, opts QueryOptions, groomed int) {
+		t.Helper()
+		for k, want := range expect {
+			eq, sortv := key(k[0], k[1])
+			rec, found, err := getOn(e, "", eq, sortv, opts)
+			if err != nil || !found || rec.Row[2].Float() != want {
+				t.Fatalf("%s: key %v reads %v found=%v (err %v), want %v", stage, k, rec.Row, found, err, want)
+			}
+		}
+		// Exactly once: the groomed blocks hold one version per row.
+		rows := 0
+		for _, id := range e.zone.Load().pending {
+			blk, err := e.fetchBlock(context.Background(), groomedBlockName(e.table.Name, id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += blk.NumRows()
+		}
+		if rows != groomed {
+			t.Fatalf("%s: groomed blocks hold %d rows, want %d", stage, rows, groomed)
+		}
+	}
+	check("live", e2, QueryOptions{TS: types.MaxTS, IncludeLive: true}, 0)
+	if n, err := e2.groomCount(); err != nil || n != 3 {
+		t.Fatalf("groomed %d records (err %v), want 3", n, err)
+	}
+	if n, err := e2.groomCount(); err != nil || n != 0 {
+		t.Fatalf("second groom took %d records (err %v), want 0", n, err)
+	}
+	check("groomed", e2, QueryOptions{}, 3)
+	// Crash again: the groomed sequences are below the watermark and do
+	// not come back live.
+	e3, err := openShard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e3.close()
+	if got := e3.liveCount(); got != 0 {
+		t.Fatalf("groomed records replayed again: live=%d, want 0", got)
+	}
+	check("groomed after reopen", e3, QueryOptions{}, 3)
+}
+
 // TestRecoveryCleanShutdown checks the Close contract: buffered batches
 // are flushed, the clean-shutdown marker is written (and consumed on
 // the next open), Close after Close is a no-op, and a SyncOff tail that
@@ -388,14 +462,14 @@ func TestRecoveryReplaysLiveTail(t *testing.T) {
 func TestRecoveryCleanShutdown(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
 	cfg := ShardedConfig{
-		Table: iotTable(), Index: iotIndex(), Store: store, Replicas: 1,
+		Table: iotTable(), Index: iotIndex(), Store: store,
 		Durability: DurabilityOptions{SyncPolicy: SyncOff, SegmentBytes: 1 << 20},
 	}
 	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.upsert(0, row(1, 1, 10, 0), row(1, 2, 11, 0)); err != nil {
+	if err := e.upsert(row(1, 1, 10, 0), row(1, 2, 11, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.walStatus(); st.Segments != 0 {
@@ -427,12 +501,12 @@ func TestRecoveryCleanShutdown(t *testing.T) {
 // groomed) lets the next open skip reading log segments entirely.
 func TestRecoveryCleanShutdownSkipsReplay(t *testing.T) {
 	mem := storage.NewMemStore(storage.LatencyModel{})
-	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: mem, Replicas: 1}
+	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: mem}
 	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.upsert(0, row(1, 1, 10, 0)); err != nil {
+	if err := e.upsert(row(1, 1, 10, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
@@ -464,20 +538,20 @@ func TestRecoveryCleanShutdownSkipsReplay(t *testing.T) {
 func TestRecoverySyncOffLosesOnlyTail(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
 	cfg := ShardedConfig{
-		Table: iotTable(), Index: iotIndex(), Store: store, Replicas: 1,
+		Table: iotTable(), Index: iotIndex(), Store: store,
 		Durability: DurabilityOptions{SyncPolicy: SyncOff, SegmentBytes: 1 << 20},
 	}
 	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.upsert(0, row(1, 1, 10, 0)); err != nil {
+	if err := e.upsert(row(1, 1, 10, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil { // durable via the groomed block
 		t.Fatal(err)
 	}
-	if err := e.upsert(0, row(1, 2, 11, 0)); err != nil { // buffered only
+	if err := e.upsert(row(1, 2, 11, 0)); err != nil { // buffered only
 		t.Fatal(err)
 	}
 	// Crash without Close: the buffered row is gone, the groomed one is
@@ -506,7 +580,6 @@ func TestShardedCrashRecovery(t *testing.T) {
 		Index:      iotIndex(),
 		Shards:     4,
 		Store:      store,
-		Replicas:   2,
 		Durability: DurabilityOptions{SyncPolicy: SyncPerCommit},
 	}
 	cfg.IndexTuning.BlockSize = 1024
@@ -518,7 +591,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 	const devices, msgs = 8, 6
 	for dev := int64(0); dev < devices; dev++ {
 		for msg := int64(0); msg < msgs; msg++ {
-			if err := s.UpsertRows(int(dev)%2, row(dev, msg, float64(dev*100+msg), 0)); err != nil {
+			if err := s.UpsertRows(row(dev, msg, float64(dev*100+msg), 0)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -587,7 +660,7 @@ func (s *failPSNMetaPut) Put(name string, data []byte) error {
 // lifetime and after a crash; recovery must ignore the leftover.
 func TestPostGroomRetryRecovery(t *testing.T) {
 	fs := &failPSNMetaPut{ObjectStore: crashBackend(t, "postgroom-retry")}
-	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: fs, Replicas: 1}
+	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: fs}
 	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -596,7 +669,7 @@ func TestPostGroomRetryRecovery(t *testing.T) {
 	commit := func(e *shard, v float64) {
 		t.Helper()
 		rows := []Row{row(1, 1, v, 100), row(1, 2, v, 100), row(2, 1, v, 101)}
-		if err := e.upsert(0, rows...); err != nil {
+		if err := e.upsert(rows...); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.groomCount(); err != nil {

@@ -141,13 +141,14 @@ func LoadWALMark(store storage.ObjectStore, table string) (mark, cycle, seq uint
 // and returns the first commit sequence assigned to them. On error the
 // sequences are recorded as lost so the watermark can advance past
 // them (they exist nowhere durable and never will).
-func (e *shard) stageCommit(replica int, rows []Row) (uint64, error) {
+func (e *shard) stageCommit(rows []Row) (uint64, error) {
 	n := uint64(len(rows))
 	base := e.commitSeq.Add(n)
 	first := base - n + 1
+	// Record.Replica stays 0: a shard has one committed log, and replay
+	// ignores the field.
 	rec := wal.Record{
 		Table:    e.table.Name,
-		Replica:  uint32(replica),
 		Base:     first,
 		CommitTS: time.Now().UnixNano(),
 		Rows:     make([][]byte, 0, len(rows)),
@@ -249,9 +250,9 @@ func (e *shard) publishWalMark(mark, cycle uint64) error {
 // has restored the groomed and post-groomed state. It loads the
 // persisted watermark, honors a clean-shutdown marker (skipping replay
 // when the marker proves the tail is empty), replays surviving rows
-// above the watermark into their replicas' committed logs — idempotent:
-// keyed on commit sequence, each applied at most once and never at or
-// below the watermark — and floors the commit clock so sequences are
+// above the watermark into the committed log — idempotent: keyed on
+// commit sequence, each applied at most once and never at or below the
+// watermark — and floors the commit clock so sequences are
 // never reused. Sequences above the watermark present in no segment
 // (commits the crash cut before their flush) are recorded as lost so
 // the watermark does not wedge below them forever.
@@ -306,10 +307,6 @@ func (e *shard) recoverWAL() error {
 		if rec.Table != e.table.Name {
 			return fmt.Errorf("wildfire: wal record for table %q in log of %q", rec.Table, e.table.Name)
 		}
-		replica := int(rec.Replica)
-		if replica < 0 || replica >= len(e.replicas) {
-			replica = 0
-		}
 		for i, raw := range rec.Rows {
 			seq := rec.Base + uint64(i)
 			if seq <= mark {
@@ -323,7 +320,7 @@ func (e *shard) recoverWAL() error {
 				return fmt.Errorf("wildfire: wal replay of seq %d: %w", seq, err)
 			}
 			seen[seq] = struct{}{}
-			e.replicas[replica].appendWithSeqs([]Row{Row(vals)}, seq, 0)
+			e.appendLog([]Row{Row(vals)}, seq, 0)
 		}
 		return nil
 	})

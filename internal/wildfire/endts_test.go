@@ -44,7 +44,7 @@ func TestExecuteEndTSMatchesOracle(t *testing.T) {
 	model := map[string]Row{}
 	commit := func(rows ...Row) {
 		t.Helper()
-		if err := e.upsert(0, rows...); err != nil {
+		if err := e.upsert(rows...); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
@@ -106,7 +106,7 @@ func TestExecuteEndTSMatchesOracle(t *testing.T) {
 	live := map[string]Row{}
 	for i := 0; i < 8; i++ {
 		r := row(rng.Int63n(4), rng.Int63n(6), float64(rng.Int63n(1000)), 100+rng.Int63n(3))
-		if err := e.upsert(0, r); err != nil {
+		if err := e.upsert(r); err != nil {
 			t.Fatal(err)
 		}
 		live[td.pkEncoding(r)] = r
@@ -177,7 +177,7 @@ func TestExecuteWinnerInserts(t *testing.T) {
 // object checksum.
 func TestRecoverRejectsDamagedSidecar(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
-	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: store, Replicas: 1}
+	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: store}
 	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func TestExecuteShadowChecks(t *testing.T) {
 	run(QueryOptions{IncludeLive: true}, 40, 0)
 
 	// Three live updates of post-groomed keys and two new keys.
-	if err := e.upsert(0, row(0, 0, 1, 100), row(1, 1, 2, 101), row(2, 2, 3, 100), row(0, 40, 4, 100), row(1, 41, 5, 101)); err != nil {
+	if err := e.upsert(row(0, 0, 1, 100), row(1, 1, 2, 101), row(2, 2, 3, 100), row(0, 40, 4, 100), row(1, 41, 5, 101)); err != nil {
 		t.Fatal(err)
 	}
 	run(QueryOptions{}, 40, 0)
@@ -386,7 +386,7 @@ func TestExecuteShadowProbes(t *testing.T) {
 	run(QueryOptions{IncludeLive: true}, 30, 0, 0) // no shadow, no probe
 
 	ingestAndGroom(t, e, row(0, 12, 12.5, 100), row(1, 13, 13.5, 101), row(0, 20, 20.5, 100))
-	if err := e.upsert(0, row(2, 30, 50, 100), row(1, 41, 41, 101)); err != nil {
+	if err := e.upsert(row(2, 30, 50, 100), row(1, 41, 41, 101)); err != nil {
 		t.Fatal(err)
 	}
 	run(QueryOptions{}, 30, 30, 3)

@@ -22,9 +22,14 @@ type shard struct {
 	store      storage.ObjectStore
 	cache      *storage.SSDCache
 	tuning     core.Config
-	replicas   []*replica
 	partitions int
 	mx         *engineMetrics
+
+	// log is the shard's one committed log (the live zone): every commit
+	// publishes to it after its durable append, and groom drains it.
+	// logMu guards it.
+	logMu sync.Mutex
+	log   []logRecord
 
 	// idx is the primary index; indexes is the full set (element 0 is
 	// the primary), immutable slices swapped copy-on-write so queries
@@ -35,12 +40,12 @@ type shard struct {
 	indexMu    sync.Mutex
 	catalogSeq atomic.Uint64
 
-	// commitSeq is the global tentative-commit clock; the groomer merges
-	// replica logs in this order (§2.1 "merges, in the time order,
-	// transaction logs from shard replicas"). It doubles as the commit
-	// log's row sequence: every assigned value is either durably logged,
-	// groomed, or recorded as lost — and recovery floors the clock so
-	// sequences are never reused.
+	// commitSeq is the shard's tentative-commit clock; the groomer
+	// orders the committed log by it (§2.1 "merges, in the time order,
+	// transaction logs"). It doubles as the commit log's row sequence:
+	// every assigned value is either durably logged, groomed, or
+	// recorded as lost — and recovery floors the clock so sequences are
+	// never reused.
 	commitSeq atomic.Uint64
 
 	// wal is the shard's durable commit log; walMu guards the watermark
@@ -99,11 +104,11 @@ type shard struct {
 // zoneVersion is one immutable snapshot of a shard's zone state; a
 // published version is never written again.
 type zoneVersion struct {
-	// grooming holds the records the last groom drained from the replica
-	// logs until their groomed block is published; live reads count them
-	// as live. A failed groom requeues them into a log and leaves them
-	// here too, for the next drain to replace, so that no record moves
-	// from the version back to a log.
+	// grooming holds the records the last groom drained from the
+	// committed log until their groomed block is published; live reads
+	// count them as live. A failed groom requeues them into the log and
+	// leaves them here too, for the next drain to replace, so that no
+	// record moves from the version back to the log.
 	grooming []logRecord
 	// pending lists the groomed blocks not yet post-groomed, post the
 	// post-groomed blocks of committed post-grooms, each in publish order:
@@ -168,9 +173,6 @@ func newShard(cfg ShardedConfig, ord int, blocks *BlockCache, scanPar int) (*sha
 		scanPool:   newGatherPool(scanPar),
 		deprecated: make(map[uint64]struct{}),
 		walDrained: make(map[uint64]struct{}),
-	}
-	for r := 0; r < cfg.Replicas; r++ {
-		e.replicas = append(e.replicas, &replica{id: r})
 	}
 
 	// The catalog is the authoritative index set; a table without one

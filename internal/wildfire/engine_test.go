@@ -43,10 +43,9 @@ func iotIndex() IndexSpec {
 func newTestEngine(t *testing.T, mutate func(*ShardedConfig)) *shard {
 	t.Helper()
 	cfg := ShardedConfig{
-		Table:    iotTable(),
-		Index:    iotIndex(),
-		Store:    storage.NewMemStore(storage.LatencyModel{}),
-		Replicas: 2,
+		Table: iotTable(),
+		Index: iotIndex(),
+		Store: storage.NewMemStore(storage.LatencyModel{}),
 	}
 	cfg.IndexTuning.K = 2
 	cfg.IndexTuning.GroomedLevels = 3
@@ -126,7 +125,7 @@ func TestIndexSpecValidation(t *testing.T) {
 
 func TestIngestGroomGet(t *testing.T) {
 	e := newTestEngine(t, nil)
-	if err := e.upsert(0, row(1, 1, 20.5, 100), row(2, 1, 21.0, 100)); err != nil {
+	if err := e.upsert(row(1, 1, 20.5, 100), row(2, 1, 21.0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.liveCount(); got != 2 {
@@ -165,14 +164,14 @@ func TestIngestGroomGet(t *testing.T) {
 
 func TestUpsertIsUpdate(t *testing.T) {
 	e := newTestEngine(t, nil)
-	if err := e.upsert(0, row(1, 1, 20.0, 100)); err != nil {
+	if err := e.upsert(row(1, 1, 20.0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	ts1 := e.lastGroomTS()
-	if err := e.upsert(0, row(1, 1, 25.0, 100)); err != nil {
+	if err := e.upsert(row(1, 1, 25.0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
@@ -196,46 +195,74 @@ func TestUpsertIsUpdate(t *testing.T) {
 	}
 }
 
-func TestLastWriterWinsAcrossReplicas(t *testing.T) {
+// TestLastWriterWinsByCommitSeq: commit sequences are assigned before
+// the durable append, so two concurrent commits to one key can publish
+// to the committed log out of commit order. Groom orders the log by
+// commit sequence: the higher sequence wins (LWW, §2.1), and the
+// groomed block's rows follow commitSeq.
+func TestLastWriterWinsByCommitSeq(t *testing.T) {
 	e := newTestEngine(t, nil)
-	// Concurrent updates to the same key on different replicas: commit
-	// order decides (LWW, §2.1).
-	if err := e.upsert(0, row(1, 1, 10.0, 100)); err != nil {
+	older, newer := row(1, 1, 10.0, 100), row(1, 1, 99.0, 100)
+	lo, err := e.stageCommit([]Row{older})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.upsert(1, row(1, 1, 99.0, 100)); err != nil {
+	hi, err := e.stageCommit([]Row{newer})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.groomCount(); err != nil {
-		t.Fatal(err)
+	if hi <= lo {
+		t.Fatalf("commit sequences %d then %d, want increasing", lo, hi)
 	}
+	e.appendLog([]Row{newer}, hi, 0)
+	e.appendLog([]Row{older}, lo, 0)
+	if n, err := e.groomCount(); err != nil || n != 2 {
+		t.Fatalf("groomed %d records (err %v), want 2", n, err)
+	}
+
 	eq, sortv := key(1, 1)
 	rec, found, err := getOn(e, "", eq, sortv, QueryOptions{})
 	if err != nil || !found {
 		t.Fatal(err, found)
 	}
 	if rec.Row[2].Float() != 99.0 {
-		t.Errorf("LWW violated: reading = %v, want 99.0 (later commit)", rec.Row[2])
+		t.Errorf("LWW violated: reading = %v, want 99.0 (higher commit sequence)", rec.Row[2])
+	}
+
+	v := e.zone.Load()
+	if len(v.pending) != 1 {
+		t.Fatalf("pending blocks = %v, want one groomed block", v.pending)
+	}
+	blk, err := e.fetchBlock(context.Background(), groomedBlockName(e.table.Name, v.pending[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	beginCol := len(e.table.Columns)
+	if blk.NumRows() != 2 {
+		t.Fatalf("block rows = %d, want 2", blk.NumRows())
+	}
+	if r0, r1 := blk.Value(0, 2).Float(), blk.Value(1, 2).Float(); r0 != 10.0 || r1 != 99.0 {
+		t.Errorf("block readings = [%v %v], want [10 99] (commitSeq order)", r0, r1)
+	}
+	if b0, b1 := blk.Value(0, beginCol).Uint(), blk.Value(1, beginCol).Uint(); b0 >= b1 {
+		t.Errorf("block beginTS = [%d %d], want increasing", b0, b1)
 	}
 }
 
-// TestTxnLifecycle covers what a table's UpsertRows checks: a bad
-// replica or a bad row anywhere in the batch commits nothing.
+// TestTxnLifecycle covers what a table's UpsertRows checks: a bad row
+// anywhere in the batch commits nothing.
 func TestTxnLifecycle(t *testing.T) {
 	s := newTestShardedEngine(t, 1, nil)
-	if err := s.UpsertRows(99, row(1, 1, 1.0, 1)); err == nil {
-		t.Error("bad replica accepted")
-	}
-	if err := s.UpsertRows(0, row(1, 1, 1.0, 1), Row{keyenc.I64(1)}); err == nil {
+	if err := s.UpsertRows(row(1, 1, 1.0, 1), Row{keyenc.I64(1)}); err == nil {
 		t.Error("short row accepted")
 	}
-	if err := s.UpsertRows(0, row(1, 1, 1.0, 1), Row{keyenc.Str("x"), keyenc.I64(1), keyenc.F64(0), keyenc.I64(0)}); err == nil {
+	if err := s.UpsertRows(row(1, 1, 1.0, 1), Row{keyenc.Str("x"), keyenc.I64(1), keyenc.F64(0), keyenc.I64(0)}); err == nil {
 		t.Error("wrong kind accepted")
 	}
 	if s.LiveCount() != 0 {
 		t.Errorf("LiveCount = %d, want 0 (rejected batches commit nothing)", s.LiveCount())
 	}
-	if err := s.UpsertRows(1, row(1, 1, 1.0, 1), row(1, 2, 1.0, 1)); err != nil {
+	if err := s.UpsertRows(row(1, 1, 1.0, 1), row(1, 2, 1.0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if s.LiveCount() != 2 {
@@ -245,14 +272,14 @@ func TestTxnLifecycle(t *testing.T) {
 
 func TestLiveZoneReads(t *testing.T) {
 	e := newTestEngine(t, nil)
-	if err := e.upsert(0, row(1, 1, 10.0, 100)); err != nil {
+	if err := e.upsert(row(1, 1, 10.0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	// Newer committed-but-ungroomed update.
-	if err := e.upsert(0, row(1, 1, 20.0, 100)); err != nil {
+	if err := e.upsert(row(1, 1, 20.0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	eq, sortv := key(1, 1)
@@ -277,7 +304,7 @@ func TestLiveZoneReads(t *testing.T) {
 func TestScanAndIndexOnlyScan(t *testing.T) {
 	e := newTestEngine(t, nil)
 	for msg := int64(0); msg < 20; msg++ {
-		if err := e.upsert(int(msg)%2, row(7, msg, float64(msg)/2, 100+msg%3)); err != nil {
+		if err := e.upsert(row(7, msg, float64(msg)/2, 100+msg%3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,7 +342,7 @@ func TestScanAndIndexOnlyScan(t *testing.T) {
 func TestGetBatch(t *testing.T) {
 	e := newTestEngine(t, nil)
 	for msg := int64(0); msg < 10; msg++ {
-		if err := e.upsert(0, row(1, msg, float64(msg), 100)); err != nil {
+		if err := e.upsert(row(1, msg, float64(msg), 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -356,7 +383,7 @@ func TestEncodedFootprintSmallerThanPlain(t *testing.T) {
 			msg := round*500 + i
 			rows = append(rows, row(msg%8, msg, float64(msg%97), 100+msg/250))
 		}
-		if err := e.upsert(0, rows...); err != nil {
+		if err := e.upsert(rows...); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.groomCount(); err != nil {

@@ -40,7 +40,7 @@ func TestExecuteConcurrentWithMaintenance(t *testing.T) {
 		for pass := 0; pass < 3 && !stop.Load(); pass++ {
 			for dev := int64(0); dev < devices; dev++ {
 				for msg := int64(0); msg < msgs; msg++ {
-					if err := s.UpsertRows(0, row(dev, msg, float64(pass*1000), 100)); err != nil {
+					if err := s.UpsertRows(row(dev, msg, float64(pass*1000), 100)); err != nil {
 						report(err)
 						return
 					}

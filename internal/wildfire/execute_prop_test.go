@@ -505,11 +505,10 @@ func executeEquivalence(t *testing.T, seed int64, layout equivLayout) {
 		// New committed-but-ungroomed rows; updates and inserts mix, so
 		// some keys have a groomed version shadowed by a live one.
 		rows := layout.rows(rng, round)
-		replica := rng.Intn(2)
-		if err := single.upsert(replica, rows...); err != nil {
+		if err := single.upsert(rows...); err != nil {
 			t.Fatal(err)
 		}
-		if err := sharded.UpsertRows(replica, rows...); err != nil {
+		if err := sharded.UpsertRows(rows...); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range rows {

@@ -29,7 +29,7 @@ func TestExecuteAggregatesAcrossZones(t *testing.T) {
 	// Cycle 1: devices 0..2, then post-groom so the rows live in the
 	// post-groomed zone. Cycle 2 stays groomed. Cycle 3 stays live.
 	for dev := int64(0); dev < 3; dev++ {
-		if err := e.upsert(0, row(dev, 1, 10, 1)); err != nil {
+		if err := e.upsert(row(dev, 1, 10, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,14 +43,14 @@ func TestExecuteAggregatesAcrossZones(t *testing.T) {
 		t.Fatal(err)
 	}
 	for dev := int64(0); dev < 3; dev++ {
-		if err := e.upsert(0, row(dev, 2, 20, 1)); err != nil {
+		if err := e.upsert(row(dev, 2, 20, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.upsert(0, row(0, 3, 40, 2)); err != nil {
+	if err := e.upsert(row(0, 3, 40, 2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,7 +92,7 @@ func TestExecuteUpdateShadowing(t *testing.T) {
 	e := newTestEngine(t, nil)
 
 	// v1 of both keys matches reading < 50.
-	if err := e.upsert(0, row(1, 1, 10, 1), row(2, 1, 20, 1)); err != nil {
+	if err := e.upsert(row(1, 1, 10, 1), row(2, 1, 20, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
@@ -102,7 +102,7 @@ func TestExecuteUpdateShadowing(t *testing.T) {
 	// v2 of key (1,1) does not match; the whole cycle-2 block is out of
 	// the filter's range, so the executor prunes it by synopsis and must
 	// still let it shadow v1.
-	if err := e.upsert(0, row(1, 1, 100, 1)); err != nil {
+	if err := e.upsert(row(1, 1, 100, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
@@ -125,7 +125,7 @@ func TestExecuteUpdateShadowing(t *testing.T) {
 
 	// A live update shadows key (2,1) when the live zone is included,
 	// and is invisible without it.
-	if err := e.upsert(0, row(2, 1, 200, 1)); err != nil {
+	if err := e.upsert(row(2, 1, 200, 1)); err != nil {
 		t.Fatal(err)
 	}
 	res = sumReadings(t, e, plan, QueryOptions{})
@@ -152,7 +152,7 @@ func TestExecuteRecoversPostBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for dev := int64(0); dev < 4; dev++ {
-		if err := e.upsert(0, row(dev, 1, float64(dev), 1)); err != nil {
+		if err := e.upsert(row(dev, 1, float64(dev), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestExecuteRecoversPostBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One more groomed-but-not-post-groomed cycle.
-	if err := e.upsert(0, row(9, 1, 9, 2)); err != nil {
+	if err := e.upsert(row(9, 1, 9, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
@@ -208,7 +208,7 @@ func TestShardedScanLimit(t *testing.T) {
 	s := newTestShardedEngine(t, 4, func(c *ShardedConfig) { c.Table = msgShardedTable() })
 	const msgs = 40
 	for m := int64(0); m < msgs; m++ {
-		if err := s.UpsertRows(0, row(7, m, float64(m), 1)); err != nil {
+		if err := s.UpsertRows(row(7, m, float64(m), 1)); err != nil {
 			t.Fatal(err)
 		}
 		if m%10 == 9 {
@@ -291,7 +291,7 @@ func TestUnorderedRowOrderStated(t *testing.T) {
 			post = append(post, row(dev, msg, float64(msg), postDay))
 		}
 	}
-	if err := s.UpsertRows(0, post...); err != nil {
+	if err := s.UpsertRows(post...); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Groom(); err != nil {
@@ -311,7 +311,7 @@ func TestUnorderedRowOrderStated(t *testing.T) {
 		}
 		pending = append(pending, row(dev, 100, -1, pendingDay))
 	}
-	if err := s.UpsertRows(0, pending...); err != nil {
+	if err := s.UpsertRows(pending...); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Groom(); err != nil {
@@ -321,7 +321,7 @@ func TestUnorderedRowOrderStated(t *testing.T) {
 	// and keys committed twice, whose second version wins.
 	commit := 0
 	for _, k := range [][2]int64{{3, 1}, {7, 100}, {0, 200}, {12, 5}, {3, 4}, {9, 200}, {0, 200}, {15, 100}, {3, 1}, {6, 9}} {
-		if err := s.UpsertRows(commit%2, row(k[0], k[1], float64(commit), liveDay)); err != nil {
+		if err := s.UpsertRows(row(k[0], k[1], float64(commit), liveDay)); err != nil {
 			t.Fatal(err)
 		}
 		commit++

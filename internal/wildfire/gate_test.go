@@ -104,7 +104,7 @@ func TestUpdateSkewedEngineWorkload(t *testing.T) {
 			dev := int64(i % 4)
 			m := int64((c*3 + i) % 10) // heavy overlap across cycles
 			val := float64(c*100 + i)
-			if err := e.upsert(i%2, row(dev, m, val, 100)); err != nil {
+			if err := e.upsert(row(dev, m, val, 100)); err != nil {
 				t.Fatal(err)
 			}
 			latest[[2]int64{dev, m}] = val
@@ -136,7 +136,7 @@ func TestUpdateSkewedEngineWorkload(t *testing.T) {
 func TestIndexOnlyScanMatchesScan(t *testing.T) {
 	e := newTestEngine(t, nil)
 	for i := 0; i < 30; i++ {
-		if err := e.upsert(0, row(1, int64(i), float64(i)*1.5, 100)); err != nil {
+		if err := e.upsert(row(1, int64(i), float64(i)*1.5, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}

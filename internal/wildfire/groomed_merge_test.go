@@ -55,7 +55,7 @@ func TestGroomedMergesNeverReachSharedStorage(t *testing.T) {
 				// A small id space: most writes are updates that move a
 				// row between regions and statuses.
 				r := orderRow(rng.Int63n(80), testRegions[rng.Intn(len(testRegions))], rng.Int63n(4), rng.Int63n(1000))
-				if err := e.upsert(0, r); err != nil {
+				if err := e.upsert(r); err != nil {
 					t.Fatal(err)
 				}
 				shadow[r[0].Int()] = r

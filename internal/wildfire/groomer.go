@@ -11,8 +11,8 @@ import (
 	"umzi/internal/types"
 )
 
-// groomCount performs one groom operation (§2.1): it merges the committed
-// logs of all shard replicas in commit-time order, resolves concurrent
+// groomCount performs one groom operation (§2.1): it drains the shard's
+// committed log in commit-time order, resolves concurrent
 // updates to the same key by last-writer-wins (the later commit gets the
 // larger beginTS, so queries reconcile to it), assigns monotonically
 // increasing beginTS values whose high part is the groom cycle and low
@@ -41,7 +41,7 @@ func (e *shard) groomCount() (int, error) {
 	groomed := false
 	defer func() {
 		if !groomed {
-			e.replicas[0].requeue(recs)
+			e.requeue(recs)
 		}
 	}()
 

@@ -84,7 +84,7 @@ func checkAcked(t *testing.T, stage string, e *shard, oracle map[string]Row) {
 }
 
 // TestGroomHandOffKeepsAckedRowsVisible parks a groom's block Put, the
-// window in which its records have left the replica logs but are in no
+// window in which its records have left the committed log but are in no
 // groomed block yet: every read path must still see each acknowledged
 // row, while parked, after the Put fails and the records are requeued,
 // and after a groom that succeeds.
@@ -96,9 +96,9 @@ func TestGroomHandOffKeepsAckedRowsVisible(t *testing.T) {
 	}
 	e := newTestEngine(t, func(c *ShardedConfig) { c.Store = ps })
 	oracle := map[string]Row{}
-	upsert := func(replica int, rows ...Row) {
+	upsert := func(rows ...Row) {
 		t.Helper()
-		if err := e.upsert(replica, rows...); err != nil {
+		if err := e.upsert(rows...); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
@@ -117,21 +117,21 @@ func TestGroomHandOffKeepsAckedRowsVisible(t *testing.T) {
 	}
 
 	// Earlier versions in the post-groomed and the pending groomed zone.
-	upsert(0, row(1, 0, 1, 0), row(1, 1, 1, 1), row(2, 0, 1, 2))
+	upsert(row(1, 0, 1, 0), row(1, 1, 1, 1), row(2, 0, 1, 2))
 	if err := groom("first groom", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.postGroom(); err != nil {
 		t.Fatal(err)
 	}
-	upsert(1, row(1, 0, 2, 0), row(1, 2, 2, 1))
+	upsert(row(1, 0, 2, 0), row(1, 2, 2, 1))
 	if err := groom("second groom", nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// The batch under test overwrites keys of both zones and adds new ones.
-	upsert(0, row(1, 1, 3, 1), row(1, 3, 3, 2))
-	upsert(1, row(2, 0, 3, 2), row(1, 0, 3, 0))
+	upsert(row(1, 1, 3, 1), row(1, 3, 3, 2))
+	upsert(row(2, 0, 3, 2), row(1, 0, 3, 0))
 	injected := errors.New("injected put failure")
 	if err := groom("block put parked", injected); !errors.Is(err, injected) {
 		t.Fatalf("groom with a failed put returned %v", err)

@@ -22,11 +22,10 @@ func openShard(cfg ShardedConfig) (*shard, error) {
 	return s.shards[0], nil
 }
 
-// upsert commits copies of rows through one replica of a test shard.
-// The table's Commit checks the replica and the rows; shard tests pass
-// valid ones.
-func (e *shard) upsert(replica int, rows ...Row) error {
-	return e.commit(replica, cloneRows(rows))
+// upsert commits copies of rows to a test shard. The table's Commit
+// checks the rows; shard tests pass valid ones.
+func (e *shard) upsert(rows ...Row) error {
+	return e.commit(cloneRows(rows))
 }
 
 // Materializing test helpers over the one ordered index stream: tests

@@ -3,14 +3,13 @@ package wildfire
 import (
 	"cmp"
 	"slices"
-	"sync"
 	"time"
 )
 
 // The live zone (§2.1): a transaction's uncommitted upserts are its
 // side-log, which here is umzi.Tx's staging. At commit, shard.commit
 // makes each shard's share durable in the shard's commit log
-// (internal/wal) and then publishes it to the replica's committed
+// (internal/wal) and then publishes it to the shard's one committed
 // in-memory log with its tentative commit sequences. The
 // committed log is the groomer's input and is also scanned directly by
 // freshness-sensitive queries, since the live zone is not covered by
@@ -30,48 +29,43 @@ type logRecord struct {
 	ack int64
 }
 
-// replica is one multi-master shard replica with its own committed log.
-type replica struct {
-	id int
-
-	mu  sync.Mutex
-	log []logRecord
-}
-
-// appendWithSeqs publishes rows to the committed log; row i carries the
+// appendLog publishes rows to the committed log; row i carries the
 // pre-assigned commit sequence base+i. Sequences are assigned before
 // the durable log append, so by the time a row is visible here it is
 // already as durable as the sync policy promises. ack is the commit
 // acknowledgment time in Unix nanoseconds (0 for replayed rows).
-func (r *replica) appendWithSeqs(rows []Row, base uint64, ack int64) {
-	r.mu.Lock()
+func (e *shard) appendLog(rows []Row, base uint64, ack int64) {
+	e.logMu.Lock()
 	for i, row := range rows {
-		r.log = append(r.log, logRecord{row: row, commitSeq: base + uint64(i), ack: ack})
+		e.log = append(e.log, logRecord{row: row, commitSeq: base + uint64(i), ack: ack})
 	}
-	r.mu.Unlock()
+	e.logMu.Unlock()
 }
 
 // requeue puts drained records back (a groom that failed after draining
 // must not lose them: they are acknowledged and, per policy, durable).
-func (r *replica) requeue(recs []logRecord) {
-	r.mu.Lock()
-	r.log = append(r.log, recs...)
-	r.mu.Unlock()
+func (e *shard) requeue(recs []logRecord) {
+	e.logMu.Lock()
+	e.log = append(e.log, recs...)
+	e.logMu.Unlock()
 }
 
-// drainLive moves every replica's committed records, merged in commit
-// order (§2.1 "merges, in the time order, transaction logs from shard
-// replicas"), into the zone version's grooming set and returns them. It
-// holds every replica lock until the version is published, so a reader
-// that finds a record gone from its log loads a version that holds it.
+// drainLive moves the committed log's records, in commit order, into
+// the zone version's grooming set and returns them. It holds the log
+// lock until the version is published, so a reader that finds a record
+// gone from the log loads a version that holds it.
+//
+// The log is not always in commit order, so drainLive sorts it by
+// commitSeq. Sequences are assigned before the durable append
+// (stageCommit), so two concurrent commits can publish out of order,
+// and a failed groom requeues its records behind newer ones. Assigning
+// sequences under the append lock instead would serialize group
+// commit; the sort is the cheaper of the two.
 func (e *shard) drainLive() []logRecord {
-	var recs []logRecord
-	for _, r := range e.replicas {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		recs = append(recs, r.log...)
-		r.log = nil
-	}
+	e.logMu.Lock()
+	defer e.logMu.Unlock()
+	recs := e.log
+	e.log = nil
 	if len(recs) > 0 {
 		slices.SortFunc(recs, func(a, b logRecord) int { return cmp.Compare(a.commitSeq, b.commitSeq) })
 		e.publish(func(v *zoneVersion) { v.grooming = recs })
@@ -79,38 +73,32 @@ func (e *shard) drainLive() []logRecord {
 	return recs
 }
 
-// scan visits the committed log without draining it (live-zone reads).
-func (r *replica) scan(visit func(rec logRecord)) {
-	r.mu.Lock()
-	for _, rec := range r.log {
+// scanLog visits the committed log without draining it (live-zone
+// reads).
+func (e *shard) scanLog(visit func(rec logRecord)) {
+	e.logMu.Lock()
+	for _, rec := range e.log {
 		visit(rec)
 	}
-	r.mu.Unlock()
-}
-
-// size returns the number of records awaiting grooming.
-func (r *replica) size() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.log)
+	e.logMu.Unlock()
 }
 
 // commit is the one live-zone append: it makes rows durable in the
-// shard's commit log, then publishes them, uncopied, to the replica's
-// committed log. An error from the log append means the rows are
+// shard's commit log, then publishes them, uncopied, to the committed
+// in-memory log. An error from the log append means the rows are
 // neither durable nor visible.
-func (e *shard) commit(replica int, rows []Row) error {
+func (e *shard) commit(rows []Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	first, err := e.stageCommit(replica, rows)
+	first, err := e.stageCommit(rows)
 	if err != nil {
 		return err
 	}
 	// The ack point: stageCommit returned, so the rows are as durable as
 	// the sync policy promises and the commit is about to be acknowledged
 	// to the caller. Freshness is measured from here to groom visibility.
-	e.replicas[replica].appendWithSeqs(rows, first, time.Now().UnixNano())
+	e.appendLog(rows, first, time.Now().UnixNano())
 	return nil
 }
 
@@ -123,12 +111,10 @@ func cloneRows(rows []Row) []Row {
 	return out
 }
 
-// liveCount reports the number of committed-but-ungroomed records across
-// all replicas (live-zone size).
+// liveCount reports the number of committed-but-ungroomed records
+// (live-zone size).
 func (e *shard) liveCount() int {
-	n := 0
-	for _, r := range e.replicas {
-		n += r.size()
-	}
-	return n
+	e.logMu.Lock()
+	defer e.logMu.Unlock()
+	return len(e.log)
 }

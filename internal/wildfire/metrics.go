@@ -147,11 +147,9 @@ func (e *shard) registerGauges() {
 // record awaiting grooming.
 func (e *shard) liveBytes() int64 {
 	var total int64
-	for _, r := range e.replicas {
-		r.scan(func(rec logRecord) {
-			total += rowMemEstimate(rec.row)
-		})
-	}
+	e.scanLog(func(rec logRecord) {
+		total += rowMemEstimate(rec.row)
+	})
 	return total
 }
 

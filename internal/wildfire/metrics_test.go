@@ -20,7 +20,7 @@ func TestEngineMetricsFlow(t *testing.T) {
 	e := newTestEngine(t, func(cfg *ShardedConfig) { cfg.Obs = reg })
 	const n = 10
 	for i := int64(0); i < n; i++ {
-		if err := e.upsert(0, row(1, i, float64(i), 100)); err != nil {
+		if err := e.upsert(row(1, i, float64(i), 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestWALFlushErrorCounted(t *testing.T) {
 		cfg.Durability.SegmentBytes = 64 // first commit overflows the buffer
 	})
 	fs.fail.Store(true)
-	if err := e.upsert(0, row(1, 1, 1.0, 1), row(1, 2, 2.0, 1)); err != nil {
+	if err := e.upsert(row(1, 1, 1.0, 1), row(1, 2, 2.0, 1)); err != nil {
 		t.Fatalf("buffered commit must not fail on a flush error: %v", err)
 	}
 	lbl := obs.Labels{"table": "sensors"}
@@ -201,11 +201,10 @@ func TestScatterStreamReleaseCancelNoiseFiltered(t *testing.T) {
 func benchEngine(b *testing.B, noop bool) *ShardedEngine {
 	b.Helper()
 	cfg := ShardedConfig{
-		Table:    iotTable(),
-		Index:    iotIndex(),
-		Shards:   1,
-		Store:    storage.NewMemStore(storage.LatencyModel{}),
-		Replicas: 1,
+		Table:  iotTable(),
+		Index:  iotIndex(),
+		Shards: 1,
+		Store:  storage.NewMemStore(storage.LatencyModel{}),
 	}
 	cfg.IndexTuning.K = 2
 	cfg.IndexTuning.GroomedLevels = 3
@@ -237,7 +236,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 			e := benchEngine(b, v.noop)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := e.UpsertRows(0, row(1, int64(i), 1.0, 1)); err != nil {
+				if err := e.UpsertRows(row(1, int64(i), 1.0, 1)); err != nil {
 					b.Fatal(err)
 				}
 				if i%4096 == 4095 {
@@ -255,7 +254,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			e := benchEngine(b, v.noop)
 			for i := int64(0); i < 512; i++ {
-				if err := e.UpsertRows(0, row(1, i, 1.0, 1)); err != nil {
+				if err := e.UpsertRows(row(1, i, 1.0, 1)); err != nil {
 					b.Fatal(err)
 				}
 			}

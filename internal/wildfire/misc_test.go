@@ -110,11 +110,11 @@ func TestPostGroomRetriesAfterFailure(t *testing.T) {
 
 func TestLiveLookupPrefersLatestCommit(t *testing.T) {
 	e := newTestEngine(t, nil)
-	// Two ungroomed versions of the same key on different replicas.
-	if err := e.upsert(0, row(1, 1, 1.0, 100)); err != nil {
+	// Two ungroomed versions of the same key in the committed log.
+	if err := e.upsert(row(1, 1, 1.0, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.upsert(1, row(1, 1, 2.0, 100)); err != nil {
+	if err := e.upsert(row(1, 1, 2.0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := e.liveLookup([]keyenc.Value{keyenc.I64(1)}, []keyenc.Value{keyenc.I64(1)}, QueryOptions{IncludeLive: true})

@@ -14,7 +14,7 @@ import (
 
 func ingestAndGroom(t *testing.T, e *shard, rows ...Row) {
 	t.Helper()
-	if err := e.upsert(0, rows...); err != nil {
+	if err := e.upsert(rows...); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
@@ -271,22 +271,21 @@ func TestMultiplePostGroomCycles(t *testing.T) {
 func TestEngineRecovery(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
 	cfg := ShardedConfig{
-		Table:    iotTable(),
-		Index:    iotIndex(),
-		Store:    store,
-		Replicas: 1,
+		Table: iotTable(),
+		Index: iotIndex(),
+		Store: store,
 	}
 	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.upsert(0, row(1, 1, 10.0, 100), row(1, 2, 11.0, 100)); err != nil {
+	if err := e.upsert(row(1, 1, 10.0, 100), row(1, 2, 11.0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.upsert(0, row(1, 1, 20.0, 100)); err != nil {
+	if err := e.upsert(row(1, 1, 20.0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
@@ -299,7 +298,7 @@ func TestEngineRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// More data groomed after the post-groom so both zones are live.
-	if err := e.upsert(0, row(2, 1, 30.0, 101)); err != nil {
+	if err := e.upsert(row(2, 1, 30.0, 101)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
@@ -343,7 +342,7 @@ func TestEngineRecovery(t *testing.T) {
 		t.Error("groomed-after-postgroom record lost in recovery")
 	}
 	// The engine keeps working after recovery.
-	if err := e2.upsert(0, row(3, 1, 40.0, 102)); err != nil {
+	if err := e2.upsert(row(3, 1, 40.0, 102)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e2.groomCount(); err != nil {
@@ -367,7 +366,7 @@ func TestBackgroundDaemons(t *testing.T) {
 	e := s.shards[0]
 	s.Start(2*time.Millisecond, 10*time.Millisecond)
 	for i := int64(0); i < 50; i++ {
-		if err := e.upsert(int(i)%2, row(1, i, float64(i), 100+i%3)); err != nil {
+		if err := e.upsert(row(1, i, float64(i), 100+i%3)); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(500 * time.Microsecond)
@@ -419,7 +418,7 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 		defer stop.Store(true)
 		for round := 0; round < 15; round++ {
 			for d := int64(0); d < devices; d++ {
-				if err := e.upsert(int(d)%2, row(d, int64(round)%msgs, float64(round), 100+int64(round)%4)); err != nil {
+				if err := e.upsert(row(d, int64(round)%msgs, float64(round), 100+int64(round)%4)); err != nil {
 					report(err)
 					return
 				}

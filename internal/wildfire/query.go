@@ -53,19 +53,17 @@ func (e *shard) resolveTS(opts QueryOptions) types.TS {
 }
 
 // capture takes a query's cut of the shard with the one read rule: read
-// the live zone, then Load the zone version. A groom that drains a log
+// the live zone, then Load the zone version. A groom that drains the log
 // between the two publishes the drained records as grooming first, so
 // every acknowledged record is either seen live or held by the version.
-// A query that includes live passes visit, which sees every replica-log
+// A query that includes live passes visit, which sees every committed-log
 // record and then the version's grooming records (a record may come
 // twice; it carries its commit sequence). It returns the version, the
 // query timestamp and whether the cut reads live: live records have no
 // beginTS yet, so only reads at the newest snapshot see them.
 func (e *shard) capture(opts QueryOptions, visit func(logRecord)) (*zoneVersion, types.TS, bool) {
 	if visit != nil {
-		for _, r := range e.replicas {
-			r.scan(visit)
-		}
+		e.scanLog(visit)
 	}
 	v := e.zone.Load()
 	ts := opts.TS

@@ -27,7 +27,7 @@ func TestBlockCacheStampede(t *testing.T) {
 		for i := range rows {
 			rows[i] = row(rng.Int63n(8), rng.Int63n(64), float64(rng.Int63n(1000)), 100+rng.Int63n(3))
 		}
-		if err := e.upsert(0, rows...); err != nil {
+		if err := e.upsert(rows...); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.groomCount(); err != nil {
@@ -181,13 +181,12 @@ func readPathEquivalence(t *testing.T, seed int64) {
 		for i := range rows {
 			rows[i] = row(rng.Int63n(devices), rng.Int63n(msgs), float64(rng.Int63n(1000)), 100+rng.Int63n(3))
 		}
-		replica := rng.Intn(2)
 		for _, e := range singles {
-			if err := e.upsert(replica, rows...); err != nil {
+			if err := e.upsert(rows...); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := sharded.UpsertRows(replica, rows...); err != nil {
+		if err := sharded.UpsertRows(rows...); err != nil {
 			t.Fatal(err)
 		}
 
@@ -228,7 +227,7 @@ func TestBlockCacheChurnInvariant(t *testing.T) {
 	for i := range seedRows {
 		seedRows[i] = row(rng.Int63n(8), rng.Int63n(64), float64(rng.Int63n(1000)), 100+rng.Int63n(3))
 	}
-	if err := e.upsert(0, seedRows...); err != nil {
+	if err := e.upsert(seedRows...); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
@@ -285,7 +284,7 @@ func TestBlockCacheChurnInvariant(t *testing.T) {
 		for i := range rows {
 			rows[i] = row(rng.Int63n(8), rng.Int63n(64), float64(rng.Int63n(1000)), 100+rng.Int63n(3))
 		}
-		if err := e.upsert(0, rows...); err != nil {
+		if err := e.upsert(rows...); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.groomCount(); err != nil {
@@ -356,7 +355,7 @@ func TestBlockCacheChargesFingerprints(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.blocks.Stats().Bytes
-	if err := e.upsert(0, row(0, 0, 1, 100)); err != nil {
+	if err := e.upsert(row(0, 0, 1, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := execute(e, count, QueryOptions{IncludeLive: true}); err != nil {
@@ -419,10 +418,9 @@ func BenchmarkParallelScan(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := ShardedConfig{
-				Table:    iotTable(),
-				Index:    iotIndex(),
-				Store:    storage.NewMemStore(storage.LatencyModel{}),
-				Replicas: 2,
+				Table: iotTable(),
+				Index: iotIndex(),
+				Store: storage.NewMemStore(storage.LatencyModel{}),
 			}
 			cfg.IndexTuning.K = 2
 			cfg.IndexTuning.GroomedLevels = 3
@@ -440,7 +438,7 @@ func BenchmarkParallelScan(b *testing.B) {
 				for i := range rows {
 					rows[i] = row(rng.Int63n(64), rng.Int63n(1024), float64(rng.Int63n(1000)), 100+rng.Int63n(3))
 				}
-				if err := e.upsert(0, rows...); err != nil {
+				if err := e.upsert(rows...); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := e.groomCount(); err != nil {

@@ -16,13 +16,13 @@ import (
 // write-once ErrExists.
 func TestWALMarkSeqPastUnreadableNewest(t *testing.T) {
 	store := storage.NewMemStore(storage.LatencyModel{})
-	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: store, Replicas: 1}
+	cfg := ShardedConfig{Table: iotTable(), Index: iotIndex(), Store: store}
 	e, err := openShard(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for dev := int64(0); dev < 2; dev++ {
-		if err := e.upsert(0, row(dev, 0, 1, 0)); err != nil {
+		if err := e.upsert(row(dev, 0, 1, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.groomCount(); err != nil {
@@ -46,7 +46,7 @@ func TestWALMarkSeqPastUnreadableNewest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.close()
-	if err := e.upsert(0, row(9, 0, 1, 0)); err != nil {
+	if err := e.upsert(row(9, 0, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
@@ -69,7 +69,7 @@ func TestEndTSSidecarDeterministic(t *testing.T) {
 		for version := 0; version < 2; version++ {
 			for dev := int64(0); dev < 6; dev++ {
 				for msg := int64(0); msg < 10; msg++ {
-					if err := e.upsert(0, row(dev, msg, float64(version), msg%3)); err != nil {
+					if err := e.upsert(row(dev, msg, float64(version), msg%3)); err != nil {
 						t.Fatal(err)
 					}
 				}

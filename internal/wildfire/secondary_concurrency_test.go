@@ -37,7 +37,7 @@ func TestSecondaryConcurrentWithPipeline(t *testing.T) {
 			for i := 0; i < opsPerGor; i++ {
 				id := int64(rng.Intn(keySpace))
 				r := orderRow(id, testRegions[rng.Intn(len(testRegions))], int64(rng.Intn(3)), int64(rng.Intn(1000)))
-				if err := e.upsert(0, r); err != nil {
+				if err := e.upsert(r); err != nil {
 					t.Error(err)
 					return
 				}

@@ -142,14 +142,14 @@ func sameRows(t *testing.T, what string, got, want map[int64]Row) {
 // reads at an older snapshot still see it there.
 func TestSecondaryStaleEntrySuppression(t *testing.T) {
 	e := newOrdersEngine(t, nil)
-	if err := e.upsert(0, orderRow(1, "amer", 0, 100)); err != nil {
+	if err := e.upsert(orderRow(1, "amer", 0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
 	tsOld := e.lastGroomTS()
-	if err := e.upsert(0, orderRow(1, "emea", 1, 150)); err != nil {
+	if err := e.upsert(orderRow(1, "emea", 1, 150)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
@@ -279,7 +279,7 @@ func TestSecondaryPropertyVsNaive(t *testing.T) {
 		for i := 0; i < n; i++ {
 			id := int64(rng.Intn(keySpace))
 			r := orderRow(id, testRegions[rng.Intn(len(testRegions))], int64(rng.Intn(3)), int64(rng.Intn(1000)))
-			if err := e.upsert(0, r); err != nil {
+			if err := e.upsert(r); err != nil {
 				t.Fatal(err)
 			}
 			shadow[id] = r
@@ -317,7 +317,7 @@ func TestCreateIndexBackfill(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			id := int64(rng.Intn(50))
 			r := orderRow(id, testRegions[rng.Intn(len(testRegions))], int64(rng.Intn(3)), int64(rng.Intn(1000)))
-			if err := e.upsert(0, r); err != nil {
+			if err := e.upsert(r); err != nil {
 				t.Fatal(err)
 			}
 			shadow[id] = r
@@ -362,7 +362,7 @@ func TestCreateIndexBackfill(t *testing.T) {
 	}
 
 	// The new index must be maintained from here on.
-	if err := e.upsert(0, orderRow(999, "amer", 0, 1)); err != nil {
+	if err := e.upsert(orderRow(999, "amer", 0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
@@ -398,7 +398,7 @@ func TestSecondaryRecovery(t *testing.T) {
 		for i := 0; i < n; i++ {
 			id := int64(rng.Intn(40))
 			r := orderRow(id, testRegions[rng.Intn(len(testRegions))], int64(rng.Intn(3)), int64(rng.Intn(1000)))
-			if err := e.upsert(0, r); err != nil {
+			if err := e.upsert(r); err != nil {
 				t.Fatal(err)
 			}
 			shadow[id] = r
@@ -486,7 +486,7 @@ func TestRecoveryAfterFullReclamation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 100; i++ {
-		if err := e.upsert(0, orderRow(i, "amer", 0, i)); err != nil {
+		if err := e.upsert(orderRow(i, "amer", 0, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -512,7 +512,7 @@ func TestRecoveryAfterFullReclamation(t *testing.T) {
 	if got := e.groomCycle.Load(); got < oldCycle {
 		t.Fatalf("groom clock ran backwards across recovery: %d < %d", got, oldCycle)
 	}
-	if err := e.upsert(0, orderRow(5, "emea", 1, 9999)); err != nil {
+	if err := e.upsert(orderRow(5, "emea", 1, 9999)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.groomCount(); err != nil {
@@ -546,7 +546,7 @@ func TestSecondaryLimitedScanWidens(t *testing.T) {
 			defer s.Close()
 			// 40 ids in amer and 40 in apac.
 			for i := int64(0); i < 40; i++ {
-				if err := s.UpsertRows(0, orderRow(i, "amer", 0, i), orderRow(100+i, "apac", 0, i)); err != nil {
+				if err := s.UpsertRows(orderRow(i, "amer", 0, i), orderRow(100+i, "apac", 0, i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -562,7 +562,7 @@ func TestSecondaryLimitedScanWidens(t *testing.T) {
 				if i > 0 {
 					rows = append(rows, orderRow(100+i, "emea", 1, i))
 				}
-				if err := s.UpsertRows(0, rows...); err != nil {
+				if err := s.UpsertRows(rows...); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -612,7 +612,7 @@ func TestSecondaryBackCheckBatched(t *testing.T) {
 	e := newOrdersEngine(t, nil)
 	const n = 2*verifyCheckEvery + 17
 	for i := int64(0); i < n; i++ {
-		if err := e.upsert(0, orderRow(i, "amer", 0, i)); err != nil {
+		if err := e.upsert(orderRow(i, "amer", 0, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -666,7 +666,7 @@ func TestExecuteIndexSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200; i++ {
 		r := orderRow(int64(i), testRegions[rng.Intn(len(testRegions))], int64(rng.Intn(3)), int64(rng.Intn(1000)))
-		if err := e.upsert(0, r); err != nil {
+		if err := e.upsert(r); err != nil {
 			t.Fatal(err)
 		}
 		if i%60 == 59 {
@@ -686,14 +686,14 @@ func TestExecuteIndexSelection(t *testing.T) {
 	}
 	// Move a few rows across regions, and leave some live records.
 	for i := 0; i < 20; i++ {
-		if err := e.upsert(0, orderRow(int64(i), "apac", 2, 5000+int64(i))); err != nil {
+		if err := e.upsert(orderRow(int64(i), "apac", 2, 5000+int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := e.groomCount(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.upsert(0, orderRow(500, "apac", 2, 9999)); err != nil {
+	if err := e.upsert(orderRow(500, "apac", 2, 9999)); err != nil {
 		t.Fatal(err) // stays live
 	}
 
@@ -742,7 +742,7 @@ func TestExecuteIndexPlanTooBroadFallsBack(t *testing.T) {
 	e := newOrdersEngine(t, nil)
 	n := int64(indexPlanCandidateCap + 500)
 	for i := int64(0); i < n; i++ {
-		if err := e.upsert(0, orderRow(i, "amer", 0, i)); err != nil {
+		if err := e.upsert(orderRow(i, "amer", 0, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -785,7 +785,7 @@ func TestShardedSecondaryQueries(t *testing.T) {
 		for i := 0; i < 120; i++ {
 			id := int64(rng.Intn(300))
 			r := orderRow(id, testRegions[rng.Intn(len(testRegions))], int64(rng.Intn(3)), int64(rng.Intn(1000)))
-			if err := s.UpsertRows(0, r); err != nil {
+			if err := s.UpsertRows(r); err != nil {
 				t.Fatal(err)
 			}
 			shadow[id] = r

@@ -72,9 +72,6 @@ type ShardedConfig struct {
 	// shard count, so a fan-out query saturates the machine without
 	// oversubscribing it; 1 scans each shard sequentially.
 	ScanParallelism int
-	// Replicas is the number of multi-master replicas per shard
-	// (default 1).
-	Replicas int
 	// Partitions is the number of partition-key buckets each shard's
 	// post-groomer writes (default 4; ignored without a partition key).
 	Partitions int
@@ -169,9 +166,6 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = cfg.Shards
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 1
 	}
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 4
@@ -387,20 +381,17 @@ func (s *ShardedEngine) Close() error {
 	return first
 }
 
-// Commit commits rows through the given replica ordinal of every shard
-// they touch, keeping the rows without a copy. Every row is validated
-// before any is committed. Rows are routed to their owning shards in
-// order and committed shard by shard; the context is checked before
-// each shard. Cross-shard commits are not atomic — per Wildfire's
-// multi-master semantics a commit becomes durable per shard and visible
+// Commit commits rows to every shard they touch, keeping the rows
+// without a copy. Every row is validated before any is committed. Rows
+// are routed to their owning shards in order and committed shard by
+// shard; the context is checked before each shard. Cross-shard commits
+// are not atomic — per Wildfire's semantics a commit becomes durable
+// per shard and visible
 // at groom time (§2.1), so a cancellation or crash between shards
 // leaves the earlier shards committed.
-func (s *ShardedEngine) Commit(ctx context.Context, replica int, rows []Row) error {
+func (s *ShardedEngine) Commit(ctx context.Context, rows []Row) error {
 	if s.closed.Load() {
 		return fmt.Errorf("wildfire: engine closed")
-	}
-	if nr := len(s.shards[0].replicas); replica < 0 || replica >= nr {
-		return fmt.Errorf("wildfire: replica %d out of range (%d replicas)", replica, nr)
 	}
 	for _, r := range rows {
 		if err := s.table.validateRow(r); err != nil {
@@ -422,7 +413,7 @@ func (s *ShardedEngine) Commit(ctx context.Context, replica int, rows []Row) err
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("wildfire: commit interrupted before shard %d (earlier shards are durable): %w", shard, err)
 		}
-		if err := s.shards[shard].commit(replica, rows); err != nil {
+		if err := s.shards[shard].commit(rows); err != nil {
 			return err
 		}
 	}
@@ -430,8 +421,8 @@ func (s *ShardedEngine) Commit(ctx context.Context, replica int, rows []Row) err
 }
 
 // UpsertRows commits a copy of rows (see Commit).
-func (s *ShardedEngine) UpsertRows(replicaID int, rows ...Row) error {
-	return s.Commit(context.Background(), replicaID, cloneRows(rows))
+func (s *ShardedEngine) UpsertRows(rows ...Row) error {
+	return s.Commit(context.Background(), cloneRows(rows))
 }
 
 // WALStatus reports every shard's commit-log state, indexed by shard.

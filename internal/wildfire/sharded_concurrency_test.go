@@ -38,14 +38,14 @@ func TestShardedConcurrentIngestAndScatterGather(t *testing.T) {
 	}
 
 	// Writers: each owns a disjoint set of devices, writing every key
-	// exactly once through alternating replicas.
+	// exactly once into the shards' committed logs.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for dev := int64(w); dev < devices; dev += 2 {
 				for msg := int64(0); msg < msgs; msg++ {
-					if err := s.UpsertRows(int(msg)%2, row(dev, msg, value(dev, msg), 100)); err != nil {
+					if err := s.UpsertRows(row(dev, msg, value(dev, msg), 100)); err != nil {
 						report(err)
 						return
 					}
@@ -191,7 +191,7 @@ func TestShardedSnapshotStabilityUnderIngest(t *testing.T) {
 		defer stop.Store(true)
 		for msg := int64(0); msg < msgs; msg++ {
 			for dev := int64(0); dev < devices; dev++ {
-				if err := s.UpsertRows(0, row(dev, msg, float64(dev), 100)); err != nil {
+				if err := s.UpsertRows(row(dev, msg, float64(dev), 100)); err != nil {
 					report(err)
 					return
 				}
@@ -273,7 +273,7 @@ func TestShardedConcurrentTxns(t *testing.T) {
 				for dev := int64(0); dev < 4; dev++ {
 					rows = append(rows, row(dev, int64(w*perWriter+i), float64(w), 100))
 				}
-				if err := s.Commit(context.Background(), w%2, rows); err != nil {
+				if err := s.Commit(context.Background(), rows); err != nil {
 					errCh <- err
 					return
 				}

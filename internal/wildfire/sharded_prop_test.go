@@ -50,14 +50,14 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 	var boundaries []types.TS // per lockstep groom round
 
 	// upsertBoth applies one committed batch to both systems in the same
-	// order through the same replica. Same-key updates land on the same
+	// order. Same-key updates land on the same
 	// shard, so relative commit order — and therefore last-writer-wins —
 	// is preserved on both sides.
-	upsertBoth := func(rows []Row, replica int) {
-		if err := single.UpsertRows(replica, rows...); err != nil {
+	upsertBoth := func(rows []Row) {
+		if err := single.UpsertRows(rows...); err != nil {
 			t.Fatal(err)
 		}
-		if err := sharded.UpsertRows(replica, rows...); err != nil {
+		if err := sharded.UpsertRows(rows...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,7 +259,7 @@ func shardedEquivalence(t *testing.T, shardBy string, seed int64) {
 		for i := range rows {
 			rows[i] = row(rng.Int63n(devices), rng.Int63n(msgs), float64(rng.Int63n(1<<20)), 100+rng.Int63n(3))
 		}
-		upsertBoth(rows, rng.Intn(2))
+		upsertBoth(rows)
 		groomBoth()
 
 		switch rng.Intn(4) {

@@ -27,11 +27,10 @@ func msgShardedTable() TableDef {
 func newTestShardedEngine(t *testing.T, shards int, mutate func(*ShardedConfig)) *ShardedEngine {
 	t.Helper()
 	cfg := ShardedConfig{
-		Table:    iotTable(),
-		Index:    iotIndex(),
-		Shards:   shards,
-		Store:    storage.NewMemStore(storage.LatencyModel{}),
-		Replicas: 2,
+		Table:  iotTable(),
+		Index:  iotIndex(),
+		Shards: shards,
+		Store:  storage.NewMemStore(storage.LatencyModel{}),
 	}
 	cfg.IndexTuning.K = 2
 	cfg.IndexTuning.GroomedLevels = 3
@@ -101,7 +100,7 @@ func TestShardedIngestGroomGet(t *testing.T) {
 	const devices, msgs = 8, 6
 	for dev := int64(0); dev < devices; dev++ {
 		for msg := int64(0); msg < msgs; msg++ {
-			if err := s.UpsertRows(int(dev)%2, row(dev, msg, float64(dev*100+msg), 100)); err != nil {
+			if err := s.UpsertRows(row(dev, msg, float64(dev*100+msg), 100)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -143,7 +142,7 @@ func TestShardedScanFanOutOrdered(t *testing.T) {
 	s := newTestShardedEngine(t, 4, func(c *ShardedConfig) { c.Table = msgShardedTable() })
 	const msgs = 40
 	for msg := int64(0); msg < msgs; msg++ {
-		if err := s.UpsertRows(0, row(7, msg, float64(msg), 100)); err != nil {
+		if err := s.UpsertRows(row(7, msg, float64(msg), 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +183,7 @@ func TestShardedScanPinned(t *testing.T) {
 	s := newTestShardedEngine(t, 4, nil)
 	for dev := int64(0); dev < 6; dev++ {
 		for msg := int64(0); msg < 10; msg++ {
-			if err := s.UpsertRows(0, row(dev, msg, float64(msg), 100)); err != nil {
+			if err := s.UpsertRows(row(dev, msg, float64(msg), 100)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -220,7 +219,7 @@ func TestShardedGetBatch(t *testing.T) {
 	const devices, msgs = 6, 5
 	for dev := int64(0); dev < devices; dev++ {
 		for msg := int64(0); msg < msgs; msg++ {
-			if err := s.UpsertRows(0, row(dev, msg, float64(dev*10+msg), 100)); err != nil {
+			if err := s.UpsertRows(row(dev, msg, float64(dev*10+msg), 100)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -262,13 +261,13 @@ func TestShardedGetBatch(t *testing.T) {
 // instead, naming it; the point get honors it.
 func TestShardedGetBatchRefusesIncludeLive(t *testing.T) {
 	s := newTestShardedEngine(t, 4, nil)
-	if err := s.UpsertRows(0, row(1, 1, 1, 100)); err != nil {
+	if err := s.UpsertRows(row(1, 1, 1, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Groom(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.UpsertRows(0, row(1, 1, 2, 100)); err != nil {
+	if err := s.UpsertRows(row(1, 1, 2, 100)); err != nil {
 		t.Fatal(err)
 	}
 	eq, sortv := []keyenc.Value{keyenc.I64(1)}, []keyenc.Value{keyenc.I64(1)}
@@ -288,8 +287,8 @@ func TestShardedGetBatchRefusesIncludeLive(t *testing.T) {
 }
 
 // TestShardedTxnLifecycle covers what ShardedEngine.Commit checks: a
-// bad replica, a bad row anywhere or a cancelled context commits
-// nothing, and a 4-shard commit lands every row on its owning shard.
+// bad row anywhere or a cancelled context commits nothing, and a
+// 4-shard commit lands every row on its owning shard.
 func TestShardedTxnLifecycle(t *testing.T) {
 	s := newTestShardedEngine(t, 4, nil)
 	ctx := context.Background()
@@ -300,23 +299,20 @@ func TestShardedTxnLifecycle(t *testing.T) {
 		}
 	}
 
-	if err := s.Commit(ctx, 99, rows); err == nil {
-		t.Error("bad replica accepted")
-	}
 	bad := append(append([]Row(nil), rows...), Row{keyenc.I64(1)})
-	if err := s.Commit(ctx, 0, bad); err == nil {
+	if err := s.Commit(ctx, bad); err == nil {
 		t.Error("short row accepted")
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if err := s.Commit(cancelled, 0, rows); !errors.Is(err, context.Canceled) {
+	if err := s.Commit(cancelled, rows); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled commit: err = %v, want context.Canceled", err)
 	}
 	if s.LiveCount() != 0 {
 		t.Fatalf("LiveCount = %d, want 0 (rejected commits commit nothing)", s.LiveCount())
 	}
 
-	if err := s.Commit(ctx, 1, rows); err != nil {
+	if err := s.Commit(ctx, rows); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]int, s.NumShards())
@@ -355,7 +351,7 @@ func TestShardedSnapshotLockstep(t *testing.T) {
 	for round := int64(0); round < 6; round++ {
 		// One device per round: exactly one shard gets data.
 		for msg := int64(0); msg < 4; msg++ {
-			if err := s.UpsertRows(0, row(round, msg, float64(round), 100)); err != nil {
+			if err := s.UpsertRows(row(round, msg, float64(round), 100)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -396,7 +392,7 @@ func TestShardedSnapshotLockstep(t *testing.T) {
 func TestShardedLiveReadMidGroomRound(t *testing.T) {
 	s := newTestShardedEngine(t, 4, nil)
 	for dev := int64(0); dev < 40; dev++ {
-		if err := s.UpsertRows(0, row(dev, 0, 1, 100)); err != nil {
+		if err := s.UpsertRows(row(dev, 0, 1, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -430,11 +426,10 @@ func TestShardedRecovery(t *testing.T) {
 	// engine realigns shard clocks and serves the same data.
 	store := storage.NewMemStore(storage.LatencyModel{})
 	cfg := ShardedConfig{
-		Table:    iotTable(),
-		Index:    iotIndex(),
-		Shards:   4,
-		Store:    store,
-		Replicas: 2,
+		Table:  iotTable(),
+		Index:  iotIndex(),
+		Shards: 4,
+		Store:  store,
 	}
 	cfg.IndexTuning.BlockSize = 1024
 	s, err := NewShardedEngine(cfg)
@@ -444,7 +439,7 @@ func TestShardedRecovery(t *testing.T) {
 	const devices, msgs = 6, 4
 	for dev := int64(0); dev < devices; dev++ {
 		for msg := int64(0); msg < msgs; msg++ {
-			if err := s.UpsertRows(0, row(dev, msg, float64(dev+1), 100)); err != nil {
+			if err := s.UpsertRows(row(dev, msg, float64(dev+1), 100)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -488,7 +483,7 @@ func TestShardedHistoryAndPostGroom(t *testing.T) {
 	// Three versions of one key across groom rounds, post-groomed in
 	// between so prevRID chains resolve.
 	for v := 1; v <= 3; v++ {
-		if err := s.UpsertRows(0, row(5, 1, float64(v), 100)); err != nil {
+		if err := s.UpsertRows(row(5, 1, float64(v), 100)); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Groom(); err != nil {
@@ -542,7 +537,7 @@ func TestShardedBackgroundDaemons(t *testing.T) {
 	s := newTestShardedEngine(t, 4, nil)
 	s.Start(time.Millisecond, 5*time.Millisecond)
 	// One device: exactly one shard receives data.
-	if err := s.UpsertRows(0, row(3, 1, 7.5, 100)); err != nil {
+	if err := s.UpsertRows(row(3, 1, 7.5, 100)); err != nil {
 		t.Fatal(err)
 	}
 	eq, sortv := key(3, 1)
@@ -577,7 +572,7 @@ func TestShardedMalformedKeys(t *testing.T) {
 	// Short or missing key values must error like the single-engine path,
 	// not panic inside the router.
 	s := newTestShardedEngine(t, 4, nil)
-	if err := s.UpsertRows(0, row(1, 1, 1.0, 100)); err != nil {
+	if err := s.UpsertRows(row(1, 1, 1.0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Groom(); err != nil {
@@ -632,7 +627,7 @@ func TestShardedConfigValidation(t *testing.T) {
 	if _, err := NewShardedEngine(bad); err == nil {
 		t.Error("duplicate secondary name accepted")
 	}
-	// Defaults: 4 shards of 1 replica and 4 partitions each.
+	// Defaults: 4 shards of 4 partitions each.
 	good := base
 	good.Store = storage.NewMemStore(storage.LatencyModel{})
 	s, err := NewShardedEngine(good)
@@ -644,11 +639,11 @@ func TestShardedConfigValidation(t *testing.T) {
 		t.Errorf("default shards = %d, want 4", s.NumShards())
 	}
 	for i, e := range s.shards {
-		if len(e.replicas) != 1 || e.partitions != 4 {
-			t.Errorf("shard %d: %d replicas, %d partitions; want 1 and 4", i, len(e.replicas), e.partitions)
+		if e.partitions != 4 {
+			t.Errorf("shard %d: %d partitions, want 4", i, e.partitions)
 		}
 	}
-	if err := s.UpsertRows(0, row(1, 1, 1.0, 1)); err != nil {
+	if err := s.UpsertRows(row(1, 1, 1.0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Groom(); err != nil {
@@ -675,7 +670,7 @@ func TestShardedSetCachedLevel(t *testing.T) {
 		for dev := int64(0); dev < 8; dev++ {
 			rows = append(rows, row(dev, round, float64(dev), 100+round))
 		}
-		if err := s.UpsertRows(0, rows...); err != nil {
+		if err := s.UpsertRows(rows...); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Groom(); err != nil {

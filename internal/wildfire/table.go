@@ -11,8 +11,8 @@
 //
 // ShardedEngine is the one exported engine: a table of N>=1 shards, each
 // the basic unit of grooming, post-grooming and indexing (§2.1, §3) with
-// a configurable number of multi-master replicas, each with its own
-// committed log. A shard is unexported; the table routes to it.
+// one committed log, the tail of its durable commit log. A shard is
+// unexported; the table routes to it.
 package wildfire
 
 import (

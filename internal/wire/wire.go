@@ -49,7 +49,7 @@ const (
 	FrameHello       byte = 0x01 // magic | u8 version | str token
 	FrameQuery       byte = 0x02 // u64 timeout ns (0 = none) | str table | marshaled QuerySpec
 	FrameCancel      byte = 0x03 // empty; stop the in-flight query
-	FrameCommit      byte = 0x04 // uvarint replica | uvarint #tables | per table: str name, uvarint #rows, rows
+	FrameCommit      byte = 0x04 // uvarint replica (always 0) | uvarint #tables | per table: str name, uvarint #rows, rows
 	FrameCreateTable byte = 0x05 // JSON front.CreateTableRequest
 	FrameCatalog     byte = 0x06 // empty; request the table catalog
 	FramePing        byte = 0x07 // empty; health check

@@ -17,8 +17,8 @@ type Table struct {
 	eng  *wildfire.ShardedEngine
 	// catalogEntry is the table's full catalog record as created or
 	// recovered — the source of truth for catalog rewrites, so options
-	// that are invisible on the engine (Replicas, Partitions,
-	// Parallelism) survive every restart.
+	// that are invisible on the engine (Partitions, Parallelism) survive
+	// every restart.
 	catalogEntry dbCatalogEntry
 }
 
@@ -61,19 +61,13 @@ func (t *Table) runSpec(ctx context.Context, spec wildfire.QuerySpec) (*Rows, er
 	return front.NewRows(ctx, qr.Columns, qr.Cursor), nil
 }
 
-// Upsert runs one auto-committed transaction staging the rows on
-// replica 0.
+// Upsert runs one auto-committed transaction staging the rows.
 func (t *Table) Upsert(ctx context.Context, rows ...Row) error {
-	return t.UpsertReplica(ctx, 0, rows...)
-}
-
-// UpsertReplica is Upsert through a chosen multi-master replica.
-func (t *Table) UpsertReplica(ctx context.Context, replica int, rows ...Row) error {
 	tx, err := t.db.Begin(ctx)
 	if err != nil {
 		return err
 	}
-	if err := tx.WithReplica(replica).Upsert(t.name, rows...); err != nil {
+	if err := tx.Upsert(t.name, rows...); err != nil {
 		tx.Abort()
 		return err
 	}

@@ -205,39 +205,6 @@ func TestDBTxBeginCancelledContext(t *testing.T) {
 	})
 }
 
-// TestDBTxBadReplicaCommitsNothing: a replica ordinal that one staged
-// table lacks fails the whole commit before any table commits.
-func TestDBTxBadReplicaCommitsNothing(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, db *umzi.DB, begin beginFunc, remote bool) {
-		ctx := context.Background()
-		a, err := db.CreateTable(ordersDef("a"), umzi.TableOptions{Replicas: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := db.CreateTable(ordersDef("b"), umzi.TableOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tx, err := begin(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		row := umzi.Row{umzi.I64(1), umzi.I64(0), umzi.F64(1), umzi.Str("amer")}
-		if err := tx.WithReplica(1).Upsert("a", row); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Upsert("b", row); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(ctx); err == nil {
-			t.Fatal("commit through a replica table b lacks succeeded")
-		}
-		if na, nb := a.LiveCount(), b.LiveCount(); na != 0 || nb != 0 {
-			t.Errorf("LiveCount a=%d b=%d, want 0 and 0", na, nb)
-		}
-	})
-}
-
 // TestDBTxUpsertStagesAllOrNone: a multi-row Upsert with one malformed
 // row stages none of its rows, so a later Commit writes nothing. In
 // process the Upsert fails and the Commit writes an empty transaction;

@@ -6,7 +6,7 @@
 // As in Wildfire, applications reach the index only through the
 // database. OpenDB returns a *DB: a multi-table catalog over one shared
 // store and SSD cache, each table a *Table handle over N>=1 hash shards,
-// with multi-master transactional ingest (DB.Begin / Table.Upsert), one
+// with transactional ingest (DB.Begin / Table.Upsert), one
 // declarative query surface (Table.Query, a fluent builder compiled into
 // point-get / index-scan / index-only / executor plans) and streaming
 // Rows results. Every read is multi-version and takes a context.Context;
