@@ -23,11 +23,10 @@ import (
 // stays in storage until every query that could hold its RIDs has
 // drained (reclaimDeprecated).
 func (e *shard) fetchBlock(ctx context.Context, name string) (*columnar.Block, error) {
-	blk, dedup, err := e.blocks.getOrFetch(ctx, name, func() (*columnar.Block, error) {
+	return e.blocks.getOrFetch(ctx, name, func() (*columnar.Block, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		e.mx.blockFetches.Inc()
 		data, err := e.store.Get(name)
 		if err != nil {
 			return nil, err
@@ -38,10 +37,6 @@ func (e *shard) fetchBlock(ctx context.Context, name string) (*columnar.Block, e
 		}
 		return blk, nil
 	})
-	if dedup {
-		e.mx.blockCacheHits.Inc()
-	}
-	return blk, err
 }
 
 // cacheBlock pre-populates the cache with a block the engine just built

@@ -80,7 +80,7 @@ type shard struct {
 	// blocks is the bounded decoded-block cache (data access path); it
 	// may be shared across shards. scanPool bounds the intra-shard
 	// block fetch/decode/classify workers.
-	blocks   *BlockCache
+	blocks   *blockCache
 	scanPool *gatherPool
 
 	// gate tracks in-flight queries. deprecated holds groomed block IDs
@@ -157,7 +157,7 @@ func (e *shard) publish(edit func(v *zoneVersion)) {
 // scanPar the per-shard scan parallelism. The index set is restored from
 // the persisted catalog; cfg.Secondaries not yet in the catalog are built
 // online from the existing zones.
-func newShard(cfg ShardedConfig, ord int, blocks *BlockCache, scanPar int) (*shard, error) {
+func newShard(cfg ShardedConfig, ord int, blocks *blockCache, scanPar int) (*shard, error) {
 	table := cfg.Table
 	table.Name = ShardTableName(cfg.Table.Name, cfg.Shards, ord)
 	e := &shard{

@@ -56,10 +56,6 @@ type engineMetrics struct {
 	groomRows     *obs.Histogram // records per cycle
 	freshness     *obs.Histogram // commit-ack -> groomed-visibility, ns
 
-	// Storage / cache (engine block cache).
-	blockCacheHits *obs.Counter
-	blockFetches   *obs.Counter
-
 	// Analytical executor.
 	execBlocksRead    *obs.Counter
 	execBlocksSkipped *obs.Counter
@@ -100,8 +96,6 @@ func newEngineMetrics(reg *obs.Registry, table string) *engineMetrics {
 		groomDuration:   reg.Histogram("groom_duration_ns", "groom cycle duration", "ns", l),
 		groomRows:       reg.Histogram("groom_rows", "records groomed per cycle", "records", l),
 		freshness:       reg.Histogram("groom_freshness_ns", "commit acknowledgment to groomed visibility", "ns", l),
-		blockCacheHits:  reg.Counter("cache_block_hits", "data-block reads served from the in-memory block cache", l),
-		blockFetches:    reg.Counter("cache_block_fetches", "data-block reads that went to shared storage", l),
 		execBlocksRead:  reg.Counter("exec_blocks_read", "blocks scanned with data columns materialized", l),
 		execBlocksSkipped: reg.Counter("exec_blocks_skipped",
 			"blocks excluded by min/max synopses (timestamp or filter)", l),

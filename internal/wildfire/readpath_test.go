@@ -38,7 +38,7 @@ func TestBlockCacheStampede(t *testing.T) {
 
 	// One cold query establishes the block count (groom pre-populated the
 	// cache, so start from a fresh one).
-	e.blocks = NewBlockCache(0)
+	e.blocks = newBlockCache(0)
 	before := store.Stats().Snapshot().Reads
 	if _, err := execute(e, plan, QueryOptions{}); err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestBlockCacheStampede(t *testing.T) {
 
 	// Fresh cold cache again: N concurrent identical queries must not
 	// read any object more than once.
-	e.blocks = NewBlockCache(0)
+	e.blocks = newBlockCache(0)
 	before = store.Stats().Snapshot().Reads
 	const n = 16
 	start := make(chan struct{})
@@ -206,7 +206,7 @@ func readPathEquivalence(t *testing.T, seed int64) {
 
 	// The starved engine must actually have churned; otherwise the
 	// eviction path went untested.
-	if st := starved.blocks.Stats(); st.Evictions == 0 {
+	if st := starved.blocks.stats(); st.Evictions == 0 {
 		t.Fatalf("starved engine saw no evictions; budget too generous for the test to bite: %+v", st)
 	}
 }
@@ -269,7 +269,7 @@ func TestBlockCacheChurnInvariant(t *testing.T) {
 						}
 					}
 				}
-				if st := e.blocks.Stats(); st.Bytes > st.Budget {
+				if st := e.blocks.stats(); st.Bytes > st.Budget {
 					fail <- fmt.Sprintf("cache occupancy %d exceeds budget %d", st.Bytes, st.Budget)
 					return
 				}
@@ -306,7 +306,7 @@ func TestBlockCacheChurnInvariant(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	st := e.blocks.Stats()
+	st := e.blocks.stats()
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions under a %d-byte budget; churn test did not bite: %+v", budget, st)
 	}
@@ -317,18 +317,16 @@ func TestBlockCacheChurnInvariant(t *testing.T) {
 
 // cacheCharges sums the MemSize of every resident block and fails the
 // test if an entry's charge differs from its block's MemSize.
-func cacheCharges(t *testing.T, c *BlockCache) (sum int64) {
+func cacheCharges(t *testing.T, c *blockCache) (sum int64) {
 	t.Helper()
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for name, ent := range s.entries {
-			if size := int64(ent.blk.MemSize()); ent.size != size {
-				t.Errorf("%s charged %d bytes, MemSize %d", name, ent.size, size)
-			}
-			sum += ent.size
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		ent := el.Value.(*cacheEntry)
+		if size := int64(ent.blk.MemSize()); ent.size != size {
+			t.Errorf("%s charged %d bytes, MemSize %d", ent.name, ent.size, size)
 		}
-		s.mu.Unlock()
+		sum += ent.size
 	}
 	return sum
 }
@@ -354,14 +352,14 @@ func TestBlockCacheChargesFingerprints(t *testing.T) {
 	if _, err := execute(e, count, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	before := e.blocks.Stats().Bytes
+	before := e.blocks.stats().Bytes
 	if err := e.upsert(row(0, 0, 1, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := execute(e, count, QueryOptions{IncludeLive: true}); err != nil {
 		t.Fatal(err)
 	}
-	after := e.blocks.Stats().Bytes
+	after := e.blocks.stats().Bytes
 	if after-before < 4*int64(len(rows)) {
 		t.Errorf("occupancy grew %d bytes (%d -> %d) for %d fingerprinted post rows", after-before, before, after, len(rows))
 	}
@@ -374,30 +372,19 @@ func TestBlockCacheChargesFingerprints(t *testing.T) {
 // fingerprints reserves the growth under the budget, evicting LRU tails
 // to make room; a block no longer resident is charged nothing.
 func TestBlockCacheRechargeEvicts(t *testing.T) {
-	mk := func(n int) *columnar.Block {
-		b := columnar.NewBuilder(columnar.MustSchema(columnar.Column{Name: "k", Kind: keyenc.KindInt64}))
-		for i := 0; i < n; i++ {
-			// Spread keys: 8 bytes a row under any encoding, twice the
-			// fingerprint column's 4.
-			if err := b.Append([]keyenc.Value{keyenc.I64(int64(uint64(i) * 0x9e3779b97f4a7c15))}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return b.Build()
-	}
-	a, b := mk(512), mk(512)
+	a, b := cacheTestBlock(t, 512), cacheTestBlock(t, 512)
 	budget := int64(a.MemSize() + b.MemSize())
-	c := NewBlockCache(budget)
+	c := newBlockCache(budget)
 	c.put("a", a)
 	c.put("b", b)
-	if st := c.Stats(); st.Blocks != 2 || st.Bytes != budget {
+	if st := c.stats(); st.Blocks != 2 || st.Bytes != budget {
 		t.Fatalf("setup: %+v", st)
 	}
 	if _, published := b.KeyFingerprints([]int{0}); !published {
 		t.Fatal("fingerprints not published")
 	}
 	c.recharge("b", b)
-	st := c.Stats()
+	st := c.stats()
 	if st.Bytes > st.Budget || st.Evictions != 1 || st.Blocks != 1 {
 		t.Fatalf("after recharge: %+v, want b alone, charged with its fingerprints", st)
 	}
@@ -406,8 +393,65 @@ func TestBlockCacheRechargeEvicts(t *testing.T) {
 	}
 	a.KeyFingerprints([]int{0})
 	c.recharge("a", a) // evicted: nothing to charge
-	if got := c.Stats(); got.Bytes != st.Bytes || got.Blocks != 1 {
+	if got := c.stats(); got.Bytes != st.Bytes || got.Blocks != 1 {
 		t.Fatalf("recharge of an evicted block changed the cache: %+v", got)
+	}
+}
+
+// cacheTestBlock builds an n-row one-column block whose MemSize depends
+// on n alone.
+func cacheTestBlock(t *testing.T, n int) *columnar.Block {
+	t.Helper()
+	b := columnar.NewBuilder(columnar.MustSchema(columnar.Column{Name: "k", Kind: keyenc.KindInt64}))
+	for i := 0; i < n; i++ {
+		// Spread keys: 8 bytes a row under any encoding, twice the
+		// fingerprint column's 4.
+		if err := b.Append([]keyenc.Value{keyenc.I64(int64(uint64(i) * 0x9e3779b97f4a7c15))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Build()
+}
+
+// TestBlockCacheEvictsLeastRecentlyUsed: with a budget of eight equal
+// blocks, reading the even ones of blocks 0-7 and then admitting four
+// more evicts exactly the four odd ones, the table's least recently
+// used blocks.
+func TestBlockCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	blks := make([]*columnar.Block, 12)
+	for i := range blks {
+		blks[i] = cacheTestBlock(t, 64)
+		if blks[i].MemSize() != blks[0].MemSize() {
+			t.Fatalf("block %d MemSize %d, block 0 %d", i, blks[i].MemSize(), blks[0].MemSize())
+		}
+	}
+	c := newBlockCache(8 * int64(blks[0].MemSize()))
+	name := func(i int) string { return fmt.Sprintf("blk-%02d", i) }
+	for i := 0; i < 8; i++ {
+		c.put(name(i), blks[i])
+	}
+	for i := 0; i < 8; i += 2 {
+		if _, ok := c.get(name(i)); !ok {
+			t.Fatalf("block %d missing before any eviction", i)
+		}
+	}
+	for i := 8; i < 12; i++ {
+		c.put(name(i), blks[i])
+	}
+	var gone []int
+	for i := range blks {
+		c.mu.Lock()
+		_, ok := c.entries[name(i)]
+		c.mu.Unlock()
+		if !ok {
+			gone = append(gone, i)
+		}
+	}
+	if fmt.Sprint(gone) != "[1 3 5 7]" {
+		t.Fatalf("evicted blocks %v, want [1 3 5 7]", gone)
+	}
+	if st := c.stats(); st.Evictions != 4 || st.Blocks != 8 || st.Bytes != st.Budget {
+		t.Fatalf("after churn: %+v, want 4 evictions and 8 resident blocks filling the budget", st)
 	}
 }
 

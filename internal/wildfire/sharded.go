@@ -63,7 +63,7 @@ type ShardedConfig struct {
 	// cache in front of shared storage); nil disables caching.
 	Cache *storage.SSDCache
 	// BlockCacheBytes budgets the table's decoded-block cache, which
-	// every shard reads through (<=0 selects DefaultBlockCacheBytes).
+	// every shard reads through (<=0 selects defaultBlockCacheBytes).
 	// Shard block names are globally disjoint, so one byte budget
 	// covers the table.
 	BlockCacheBytes int64
@@ -188,7 +188,7 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	// One decoded-block cache for the whole table: shard object names
 	// are disjoint, so the shards share a single byte budget instead of
 	// each holding 1/Nth privately.
-	blocks := NewBlockCache(cfg.BlockCacheBytes)
+	blocks := newBlockCache(cfg.BlockCacheBytes)
 	blocks.instrument(cfg.Obs, cfg.Table.Name)
 	scanPar := cfg.ScanParallelism
 	if scanPar <= 0 {
@@ -263,8 +263,9 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 // NumShards returns the shard count.
 func (s *ShardedEngine) NumShards() int { return len(s.shards) }
 
-// BlockCache returns the decoded-block cache shared by every shard.
-func (s *ShardedEngine) BlockCache() *BlockCache { return s.shards[0].blocks }
+// BlockCacheStats snapshots the decoded-block cache shared by every
+// shard.
+func (s *ShardedEngine) BlockCacheStats() BlockCacheStats { return s.shards[0].blocks.stats() }
 
 // SecondarySpecs returns the declared spec of every secondary, in
 // creation order (every shard holds the same set; shard 0 answers).

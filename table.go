@@ -40,7 +40,7 @@ func (t *Table) PrimaryIndex() IndexSpec { return t.catalogEntry.Index }
 // counters. A table's shards share one cache, so this is the whole
 // table's read-path picture.
 func (t *Table) BlockCacheStats() BlockCacheStats {
-	return t.eng.BlockCache().Stats()
+	return t.eng.BlockCacheStats()
 }
 
 // entry returns the table's catalog record for persisting the DB
