@@ -251,43 +251,12 @@ func (e *shard) entryView(ctx context.Context, ti *tableIndex, ve verifiedEntry,
 	return func(c int) keyenc.Value { return row[c] }, nil
 }
 
-// ---- Index-choice reads on the sharded engine ----------------------
+// ---- Index creation on the sharded engine -------------------------
 
-// secondaryMeta resolves the sharded layer's own metadata for a named
-// secondary (its key layout, for routing; idx is nil).
-func (s *ShardedEngine) secondaryMeta(name string) (*tableIndex, error) {
-	s.secMu.Lock()
-	defer s.secMu.Unlock()
-	ti, ok := s.secondaries[name]
-	if !ok {
-		return nil, fmt.Errorf("wildfire: table %s has no index %q", s.table.Name, name)
-	}
-	return ti, nil
-}
-
-// pinSecondary reports the single shard able to serve a secondary query
-// with the given equality values: every routing column must be one of
-// the index's equality columns. Otherwise the query scatters.
-func (s *ShardedEngine) pinSecondary(ti *tableIndex, eq []keyenc.Value) (int, bool) {
-	var vals []keyenc.Value
-	for _, rc := range s.router.cols {
-		found := -1
-		for i, c := range ti.spec.Equality {
-			if c == rc {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return 0, false
-		}
-		vals = append(vals, eq[found])
-	}
-	return int(keyenc.HashValues(vals) % uint64(s.router.n)), true
-}
-
-// CreateIndex builds a new secondary on every shard (backfill runs
-// per shard, online) and registers it for routing.
+// CreateIndex builds a new secondary on every shard (backfill runs per
+// shard, online). The shards' index sets are the table's only index set,
+// so it reads them before it touches any shard: a name that some shard
+// holds with a different declaration is refused.
 func (s *ShardedEngine) CreateIndex(spec SecondaryIndexSpec) error {
 	if s.closed.Load() {
 		return fmt.Errorf("wildfire: engine closed")
@@ -297,36 +266,20 @@ func (s *ShardedEngine) CreateIndex(spec SecondaryIndexSpec) error {
 	}
 	// One CreateIndex at a time: without this, two concurrent calls with
 	// the same name but different specs could each win on different
-	// shards and permanently diverge the per-shard catalogs. secMu stays
-	// a short-hold map lock so queries never wait behind a backfill.
+	// shards and permanently diverge the per-shard catalogs.
 	s.createMu.Lock()
 	defer s.createMu.Unlock()
-	s.secMu.Lock()
-	if existing, ok := s.secondaries[spec.Name]; ok {
-		s.secMu.Unlock()
-		if specEqual(existing.declared, spec.IndexSpec) {
-			return nil
+	for _, e := range s.shards {
+		if ti, err := e.lookupIndex(spec.Name); err == nil && !specEqual(ti.declared, spec.IndexSpec) {
+			return fmt.Errorf("wildfire: table %s already has an index %q with a different spec", s.table.Name, spec.Name)
 		}
-		return fmt.Errorf("wildfire: table %s already has an index %q with a different spec", s.table.Name, spec.Name)
 	}
-	s.secMu.Unlock()
 	// Per-shard createIndex is idempotent on an identical spec, so a
 	// partial failure (some shards built, some not) is retryable: rerun
-	// and only the stragglers backfill.
-	err := s.pool.each(context.Background(), len(s.shards), func(i int) error {
+	// and only the stragglers backfill. Shards that already hold the
+	// index still rewrite their catalog, in case the failure came
+	// between publishing the index and persisting it.
+	return s.pool.each(context.Background(), len(s.shards), func(i int) error {
 		return s.shards[i].createIndex(spec)
 	})
-	if err != nil {
-		return err
-	}
-	s.registerSecondary(spec)
-	return nil
-}
-
-// registerSecondary records a secondary's routing metadata.
-func (s *ShardedEngine) registerSecondary(spec SecondaryIndexSpec) {
-	ti := newTableIndex(s.table, s.ixSpec, spec.Name, spec.IndexSpec, nil)
-	s.secMu.Lock()
-	s.secondaries[spec.Name] = ti
-	s.secMu.Unlock()
 }

@@ -135,6 +135,10 @@ type tableIndex struct {
 	// priEqPos / priSortPos locate the primary spec's equality and sort
 	// values in the decoded layout, for back-check lookups.
 	priEqPos, priSortPos []int
+	// route[i] locates the table's i-th routing column (routeCols) in the
+	// decoded layout. Routing columns are primary-key columns, so every
+	// position falls in the key (equality ++ sort).
+	route []int
 }
 
 func (ti *tableIndex) primary() bool { return ti.name == "" }
@@ -160,10 +164,10 @@ func flatPos(spec IndexSpec, col string) int {
 }
 
 // newTableIndex precomputes the column plumbing of one index. primarySpec
-// is the table's primary index spec (for back-check positions); idx may
-// be attached later by the caller.
-func newTableIndex(t TableDef, primarySpec IndexSpec, name string, declared IndexSpec, idx *core.Index) *tableIndex {
-	ti := &tableIndex{name: name, declared: declared, idx: idx}
+// is the table's primary index spec (for back-check positions); the
+// caller attaches idx.
+func newTableIndex(t TableDef, primarySpec IndexSpec, name string, declared IndexSpec) *tableIndex {
+	ti := &tableIndex{name: name, declared: declared}
 	if name == "" {
 		ti.spec, ti.userSort = declared, len(declared.Sort)
 	} else {
@@ -190,6 +194,9 @@ func newTableIndex(t TableDef, primarySpec IndexSpec, name string, declared Inde
 	}
 	for _, c := range primarySpec.Sort {
 		ti.priSortPos = append(ti.priSortPos, flatPos(ti.spec, c))
+	}
+	for _, c := range t.routeCols() {
+		ti.route = append(ti.route, flatPos(ti.spec, c))
 	}
 	return ti
 }
@@ -468,7 +475,7 @@ func (e *shard) secondarySpecs() []SecondaryIndexSpec {
 
 // openTableIndex opens (or creates) the core index of one set member.
 func (e *shard) openTableIndex(name string, declared IndexSpec) (*tableIndex, error) {
-	ti := newTableIndex(e.table, e.ixSpec, name, declared, nil)
+	ti := newTableIndex(e.table, e.ixSpec, name, declared)
 	ixCfg := e.tuning
 	ixCfg.Name = IndexStoragePrefix(e.table.Name, name)
 	ixCfg.Def = indexDefFor(e.table, ti.spec)

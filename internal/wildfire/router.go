@@ -1,10 +1,6 @@
 package wildfire
 
-import (
-	"fmt"
-
-	"umzi/internal/keyenc"
-)
+import "umzi/internal/keyenc"
 
 // Shard routing. Wildfire hash-partitions every table by its sharding key
 // (§2.1): each shard runs its own engine — live zone, groomer,
@@ -13,77 +9,27 @@ import (
 // sharding key is fully determined by the query) or scatter to all of
 // them.
 //
-// The router precomputes where each sharding-key column lives — its
-// ordinal in the table row, and its position in the (equality, sort)
-// query-key layout of the index spec — so that routing a row or a query
-// key is a hash over a few values with no per-call column lookups.
-
-// keyLocator says where one sharding-key column appears in a query key:
-// in the equality values (fromSort false) or the sort values (fromSort
-// true), at position idx within that group.
-type keyLocator struct {
-	fromSort bool
-	idx      int
-}
+// The routing columns are the table's sharding key, or the full primary
+// key when none is declared (TableDef.routeCols). The router knows their
+// ordinals in a table row; every index knows their positions in its own
+// decoded layout (tableIndex.route), so routing a row or a query key is a
+// hash over a few values with no per-call column lookups, and one pin
+// rule serves the primary and every secondary.
 
 // shardRouter maps rows and query keys to their owning shard.
 type shardRouter struct {
 	n int // shard count
-
-	// cols are the routing columns: the table's sharding key, or the full
-	// primary key when no sharding key is declared.
-	cols []string
-	// rowIdx[i] is cols[i]'s ordinal in the table row.
+	// rowIdx[i] is the i-th routing column's ordinal in the table row.
 	rowIdx []int
-	// keyLoc[i] locates cols[i] in a query's (equality, sort) values.
-	keyLoc []keyLocator
-	// pinnable reports whether every routing column is an equality column
-	// of the index spec: then any scan (which fixes all equality values)
-	// is served by exactly one shard.
-	pinnable bool
 }
 
-// newShardRouter builds the router for a validated table and index spec.
-func newShardRouter(t TableDef, s IndexSpec, shards int) (*shardRouter, error) {
-	cols := t.ShardKey
-	if len(cols) == 0 {
-		// No declared sharding key: partition by the full primary key.
-		cols = t.PrimaryKey
-	}
-	r := &shardRouter{n: shards, cols: cols}
-	for _, c := range cols {
+// newShardRouter builds the router for a validated table.
+func newShardRouter(t TableDef, shards int) *shardRouter {
+	r := &shardRouter{n: shards}
+	for _, c := range t.routeCols() {
 		r.rowIdx = append(r.rowIdx, t.colIndex(c))
-		loc, err := locateKeyColumn(s, c)
-		if err != nil {
-			return nil, err
-		}
-		r.keyLoc = append(r.keyLoc, loc)
 	}
-	r.pinnable = true
-	for _, loc := range r.keyLoc {
-		if loc.fromSort {
-			r.pinnable = false
-			break
-		}
-	}
-	return r, nil
-}
-
-// locateKeyColumn finds a column's position in the index key layout. The
-// sharding key is a subset of the primary key and the index key covers
-// the whole primary key, so every routing column is found.
-func locateKeyColumn(s IndexSpec, col string) (keyLocator, error) {
-	for i, c := range s.Equality {
-		if c == col {
-			return keyLocator{fromSort: false, idx: i}, nil
-		}
-	}
-	for i, c := range s.Sort {
-		if c == col {
-			return keyLocator{fromSort: true, idx: i}, nil
-		}
-	}
-	return keyLocator{}, fmt.Errorf("wildfire: sharding column %q not covered by the index key", col)
+	return r
 }
 
 // shardOfRow returns the shard owning a row.
@@ -96,33 +42,35 @@ func (r *shardRouter) shardOfRow(row Row) int {
 	return int(keyenc.HashValues(vals) % uint64(r.n))
 }
 
-// shardOfKey returns the shard owning a full query key (all equality and
-// sort values present, as in a point get or GetBatch).
-func (r *shardRouter) shardOfKey(eq, sortv []keyenc.Value) int {
+// shardOfKey returns the shard owning a full key of index ti (all
+// equality and sort values present, as in a point get or GetBatch). The
+// routing columns are primary-key columns, which every index carries in
+// its key, so each route position falls in eq or sortv.
+func (r *shardRouter) shardOfKey(ti *tableIndex, eq, sortv []keyenc.Value) int {
 	var scratch [4]keyenc.Value
 	vals := scratch[:0]
-	for _, loc := range r.keyLoc {
-		if loc.fromSort {
-			vals = append(vals, sortv[loc.idx])
+	for _, p := range ti.route {
+		if p < len(eq) {
+			vals = append(vals, eq[p])
 		} else {
-			vals = append(vals, eq[loc.idx])
+			vals = append(vals, sortv[p-len(eq)])
 		}
 	}
 	return int(keyenc.HashValues(vals) % uint64(r.n))
 }
 
-// pinScan returns the single shard able to serve a scan with the given
-// equality values, or ok=false when the scan must scatter to all shards
-// (some routing column is a sort column, so rows matching the scan live
-// on different shards).
-func (r *shardRouter) pinScan(eq []keyenc.Value) (int, bool) {
-	if !r.pinnable {
-		return 0, false
+// pin returns the single shard able to serve a scan of index ti with the
+// given equality values, or ok=false when the scan must scatter: some
+// routing column is not an equality column of ti, so rows matching the
+// scan live on different shards. A 1-shard table always pins.
+func (r *shardRouter) pin(ti *tableIndex, eq []keyenc.Value) (int, bool) {
+	if r.n == 1 {
+		return 0, true
 	}
-	var scratch [4]keyenc.Value
-	vals := scratch[:0]
-	for _, loc := range r.keyLoc {
-		vals = append(vals, eq[loc.idx])
+	for _, p := range ti.route {
+		if p >= len(ti.spec.Equality) {
+			return 0, false
+		}
 	}
-	return int(keyenc.HashValues(vals) % uint64(r.n)), true
+	return r.shardOfKey(ti, eq, nil), true
 }

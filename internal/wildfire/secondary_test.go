@@ -876,7 +876,7 @@ func TestShardedSecondaryQueries(t *testing.T) {
 	if err := s.CreateIndex(byID); err != nil {
 		t.Fatal(err)
 	}
-	ti, err := s.secondaryMeta("by_id_amount")
+	ti, err := s.shards[0].lookupIndex("by_id_amount")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -884,7 +884,7 @@ func TestShardedSecondaryQueries(t *testing.T) {
 		if rng.Intn(20) != 0 {
 			continue
 		}
-		if _, ok := s.pinSecondary(ti, []keyenc.Value{keyenc.I64(id)}); !ok {
+		if _, ok := s.router.pin(ti, []keyenc.Value{keyenc.I64(id)}); !ok {
 			t.Fatal("by_id_amount query did not pin despite the sharding key being bound")
 		}
 		rec, found, err := tableGetOn(s, "by_id_amount", []keyenc.Value{keyenc.I64(id)}, nil, QueryOptions{})

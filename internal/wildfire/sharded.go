@@ -94,7 +94,6 @@ type ShardedConfig struct {
 // routing, ingest and query front end (RunQuery).
 type ShardedEngine struct {
 	table  TableDef
-	ixSpec IndexSpec
 	shards []*shard
 	router *shardRouter
 	pool   *gatherPool
@@ -105,17 +104,10 @@ type ShardedEngine struct {
 	// bundles (same registry, shard-qualified table label).
 	mx *engineMetrics
 
-	// primaryMeta is the primary index's routing metadata (the
-	// sharded-level analogue of a shard's tableIndex, with no core index
-	// attached).
-	primaryMeta *tableIndex
-
-	// secondaries holds per-secondary routing metadata (no index
-	// instance — those live in the shards); createMu serializes whole
-	// CreateIndex operations across callers.
-	secMu       sync.Mutex
-	createMu    sync.Mutex
-	secondaries map[string]*tableIndex
+	// createMu serializes whole CreateIndex operations across callers.
+	// The table's index set is the shards' own: the coordinator keeps no
+	// copy of it.
+	createMu sync.Mutex
 
 	// groomMu serializes groom rounds so the lockstep cycle advance stays
 	// consistent.
@@ -171,20 +163,13 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 		cfg.Partitions = 4
 	}
 
-	router, err := newShardRouter(cfg.Table, cfg.Index, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
 	s := &ShardedEngine{
-		table:       cfg.Table,
-		ixSpec:      cfg.Index,
-		router:      router,
-		pool:        newGatherPool(cfg.Parallelism),
-		secondaries: make(map[string]*tableIndex),
-		stopCh:      make(chan struct{}),
+		table:  cfg.Table,
+		router: newShardRouter(cfg.Table, cfg.Shards),
+		pool:   newGatherPool(cfg.Parallelism),
+		stopCh: make(chan struct{}),
 	}
 	s.mx = newEngineMetrics(cfg.Obs, cfg.Table.Name)
-	s.primaryMeta = newTableIndex(cfg.Table, cfg.Index, "", cfg.Index, nil)
 	// One decoded-block cache for the whole table: shard object names
 	// are disjoint, so the shards share a single byte budget instead of
 	// each holding 1/Nth privately.
@@ -220,9 +205,9 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	for _, e := range s.shards {
 		e.alignGroomCycle(max)
 	}
-	// Register routing metadata for every secondary the shards
-	// hold — declared ones plus any recovered from the shard catalogs.
-	// The union is taken across ALL shards and healed everywhere: a crash
+	// Heal the index set: every shard must hold every secondary any
+	// shard holds — declared ones plus any recovered from the shard
+	// catalogs. The union is taken across ALL shards: a crash
 	// mid-CreateIndex can leave an index on a subset of shards, and
 	// per-shard createIndex is idempotent, so re-running it converges
 	// the stragglers (backfilling from their zones) instead of leaving
@@ -255,7 +240,6 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 				return nil, fmt.Errorf("wildfire: shard %d: healing index %q: %w", i, spec.Name, err)
 			}
 		}
-		s.registerSecondary(spec)
 	}
 	return s, nil
 }
@@ -538,13 +522,17 @@ func (s *ShardedEngine) SetCachedLevel(level int) {
 	}
 }
 
-// checkFullKey validates a point-lookup key before routing: the router
-// indexes into eq/sortv, so a short key must fail with an error instead
-// of panicking.
-func (s *ShardedEngine) checkFullKey(eq, sortv []keyenc.Value) error {
-	if len(eq) != len(s.ixSpec.Equality) || len(sortv) != len(s.ixSpec.Sort) {
+// primary returns the table's primary index: element 0 of the shards'
+// index set, the set every shard holds.
+func (s *ShardedEngine) primary() *tableIndex { return s.shards[0].indexSet()[0] }
+
+// checkFullKey validates a point-lookup key of the primary pri before
+// routing: the router indexes into eq/sortv, so a short key must fail
+// with an error instead of panicking.
+func checkFullKey(pri *tableIndex, eq, sortv []keyenc.Value) error {
+	if len(eq) != len(pri.spec.Equality) || len(sortv) != len(pri.spec.Sort) {
 		return fmt.Errorf("wildfire: point lookup requires the full key (%d+%d values, want %d+%d)",
-			len(eq), len(sortv), len(s.ixSpec.Equality), len(s.ixSpec.Sort))
+			len(eq), len(sortv), len(pri.spec.Equality), len(pri.spec.Sort))
 	}
 	return nil
 }
@@ -556,11 +544,12 @@ func (s *ShardedEngine) get(ctx context.Context, eq, sortv []keyenc.Value, opts 
 	if s.closed.Load() {
 		return Record{}, false, fmt.Errorf("wildfire: engine closed")
 	}
-	if err := s.checkFullKey(eq, sortv); err != nil {
+	pri := s.primary()
+	if err := checkFullKey(pri, eq, sortv); err != nil {
 		return Record{}, false, err
 	}
 	opts.TS = s.resolveTS(opts)
-	return s.shards[s.router.shardOfKey(eq, sortv)].getOn(ctx, eq, sortv, opts)
+	return s.shards[s.router.shardOfKey(pri, eq, sortv)].getOn(ctx, eq, sortv, opts)
 }
 
 // GetBatch resolves a batch of point lookups: keys group by owning
@@ -578,11 +567,12 @@ func (s *ShardedEngine) GetBatch(keys []core.LookupKey, opts QueryOptions) ([]Re
 	opts.TS = s.resolveTS(opts)
 	perShard := make([][]core.LookupKey, len(s.shards))
 	perShardPos := make([][]int, len(s.shards))
+	pri := s.primary()
 	for i, k := range keys {
-		if err := s.checkFullKey(k.Equality, k.Sort); err != nil {
+		if err := checkFullKey(pri, k.Equality, k.Sort); err != nil {
 			return nil, nil, fmt.Errorf("batch key %d: %w", i, err)
 		}
-		shard := s.router.shardOfKey(k.Equality, k.Sort)
+		shard := s.router.shardOfKey(pri, k.Equality, k.Sort)
 		perShard[shard] = append(perShard[shard], k)
 		perShardPos[shard] = append(perShardPos[shard], i)
 	}
@@ -610,42 +600,21 @@ func (s *ShardedEngine) GetBatch(keys []core.LookupKey, opts QueryOptions) ([]Re
 	return out, found, nil
 }
 
-// indexMeta resolves the sharded layer's routing metadata for an
-// index choice ("" is the primary).
-func (s *ShardedEngine) indexMeta(index string) (*tableIndex, error) {
-	if index == "" {
-		return s.primaryMeta, nil
-	}
-	return s.secondaryMeta(index)
-}
-
-// pinStream reports the single shard able to serve a scan on the chosen
-// index with the given equality values, or ok=false when it must
-// scatter. A 1-shard table always pins: its scans are the shard's own
-// cursors, with no worker or merge in between.
-func (s *ShardedEngine) pinStream(ti *tableIndex, eq []keyenc.Value) (int, bool) {
-	if len(s.shards) == 1 {
-		return 0, true
-	}
-	if ti.primary() {
-		return s.router.pinScan(eq)
-	}
-	return s.pinSecondary(ti, eq)
-}
-
 // tableIndexStream opens the one ordered index stream of the table:
-// pinned to the single shard able to serve it, or scattered to every
-// shard with the per-shard indexStreams k-way merged on their entries'
-// key bytes. Those bytes order like the index key and share the
-// equality prefix on every shard, and secondary keys embed the primary
-// key, so they merge without re-encoding and never tie across shards.
+// pinned to the single shard able to serve it (a 1-shard table's scans
+// are the shard's own cursors, with no worker or merge in between), or
+// scattered to every shard with the per-shard indexStreams k-way merged
+// on their entries' key bytes. Those bytes order like the index key and
+// share the equality prefix on every shard, and secondary keys embed
+// the primary key, so they merge without re-encoding and never tie
+// across shards.
 // Closing the cursor early — or cancelling ctx — stops the workers;
 // they are waited out before Close returns.
 func tableIndexStream[T any](ctx context.Context, s *ShardedEngine, sc indexScan, opts QueryOptions, step rowStep[T]) (*Cursor[T], error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("wildfire: engine closed")
 	}
-	ti, err := s.indexMeta(sc.index)
+	ti, err := s.shards[0].lookupIndex(sc.index)
 	if err != nil {
 		return nil, err
 	}
@@ -657,7 +626,7 @@ func tableIndexStream[T any](ctx context.Context, s *ShardedEngine, sc indexScan
 	open := func(ctx context.Context, shard int) (*Cursor[shardItem[T]], error) {
 		return indexStream(ctx, s.shards[shard], sc, opts, step)
 	}
-	shard, pinned := s.pinStream(ti, sc.eq)
+	shard, pinned := s.router.pin(ti, sc.eq)
 	if !pinned {
 		return scatterStream(ctx, s.pool, len(s.shards), sc.limit, open, s.mx.onReleaseErr), nil
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -48,19 +49,17 @@ func newTestShardedEngine(t *testing.T, shards int, mutate func(*ShardedConfig))
 }
 
 func TestShardRouterAgreement(t *testing.T) {
+	primaryOf := func(td TableDef) *tableIndex { return newTableIndex(td, iotIndex(), "", iotIndex()) }
 	// shardOfRow and shardOfKey must agree for every key, under both
 	// sharding layouts (shard key in equality vs in sort columns).
 	for _, td := range []TableDef{iotTable(), msgShardedTable()} {
-		r, err := newShardRouter(td, iotIndex(), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r, pri := newShardRouter(td, 4), primaryOf(td)
 		used := map[int]bool{}
 		for dev := int64(0); dev < 16; dev++ {
 			for msg := int64(0); msg < 16; msg++ {
 				byRow := r.shardOfRow(row(dev, msg, 1.0, 100))
 				eq, sortv := key(dev, msg)
-				byKey := r.shardOfKey(eq, sortv)
+				byKey := r.shardOfKey(pri, eq, sortv)
 				if byRow != byKey {
 					t.Fatalf("%v: row routes to %d, key to %d", td.ShardKey, byRow, byKey)
 				}
@@ -72,26 +71,42 @@ func TestShardRouterAgreement(t *testing.T) {
 		}
 	}
 	// Device-sharded scans pin; msg-sharded scans scatter.
-	rd, _ := newShardRouter(iotTable(), iotIndex(), 4)
-	if _, ok := rd.pinScan([]keyenc.Value{keyenc.I64(7)}); !ok {
+	rd := newShardRouter(iotTable(), 4)
+	if _, ok := rd.pin(primaryOf(iotTable()), []keyenc.Value{keyenc.I64(7)}); !ok {
 		t.Error("device-sharded scan did not pin")
 	}
-	rm, _ := newShardRouter(msgShardedTable(), iotIndex(), 4)
-	if _, ok := rm.pinScan([]keyenc.Value{keyenc.I64(7)}); ok {
+	rm := newShardRouter(msgShardedTable(), 4)
+	if _, ok := rm.pin(primaryOf(msgShardedTable()), []keyenc.Value{keyenc.I64(7)}); ok {
 		t.Error("msg-sharded scan pinned")
 	}
 	// No declared shard key: route by the full primary key.
 	td := iotTable()
 	td.ShardKey = nil
-	rp, err := newShardRouter(td, iotIndex(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rp.pinScan([]keyenc.Value{keyenc.I64(7)}); ok {
+	rp, pri := newShardRouter(td, 4), primaryOf(td)
+	if _, ok := rp.pin(pri, []keyenc.Value{keyenc.I64(7)}); ok {
 		t.Error("pk-sharded scan pinned despite msg in the routing key")
 	}
-	if rp.shardOfRow(row(3, 5, 0, 0)) != rp.shardOfKey([]keyenc.Value{keyenc.I64(3)}, []keyenc.Value{keyenc.I64(5)}) {
+	if rp.shardOfRow(row(3, 5, 0, 0)) != rp.shardOfKey(pri, []keyenc.Value{keyenc.I64(3)}, []keyenc.Value{keyenc.I64(5)}) {
 		t.Error("pk routing disagrees between row and key")
+	}
+	// Secondaries follow the same rule: one whose equality columns
+	// include the sharding key pins every row's scan to the row's own
+	// shard, wherever device sits among them; one equal on day alone
+	// carries device only as a sort uniquifier and scatters.
+	byDayDev := newTableIndex(iotTable(), iotIndex(), "by_day_dev",
+		IndexSpec{Equality: []string{"day", "device"}, Sort: []string{"reading"}})
+	byDay := newTableIndex(iotTable(), iotIndex(), "by_day", IndexSpec{Equality: []string{"day"}})
+	for dev := int64(0); dev < 16; dev++ {
+		for day := int64(0); day < 4; day++ {
+			r := row(dev, dev*day, float64(day), day)
+			shard, ok := rd.pin(byDayDev, byDayDev.rowEq(r))
+			if !ok || shard != rd.shardOfRow(r) {
+				t.Fatalf("by_day_dev scan of %v: pin = (%d, %v), row lives on shard %d", r, shard, ok, rd.shardOfRow(r))
+			}
+			if _, ok := rd.pin(byDay, byDay.rowEq(r)); ok {
+				t.Fatalf("by_day scan of %v pinned", r)
+			}
+		}
 	}
 }
 
@@ -200,7 +215,7 @@ func TestShardedScanPinned(t *testing.T) {
 		if len(got) != 10 {
 			t.Fatalf("dev %d: %d results", dev, len(got))
 		}
-		shard, ok := s.router.pinScan(eq)
+		shard, ok := s.router.pin(s.primary(), eq)
 		if !ok {
 			t.Fatal("expected pinned scan")
 		}
@@ -497,7 +512,7 @@ func TestShardedHistoryAndPostGroom(t *testing.T) {
 		}
 	}
 	eq, sortv := key(5, 1)
-	hist := history(t, s.shards[s.router.shardOfKey(eq, sortv)], eq, sortv)
+	hist := history(t, s.shards[s.router.shardOfKey(s.primary(), eq, sortv)], eq, sortv)
 	if len(hist) != 3 {
 		t.Fatalf("history length %d, want 3", len(hist))
 	}
@@ -717,3 +732,144 @@ func TestShardedSetCachedLevel(t *testing.T) {
 		t.Errorf("SSD cache holds %d bytes after loading every level, %d purged", loaded, purged)
 	}
 }
+
+// shardedWithDays is a 4-shard IoT table, newTestShardedEngine's config
+// returned beside it for reopening, holding devices x msgs rows over
+// three days, groomed once.
+func shardedWithDays(t *testing.T, devices, msgs int64) (*ShardedEngine, ShardedConfig) {
+	t.Helper()
+	var cfg ShardedConfig
+	s := newTestShardedEngine(t, 4, func(c *ShardedConfig) { cfg = *c })
+	for dev := int64(0); dev < devices; dev++ {
+		for msg := int64(0); msg < msgs; msg++ {
+			if err := s.UpsertRows(row(dev, msg, float64(dev*100+msg), msg%3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Groom(); err != nil {
+		t.Fatal(err)
+	}
+	return s, cfg
+}
+
+// TestShardedCreateIndexConflictAfterPartialBuild: a CreateIndex that
+// failed after one shard built the index leaves that shard's declaration
+// in the table's index set. A second declaration under the same name
+// must be refused before any shard builds it, the first one must still
+// converge every shard, and the table must reopen. A CreateIndex whose
+// catalog writes all failed after every shard published the index must
+// be retryable: the retry persists the index, so it survives a reopen.
+func TestShardedCreateIndexConflictAfterPartialBuild(t *testing.T) {
+	fs := &failingStore{ObjectStore: storage.NewMemStore(storage.LatencyModel{}), substr: "/catalog/"}
+	var cfg ShardedConfig
+	s := newTestShardedEngine(t, 4, func(c *ShardedConfig) { c.Store = fs; cfg = *c })
+	for dev := int64(0); dev < 8; dev++ {
+		for msg := int64(0); msg < 6; msg++ {
+			if err := s.UpsertRows(row(dev, msg, float64(dev*100+msg), msg%3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Groom(); err != nil {
+		t.Fatal(err)
+	}
+	a := SecondaryIndexSpec{Name: "sec", IndexSpec: IndexSpec{Equality: []string{"msg"}}}
+	b := SecondaryIndexSpec{Name: "sec", IndexSpec: IndexSpec{Equality: []string{"day"}}}
+	if err := s.shards[0].createIndex(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateIndex(b); err == nil || !strings.Contains(err.Error(), "different spec") {
+		t.Fatalf("CreateIndex of a conflicting declaration: err = %v", err)
+	}
+	for i, e := range s.shards {
+		if ti, err := e.lookupIndex("sec"); err == nil && !specEqual(ti.declared, a.IndexSpec) {
+			t.Fatalf("shard %d holds the refused declaration %v", i, ti.declared)
+		}
+	}
+	if err := s.CreateIndex(a); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range s.shards {
+		if ti, err := e.lookupIndex("sec"); err != nil || !specEqual(ti.declared, a.IndexSpec) {
+			t.Fatalf("shard %d after CreateIndex: %v, %v", i, ti, err)
+		}
+	}
+	// Every shard publishes byDay, then every catalog write fails.
+	byDay := SecondaryIndexSpec{Name: "by_day", IndexSpec: IndexSpec{Equality: []string{"day"}}}
+	fs.fail.Store(true)
+	if err := s.CreateIndex(byDay); err == nil {
+		t.Fatal("CreateIndex succeeded with every catalog write failing")
+	}
+	fs.fail.Store(false)
+	if err := s.CreateIndex(byDay); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewShardedEngine(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer r.Close()
+	for i, e := range r.shards {
+		for _, want := range []SecondaryIndexSpec{a, byDay} {
+			if ti, err := e.lookupIndex(want.Name); err != nil || !specEqual(ti.declared, want.IndexSpec) {
+				t.Fatalf("shard %d after reopen, index %q: %v, %v", i, want.Name, ti, err)
+			}
+		}
+	}
+}
+
+// TestShardedReopenHealsPartialIndex: an index that only some shards
+// built (a CreateIndex cut short by a crash) is rebuilt on the others
+// when the table reopens, so a scattered query through it reads every
+// shard.
+func TestShardedReopenHealsPartialIndex(t *testing.T) {
+	s, cfg := shardedWithDays(t, 8, 6)
+	byDay := SecondaryIndexSpec{Name: "by_day", IndexSpec: IndexSpec{Equality: []string{"day"}}}
+	if err := s.shards[2].createIndex(byDay); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewShardedEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i, e := range r.shards {
+		if ti, err := e.lookupIndex("by_day"); err != nil || !specEqual(ti.declared, byDay.IndexSpec) {
+			t.Fatalf("shard %d after reopen: %v, %v", i, ti, err)
+		}
+	}
+	if _, pinned := r.router.pin(r.shards[0].indexSet()[1], []keyenc.Value{keyenc.I64(1)}); pinned {
+		t.Fatal("a by_day scan pinned; it must scatter")
+	}
+	rows := func(spec QuerySpec) [][]keyenc.Value {
+		qr, err := r.RunQuery(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := drainCursor(qr.Cursor, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.SortFunc(out, compareRow)
+		return out
+	}
+	for day := int64(0); day < 3; day++ {
+		filter := exec.Eq("day", keyenc.I64(day))
+		via := rows(QuerySpec{Filter: filter, Via: "by_day", ViaSet: true})
+		scan := rows(QuerySpec{Filter: filter, NoIndexSelection: true})
+		same := slices.EqualFunc(via, scan, func(x, y []keyenc.Value) bool { return compareRow(x, y) == 0 })
+		if len(via) != 16 || !same {
+			t.Fatalf("day %d: via by_day %v, zone scan %v", day, via, scan)
+		}
+	}
+}
+
+// compareRow orders rows column by column.
+func compareRow(x, y []keyenc.Value) int { return slices.CompareFunc(x, y, keyenc.Compare) }

@@ -93,6 +93,15 @@ func (t TableDef) Validate() error {
 	return nil
 }
 
+// routeCols returns the columns rows hash by to pick their shard: the
+// sharding key, or the full primary key when none is declared.
+func (t TableDef) routeCols() []string {
+	if len(t.ShardKey) == 0 {
+		return t.PrimaryKey
+	}
+	return t.ShardKey
+}
+
 // colIndex returns the ordinal of a named user column.
 func (t TableDef) colIndex(name string) int {
 	for i, c := range t.Columns {
