@@ -18,9 +18,11 @@ package columnar
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"umzi/internal/keyenc"
@@ -97,38 +99,71 @@ func (s *Schema) Equal(o *Schema) bool {
 	return true
 }
 
-// column is the in-memory representation of one encoded column. Which
-// field group is populated depends on enc:
+// column is one column's directory entry: its encoding, the parameters
+// the encoding needs, and the regions of the block's stored bytes that
+// hold its body. Every region aliases the block's bytes and is read in
+// place, u64 words and u32 offsets big-endian, the format's byte order.
+// Which regions are set depends on enc:
 //
-//	EncPlain   fixed: nums; variable: offsets+payload
-//	EncBitPack base+width+packed (fixed kinds only)
-//	EncDict    dictOffsets+dictPayload (sorted distinct values) and
-//	           width+packed (codes; variable kinds only)
-//	EncRLE     runEnds plus runNums (fixed) or runOffsets+runPayload
+//	EncPlain   fixed: words, one per row; variable: offsets+payload
+//	EncBitPack base+width+words (packed deltas; fixed kinds only)
+//	EncDict    offsets+payload (the sorted distinct values) and
+//	           width+words (packed codes; variable kinds only)
+//	EncRLE     ends, plus words (one value per run, fixed) or
+//	           offsets+payload (one value per run, variable)
 type column struct {
-	enc Encoding
-
-	nums    []uint64 // int64 bits / uint64 / float64 bits / bool 0|1
-	offsets []uint32 // len rows+1, for bytes/string
+	enc     Encoding
+	width   uint8  // bitpack: delta width; dict: code width
+	base    uint64 // bitpack: minimum sort key
+	words   []byte // u64 words
+	offsets []byte // u32 offsets: entry i is payload[offset i : offset i+1]
 	payload []byte
-
-	base   uint64 // bitpack: minimum sort key
-	width  uint8  // bitpack: delta width; dict: code width
-	packed []uint64
-
-	dictOffsets []uint32 // len ndict+1
-	dictPayload []byte
-
-	runEnds    []uint32 // cumulative end row of each run; last == rows
-	runNums    []uint64
-	runOffsets []uint32 // len runs+1
-	runPayload []byte
+	ends    []byte // u32 cumulative end row of each run; the last is rows
 }
 
-// Block is an immutable columnar data block.
+// u64At reads the i-th big-endian u64 of b.
+func u64At(b []byte, i int) uint64 { return binary.BigEndian.Uint64(b[8*i:]) }
+
+// u32At reads the i-th big-endian u32 of b.
+func u32At(b []byte, i int) uint32 { return binary.BigEndian.Uint32(b[4*i:]) }
+
+// decodeWords fills dst with the big-endian u64s at the head of src,
+// which must hold at least len(dst) of them; eight at a time, so the
+// loads and byte swaps of one round overlap.
+func decodeWords(dst []uint64, src []byte) {
+	src = src[:8*len(dst)]
+	for len(dst) >= 8 {
+		d, s := dst[:8:8], src[:64:64]
+		d[0] = binary.BigEndian.Uint64(s[0:8])
+		d[1] = binary.BigEndian.Uint64(s[8:16])
+		d[2] = binary.BigEndian.Uint64(s[16:24])
+		d[3] = binary.BigEndian.Uint64(s[24:32])
+		d[4] = binary.BigEndian.Uint64(s[32:40])
+		d[5] = binary.BigEndian.Uint64(s[40:48])
+		d[6] = binary.BigEndian.Uint64(s[48:56])
+		d[7] = binary.BigEndian.Uint64(s[56:64])
+		dst, src = dst[8:], src[64:]
+	}
+	for i := range dst {
+		dst[i] = u64At(src, i)
+	}
+}
+
+// entry returns the i-th value of the column's offsets+payload pair.
+func (c *column) entry(i int) []byte {
+	return c.payload[u32At(c.offsets, i):u32At(c.offsets, i+1)]
+}
+
+// runEnd returns the end row of run i.
+func (c *column) runEnd(i int) int { return int(u32At(c.ends, i)) }
+
+// Block is an immutable columnar data block. It is its stored bytes: the
+// column directory and the min/max bounds are all it decodes from them,
+// and every read goes to the bytes in place.
 type Block struct {
 	schema *Schema
 	rows   int
+	data   []byte // the stored bytes, which every column region aliases
 	cols   []column
 	mins   []keyenc.Value // per column; invalid Value when rows == 0
 	maxs   []keyenc.Value
@@ -140,7 +175,7 @@ type Block struct {
 type Builder struct {
 	schema   *Schema
 	rows     int
-	cols     []column
+	cols     []buildCol
 	mins     []keyenc.Value
 	maxs     []keyenc.Value
 	arena    arena
@@ -151,7 +186,7 @@ type Builder struct {
 func NewBuilder(schema *Schema) *Builder {
 	b := &Builder{
 		schema: schema,
-		cols:   make([]column, schema.NumCols()),
+		cols:   make([]buildCol, schema.NumCols()),
 		mins:   make([]keyenc.Value, schema.NumCols()),
 		maxs:   make([]keyenc.Value, schema.NumCols()),
 	}
@@ -256,13 +291,20 @@ func (b *Builder) cloneValue(v keyenc.Value) keyenc.Value {
 func (b *Builder) NumRows() int { return b.rows }
 
 // Build freezes the builder into a Block: each column is rewritten to
-// the encoding with the smallest estimated wire size. The builder must
-// not be used afterwards.
+// the encoding with the smallest estimated wire size and written into
+// the block's stored bytes, and the block is the view Unmarshal returns
+// of those bytes, so a built block and a fetched one are one kind of
+// block. The builder must not be used afterwards.
 func (b *Builder) Build() *Block {
 	for i := range b.cols {
 		chooseEncoding(&b.cols[i], b.schema.Col(i).Kind, b.rows, b.forceEnc)
 	}
-	return &Block{schema: b.schema, rows: b.rows, cols: b.cols, mins: b.mins, maxs: b.maxs}
+	blk, err := Unmarshal(b.marshal())
+	if err != nil {
+		panic("columnar: built block does not decode: " + err.Error())
+	}
+	blk.schema = b.schema // equal to the one decoded from the header
+	return blk
 }
 
 // Schema returns the block's schema.
@@ -300,38 +342,36 @@ func (blk *Block) numAt(col, row int) uint64 {
 	c := &blk.cols[col]
 	switch c.enc {
 	case EncPlain:
-		return c.nums[row]
+		return u64At(c.words, row)
 	case EncBitPack:
 		kind := blk.schema.Col(col).Kind
-		return keyenc.SortKeyBitsInv(kind, c.base+packGet(c.packed, c.width, row))
+		return keyenc.SortKeyBitsInv(kind, c.base+packGet(c.words, c.width, row))
 	case EncRLE:
-		return c.runNums[runIndex(c.runEnds, row)]
+		return u64At(c.words, c.runIndex(row))
 	default:
 		panic("columnar: numAt on variable-kind encoding")
 	}
 }
 
 // varAt returns the payload bytes of a variable column at row, whatever
-// the encoding. The slice aliases block-owned memory.
+// the encoding. The slice aliases the block's bytes.
 func (blk *Block) varAt(col, row int) []byte {
 	c := &blk.cols[col]
 	switch c.enc {
 	case EncPlain:
-		return c.payload[c.offsets[row]:c.offsets[row+1]]
+		return c.entry(row)
 	case EncDict:
-		code := packGet(c.packed, c.width, row)
-		return c.dictPayload[c.dictOffsets[code]:c.dictOffsets[code+1]]
+		return c.entry(int(packGet(c.words, c.width, row)))
 	case EncRLE:
-		run := runIndex(c.runEnds, row)
-		return c.runPayload[c.runOffsets[run]:c.runOffsets[run+1]]
+		return c.entry(c.runIndex(row))
 	default:
 		panic("columnar: varAt on fixed-kind encoding")
 	}
 }
 
 // Value returns the value at (row, col). It panics on out-of-range
-// indices, mirroring slice semantics. Values of variable kinds alias
-// block-owned memory; the block is immutable, so the slices are stable.
+// indices, mirroring slice semantics. Values of variable kinds alias the
+// block's bytes; the block is immutable, so the slices are stable.
 func (blk *Block) Value(row, col int) keyenc.Value {
 	if row < 0 || row >= blk.rows {
 		panic(fmt.Sprintf("columnar: row %d out of range [0,%d)", row, blk.rows))
@@ -368,64 +408,73 @@ func (blk *Block) Row(row int, dst []keyenc.Value) []keyenc.Value {
 // as the executor's beginTS visibility pass.
 func (blk *Block) AppendNums(col int, dst []uint64) []uint64 {
 	c := &blk.cols[col]
+	n := len(dst)
+	dst = slices.Grow(dst, blk.rows)[:n+blk.rows]
+	out := dst[n:]
 	switch c.enc {
 	case EncPlain:
-		return append(dst, c.nums...)
+		decodeWords(out, c.words)
 	case EncBitPack:
 		kind := blk.schema.Col(col).Kind
-		for r := 0; r < blk.rows; r++ {
-			dst = append(dst, keyenc.SortKeyBitsInv(kind, c.base+packGet(c.packed, c.width, r)))
-		}
-		return dst
-	case EncRLE:
-		prev := 0
-		for i, end := range c.runEnds {
-			for ; prev < int(end); prev++ {
-				dst = append(dst, c.runNums[i])
+		var deltas [64]uint64
+		for base := 0; base < blk.rows; base += 64 {
+			vals := out[base:min(base+64, blk.rows)]
+			unpack(c.words, c.width, base, chunkSel(len(vals)), &deltas)
+			for i, d := range deltas[:len(vals)] {
+				vals[i] = keyenc.SortKeyBitsInv(kind, c.base+d)
 			}
 		}
-		return dst
+	case EncRLE:
+		prev := 0
+		for i := 0; prev < blk.rows; i++ {
+			raw, end := u64At(c.words, i), c.runEnd(i)
+			for ; prev < end; prev++ {
+				out[prev] = raw
+			}
+		}
 	default:
 		panic("columnar: AppendNums on variable-kind column")
 	}
+	return dst
 }
 
 // NumsWord decodes one selection word of a fixed column: bit i of word
 // selects row base+i, base a multiple of 64, and the raw 64-bit word (as
 // AppendNums gives it) of the k-th selected row, in row order, lands in
 // out[k]. Only the selected rows are decoded, straight from the encoding:
-// a plain column copies, a bit-packed one unpacks its deltas, an RLE one
-// walks forward from one run search. out past the selected count is left
-// as it was.
+// a plain column reads its words, a bit-packed one unpacks its deltas, an
+// RLE one walks forward from one run search. out past the selected count
+// is left as it was.
 func (blk *Block) NumsWord(col, base int, word uint64, out *[64]uint64) {
 	c := &blk.cols[col]
 	switch c.enc {
 	case EncPlain:
 		if word == ^uint64(0) {
-			copy(out[:], c.nums[base:base+64])
+			decodeWords(out[:], c.words[8*base:])
 			return
 		}
 		for k := 0; word != 0; word &= word - 1 {
-			out[k] = c.nums[base+bits.TrailingZeros64(word)]
+			out[k] = u64At(c.words, base+bits.TrailingZeros64(word))
 			k++
 		}
 	case EncBitPack:
 		kind := blk.schema.Col(col).Kind
-		for k := 0; word != 0; word &= word - 1 {
-			out[k] = keyenc.SortKeyBitsInv(kind, c.base+packGet(c.packed, c.width, base+bits.TrailingZeros64(word)))
-			k++
+		unpack(c.words, c.width, base, word, out)
+		for k, d := range out[:bits.OnesCount64(word)] {
+			out[k] = keyenc.SortKeyBitsInv(kind, c.base+d)
 		}
 	case EncRLE:
 		if word == 0 {
 			return
 		}
-		run := runIndex(c.runEnds, base+bits.TrailingZeros64(word))
+		run := c.runIndex(base + bits.TrailingZeros64(word))
+		end, raw := c.runEnd(run), u64At(c.words, run)
 		for k := 0; word != 0; word &= word - 1 {
-			r := base + bits.TrailingZeros64(word)
-			for int(c.runEnds[run]) <= r {
+			for r := base + bits.TrailingZeros64(word); end <= r; {
 				run++
+				end, raw = c.runEnd(run), u64At(c.words, run)
 			}
-			out[k] = c.runNums[run]
+			out[k] = raw
 			k++
 		}
 	default:
@@ -440,18 +489,14 @@ func (blk *Block) CodesWord(col, base int, word uint64, out *[64]uint64) {
 	if c.enc != EncDict {
 		panic("columnar: CodesWord on a column that is not dict-encoded")
 	}
-	for k := 0; word != 0; word &= word - 1 {
-		out[k] = packGet(c.packed, c.width, base+bits.TrailingZeros64(word))
-		k++
-	}
+	unpack(c.words, c.width, base, word, out)
 }
 
 // Dict is the sorted dictionary of a dict-encoded column: code i names
-// Value(i), so code order is value order. It aliases block-owned memory.
+// Value(i), so code order is value order. It aliases the block's bytes.
 type Dict struct {
-	offsets []uint32
-	payload []byte
-	str     bool
+	c   *column
+	str bool
 }
 
 // Dict returns the dictionary of a dict-encoded column; ok is false for
@@ -461,15 +506,20 @@ func (blk *Block) Dict(col int) (d Dict, ok bool) {
 	if c.enc != EncDict {
 		return Dict{}, false
 	}
-	return Dict{offsets: c.dictOffsets, payload: c.dictPayload, str: blk.schema.Col(col).Kind == keyenc.KindString}, true
+	return Dict{c: c, str: blk.schema.Col(col).Kind == keyenc.KindString}, true
 }
 
 // Len returns the number of dictionary entries.
-func (d Dict) Len() int { return max(len(d.offsets)-1, 0) }
+func (d Dict) Len() int {
+	if d.c == nil {
+		return 0
+	}
+	return len(d.c.offsets)/4 - 1
+}
 
 // Value returns the value a code names.
 func (d Dict) Value(code uint64) keyenc.Value {
-	b := d.payload[d.offsets[code]:d.offsets[code+1]]
+	b := d.c.entry(int(code))
 	if d.str {
 		return keyenc.StrBytes(b)
 	}
@@ -568,25 +618,24 @@ func (blk *Block) CmpSelect(col int, v keyenc.Value, lt, eq, gt bool, out []uint
 		tv := keyenc.SortKeyBits(kind, rawBits(v))
 		switch c.enc {
 		case EncPlain:
-			var w uint64
-			for r, raw := range c.nums {
-				k := keyenc.SortKeyBits(kind, raw)
-				if (lt && k < tv) || (eq && k == tv) || (gt && k > tv) {
-					w |= 1 << uint(r&63)
+			var raws [64]uint64
+			for base := 0; base < blk.rows; base += 64 {
+				n := min(64, blk.rows-base)
+				decodeWords(raws[:n], c.words[8*base:])
+				var w uint64
+				for i, raw := range raws[:n] {
+					k := keyenc.SortKeyBits(kind, raw)
+					if (lt && k < tv) || (eq && k == tv) || (gt && k > tv) {
+						w |= 1 << uint(i)
+					}
 				}
-				if r&63 == 63 {
-					out[r>>6] = w
-					w = 0
-				}
-			}
-			if blk.rows&63 != 0 {
-				out[(blk.rows-1)>>6] = w
+				out[base>>6] = w
 			}
 		case EncBitPack:
 			blk.cmpSelectBitPack(c, tv, lt, eq, gt, out)
 		case EncRLE:
-			setRuns(c.runEnds, out, func(i int) bool {
-				k := keyenc.SortKeyBits(kind, c.runNums[i])
+			c.setRuns(out, func(i int) bool {
+				k := keyenc.SortKeyBits(kind, u64At(c.words, i))
 				return (lt && k < tv) || (eq && k == tv) || (gt && k > tv)
 			})
 		}
@@ -597,7 +646,7 @@ func (blk *Block) CmpSelect(col int, v keyenc.Value, lt, eq, gt bool, out []uint
 	case EncPlain:
 		var w uint64
 		for r := 0; r < blk.rows; r++ {
-			cmp := bytes.Compare(c.payload[c.offsets[r]:c.offsets[r+1]], tb)
+			cmp := bytes.Compare(c.entry(r), tb)
 			if (lt && cmp < 0) || (eq && cmp == 0) || (gt && cmp > 0) {
 				w |= 1 << uint(r&63)
 			}
@@ -612,8 +661,8 @@ func (blk *Block) CmpSelect(col int, v keyenc.Value, lt, eq, gt bool, out []uint
 	case EncDict:
 		blk.cmpSelectDict(c, tb, lt, eq, gt, out)
 	case EncRLE:
-		setRuns(c.runEnds, out, func(i int) bool {
-			cmp := bytes.Compare(c.runPayload[c.runOffsets[i]:c.runOffsets[i+1]], tb)
+		c.setRuns(out, func(i int) bool {
+			cmp := bytes.Compare(c.entry(i), tb)
 			return (lt && cmp < 0) || (eq && cmp == 0) || (gt && cmp > 0)
 		})
 	}
@@ -646,19 +695,17 @@ func (blk *Block) cmpSelectBitPack(c *column, tv uint64, lt, eq, gt bool, out []
 		}
 		return
 	}
-	var w uint64
-	for r := 0; r < blk.rows; r++ {
-		dv := packGet(c.packed, c.width, r)
-		if (lt && dv < d) || (eq && dv == d) || (gt && dv > d) {
-			w |= 1 << uint(r&63)
+	var deltas [64]uint64
+	for base := 0; base < blk.rows; base += 64 {
+		n := min(64, blk.rows-base)
+		unpack(c.words, c.width, base, chunkSel(n), &deltas)
+		var w uint64
+		for i, dv := range deltas[:n] {
+			if (lt && dv < d) || (eq && dv == d) || (gt && dv > d) {
+				w |= 1 << uint(i)
+			}
 		}
-		if r&63 == 63 {
-			out[r>>6] = w
-			w = 0
-		}
-	}
-	if blk.rows&63 != 0 {
-		out[(blk.rows-1)>>6] = w
+		out[base>>6] = w
 	}
 }
 
@@ -666,53 +713,52 @@ func (blk *Block) cmpSelectBitPack(c *column, tv uint64, lt, eq, gt bool, out []
 // then compares bit-packed codes against that position — one value
 // comparison per distinct value instead of per row.
 func (blk *Block) cmpSelectDict(c *column, tb []byte, lt, eq, gt bool, out []uint64) {
-	ndict := len(c.dictOffsets) - 1
+	ndict := len(c.offsets)/4 - 1
 	lo, hi := 0, ndict
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(c.dictPayload[c.dictOffsets[mid]:c.dictOffsets[mid+1]], tb) < 0 {
+		if bytes.Compare(c.entry(mid), tb) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	ci := uint64(lo)
-	found := lo < ndict && bytes.Equal(c.dictPayload[c.dictOffsets[lo]:c.dictOffsets[lo+1]], tb)
+	found := lo < ndict && bytes.Equal(c.entry(lo), tb)
 	// Codes below ci are < target; codes >= ci are > target, except code
 	// ci itself when the target is present in the dictionary.
-	var w uint64
-	for r := 0; r < blk.rows; r++ {
-		code := packGet(c.packed, c.width, r)
-		var match bool
-		switch {
-		case code < ci:
-			match = lt
-		case found && code == ci:
-			match = eq
-		default:
-			match = gt
+	var codes [64]uint64
+	for base := 0; base < blk.rows; base += 64 {
+		n := min(64, blk.rows-base)
+		unpack(c.words, c.width, base, chunkSel(n), &codes)
+		var w uint64
+		for i, code := range codes[:n] {
+			var match bool
+			switch {
+			case code < ci:
+				match = lt
+			case found && code == ci:
+				match = eq
+			default:
+				match = gt
+			}
+			if match {
+				w |= 1 << uint(i)
+			}
 		}
-		if match {
-			w |= 1 << uint(r&63)
-		}
-		if r&63 == 63 {
-			out[r>>6] = w
-			w = 0
-		}
-	}
-	if blk.rows&63 != 0 {
-		out[(blk.rows-1)>>6] = w
+		out[base>>6] = w
 	}
 }
 
 // setRuns sets the bit ranges of the runs for which match(run) is true.
-func setRuns(runEnds []uint32, out []uint64, match func(i int) bool) {
+func (c *column) setRuns(out []uint64, match func(i int) bool) {
 	start := 0
-	for i, end := range runEnds {
+	for i := 0; i < len(c.ends)/4; i++ {
+		end := c.runEnd(i)
 		if match(i) {
-			setRange(out, start, int(end))
+			setRange(out, start, end)
 		}
-		start = int(end)
+		start = end
 	}
 }
 

@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/bits"
 	"slices"
 	"sort"
@@ -78,28 +79,92 @@ func packPut(words []uint64, width uint8, i int, v uint64) {
 	}
 }
 
-// packGet loads the i-th width-bit value from words.
-func packGet(words []uint64, width uint8, i int) uint64 {
+// packGet loads the i-th width-bit value from words, stored as
+// big-endian u64s.
+func packGet(words []byte, width uint8, i int) uint64 {
 	if width == 0 {
 		return 0
 	}
 	bit := i * int(width)
-	w, off := bit>>6, uint(bit&63)
-	v := words[w] >> off
+	b, off := bit>>6<<3, uint(bit&63)
+	v := binary.BigEndian.Uint64(words[b:]) >> off
 	if off+uint(width) > 64 {
-		v |= words[w+1] << (64 - off)
-	}
-	if width == 64 {
-		return v
+		v |= binary.BigEndian.Uint64(words[b+8:]) << (64 - off)
 	}
 	return v & (1<<width - 1)
 }
 
+// unpack decodes the packed values of the rows a selection word picks
+// from the 64-row chunk at base, a multiple of 64: bit i of sel picks
+// row base+i, and the k-th picked row's value lands in out[k]. The
+// chunk's words, up to the last picked row, are byte-swapped once into
+// a buffer, and each value is read from its word and the next without
+// a branch: when the value does not straddle the two, the next word's
+// bits land above width and the mask drops them. The buffer's spare
+// last word is zero.
+func unpack(words []byte, width uint8, base int, sel uint64, out *[64]uint64) {
+	if width == 0 {
+		clear(out[:bits.OnesCount64(sel)])
+		return
+	}
+	var buf [65]uint64
+	n := 64 - bits.LeadingZeros64(sel) // rows up to the last picked one
+	decodeWords(buf[:(n*int(width)+63)/64], words[base*int(width)/8:])
+	mask := uint64(1)<<width - 1
+	if sel&(sel+1) == 0 { // every row of the chunk up to n
+		for i := range out[:n] {
+			bit := i * int(width)
+			j, off := bit>>6&63, uint(bit&63)
+			out[i] = (buf[j]>>off | buf[j+1]<<1<<(63-off)) & mask
+		}
+		return
+	}
+	for k := 0; sel != 0; sel &= sel - 1 {
+		bit := bits.TrailingZeros64(sel) * int(width)
+		j, off := bit>>6&63, uint(bit&63)
+		out[k] = (buf[j]>>off | buf[j+1]<<1<<(63-off)) & mask
+		k++
+	}
+}
+
+// chunkSel is the selection word of the first n rows of a chunk.
+func chunkSel(n int) uint64 { return ^uint64(0) >> uint(64-n) }
+
 // --- encoders --------------------------------------------------------------
+
+// buildCol is a column under construction: the builder appends rows to
+// it plain, chooseEncoding rewrites it to its encoding, and Build writes
+// it into the block's stored bytes. Which field group is populated
+// depends on enc:
+//
+//	EncPlain   fixed: nums; variable: offsets+payload
+//	EncBitPack base+width+packed (fixed kinds only)
+//	EncDict    dictOffsets+dictPayload (sorted distinct values) and
+//	           width+packed (codes; variable kinds only)
+//	EncRLE     runEnds plus runNums (fixed) or runOffsets+runPayload
+type buildCol struct {
+	enc Encoding
+
+	nums    []uint64 // int64 bits / uint64 / float64 bits / bool 0|1
+	offsets []uint32 // len rows+1, for bytes/string
+	payload []byte
+
+	base   uint64 // bitpack: minimum sort key
+	width  uint8  // bitpack: delta width; dict: code width
+	packed []uint64
+
+	dictOffsets []uint32 // len ndict+1
+	dictPayload []byte
+
+	runEnds    []uint32 // cumulative end row of each run; last == rows
+	runNums    []uint64
+	runOffsets []uint32 // len runs+1
+	runPayload []byte
+}
 
 // encodeBitPack rewrites a plain fixed column as frame-of-reference
 // bit-packed deltas in sort-key space.
-func encodeBitPack(c *column, kind keyenc.Kind) {
+func encodeBitPack(c *buildCol, kind keyenc.Kind) {
 	base, width := bitPackDims(c.nums, kind)
 	packed := make([]uint64, packedWords(len(c.nums), width))
 	for i, raw := range c.nums {
@@ -133,7 +198,7 @@ func bitPackDims(nums []uint64, kind keyenc.Kind) (base uint64, width uint8) {
 
 // encodeDict rewrites a plain variable column as a sorted dictionary plus
 // bit-packed codes; dict is the column's dictValues.
-func encodeDict(c *column, dict [][]byte) {
+func encodeDict(c *buildCol, dict [][]byte) {
 	rows := len(c.offsets) - 1
 	var width uint8
 	if len(dict) > 1 {
@@ -162,7 +227,7 @@ func encodeDict(c *column, dict [][]byte) {
 
 // dictValues returns the sorted distinct values of a plain variable
 // column.
-func dictValues(c *column) [][]byte {
+func dictValues(c *buildCol) [][]byte {
 	rows := len(c.offsets) - 1
 	vals := make([][]byte, rows)
 	for r := 0; r < rows; r++ {
@@ -196,7 +261,7 @@ func dictSize(dict [][]byte, rows int) int {
 
 // encodeRLE rewrites a plain column (fixed or variable) as runs of equal
 // values: cumulative run-end rows plus one stored value per run.
-func encodeRLE(c *column, fixed bool) {
+func encodeRLE(c *buildCol, fixed bool) {
 	var runEnds []uint32
 	if fixed {
 		var runNums []uint64
@@ -235,7 +300,7 @@ func encodeRLE(c *column, fixed bool) {
 
 // rleRuns counts the runs of consecutive equal values and, for variable
 // kinds, the total payload bytes of one stored value per run.
-func rleRuns(c *column, fixed bool) (runs, varPayload int) {
+func rleRuns(c *buildCol, fixed bool) (runs, varPayload int) {
 	if fixed {
 		for i, v := range c.nums {
 			if i == 0 || v != c.nums[i-1] {
@@ -254,13 +319,13 @@ func rleRuns(c *column, fixed bool) (runs, varPayload int) {
 	return runs, varPayload
 }
 
-// runIndex returns the run containing row: the smallest i with
-// runEnds[i] > row.
-func runIndex(runEnds []uint32, row int) int {
-	lo, hi := 0, len(runEnds)
+// runIndex returns the run containing row: the smallest i whose run
+// end is greater than row.
+func (c *column) runIndex(row int) int {
+	lo, hi := 0, len(c.ends)/4
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if int(runEnds[mid]) > row {
+		if c.runEnd(mid) > row {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -273,7 +338,7 @@ func runIndex(runEnds []uint32, row int) int {
 // built plain column and rewrites it in place. forced, when non-nil,
 // overrides the choice where the encoding applies to the kind (with a
 // plain fallback otherwise).
-func chooseEncoding(c *column, kind keyenc.Kind, rows int, forced *Encoding) {
+func chooseEncoding(c *buildCol, kind keyenc.Kind, rows int, forced *Encoding) {
 	fixed := kind.Fixed()
 	if forced != nil {
 		switch *forced {
@@ -332,7 +397,7 @@ func chooseEncoding(c *column, kind keyenc.Kind, rows int, forced *Encoding) {
 }
 
 // plainBodySize is the wire size of a plain column body.
-func plainBodySize(c *column, fixed bool) int {
+func plainBodySize(c *buildCol, fixed bool) int {
 	if fixed {
 		return 8 * len(c.nums)
 	}

@@ -124,47 +124,55 @@ func (blk *Block) foldColumn(col int, h []uint64) {
 	if kind.Fixed() {
 		switch c.enc {
 		case EncPlain:
-			for r, raw := range c.nums {
-				h[r] = fpMix(h[r] ^ raw)
+			for r := range h {
+				h[r] = fpMix(h[r] ^ u64At(c.words, r))
 			}
 		case EncBitPack:
-			for r := range h {
-				h[r] = fpMix(h[r] ^ keyenc.SortKeyBitsInv(kind, c.base+packGet(c.packed, c.width, r)))
+			var deltas [64]uint64
+			for base := 0; base < len(h); base += 64 {
+				hs := h[base:min(base+64, len(h))]
+				unpack(c.words, c.width, base, chunkSel(len(hs)), &deltas)
+				for i, d := range deltas[:len(hs)] {
+					hs[i] = fpMix(hs[i] ^ keyenc.SortKeyBitsInv(kind, c.base+d))
+				}
 			}
 		case EncRLE:
-			foldRuns(c.runEnds, h, func(i int) uint64 { return c.runNums[i] })
+			c.foldRuns(h, func(i int) uint64 { return u64At(c.words, i) })
 		}
 		return
 	}
 	switch c.enc {
 	case EncPlain:
 		for r := range h {
-			h[r] = fpMix(h[r] ^ fpBytes(c.payload[c.offsets[r]:c.offsets[r+1]]))
+			h[r] = fpMix(h[r] ^ fpBytes(c.entry(r)))
 		}
 	case EncDict:
-		dict := make([]uint64, len(c.dictOffsets)-1)
+		dict := make([]uint64, len(c.offsets)/4-1)
 		for i := range dict {
-			dict[i] = fpBytes(c.dictPayload[c.dictOffsets[i]:c.dictOffsets[i+1]])
+			dict[i] = fpBytes(c.entry(i))
 		}
-		for r := range h {
-			h[r] = fpMix(h[r] ^ dict[packGet(c.packed, c.width, r)])
+		var codes [64]uint64
+		for base := 0; base < len(h); base += 64 {
+			hs := h[base:min(base+64, len(h))]
+			unpack(c.words, c.width, base, chunkSel(len(hs)), &codes)
+			for i, code := range codes[:len(hs)] {
+				hs[i] = fpMix(hs[i] ^ dict[code])
+			}
 		}
 	case EncRLE:
-		foldRuns(c.runEnds, h, func(i int) uint64 {
-			return fpBytes(c.runPayload[c.runOffsets[i]:c.runOffsets[i+1]])
-		})
+		c.foldRuns(h, func(i int) uint64 { return fpBytes(c.entry(i)) })
 	}
 }
 
 // foldRuns mixes word(run) into the rows of every run, computing each
 // run's word once.
-func foldRuns(runEnds []uint32, h []uint64, word func(i int) uint64) {
+func (c *column) foldRuns(h []uint64, word func(i int) uint64) {
 	start := 0
-	for i, end := range runEnds {
-		w := word(i)
-		for r := start; r < int(end); r++ {
+	for i := 0; i < len(c.ends)/4; i++ {
+		w, end := word(i), c.runEnd(i)
+		for r := start; r < end; r++ {
 			h[r] = fpMix(h[r] ^ w)
 		}
-		start = int(end)
+		start = end
 	}
 }

@@ -34,24 +34,34 @@ import (
 // only format: any other magic — including the pre-encoding "UMZICOL1"
 // layout and the "UMZICOL2" layout with per-column filters, which no
 // store still holds — is rejected, never decoded.
+//
+// A Block is these bytes. Unmarshal checks them once and keeps only a
+// small per-column directory that points into them, and every read
+// afterwards goes to them in place; Build writes them and returns the
+// same view.
 
 const blockMagic = "UMZICOL3"
 
-// Marshal encodes the block for storage as one immutable object.
-func (blk *Block) Marshal() []byte {
-	out := make([]byte, 0, blk.marshalSize())
+// Marshal returns the block's stored bytes, the one immutable object it
+// is stored as. They are the bytes the block holds and reads, not a
+// copy: no one may modify them.
+func (blk *Block) Marshal() []byte { return blk.data }
+
+// marshal writes the built columns as a block's stored bytes.
+func (b *Builder) marshal() []byte {
+	out := make([]byte, 0, b.marshalSize())
 	out = append(out, blockMagic...)
-	out = binary.BigEndian.AppendUint32(out, uint32(blk.rows))
-	out = binary.BigEndian.AppendUint16(out, uint16(blk.schema.NumCols()))
-	for i := 0; i < blk.schema.NumCols(); i++ {
-		col := blk.schema.Col(i)
+	out = binary.BigEndian.AppendUint32(out, uint32(b.rows))
+	out = binary.BigEndian.AppendUint16(out, uint16(b.schema.NumCols()))
+	for i := 0; i < b.schema.NumCols(); i++ {
+		col := b.schema.Col(i)
 		out = append(out, byte(col.Kind))
 		out = binary.BigEndian.AppendUint16(out, uint16(len(col.Name)))
 		out = append(out, col.Name...)
-		if blk.rows > 0 {
+		if b.rows > 0 {
 			out = append(out, 1)
-			minEnc := keyenc.Append(nil, blk.mins[i])
-			maxEnc := keyenc.Append(nil, blk.maxs[i])
+			minEnc := keyenc.Append(nil, b.mins[i])
+			maxEnc := keyenc.Append(nil, b.maxs[i])
 			out = binary.BigEndian.AppendUint32(out, uint32(len(minEnc)))
 			out = append(out, minEnc...)
 			out = binary.BigEndian.AppendUint32(out, uint32(len(maxEnc)))
@@ -61,14 +71,12 @@ func (blk *Block) Marshal() []byte {
 			out = binary.BigEndian.AppendUint32(out, 0)
 			out = binary.BigEndian.AppendUint32(out, 0)
 		}
-		c := &blk.cols[i]
+		c := &b.cols[i]
 		out = append(out, byte(c.enc))
 		switch c.enc {
 		case EncPlain:
 			if col.Kind.Fixed() {
-				for _, n := range c.nums {
-					out = binary.BigEndian.AppendUint64(out, n)
-				}
+				out = appendU64s(out, c.nums)
 			} else {
 				out = appendU32s(out, c.offsets)
 				out = append(out, c.payload...)
@@ -77,9 +85,7 @@ func (blk *Block) Marshal() []byte {
 			out = binary.BigEndian.AppendUint64(out, c.base)
 			out = append(out, c.width)
 			out = binary.BigEndian.AppendUint32(out, uint32(len(c.packed)))
-			for _, w := range c.packed {
-				out = binary.BigEndian.AppendUint64(out, w)
-			}
+			out = appendU64s(out, c.packed)
 		case EncDict:
 			ndict := len(c.dictOffsets) - 1
 			out = binary.BigEndian.AppendUint32(out, uint32(ndict))
@@ -87,16 +93,12 @@ func (blk *Block) Marshal() []byte {
 			out = append(out, c.dictPayload...)
 			out = append(out, c.width)
 			out = binary.BigEndian.AppendUint32(out, uint32(len(c.packed)))
-			for _, w := range c.packed {
-				out = binary.BigEndian.AppendUint64(out, w)
-			}
+			out = appendU64s(out, c.packed)
 		case EncRLE:
 			out = binary.BigEndian.AppendUint32(out, uint32(len(c.runEnds)))
 			out = appendU32s(out, c.runEnds)
 			if col.Kind.Fixed() {
-				for _, n := range c.runNums {
-					out = binary.BigEndian.AppendUint64(out, n)
-				}
+				out = appendU64s(out, c.runNums)
 			} else {
 				out = appendU32s(out, c.runOffsets)
 				out = append(out, c.runPayload...)
@@ -113,26 +115,33 @@ func appendU32s(out []byte, vals []uint32) []byte {
 	return out
 }
 
-// marshalSize computes the exact length Marshal will produce.
-func (blk *Block) marshalSize() int {
+func appendU64s(out []byte, vals []uint64) []byte {
+	for _, v := range vals {
+		out = binary.BigEndian.AppendUint64(out, v)
+	}
+	return out
+}
+
+// marshalSize computes the exact length marshal will produce.
+func (b *Builder) marshalSize() int {
 	size := 8 + 4 + 2
-	for i := 0; i < blk.schema.NumCols(); i++ {
-		size += 1 + 2 + len(blk.schema.Col(i).Name) + 1 + 4 + 4
-		if blk.rows > 0 {
-			size += keyenc.EncodedLen(blk.mins[i]) + keyenc.EncodedLen(blk.maxs[i])
+	for i := 0; i < b.schema.NumCols(); i++ {
+		size += 1 + 2 + len(b.schema.Col(i).Name) + 1 + 4 + 4
+		if b.rows > 0 {
+			size += keyenc.EncodedLen(b.mins[i]) + keyenc.EncodedLen(b.maxs[i])
 		}
-		c := &blk.cols[i]
+		c := &b.cols[i]
 		size++ // enc
 		switch c.enc {
 		case EncPlain:
-			size += plainBodySize(c, blk.schema.Col(i).Kind.Fixed())
+			size += plainBodySize(c, b.schema.Col(i).Kind.Fixed())
 		case EncBitPack:
 			size += 8 + 1 + 4 + 8*len(c.packed)
 		case EncDict:
 			size += 4 + 4*len(c.dictOffsets) + len(c.dictPayload) + 1 + 4 + 8*len(c.packed)
 		case EncRLE:
 			size += 4 + 4*len(c.runEnds)
-			if blk.schema.Col(i).Kind.Fixed() {
+			if b.schema.Col(i).Kind.Fixed() {
 				size += 8 * len(c.runNums)
 			} else {
 				size += 4*len(c.runOffsets) + len(c.runPayload)
@@ -166,31 +175,26 @@ func (blk *Block) PlainSize() int {
 	return size
 }
 
-// MemSize estimates the decoded block's resident memory: every encoded
-// column body, the key fingerprint column once published, plus fixed
-// per-column and per-block struct overhead. Block
-// caches use it as the charge unit for byte budgeting, so it only needs
-// to track the real footprint closely enough that a budget of N bytes
-// holds roughly N bytes of blocks.
+// MemSize is the block's resident memory: the stored bytes it holds, by
+// capacity since a read buffer may be larger than the object, the key
+// fingerprint column once published, and a fixed overhead per block and
+// per column for the directory, the schema and the min/max bounds. Block
+// caches charge it for byte budgeting.
 func (blk *Block) MemSize() int {
 	const (
-		blockOverhead  = 96  // Block struct + schema pointer + slice headers
-		columnOverhead = 160 // column struct: encoding tag + 8 slice headers
-		valueOverhead  = 48  // keyenc.Value tagged union (min + max entries)
+		blockOverhead  = 200 // Block and Schema structs, the schema's map header
+		columnOverhead = 240 // directory entry, schema column and map entry, min + max
 	)
-	size := blockOverhead + blk.fingerprintBytes()
-	for i := range blk.cols {
-		c := &blk.cols[i]
-		size += columnOverhead + valueOverhead
-		size += 8*len(c.nums) + 4*len(c.offsets) + len(c.payload)
-		size += 8 * len(c.packed)
-		size += 4*len(c.dictOffsets) + len(c.dictPayload)
-		size += 4*len(c.runEnds) + 8*len(c.runNums) + 4*len(c.runOffsets) + len(c.runPayload)
-	}
-	return size
+	return blockOverhead + columnOverhead*len(blk.cols) + cap(blk.data) + blk.fingerprintBytes()
 }
 
-// Unmarshal decodes a block previously produced by Marshal.
+// Unmarshal returns the block data holds, data as produced by Marshal.
+// It checks every structural invariant once — magic, lengths, encoding
+// tags, word counts, monotonic offsets and run ends, dictionary codes in
+// range — so that no read of an accepted block can go out of bounds, and
+// decodes only the schema, the min/max bounds and a per-column directory
+// into data. The block aliases data and reads it in place for as long as
+// the block lives: no one may modify data afterwards.
 func Unmarshal(data []byte) (*Block, error) {
 	r := reader{b: data}
 	magic, err := r.take(8)
@@ -212,7 +216,7 @@ func Unmarshal(data []byte) (*Block, error) {
 	}
 
 	cols := make([]Column, ncols)
-	data2 := make([]column, ncols)
+	dir := make([]column, ncols)
 	mins := make([]keyenc.Value, ncols)
 	maxs := make([]keyenc.Value, ncols)
 	for i := 0; i < ncols; i++ {
@@ -269,15 +273,18 @@ func Unmarshal(data []byte) (*Block, error) {
 			}
 		}
 
-		if err := readColumn(&r, &data2[i], kind, rows, i); err != nil {
+		if err := readColumn(&r, &dir[i], kind, rows, i); err != nil {
 			return nil, err
 		}
+	}
+	if n := len(data) - r.off; n != 0 {
+		return nil, fmt.Errorf("columnar: %d trailing bytes", n)
 	}
 	schema, err := NewSchema(cols...)
 	if err != nil {
 		return nil, err
 	}
-	return &Block{schema: schema, rows: rows, cols: data2, mins: mins, maxs: maxs}, nil
+	return &Block{schema: schema, rows: rows, data: data, cols: dir, mins: mins, maxs: maxs}, nil
 }
 
 // decodeBound decodes one min/max bound, which must fill enc exactly.
@@ -289,41 +296,9 @@ func decodeBound(enc []byte, kind keyenc.Kind) (keyenc.Value, error) {
 	return v, err
 }
 
-// readPlainColumn reads a plain-encoded column body.
-func readPlainColumn(r *reader, c *column, kind keyenc.Kind, rows int) error {
-	c.enc = EncPlain
-	if kind.Fixed() {
-		nums, err := r.u64s(rows)
-		if err != nil {
-			return err
-		}
-		c.nums = nums
-		return nil
-	}
-	offsets, err := r.u32s(rows + 1)
-	if err != nil {
-		return err
-	}
-	payload, err := r.take(int(offsets[rows]))
-	if err != nil {
-		return err
-	}
-	// Validate monotonic offsets so Value never panics on corrupted
-	// input.
-	for j := 0; j < rows; j++ {
-		if offsets[j] > offsets[j+1] {
-			return fmt.Errorf("columnar: offsets not monotonic")
-		}
-	}
-	c.offsets = offsets
-	c.payload = append([]byte(nil), payload...)
-	return nil
-}
-
-// readColumn reads one column: encoding tag and the encoding-specific
-// body, validating every structural
-// invariant so a corrupted block fails Unmarshal instead of panicking in
-// Value.
+// readColumn reads one column's encoding tag and points c at the
+// encoding-specific body, checking every structural invariant so that
+// a corrupted block fails Unmarshal instead of panicking in a read.
 func readColumn(r *reader, c *column, kind keyenc.Kind, rows, col int) error {
 	encB, err := r.u8()
 	if err != nil {
@@ -332,68 +307,45 @@ func readColumn(r *reader, c *column, kind keyenc.Kind, rows, col int) error {
 	c.enc = Encoding(encB)
 	switch c.enc {
 	case EncPlain:
-		return readPlainColumn(r, c, kind, rows)
+		if kind.Fixed() {
+			c.words, err = r.take(8 * rows)
+			return err
+		}
+		return r.entries(c, rows, col, "offsets")
 	case EncBitPack:
 		if !kind.Fixed() {
 			return fmt.Errorf("columnar: column %d: bitpack on %v", col, kind)
 		}
-		base, err := r.u64s(1)
-		if err != nil {
+		if c.base, err = r.u64(); err != nil {
 			return err
 		}
-		c.base = base[0]
-		width, err := r.u8()
-		if err != nil {
+		if c.width, err = r.width(col); err != nil {
 			return err
 		}
-		if width > 64 {
-			return fmt.Errorf("columnar: column %d: bit width %d", col, width)
-		}
-		c.width = width
-		c.packed, err = r.packedBody(rows, width, col)
+		c.words, err = r.packedBody(rows, c.width, col)
 		return err
 	case EncDict:
 		if kind.Fixed() {
 			return fmt.Errorf("columnar: column %d: dict on %v", col, kind)
 		}
-		ndict64, err := r.u32()
+		ndict, err := r.u32()
 		if err != nil {
 			return err
 		}
-		ndict := int(ndict64)
 		if rows > 0 && ndict == 0 {
 			return fmt.Errorf("columnar: column %d: empty dictionary", col)
 		}
-		offs, err := r.u32s(ndict + 1)
-		if err != nil {
+		if err := r.entries(c, int(ndict), col, "dict offsets"); err != nil {
 			return err
 		}
-		for j := 0; j < ndict; j++ {
-			if offs[j] > offs[j+1] {
-				return fmt.Errorf("columnar: column %d: dict offsets not monotonic", col)
-			}
-		}
-		pay, err := r.take(int(offs[ndict]))
-		if err != nil {
+		if c.width, err = r.width(col); err != nil {
 			return err
 		}
-		c.dictOffsets = offs
-		c.dictPayload = append([]byte(nil), pay...)
-		width, err := r.u8()
-		if err != nil {
+		if c.words, err = r.packedBody(rows, c.width, col); err != nil {
 			return err
 		}
-		if width > 64 {
-			return fmt.Errorf("columnar: column %d: code width %d", col, width)
-		}
-		c.width = width
-		if c.packed, err = r.packedBody(rows, width, col); err != nil {
-			return err
-		}
-		for j := 0; j < rows; j++ {
-			if packGet(c.packed, width, j) >= uint64(ndict) {
-				return fmt.Errorf("columnar: column %d: dict code out of range at row %d", col, j)
-			}
+		if row := codeOutOfRange(c.words, c.width, rows, uint64(ndict)); row >= 0 {
+			return fmt.Errorf("columnar: column %d: dict code out of range at row %d", col, row)
 		}
 		return nil
 	case EncRLE:
@@ -405,47 +357,87 @@ func readColumn(r *reader, c *column, kind keyenc.Kind, rows, col int) error {
 		if (nruns == 0) != (rows == 0) {
 			return fmt.Errorf("columnar: column %d: %d runs for %d rows", col, nruns, rows)
 		}
-		ends, err := r.u32s(nruns)
-		if err != nil {
+		if c.ends, err = r.take(4 * nruns); err != nil {
 			return err
 		}
-		for j, e := range ends {
-			if (j > 0 && e <= ends[j-1]) || (j == 0 && e == 0) {
+		prev := uint32(0)
+		for e := c.ends; len(e) >= 4; e = e[4:] {
+			end := binary.BigEndian.Uint32(e)
+			if end <= prev {
 				return fmt.Errorf("columnar: column %d: run ends not increasing", col)
 			}
+			prev = end
 		}
-		if nruns > 0 && int(ends[nruns-1]) != rows {
-			return fmt.Errorf("columnar: column %d: runs cover %d of %d rows", col, ends[nruns-1], rows)
+		if int(prev) != rows {
+			return fmt.Errorf("columnar: column %d: runs cover %d of %d rows", col, prev, rows)
 		}
-		c.runEnds = ends
 		if kind.Fixed() {
-			c.runNums, err = r.u64s(nruns)
+			c.words, err = r.take(8 * nruns)
 			return err
 		}
-		roffs, err := r.u32s(nruns + 1)
-		if err != nil {
-			return err
-		}
-		for j := 0; j < nruns; j++ {
-			if roffs[j] > roffs[j+1] {
-				return fmt.Errorf("columnar: column %d: run offsets not monotonic", col)
-			}
-		}
-		pay, err := r.take(int(roffs[nruns]))
-		if err != nil {
-			return err
-		}
-		c.runOffsets = roffs
-		c.runPayload = append([]byte(nil), pay...)
-		return nil
+		return r.entries(c, nruns, col, "run offsets")
 	default:
 		return fmt.Errorf("columnar: column %d: unknown encoding %d", col, encB)
 	}
 }
 
-// packedBody reads a bit-packed word array, validating the word count
+// codeOutOfRange returns the first row whose dictionary code is ndict or
+// more, or -1, in one sequential pass over the packed codes. A width-bit
+// code is below 2^width, so when ndict reaches that every code is in
+// range and the pass is skipped.
+func codeOutOfRange(words []byte, width uint8, rows int, ndict uint64) int {
+	if width < 64 && ndict >= 1<<width {
+		return -1
+	}
+	var codes [64]uint64
+	for base := 0; base < rows; base += 64 {
+		n := min(64, rows-base)
+		unpack(words, width, base, chunkSel(n), &codes)
+		for i, code := range codes[:n] {
+			if code >= ndict {
+				return base + i
+			}
+		}
+	}
+	return -1
+}
+
+// entries points c at n+1 u32 offsets and the payload they index,
+// checking that the offsets never decrease, so every entry lies inside
+// the payload. what names the offsets in the error.
+func (r *reader) entries(c *column, n, col int, what string) error {
+	offs, err := r.take(4 * (n + 1))
+	if err != nil {
+		return err
+	}
+	end := binary.BigEndian.Uint32(offs)
+	for o := offs[4:]; len(o) >= 4; o = o[4:] {
+		next := binary.BigEndian.Uint32(o)
+		if next < end {
+			return fmt.Errorf("columnar: column %d: %s not monotonic", col, what)
+		}
+		end = next
+	}
+	pay, err := r.take(int(end))
+	if err != nil {
+		return err
+	}
+	c.offsets, c.payload = offs, pay
+	return nil
+}
+
+// width reads a bit-packed body's value width, at most 64.
+func (r *reader) width(col int) (uint8, error) {
+	w, err := r.u8()
+	if err == nil && w > 64 {
+		err = fmt.Errorf("columnar: column %d: bit width %d", col, w)
+	}
+	return w, err
+}
+
+// packedBody reads a bit-packed word array, checking the word count
 // against the row count and width.
-func (r *reader) packedBody(rows int, width uint8, col int) ([]uint64, error) {
+func (r *reader) packedBody(rows int, width uint8, col int) ([]byte, error) {
 	nwords, err := r.u32()
 	if err != nil {
 		return nil, err
@@ -453,7 +445,7 @@ func (r *reader) packedBody(rows int, width uint8, col int) ([]uint64, error) {
 	if int(nwords) != packedWords(rows, width) {
 		return nil, fmt.Errorf("columnar: column %d: %d packed words for %d rows at width %d", col, nwords, rows, width)
 	}
-	return r.u64s(int(nwords))
+	return r.take(8 * int(nwords))
 }
 
 // reader is a tiny bounds-checked cursor.
@@ -466,7 +458,7 @@ func (r *reader) take(n int) ([]byte, error) {
 	if n < 0 || r.off+n > len(r.b) {
 		return nil, fmt.Errorf("columnar: truncated block (%d bytes at %d of %d)", n, r.off, len(r.b))
 	}
-	out := r.b[r.off : r.off+n]
+	out := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return out, nil
 }
@@ -495,26 +487,10 @@ func (r *reader) u32() (uint32, error) {
 	return binary.BigEndian.Uint32(b), nil
 }
 
-func (r *reader) u32s(n int) ([]uint32, error) {
-	raw, err := r.take(4 * n)
+func (r *reader) u64() (uint64, error) {
+	b, err := r.take(8)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint32(raw[4*i:])
-	}
-	return out, nil
-}
-
-func (r *reader) u64s(n int) ([]uint64, error) {
-	raw, err := r.take(8 * n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint64(raw[8*i:])
-	}
-	return out, nil
+	return binary.BigEndian.Uint64(b), nil
 }

@@ -229,7 +229,7 @@ func TestV1MagicRejected(t *testing.T) {
 	}
 	b := NewBuilder(schema)
 	b.Append([]keyenc.Value{keyenc.I64(7)})
-	data := b.Build().Marshal()
+	data := bytes.Clone(b.Build().Marshal()) // the block's own bytes are immutable
 	if _, err := Unmarshal(data); err != nil {
 		t.Fatalf("current block rejected: %v", err)
 	}

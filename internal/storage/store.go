@@ -38,7 +38,9 @@ type ObjectStore interface {
 	// Put writes a complete, immutable object. It fails with ErrExists if
 	// the name is taken.
 	Put(name string, data []byte) error
-	// Get reads a whole object.
+	// Get reads a whole object. The returned slice belongs to the
+	// caller, and the store never writes it again: a decoded columnar
+	// block keeps it and reads it in place for as long as it lives.
 	Get(name string) ([]byte, error)
 	// GetRange reads length bytes at offset. Implementations charge the
 	// latency model once per call: Umzi transfers whole data blocks at a

@@ -213,6 +213,36 @@ func TestMemStoreIsolation(t *testing.T) {
 	}
 }
 
+// TestGetReturnsCallerOwnedSlice: the slice Get returns belongs to the
+// caller — a columnar block keeps reading it in place — so writing it
+// changes neither the stored object nor what the next Get returns, on
+// every store and through the fault-injecting wrapper.
+func TestGetReturnsCallerOwnedSlice(t *testing.T) {
+	stores := storeImpls(t)
+	stores["fault"] = NewFaultStore(NewMemStore(LatencyModel{}), 100)
+	for name, s := range stores {
+		t.Run(name, func(t *testing.T) {
+			if err := s.Put("o", []byte("immutable")); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Get("o")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				got[i] = 'X'
+			}
+			again, err := s.Get("o")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(again) != "immutable" {
+				t.Fatalf("second Get = %q after the first one's slice was written", again)
+			}
+		})
+	}
+}
+
 func TestLatencyModelCharged(t *testing.T) {
 	s := NewMemStore(LatencyModel{PerOp: 2 * time.Millisecond})
 	if err := s.Put("o", []byte("x")); err != nil {
